@@ -1,0 +1,149 @@
+"""Golden bit-exact hashes of the integer engine's outputs and containers.
+
+Every {lstm, bilstm, encdec} x {8/8, 16/16, 8/8 + MadNorm} x {8, 32}-piece
+model is built at seed 42 from small float weights, then run on fixed
+inputs.  OUTPUT_SHA256 pins the integer outputs (every trace array of
+`run_model_int`, dequantized as float64) and CONTAINER_SHA256 pins the
+bytes of `save()`.  A kernel refactor must leave both unchanged; a change
+meant to alter bits regenerates them with `python tests/test_golden.py`
+and says why.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from irnn import model_io as mio
+from irnn.cli import build_model, run_model_int
+from irnn.rnn import CellConfig
+
+SEED = 42
+N = M = 16
+T = 12
+SEQS = 4
+
+CONFIGS = {
+    "q8": dict(cell_bits=8, preact_bits=8),
+    "q16": dict(cell_bits=16, preact_bits=16),
+    "q8mn": dict(cell_bits=8, preact_bits=8, use_madnorm=True),
+}
+CASES = [
+    (kind, cfg, pieces)
+    for kind in ("lstm", "bilstm", "encdec")
+    for cfg in CONFIGS
+    for pieces in (8, 32)
+]
+
+OUTPUT_SHA256 = {
+    "lstm-q8-p8": "41263f90053b7d3dbbf62329599187ec5f4b564da215e84d7cffadf299e3dee5",
+    "lstm-q8-p32": "72890720f84f075e455bb43a65c722335a6ee07b6b266b2e12f1e97b44b47b2f",
+    "lstm-q16-p8": "df3e807499084c7251c1ff343c01fce6f6ae9b6846fee306376e1923d8235009",
+    "lstm-q16-p32": "d43109deb24f1c669f278bcffc4691af80d3e1022f381b20607d73a3030152df",
+    "lstm-q8mn-p8": "134b851d6c429bd8fb4198254cdf2589d7a12b2ba9361d916f6b409763cc21f0",
+    "lstm-q8mn-p32": "665039356eb740b0cbf009b87078e24ea8b0250b22ce2b71631e46794401af88",
+    "bilstm-q8-p8": "1ba386c1e116aec60cfa290d7e5183e18792d04a9e8203dd2dcfb6bfae392764",
+    "bilstm-q8-p32": "2947112210088a74607adf80c7e9e3e936f4d237d6d252753e72c1e02ae889e1",
+    "bilstm-q16-p8": "a7757067d19973b71bc58b0652bce038ac1bb9c0256f8266a74c1d43c7b6218d",
+    "bilstm-q16-p32": "bde12e557bb972717b82b18f48f305c8aad4fc4c4143cfab223b05737096f682",
+    "bilstm-q8mn-p8": "b75dc817494ed0c1c962636005d524b4bd7186598059a0abc09b6c8b3dbbfe27",
+    "bilstm-q8mn-p32": "d7a57b50685e93c721bfadc699cac0fb0fb9408261d6fc1fac7861e9128917fe",
+    "encdec-q8-p8": "73cf3024f1cb10266aa6bdd93c9378db0606888aa8c13878d56b221bcc4b73ca",
+    "encdec-q8-p32": "77ae8450454a7bde90f1e732f8216b2f56b3d9de2b512143838d9d57ec3d13ef",
+    "encdec-q16-p8": "bef98795ce8b5ab76849fe024e01ac261bdd57ff8ae44b69ac251ea065923251",
+    "encdec-q16-p32": "c7d9a95b0e5375b779b221d05b4382d746c5e9471967d37014e508b87c784893",
+    "encdec-q8mn-p8": "d0832e519021dd3f436f58676348d3cf7a79a5bb9728fc8caab02f9ee49a9f9d",
+    "encdec-q8mn-p32": "5327581c14bd3b3cd0c93abd537b2054834f629a6ab516e2149b4836d5cde0f5",
+}
+CONTAINER_SHA256 = {
+    "lstm-q8-p8": "ec593ecfeaf5044c3f06b8a53228bf8aa33941d8969adad816891c4159f4a477",
+    "lstm-q8-p32": "51639968cdc7988864abe99fea290efed9b812ce2405ea4e3c811b2014b2e2e4",
+    "lstm-q16-p8": "5c875a8af35ed56477bafc3d00263426837720ada3e9c47db50dff10b99686f5",
+    "lstm-q16-p32": "688d26491245695ad5b3865a766f6457d67df52bdcbdc26ac11314d65a9b5ed7",
+    "lstm-q8mn-p8": "a2801a2d4e81ec15b9840286debcd453130bbf60c04d8ceeeddd41890bb0f76f",
+    "lstm-q8mn-p32": "feb1c9a70b3eea9b3f2f9dbc81985d2c2afb03c069f90fedd29edfdf88bc9ebe",
+    "bilstm-q8-p8": "76aefb3e37df8b246bd17ed2f964daca732ebd0cc3701e7d2f8b7a5811e13954",
+    "bilstm-q8-p32": "1ddc91c13c716a97986e717b2aa14f723eb97e3bb19fbfe163b2c67c039f9797",
+    "bilstm-q16-p8": "5c421b91747e4ece9aab9f6ce5407ef32aef9424ed801d328b9a37f8be117441",
+    "bilstm-q16-p32": "929ca51ba01e72e6b33ea863ccdf3a8375743a1a93a98a08123a785a6d91fecd",
+    "bilstm-q8mn-p8": "9c79ef425cf0b5e60162ba8409d77db9c0e89ad7d623892ab289f4e4f9546def",
+    "bilstm-q8mn-p32": "7c55e0ee517157ca36b23f13675a71b3dfdd1946788bf4e59d9db2b458798823",
+    "encdec-q8-p8": "5fb1314db33e38f9931eb6bdddb4147a765861269c0c0fe7466aa039e4f8e7b6",
+    "encdec-q8-p32": "7da0144eefcd21f3f7e6be607ea7a4aaeb3e1067c6d83a44517541386017dc86",
+    "encdec-q16-p8": "9db62c93b12d2494e97e1ee3cde5045deecf22b74b202071e2ebd1117824cf4e",
+    "encdec-q16-p32": "ef04b9711aa6a12c9f54584d6f28aab322098cfe1c8768a2cfa3508ecca72935",
+    "encdec-q8mn-p8": "3a8dea350e506cae3d4ac11c229f61368c3679506594423fe893b40ce61d043b",
+    "encdec-q8mn-p32": "1778b4f212ac10d91dd1f4dad102ea4d79d3524dfdd06d6f1ecb683e4288dfb8",
+}
+
+
+def _float_model(kind: str, rng) -> mio.FloatModel:
+    def cell(prefix, context=None):
+        arrays = {
+            prefix + "wx": rng.normal(0.0, 0.3, size=(4 * M, N)),
+            prefix + "wh": rng.normal(0.0, 0.3, size=(4 * M, M)),
+            prefix + "bias": rng.normal(0.0, 0.1, size=4 * M),
+        }
+        if context is not None:
+            arrays[prefix + "ws"] = rng.normal(0.0, 0.3, size=(4 * M, context))
+        return arrays
+
+    if kind == "lstm":
+        arrays = cell("")
+    elif kind == "bilstm":
+        arrays = {**cell("fwd_"), **cell("bwd_")}
+    else:
+        arrays = {
+            **cell("enc_"),
+            **cell("dec_", context=M),
+            "att_wq": rng.normal(0.0, 0.4, size=(M, M)),
+            "att_wk": rng.normal(0.0, 0.4, size=(M, M)),
+            "att_v": rng.normal(0.0, 0.4, size=M),
+        }
+    return mio.FloatModel(kind, {k: v.astype(np.float32) for k, v in arrays.items()})
+
+
+def _case_id(kind, cfg, pieces) -> str:
+    return f"{kind}-{cfg}-p{pieces}"
+
+
+def _digest(outs: dict) -> str:
+    h = hashlib.sha256()
+    for key in sorted(outs):
+        h.update(key.encode())
+        h.update(np.ascontiguousarray(outs[key], dtype="<f8").tobytes())
+    return h.hexdigest()
+
+
+def _run_case(kind, cfg, pieces):
+    """(container bytes, outputs of the built model, outputs after load)."""
+    rng = np.random.default_rng(SEED)
+    fm = _float_model(kind, rng)
+    calib = rng.normal(0.0, 1.0, size=(SEQS, T, N))
+    inputs = rng.normal(0.0, 1.0, size=(SEQS, T, N))
+    model = build_model(fm, calib, CellConfig(pwl_pieces=pieces, **CONFIGS[cfg]))
+    blob = mio.save(model)
+    return blob, run_model_int(model, inputs), run_model_int(mio.load(blob), inputs)
+
+
+@pytest.mark.parametrize("kind,cfg,pieces", CASES, ids=[_case_id(*c) for c in CASES])
+def test_golden(kind, cfg, pieces):
+    blob, built, loaded = _run_case(kind, cfg, pieces)
+    for key in built:
+        np.testing.assert_array_equal(built[key], loaded[key])
+    case = _case_id(kind, cfg, pieces)
+    assert hashlib.sha256(blob).hexdigest() == CONTAINER_SHA256[case]
+    assert _digest(built) == OUTPUT_SHA256[case]
+
+
+if __name__ == "__main__":
+    outputs, containers = {}, {}
+    for case in CASES:
+        blob, built, _ = _run_case(*case)
+        containers[_case_id(*case)] = hashlib.sha256(blob).hexdigest()
+        outputs[_case_id(*case)] = _digest(built)
+    for name, table in (("OUTPUT_SHA256", outputs), ("CONTAINER_SHA256", containers)):
+        print(f"{name} = {{")
+        for case, digest in table.items():
+            print(f'    "{case}": "{digest}",')
+        print("}")
