@@ -6,6 +6,10 @@ the shifted scores through an exp PWL table on [-R, 0], and keeps the
 denominator as an unreduced 32-bit sum.  The context vector is a weighted
 sum divided once per element by that denominator, so no per-weight division
 or reciprocal approximation is involved.
+
+An AttentionPlan compiles the stage once: requantization rescales, exact
+GEMV operands and the tables' LUTs.  The module-level functions compile a
+plan (or the part they need) and run it.
 """
 
 from __future__ import annotations
@@ -17,27 +21,30 @@ import numpy as np
 from .fixedpoint import (
     REQUANT_FRACTION_BITS,
     FxOverflow,
-    fx_apply,
+    Rescale,
     requant_multiplier,
     round_half_away,
     rounded_div,
-    rounded_shift,
+    saturate,
     to_fixed,
 )
-from .pwl import PwlTable, activation_registry, build_full, eval_int, reduce
+from .pwl import PwlTable, activation_registry, build_full, reduce
 from .quant import (
+    ExactGemv,
     Observer,
     QTensor,
     QuantParams,
     derive_params,
-    qadd_diff,
+    max_centered,
     quantize_tensor,
-    requantize,
+    requant_rescale,
+    sum_rescale,
 )
 
 __all__ = [
     "EXP_DOMAIN",
     "AttentionIntermediates",
+    "AttentionPlan",
     "AttentionWeights",
     "attach_context",
     "attention_int",
@@ -52,8 +59,9 @@ __all__ = [
 # to exp(-10) ~ 0
 EXP_DOMAIN = (-10.0, 0.0)
 
-_INT32_MAX = 2**31 - 1
 _INT64_MAX = 2**63 - 1
+# float64 represents every integer of smaller magnitude exactly
+_F64_EXACT = 2**53
 
 
 @dataclass
@@ -117,9 +125,18 @@ def attention_ref(h_dec, H_enc, wq, wk, v, observers: dict | None = None):
     return s, alpha
 
 
-def _check_int32(acc):
-    if acc.size and int(np.abs(acc).max()) > _INT32_MAX:
-        raise FxOverflow("matmul accumulator exceeded int32 range")
+def _key_projection(w: AttentionWeights) -> tuple[ExactGemv, Rescale]:
+    sites = w.sites
+    gemv = ExactGemv(w.wk, sites["henc"])
+    fx = requant_multiplier(sites["henc"].scale * w.wk.params.scale / sites["kproj"].scale)
+    return gemv, requant_rescale(fx, sites["kproj"], gemv.bound)
+
+
+def _project(q_Henc: QTensor, sites: dict, gemv: ExactGemv, rescale: Rescale):
+    p_k = sites["kproj"]
+    if q_Henc.params != sites["henc"]:
+        raise ValueError("uncalibrated-tensor: henc params differ from calibration")
+    return QTensor(rescale(gemv(q_Henc.data)).T.astype(p_k.dtype), p_k)
 
 
 def project_keys(q_Henc: QTensor, w: AttentionWeights) -> QTensor:
@@ -128,13 +145,22 @@ def project_keys(q_Henc: QTensor, w: AttentionWeights) -> QTensor:
     Depends only on the encoder states, so callers decoding many steps
     against one source sequence compute it once.
     """
-    sites = w.sites
-    if q_Henc.params != sites["henc"]:
-        raise ValueError("uncalibrated-tensor: henc params differ from calibration")
-    acc = w.wk.centered() @ q_Henc.centered().T
-    _check_int32(acc)
-    scale = sites["henc"].scale * w.wk.params.scale
-    return QTensor(requantize(acc, scale, sites["kproj"]), sites["kproj"])
+    return _project(q_Henc, w.sites, *_key_projection(w))
+
+
+def _softmax_rescale(p_e: QuantParams, p_in: QuantParams, bound=None) -> Rescale:
+    """Rescale of max-shifted alignment codes onto the exp table's input grid."""
+    return requant_rescale(requant_multiplier(p_e.scale / p_in.scale), p_in, bound)
+
+
+def _softmax(q_e, to_table: Rescale, exp_lut: np.ndarray):
+    q_e = np.asarray(q_e)
+    shifted = q_e.astype(np.int64) - int(q_e.max())
+    q_exp = exp_lut.take(to_table(shifted))
+    denom = int(q_exp.sum(dtype=np.int64))
+    if denom <= 0:
+        raise AssertionError("softmax denominator must be positive")
+    return q_exp, denom
 
 
 def integer_softmax_weights(q_e, p_e: QuantParams, exp_table: PwlTable):
@@ -145,16 +171,7 @@ def integer_softmax_weights(q_e, p_e: QuantParams, exp_table: PwlTable):
     whose value quantizes to the top output code; the denominator is
     therefore at least 2^b - 1 > 0.
     """
-    q_e = np.asarray(q_e)
-    shifted = q_e.astype(np.int64) - int(q_e.max())
-    p_in = exp_table.in_params
-    fx = requant_multiplier(p_e.scale / p_in.scale)
-    q_in = fx_apply(fx, shifted, p_in.zero_point)
-    q_exp = eval_int(exp_table, np.clip(q_in, p_in.qmin, p_in.qmax))
-    denom = int(q_exp.astype(np.int64).sum())
-    if denom <= 0:
-        raise AssertionError("softmax denominator must be positive")
-    return q_exp, denom
+    return _softmax(q_e, _softmax_rescale(p_e, exp_table.in_params), exp_table.lut)
 
 
 def _degrade_denominator(denom: int, bits: int, t_enc: int, exp_bits: int) -> int:
@@ -169,6 +186,105 @@ def _degrade_denominator(denom: int, bits: int, t_enc: int, exp_bits: int) -> in
     return max(1, round_half_away(code * step))
 
 
+class AttentionPlan:
+    """One attention stage compiled into integer constants, GEMV operands and LUTs.
+
+    Built once from the weights and the two tables; nothing changes after
+    construction, so one plan serves any number of threads.  keys() is the
+    per-source key projection and intermediates() one decoder step.
+    """
+
+    def __init__(self, w: AttentionWeights, exp_table: PwlTable, tanh_table: PwlTable):
+        sites = w.sites
+        if exp_table.out_params.zero_point != 0:
+            raise ValueError("exp output grid must put zero at code 0")
+        self.w, self.exp_table, self.tanh_table = w, exp_table, tanh_table
+        self._sites = dict(sites)
+        self._keys = _key_projection(w)
+        p_q, p_k = sites["qproj"], sites["kproj"]
+        self._gemv_q = ExactGemv(w.wq, sites["hdec"])
+        self._qproj = requant_rescale(
+            requant_multiplier(sites["hdec"].scale * w.wq.params.scale / p_q.scale),
+            p_q,
+            self._gemv_q.bound,
+        )
+        self._sumqk = sum_rescale(
+            p_q.scale, p_k.scale, sites["sumqk"], (max_centered(p_q), max_centered(p_k))
+        )
+        p_tanh = tanh_table.out_params
+        self._gemv_e = ExactGemv(w.v, p_tanh)
+        self._e = requant_rescale(
+            requant_multiplier(w.v.params.scale * p_tanh.scale / sites["e"].scale),
+            sites["e"],
+            self._gemv_e.bound,
+        )
+        self._tanh_lut = tanh_table.lut_covering(sites["sumqk"])
+        self._to_exp = _softmax_rescale(sites["e"], exp_table.in_params, sites["e"].qmax)
+        self._ctx_raw = to_fixed(
+            sites["henc"].scale / sites["s"].scale, REQUANT_FRACTION_BITS
+        ).raw
+
+    def keys(self, q_Henc: QTensor) -> QTensor:
+        """project_keys with the compiled projection."""
+        return _project(q_Henc, self._sites, *self._keys)
+
+    def intermediates(
+        self,
+        q_hdec: QTensor,
+        q_Henc: QTensor,
+        keys: QTensor | None = None,
+        denom_bits: int | None = None,
+    ) -> AttentionIntermediates:
+        """Integer attention with every intermediate exposed.
+
+        denom_bits degrades the 32-bit softmax denominator to the given
+        width before the final division; diagnostic only.
+        """
+        sites = self._sites
+        if q_hdec.params != sites["hdec"]:
+            raise ValueError("uncalibrated-tensor: hdec params differ from calibration")
+        if keys is None:
+            keys = self.keys(q_Henc)
+        T = q_Henc.data.shape[0]
+        p_q, p_k, p_sum, p_e = sites["qproj"], sites["kproj"], sites["sumqk"], sites["e"]
+
+        q_qp = self._qproj(self._gemv_q(q_hdec.data))
+        q_sum = self._sumqk(
+            (q_qp - p_q.zero_point)[:, None],
+            np.subtract(keys.data, p_k.zero_point, dtype=np.int64),
+        )
+        q_tanh = self._tanh_lut.take(q_sum)
+        q_e = self._e(self._gemv_e(q_tanh.T)[:, 0])
+        q_exp, denom = _softmax(q_e, self._to_exp, self.exp_table.lut)
+
+        exp_bits = self.exp_table.out_params.bitwidth
+        div_denom = denom
+        if denom_bits:
+            div_denom = _degrade_denominator(denom, denom_bits, T, exp_bits)
+
+        # weighted context: one rounded division per output element
+        p_h, p_s = sites["henc"], sites["s"]
+        num_bound = T * 2 ** (exp_bits + p_h.bitwidth)
+        if abs(self._ctx_raw) * num_bound > _INT64_MAX or num_bound >= _F64_EXACT:
+            raise FxOverflow("context accumulator would overflow int64")
+        # every partial sum is an integer below 2^53, so float64 is exact
+        num = q_exp.astype(np.float64) @ np.subtract(
+            q_Henc.data, p_h.zero_point, dtype=np.float64
+        )
+        q_s = rounded_div(self._ctx_raw * num.astype(np.int64), div_denom << REQUANT_FRACTION_BITS)
+        q_s = saturate(q_s + p_s.zero_point, p_s.qmin, p_s.qmax).astype(p_s.dtype)
+
+        return AttentionIntermediates(
+            query_proj=QTensor(q_qp.astype(p_q.dtype), p_q),
+            keys_proj=keys,
+            sum_qk=QTensor(q_sum.astype(p_sum.dtype), p_sum),
+            e=QTensor(q_e.astype(p_e.dtype), p_e),
+            exp_e=QTensor(q_exp, self.exp_table.out_params),
+            denom=denom,
+            s=QTensor(q_s, p_s),
+        )
+
+
 def attention_intermediates(
     q_hdec: QTensor,
     q_Henc: QTensor,
@@ -178,61 +294,13 @@ def attention_intermediates(
     keys: QTensor | None = None,
     denom_bits: int | None = None,
 ) -> AttentionIntermediates:
-    """Integer attention with every intermediate exposed.
+    """Integer attention with every intermediate exposed (see AttentionPlan).
 
     denom_bits degrades the 32-bit softmax denominator to the given width
     before the final division; diagnostic only.
     """
-    sites = w.sites
-    if q_hdec.params != sites["hdec"]:
-        raise ValueError("uncalibrated-tensor: hdec params differ from calibration")
-    if exp_table.out_params.zero_point != 0:
-        raise ValueError("exp output grid must put zero at code 0")
-    if keys is None:
-        keys = project_keys(q_Henc, w)
-    T = q_Henc.data.shape[0]
-
-    acc_q = w.wq.centered() @ q_hdec.centered()
-    _check_int32(acc_q)
-    q_scale = sites["hdec"].scale * w.wq.params.scale
-    q_qp = requantize(acc_q, q_scale, sites["qproj"])
-
-    q_sum = qadd_diff(
-        q_qp[:, None], sites["qproj"], keys.data, sites["kproj"], sites["sumqk"]
-    )
-    q_tanh = eval_int(tanh_table, q_sum)
-    p_tanh = tanh_table.out_params
-
-    acc_e = w.v.centered() @ (q_tanh.astype(np.int64) - p_tanh.zero_point)
-    _check_int32(acc_e)
-    e_scale = w.v.params.scale * p_tanh.scale
-    q_e = requantize(acc_e, e_scale, sites["e"])
-
-    q_exp, denom = integer_softmax_weights(q_e, sites["e"], exp_table)
-    div_denom = denom
-    if denom_bits:
-        div_denom = _degrade_denominator(
-            denom, denom_bits, T, exp_table.out_params.bitwidth
-        )
-
-    # weighted context: one rounded division per output element
-    p_h, p_s = sites["henc"], sites["s"]
-    raw = to_fixed(p_h.scale / p_s.scale, REQUANT_FRACTION_BITS).raw
-    num = q_exp.astype(np.int64) @ q_Henc.centered()
-    if abs(raw) * T * 2 ** (exp_table.out_params.bitwidth + p_h.bitwidth) > _INT64_MAX:
-        raise FxOverflow("context accumulator would overflow int64")
-    q_s = rounded_div(raw * num, div_denom << REQUANT_FRACTION_BITS) + p_s.zero_point
-    q_s = np.clip(q_s, p_s.qmin, p_s.qmax).astype(p_s.dtype)
-
-    return AttentionIntermediates(
-        query_proj=QTensor(q_qp, sites["qproj"]),
-        keys_proj=keys,
-        sum_qk=QTensor(q_sum, sites["sumqk"]),
-        e=QTensor(q_e, sites["e"]),
-        exp_e=QTensor(q_exp, exp_table.out_params),
-        denom=denom,
-        s=QTensor(q_s, p_s),
-    )
+    plan = AttentionPlan(w, exp_table, tanh_table)
+    return plan.intermediates(q_hdec, q_Henc, keys=keys, denom_bits=denom_bits)
 
 
 def attention_int(
@@ -259,7 +327,8 @@ def attach_context(
     Both the rescaled gates and the projection accumulator share one wide
     fixed-point accumulator, so the sum rounds once.  With p_out omitted the
     result stays on the gate grid and a zero projection passes codes
-    through bit-exactly.
+    through bit-exactly.  An IntLstmCell fed a context compiles the same
+    two-term rescale once.
     """
     if ws.shape[0] != gates.data.shape[-1] and ws.shape[0] != gates.data.shape[0]:
         raise ValueError("projection rows disagree with gate width")
@@ -267,18 +336,12 @@ def attach_context(
         raise ValueError("projection columns disagree with context width")
     p_g = gates.params
     p_out = p_g if p_out is None else p_out
-    f = REQUANT_FRACTION_BITS
-    raw_g = to_fixed(p_g.scale / p_out.scale, f).raw
-    raw_s = to_fixed(s.params.scale * ws.params.scale / p_out.scale, f).raw
-    acc_s = ws.centered() @ s.centered()
-    _check_int32(acc_s)
-    bound = abs(raw_g) * 2**p_g.bitwidth + abs(raw_s) * int(np.abs(acc_s).max(initial=0))
-    if bound > _INT64_MAX:
-        raise FxOverflow("context attachment would overflow int64")
-    acc = raw_g * gates.centered() + raw_s * acc_s
-    out = rounded_shift(acc, f) + p_out.zero_point
-    out = np.clip(out, p_out.qmin, p_out.qmax).astype(p_out.dtype)
-    return QTensor(out, p_out)
+    gemv = ExactGemv(ws, s.params)
+    op = sum_rescale(
+        p_g.scale, s.params.scale * ws.params.scale, p_out, (max_centered(p_g), gemv.bound)
+    )
+    out = op(gates.centered(), gemv(s.data))
+    return QTensor(out.astype(p_out.dtype), p_out)
 
 
 def _quantize_weight(w) -> QTensor:

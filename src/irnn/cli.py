@@ -26,15 +26,10 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import model_io as mio
-from .attention import (
-    attention_int,
-    attention_ref,
-    calibrate_attention,
-    project_keys,
-)
+from .attention import attention_ref, calibrate_attention
 from .fixedpoint import format_table
 from .pwl import ACTIVATIONS, activation_registry, build_full, eval_float, eval_int, reduce
-from .quant import Observer, QTensor, derive_params, quantize_tensor
+from .quant import Observer, dequantize, derive_params, quantize_tensor
 from .rnn import (
     CellConfig,
     calibrate_bilstm,
@@ -200,22 +195,22 @@ def _run_one_int(model: mio.IrnnModel, xs: np.ndarray) -> dict:
         hb = bwd.run(quantize_tensor(np.ascontiguousarray(xs[::-1]), bwd.sites["x"]))
         f_deq, b_deq = hf.dequantize(), hb.dequantize()[::-1]
         return {"fwd": f_deq, "bwd": b_deq, "out": np.concatenate([f_deq, b_deq], axis=1)}
-    enc, dec, att = model.cells["enc"], model.cells["dec"], model.attention
+    enc, dec, plan = model.cells["enc"], model.cells["dec"], model.attention.plan
     H = enc.run(quantize_tensor(xs, enc.sites["x"]))
-    keys = project_keys(H, att.weights)
-    qxs = quantize_tensor(xs, dec.sites["x"])
+    keys = plan.keys(H)
+    xb = dec.input_branch(quantize_tensor(xs, dec.sites["x"]))
     state = dec.initial_state()
     T = xs.shape[0]
-    out = np.empty((T, dec.hidden_size))
-    ctx = np.empty((T, H.data.shape[1]))
+    p_h, p_s = dec.sites["h"], plan.w.sites["s"]
+    out = np.empty((T, dec.hidden_size), dtype=p_h.dtype)
+    ctx = np.empty((T, H.data.shape[1]), dtype=p_s.dtype)
     for t in range(T):
-        s, _ = attention_int(
-            state.h, H, att.weights, att.exp_table, att.tanh_table, keys=keys
-        )
-        state = dec.step(QTensor(qxs.data[t], qxs.params), state, s)
-        out[t] = state.h.dequantize()
-        ctx[t] = s.dequantize()
-    return {"enc": H.dequantize(), "att": ctx, "dec": out, "out": out}
+        s = plan.intermediates(state.h, H, keys=keys).s
+        state = dec.step(None, state, s, xb=xb[t])
+        out[t] = state.h.data
+        ctx[t] = s.data
+    out = dequantize(out, p_h)
+    return {"enc": H.dequantize(), "att": dequantize(ctx, p_s), "dec": out, "out": out}
 
 
 def _run_one_ref(fm: mio.FloatModel, xs: np.ndarray) -> dict:
@@ -467,7 +462,7 @@ def cmd_bench(args) -> int:
 
     first = {"lstm": "main", "bilstm": "fwd", "encdec": "dec"}[model.kind]
     cell = model.cells[first]
-    table = cell._sig_table
+    table = cell.tables["sigmoid"]
     codes = rng.integers(
         table.in_params.qmin, table.in_params.qmax + 1, size=4 * cell.hidden_size
     ).astype(np.int64)
@@ -481,7 +476,7 @@ def cmd_bench(args) -> int:
             "float_step_ns": float_ns / args.seq_len,
             "float_over_int": float_ns / int_ns if int_ns else float("nan"),
             "pwl_eval_ns": pwl_ns,
-            "pwl_pieces": cell._sig_table.pieces,
+            "pwl_pieces": table.pieces,
             "seq_len": args.seq_len,
             "runs": args.runs,
             "warmup": args.warmup,

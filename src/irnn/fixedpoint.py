@@ -1,13 +1,13 @@
 """Q-format fixed-point scalars and shift/mask rounding.
 
 Requantization multipliers (ratios of quantization scales) are stored as
-(raw, fraction_bits) integer pairs.  Applying one to an integer accumulator
-is a 64-bit multiply followed by a rounded right shift, so the inference
-path never touches floating point.
+(raw, fraction_bits) integer pairs.  A Rescale is compiled from them once;
+applying it to an integer accumulator is a 64-bit multiply followed by a
+rounded right shift, so the inference path never touches floating point.
 
-Rounding is round-to-nearest with ties away from zero, computed on
-magnitudes with the sign re-applied afterwards (right-shifting a negative
-integer is implementation-defined behaviour we never rely on).
+Rounding is round-to-nearest with ties away from zero: one add of half a
+step (less one for negative values) before an arithmetic right shift,
+which numpy and Python both define as a floor.
 """
 
 from __future__ import annotations
@@ -21,12 +21,14 @@ __all__ = [
     "FixedPointScalar",
     "FxOverflow",
     "REQUANT_FRACTION_BITS",
+    "Rescale",
     "format_table",
     "fx_apply",
     "requant_multiplier",
     "round_half_away",
     "rounded_div",
     "rounded_shift",
+    "saturate",
     "to_fixed",
     "to_float",
 ]
@@ -57,10 +59,12 @@ def round_half_away(x):
 
 
 def rounded_shift(acc, f: int):
-    """acc / 2^f rounded half away from zero, as integer shifts and a mask.
+    """acc / 2^f rounded half away from zero, as one add and one shift.
 
-    The fraction is inspected via bit f-1 of the magnitude: a set bit means
-    the dropped part is >= half, so the magnitude rounds up.
+    Adding 2^(f-1), less one when acc is negative, before the arithmetic
+    (floor) shift rounds ties away from zero on both signs.  An int64 array
+    needs headroom for the add: |acc| <= INT64_MAX - 2^(f-1), which every
+    Rescale bound leaves.
     """
     if f < 0:
         raise ValueError("fraction_bits must be >= 0")
@@ -71,25 +75,35 @@ def rounded_shift(acc, f: int):
         # 2^(f-1), so everything rounds to zero.
         return acc * 0
     if isinstance(acc, np.ndarray):
-        mag = np.abs(acc.astype(np.int64))
-        out = (mag >> f) + ((mag >> (f - 1)) & 0x1)
-        return np.where(acc >= 0, out, -out)
-    mag = abs(int(acc))
-    out = (mag >> f) + ((mag >> (f - 1)) & 0x1)
-    return out if acc >= 0 else -out
+        acc = acc.astype(np.int64, copy=False)
+        return (acc - (acc < 0) + (1 << (f - 1))) >> f
+    acc = int(acc)
+    return (acc - (acc < 0) + (1 << (f - 1))) >> f
 
 
-def rounded_div(num, den: int):
-    """num / den rounded half away from zero; den must be a positive int."""
-    if den <= 0:
+def rounded_div(num, den):
+    """num / den rounded half away from zero.
+
+    den is a positive int, or an integer array of positive divisors that
+    broadcasts against num.
+    """
+    if np.any(np.asarray(den) <= 0):
         raise ValueError("divisor must be positive")
-    if isinstance(num, np.ndarray):
-        num = num.astype(np.int64)
+    if isinstance(num, np.ndarray) or isinstance(den, np.ndarray):
+        num = np.asarray(num).astype(np.int64)
         mag = (np.abs(num) + den // 2) // den
         return np.where(num >= 0, mag, -mag)
     num = int(num)
     mag = (abs(num) + den // 2) // den
     return mag if num >= 0 else -mag
+
+
+def saturate(x, lo: int, hi: int):
+    """Clip integer codes to [lo, hi]; an int64 array is clipped in place."""
+    if isinstance(x, np.ndarray):
+        np.maximum(x, lo, out=x)
+        return np.minimum(x, hi, out=x)
+    return min(max(int(x), lo), hi)
 
 
 @dataclass(frozen=True)
@@ -178,26 +192,72 @@ def requant_multiplier(m: float) -> FixedPointScalar:
     return to_fixed(m, f)
 
 
+class Rescale:
+    """A compiled fixed-point rescale, the one integer requantization step.
+
+    Computes saturate(round(sum_k raws[k] * terms[k] / 2^f) + zero, lo, hi)
+    over one int64 accumulator with a single rounding, half away from zero.
+    One term is a requantization multiplier; two terms add operands that
+    live on different grids.  Real scale ratios become `raws` once, when
+    the rescale is built; applying it is integer-only.  Terms are Python
+    ints or int64 arrays of centered values.
+
+    `bounds` holds the largest |term| each operand can take.  Given, they
+    are checked here, once: the accumulator plus the rounding add must fit
+    int64, else FxOverflow.  Without them, every call checks the magnitudes
+    of its own operands instead.  With lo and hi omitted nothing saturates.
+    """
+
+    __slots__ = ("raws", "f", "zero", "lo", "hi", "per_call_check")
+
+    def __init__(self, raws, f: int, zero: int = 0, lo=None, hi=None, bounds=None):
+        if not 1 <= len(raws) <= 2:
+            raise ValueError("a rescale combines one or two terms")
+        if f < 0:
+            raise ValueError("fraction_bits must be >= 0")
+        self.raws = tuple(int(r) for r in raws)
+        self.f = f
+        self.zero = int(zero)
+        self.lo, self.hi = lo, hi
+        self.per_call_check = bounds is None
+        if bounds is not None:
+            self._require_fit(bounds)
+
+    def _require_fit(self, mags) -> None:
+        total = sum(abs(r) * int(m) for r, m in zip(self.raws, mags))
+        if total + (1 << max(self.f - 1, 0)) > _INT64_MAX:
+            raise FxOverflow("rescale accumulator would overflow int64")
+
+    def term(self, k: int, t):
+        """Operand k scaled into the accumulator (for hoisting a term)."""
+        return self.raws[k] * t
+
+    def finish(self, acc):
+        """Round an accumulator of summed terms, add zero, saturate."""
+        out = rounded_shift(acc, self.f) + self.zero
+        if self.lo is None:
+            return out
+        return saturate(out, self.lo, self.hi)
+
+    def __call__(self, *terms):
+        if self.per_call_check:
+            self._require_fit([np.abs(np.asarray(t)).max(initial=0) for t in terms])
+        acc = self.raws[0] * terms[0]
+        if len(terms) == 2:
+            acc = acc + self.raws[1] * terms[1]
+        return self.finish(acc)
+
+
 def fx_apply(fx: FixedPointScalar, q, zero_out: int = 0):
     """round(to_float(fx) * q) + zero_out, in integer arithmetic.
 
     q may be a Python int or an integer ndarray; the result has the same
     kind.  The product raw * q must fit int64.
     """
-    raw = fx.raw
+    op = Rescale((fx.raw,), fx.fraction_bits, zero_out)
     if isinstance(q, np.ndarray):
-        q64 = q.astype(np.int64)
-        limit = int(np.abs(q64).max(initial=0))
-        if abs(raw) * limit > _INT64_MAX:
-            raise FxOverflow("fx_apply product overflows int64")
-        out = rounded_shift(raw * q64, fx.fraction_bits)
-        if zero_out:
-            out = out + zero_out
-        return out
-    q = int(q)
-    if abs(raw * q) > _INT64_MAX:
-        raise FxOverflow("fx_apply product overflows int64")
-    return int(rounded_shift(raw * q, fx.fraction_bits)) + zero_out
+        return op(q.astype(np.int64))
+    return int(op(int(q)))
 
 
 def format_table(bitwidth: int = 8) -> list[dict]:

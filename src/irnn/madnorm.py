@@ -17,18 +17,18 @@ import numpy as np
 from .fixedpoint import (
     REQUANT_FRACTION_BITS,
     FxOverflow,
-    fx_apply,
     requant_multiplier,
     rounded_div,
-    rounded_shift,
+    saturate,
     to_fixed,
 )
-from .quant import QTensor, QuantParams
+from .quant import QTensor, QuantParams, max_centered, requant_rescale, sum_rescale
 
 _INT64_MAX = 2**63 - 1
 
 __all__ = [
     "GAUSSIAN_MAD_RATIO",
+    "MadNormPlan",
     "NormStats",
     "compute_stats",
     "concentration_check",
@@ -87,6 +87,57 @@ def madnorm_ref(x) -> np.ndarray:
     return centered / d
 
 
+class MadNormPlan:
+    """Integer MadNorm compiled for one input grid, four site grids and width h.
+
+    Four steps, each one rounded saturated tensor: the mean (sum folded
+    into one fixed-point multiplier with the 1/h factor), the centered
+    values (two-term rescale in one accumulator), the mean absolute
+    deviation, and the normalized output via rounded integer division
+    guarded by max(q_d, 1).  Calling the plan normalizes every row of
+    centered input codes [..., h] independently and returns int64 codes on
+    p_y's grid.
+    """
+
+    def __init__(
+        self,
+        px: QuantParams,
+        p_mu: QuantParams,
+        p_xhat: QuantParams,
+        p_d: QuantParams,
+        p_y: QuantParams,
+        h: int,
+    ):
+        if p_d.zero_point != 0:
+            raise ValueError("deviation params must put zero at code 0")
+        f = REQUANT_FRACTION_BITS
+        self.f = f
+        self.z_mu, self.z_xhat = p_mu.zero_point, p_xhat.zero_point
+        self.p_y = p_y
+        self.mean = requant_rescale(
+            requant_multiplier(px.scale / (p_mu.scale * h)), p_mu, h * max_centered(px)
+        )
+        # centered values: S_x(q_x - Z_x) - S_mu(q_mu - Z_mu), one rounding
+        self.center = sum_rescale(
+            px.scale, p_mu.scale, p_xhat, (max_centered(px), max_centered(p_mu))
+        )
+        self.dev = requant_rescale(
+            requant_multiplier(p_xhat.scale / (p_d.scale * h)), p_d, h * max_centered(p_xhat)
+        )
+        self.raw_y = to_fixed(p_xhat.scale / (p_y.scale * p_d.scale), f).raw
+        if abs(self.raw_y) * 2**p_xhat.bitwidth > _INT64_MAX:
+            raise FxOverflow("normalization numerator would overflow int64")
+
+    def __call__(self, xc: np.ndarray) -> np.ndarray:
+        q_mu = self.mean(xc.sum(axis=-1, keepdims=True))
+        xhat = self.center(xc, self.z_mu - q_mu) - self.z_xhat
+        q_d = self.dev(np.abs(xhat).sum(axis=-1, keepdims=True))
+        # division guarded against a zero deviation code
+        den = np.maximum(q_d, 1) << self.f
+        q_y = rounded_div(self.raw_y * xhat, den) + self.p_y.zero_point
+        return saturate(q_y, self.p_y.qmin, self.p_y.qmax)
+
+
 def madnorm_int(
     qx: QTensor,
     p_mu: QuantParams,
@@ -94,52 +145,11 @@ def madnorm_int(
     p_d: QuantParams,
     p_y: QuantParams,
 ) -> QTensor:
-    """Integer-only MadNorm over a 1-D quantized vector.
-
-    Four steps, each one rounded saturated tensor: the mean (sum folded
-    into one fixed-point multiplier with the 1/H factor), the centered
-    values (two-term rescale in one accumulator), the mean absolute
-    deviation, and the normalized output via rounded integer division
-    guarded by max(q_d, 1).
-    """
+    """Integer-only MadNorm over a 1-D quantized vector (see MadNormPlan)."""
     if qx.data.ndim != 1:
         raise ValueError("madnorm_int expects a 1-D vector")
-    if p_d.zero_point != 0:
-        raise ValueError("deviation params must put zero at code 0")
-    h = qx.data.size
-    px = qx.params
-    f = REQUANT_FRACTION_BITS
-
-    # mean
-    acc = int(qx.centered().sum())
-    fx_mu = requant_multiplier(px.scale / (p_mu.scale * h))
-    q_mu = fx_apply(fx_mu, acc, p_mu.zero_point)
-    q_mu = int(np.clip(q_mu, p_mu.qmin, p_mu.qmax))
-
-    # centered values: S_x(q_x - Z_x) - S_mu(q_mu - Z_mu), one rounding
-    raw_x = to_fixed(px.scale / p_xhat.scale, f).raw
-    raw_mu = to_fixed(p_mu.scale / p_xhat.scale, f).raw
-    bound = abs(raw_x) * 2**px.bitwidth + abs(raw_mu) * 2**p_mu.bitwidth
-    if bound > _INT64_MAX:
-        raise FxOverflow("centering accumulator would overflow int64")
-    acc_hat = raw_x * qx.centered() - raw_mu * (q_mu - p_mu.zero_point)
-    q_xhat = rounded_shift(acc_hat, f) + p_xhat.zero_point
-    q_xhat = np.clip(q_xhat, p_xhat.qmin, p_xhat.qmax)
-
-    # mean absolute deviation
-    dev = np.abs(q_xhat - p_xhat.zero_point).sum()
-    fx_d = requant_multiplier(p_xhat.scale / (p_d.scale * h))
-    q_d = fx_apply(fx_d, int(dev), p_d.zero_point)
-    q_d = int(np.clip(q_d, p_d.qmin, p_d.qmax))
-
-    # normalized output, division guarded against a zero deviation code
-    raw_y = to_fixed(p_xhat.scale / (p_y.scale * p_d.scale), f).raw
-    if abs(raw_y) * 2**p_xhat.bitwidth > _INT64_MAX:
-        raise FxOverflow("normalization numerator would overflow int64")
-    num = raw_y * (q_xhat - p_xhat.zero_point)
-    q_y = rounded_div(num, max(q_d, 1) * 2**f) + p_y.zero_point
-    q_y = np.clip(q_y, p_y.qmin, p_y.qmax).astype(p_y.dtype)
-    return QTensor(q_y, p_y)
+    plan = MadNormPlan(qx.params, p_mu, p_xhat, p_d, p_y, qx.data.size)
+    return QTensor(plan(qx.centered()).astype(p_y.dtype), p_y)
 
 
 def scale_convergence_check(sampler, n: int, mean: float, rng=None) -> float:

@@ -6,9 +6,11 @@ Every blob carries a CRC32 in the manifest and is addressed by a byte
 offset relative to the blob section, so editing the manifest never
 invalidates offsets.
 
-The manifest stores every quantization parameter set and every fixed-point
-multiplier as written (multipliers as raw/fraction-bit integer pairs), so a
-loaded model replays inference bit-for-bit without re-deriving constants.
+The manifest stores every quantization parameter set, every PWL table and
+the matmul requantization multipliers as written (multipliers as
+raw/fraction-bit integer pairs).  Loading only deserializes them: the cells
+and the attention stage compile from the stored values, without
+rebuilding any table, so a loaded model replays inference bit-for-bit.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .attention import AttentionWeights
+from .attention import AttentionPlan, AttentionWeights
 from .fixedpoint import FixedPointScalar
 from .pwl import PwlTable
 from .quant import QTensor, QuantParams
@@ -70,16 +72,25 @@ _CELL_NAMES = {
 # cell name -> key prefix in float-model archives
 _FLOAT_PREFIX = {"main": "", "fwd": "fwd_", "bwd": "bwd_", "enc": "enc_", "dec": "dec_"}
 
-_ATT_KEYS = ("att_wq", "att_wk", "att_v")
+# a cell's PWL tables, in container order
+_TABLE_NAMES = ("sigmoid", "tanh_gate", "tanh_cell")
 
 
 @dataclass
 class AttentionPack:
-    """Attention weights plus the two activation tables they run with."""
+    """Attention weights plus the two activation tables they run with.
+
+    plan is the stage compiled from them at construction (see
+    AttentionPlan); inference runs it.
+    """
 
     weights: AttentionWeights
     exp_table: PwlTable
     tanh_table: PwlTable
+    plan: AttentionPlan = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.plan = AttentionPlan(self.weights, self.exp_table, self.tanh_table)
 
 
 @dataclass
@@ -225,12 +236,11 @@ def _add_cell(w: _BlobWriter, name: str, cell: IntLstmCell) -> dict:
             "pwl_pieces": cfg.pwl_pieces,
         },
         "sites": {k: _params_to_json(v) for k, v in cell.sites.items()},
-        "fx_xprod": _fx_to_json(cell._fx_xprod),
-        "fx_hprod": _fx_to_json(cell._fx_hprod),
+        "fx_xprod": _fx_to_json(cell.multipliers["xprod"]),
+        "fx_hprod": _fx_to_json(cell.multipliers["hprod"]),
         "tables": {
-            "sigmoid": _add_table(w, f"{prefix}/tables/sigmoid", cell._sig_table),
-            "tanh_gate": _add_table(w, f"{prefix}/tables/tanh_gate", cell._tanh_gate),
-            "tanh_cell": _add_table(w, f"{prefix}/tables/tanh_cell", cell._tanh_cell),
+            name: _add_table(w, f"{prefix}/tables/{name}", cell.tables[name])
+            for name in _TABLE_NAMES
         },
     }
     if weights.bias is not None:
@@ -252,16 +262,17 @@ def _cell_from(entry: dict, name: str, blob) -> IntLstmCell:
     weights = LstmWeights(wx, wh, bias, ws=ws)
     cfg = CellConfig(**entry["cfg"])
     sites = {k: _params_from_json(v) for k, v in entry["sites"].items()}
-    cell = IntLstmCell(weights, cfg, sites)
-    # the stored integer constants are authoritative; replace whatever the
-    # constructor re-derived so replay cannot drift from the saved model
-    cell._fx_xprod = _fx_from_json(entry["fx_xprod"])
-    cell._fx_hprod = _fx_from_json(entry["fx_hprod"])
-    tables = entry["tables"]
-    cell._sig_table = _table_from(tables["sigmoid"], f"{prefix}/tables/sigmoid", blob)
-    cell._tanh_gate = _table_from(tables["tanh_gate"], f"{prefix}/tables/tanh_gate", blob)
-    cell._tanh_cell = _table_from(tables["tanh_cell"], f"{prefix}/tables/tanh_cell", blob)
-    return cell
+    # the stored tables and multipliers are authoritative: the cell compiles
+    # from them instead of rebuilding, so replay cannot drift from the save
+    tables = {
+        name: _table_from(entry["tables"][name], f"{prefix}/tables/{name}", blob)
+        for name in _TABLE_NAMES
+    }
+    multipliers = {
+        "xprod": _fx_from_json(entry["fx_xprod"]),
+        "hprod": _fx_from_json(entry["fx_hprod"]),
+    }
+    return IntLstmCell(weights, cfg, sites, tables=tables, multipliers=multipliers)
 
 
 def save(model: IrnnModel) -> bytes:

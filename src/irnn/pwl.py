@@ -8,18 +8,21 @@ always equal the true function value at their knot, so surviving grid
 points evaluate exactly.
 
 Integer evaluation uses fixed-point slopes/intercepts sharing one fraction
-count, accumulated in int64 with a single final rounding.
+count, accumulated in int64 with a single final rounding.  A table runs
+that evaluation over every code of its (at most 16-bit) input grid when it
+is constructed and keeps the result as an exact look-up table, so integer
+evaluation afterwards is a single gather.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fixedpoint import FxOverflow, round_half_away, rounded_shift
+from .fixedpoint import FxOverflow, round_half_away, rounded_shift, saturate
 from .quant import QuantParams, dequantize
 
 __all__ = [
@@ -77,6 +80,10 @@ class PwlTable:
     knots has one more entry than slopes/intercepts; piece i covers
     [knots[i], knots[i+1]) with g(x) = slopes[i] * (x - knots[i]) +
     intercepts[i] and intercepts[i] = f(knots[i]).
+
+    lut[q] is the integer evaluation at input code q, for every code of
+    in_params; it is derived from the other fields at construction and is
+    read-only.
     """
 
     knots: np.ndarray
@@ -88,10 +95,43 @@ class PwlTable:
     fx_slopes: np.ndarray
     fx_intercepts: np.ndarray
     fraction_bits: int = TABLE_FRACTION_BITS
+    lut: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        lut = _expand(self)
+        lut.flags.writeable = False
+        object.__setattr__(self, "lut", lut)
 
     @property
     def pieces(self) -> int:
         return len(self.slopes)
+
+    def lut_covering(self, p: QuantParams) -> np.ndarray:
+        """lut, extended so that every code of grid p indexes it.
+
+        Codes past this table's own grid clamp to its top code, as eval_int
+        clamps them.
+        """
+        short = p.qmax + 1 - len(self.lut)
+        return np.pad(self.lut, (0, short), mode="edge") if short > 0 else self.lut
+
+
+def _expand(t: PwlTable) -> np.ndarray:
+    """Evaluate every input code, walking the pieces in order.
+
+    Codes between two knots take the lower knot's piece, the last knot takes
+    the last piece, and codes outside the knot span clamp to its ends.
+    """
+    if t.in_params.bitwidth > 16:
+        raise ValueError("look-up tables are limited to 16-bit input grids")
+    k = np.asarray(t.q_knots, dtype=np.int64)
+    idx = np.append(np.repeat(np.arange(len(k) - 1), np.diff(k)), len(k) - 2)
+    q = np.arange(k[0], k[-1] + 1, dtype=np.int64)
+    # fixed-point slope and intercept, one rounding
+    acc = t.fx_slopes[idx] * (q - k[idx]) + t.fx_intercepts[idx]
+    out = rounded_shift(acc, t.fraction_bits) + t.out_params.zero_point
+    span = saturate(out, t.out_params.qmin, t.out_params.qmax).astype(t.out_params.dtype)
+    return np.pad(span, (int(k[0]), t.in_params.qmax - int(k[-1])), mode="edge")
 
 
 def _finalize(knots, values, q_knots, in_params, out_params) -> PwlTable:
@@ -224,12 +264,9 @@ def eval_float(t: PwlTable, x):
 
 
 def eval_int(t: PwlTable, qx):
-    """Integer-only evaluation: fixed-point slope/intercept, one rounding."""
-    q = np.clip(np.asarray(qx, dtype=np.int64), t.q_knots[0], t.q_knots[-1])
-    idx = _piece_index(t.q_knots, q)
-    acc = t.fx_slopes[idx] * (q - t.q_knots[idx]) + t.fx_intercepts[idx]
-    out = rounded_shift(acc, t.fraction_bits) + t.out_params.zero_point
-    out = np.clip(out, t.out_params.qmin, t.out_params.qmax)
+    """Integer-only evaluation: a gather from the table's exact LUT."""
+    q = np.clip(np.asarray(qx, dtype=np.int64), 0, t.in_params.qmax)
+    out = t.lut[q]
     if np.ndim(qx) == 0:
         return int(out)
-    return out.astype(t.out_params.dtype)
+    return out

@@ -8,7 +8,9 @@ Real values x in [min, max] map to unsigned b-bit codes via
 Zero is always representable (code Z exactly).  The arithmetic primitives
 (qmul, qadd_same, qadd_diff) combine codes from different parameter sets
 using fixed-point multipliers so the hot path is integer-only; each op
-performs a single final rounding.
+performs a single final rounding.  Each is a thin wrapper that compiles a
+Rescale from the parameter sets, then applies it; the model code compiles
+the same Rescales once per cell and replays them.
 """
 
 from __future__ import annotations
@@ -21,33 +23,39 @@ from .fixedpoint import (
     REQUANT_FRACTION_BITS,
     FixedPointScalar,
     FxOverflow,
-    fx_apply,
+    Rescale,
     requant_multiplier,
     round_half_away,
-    rounded_shift,
     to_fixed,
 )
 
 __all__ = [
+    "ExactGemv",
     "Observer",
     "QTensor",
     "QuantParams",
     "STORAGE_DTYPES",
     "dequantize",
     "derive_params",
+    "max_centered",
     "observe",
     "qadd_diff",
     "qadd_same",
     "qlinear",
     "qmul",
+    "qmul_rescale",
     "quantize",
     "quantize_tensor",
+    "requant_rescale",
     "requantize",
+    "sum_rescale",
 ]
 
 STORAGE_DTYPES = {8: np.uint8, 16: np.uint16, 32: np.uint32}
 
-_INT64_MAX = 2**63 - 1
+_INT32_MAX = 2**31 - 1
+# float64 represents every integer of smaller magnitude exactly
+_F64_EXACT = 2**53
 
 
 @dataclass(frozen=True)
@@ -120,15 +128,46 @@ def dequantize(q, p: QuantParams):
     return p.scale * (np.asarray(q).astype(np.float64) - p.zero_point)
 
 
-def _saturate(q, p: QuantParams):
-    out = np.clip(q, p.qmin, p.qmax)
-    if np.ndim(q) == 0 and not isinstance(q, np.ndarray):
-        return int(out)
-    return out.astype(p.dtype)
+def max_centered(p: QuantParams) -> int:
+    """Largest |q - Z| over the codes of p."""
+    return max(p.zero_point, p.qmax - p.zero_point)
 
 
 def _centered(q, p: QuantParams):
     return np.asarray(q).astype(np.int64) - p.zero_point
+
+
+def _store(out, p: QuantParams, scalar: bool):
+    """Saturated int64 codes as p's storage dtype, or an int for scalars."""
+    return int(out) if scalar else out.astype(p.dtype)
+
+
+def requant_rescale(fx: FixedPointScalar, p_out: QuantParams, bound=None) -> Rescale:
+    """One-term rescale of an accumulator into p_out by multiplier fx."""
+    return Rescale(
+        (fx.raw,), fx.fraction_bits, p_out.zero_point, p_out.qmin, p_out.qmax,
+        bounds=None if bound is None else (bound,),
+    )
+
+
+def qmul_rescale(pa: QuantParams, pb: QuantParams, pc: QuantParams) -> Rescale:
+    """Rescale of the centered product (q_a - Z_a)(q_b - Z_b) into pc."""
+    fx = requant_multiplier(pa.scale * pb.scale / pc.scale)
+    return requant_rescale(fx, pc, max_centered(pa) * max_centered(pb))
+
+
+def sum_rescale(scale_a: float, scale_b: float, p_out: QuantParams, bounds) -> Rescale:
+    """Two-term rescale of centered operands at scale_a and scale_b into p_out.
+
+    Both operands are rescaled into the output grid inside one wide
+    accumulator (shared fraction bits) so only a single rounding happens.
+    """
+    f = REQUANT_FRACTION_BITS
+    raw_a = to_fixed(scale_a / p_out.scale, f).raw
+    raw_b = to_fixed(scale_b / p_out.scale, f).raw
+    return Rescale(
+        (raw_a, raw_b), f, p_out.zero_point, p_out.qmin, p_out.qmax, bounds=bounds
+    )
 
 
 def qmul(qa, pa: QuantParams, qb, pb: QuantParams, pc: QuantParams):
@@ -139,51 +178,23 @@ def qmul(qa, pa: QuantParams, qb, pb: QuantParams, pc: QuantParams):
     by S_a S_b / S_c rounds into the output grid.
     """
     scalar = np.ndim(qa) == 0 and np.ndim(qb) == 0
-    term = _centered(qa, pa) * _centered(qb, pb)
-    fx = requant_multiplier(pa.scale * pb.scale / pc.scale)
-    out = fx_apply(fx, term, pc.zero_point)
-    out = np.clip(out, pc.qmin, pc.qmax)
-    if scalar:
-        return int(out)
-    return out.astype(pc.dtype)
+    out = qmul_rescale(pa, pb, pc)(_centered(qa, pa) * _centered(qb, pb))
+    return _store(out, pc, scalar)
 
 
 def qadd_same(qa, qb, p_in: QuantParams, p_out: QuantParams):
     """Sum of two values sharing one parameter set, requantized into p_out."""
     scalar = np.ndim(qa) == 0 and np.ndim(qb) == 0
-    term = (
-        np.asarray(qa).astype(np.int64)
-        + np.asarray(qb).astype(np.int64)
-        - 2 * p_in.zero_point
-    )
     fx = requant_multiplier(p_in.scale / p_out.scale)
-    out = fx_apply(fx, term, p_out.zero_point)
-    out = np.clip(out, p_out.qmin, p_out.qmax)
-    if scalar:
-        return int(out)
-    return out.astype(p_out.dtype)
+    op = requant_rescale(fx, p_out, 2 * max_centered(p_in))
+    return _store(op(_centered(qa, p_in) + _centered(qb, p_in)), p_out, scalar)
 
 
 def qadd_diff(qa, pa: QuantParams, qb, pb: QuantParams, pc: QuantParams):
-    """Sum of two values with distinct parameter sets.
-
-    Both operands are rescaled into the output grid inside one wide
-    accumulator (shared fraction bits) so only a single rounding happens.
-    """
+    """Sum of two values with distinct parameter sets (see sum_rescale)."""
     scalar = np.ndim(qa) == 0 and np.ndim(qb) == 0
-    f = REQUANT_FRACTION_BITS
-    raw_a = to_fixed(pa.scale / pc.scale, f).raw
-    raw_b = to_fixed(pb.scale / pc.scale, f).raw
-    ca, cb = _centered(qa, pa), _centered(qb, pb)
-    bound = abs(raw_a) * (2**pa.bitwidth) + abs(raw_b) * (2**pb.bitwidth)
-    if bound > _INT64_MAX:
-        raise FxOverflow("qadd_diff accumulator would overflow int64")
-    acc = raw_a * ca + raw_b * cb
-    out = rounded_shift(acc, f) + pc.zero_point
-    out = np.clip(out, pc.qmin, pc.qmax)
-    if scalar:
-        return int(out)
-    return out.astype(pc.dtype)
+    op = sum_rescale(pa.scale, pb.scale, pc, (max_centered(pa), max_centered(pb)))
+    return _store(op(_centered(qa, pa), _centered(qb, pb)), pc, scalar)
 
 
 def requantize(acc, in_scale: float, p_out: QuantParams, fx: FixedPointScalar | None = None):
@@ -194,8 +205,47 @@ def requantize(acc, in_scale: float, p_out: QuantParams, fx: FixedPointScalar | 
     """
     if fx is None:
         fx = requant_multiplier(in_scale / p_out.scale)
-    out = fx_apply(fx, acc, p_out.zero_point)
-    return _saturate(out, p_out)
+    scalar = np.ndim(acc) == 0 and not isinstance(acc, np.ndarray)
+    acc = int(acc) if scalar else np.asarray(acc).astype(np.int64)
+    return _store(requant_rescale(fx, p_out)(acc), p_out, scalar)
+
+
+class ExactGemv:
+    """Integer matmul of fixed 8-bit weights, run as an exact float64 product.
+
+    Calling it maps codes [..., n] on the input grid to the int64
+    accumulator (W - Z_w)(q - Z_in) [..., rows], plus an optional integer
+    bias.  Every partial sum is an integer no larger than `bound` (row sums
+    of |W - Z_w| times the largest centered input code, plus |bias|), so
+    BLAS in float64 computes it exactly whenever bound < 2^53.  The int32
+    accumulator contract is checked here when the bound proves it, else on
+    every call; `bound` is what callers may assume about the result.
+    """
+
+    __slots__ = ("w", "zero", "bias", "bound", "per_call_check")
+
+    def __init__(self, qw: "QTensor", p_in: QuantParams, bias=None):
+        w = np.atleast_2d(qw.centered())
+        rows = np.abs(w).sum(axis=1) * max_centered(p_in)
+        if bias is not None:
+            rows = rows + np.abs(bias.astype(np.int64))
+        bound = int(rows.max(initial=0))
+        if bound >= _F64_EXACT:
+            raise FxOverflow("matmul accumulator exceeds float64's exact integer range")
+        self.w = w.T.astype(np.float64)
+        self.w.flags.writeable = False
+        self.zero = p_in.zero_point
+        self.bias = None if bias is None else bias.astype(np.float64)
+        self.per_call_check = bound > _INT32_MAX
+        self.bound = min(bound, _INT32_MAX)
+
+    def __call__(self, q):
+        acc = np.subtract(q, self.zero, dtype=np.float64) @ self.w
+        if self.bias is not None:
+            acc += self.bias
+        if self.per_call_check and acc.size and np.abs(acc).max() > _INT32_MAX:
+            raise FxOverflow("matmul accumulator exceeded int32 range")
+        return acc.astype(np.int64)
 
 
 @dataclass

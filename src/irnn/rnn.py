@@ -17,18 +17,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fixedpoint import FxOverflow, requant_multiplier, round_half_away
-from .madnorm import compute_stats, madnorm_int, madnorm_ref
-from .pwl import activation_registry, build_full, eval_int, reduce
+from .fixedpoint import FxOverflow, requant_multiplier, round_half_away, saturate
+from .madnorm import MadNormPlan, compute_stats, madnorm_ref
+from .pwl import activation_registry, build_full, reduce
 from .quant import (
+    ExactGemv,
     Observer,
     QTensor,
     QuantParams,
     derive_params,
-    qadd_diff,
-    qmul,
+    max_centered,
+    qmul_rescale,
     quantize_tensor,
-    requantize,
+    requant_rescale,
+    sum_rescale,
 )
 
 __all__ = [
@@ -236,20 +238,44 @@ def lstm_run_ref(
     return out
 
 
-def _check_int32(acc: np.ndarray):
-    if acc.size and int(np.abs(acc).max()) > _INT32_MAX:
-        raise FxOverflow("matmul accumulator exceeded int32 range")
+def _build_tables(p_gate: QuantParams, p_c: QuantParams, pieces: int) -> dict:
+    """Reduced PWL tables for the gate sigmoids, the j-gate tanh and tanh(c)."""
+    p_sig = derive_params(0.0, 1.0, 8)
+    p_tanh = derive_params(-1.0, 1.0, 8)
+    sigmoid_fn, _ = activation_registry("sigmoid")
+    tanh_fn, _ = activation_registry("tanh")
+    return {
+        "sigmoid": reduce(build_full(sigmoid_fn, p_gate, p_sig), pieces),
+        "tanh_gate": reduce(build_full(tanh_fn, p_gate, p_tanh), pieces),
+        "tanh_cell": reduce(build_full(tanh_fn, p_c, p_tanh), pieces),
+    }
 
 
 class IntLstmCell:
-    """Integer-only LSTM cell with precomputed multipliers and PWL tables.
+    """Integer-only LSTM cell, compiled once into integer constants and LUTs.
 
     sites maps tensor-site names to calibrated QuantParams: x, h, c, xprod,
     hprod, sum1, fc, ij, plus preact and s for context-fed cells and the
     mn{x,h}_{mu,xhat,d,y} group for MadNorm cells.
+
+    tables (sigmoid, tanh_gate, tanh_cell PWL tables) and multipliers (the
+    xprod and hprod requantization multipliers) are built from the sites
+    when omitted, as calibration does; a loader passes the stored ones.
+    Construction then compiles every rescale, exact GEMV operand and LUT a
+    step needs, and proves the constant overflow bounds, so a step is only
+    GEMVs, adds, shifts, saturations and gathers.  Nothing compiled changes
+    afterwards, so one cell may step many sequences on many threads.
     """
 
-    def __init__(self, weights: LstmWeights, cfg: CellConfig, sites: dict):
+    def __init__(
+        self,
+        weights: LstmWeights,
+        cfg: CellConfig,
+        sites: dict,
+        *,
+        tables: dict | None = None,
+        multipliers: dict | None = None,
+    ):
         required = {"x", "h", "c", "xprod", "hprod", "sum1", "fc", "ij"}
         if weights.ws is not None:
             required |= {"s", "preact"}
@@ -260,40 +286,85 @@ class IntLstmCell:
             raise KeyError(f"uncalibrated-tensor: {', '.join(missing)}")
         self.weights = weights
         self.cfg = cfg
+        # sites is what save() writes; the compiled cell reads its own copy
         self.sites = dict(sites)
+        self._sites = p = dict(sites)
 
-        self._wx_c = weights.wx.centered()
-        self._wh_c = weights.wh.centered()
-        self._ws_c = weights.ws.centered() if weights.ws is not None else None
-
-        p = self.sites
         sx, swx = p["x"].scale, weights.wx.params.scale
-        self._bias_acc = None
+        if multipliers is None:
+            multipliers = {
+                "xprod": requant_multiplier(sx * swx / p["xprod"].scale),
+                "hprod": requant_multiplier(
+                    p["h"].scale * weights.wh.params.scale / p["hprod"].scale
+                ),
+            }
+        self.multipliers = dict(multipliers)
+        p_gate = p["preact"] if weights.ws is not None else p["sum1"]
+        if tables is None:
+            tables = _build_tables(p_gate, p["c"], cfg.pwl_pieces)
+        self.tables = dict(tables)
+        self._compile(p_gate)
+
+    def _compile(self, p_gate: QuantParams) -> None:
+        p, w, m = self._sites, self.weights, self.hidden_size
+        bias_acc = None
         self._bias_codes = None
-        if weights.bias is not None:
-            if cfg.use_madnorm:
+        if w.bias is not None:
+            if self.cfg.use_madnorm:
                 # normalization is shift-invariant, so the bias only
                 # survives if it joins after the per-branch norms
                 self._bias_codes = round_half_away(
-                    weights.bias.astype(np.float64) * sx * swx / p["sum1"].scale
+                    w.bias.astype(np.float64) * p["x"].scale * w.wx.params.scale
+                    / p["sum1"].scale
                 )
             else:
-                self._bias_acc = weights.bias.astype(np.int64)
-        self._fx_xprod = requant_multiplier(sx * swx / p["xprod"].scale)
-        self._fx_hprod = requant_multiplier(
-            p["h"].scale * weights.wh.params.scale / p["hprod"].scale
+                bias_acc = w.bias
+        self._gemv_x = ExactGemv(w.wx, p["x"], bias_acc)
+        self._gemv_h = ExactGemv(w.wh, p["h"])
+        self._xprod = requant_rescale(self.multipliers["xprod"], p["xprod"], self._gemv_x.bound)
+        self._hprod = requant_rescale(self.multipliers["hprod"], p["hprod"], self._gemv_h.bound)
+
+        self._norm_x = self._norm_h = None
+        pa, pb = p["xprod"], p["hprod"]
+        if self.cfg.use_madnorm:
+            self._norm_x = MadNormPlan(
+                pa, p["mnx_mu"], p["mnx_xhat"], p["mnx_d"], p["mnx_y"], 4 * m
+            )
+            self._norm_h = MadNormPlan(
+                pb, p["mnh_mu"], p["mnh_xhat"], p["mnh_d"], p["mnh_y"], 4 * m
+            )
+            pa, pb = p["mnx_y"], p["mnh_y"]
+        self._z_xbranch, self._z_hbranch = pa.zero_point, pb.zero_point
+        self._sum1 = sum_rescale(
+            pa.scale, pb.scale, p["sum1"], (max_centered(pa), max_centered(pb))
         )
 
-        p_gate = p["preact"] if weights.ws is not None else p["sum1"]
-        p_sig = derive_params(0.0, 1.0, 8)
-        p_tanh = derive_params(-1.0, 1.0, 8)
-        sigmoid_fn, _ = activation_registry("sigmoid")
-        tanh_fn, _ = activation_registry("tanh")
-        self._sig_table = reduce(build_full(sigmoid_fn, p_gate, p_sig), cfg.pwl_pieces)
-        self._tanh_gate = reduce(build_full(tanh_fn, p_gate, p_tanh), cfg.pwl_pieces)
-        self._tanh_cell = reduce(build_full(tanh_fn, p["c"], p_tanh), cfg.pwl_pieces)
-        self._p_sig = p_sig
-        self._p_tanh = p_tanh
+        self._gemv_s = self._context = None
+        if w.ws is not None:
+            self._gemv_s = ExactGemv(w.ws, p["s"])
+            # the context accumulator joins at scale S_s * S_ws
+            self._context = sum_rescale(
+                p["sum1"].scale,
+                p["s"].scale * w.ws.params.scale,
+                p["preact"],
+                (max_centered(p["sum1"]), self._gemv_s.bound),
+            )
+
+        sig, tanh_gate, tanh_cell = (
+            self.tables[k] for k in ("sigmoid", "tanh_gate", "tanh_cell")
+        )
+        p_sig, p_tanh = sig.out_params, tanh_gate.out_params
+        self._sig_lut = sig.lut_covering(p_gate)
+        self._tanh_gate_lut = tanh_gate.lut_covering(p_gate)
+        self._tanh_cell_lut = tanh_cell.lut_covering(p["c"])
+        self._z_sig, self._z_tanh = p_sig.zero_point, p_tanh.zero_point
+        self._z_tanh_cell = tanh_cell.out_params.zero_point
+        self._fc = qmul_rescale(p_sig, p["c"], p["fc"])
+        self._ij = qmul_rescale(p_sig, p_tanh, p["ij"])
+        self._c = sum_rescale(
+            p["fc"].scale, p["ij"].scale, p["c"], (max_centered(p["fc"]), max_centered(p["ij"]))
+        )
+        self._h = qmul_rescale(p_sig, tanh_cell.out_params, p["h"])
 
     @property
     def hidden_size(self) -> int:
@@ -305,7 +376,7 @@ class IntLstmCell:
 
     def initial_state(self) -> LstmState:
         """Zero state: every code sits at its zero-point."""
-        ph, pc = self.sites["h"], self.sites["c"]
+        ph, pc = self._sites["h"], self._sites["c"]
         m = self.hidden_size
         return LstmState(
             QTensor(np.full(m, ph.zero_point, dtype=ph.dtype), ph),
@@ -313,89 +384,83 @@ class IntLstmCell:
         )
 
     def _require(self, qt: QTensor, site: str):
-        if qt.params != self.sites[site]:
+        expected = self._sites[site]
+        if qt.params is not expected and qt.params != expected:
             raise ValueError(f"uncalibrated-tensor: {site} params differ from calibration")
 
-    def step(self, qx: QTensor, state: LstmState, qs: QTensor | None = None) -> LstmState:
-        p = self.sites
-        self._require(qx, "x")
+    def input_branch(self, qxs: QTensor) -> np.ndarray:
+        """The h-independent part of the gate sum for [T x n] inputs.
+
+        Wx x + bias, its xprod requantization and (with MadNorm) the
+        x-branch normalization, as the x operand of the gate-sum rescale:
+        int64 [T x 4m], one row per step.  run() computes it for the whole
+        sequence in one matmul; step() takes one row of it.
+        """
+        self._require(qxs, "x")
+        xa = self._xprod(self._gemv_x(qxs.data)) - self._sites["xprod"].zero_point
+        if self._norm_x is not None:
+            xa = self._norm_x(xa) - self._z_xbranch
+        return self._sum1.term(0, xa)
+
+    def step(
+        self,
+        qx: QTensor | None,
+        state: LstmState,
+        qs: QTensor | None = None,
+        *,
+        xb: np.ndarray | None = None,
+    ) -> LstmState:
+        """One timestep; xb, when given, is this step's input_branch() row
+        and stands in for qx (which may then be None)."""
+        p = self._sites
         self._require(state.h, "h")
         self._require(state.c, "c")
-        if (qs is None) != (self._ws_c is None):
+        if (qs is None) != (self._gemv_s is None):
             raise ValueError("context input does not match cell wiring")
+        if xb is None:
+            xb = self.input_branch(QTensor(qx.data[None], qx.params))[0]
 
-        acc_x = self._wx_c @ qx.centered()
-        if self._bias_acc is not None:
-            acc_x = acc_x + self._bias_acc
-        acc_h = self._wh_c @ state.h.centered()
-        _check_int32(acc_x)
-        _check_int32(acc_h)
-        q_xp = requantize(acc_x, 0.0, p["xprod"], fx=self._fx_xprod)
-        q_hp = requantize(acc_h, 0.0, p["hprod"], fx=self._fx_hprod)
-
-        if self.cfg.use_madnorm:
-            q_xp = madnorm_int(
-                QTensor(q_xp, p["xprod"]),
-                p["mnx_mu"], p["mnx_xhat"], p["mnx_d"], p["mnx_y"],
-            ).data
-            q_hp = madnorm_int(
-                QTensor(q_hp, p["hprod"]),
-                p["mnh_mu"], p["mnh_xhat"], p["mnh_d"], p["mnh_y"],
-            ).data
-            gates = qadd_diff(q_xp, p["mnx_y"], q_hp, p["mnh_y"], p["sum1"])
-            if self._bias_codes is not None:
-                shifted = gates.astype(np.int64) + self._bias_codes
-                gates = np.clip(shifted, p["sum1"].qmin, p["sum1"].qmax).astype(
-                    p["sum1"].dtype
-                )
-        else:
-            gates = qadd_diff(q_xp, p["xprod"], q_hp, p["hprod"], p["sum1"])
-
-        if self._ws_c is not None:
+        hb = self._hprod(self._gemv_h(state.h.data)) - p["hprod"].zero_point
+        if self._norm_h is not None:
+            hb = self._norm_h(hb) - self._z_hbranch
+        gates = self._sum1.finish(xb + self._sum1.term(1, hb))
+        if self._bias_codes is not None:
+            gates = saturate(gates + self._bias_codes, p["sum1"].qmin, p["sum1"].qmax)
+        if self._gemv_s is not None:
             self._require(qs, "s")
-            acc_s = self._ws_c @ qs.centered()
-            _check_int32(acc_s)
-            s_scale = p["s"].scale * self.weights.ws.params.scale
-            gates = qadd_diff(
-                gates.astype(np.int64),
-                p["sum1"],
-                # context accumulator enters as codes on a unit-zero-point
-                # grid at scale S_s * S_ws
-                acc_s,
-                QuantParams(-1.0, 1.0, 32, s_scale, 0),
-                p["preact"],
-            )
-            p_gate = p["preact"]
-        else:
-            p_gate = p["sum1"]
+            gates = self._context(gates - p["sum1"].zero_point, self._gemv_s(qs.data))
 
         m = self.hidden_size
-        gv = np.asarray(gates)
-        gi, gf, gj, go = (gv[k * m : (k + 1) * m] for k in range(4))
-        q_si = eval_int(self._sig_table, gi)
-        q_sf = eval_int(self._sig_table, gf)
-        q_so = eval_int(self._sig_table, go)
-        q_tj = eval_int(self._tanh_gate, gj)
-
-        q_fc = qmul(q_sf, self._p_sig, state.c.data, p["c"], p["fc"])
-        q_ij = qmul(q_si, self._p_sig, q_tj, self._p_tanh, p["ij"])
-        q_c1 = qadd_diff(q_fc, p["fc"], q_ij, p["ij"], p["c"])
-        q_tc = eval_int(self._tanh_cell, q_c1)
-        q_h1 = qmul(q_so, self._p_sig, q_tc, self._p_tanh, p["h"])
-        return LstmState(QTensor(q_h1, p["h"]), QTensor(q_c1, p["c"]))
+        sig = np.subtract(self._sig_lut.take(gates), self._z_sig, dtype=np.int64)
+        tj = np.subtract(
+            self._tanh_gate_lut.take(gates[2 * m : 3 * m]), self._z_tanh, dtype=np.int64
+        )
+        c_old = np.subtract(state.c.data, p["c"].zero_point, dtype=np.int64)
+        q_fc = self._fc(sig[m : 2 * m] * c_old)
+        q_ij = self._ij(sig[:m] * tj)
+        q_c1 = self._c(q_fc - p["fc"].zero_point, q_ij - p["ij"].zero_point)
+        tc = np.subtract(self._tanh_cell_lut.take(q_c1), self._z_tanh_cell, dtype=np.int64)
+        q_h1 = self._h(sig[3 * m :] * tc)
+        ph, pc = p["h"], p["c"]
+        return LstmState(QTensor(q_h1.astype(ph.dtype), ph), QTensor(q_c1.astype(pc.dtype), pc))
 
     def run(self, qxs: QTensor, qs_seq: QTensor | None = None) -> QTensor:
-        """Drive the cell over a [T x n] input; returns all hidden states."""
+        """Drive the cell over a [T x n] input; returns all hidden states.
+
+        The input branch runs once over the whole sequence; only the
+        h-branch is left inside the recurrence.
+        """
         if qxs.data.ndim != 2 or qxs.data.shape[0] < 1:
             raise ValueError("expected a [T x n] input sequence with T >= 1")
-        ph = self.sites["h"]
+        xb = self.input_branch(qxs)
+        ph = self._sites["h"]
         state = self.initial_state()
         out = np.empty((qxs.data.shape[0], self.hidden_size), dtype=ph.dtype)
         for t in range(qxs.data.shape[0]):
             qs = None
             if qs_seq is not None:
                 qs = QTensor(qs_seq.data[t], qs_seq.params)
-            state = self.step(QTensor(qxs.data[t], qxs.params), state, qs)
+            state = self.step(None, state, qs, xb=xb[t])
             out[t] = state.h.data
         return QTensor(out, ph)
 

@@ -1,4 +1,4 @@
-"""Fixed-point scalar representation and shift/mask rounding."""
+"""Fixed-point scalars, rounding primitives and the compiled Rescale."""
 
 import numpy as np
 import pytest
@@ -6,12 +6,14 @@ import pytest
 from irnn.fixedpoint import (
     FixedPointScalar,
     FxOverflow,
+    Rescale,
     format_table,
     fx_apply,
     requant_multiplier,
     round_half_away,
     rounded_div,
     rounded_shift,
+    saturate,
     to_fixed,
     to_float,
 )
@@ -195,3 +197,121 @@ class TestFormatTable:
         assert rows[1.0]["signed"] == (-128.0, 127.0)
         assert rows[2.0**-7]["signed"] == (-1.0, 0.9921875)
         assert rows[2.0**-8]["unsigned"] == (0.0, 0.99609375)
+
+
+def _ref_round_div(num: int, den: int) -> int:
+    """Python big-int num / den, rounded half away from zero."""
+    q, r = divmod(abs(num), den)
+    if 2 * r >= den:
+        q += 1
+    return q if num >= 0 else -q
+
+
+def _admitted(f: int) -> int:
+    """Largest |acc| the compiled bounds let reach rounded_shift at f."""
+    return 2**63 - 1 - 2 ** (f - 1)
+
+
+class TestRoundingProperties:
+    """Shift, division and multiplier rounding against big-int references."""
+
+    def _accumulators(self, rng, f: int) -> list:
+        top = _admitted(f)
+        vals = [0, 1, -1, top, -top, top - 1, -(top - 1)]
+        # exact ties and their neighbours: k * 2^f + 2^(f-1) + {-1, 0, 1}
+        kmax = (top - 2 ** (f - 1)) >> f
+        for k in rng.integers(0, kmax, size=20, endpoint=True).tolist():
+            tie = (k << f) + (1 << (f - 1))
+            for v in (tie - 1, tie, tie + 1):
+                if v <= top:
+                    vals += [v, -v]
+        # magnitudes spread over every scale up to the admitted maximum
+        for bits in rng.integers(1, 64, size=60).tolist():
+            v = int(rng.integers(0, min(2**bits, top), endpoint=True))
+            vals += [v, -v]
+        return vals
+
+    def test_rounded_shift_matches_big_int(self):
+        rng = np.random.default_rng(42)
+        for f in range(1, 63):
+            vals = self._accumulators(rng, f)
+            want = [_ref_round_div(v, 2**f) for v in vals]
+            assert [rounded_shift(v, f) for v in vals] == want, f
+            got = rounded_shift(np.array(vals, dtype=np.int64), f)
+            assert got.tolist() == want, f
+
+    def test_rounded_div_matches_big_int(self):
+        rng = np.random.default_rng(42)
+        for _ in range(200):
+            den = int(rng.integers(1, 2**40))
+            top = 2**63 - 1 - den // 2
+            nums = [den // 2, -(den // 2), den // 2 + den, top, -top]
+            nums += [
+                int(v) * s
+                for v in rng.integers(0, top, size=20, endpoint=True)
+                for s in (1, -1)
+            ]
+            want = [_ref_round_div(n, den) for n in nums]
+            assert [rounded_div(n, den) for n in nums] == want
+            assert rounded_div(np.array(nums, dtype=np.int64), den).tolist() == want
+
+    def test_rounded_div_row_divisors(self):
+        rng = np.random.default_rng(42)
+        num = rng.integers(-(2**50), 2**50, size=(6, 9))
+        den = rng.integers(1, 2**20, size=(6, 1))
+        got = rounded_div(num, den)
+        want = [
+            [_ref_round_div(int(n), int(d[0])) for n in row]
+            for row, d in zip(num, den)
+        ]
+        assert got.tolist() == want
+        with pytest.raises(ValueError):
+            rounded_div(num, np.zeros((6, 1), dtype=np.int64))
+
+    def test_fx_apply_matches_big_int(self):
+        rng = np.random.default_rng(42)
+        for _ in range(300):
+            f = int(rng.integers(1, 63))
+            raw = int(rng.integers(1, 2**31)) * int(rng.choice([1, -1]))
+            fx = FixedPointScalar(raw, f, max(0, abs(raw).bit_length() - f))
+            limit = _admitted(f) // abs(raw)
+            qs = [limit, -limit] + [
+                int(v) for v in rng.integers(-limit, limit, size=20, endpoint=True)
+            ]
+            want = [_ref_round_div(raw * q, 2**f) + 3 for q in qs]
+            assert [fx_apply(fx, q, 3) for q in qs] == want
+            assert fx_apply(fx, np.array(qs, dtype=np.int64), 3).tolist() == want
+            # one step past what the rounding add leaves room for
+            with pytest.raises(FxOverflow):
+                fx_apply(fx, np.array([limit + 1], dtype=np.int64))
+
+
+class TestRescale:
+    def test_constant_bound_checked_once(self):
+        with pytest.raises(FxOverflow):
+            Rescale((2**40,), 30, bounds=(2**23,))
+        op = Rescale((2**40,), 30, bounds=(2**22 - 1,))
+        assert not op.per_call_check
+        assert op(2**22 - 1) == _ref_round_div(2**40 * (2**22 - 1), 2**30)
+
+    def test_unbounded_checks_each_call(self):
+        op = Rescale((2**40,), 30)
+        assert op.per_call_check
+        assert op(np.array([5, -7])).tolist() == [5 * 1024, -7 * 1024]
+        with pytest.raises(FxOverflow):
+            op(np.array([2**23]))
+
+    def test_two_terms_round_once_and_saturate(self):
+        # 0.5 * a + 0.25 * b, one rounding, into [0, 255] around zero 128
+        op = Rescale((1, 1), 1, zero=128, lo=0, hi=255, bounds=(1000, 1000))
+        a = np.array([1, 3, -3, 500, -500])
+        b = np.array([0, 0, 0, 500, -500])
+        want = [128 + _ref_round_div(x + y, 2) for x, y in zip(a.tolist(), b.tolist())]
+        assert op(a, b).tolist() == [min(max(v, 0), 255) for v in want]
+        assert op.finish(op.term(0, a) + op.term(1, b)).tolist() == op(a, b).tolist()
+
+    def test_saturate_scalar_and_array(self):
+        assert saturate(300, 0, 255) == 255
+        assert saturate(-4, 0, 255) == 0
+        x = np.array([-4, 7, 300], dtype=np.int64)
+        assert saturate(x, 0, 255).tolist() == [0, 7, 255]

@@ -2,12 +2,14 @@
 
 import json
 import struct
+import sys
 
 import numpy as np
 import pytest
 
 from irnn import model_io as mio
 from irnn.attention import attention_int, calibrate_attention
+from irnn.cli import build_model, run_model_int
 from irnn.quant import quantize_tensor
 from irnn.rnn import CellConfig, calibrate_bilstm, calibrate_lstm_cell
 
@@ -209,6 +211,58 @@ class TestBilstmAndEncdec:
         np.testing.assert_array_equal(
             dec.run(qxs, qss).data, loaded.cells["dec"].run(qxs, qss).data
         )
+
+
+class TestCompiledReplay:
+    def test_load_rebuilds_no_table(self, monkeypatch):
+        model, _ = _toy_model(madnorm=True)
+        blob = mio.save(model)
+
+        def rebuild(*args, **kwargs):
+            raise AssertionError("load rebuilt a PWL table")
+
+        monkeypatch.setattr("irnn.rnn.build_full", rebuild)
+        monkeypatch.setattr("irnn.rnn.reduce", rebuild)
+        loaded = mio.load(blob)
+        assert mio.save(loaded) == blob
+
+    def test_run_derives_nothing_from_float(self, monkeypatch):
+        rng = np.random.default_rng(42)
+        n = m = 8
+        cell = lambda prefix, **extra: {
+            prefix + "wx": rng.normal(0.0, 0.3, size=(4 * m, n)),
+            prefix + "wh": rng.normal(0.0, 0.3, size=(4 * m, m)),
+            prefix + "bias": rng.normal(0.0, 0.1, size=4 * m),
+            **extra,
+        }
+        lstm = mio.FloatModel("lstm", cell(""))
+        encdec = mio.FloatModel("encdec", {
+            **cell("enc_"),
+            **cell("dec_", dec_ws=rng.normal(0.0, 0.3, size=(4 * m, m))),
+            "att_wq": rng.normal(0.0, 0.4, size=(m, m)),
+            "att_wk": rng.normal(0.0, 0.4, size=(m, m)),
+            "att_v": rng.normal(0.0, 0.4, size=m),
+        })
+        calib = rng.normal(0.0, 1.0, size=(3, 6, n))
+        seqs = rng.normal(0.0, 1.0, size=(2, 6, n))
+        cfg16 = CellConfig(cell_bits=16, preact_bits=16, use_madnorm=True, pwl_pieces=8)
+        built = [build_model(lstm, calib, cfg16), build_model(encdec, calib, CellConfig())]
+        models = built + [mio.load(mio.save(b)) for b in built]
+        before = [run_model_int(mdl, seqs) for mdl in models]
+
+        def float_derivation(*args, **kwargs):
+            raise AssertionError("a step derived a constant from float scales")
+
+        for name, module in list(sys.modules.items()):
+            if name == "irnn" or name.startswith("irnn."):
+                for attr in ("requant_multiplier", "to_fixed"):
+                    if hasattr(module, attr):
+                        monkeypatch.setattr(module, attr, float_derivation)
+        for mdl, want in zip(models, before):
+            got = run_model_int(mdl, seqs)
+            assert got.keys() == want.keys()
+            for key in want:
+                np.testing.assert_array_equal(got[key], want[key])
 
 
 class TestFloatExport:

@@ -1,5 +1,7 @@
 """Piecewise-linear activation tables: construction, reduction, evaluation."""
 
+import bisect
+
 import numpy as np
 import pytest
 
@@ -222,3 +224,59 @@ class TestEvalInt:
         grid_err = np.abs(eval_float(table, xs) - fn(xs)).max()
         got = dequantize(eval_int(table, codes), out_p)
         assert np.abs(got - fn(xs)).max() <= out_p.scale / 2 + grid_err + 1e-9
+
+
+def _formula(t, q: int) -> int:
+    """The fixed-point piece formula at one code, in Python big ints."""
+    k = [int(v) for v in t.q_knots]
+    qc = min(max(q, k[0]), k[-1])
+    i = min(max(bisect.bisect_right(k, qc) - 1, 0), t.pieces - 1)
+    acc = int(t.fx_slopes[i]) * (qc - k[i]) + int(t.fx_intercepts[i])
+    mag, rem = divmod(abs(acc), 2**t.fraction_bits)
+    if 2 * rem >= 2**t.fraction_bits:
+        mag += 1
+    out = (mag if acc >= 0 else -mag) + t.out_params.zero_point
+    return min(max(out, t.out_params.qmin), t.out_params.qmax)
+
+
+class TestLut:
+    def _tables(self):
+        sig, in8, out8 = _params_for("sigmoid")
+        tanh, _, tanh_out = _params_for("tanh")
+        in16 = derive_params(-8.0, 8.0, 16)
+        # knots strictly inside the grid: codes beyond them clamp
+        partial = from_points(
+            dequantize(np.array([40, 90, 200]), in8),
+            sig(dequantize(np.array([40, 90, 200]), in8)),
+            in8,
+            out8,
+        )
+        return {
+            "sigmoid-8": reduce(build_full(sig, in8, out8), 16),
+            "tanh-16": reduce(build_full(tanh, in16, tanh_out), 32),
+            "partial-8": partial,
+        }
+
+    def test_lut_is_the_formula_at_every_code(self):
+        for name, t in self._tables().items():
+            codes = range(t.in_params.qmax + 1)
+            assert t.lut.dtype == t.out_params.dtype, name
+            assert t.lut.tolist() == [_formula(t, q) for q in codes], name
+
+    def test_eval_int_clamps_any_integer(self):
+        t = self._tables()["partial-8"]
+        qs = np.array([-(2**40), -1, 0, 40, 41, 200, 255, 256, 2**40])
+        assert eval_int(t, qs).tolist() == [_formula(t, int(q)) for q in qs]
+
+    def test_lut_is_read_only(self):
+        t = self._tables()["sigmoid-8"]
+        with pytest.raises(ValueError):
+            t.lut[0] = 1
+
+    def test_lut_covering_a_wider_grid(self):
+        t = self._tables()["sigmoid-8"]
+        wide = t.lut_covering(derive_params(-8.0, 8.0, 16))
+        assert len(wide) == 2**16
+        np.testing.assert_array_equal(wide[:256], t.lut)
+        assert (wide[256:] == t.lut[-1]).all()
+        assert t.lut_covering(t.in_params) is t.lut

@@ -9,7 +9,9 @@ constants rather than re-derived exact ratios.
 import numpy as np
 import pytest
 
+from irnn.fixedpoint import FxOverflow
 from irnn.quant import (
+    ExactGemv,
     Observer,
     QTensor,
     QuantParams,
@@ -285,3 +287,27 @@ class TestQlinear:
         bias = np.round(bias_real / (px.scale * pw.scale)).astype(np.int64)
         qt = qlinear(quantize_tensor(x, px), quantize_tensor(w, pw), p_out, bias=bias)
         np.testing.assert_allclose(qt.dequantize(), bias_real, atol=p_out.scale)
+
+
+class TestExactGemv:
+    def test_matches_int64_matmul(self):
+        rng = np.random.default_rng(42)
+        w = quantize_tensor(rng.normal(0.0, 0.3, size=(24, 10)), derive_params(-1, 1, 8))
+        p_in = derive_params(-3.0, 2.0, 8)
+        bias = rng.integers(-(2**20), 2**20, size=24).astype(np.int32)
+        gemv = ExactGemv(w, p_in, bias)
+        assert not gemv.per_call_check
+        codes = rng.integers(0, 256, size=(7, 10)).astype(np.uint8)
+        want = (codes.astype(np.int64) - p_in.zero_point) @ w.centered().T + bias
+        np.testing.assert_array_equal(gemv(codes), want)
+        np.testing.assert_array_equal(gemv(codes[3]), want[3])
+
+    def test_unproven_int32_bound_checks_each_call(self):
+        w = QTensor(np.full((2, 200), 255, dtype=np.uint8), QuantParams(0.0, 1.0, 8, 1 / 255, 0))
+        p_in = QuantParams(0.0, 1.0, 16, 1 / 65535, 0)
+        gemv = ExactGemv(w, p_in)
+        assert gemv.per_call_check and gemv.bound == 2**31 - 1
+        small = np.full(200, 10, dtype=np.uint16)
+        assert gemv(small).tolist() == [200 * 255 * 10] * 2
+        with pytest.raises(FxOverflow):
+            gemv(np.full(200, 65535, dtype=np.uint16))

@@ -302,6 +302,47 @@ class TestIntCell:
         assert state.c.params.bitwidth == 16
 
 
+class TestCompiledCell:
+    def _context_cell(self, madnorm):
+        rng = np.random.default_rng(7)
+        n, m, m_enc, T = 6, 8, 5, 10
+        wx, wh, bias = _toy_weights(rng, n, m)
+        ws = rng.normal(0.0, 0.3, size=(4 * m, m_enc))
+        cal = rng.normal(0.0, 1.0, size=(4, T, n))
+        s_cal = rng.normal(0.0, 0.5, size=(4, T, m_enc))
+        cfg = CellConfig(cell_bits=16, use_madnorm=madnorm)
+        cell = calibrate_lstm_cell(wx, wh, bias, cal, cfg, ws=ws, s_seqs=s_cal)
+        qxs = quantize_tensor(rng.normal(0.0, 1.0, size=(T, n)), cell.sites["x"])
+        qss = quantize_tensor(rng.normal(0.0, 0.5, size=(T, m_enc)), cell.sites["s"])
+        return cell, qxs, qss
+
+    @pytest.mark.parametrize("madnorm", [False, True])
+    def test_hoisted_input_branch_equals_stepping(self, madnorm):
+        cell, qxs, qss = self._context_cell(madnorm)
+        state, stepped = cell.initial_state(), []
+        for t in range(qxs.data.shape[0]):
+            qx = QTensor(qxs.data[t], qxs.params)
+            state = cell.step(qx, state, QTensor(qss.data[t], qss.params))
+            stepped.append(state.h.data)
+        np.testing.assert_array_equal(cell.run(qxs, qss).data, np.stack(stepped))
+
+    def test_input_branch_rows_are_independent(self):
+        cell, qxs, _ = self._context_cell(True)
+        whole = cell.input_branch(qxs)
+        for t in (0, 5):
+            row = cell.input_branch(QTensor(qxs.data[t : t + 1], qxs.params))
+            np.testing.assert_array_equal(whole[t], row[0])
+
+    def test_stored_constants_are_used(self):
+        cell, qxs, qss = self._context_cell(False)
+        twin = IntLstmCell(
+            cell.weights, cell.cfg, cell.sites,
+            tables=cell.tables, multipliers=cell.multipliers,
+        )
+        assert twin.tables["sigmoid"] is cell.tables["sigmoid"]
+        np.testing.assert_array_equal(twin.run(qxs, qss).data, cell.run(qxs, qss).data)
+
+
 class TestBilstm:
     def _calibrated_pair(self, seed=42, n=16, m=16, T=32, shared_weights=False):
         rng = np.random.default_rng(seed)
