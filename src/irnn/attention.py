@@ -198,7 +198,7 @@ class AttentionPlan:
         sites = w.sites
         if exp_table.out_params.zero_point != 0:
             raise ValueError("exp output grid must put zero at code 0")
-        self.w, self.exp_table, self.tanh_table = w, exp_table, tanh_table
+        self.w, self.exp_table = w, exp_table
         self._sites = dict(sites)
         self._keys = _key_projection(w)
         p_q, p_k = sites["qproj"], sites["kproj"]

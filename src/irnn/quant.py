@@ -139,7 +139,7 @@ def _centered(q, p: QuantParams):
 
 def _store(out, p: QuantParams, scalar: bool):
     """Saturated int64 codes as p's storage dtype, or an int for scalars."""
-    return int(out) if scalar else out.astype(p.dtype)
+    return int(out) if scalar else np.asarray(out).astype(p.dtype)
 
 
 def requant_rescale(fx: FixedPointScalar, p_out: QuantParams, bound=None) -> Rescale:
@@ -224,7 +224,7 @@ class ExactGemv:
 
     __slots__ = ("w", "zero", "bias", "bound", "per_call_check")
 
-    def __init__(self, qw: "QTensor", p_in: QuantParams, bias=None):
+    def __init__(self, qw: QTensor, p_in: QuantParams, bias=None):
         w = np.atleast_2d(qw.centered())
         rows = np.abs(w).sum(axis=1) * max_centered(p_in)
         if bias is not None:

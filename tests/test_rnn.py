@@ -326,22 +326,6 @@ class TestCompiledCell:
             stepped.append(state.h.data)
         np.testing.assert_array_equal(cell.run(qxs, qss).data, np.stack(stepped))
 
-    def test_input_branch_rows_are_independent(self):
-        cell, qxs, _ = self._context_cell(True)
-        whole = cell.input_branch(qxs)
-        for t in (0, 5):
-            row = cell.input_branch(QTensor(qxs.data[t : t + 1], qxs.params))
-            np.testing.assert_array_equal(whole[t], row[0])
-
-    def test_stored_constants_are_used(self):
-        cell, qxs, qss = self._context_cell(False)
-        twin = IntLstmCell(
-            cell.weights, cell.cfg, cell.sites,
-            tables=cell.tables, multipliers=cell.multipliers,
-        )
-        assert twin.tables["sigmoid"] is cell.tables["sigmoid"]
-        np.testing.assert_array_equal(twin.run(qxs, qss).data, cell.run(qxs, qss).data)
-
 
 class TestBilstm:
     def _calibrated_pair(self, seed=42, n=16, m=16, T=32, shared_weights=False):
