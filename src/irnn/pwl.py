@@ -210,9 +210,18 @@ def reduce(t: PwlTable, pieces: int) -> PwlTable:
         raise ValueError("invalid-budget: pieces must be >= 1")
     if pieces >= t.pieces:
         return t
+    keep = _surviving_knots(t.knots.tolist(), _knot_values(t).tolist(), pieces)
+    return _finalize(
+        t.knots[keep], _knot_values(t)[keep], t.q_knots[keep], t.in_params, t.out_params
+    )
 
-    ks = t.knots.tolist()
-    ys = _knot_values(t).tolist()
+
+def _surviving_knots(ks: list, ys: list, pieces: int) -> list:
+    """Indices of the knots the greedy merge keeps.
+
+    The merge state (a few lists as long as the grid) is freed on return,
+    before the kept table expands its LUT.
+    """
     n = len(ks)
     prev = list(range(-1, n - 1))
     nxt = list(range(1, n + 1))
@@ -242,10 +251,7 @@ def reduce(t: PwlTable, pieces: int) -> PwlTable:
                 stamp[nb] += 1
                 heapq.heappush(heap, (cost(nb), nb, stamp[nb]))
 
-    keep = [i for i in range(n) if alive[i]]
-    return _finalize(
-        t.knots[keep], _knot_values(t)[keep], t.q_knots[keep], t.in_params, t.out_params
-    )
+    return [i for i in range(n) if alive[i]]
 
 
 def _piece_index(sorted_knots, x):
