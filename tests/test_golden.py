@@ -3,10 +3,11 @@
 Every {lstm, bilstm, encdec} x {8/8, 16/16, 8/8 + MadNorm} x {8, 32}-piece
 model is built at seed 42 from small float weights, then run on fixed
 inputs.  OUTPUT_SHA256 pins the integer outputs (every trace array of
-`run_model_int`, dequantized as float64) and CONTAINER_SHA256 pins the
-bytes of `save()`.  A kernel refactor must leave both unchanged; a change
-meant to alter bits regenerates them with `python tests/test_golden.py`
-and says why.
+`run_model_int`, dequantized as float64), CONTAINER_SHA256 pins the
+bytes of `save()` and REF_SHA256 pins the float64 oracle's outputs
+(`run_model_ref` on the exported float model).  A kernel or graph refactor
+must leave all three unchanged; a change meant to alter bits regenerates
+them with `python tests/test_golden.py` and says why.
 """
 
 import hashlib
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 
 from irnn import model_io as mio
-from irnn.cli import build_model, run_model_int
+from irnn.cli import build_model, run_model_int, run_model_ref
 from irnn.rnn import CellConfig
 
 SEED = 42
@@ -76,6 +77,29 @@ CONTAINER_SHA256 = {
     "encdec-q8mn-p32": "1778b4f212ac10d91dd1f4dad102ea4d79d3524dfdd06d6f1ecb683e4288dfb8",
 }
 
+# the oracle reads only the 8-bit weights and the MadNorm flag, so cases
+# that differ only in cell bits or pieces share a hash
+REF_SHA256 = {
+    "lstm-q8-p8": "3f6f43d774d63a1f4cae971dbd3738bb777f28fbcce46e611e5809f625ecfc3e",
+    "lstm-q8-p32": "3f6f43d774d63a1f4cae971dbd3738bb777f28fbcce46e611e5809f625ecfc3e",
+    "lstm-q16-p8": "3f6f43d774d63a1f4cae971dbd3738bb777f28fbcce46e611e5809f625ecfc3e",
+    "lstm-q16-p32": "3f6f43d774d63a1f4cae971dbd3738bb777f28fbcce46e611e5809f625ecfc3e",
+    "lstm-q8mn-p8": "f6cf403f2aa48bc21bfcc1dd389ee1b1b875b2a02ed8f9f07bafa74f8758dffc",
+    "lstm-q8mn-p32": "f6cf403f2aa48bc21bfcc1dd389ee1b1b875b2a02ed8f9f07bafa74f8758dffc",
+    "bilstm-q8-p8": "f90a66625f90252545e2661fb0db9de7ff0d908ec5dd9523465730d77384c521",
+    "bilstm-q8-p32": "f90a66625f90252545e2661fb0db9de7ff0d908ec5dd9523465730d77384c521",
+    "bilstm-q16-p8": "f90a66625f90252545e2661fb0db9de7ff0d908ec5dd9523465730d77384c521",
+    "bilstm-q16-p32": "f90a66625f90252545e2661fb0db9de7ff0d908ec5dd9523465730d77384c521",
+    "bilstm-q8mn-p8": "2f92bb1a9e8c33cd35694c529191870b4c34b7399fa1335891aaa6bf710fc1e0",
+    "bilstm-q8mn-p32": "2f92bb1a9e8c33cd35694c529191870b4c34b7399fa1335891aaa6bf710fc1e0",
+    "encdec-q8-p8": "4c92d910f65207ece57648f76605e326412e052928eabd65404c4939c3e800cc",
+    "encdec-q8-p32": "4c92d910f65207ece57648f76605e326412e052928eabd65404c4939c3e800cc",
+    "encdec-q16-p8": "4c92d910f65207ece57648f76605e326412e052928eabd65404c4939c3e800cc",
+    "encdec-q16-p32": "4c92d910f65207ece57648f76605e326412e052928eabd65404c4939c3e800cc",
+    "encdec-q8mn-p8": "2de0a45b7bef4f3ee50c6d0f93646fe8b900ee722b2435781a610510bfe277c6",
+    "encdec-q8mn-p32": "2de0a45b7bef4f3ee50c6d0f93646fe8b900ee722b2435781a610510bfe277c6",
+}
+
 
 def _float_model(kind: str, rng) -> mio.FloatModel:
     def cell(prefix, context=None):
@@ -116,33 +140,39 @@ def _digest(outs: dict) -> str:
 
 
 def _run_case(kind, cfg, pieces):
-    """(container bytes, outputs of the built model, outputs after load)."""
+    """(container bytes, outputs of the built model, outputs after load,
+    oracle outputs of the exported float model)."""
     rng = np.random.default_rng(SEED)
     fm = _float_model(kind, rng)
     calib = rng.normal(0.0, 1.0, size=(SEQS, T, N))
     inputs = rng.normal(0.0, 1.0, size=(SEQS, T, N))
     model = build_model(fm, calib, CellConfig(pwl_pieces=pieces, **CONFIGS[cfg]))
     blob = mio.save(model)
-    return blob, run_model_int(model, inputs), run_model_int(mio.load(blob), inputs)
+    ref = run_model_ref(mio.export_float(model), inputs)
+    return blob, run_model_int(model, inputs), run_model_int(mio.load(blob), inputs), ref
 
 
 @pytest.mark.parametrize("kind,cfg,pieces", CASES, ids=[_case_id(*c) for c in CASES])
 def test_golden(kind, cfg, pieces):
-    blob, built, loaded = _run_case(kind, cfg, pieces)
+    blob, built, loaded, ref = _run_case(kind, cfg, pieces)
     for key in built:
         np.testing.assert_array_equal(built[key], loaded[key])
     case = _case_id(kind, cfg, pieces)
     assert hashlib.sha256(blob).hexdigest() == CONTAINER_SHA256[case]
     assert _digest(built) == OUTPUT_SHA256[case]
+    assert _digest(ref) == REF_SHA256[case]
 
 
 if __name__ == "__main__":
-    outputs, containers = {}, {}
+    outputs, containers, refs = {}, {}, {}
     for case in CASES:
-        blob, built, _ = _run_case(*case)
+        blob, built, _, ref = _run_case(*case)
         containers[_case_id(*case)] = hashlib.sha256(blob).hexdigest()
         outputs[_case_id(*case)] = _digest(built)
-    for name, table in (("OUTPUT_SHA256", outputs), ("CONTAINER_SHA256", containers)):
+        refs[_case_id(*case)] = _digest(ref)
+    for name, table in (
+        ("OUTPUT_SHA256", outputs), ("CONTAINER_SHA256", containers), ("REF_SHA256", refs)
+    ):
         print(f"{name} = {{")
         for case, digest in table.items():
             print(f'    "{case}": "{digest}",')
