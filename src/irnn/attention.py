@@ -36,7 +36,7 @@ from .quant import (
     QuantParams,
     derive_params,
     max_centered,
-    quantize_tensor,
+    quantize_weight,
     requant_rescale,
     sum_rescale,
 )
@@ -51,6 +51,7 @@ __all__ = [
     "attention_intermediates",
     "attention_ref",
     "calibrate_attention",
+    "freeze_attention",
     "integer_softmax_weights",
     "project_keys",
 ]
@@ -86,10 +87,6 @@ class AttentionWeights:
         m_att = self.v.data.size
         if self.wq.shape[0] != m_att or self.wk.shape[0] != m_att:
             raise ValueError("projection rows must match v's length")
-
-    @property
-    def attention_size(self) -> int:
-        return self.v.data.size
 
 
 @dataclass
@@ -344,9 +341,29 @@ def attach_context(
     return QTensor(out.astype(p_out.dtype), p_out)
 
 
-def _quantize_weight(w) -> QTensor:
-    w = np.asarray(w, dtype=np.float64)
-    return quantize_tensor(w, Observer().observe(w.ravel()).finalize(8))
+def freeze_attention(
+    observers: dict, wq, wk, v, p_hdec: QuantParams, p_henc: QuantParams, pieces: int = 32
+):
+    """Freeze observed attention sites; quantize the weights; build the tables.
+
+    observers holds attention_ref's sites (qproj, kproj, sumqk, e, s);
+    p_hdec and p_henc are the params of the hidden states the stage reads.
+    Returns (AttentionWeights, exp_table, tanh_table).
+    """
+    sixteen = {"sumqk", "e"}
+    sites = {k: o.finalize(16 if k in sixteen else 8) for k, o in observers.items()}
+    sites["hdec"], sites["henc"] = p_hdec, p_henc
+    weights = AttentionWeights(
+        quantize_weight(wq), quantize_weight(wk), quantize_weight(v), sites
+    )
+    p_eshift = derive_params(EXP_DOMAIN[0], EXP_DOMAIN[1], 16)
+    p_expout = derive_params(0.0, 1.0, 8)
+    p_tanhout = derive_params(-1.0, 1.0, 8)
+    exp_fn, _ = activation_registry("exp")
+    tanh_fn, _ = activation_registry("tanh")
+    exp_table = reduce(build_full(exp_fn, p_eshift, p_expout), pieces)
+    tanh_table = reduce(build_full(tanh_fn, sites["sumqk"], p_tanhout), pieces)
+    return weights, exp_table, tanh_table
 
 
 def calibrate_attention(
@@ -359,40 +376,19 @@ def calibrate_attention(
     p_hdec: QuantParams | None = None,
     p_henc: QuantParams | None = None,
 ):
-    """Observe float attention over samples; freeze weights, params, tables.
+    """Observe float attention over samples, then freeze (see freeze_attention).
 
     hdec_samples is [N x m_dec]; henc_samples is [N x T x m_enc].  Existing
-    hidden-state params may be passed in (the decoder integration shares
-    them); otherwise they are derived from the samples.  Returns
-    (AttentionWeights, exp_table, tanh_table).
+    hidden-state params may be passed in; otherwise they are derived from
+    the samples.  Returns (AttentionWeights, exp_table, tanh_table).
     """
     hdec_samples = np.asarray(hdec_samples, dtype=np.float64)
     henc_samples = np.asarray(henc_samples, dtype=np.float64)
     observers: dict[str, Observer] = {}
     for h_dec, H_enc in zip(hdec_samples, henc_samples):
         attention_ref(h_dec, H_enc, wq, wk, v, observers=observers)
-
-    sixteen = {"sumqk", "e"}
-    sites = {k: o.finalize(16 if k in sixteen else 8) for k, o in observers.items()}
-    sites["hdec"] = (
-        p_hdec
-        if p_hdec is not None
-        else Observer().observe(hdec_samples.ravel()).finalize(8)
-    )
-    sites["henc"] = (
-        p_henc
-        if p_henc is not None
-        else Observer().observe(henc_samples.ravel()).finalize(8)
-    )
-
-    weights = AttentionWeights(
-        _quantize_weight(wq), _quantize_weight(wk), _quantize_weight(v), sites
-    )
-    p_eshift = derive_params(EXP_DOMAIN[0], EXP_DOMAIN[1], 16)
-    p_expout = derive_params(0.0, 1.0, 8)
-    p_tanhout = derive_params(-1.0, 1.0, 8)
-    exp_fn, _ = activation_registry("exp")
-    tanh_fn, _ = activation_registry("tanh")
-    exp_table = reduce(build_full(exp_fn, p_eshift, p_expout), pieces)
-    tanh_table = reduce(build_full(tanh_fn, sites["sumqk"], p_tanhout), pieces)
-    return weights, exp_table, tanh_table
+    if p_hdec is None:
+        p_hdec = Observer().observe(hdec_samples.ravel()).finalize(8)
+    if p_henc is None:
+        p_henc = Observer().observe(henc_samples.ravel()).finalize(8)
+    return freeze_attention(observers, wq, wk, v, p_hdec, p_henc, pieces)

@@ -1,4 +1,4 @@
-"""Command-line front end and model-graph orchestration.
+"""Command-line front end.
 
 Subcommands: quantize (calibrate a float model into .irnn), approx (PWL
 table CSV), run (integer inference), compare (integer vs float report),
@@ -20,23 +20,16 @@ import os
 import statistics
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from . import graph
 from . import model_io as mio
-from .attention import attention_ref, calibrate_attention
 from .fixedpoint import format_table
 from .pwl import ACTIVATIONS, activation_registry, build_full, eval_float, eval_int, reduce
-from .quant import Observer, dequantize, derive_params, quantize_tensor
-from .rnn import (
-    CellConfig,
-    calibrate_bilstm,
-    calibrate_lstm_cell,
-    lstm_run_ref,
-    lstm_step_ref,
-)
+from .quant import Observer, derive_params
+from .rnn import CellConfig
 
 __all__ = [
     "RunReport",
@@ -93,85 +86,11 @@ def model_tolerance(model: mio.IrnnModel) -> float:
     return max(_cell_tolerance(c) for c in model.cells.values())
 
 
-def _calibrate_encdec(arrays: dict, seqs: np.ndarray, cfg: CellConfig) -> mio.IrnnModel:
-    """Joint calibration of encoder, decoder and attention.
-
-    The toy graph teacher-forces the decoder with the source sequence: the
-    encoder consumes x_t, the decoder consumes the same x_t plus the
-    attention context over all encoder states.  The context params are
-    observed once and shared, so the attention output feeds the decoder
-    without requantization.
-    """
-    a = {k: np.asarray(v, dtype=np.float64) for k, v in arrays.items()}
-    enc_cell = calibrate_lstm_cell(
-        a["enc_wx"], a["enc_wh"], a.get("enc_bias"), seqs, cfg
-    )
-    hdec_samples, henc_samples, s_seqs = [], [], []
-    for xs in seqs:
-        H = lstm_run_ref(
-            xs, a["enc_wx"], a["enc_wh"], a.get("enc_bias"),
-            use_madnorm=cfg.use_madnorm,
-        )
-        m = H.shape[1]
-        h, c = np.zeros(m), np.zeros(m)
-        s_seq = np.empty((xs.shape[0], H.shape[1]))
-        for t in range(xs.shape[0]):
-            s, _ = attention_ref(h, H, a["att_wq"], a["att_wk"], a["att_v"])
-            hdec_samples.append(h.copy())
-            henc_samples.append(H)
-            s_seq[t] = s
-            h, c = lstm_step_ref(
-                xs[t], h, c, a["dec_wx"], a["dec_wh"], a.get("dec_bias"),
-                ws=a["dec_ws"], s=s, use_madnorm=cfg.use_madnorm,
-            )
-        s_seqs.append(s_seq)
-    dec_cell = calibrate_lstm_cell(
-        a["dec_wx"], a["dec_wh"], a.get("dec_bias"), seqs, cfg,
-        ws=a["dec_ws"], s_seqs=np.asarray(s_seqs),
-    )
-    aw, exp_table, tanh_table = calibrate_attention(
-        a["att_wq"], a["att_wk"], a["att_v"],
-        np.asarray(hdec_samples), np.asarray(henc_samples),
-        pieces=cfg.pwl_pieces,
-        p_hdec=dec_cell.sites["h"], p_henc=enc_cell.sites["h"],
-    )
-    # both calibrations observed the identical context stream
-    assert aw.sites["s"] == dec_cell.sites["s"]
-    return mio.IrnnModel(
-        "encdec",
-        {"enc": enc_cell, "dec": dec_cell},
-        attention=mio.AttentionPack(aw, exp_table, tanh_table),
-    )
-
-
 def build_model(
     fm: mio.FloatModel, seqs: np.ndarray, cfg: CellConfig, meta: dict | None = None
 ) -> mio.IrnnModel:
-    """Calibrate a float model over [N x T x n] sequences."""
-    seqs = np.asarray(seqs, dtype=np.float64)
-    if seqs.ndim != 3:
-        raise CliError("calibration sequences must be [N x T x n]")
-    a = fm.arrays
-    first_wx = {"lstm": "wx", "bilstm": "fwd_wx", "encdec": "enc_wx"}[fm.kind]
-    n_in = a[first_wx].shape[1]
-    if seqs.shape[2] != n_in:
-        raise CliError(
-            f"dimension mismatch: model expects {n_in} features, data has {seqs.shape[2]}"
-        )
-    if fm.kind == "lstm":
-        cell = calibrate_lstm_cell(a["wx"], a["wh"], a.get("bias"), seqs, cfg)
-        model = mio.IrnnModel("lstm", {"main": cell})
-    elif fm.kind == "bilstm":
-        fwd, bwd = calibrate_bilstm(
-            a["fwd_wx"], a["fwd_wh"], a.get("fwd_bias"),
-            a["bwd_wx"], a["bwd_wh"], a.get("bwd_bias"),
-            seqs, cfg,
-        )
-        model = mio.IrnnModel("bilstm", {"fwd": fwd, "bwd": bwd})
-    else:
-        if a["dec_wx"].shape[1] != n_in:
-            raise CliError("dimension mismatch: decoder input width differs from encoder")
-        model = _calibrate_encdec(a, seqs, cfg)
+    """Calibrate a float model over [N x T x n] sequences (see graph.calibrate)."""
+    model = graph.calibrate(fm, seqs, cfg)
     model.meta.update(meta or {})
     log.info("calibrated %s model, %d parameters", model.kind, model.num_params())
     return model
@@ -180,132 +99,34 @@ def build_model(
 # ---------------------------------------------------------------- running
 
 
-def _run_one_int(model: mio.IrnnModel, xs: np.ndarray) -> dict:
-    """Integer inference on one [T x n] sequence; dequantized traces."""
-    if model.kind == "lstm":
-        cell = model.cells["main"]
-        h = cell.run(quantize_tensor(xs, cell.sites["x"]))
-        deq = h.dequantize()
-        return {"main": deq, "out": deq}
-    if model.kind == "bilstm":
-        fwd, bwd = model.cells["fwd"], model.cells["bwd"]
-        if fwd.sites["h"] != bwd.sites["h"]:
-            raise CliError("concat-params-mismatch: fwd/bwd hidden params differ")
-        hf = fwd.run(quantize_tensor(xs, fwd.sites["x"]))
-        hb = bwd.run(quantize_tensor(np.ascontiguousarray(xs[::-1]), bwd.sites["x"]))
-        f_deq, b_deq = hf.dequantize(), hb.dequantize()[::-1]
-        return {"fwd": f_deq, "bwd": b_deq, "out": np.concatenate([f_deq, b_deq], axis=1)}
-    enc, dec, plan = model.cells["enc"], model.cells["dec"], model.attention.plan
-    H = enc.run(quantize_tensor(xs, enc.sites["x"]))
-    keys = plan.keys(H)
-    xb = dec.input_branch(quantize_tensor(xs, dec.sites["x"]))
-    state = dec.initial_state()
-    T = xs.shape[0]
-    p_h, p_s = dec.sites["h"], plan.w.sites["s"]
-    out = np.empty((T, dec.hidden_size), dtype=p_h.dtype)
-    ctx = np.empty((T, H.data.shape[1]), dtype=p_s.dtype)
-    for t in range(T):
-        s = plan.intermediates(state.h, H, keys=keys).s
-        state = dec.step(None, state, s, xb=xb[t])
-        out[t] = state.h.data
-        ctx[t] = s.data
-    out = dequantize(out, p_h)
-    return {"enc": H.dequantize(), "att": dequantize(ctx, p_s), "dec": out, "out": out}
-
-
-def _run_one_ref(fm: mio.FloatModel, xs: np.ndarray) -> dict:
-    """Float inference on one [T x n] sequence with the same trace keys."""
-    a = {k: np.asarray(v, dtype=np.float64) for k, v in fm.arrays.items()}
-    cell_meta = fm.meta.get("cells", {})
-    mn = lambda name: bool(cell_meta.get(name, {}).get("use_madnorm", False))
-    if fm.kind == "lstm":
-        h = lstm_run_ref(xs, a["wx"], a["wh"], a.get("bias"), use_madnorm=mn("main"))
-        return {"main": h, "out": h}
-    if fm.kind == "bilstm":
-        hf = lstm_run_ref(
-            xs, a["fwd_wx"], a["fwd_wh"], a.get("fwd_bias"), use_madnorm=mn("fwd")
-        )
-        hb = lstm_run_ref(
-            xs[::-1], a["bwd_wx"], a["bwd_wh"], a.get("bwd_bias"), use_madnorm=mn("bwd")
-        )[::-1]
-        return {"fwd": hf, "bwd": hb, "out": np.concatenate([hf, hb], axis=1)}
-    H = lstm_run_ref(
-        xs, a["enc_wx"], a["enc_wh"], a.get("enc_bias"), use_madnorm=mn("enc")
-    )
-    m = H.shape[1]
-    h, c = np.zeros(m), np.zeros(m)
-    T = xs.shape[0]
-    out = np.empty((T, m))
-    ctx = np.empty((T, H.shape[1]))
-    for t in range(T):
-        s, _ = attention_ref(h, H, a["att_wq"], a["att_wk"], a["att_v"])
-        h, c = lstm_step_ref(
-            xs[t], h, c, a["dec_wx"], a["dec_wh"], a.get("dec_bias"),
-            ws=a["dec_ws"], s=s, use_madnorm=mn("dec"),
-        )
-        out[t] = h
-        ctx[t] = s
-    return {"enc": H, "att": ctx, "dec": out, "out": out}
-
-
-def _run_batch(runner, arg0, seqs: np.ndarray, threads: int) -> dict:
-    if threads <= 1:
-        results = [runner(arg0, xs) for xs in seqs]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda xs: runner(arg0, xs), seqs))
-    return {k: np.stack([r[k] for r in results]) for k in results[0]}
-
-
 def run_model_int(model: mio.IrnnModel, seqs, threads: int = 1) -> dict:
     """Batch integer inference; sequences are independent, so any thread
     count produces bitwise-identical results."""
-    return _run_batch(_run_one_int, model, np.asarray(seqs, dtype=np.float64), threads)
+    return graph.run_batch(graph.run_int, model, seqs, threads)
 
 
 def run_model_ref(fm: mio.FloatModel, seqs, threads: int = 1) -> dict:
-    return _run_batch(_run_one_ref, fm, np.asarray(seqs, dtype=np.float64), threads)
+    """Batch float64 oracle with the traces of run_model_int."""
+    return graph.run_batch(graph.run_ref, fm, seqs, threads)
 
 
 # ---------------------------------------------------------------- plumbing
 
 
-def _load_model(path) -> mio.IrnnModel:
+def _read(load, what: str, path):
+    """load(path), with an unreadable or malformed file as an I/O error."""
     try:
-        return mio.load_file(path)
+        return load(path)
     except OSError as e:
-        raise CliIOError(f"cannot read model {path!r}: {e}") from e
+        raise CliIOError(f"cannot read {what} {path!r}: {e}") from e
     except ValueError as e:
-        raise CliIOError(f"cannot load model {path!r}: {e}") from e
-
-
-def _load_float_model(path) -> mio.FloatModel:
-    try:
-        return mio.load_float(path)
-    except OSError as e:
-        raise CliIOError(f"cannot read float model {path!r}: {e}") from e
-    except ValueError as e:
-        raise CliIOError(f"cannot load float model {path!r}: {e}") from e
-
-
-def _load_seqs(path) -> np.ndarray:
-    try:
-        return mio.load_calibration(path)
-    except OSError as e:
-        raise CliIOError(f"cannot read data {path!r}: {e}") from e
-    except ValueError as e:
-        raise CliIOError(f"cannot parse data {path!r}: {e}") from e
-
-
-def _input_size(model: mio.IrnnModel) -> int:
-    first = {"lstm": "main", "bilstm": "fwd", "encdec": "enc"}[model.kind]
-    return model.cells[first].input_size
+        raise CliIOError(f"cannot load {what} {path!r}: {e}") from e
 
 
 def _gather_inputs(args, model: mio.IrnnModel) -> np.ndarray:
-    n_in = _input_size(model)
+    n_in = model.input_cell.input_size
     if args.input is not None:
-        seqs = _load_seqs(args.input)
+        seqs = _read(mio.load_calibration, "data", args.input)
         if seqs.shape[2] != n_in:
             raise CliError(
                 f"dimension mismatch: model expects {n_in} features, "
@@ -345,8 +166,8 @@ def _layer_stats(int_traces: dict, ref_traces: dict) -> dict:
 
 
 def cmd_quantize(args) -> int:
-    fm = _load_float_model(args.float_model)
-    seqs = _load_seqs(args.calib)
+    fm = _read(mio.load_float, "float model", args.float_model)
+    seqs = _read(mio.load_calibration, "data", args.calib)
     cfg = CellConfig(
         cell_bits=args.cell_bits,
         preact_bits=args.preact_bits,
@@ -395,7 +216,7 @@ def cmd_approx(args) -> int:
 
 
 def cmd_run(args) -> int:
-    model = _load_model(args.model)
+    model = _read(mio.load_file, "model", args.model)
     if args.attend and model.kind != "encdec":
         raise CliError("--attend requires an encoder-decoder model")
     seqs = _gather_inputs(args, model)
@@ -415,7 +236,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    model = _load_model(args.model)
+    model = _read(mio.load_file, "model", args.model)
     fm = mio.export_float(model)
     seqs = _gather_inputs(args, model)
     int_traces = run_model_int(model, seqs, threads=args.threads)
@@ -452,16 +273,15 @@ def _median_ns(fn, runs: int, warmup: int) -> float:
 
 
 def cmd_bench(args) -> int:
-    model = _load_model(args.model)
+    model = _read(mio.load_file, "model", args.model)
     fm = mio.export_float(model)
     rng = np.random.default_rng(args.seed)
-    xs = rng.normal(0.0, 1.0, size=(args.seq_len, _input_size(model)))
+    cell = model.input_cell
+    xs = rng.normal(0.0, 1.0, size=(args.seq_len, cell.input_size))
 
-    int_ns = _median_ns(lambda: _run_one_int(model, xs), args.runs, args.warmup)
-    float_ns = _median_ns(lambda: _run_one_ref(fm, xs), args.runs, args.warmup)
+    int_ns = _median_ns(lambda: graph.run_int(model, xs), args.runs, args.warmup)
+    float_ns = _median_ns(lambda: graph.run_ref(fm, xs), args.runs, args.warmup)
 
-    first = {"lstm": "main", "bilstm": "fwd", "encdec": "dec"}[model.kind]
-    cell = model.cells[first]
     table = cell.tables["sigmoid"]
     codes = rng.integers(
         table.in_params.qmin, table.in_params.qmax + 1, size=4 * cell.hidden_size
@@ -586,9 +406,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as e:
+    except (CliError, graph.GraphError) as e:
+        # a graph error is a model or input the graph cannot run: usage
         print(f"error: {e}", file=sys.stderr)
-        return e.exit_code
+        return getattr(e, "exit_code", 2)
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3

@@ -11,6 +11,8 @@ the matmul requantization multipliers as written (multipliers as
 raw/fraction-bit integer pairs).  Loading only deserializes them: the cells
 and the attention stage compile from the stored values, without
 rebuilding any table, so a loaded model replays inference bit-for-bit.
+Which cells a model kind has, and which keys its float archive holds, is
+the graph module's; this module only (de)serializes.
 """
 
 from __future__ import annotations
@@ -19,12 +21,12 @@ import io
 import json
 import struct
 import zlib
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .attention import AttentionPlan, AttentionWeights
+from .attention import AttentionWeights
 from .fixedpoint import FixedPointScalar
+from .graph import AttentionPack, FloatModel, IrnnModel, export_float, graph_for, infer_kind
 from .pwl import PwlTable
 from .quant import QTensor, QuantParams
 from .rnn import CellConfig, IntLstmCell, LstmWeights
@@ -63,68 +65,8 @@ _DTYPES = {
     "float64": "<f8",
 }
 
-_CELL_NAMES = {
-    "lstm": ("main",),
-    "bilstm": ("fwd", "bwd"),
-    "encdec": ("enc", "dec"),
-}
-
-# cell name -> key prefix in float-model archives
-_FLOAT_PREFIX = {"main": "", "fwd": "fwd_", "bwd": "bwd_", "enc": "enc_", "dec": "dec_"}
-
 # a cell's PWL tables, in container order
 _TABLE_NAMES = ("sigmoid", "tanh_gate", "tanh_cell")
-
-
-@dataclass
-class AttentionPack:
-    """Attention weights plus the two activation tables they run with.
-
-    plan is the stage compiled from them at construction (see
-    AttentionPlan); inference runs it.
-    """
-
-    weights: AttentionWeights
-    exp_table: PwlTable
-    tanh_table: PwlTable
-    plan: AttentionPlan = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self.plan = AttentionPlan(self.weights, self.exp_table, self.tanh_table)
-
-
-@dataclass
-class IrnnModel:
-    """A fully calibrated integer model: named cells plus optional attention."""
-
-    kind: str
-    cells: dict
-    attention: AttentionPack | None = None
-    meta: dict = field(default_factory=dict)
-    format_version: int = FORMAT_VERSION
-
-    def __post_init__(self):
-        if self.kind not in _CELL_NAMES:
-            raise ValueError(f"unknown model kind {self.kind!r}")
-        expected = _CELL_NAMES[self.kind]
-        if tuple(sorted(self.cells)) != tuple(sorted(expected)):
-            raise ValueError(f"{self.kind} model needs cells {expected}")
-        if (self.attention is not None) != (self.kind == "encdec"):
-            raise ValueError("attention is present exactly for encdec models")
-
-    def num_params(self) -> int:
-        total = 0
-        for cell in self.cells.values():
-            w = cell.weights
-            total += w.wx.data.size + w.wh.data.size
-            if w.bias is not None:
-                total += w.bias.size
-            if w.ws is not None:
-                total += w.ws.data.size
-        if self.attention is not None:
-            aw = self.attention.weights
-            total += aw.wq.data.size + aw.wk.data.size + aw.v.data.size
-        return total
 
 
 def _align(n: int) -> int:
@@ -279,7 +221,7 @@ def save(model: IrnnModel) -> bytes:
     """Serialize to bytes; identical models produce identical bytes."""
     writer = _BlobWriter()
     cells_entry = {}
-    for name in _CELL_NAMES[model.kind]:
+    for name in graph_for(model.kind).cells:
         cells_entry[name] = _add_cell(writer, name, model.cells[name])
     att_entry = None
     if model.attention is not None:
@@ -298,7 +240,7 @@ def save(model: IrnnModel) -> bytes:
 
     blob_table, payload = writer.table()
     manifest = {
-        "format_version": model.format_version,
+        "format_version": FORMAT_VERSION,
         "kind": model.kind,
         "cells": cells_entry,
         "attention": att_entry,
@@ -345,9 +287,10 @@ def load(data: bytes) -> IrnnModel:
         arr = np.frombuffer(raw, dtype=_DTYPES[entry["dtype"]])
         return arr.reshape(entry["shape"]).copy()
 
+    kind = manifest["kind"]
     cells = {
         name: _cell_from(manifest["cells"][name], name, blob)
-        for name in _CELL_NAMES[manifest["kind"]]
+        for name in graph_for(kind).cells
     }
     attention = None
     if manifest["attention"] is not None:
@@ -363,13 +306,7 @@ def load(data: bytes) -> IrnnModel:
             _table_from(a["exp_table"], "att/tables/exp", blob),
             _table_from(a["tanh_table"], "att/tables/tanh", blob),
         )
-    return IrnnModel(
-        kind=manifest["kind"],
-        cells=cells,
-        attention=attention,
-        meta=manifest["meta"],
-        format_version=version,
-    )
+    return IrnnModel(kind=kind, cells=cells, attention=attention, meta=manifest["meta"])
 
 
 def save_file(model: IrnnModel, path) -> None:
@@ -380,51 +317,6 @@ def save_file(model: IrnnModel, path) -> None:
 def load_file(path) -> IrnnModel:
     with open(path, "rb") as f:
         return load(f.read())
-
-
-@dataclass
-class FloatModel:
-    """Dequantized weights keyed by the archive naming convention.
-
-    lstm: wx, wh[, bias]; bilstm: fwd_/bwd_ prefixes; encdec: enc_/dec_
-    prefixes plus dec_ws and att_wq/att_wk/att_v.
-    """
-
-    kind: str
-    arrays: dict
-    meta: dict = field(default_factory=dict)
-
-
-def export_float(model: IrnnModel) -> FloatModel:
-    """Dequantize every weight into a float32 reference model.
-
-    meta["cells"] records each cell's use_madnorm flag; the float
-    reference must normalize wherever the integer model does.
-    """
-    arrays = {}
-    cell_meta = {}
-    for name in _CELL_NAMES[model.kind]:
-        cell = model.cells[name]
-        cell_meta[name] = {"use_madnorm": cell.cfg.use_madnorm}
-        w = cell.weights
-        prefix = _FLOAT_PREFIX[name]
-        arrays[prefix + "wx"] = w.wx.dequantize().astype(np.float32)
-        arrays[prefix + "wh"] = w.wh.dequantize().astype(np.float32)
-        if w.bias is not None:
-            scale = cell.sites["x"].scale * w.wx.params.scale
-            arrays[prefix + "bias"] = (w.bias.astype(np.float64) * scale).astype(
-                np.float32
-            )
-        if w.ws is not None:
-            arrays[prefix + "ws"] = w.ws.dequantize().astype(np.float32)
-    if model.attention is not None:
-        aw = model.attention.weights
-        arrays["att_wq"] = aw.wq.dequantize().astype(np.float32)
-        arrays["att_wk"] = aw.wk.dequantize().astype(np.float32)
-        arrays["att_v"] = aw.v.dequantize().astype(np.float32)
-    meta = dict(model.meta)
-    meta["cells"] = cell_meta
-    return FloatModel(kind=model.kind, arrays=arrays, meta=meta)
 
 
 def save_float(fm: FloatModel) -> bytes:
@@ -439,45 +331,15 @@ def save_float(fm: FloatModel) -> bytes:
     return buf.getvalue()
 
 
-def _infer_kind(keys: set) -> str:
-    if "wx" in keys:
-        return "lstm"
-    if "fwd_wx" in keys:
-        return "bilstm"
-    if "enc_wx" in keys:
-        return "encdec"
-    raise ValueError("float model archive has no recognizable weight keys")
-
-
-_REQUIRED_KEYS = {
-    "lstm": ("wx", "wh"),
-    "bilstm": ("fwd_wx", "fwd_wh", "bwd_wx", "bwd_wh"),
-    "encdec": (
-        "enc_wx",
-        "enc_wh",
-        "dec_wx",
-        "dec_wh",
-        "dec_ws",
-        "att_wq",
-        "att_wk",
-        "att_v",
-    ),
-}
-
-
 def load_float(src) -> FloatModel:
     """Read a float model from an .npz path or the bytes of one."""
     if isinstance(src, (bytes, bytearray)):
         src = io.BytesIO(bytes(src))
     with np.load(src) as archive:
         arrays = {k: np.asarray(archive[k]) for k in archive.files}
-    kind = str(arrays.pop("kind")) if "kind" in arrays else _infer_kind(set(arrays))
+    kind = str(arrays.pop("kind")) if "kind" in arrays else infer_kind(arrays)
     meta = json.loads(str(arrays.pop("meta_json"))) if "meta_json" in arrays else {}
-    if kind not in _REQUIRED_KEYS:
-        raise ValueError(f"unknown model kind {kind!r}")
-    missing = sorted(set(_REQUIRED_KEYS[kind]) - set(arrays))
-    if missing:
-        raise ValueError(f"float model missing keys: {', '.join(missing)}")
+    # FloatModel checks the kind and the keys it requires
     return FloatModel(kind=kind, arrays=arrays, meta=meta)
 
 

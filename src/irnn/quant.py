@@ -38,7 +38,6 @@ __all__ = [
     "dequantize",
     "derive_params",
     "max_centered",
-    "observe",
     "qadd_diff",
     "qadd_same",
     "qlinear",
@@ -46,6 +45,7 @@ __all__ = [
     "qmul_rescale",
     "quantize",
     "quantize_tensor",
+    "quantize_weight",
     "requant_rescale",
     "requantize",
     "sum_rescale",
@@ -334,6 +334,7 @@ class Observer:
         )
 
 
-def observe(obs: Observer, batch) -> Observer:
-    """Functional alias for Observer.observe."""
-    return obs.observe(batch)
+def quantize_weight(w) -> QTensor:
+    """8-bit codes for a float weight tensor over its own min/max range."""
+    w = np.asarray(w, dtype=np.float64)
+    return quantize_tensor(w, Observer().observe(w.ravel()).finalize(8))

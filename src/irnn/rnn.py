@@ -28,7 +28,7 @@ from .quant import (
     derive_params,
     max_centered,
     qmul_rescale,
-    quantize_tensor,
+    quantize_weight,
     requant_rescale,
     sum_rescale,
 )
@@ -39,13 +39,10 @@ __all__ = [
     "IntLstmCell",
     "LstmState",
     "LstmWeights",
-    "bilstm_run",
-    "calibrate_bilstm",
     "calibrate_lstm_cell",
+    "freeze_cell",
     "lstm_run_ref",
-    "lstm_step_int",
     "lstm_step_ref",
-    "run_sequence",
 ]
 
 GATE_ORDER = ("i", "f", "j", "o")
@@ -166,6 +163,9 @@ def lstm_step_ref(
     x = np.asarray(x, dtype=np.float64)
     h = np.asarray(h, dtype=np.float64)
     c = np.asarray(c, dtype=np.float64)
+    _observe(observers, "x", x)
+    if s is not None:
+        _observe(observers, "s", s)
     wx = np.asarray(wx, dtype=np.float64)
     wh = np.asarray(wh, dtype=np.float64)
     four_m = wx.shape[0]
@@ -225,11 +225,7 @@ def lstm_run_ref(
     c = np.zeros(m)
     out = np.empty((xs.shape[0], m))
     for t in range(xs.shape[0]):
-        _observe(observers, "x", xs[t])
-        s = None
-        if s_seq is not None:
-            s = s_seq[t]
-            _observe(observers, "s", s)
+        s = None if s_seq is None else s_seq[t]
         h, c = lstm_step_ref(
             xs[t], h, c, wx, wh, bias,
             ws=ws, s=s, use_madnorm=use_madnorm, observers=observers,
@@ -465,18 +461,6 @@ class IntLstmCell:
         return QTensor(out, ph)
 
 
-def lstm_step_int(
-    qx: QTensor, state: LstmState, cell: IntLstmCell, qs: QTensor | None = None
-) -> LstmState:
-    """Single integer step (see IntLstmCell.step)."""
-    return cell.step(qx, state, qs)
-
-
-def run_sequence(cell: IntLstmCell, qxs: QTensor, qs_seq: QTensor | None = None) -> QTensor:
-    """Integer hidden-state trajectory from zero state."""
-    return cell.run(qxs, qs_seq)
-
-
 def _bits_for(site: str, cfg: CellConfig) -> int:
     if site in ("fc", "ij", "c"):
         return cfg.cell_bits
@@ -485,30 +469,16 @@ def _bits_for(site: str, cfg: CellConfig) -> int:
     return 8
 
 
-def _quantize_weight(w) -> QTensor:
-    w = np.asarray(w, dtype=np.float64)
-    params = Observer().observe(w.ravel()).finalize(8)
-    return quantize_tensor(w, params)
+def freeze_cell(observers: dict, wx, wh, bias, cfg: CellConfig, ws=None) -> IntLstmCell:
+    """Freeze observed tensor sites and quantize the weights into a cell.
 
-
-def _observer_pass(
-    seqs, wx, wh, bias, cfg: CellConfig, ws=None, s_seqs=None
-) -> dict:
-    observers: dict[str, Observer] = {}
-    for idx in range(len(seqs)):
-        s_seq = None if s_seqs is None else s_seqs[idx]
-        lstm_run_ref(
-            seqs[idx], wx, wh, bias,
-            ws=ws, s_seq=s_seq, use_madnorm=cfg.use_madnorm, observers=observers,
-        )
-    return observers
-
-
-def _build_cell(wx, wh, bias, ws, cfg: CellConfig, observers: dict) -> IntLstmCell:
+    observers maps site names to the Observers of a float run (see
+    lstm_step_ref); bias, when given, becomes int32 codes at S_x * S_wx.
+    """
     sites = {k: o.finalize(_bits_for(k, cfg)) for k, o in observers.items()}
-    qwx = _quantize_weight(wx)
-    qwh = _quantize_weight(wh)
-    qws = _quantize_weight(ws) if ws is not None else None
+    qwx = quantize_weight(wx)
+    qwh = quantize_weight(wh)
+    qws = quantize_weight(ws) if ws is not None else None
     bias_i32 = None
     if bias is not None:
         codes = round_half_away(
@@ -533,38 +503,11 @@ def calibrate_lstm_cell(
     seqs = np.asarray(seqs, dtype=np.float64)
     if seqs.ndim == 2:
         seqs = seqs[None]
-    observers = _observer_pass(seqs, wx, wh, bias, cfg, ws=ws, s_seqs=s_seqs)
-    return _build_cell(wx, wh, bias, ws, cfg, observers)
-
-
-def calibrate_bilstm(
-    wx_f, wh_f, bias_f, wx_b, wh_b, bias_b, seqs, cfg: CellConfig
-) -> tuple[IntLstmCell, IntLstmCell]:
-    """Calibrate forward and backward cells with shared x and h params.
-
-    The hidden-state params must agree so the two direction outputs
-    concatenate without rescaling; merging the observers guarantees it.
-    """
-    seqs = np.asarray(seqs, dtype=np.float64)
-    if seqs.ndim == 2:
-        seqs = seqs[None]
-    obs_f = _observer_pass(seqs, wx_f, wh_f, bias_f, cfg)
-    obs_b = _observer_pass(seqs[:, ::-1], wx_b, wh_b, bias_b, cfg)
-    for key in ("x", "h"):
-        merged = obs_f[key].merged(obs_b[key])
-        obs_f[key] = merged
-        obs_b[key] = merged
-    fwd = _build_cell(wx_f, wh_f, bias_f, None, cfg, obs_f)
-    bwd = _build_cell(wx_b, wh_b, bias_b, None, cfg, obs_b)
-    return fwd, bwd
-
-
-def bilstm_run(fwd: IntLstmCell, bwd: IntLstmCell, qxs: QTensor) -> QTensor:
-    """Bidirectional pass: [T x 2m] with the backward half time-reversed."""
-    if fwd.sites["h"] != bwd.sites["h"]:
-        raise ValueError("concat-params-mismatch: fwd/bwd hidden params differ")
-    hf = fwd.run(qxs)
-    rev = QTensor(np.ascontiguousarray(qxs.data[::-1]), qxs.params)
-    hb = bwd.run(rev)
-    out = np.concatenate([hf.data, hb.data[::-1]], axis=1)
-    return QTensor(out, fwd.sites["h"])
+    observers: dict[str, Observer] = {}
+    for idx, xs in enumerate(seqs):
+        lstm_run_ref(
+            xs, wx, wh, bias,
+            ws=ws, s_seq=None if s_seqs is None else s_seqs[idx],
+            use_madnorm=cfg.use_madnorm, observers=observers,
+        )
+    return freeze_cell(observers, wx, wh, bias, cfg, ws=ws)

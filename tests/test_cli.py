@@ -2,13 +2,16 @@
 
 import csv
 import json
+import statistics
+import time
 
 import numpy as np
 import pytest
 
 from irnn import model_io as mio
 from irnn.cli import main
-from irnn.quant import QuantParams
+from irnn.pwl import eval_int
+from irnn.quant import QuantParams, derive_params
 from irnn.rnn import IntLstmCell
 
 _TABLE_GOLDEN = [
@@ -264,19 +267,30 @@ class TestBench:
         assert t["int_step_ns"] > 0 and t["float_step_ns"] > 0
         assert t["float_over_int"] > 0
         assert t["runs"] == 10 and t["warmup"] == 2
+        assert t["pwl_eval_ns"] > 0
         assert report["size_ratio"] > 0
 
     def test_small_table_not_slower(self, capsys, tmp_path):
-        # same cell evaluated with 8- vs 32-piece tables; medians over many
-        # calls, generous margin for scheduler jitter
-        evals = {}
+        # the same cell's sigmoid table with 8 vs 32 pieces, evaluated as
+        # `irnn bench` does; the two sides alternate call by call, so a
+        # shift in host speed hits both medians alike
+        tables = {}
         for pieces in ("8", "32"):
-            model = _quantize(capsys, tmp_path, extra=("--pwl-pieces", pieces))
-            _, out = _run(
-                capsys, "bench", str(model), "--seq-len", "4", "--runs", "60",
-                "--warmup", "5",
-            )
-            evals[pieces] = json.loads(out)["timings"]["pwl_eval_ns"]
+            path = _quantize(capsys, tmp_path, extra=("--pwl-pieces", pieces))
+            cell = mio.load_file(path).cells["main"]
+            tables[pieces] = cell.tables["sigmoid"]
+        p_in = tables["8"].in_params
+        codes = np.random.default_rng(42).integers(
+            p_in.qmin, p_in.qmax + 1, size=4 * cell.hidden_size
+        ).astype(np.int64)
+        samples = {pieces: [] for pieces in tables}
+        for rnd in range(305):
+            for pieces, table in tables.items():
+                t0 = time.perf_counter_ns()
+                eval_int(table, codes)
+                if rnd >= 5:
+                    samples[pieces].append(time.perf_counter_ns() - t0)
+        evals = {pieces: statistics.median(ns) for pieces, ns in samples.items()}
         assert evals["8"] <= evals["32"] * 1.3
 
 
@@ -309,6 +323,15 @@ class TestExitCodes:
         mio.save_calibration(bad, np.zeros((5, 3)))
         code, _ = _run(capsys, "run", str(model), "--input", str(bad))
         assert code == 2
+
+    def test_concat_params_mismatch_is_usage_error(self, capsys, tmp_path):
+        path = _quantize(capsys, tmp_path, kind="bilstm", n_feat=10)
+        model = mio.load_file(path)
+        model.cells["bwd"].sites["h"] = derive_params(-2.0, 2.0, 8)
+        mio.save_file(model, path)
+        code = main(["run", str(path), "--synth", "2", "--seq-len", "5"])
+        assert code == 2
+        assert "concat-params-mismatch" in capsys.readouterr().err
 
     def test_attend_needs_encdec(self, capsys, tmp_path):
         model = _quantize(capsys, tmp_path)

@@ -11,7 +11,7 @@ from irnn import model_io as mio
 from irnn.attention import attention_int, calibrate_attention
 from irnn.cli import build_model, run_model_int
 from irnn.quant import quantize_tensor
-from irnn.rnn import CellConfig, calibrate_bilstm, calibrate_lstm_cell
+from irnn.rnn import CellConfig, calibrate_lstm_cell
 
 _HEADER = struct.Struct("<4sIQ")
 
@@ -143,26 +143,19 @@ class TestBilstmAndEncdec:
     def test_bilstm_round_trip(self):
         rng = np.random.default_rng(42)
         n = m = 10
-        mk = lambda: (
-            rng.normal(0.0, 0.3, size=(4 * m, n)),
-            rng.normal(0.0, 0.3, size=(4 * m, m)),
-            rng.normal(0.0, 0.1, size=4 * m),
-        )
-        (wxf, whf, bf), (wxb, whb, bb) = mk(), mk()
+        arrays = {}
+        for prefix in ("fwd_", "bwd_"):
+            arrays[prefix + "wx"] = rng.normal(0.0, 0.3, size=(4 * m, n))
+            arrays[prefix + "wh"] = rng.normal(0.0, 0.3, size=(4 * m, m))
+            arrays[prefix + "bias"] = rng.normal(0.0, 0.1, size=4 * m)
         seqs = rng.normal(0.0, 1.0, size=(5, 12, n))
-        fwd, bwd = calibrate_bilstm(wxf, whf, bf, wxb, whb, bb, seqs, CellConfig())
-        model = mio.IrnnModel("bilstm", {"fwd": fwd, "bwd": bwd})
+        model = build_model(mio.FloatModel("bilstm", arrays), seqs, CellConfig())
         loaded = mio.load(mio.save(model))
-        xs = rng.normal(0.0, 1.0, size=(12, n))
-        from irnn.rnn import bilstm_run
-
-        a = bilstm_run(fwd, bwd, quantize_tensor(xs, fwd.sites["x"]))
-        b = bilstm_run(
-            loaded.cells["fwd"],
-            loaded.cells["bwd"],
-            quantize_tensor(xs, loaded.cells["fwd"].sites["x"]),
-        )
-        np.testing.assert_array_equal(a.data, b.data)
+        xs = rng.normal(0.0, 1.0, size=(1, 12, n))
+        a, b = run_model_int(model, xs), run_model_int(loaded, xs)
+        assert a.keys() == b.keys() == {"fwd", "bwd", "out"}
+        for key in a:
+            np.testing.assert_array_equal(a[key], b[key])
 
     def test_encdec_round_trip(self):
         rng = np.random.default_rng(42)

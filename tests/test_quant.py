@@ -17,7 +17,6 @@ from irnn.quant import (
     QuantParams,
     dequantize,
     derive_params,
-    observe,
     qadd_diff,
     qadd_same,
     qlinear,
@@ -217,14 +216,14 @@ class TestQaddDiff:
 class TestObserver:
     def test_running_extrema(self):
         obs = Observer()
-        observe(obs, np.array([0.5, -0.2]))
+        obs.observe(np.array([0.5, -0.2]))
         assert obs.running_min == -0.2 and obs.running_max == 0.5
-        observe(obs, np.array([1.0]))
+        obs.observe(np.array([1.0]))
         assert obs.running_min == -0.2 and obs.running_max == 1.0
 
     def test_empty_batch_unchanged(self):
         obs = Observer()
-        observe(obs, np.array([]))
+        obs.observe(np.array([]))
         assert obs.count == 0
 
     def test_zero_inclusion_on_finalize(self):

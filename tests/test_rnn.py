@@ -7,6 +7,7 @@ frozen; they are regression bounds, not theoretical limits.
 import numpy as np
 import pytest
 
+from irnn import graph
 from irnn.quant import QTensor, derive_params, quantize_tensor
 from irnn.rnn import (
     GATE_ORDER,
@@ -14,13 +15,9 @@ from irnn.rnn import (
     IntLstmCell,
     LstmState,
     LstmWeights,
-    bilstm_run,
-    calibrate_bilstm,
     calibrate_lstm_cell,
     lstm_run_ref,
-    lstm_step_int,
     lstm_step_ref,
-    run_sequence,
 )
 
 
@@ -222,10 +219,8 @@ class TestIntCell:
     def test_single_step_equals_t1_run(self):
         cell, xs, _ = _toy_cell(42, CellConfig())
         qx = quantize_tensor(xs[:1], cell.sites["x"])
-        run_out = run_sequence(cell, qx)
-        state = lstm_step_int(
-            QTensor(qx.data[0], qx.params), cell.initial_state(), cell
-        )
+        run_out = cell.run(qx)
+        state = cell.step(QTensor(qx.data[0], qx.params), cell.initial_state())
         np.testing.assert_array_equal(run_out.data[0], state.h.data)
 
     def test_deterministic_repeat(self):
@@ -338,41 +333,47 @@ class TestBilstm:
         base = rng.normal(0.0, 1.0, size=(4, T, n))
         # include each sequence both ways so fwd/bwd observers agree exactly
         cal = np.concatenate([base, base[:, ::-1]])
-        fwd, bwd = calibrate_bilstm(wxf, whf, bf, wxb, whb, bb, cal, CellConfig())
-        return (wxf, whf, bf, wxb, whb, bb), fwd, bwd, rng
+        fm = graph.FloatModel("bilstm", {
+            "fwd_wx": wxf, "fwd_wh": whf, "fwd_bias": bf,
+            "bwd_wx": wxb, "bwd_wh": whb, "bwd_bias": bb,
+        })
+        model = graph.calibrate(fm, cal, CellConfig())
+        return (wxf, whf, bf, wxb, whb, bb), model, rng
 
     def test_against_float_oracle(self):
-        (wxf, whf, bf, wxb, whb, bb), fwd, bwd, rng = self._calibrated_pair()
+        (wxf, whf, bf, wxb, whb, bb), model, rng = self._calibrated_pair()
         xs = rng.normal(0.0, 1.0, size=(32, 16))
-        qxs = quantize_tensor(xs, fwd.sites["x"])
-        out = bilstm_run(fwd, bwd, qxs)
+        out = graph.run_int(model, xs)["out"]
         ref = np.concatenate(
             [lstm_run_ref(xs, wxf, whf, bf), lstm_run_ref(xs[::-1], wxb, whb, bb)[::-1]],
             axis=1,
         )
-        err = np.abs(out.dequantize() - ref)
-        assert out.data.shape == (32, 32)
+        err = np.abs(out - ref)
+        assert out.shape == (32, 32)
         assert err.max() <= 0.05
         assert err.mean() <= 0.008
 
     def test_shared_h_params(self):
-        _, fwd, bwd, _ = self._calibrated_pair()
+        _, model, _ = self._calibrated_pair()
+        fwd, bwd = model.cells["fwd"], model.cells["bwd"]
         assert fwd.sites["h"] == bwd.sites["h"]
         assert fwd.sites["x"] == bwd.sites["x"]
 
     def test_palindrome_symmetry(self):
         # identical weights + palindromic input: the two halves agree at the
         # middle timestep, bit-exactly
-        _, fwd, bwd, rng = self._calibrated_pair(shared_weights=True, T=33)
+        _, model, rng = self._calibrated_pair(shared_weights=True, T=33)
         half = rng.normal(0.0, 1.0, size=(16, 16))
         xs = np.concatenate([half, rng.normal(0.0, 1.0, size=(1, 16)), half[::-1]])
-        qxs = quantize_tensor(xs, fwd.sites["x"])
-        out = bilstm_run(fwd, bwd, qxs)
-        mid = out.data[16]
+        fwd, bwd = model.cells["fwd"], model.cells["bwd"]
+        hf = fwd.run(quantize_tensor(xs, fwd.sites["x"]))
+        hb = bwd.run(quantize_tensor(np.ascontiguousarray(xs[::-1]), bwd.sites["x"]))
+        np.testing.assert_array_equal(hf.data[16], hb.data[16])
+        mid = graph.run_int(model, xs)["out"][16]
         np.testing.assert_array_equal(mid[:16], mid[16:])
 
     def test_params_mismatch_rejected(self):
-        _, fwd, bwd, _ = self._calibrated_pair()
-        bwd.sites["h"] = derive_params(-2.0, 2.0, 8)
+        _, model, _ = self._calibrated_pair()
+        model.cells["bwd"].sites["h"] = derive_params(-2.0, 2.0, 8)
         with pytest.raises(ValueError, match="concat-params-mismatch"):
-            bilstm_run(fwd, bwd, quantize_tensor(np.zeros((4, 16)), fwd.sites["x"]))
+            graph.run_int(model, np.zeros((4, 16)))
