@@ -116,8 +116,13 @@ class PwlTable:
         return np.pad(self.lut, (0, short), mode="edge") if short > 0 else self.lut
 
 
+# codes per block of _expand: its int64 temporaries (120 KiB) stay in cache
+# and below the 128 KiB from which glibc's malloc maps each request afresh
+_EXPAND_BLOCK = 15 * 1024
+
+
 def _expand(t: PwlTable) -> np.ndarray:
-    """Evaluate every input code, walking the pieces in order.
+    """Evaluate every input code, block by block.
 
     Codes between two knots take the lower knot's piece, the last knot takes
     the last piece, and codes outside the knot span clamp to its ends.
@@ -125,13 +130,28 @@ def _expand(t: PwlTable) -> np.ndarray:
     if t.in_params.bitwidth > 16:
         raise ValueError("look-up tables are limited to 16-bit input grids")
     k = np.asarray(t.q_knots, dtype=np.int64)
-    idx = np.append(np.repeat(np.arange(len(k) - 1), np.diff(k)), len(k) - 2)
-    q = np.arange(k[0], k[-1] + 1, dtype=np.int64)
-    # fixed-point slope and intercept, one rounding
-    acc = t.fx_slopes[idx] * (q - k[idx]) + t.fx_intercepts[idx]
-    out = rounded_shift(acc, t.fraction_bits) + t.out_params.zero_point
-    span = saturate(out, t.out_params.qmin, t.out_params.qmax).astype(t.out_params.dtype)
-    return np.pad(span, (int(k[0]), t.in_params.qmax - int(k[-1])), mode="edge")
+    slopes = np.asarray(t.fx_slopes, dtype=np.int64)
+    # s * (q - k_i) + b_i regrouped as s * q + (b_i - s * k_i); the table's
+    # 2^62 bound on |s| * 2^bits + |b| keeps both forms within int64
+    offsets = np.asarray(t.fx_intercepts, dtype=np.int64) - slopes * k[:-1]
+    # piece i covers codes [edges[i], edges[i + 1])
+    edges = np.concatenate([k[:-1], [k[-1] + 1]])
+    pieces = np.arange(len(k) - 1)
+    p = t.out_params
+    lut = np.empty(t.in_params.qmax + 1, dtype=p.dtype)
+    lo, hi = int(k[0]), int(k[-1]) + 1
+    for start in range(lo, hi, _EXPAND_BLOCK):
+        end = min(start + _EXPAND_BLOCK, hi)
+        idx = np.repeat(pieces, np.diff(np.clip(edges, start, end)))
+        acc = slopes.take(idx)
+        acc *= np.arange(start, end, dtype=np.int64)
+        acc += offsets.take(idx)
+        acc = rounded_shift(acc, t.fraction_bits)
+        acc += p.zero_point
+        lut[start:end] = saturate(acc, p.qmin, p.qmax)
+    lut[:lo] = lut[lo]
+    lut[hi:] = lut[hi - 1]
+    return lut
 
 
 def _finalize(knots, values, q_knots, in_params, out_params) -> PwlTable:
