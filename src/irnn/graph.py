@@ -70,13 +70,11 @@ def _cell_int(cell: IntLstmCell, xs) -> np.ndarray:
 class _Graph:
     """One model kind.
 
-    cells maps each cell name, in container order, to its key prefix in
-    float archives; extra_keys are the float keys beyond every cell's wx
-    and wh (a bias is optional).  float_run() runs one [T x n] sequence,
-    given float64 weights, each cell's MadNorm flag and one observer dict
-    per cell (and "att"), any of which may be absent.  int_run() is the
-    integer run; freeze() turns a calibration's observers into
-    (cells, attention pack or None).
+    cells maps each cell name, in container order, to its float-archive key
+    prefix; extra_keys are the float keys beyond each cell's wx and wh.
+    float_run() takes float64 weights, each cell's MadNorm flag and observer
+    dicts by cell name (and "att"), any of which may be absent; freeze()
+    turns the observers into (cells, attention pack or None).
     """
 
     cells: dict
@@ -354,9 +352,8 @@ def export_float(model: IrnnModel) -> FloatModel:
             arrays[prefix + "ws"] = w.ws.dequantize().astype(np.float32)
     if model.attention is not None:
         aw = model.attention.weights
-        arrays["att_wq"] = aw.wq.dequantize().astype(np.float32)
-        arrays["att_wk"] = aw.wk.dequantize().astype(np.float32)
-        arrays["att_v"] = aw.v.dequantize().astype(np.float32)
+        for key in ("wq", "wk", "v"):
+            arrays["att_" + key] = getattr(aw, key).dequantize().astype(np.float32)
     meta = dict(model.meta)
     meta["cells"] = cell_meta
     return FloatModel(kind=model.kind, arrays=arrays, meta=meta)

@@ -130,12 +130,11 @@ def _expand(t: PwlTable) -> np.ndarray:
     if t.in_params.bitwidth > 16:
         raise ValueError("look-up tables are limited to 16-bit input grids")
     k = np.asarray(t.q_knots, dtype=np.int64)
-    slopes = np.asarray(t.fx_slopes, dtype=np.int64)
     # s * (q - k_i) + b_i regrouped as s * q + (b_i - s * k_i); the table's
     # 2^62 bound on |s| * 2^bits + |b| keeps both forms within int64
-    offsets = np.asarray(t.fx_intercepts, dtype=np.int64) - slopes * k[:-1]
+    offsets = t.fx_intercepts - t.fx_slopes * k[:-1]
     # piece i covers codes [edges[i], edges[i + 1])
-    edges = np.concatenate([k[:-1], [k[-1] + 1]])
+    edges = np.append(k[:-1], k[-1] + 1)
     pieces = np.arange(len(k) - 1)
     p = t.out_params
     lut = np.empty(t.in_params.qmax + 1, dtype=p.dtype)
@@ -143,11 +142,8 @@ def _expand(t: PwlTable) -> np.ndarray:
     for start in range(lo, hi, _EXPAND_BLOCK):
         end = min(start + _EXPAND_BLOCK, hi)
         idx = np.repeat(pieces, np.diff(np.clip(edges, start, end)))
-        acc = slopes.take(idx)
-        acc *= np.arange(start, end, dtype=np.int64)
-        acc += offsets.take(idx)
-        acc = rounded_shift(acc, t.fraction_bits)
-        acc += p.zero_point
+        acc = t.fx_slopes.take(idx) * np.arange(start, end) + offsets.take(idx)
+        acc = rounded_shift(acc, t.fraction_bits) + p.zero_point
         lut[start:end] = saturate(acc, p.qmin, p.qmax)
     lut[:lo] = lut[lo]
     lut[hi:] = lut[hi - 1]
