@@ -14,7 +14,9 @@ plan (or the part they need) and run it.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -70,15 +72,16 @@ class AttentionWeights:
     """Projection weights plus calibrated params for every tensor site.
 
     sites: hdec, henc, qproj, kproj, sumqk, e, s (eshift and the table
-    output grids are fixed analytically).
+    output grids are fixed analytically), kept as a read-only mapping.
     """
 
     wq: QTensor
     wk: QTensor
     v: QTensor
-    sites: dict
+    sites: Mapping
 
     def __post_init__(self):
+        self.sites = MappingProxyType(dict(self.sites))
         for name, w in (("wq", self.wq), ("wk", self.wk), ("v", self.v)):
             if w.params.bitwidth != 8:
                 raise ValueError(f"{name} must be 8-bit")
@@ -186,17 +189,17 @@ def _degrade_denominator(denom: int, bits: int, t_enc: int, exp_bits: int) -> in
 class AttentionPlan:
     """One attention stage compiled into integer constants, GEMV operands and LUTs.
 
-    Built once from the weights and the two tables; nothing changes after
-    construction, so one plan serves any number of threads.  keys() is the
-    per-source key projection and intermediates() one decoder step.
+    Built once from the weights and the two tables, which it keeps under
+    those names; nothing changes after construction, so one plan serves any
+    number of threads.  keys() is the per-source key projection and
+    intermediates() one decoder step.
     """
 
-    def __init__(self, w: AttentionWeights, exp_table: PwlTable, tanh_table: PwlTable):
-        sites = w.sites
+    def __init__(self, weights: AttentionWeights, exp_table: PwlTable, tanh_table: PwlTable):
+        w, sites = weights, weights.sites
         if exp_table.out_params.zero_point != 0:
             raise ValueError("exp output grid must put zero at code 0")
-        self.w, self.exp_table = w, exp_table
-        self._sites = dict(sites)
+        self.weights, self.exp_table, self.tanh_table = weights, exp_table, tanh_table
         self._keys = _key_projection(w)
         p_q, p_k = sites["qproj"], sites["kproj"]
         self._gemv_q = ExactGemv(w.wq, sites["hdec"])
@@ -223,7 +226,7 @@ class AttentionPlan:
 
     def keys(self, q_Henc: QTensor) -> QTensor:
         """project_keys with the compiled projection."""
-        return _project(q_Henc, self._sites, *self._keys)
+        return _project(q_Henc, self.weights.sites, *self._keys)
 
     def intermediates(
         self,
@@ -237,7 +240,7 @@ class AttentionPlan:
         denom_bits degrades the 32-bit softmax denominator to the given
         width before the final division; diagnostic only.
         """
-        sites = self._sites
+        sites = self.weights.sites
         if q_hdec.params != sites["hdec"]:
             raise ValueError("uncalibrated-tensor: hdec params differ from calibration")
         if keys is None:

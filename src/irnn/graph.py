@@ -21,14 +21,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .attention import AttentionPlan, AttentionWeights, attention_ref, freeze_attention
-from .pwl import PwlTable
+from .attention import AttentionPlan, attention_ref, freeze_attention
 from .quant import dequantize, quantize_tensor
-from .rnn import CellConfig, IntLstmCell, freeze_cell, lstm_run_ref, lstm_step_ref
+from .rnn import CellConfig, IntLstmCell, freeze_cell, lstm_run_ref
 
 __all__ = [
     "GRAPHS",
-    "AttentionPack",
     "FloatModel",
     "GraphError",
     "IrnnModel",
@@ -46,25 +44,8 @@ class GraphError(ValueError):
     """A model or an input the graph cannot run."""
 
 
-@dataclass
-class AttentionPack:
-    """Attention weights plus the two activation tables they run with.
-
-    plan is the stage compiled from them at construction (see
-    AttentionPlan); inference runs it.
-    """
-
-    weights: AttentionWeights
-    exp_table: PwlTable
-    tanh_table: PwlTable
-    plan: AttentionPlan = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self.plan = AttentionPlan(self.weights, self.exp_table, self.tanh_table)
-
-
-def _cell_int(cell: IntLstmCell, xs) -> np.ndarray:
-    return cell.run(quantize_tensor(xs, cell.sites["x"])).dequantize()
+def _cell_int(cell: IntLstmCell, xs, context=None) -> np.ndarray:
+    return cell.run(quantize_tensor(xs, cell.sites["x"]), context).dequantize()
 
 
 class _Graph:
@@ -74,7 +55,7 @@ class _Graph:
     prefix; extra_keys are the float keys beyond each cell's wx and wh.
     float_run() takes float64 weights, each cell's MadNorm flag and observer
     dicts by cell name (and "att"), any of which may be absent; freeze()
-    turns the observers into (cells, attention pack or None).
+    turns the observers into (cells, attention plan or None).
     """
 
     cells: dict
@@ -88,10 +69,10 @@ class _Graph:
         keys = tuple(p + k for p in self.cells.values() for k in ("wx", "wh"))
         return keys + self.extra_keys
 
-    def _cell_ref(self, a, name, xs, madnorm, observers) -> np.ndarray:
+    def _cell_ref(self, a, name, xs, madnorm, observers, ws=None, context=None) -> np.ndarray:
         p = self.cells[name]
         return lstm_run_ref(
-            xs, a[p + "wx"], a[p + "wh"], a.get(p + "bias"),
+            xs, a[p + "wx"], a[p + "wh"], a.get(p + "bias"), ws=ws, context=context,
             use_madnorm=madnorm[name], observers=observers.get(name),
         )
 
@@ -147,42 +128,38 @@ class _Bilstm(_Graph):
 
 
 class _Encdec(_Graph):
+    """Encoder, then the decoder, whose context callback attends over the
+    encoder states from its hidden state and records the att trace."""
+
     cells = {"enc": "enc_", "dec": "dec_"}
     extra_keys = ("dec_ws", "att_wq", "att_wk", "att_v")
 
     def float_run(self, a, xs, madnorm, observers):
         H = self._cell_ref(a, "enc", xs, madnorm, observers)
-        T, m = xs.shape[0], a["dec_wh"].shape[1]
-        h, c = np.zeros(m), np.zeros(m)
-        out, ctx = np.empty((T, m)), np.empty((T, H.shape[1]))
-        for t in range(T):
-            s, _ = attention_ref(
+        ctx = np.empty((xs.shape[0], H.shape[1]))
+
+        def attend(t, h):
+            ctx[t], _ = attention_ref(
                 h, H, a["att_wq"], a["att_wk"], a["att_v"], observers=observers.get("att")
             )
-            h, c = lstm_step_ref(
-                xs[t], h, c, a["dec_wx"], a["dec_wh"], a.get("dec_bias"),
-                ws=a["dec_ws"], s=s, use_madnorm=madnorm["dec"],
-                observers=observers.get("dec"),
-            )
-            out[t], ctx[t] = h, s
+            return ctx[t]
+
+        out = self._cell_ref(a, "dec", xs, madnorm, observers, a["dec_ws"], attend)
         return {"enc": H, "att": ctx, "dec": out, "out": out}
 
     def int_run(self, model, xs):
-        enc, dec, plan = model.cells["enc"], model.cells["dec"], model.attention.plan
+        enc, att = model.cells["enc"], model.attention
         H = enc.run(quantize_tensor(xs, enc.sites["x"]))
-        keys = plan.keys(H)
-        xb = dec.input_branch(quantize_tensor(xs, dec.sites["x"]))
-        state = dec.initial_state()
-        T = xs.shape[0]
-        p_h, p_s = dec.sites["h"], plan.w.sites["s"]
-        out = np.empty((T, dec.hidden_size), dtype=p_h.dtype)
-        ctx = np.empty((T, H.data.shape[1]), dtype=p_s.dtype)
-        for t in range(T):
-            s = plan.intermediates(state.h, H, keys=keys).s
-            state = dec.step(None, state, s, xb=xb[t])
-            out[t] = state.h.data
+        keys = att.keys(H)
+        p_s = att.weights.sites["s"]
+        ctx = np.empty((xs.shape[0], H.data.shape[1]), dtype=p_s.dtype)
+
+        def attend(t, h):
+            s = att.intermediates(h, H, keys=keys).s
             ctx[t] = s.data
-        out = dequantize(out, p_h)
+            return s
+
+        out = _cell_int(model.cells["dec"], xs, attend)
         return {"enc": H.dequantize(), "att": dequantize(ctx, p_s), "dec": out, "out": out}
 
     def freeze(self, a, observers, cfg):
@@ -194,7 +171,7 @@ class _Encdec(_Graph):
         )
         # the decoder and the attention stage observed the same context stream
         assert aw.sites["s"] == dec.sites["s"]
-        return {"enc": enc, "dec": dec}, AttentionPack(aw, exp_table, tanh_table)
+        return {"enc": enc, "dec": dec}, AttentionPlan(aw, exp_table, tanh_table)
 
 
 GRAPHS = {"lstm": _Lstm(), "bilstm": _Bilstm(), "encdec": _Encdec()}
@@ -221,7 +198,7 @@ class IrnnModel:
 
     kind: str
     cells: dict
-    attention: AttentionPack | None = None
+    attention: AttentionPlan | None = None
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):

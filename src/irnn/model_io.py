@@ -6,11 +6,13 @@ Every blob carries a CRC32 in the manifest and is addressed by a byte
 offset relative to the blob section, so editing the manifest never
 invalidates offsets.
 
-The manifest stores every quantization parameter set, every PWL table and
-the matmul requantization multipliers as written (multipliers as
-raw/fraction-bit integer pairs).  Loading only deserializes them: the cells
-and the attention stage compile from the stored values, without
-rebuilding any table, so a loaded model replays inference bit-for-bit.
+The manifest stores every quantization parameter set and every PWL table,
+plus each cell's two matmul requantization multipliers (raw/fraction-bit
+integer pairs).  Loading only deserializes: the cells and the attention
+stage compile from the stored sites and tables, without rebuilding any
+table, so a loaded model replays inference bit-for-bit.  The stored
+multipliers are not trusted; a pair that disagrees with the one the sites
+derive fails the load.
 Which cells a model kind has, and which keys its float archive holds, is
 the graph module's; this module only (de)serializes.
 """
@@ -24,17 +26,16 @@ import zlib
 
 import numpy as np
 
-from .attention import AttentionWeights
+from .attention import AttentionPlan, AttentionWeights
 from .fixedpoint import FixedPointScalar
-from .graph import AttentionPack, FloatModel, IrnnModel, export_float, graph_for, infer_kind
+from .graph import FloatModel, IrnnModel, export_float, graph_for, infer_kind
 from .pwl import PwlTable
 from .quant import QTensor, QuantParams
-from .rnn import CellConfig, IntLstmCell, LstmWeights
+from .rnn import TABLE_NAMES, CellConfig, IntLstmCell, LstmWeights
 
 __all__ = [
     "FORMAT_VERSION",
     "MAGIC",
-    "AttentionPack",
     "FloatModel",
     "IrnnModel",
     "export_float",
@@ -64,9 +65,6 @@ _DTYPES = {
     "float32": "<f4",
     "float64": "<f8",
 }
-
-# a cell's PWL tables, in container order
-_TABLE_NAMES = ("sigmoid", "tanh_gate", "tanh_cell")
 
 
 def _align(n: int) -> int:
@@ -182,7 +180,7 @@ def _add_cell(w: _BlobWriter, name: str, cell: IntLstmCell) -> dict:
         "fx_hprod": _fx_to_json(cell.multipliers["hprod"]),
         "tables": {
             name: _add_table(w, f"{prefix}/tables/{name}", cell.tables[name])
-            for name in _TABLE_NAMES
+            for name in TABLE_NAMES
         },
     }
     if weights.bias is not None:
@@ -204,17 +202,17 @@ def _cell_from(entry: dict, name: str, blob) -> IntLstmCell:
     weights = LstmWeights(wx, wh, bias, ws=ws)
     cfg = CellConfig(**entry["cfg"])
     sites = {k: _params_from_json(v) for k, v in entry["sites"].items()}
-    # the stored tables and multipliers are authoritative: the cell compiles
-    # from them instead of rebuilding, so replay cannot drift from the save
+    # the stored tables are authoritative: the cell compiles from them
+    # instead of rebuilding, so replay cannot drift from the save
     tables = {
         name: _table_from(entry["tables"][name], f"{prefix}/tables/{name}", blob)
-        for name in _TABLE_NAMES
+        for name in TABLE_NAMES
     }
-    multipliers = {
-        "xprod": _fx_from_json(entry["fx_xprod"]),
-        "hprod": _fx_from_json(entry["fx_hprod"]),
-    }
-    return IntLstmCell(weights, cfg, sites, tables=tables, multipliers=multipliers)
+    cell = IntLstmCell(weights, cfg, sites, tables)
+    for site, fx in cell.multipliers.items():
+        if _fx_from_json(entry[f"fx_{site}"]) != fx:
+            raise ValueError(f"multiplier-mismatch: {name} fx_{site} disagrees with its sites")
+    return cell
 
 
 def save(model: IrnnModel) -> bytes:
@@ -301,7 +299,7 @@ def load(data: bytes) -> IrnnModel:
             QTensor(blob("att/v"), _params_from_json(a["v"])),
             {k: _params_from_json(v) for k, v in a["sites"].items()},
         )
-        attention = AttentionPack(
+        attention = AttentionPlan(
             weights,
             _table_from(a["exp_table"], "att/tables/exp", blob),
             _table_from(a["tanh_table"], "att/tables/tanh", blob),

@@ -13,7 +13,9 @@ one QuantParams set per site.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -39,6 +41,7 @@ __all__ = [
     "IntLstmCell",
     "LstmState",
     "LstmWeights",
+    "TABLE_NAMES",
     "calibrate_lstm_cell",
     "freeze_cell",
     "lstm_run_ref",
@@ -46,6 +49,9 @@ __all__ = [
 ]
 
 GATE_ORDER = ("i", "f", "j", "o")
+
+# a cell's PWL tables: the gate sigmoids, the j-gate tanh and tanh(c)
+TABLE_NAMES = ("sigmoid", "tanh_gate", "tanh_cell")
 
 _INT32_MAX = 2**31 - 1
 
@@ -214,18 +220,22 @@ def lstm_run_ref(
     bias=None,
     *,
     ws=None,
-    s_seq=None,
+    context=None,
     use_madnorm: bool = False,
     observers: dict | None = None,
 ) -> np.ndarray:
-    """Float reference over a [T x n] sequence from zero state; returns [T x m]."""
+    """Float reference over a [T x n] sequence from zero state; returns [T x m].
+
+    context(t, h), for a cell with ws, returns step t's context vector from
+    the hidden state h before that step.
+    """
     xs = np.asarray(xs, dtype=np.float64)
     m = np.asarray(wx).shape[0] // 4
     h = np.zeros(m)
     c = np.zeros(m)
     out = np.empty((xs.shape[0], m))
     for t in range(xs.shape[0]):
-        s = None if s_seq is None else s_seq[t]
+        s = None if context is None else context(t, h)
         h, c = lstm_step_ref(
             xs[t], h, c, wx, wh, bias,
             ws=ws, s=s, use_madnorm=use_madnorm, observers=observers,
@@ -234,44 +244,23 @@ def lstm_run_ref(
     return out
 
 
-def _build_tables(p_gate: QuantParams, p_c: QuantParams, pieces: int) -> dict:
-    """Reduced PWL tables for the gate sigmoids, the j-gate tanh and tanh(c)."""
-    p_sig = derive_params(0.0, 1.0, 8)
-    p_tanh = derive_params(-1.0, 1.0, 8)
-    sigmoid_fn, _ = activation_registry("sigmoid")
-    tanh_fn, _ = activation_registry("tanh")
-    return {
-        "sigmoid": reduce(build_full(sigmoid_fn, p_gate, p_sig), pieces),
-        "tanh_gate": reduce(build_full(tanh_fn, p_gate, p_tanh), pieces),
-        "tanh_cell": reduce(build_full(tanh_fn, p_c, p_tanh), pieces),
-    }
-
-
 class IntLstmCell:
     """Integer-only LSTM cell, compiled once into integer constants and LUTs.
 
     sites maps tensor-site names to calibrated QuantParams: x, h, c, xprod,
     hprod, sum1, fc, ij, plus preact and s for context-fed cells and the
-    mn{x,h}_{mu,xhat,d,y} group for MadNorm cells.
+    mn{x,h}_{mu,xhat,d,y} group for MadNorm cells.  tables maps TABLE_NAMES
+    to the PWL tables the cell runs (see freeze_cell).
 
-    tables (sigmoid, tanh_gate, tanh_cell PWL tables) and multipliers (the
-    xprod and hprod requantization multipliers) are built from the sites
-    when omitted, as calibration does; a loader passes the stored ones.
-    Construction then compiles every rescale, exact GEMV operand and LUT a
-    step needs, and proves the constant overflow bounds, so a step is only
-    GEMVs, adds, shifts, saturations and gathers.  Nothing compiled changes
-    afterwards, so one cell may step many sequences on many threads.
+    Construction derives every rescale from the sites (the xprod and hprod
+    multipliers included), compiles the exact GEMV operands and the LUTs,
+    and proves the constant overflow bounds, so a step is only GEMVs, adds,
+    shifts, saturations and gathers.  The sites are read-only and nothing
+    compiled changes afterwards, so one cell may step many sequences on
+    many threads.
     """
 
-    def __init__(
-        self,
-        weights: LstmWeights,
-        cfg: CellConfig,
-        sites: dict,
-        *,
-        tables: dict | None = None,
-        multipliers: dict | None = None,
-    ):
+    def __init__(self, weights: LstmWeights, cfg: CellConfig, sites: Mapping, tables: dict):
         required = {"x", "h", "c", "xprod", "hprod", "sum1", "fc", "ij"}
         if weights.ws is not None:
             required |= {"s", "preact"}
@@ -282,27 +271,12 @@ class IntLstmCell:
             raise KeyError(f"uncalibrated-tensor: {', '.join(missing)}")
         self.weights = weights
         self.cfg = cfg
-        # sites is what save() writes; the compiled cell reads its own copy
-        self.sites = dict(sites)
-        self._sites = p = dict(sites)
-
-        sx, swx = p["x"].scale, weights.wx.params.scale
-        if multipliers is None:
-            multipliers = {
-                "xprod": requant_multiplier(sx * swx / p["xprod"].scale),
-                "hprod": requant_multiplier(
-                    p["h"].scale * weights.wh.params.scale / p["hprod"].scale
-                ),
-            }
-        self.multipliers = dict(multipliers)
-        p_gate = p["preact"] if weights.ws is not None else p["sum1"]
-        if tables is None:
-            tables = _build_tables(p_gate, p["c"], cfg.pwl_pieces)
+        self.sites = MappingProxyType(dict(sites))
         self.tables = dict(tables)
-        self._compile(p_gate)
+        self._compile(self.sites["preact" if weights.ws is not None else "sum1"])
 
     def _compile(self, p_gate: QuantParams) -> None:
-        p, w, m = self._sites, self.weights, self.hidden_size
+        p, w, m = self.sites, self.weights, self.hidden_size
         bias_acc = None
         self._bias_codes = None
         if w.bias is not None:
@@ -317,6 +291,11 @@ class IntLstmCell:
                 bias_acc = w.bias
         self._gemv_x = ExactGemv(w.wx, p["x"], bias_acc)
         self._gemv_h = ExactGemv(w.wh, p["h"])
+        # save() writes these two; load() checks the stored pair against them
+        self.multipliers = {
+            out: requant_multiplier(p[src].scale * wt.params.scale / p[out].scale)
+            for out, src, wt in (("xprod", "x", w.wx), ("hprod", "h", w.wh))
+        }
         self._xprod = requant_rescale(self.multipliers["xprod"], p["xprod"], self._gemv_x.bound)
         self._hprod = requant_rescale(self.multipliers["hprod"], p["hprod"], self._gemv_h.bound)
 
@@ -346,9 +325,7 @@ class IntLstmCell:
                 (max_centered(p["sum1"]), self._gemv_s.bound),
             )
 
-        sig, tanh_gate, tanh_cell = (
-            self.tables[k] for k in ("sigmoid", "tanh_gate", "tanh_cell")
-        )
+        sig, tanh_gate, tanh_cell = (self.tables[k] for k in TABLE_NAMES)
         p_sig, p_tanh = sig.out_params, tanh_gate.out_params
         self._sig_lut = sig.lut_covering(p_gate)
         self._tanh_gate_lut = tanh_gate.lut_covering(p_gate)
@@ -372,7 +349,7 @@ class IntLstmCell:
 
     def initial_state(self) -> LstmState:
         """Zero state: every code sits at its zero-point."""
-        ph, pc = self._sites["h"], self._sites["c"]
+        ph, pc = self.sites["h"], self.sites["c"]
         m = self.hidden_size
         return LstmState(
             QTensor(np.full(m, ph.zero_point, dtype=ph.dtype), ph),
@@ -380,7 +357,7 @@ class IntLstmCell:
         )
 
     def _require(self, qt: QTensor, site: str):
-        expected = self._sites[site]
+        expected = self.sites[site]
         if qt.params is not expected and qt.params != expected:
             raise ValueError(f"uncalibrated-tensor: {site} params differ from calibration")
 
@@ -393,7 +370,7 @@ class IntLstmCell:
         sequence in one matmul; step() takes one row of it.
         """
         self._require(qxs, "x")
-        xa = self._xprod(self._gemv_x(qxs.data)) - self._sites["xprod"].zero_point
+        xa = self._xprod(self._gemv_x(qxs.data)) - self.sites["xprod"].zero_point
         if self._norm_x is not None:
             xa = self._norm_x(xa) - self._z_xbranch
         return self._sum1.term(0, xa)
@@ -408,7 +385,7 @@ class IntLstmCell:
     ) -> LstmState:
         """One timestep; xb, when given, is this step's input_branch() row
         and stands in for qx (which may then be None)."""
-        p = self._sites
+        p = self.sites
         self._require(state.h, "h")
         self._require(state.c, "c")
         if (qs is None) != (self._gemv_s is None):
@@ -440,22 +417,23 @@ class IntLstmCell:
         ph, pc = p["h"], p["c"]
         return LstmState(QTensor(q_h1.astype(ph.dtype), ph), QTensor(q_c1.astype(pc.dtype), pc))
 
-    def run(self, qxs: QTensor, qs_seq: QTensor | None = None) -> QTensor:
-        """Drive the cell over a [T x n] input; returns all hidden states.
+    def run(self, qxs: QTensor, context=None) -> QTensor:
+        """Drive the cell over a [T x n] input from zero state; returns all
+        hidden states.
 
-        The input branch runs once over the whole sequence; only the
-        h-branch is left inside the recurrence.
+        context(t, h), for a context-fed cell, returns step t's context
+        codes from the hidden state h before that step.  The input branch
+        runs once over the whole sequence; only the h-branch is left inside
+        the recurrence.
         """
         if qxs.data.ndim != 2 or qxs.data.shape[0] < 1:
             raise ValueError("expected a [T x n] input sequence with T >= 1")
         xb = self.input_branch(qxs)
-        ph = self._sites["h"]
+        ph = self.sites["h"]
         state = self.initial_state()
         out = np.empty((qxs.data.shape[0], self.hidden_size), dtype=ph.dtype)
         for t in range(qxs.data.shape[0]):
-            qs = None
-            if qs_seq is not None:
-                qs = QTensor(qs_seq.data[t], qs_seq.params)
+            qs = None if context is None else context(t, state.h)
             state = self.step(None, state, qs, xb=xb[t])
             out[t] = state.h.data
         return QTensor(out, ph)
@@ -470,10 +448,11 @@ def _bits_for(site: str, cfg: CellConfig) -> int:
 
 
 def freeze_cell(observers: dict, wx, wh, bias, cfg: CellConfig, ws=None) -> IntLstmCell:
-    """Freeze observed tensor sites and quantize the weights into a cell.
+    """Freeze observed tensor sites, quantize the weights, build the tables.
 
     observers maps site names to the Observers of a float run (see
     lstm_step_ref); bias, when given, becomes int32 codes at S_x * S_wx.
+    The activation tables are reduced PWL fits over the gate and cell grids.
     """
     sites = {k: o.finalize(_bits_for(k, cfg)) for k, o in observers.items()}
     qwx = quantize_weight(wx)
@@ -489,7 +468,17 @@ def freeze_cell(observers: dict, wx, wh, bias, cfg: CellConfig, ws=None) -> IntL
             raise FxOverflow("bias codes exceed int32 range")
         bias_i32 = codes.astype(np.int32)
     weights = LstmWeights(qwx, qwh, bias_i32, ws=qws)
-    return IntLstmCell(weights, cfg, sites)
+    p_gate = sites["preact" if ws is not None else "sum1"]
+    p_sig = derive_params(0.0, 1.0, 8)
+    p_tanh = derive_params(-1.0, 1.0, 8)
+    sigmoid_fn, _ = activation_registry("sigmoid")
+    tanh_fn, _ = activation_registry("tanh")
+    tables = {
+        "sigmoid": reduce(build_full(sigmoid_fn, p_gate, p_sig), cfg.pwl_pieces),
+        "tanh_gate": reduce(build_full(tanh_fn, p_gate, p_tanh), cfg.pwl_pieces),
+        "tanh_cell": reduce(build_full(tanh_fn, sites["c"], p_tanh), cfg.pwl_pieces),
+    }
+    return IntLstmCell(weights, cfg, sites, tables)
 
 
 def calibrate_lstm_cell(
@@ -507,7 +496,7 @@ def calibrate_lstm_cell(
     for idx, xs in enumerate(seqs):
         lstm_run_ref(
             xs, wx, wh, bias,
-            ws=ws, s_seq=None if s_seqs is None else s_seqs[idx],
+            ws=ws, context=None if s_seqs is None else lambda t, h: s_seqs[idx][t],
             use_madnorm=cfg.use_madnorm, observers=observers,
         )
     return freeze_cell(observers, wx, wh, bias, cfg, ws=ws)

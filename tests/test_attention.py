@@ -78,6 +78,11 @@ class TestFloatRef:
 
 
 class TestTypes:
+    def test_sites_read_only(self):
+        _, _, w, _, _ = _toy(42, n_cal=8)
+        with pytest.raises(TypeError):
+            w.sites["s"] = w.sites["e"]
+
     def test_weights_must_be_8bit(self):
         rng = np.random.default_rng(42)
         p8, p16 = derive_params(-2, 2, 8), derive_params(-2, 2, 16)

@@ -149,9 +149,12 @@ class TestQuantizeRunCompare:
         cell = model.cells["main"]
         p = cell.sites["sum1"]
         # shift the gate grid out from under the frozen tables
-        cell.sites["sum1"] = QuantParams(
+        sum1 = QuantParams(
             p.min + 3.0, p.max + 3.0, p.bitwidth, p.scale,
             max(0, p.zero_point - int(3.0 / p.scale)),
+        )
+        model.cells["main"] = IntLstmCell(
+            cell.weights, cell.cfg, {**cell.sites, "sum1": sum1}, cell.tables
         )
         mio.save_file(model, path)
         code, out = _run(capsys, "compare", str(path), "--synth", "3")
@@ -327,7 +330,10 @@ class TestExitCodes:
     def test_concat_params_mismatch_is_usage_error(self, capsys, tmp_path):
         path = _quantize(capsys, tmp_path, kind="bilstm", n_feat=10)
         model = mio.load_file(path)
-        model.cells["bwd"].sites["h"] = derive_params(-2.0, 2.0, 8)
+        bwd = model.cells["bwd"]
+        model.cells["bwd"] = IntLstmCell(
+            bwd.weights, bwd.cfg, {**bwd.sites, "h": derive_params(-2.0, 2.0, 8)}, bwd.tables
+        )
         mio.save_file(model, path)
         code = main(["run", str(path), "--synth", "2", "--seq-len", "5"])
         assert code == 2

@@ -95,3 +95,33 @@ class TestCalibrate:
         fm = graph.FloatModel("lstm", _arrays("lstm", np.random.default_rng(42)))
         with pytest.raises(graph.GraphError, match=r"\[N x T x n\]"):
             graph.calibrate(fm, np.zeros((5, N_FEAT)), CellConfig())
+
+
+class TestRun:
+    def test_encdec_recurrences_run_through_run(self, monkeypatch):
+        # the decoder runs through the same driver as the encoder, with an
+        # attention callback: two run calls per sequence on either side
+        rng = np.random.default_rng(42)
+        fm = graph.FloatModel("encdec", _arrays("encdec", rng))
+        model = graph.calibrate(fm, rng.normal(0.0, 1.0, size=(2, 5, N_FEAT)), CellConfig())
+        oracle = graph.export_float(model)
+        calls = []
+        orig_run, orig_ref = rnn.IntLstmCell.run, rnn.lstm_run_ref
+
+        def run(self, *args, **kwargs):
+            calls.append("run")
+            return orig_run(self, *args, **kwargs)
+
+        def ref(*args, **kwargs):
+            calls.append("ref")
+            return orig_ref(*args, **kwargs)
+
+        monkeypatch.setattr(rnn.IntLstmCell, "run", run)
+        for name, module in list(sys.modules.items()):
+            if name.startswith("irnn") and getattr(module, "lstm_run_ref", None) is orig_ref:
+                monkeypatch.setattr(module, "lstm_run_ref", ref)
+        seqs = rng.normal(0.0, 1.0, size=(3, 6, N_FEAT))
+        traces = graph.run_batch(graph.run_int, model, seqs)
+        graph.run_batch(graph.run_ref, oracle, seqs)
+        assert calls.count("run") == calls.count("ref") == 2 * len(seqs)
+        assert traces["att"].shape == (3, 6, M)

@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 from irnn import model_io as mio
-from irnn.attention import attention_int, calibrate_attention
+from irnn.attention import AttentionPlan, attention_int, calibrate_attention
 from irnn.cli import build_model, run_model_int
-from irnn.quant import quantize_tensor
+from irnn.quant import QTensor, quantize_tensor
 from irnn.rnn import CellConfig, calibrate_lstm_cell
 
 _HEADER = struct.Struct("<4sIQ")
@@ -187,7 +187,7 @@ class TestBilstmAndEncdec:
         model = mio.IrnnModel(
             "encdec",
             {"enc": enc, "dec": dec},
-            attention=mio.AttentionPack(aw, expt, tanht),
+            attention=AttentionPlan(aw, expt, tanht),
         )
         loaded = mio.load(mio.save(model))
         la = loaded.attention
@@ -201,8 +201,9 @@ class TestBilstmAndEncdec:
         ss = rng.normal(0.0, 0.4, size=(T, m))
         qxs = quantize_tensor(xs, dec.sites["x"])
         qss = quantize_tensor(ss, dec.sites["s"])
+        context = lambda t, h: QTensor(qss.data[t], qss.params)
         np.testing.assert_array_equal(
-            dec.run(qxs, qss).data, loaded.cells["dec"].run(qxs, qss).data
+            dec.run(qxs, context).data, loaded.cells["dec"].run(qxs, context).data
         )
 
 

@@ -247,10 +247,10 @@ class TestIntCell:
         cell = calibrate_lstm_cell(wx, wh, bias, cal, CellConfig(), ws=ws, s_seqs=s_cal)
         xs = rng.normal(0.0, 1.0, size=(T, n))
         ss = rng.normal(0.0, 0.5, size=(T, m_enc))
-        ref = lstm_run_ref(xs, wx, wh, bias, ws=ws, s_seq=ss)
+        ref = lstm_run_ref(xs, wx, wh, bias, ws=ws, context=lambda t, h: ss[t])
         qxs = quantize_tensor(xs, cell.sites["x"])
         qss = quantize_tensor(ss, cell.sites["s"])
-        err = np.abs(cell.run(qxs, qss).dequantize() - ref)
+        err = np.abs(cell.run(qxs, lambda t, h: QTensor(qss.data[t], qss.params)).dequantize() - ref)
         assert err.max() <= 0.05
         assert err.mean() <= 0.008
 
@@ -259,7 +259,7 @@ class TestIntCell:
         sites = dict(cell.sites)
         del sites["sum1"]
         with pytest.raises(KeyError, match="uncalibrated-tensor"):
-            IntLstmCell(cell.weights, cell.cfg, sites)
+            IntLstmCell(cell.weights, cell.cfg, sites, cell.tables)
 
     def test_foreign_input_params_rejected(self):
         cell, xs, _ = _toy_cell(42, CellConfig())
@@ -298,6 +298,11 @@ class TestIntCell:
 
 
 class TestCompiledCell:
+    def test_sites_read_only(self):
+        cell, _, _ = _toy_cell(42, CellConfig(), n_cal=2)
+        with pytest.raises(TypeError):
+            cell.sites["sum1"] = cell.sites["h"]
+
     def _context_cell(self, madnorm):
         rng = np.random.default_rng(7)
         n, m, m_enc, T = 6, 8, 5, 10
@@ -319,7 +324,9 @@ class TestCompiledCell:
             qx = QTensor(qxs.data[t], qxs.params)
             state = cell.step(qx, state, QTensor(qss.data[t], qss.params))
             stepped.append(state.h.data)
-        np.testing.assert_array_equal(cell.run(qxs, qss).data, np.stack(stepped))
+        np.testing.assert_array_equal(
+            cell.run(qxs, lambda t, h: QTensor(qss.data[t], qss.params)).data, np.stack(stepped)
+        )
 
 
 class TestBilstm:
@@ -374,6 +381,9 @@ class TestBilstm:
 
     def test_params_mismatch_rejected(self):
         _, model, _ = self._calibrated_pair()
-        model.cells["bwd"].sites["h"] = derive_params(-2.0, 2.0, 8)
+        bwd = model.cells["bwd"]
+        model.cells["bwd"] = IntLstmCell(
+            bwd.weights, bwd.cfg, {**bwd.sites, "h": derive_params(-2.0, 2.0, 8)}, bwd.tables
+        )
         with pytest.raises(ValueError, match="concat-params-mismatch"):
             graph.run_int(model, np.zeros((4, 16)))
