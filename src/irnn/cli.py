@@ -324,6 +324,19 @@ def cmd_table(args) -> int:
 # ---------------------------------------------------------------- parser
 
 
+def _at_least(lo: int):
+    """argparse type: an integer no smaller than lo."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be at least {lo}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="irnn",
@@ -337,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--out", required=True, help="output .irnn path")
     q.add_argument("--cell-bits", type=int, choices=(8, 16), default=8)
     q.add_argument("--preact-bits", type=int, choices=(8, 16), default=8)
-    q.add_argument("--pwl-pieces", type=int, default=32)
+    q.add_argument("--pwl-pieces", type=_at_least(1), default=32)
     q.add_argument("--madnorm", action="store_true", help="normalize gate products")
     q.add_argument("--seed", type=int, default=42)
     q.set_defaults(func=cmd_quantize)
@@ -346,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--fn", required=True, choices=sorted(ACTIVATIONS))
     a.add_argument("--range", nargs=2, type=float, metavar=("LO", "HI"))
     a.add_argument("--bits", type=int, choices=(8, 16), default=8)
-    a.add_argument("--pieces", type=int, default=16)
+    a.add_argument("--pieces", type=_at_least(1), default=16)
     a.add_argument("--out", required=True, help="CSV path for (x, f, g, abs_err)")
     a.set_defaults(func=cmd_approx)
 
@@ -354,8 +367,8 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("model", help=".irnn model path")
     src = r.add_mutually_exclusive_group()
     src.add_argument("--input", help="input sequences (CSV or raw)")
-    src.add_argument("--synth", type=int, default=4, help="synthesize N sequences")
-    r.add_argument("--seq-len", type=int, default=32, help="length of synthetic input")
+    src.add_argument("--synth", type=_at_least(1), default=4, help="synthesize N sequences")
+    r.add_argument("--seq-len", type=_at_least(1), default=32, help="length of synthetic input")
     r.add_argument("--out", help="write outputs (CSV or raw)")
     r.add_argument("--threads", type=int, default=1)
     r.add_argument("--attend", action="store_true", help="require the encoder-decoder graph")
@@ -366,22 +379,22 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("model", help=".irnn model path")
     src = c.add_mutually_exclusive_group()
     src.add_argument("--input", help="input sequences (CSV or raw)")
-    src.add_argument("--synth", type=int, default=4)
-    c.add_argument("--seq-len", type=int, default=32)
+    src.add_argument("--synth", type=_at_least(1), default=4)
+    c.add_argument("--seq-len", type=_at_least(1), default=32)
     c.add_argument("--threads", type=int, default=1)
     c.add_argument("--seed", type=int, default=42)
     c.set_defaults(func=cmd_compare)
 
     b = sub.add_parser("bench", help="median step timings")
     b.add_argument("model", help=".irnn model path")
-    b.add_argument("--seq-len", type=int, default=128)
-    b.add_argument("--runs", type=int, default=100)
+    b.add_argument("--seq-len", type=_at_least(1), default=128)
+    b.add_argument("--runs", type=_at_least(1), default=100)
     b.add_argument("--warmup", type=int, default=5)
     b.add_argument("--seed", type=int, default=42)
     b.set_defaults(func=cmd_bench)
 
     t = sub.add_parser("table", help="fixed-point format table as CSV")
-    t.add_argument("--bits", type=int, default=8)
+    t.add_argument("--bits", type=_at_least(2), default=8)
     t.set_defaults(func=cmd_table)
     return p
 

@@ -12,7 +12,7 @@ integer pairs).  Loading only deserializes: the cells and the attention
 stage compile from the stored sites and tables, without rebuilding any
 table, so a loaded model replays inference bit-for-bit.  The stored
 multipliers are not trusted; a pair that disagrees with the one the sites
-derive fails the load.
+derive fails the load, as does a manifest with a missing or mistyped field.
 Which cells a model kind has, and which keys its float archive holds, is
 the graph module's; this module only (de)serializes.
 """
@@ -251,40 +251,7 @@ def save(model: IrnnModel) -> bytes:
     return header + body + b"\x00" * pad + payload
 
 
-def load(data: bytes) -> IrnnModel:
-    """Parse bytes produced by save(); inference replays bit-identically."""
-    if len(data) < _HEADER.size:
-        raise ValueError("truncated container: missing header")
-    magic, version, mlen = _HEADER.unpack_from(data)
-    if magic != MAGIC:
-        raise ValueError("bad magic: not an .irnn payload")
-    if version != FORMAT_VERSION:
-        raise ValueError(
-            f"unsupported-version: {version} (this build reads {FORMAT_VERSION})"
-        )
-    if _HEADER.size + mlen > len(data):
-        raise ValueError("truncated container: manifest exceeds payload")
-    manifest = json.loads(data[_HEADER.size : _HEADER.size + mlen].decode("utf-8"))
-    if manifest.get("format_version") != version:
-        raise ValueError("manifest format_version disagrees with header")
-    section = _align(_HEADER.size + mlen)
-    blob_table = manifest["blobs"]
-
-    def blob(name: str) -> np.ndarray:
-        entry = blob_table.get(name)
-        if entry is None:
-            raise ValueError(f"dangling tensor reference: {name!r}")
-        start = section + entry["offset"]
-        raw = data[start : start + entry["nbytes"]]
-        if len(raw) != entry["nbytes"]:
-            raise ValueError(f"checksum-mismatch: blob {name!r} truncated")
-        if zlib.crc32(raw) & 0xFFFFFFFF != entry["crc32"]:
-            raise ValueError(f"checksum-mismatch: blob {name!r}")
-        if entry["dtype"] not in _DTYPES:
-            raise ValueError(f"unknown blob dtype {entry['dtype']!r}")
-        arr = np.frombuffer(raw, dtype=_DTYPES[entry["dtype"]])
-        return arr.reshape(entry["shape"]).copy()
-
+def _model_from(manifest: dict, blob) -> IrnnModel:
     kind = manifest["kind"]
     cells = {
         name: _cell_from(manifest["cells"][name], name, blob)
@@ -305,6 +272,50 @@ def load(data: bytes) -> IrnnModel:
             _table_from(a["tanh_table"], "att/tables/tanh", blob),
         )
     return IrnnModel(kind=kind, cells=cells, attention=attention, meta=manifest["meta"])
+
+
+def load(data: bytes) -> IrnnModel:
+    """Parse bytes produced by save(); inference replays bit-identically.
+
+    A malformed container, a missing or mistyped manifest field included,
+    raises ValueError.
+    """
+    if len(data) < _HEADER.size:
+        raise ValueError("truncated container: missing header")
+    magic, version, mlen = _HEADER.unpack_from(data)
+    if magic != MAGIC:
+        raise ValueError("bad magic: not an .irnn payload")
+    if version != FORMAT_VERSION:
+        raise ValueError(
+            f"unsupported-version: {version} (this build reads {FORMAT_VERSION})"
+        )
+    if _HEADER.size + mlen > len(data):
+        raise ValueError("truncated container: manifest exceeds payload")
+    manifest = json.loads(data[_HEADER.size : _HEADER.size + mlen].decode("utf-8"))
+    section = _align(_HEADER.size + mlen)
+
+    def blob(name: str) -> np.ndarray:
+        entry = manifest["blobs"].get(name)
+        if entry is None:
+            raise ValueError(f"dangling tensor reference: {name!r}")
+        start = section + entry["offset"]
+        raw = data[start : start + entry["nbytes"]]
+        if len(raw) != entry["nbytes"]:
+            raise ValueError(f"checksum-mismatch: blob {name!r} truncated")
+        if zlib.crc32(raw) & 0xFFFFFFFF != entry["crc32"]:
+            raise ValueError(f"checksum-mismatch: blob {name!r}")
+        if entry["dtype"] not in _DTYPES:
+            raise ValueError(f"unknown blob dtype {entry['dtype']!r}")
+        arr = np.frombuffer(raw, dtype=_DTYPES[entry["dtype"]])
+        return arr.reshape(entry["shape"]).copy()
+
+    try:
+        if manifest.get("format_version") != version:
+            raise ValueError("manifest format_version disagrees with header")
+        return _model_from(manifest, blob)
+    except (AttributeError, KeyError, TypeError) as e:
+        what = f"missing {e.args[0]}" if isinstance(e, KeyError) else e
+        raise ValueError(f"malformed manifest: {what}") from e
 
 
 def save_file(model: IrnnModel, path) -> None:
@@ -349,7 +360,10 @@ def _read_raw(path) -> np.ndarray:
         (ndim,) = struct.unpack("<I", head)
         if not 1 <= ndim <= 4:
             raise ValueError(f"raw tensor rank {ndim} out of range")
-        dims = struct.unpack(f"<{ndim}Q", f.read(8 * ndim))
+        dim_bytes = f.read(8 * ndim)
+        if len(dim_bytes) < 8 * ndim:
+            raise ValueError("raw tensor header truncated")
+        dims = struct.unpack(f"<{ndim}Q", dim_bytes)
         payload = f.read()
     count = int(np.prod(dims))
     arr = np.frombuffer(payload, dtype="<f4")
@@ -371,16 +385,18 @@ def load_calibration(path) -> np.ndarray:
 
     CSV files hold one sequence (rows are timesteps); anything else is the
     raw format: u32 rank, u64 dims, little-endian float32 payload, rank 2
-    ([T x n]) or 3 ([N x T x n]).
+    ([T x n]) or 3 ([N x T x n]).  Non-finite values are rejected.
     """
     if str(path).lower().endswith(".csv"):
         arr = np.loadtxt(path, delimiter=",", ndmin=2, dtype=np.float64)
-        return arr[None]
-    arr = _read_raw(path)
+    else:
+        arr = _read_raw(path)
     if arr.ndim == 2:
-        return arr[None]
+        arr = arr[None]
     if arr.ndim != 3:
         raise ValueError("calibration data must be [T x n] or [N x T x n]")
+    if not np.isfinite(arr).all():
+        raise ValueError("data holds non-finite values")
     return arr
 
 

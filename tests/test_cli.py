@@ -3,6 +3,7 @@
 import csv
 import json
 import statistics
+import struct
 import time
 
 import numpy as np
@@ -295,6 +296,83 @@ class TestBench:
                     samples[pieces].append(time.perf_counter_ns() - t0)
         evals = {pieces: statistics.median(ns) for pieces, ns in samples.items()}
         assert evals["8"] <= evals["32"] * 1.3
+
+
+def _edit_manifest(path, mutate):
+    """Rewrite a container's manifest in place; the blobs stay where they are."""
+    head, align = struct.Struct("<4sIQ"), lambda n: (n + 63) // 64 * 64
+    data = path.read_bytes()
+    magic, version, mlen = head.unpack_from(data)
+    manifest = json.loads(data[head.size : head.size + mlen])
+    mutate(manifest)
+    body = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode()
+    pad = b"\0" * (align(head.size + len(body)) - head.size - len(body))
+    blobs = data[align(head.size + mlen) :]
+    path.write_bytes(head.pack(magic, version, len(body)) + body + pad + blobs)
+
+
+@pytest.fixture(scope="module")
+def bad_files(tmp_path_factory):
+    """A quantized lstm plus malformed data files and containers, by name."""
+    d = tmp_path_factory.mktemp("bad")
+    rng = np.random.default_rng(42)
+    names = {"npz": "model.npz", "calib": "calib.bin", "model": "model.irnn",
+             "nan": "nan.bin", "truncated": "truncated.bin", "out": "out.csv"}
+    files = {k: d / name for k, name in names.items()}
+    _lstm_npz(files["npz"], rng)
+    mio.save_calibration(files["calib"], rng.normal(0.0, 1.0, size=(4, 8, 12)))
+    argv = ["quantize", str(files["npz"]), "--calib", str(files["calib"])]
+    assert main(argv + ["--out", str(files["model"])]) == 0
+    nan = rng.normal(0.0, 1.0, size=(2, 8, 12))
+    nan[1, 3, 5] = np.nan
+    mio.save_calibration(files["nan"], nan)
+    # rank 3 but only one of the three dims
+    files["truncated"].write_bytes(struct.pack("<IQ", 3, 2))
+    edits = {
+        "fx_hprod": lambda man: man["cells"]["main"]["fx_hprod"].update(raw=12345),
+        "no_site": lambda man: man["cells"]["main"]["sites"].pop("sum1"),
+        "no_cells": lambda man: man.pop("cells"),
+    }
+    for name, mutate in edits.items():
+        files[name] = d / f"{name}.irnn"
+        files[name].write_bytes(files["model"].read_bytes())
+        _edit_manifest(files[name], mutate)
+    return {k: str(v) for k, v in files.items()}
+
+
+_BAD_INPUTS = {
+    "run-synth-0": (["run", "{model}", "--synth", "0"], 2),
+    "compare-synth-0": (["compare", "{model}", "--synth", "0"], 2),
+    "run-seq-len-0": (["run", "{model}", "--seq-len", "0"], 2),
+    "bench-seq-len-0": (["bench", "{model}", "--seq-len", "0"], 2),
+    "bench-runs-0": (["bench", "{model}", "--runs", "0"], 2),
+    "quantize-pwl-pieces-0": (
+        ["quantize", "{npz}", "--calib", "{calib}", "--out", "{out}", "--pwl-pieces", "0"], 2
+    ),
+    "approx-pieces-0": (["approx", "--fn", "tanh", "--pieces", "0", "--out", "{out}"], 2),
+    "table-bits-1": (["table", "--bits", "1"], 2),
+    "run-truncated-raw-header": (["run", "{model}", "--input", "{truncated}"], 3),
+    "run-nan-input": (["run", "{model}", "--input", "{nan}"], 3),
+    "compare-nan-input": (["compare", "{model}", "--input", "{nan}"], 3),
+    "quantize-nan-calib": (["quantize", "{npz}", "--calib", "{nan}", "--out", "{out}"], 3),
+    "run-edited-fx-hprod": (["run", "{fx_hprod}"], 3),
+    "run-manifest-missing-site": (["run", "{no_site}"], 3),
+    "run-manifest-missing-cells": (["run", "{no_cells}"], 3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_INPUTS))
+def test_bad_input_exits_cleanly(case, bad_files, capsys):
+    # usage errors exit 2 and unreadable data or containers exit 3, each
+    # with an error line; exit 1 stays reserved for tolerance failure
+    argv, expected = _BAD_INPUTS[case]
+    try:
+        code = main([arg.format(**bad_files) for arg in argv])
+    except SystemExit as e:  # argparse rejects the argument
+        code = e.code
+    err = capsys.readouterr().err
+    assert code == expected
+    assert "error:" in err and "Traceback" not in err
 
 
 class TestExitCodes:
