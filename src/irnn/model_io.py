@@ -341,13 +341,16 @@ def save_float(fm: FloatModel) -> bytes:
 
 
 def load_float(src) -> FloatModel:
-    """Read a float model from an .npz path or the bytes of one."""
+    """Read a float model from an .npz path or the bytes of one; non-finite
+    weights are rejected."""
     if isinstance(src, (bytes, bytearray)):
         src = io.BytesIO(bytes(src))
     with np.load(src) as archive:
         arrays = {k: np.asarray(archive[k]) for k in archive.files}
     kind = str(arrays.pop("kind")) if "kind" in arrays else infer_kind(arrays)
     meta = json.loads(str(arrays.pop("meta_json"))) if "meta_json" in arrays else {}
+    if not all(np.isfinite(v.astype(np.float64)).all() for v in arrays.values()):
+        raise ValueError("float model holds non-finite weights")
     # FloatModel checks the kind and the keys it requires
     return FloatModel(kind=kind, arrays=arrays, meta=meta)
 

@@ -316,8 +316,8 @@ def bad_files(tmp_path_factory):
     """A quantized lstm plus malformed data files and containers, by name."""
     d = tmp_path_factory.mktemp("bad")
     rng = np.random.default_rng(42)
-    names = {"npz": "model.npz", "calib": "calib.bin", "model": "model.irnn",
-             "nan": "nan.bin", "truncated": "truncated.bin", "out": "out.csv"}
+    names = {"npz": "model.npz", "calib": "calib.bin", "model": "model.irnn", "nan": "nan.bin",
+             "nan_npz": "nan.npz", "truncated": "truncated.bin", "out": "out.csv"}
     files = {k: d / name for k, name in names.items()}
     _lstm_npz(files["npz"], rng)
     mio.save_calibration(files["calib"], rng.normal(0.0, 1.0, size=(4, 8, 12)))
@@ -326,6 +326,11 @@ def bad_files(tmp_path_factory):
     nan = rng.normal(0.0, 1.0, size=(2, 8, 12))
     nan[1, 3, 5] = np.nan
     mio.save_calibration(files["nan"], nan)
+    _lstm_npz(files["nan_npz"], rng)
+    with np.load(files["nan_npz"]) as archive:
+        weights = dict(archive)
+    weights["wh"][2, 1] = np.nan
+    np.savez(files["nan_npz"], **weights)
     # rank 3 but only one of the three dims
     files["truncated"].write_bytes(struct.pack("<IQ", 3, 2))
     edits = {
@@ -355,6 +360,7 @@ _BAD_INPUTS = {
     "run-nan-input": (["run", "{model}", "--input", "{nan}"], 3),
     "compare-nan-input": (["compare", "{model}", "--input", "{nan}"], 3),
     "quantize-nan-calib": (["quantize", "{npz}", "--calib", "{nan}", "--out", "{out}"], 3),
+    "quantize-nan-weights": (["quantize", "{nan_npz}", "--calib", "{calib}", "--out", "{out}"], 3),
     "run-edited-fx-hprod": (["run", "{fx_hprod}"], 3),
     "run-manifest-missing-site": (["run", "{no_site}"], 3),
     "run-manifest-missing-cells": (["run", "{no_cells}"], 3),
