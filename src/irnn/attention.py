@@ -121,7 +121,10 @@ def attention_ref(h_dec, H_enc, wq, wk, v, observers: dict | None = None):
         for key, val in (
             ("qproj", qp), ("kproj", K), ("sumqk", sums), ("e", e), ("s", s),
         ):
-            observers.setdefault(key, Observer()).observe(val)
+            obs = observers.get(key)
+            if obs is None:
+                obs = observers[key] = Observer()
+            obs.observe(val)
     return s, alpha
 
 

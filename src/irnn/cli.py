@@ -189,13 +189,15 @@ def cmd_approx(args) -> int:
     lo, hi = args.range if args.range is not None else default_range
     try:
         p_in = derive_params(lo, hi, args.bits)
+        grid = np.arange(p_in.qmax + 1)
+        xs = p_in.scale * (grid.astype(np.float64) - p_in.zero_point)
+        # an overflow gives a non-finite value, which the observer rejects
+        with np.errstate(over="ignore", invalid="ignore"):
+            f_vals = fn(xs)
+        p_out = Observer().observe(f_vals).finalize(args.bits)
     except ValueError as e:
         raise CliError(str(e)) from e
-    grid = np.arange(p_in.qmax + 1)
-    xs = p_in.scale * (grid.astype(np.float64) - p_in.zero_point)
-    p_out = Observer().observe(fn(xs)).finalize(args.bits)
     table = reduce(build_full(fn, p_in, p_out), args.pieces)
-    f_vals = fn(xs)
     g_vals = eval_float(table, xs)
     try:
         with open(args.out, "w", newline="") as f:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -226,48 +227,147 @@ def reduce(t: PwlTable, pieces: int) -> PwlTable:
         raise ValueError("invalid-budget: pieces must be >= 1")
     if pieces >= t.pieces:
         return t
-    keep = _surviving_knots(t.knots.tolist(), _knot_values(t).tolist(), pieces)
+    values = _knot_values(t)
+    keep = _surviving_knots(t.knots, values, pieces)
     return _finalize(
-        t.knots[keep], _knot_values(t)[keep], t.q_knots[keep], t.in_params, t.out_params
+        t.knots[keep], values[keep], t.q_knots[keep], t.in_params, t.out_params
     )
 
 
-def _surviving_knots(ks: list, ys: list, pieces: int) -> list:
+def _surviving_knots(ks: np.ndarray, ys: np.ndarray, pieces: int) -> np.ndarray:
     """Indices of the knots the greedy merge keeps.
 
-    The merge state (a few lists as long as the grid) is freed on return,
-    before the kept table expands its LUT.
+    The merge removes, one at a time, the surviving interior knot with the
+    smallest key (cost, index), where cost = |slope(prev, j) - slope(j, next)|
+    over its surviving neighbours and slope(i, j) = (y_j - y_i) / (k_j - k_i)
+    in float64.  It runs in rounds over the surviving knots.  Each round
+    computes every cost with that expression in numpy (IEEE subtract, divide
+    and abs give the scalar bits) and removes at once the batch that
+    _certified proves to be the merge's next removals.  A round that
+    certifies too few hands the smallest keys to _scalar_merge instead.
     """
-    n = len(ks)
-    prev = list(range(-1, n - 1))
-    nxt = list(range(1, n + 1))
-    alive = [True] * n
-    stamp = [0] * n
+    idx = np.arange(len(ks), dtype=np.int32)
+    k, y = ks, ys
+    # slopes that overflow give inf and NaN silently, as Python floats do
+    with np.errstate(over="ignore", invalid="ignore"):
+        while len(idx) - 1 > pieces:
+            need = len(idx) - 1 - pieces
+            s = np.diff(y) / np.diff(k)
+            c = np.abs(s[:-1] - s[1:])  # c[p - 1] is the cost of the knot at p
+            ordered = not np.isnan(c).any()
+            gone = _certified(k, y, s, c)[:need] if ordered else []
+            if len(gone) < min(need, max(8, len(idx) >> 8)):
+                gone = _scalar_merge(k, y, c, need, ordered)
+            keep = np.ones(len(idx), dtype=bool)
+            keep[gone] = False
+            idx, k, y = idx[keep], k[keep], y[keep]
+    return idx
+
+
+def _certified(k, y, s, c) -> np.ndarray:
+    """Positions of knots that are the merge's next removals, in pop order.
+
+    k and y are the surviving knots, s their adjacent slopes and c the
+    interior costs.  Equal costs order by position, which is index order,
+    so the keys are distinct.
+
+    A = the greedy independent set in key order on the path of interior
+    knots: a knot is in A iff no neighbour with a smaller key is.  Valleys
+    are in, knots on a monotone run alternate from its valley, and a peak
+    is in iff both its neighbours are out.  Removing a knot of A gives each
+    interior neighbour a new key.  That key is charged to the removal if the
+    neighbour's other neighbour stays or goes later; if both neighbours go,
+    the key left by both removals is charged to the later one.
+
+    With b_1, b_2, ... the knots of A in key order, the result is the
+    longest prefix b_1..b_k in which every cost charged to b_1..b_{k-1} is
+    strictly greater than cost(b_k).  Proof that the merge pops b_1..b_k
+    next, in order: say it has popped b_1..b_{i-1}, i <= k.  Neither
+    neighbour of b_i is in A, so b_i still has its round key.  Any other
+    surviving knot x either
+      - has a removed neighbour, and its key is a key charged to some b_j,
+        j < i, so it exceeds cost(b_k) >= cost(b_i); or
+      - still has its round key.  If x is in A, x = b_j with j > i.  If not,
+        x has a neighbour in A with a smaller key; had x's key been below
+        b_i's, that neighbour would be some b_j, j < i, already removed.
+    So b_i holds the smallest key and is popped next.
+    """
+    n = len(c)  # interior knots sit at positions 1..n
+    up = c[:-1] <= c[1:]  # key(i) < key(i + 1)
+    i = np.arange(n, dtype=np.int32)
+    lower_left = np.concatenate(([False], up))
+    lower_right = np.concatenate((~up, [False]))
+    start = np.maximum.accumulate(np.where(lower_left, 0, i))
+    end = np.minimum.accumulate(np.where(lower_right, n - 1, i)[::-1])[::-1]
+    take = np.where(lower_left, (i - start) % 2 == 0, (end - i) % 2 == 0)
+    peak = np.flatnonzero(lower_left & lower_right)
+    take[peak] = ~(take[peak - 1] | take[peak + 1])
+    p = np.flatnonzero(take) + 1
+
+    cost = c[p - 1]
+    # the slope across p once it goes
+    ms = (y[p + 1] - y[p - 1]) / (k[p + 1] - k[p - 1])
+    # p's neighbours keep their outer slopes unless a knot of A two away
+    # goes first; clipped lookups at the ends are charged inf below
+    outer_left = s.take(p - 2, mode="clip")
+    outer_right = s.take(p + 1, mode="clip")
+    pair = p[1:] - p[:-1] == 2
+    left_first = cost[:-1] <= cost[1:]
+    later = pair & left_first
+    outer_left[1:][later] = ms[:-1][later]
+    later = pair & ~left_first
+    outer_right[:-1][later] = ms[1:][later]
+    to_left = np.abs(outer_left - ms)
+    to_right = np.abs(ms - outer_right)
+    if p[0] == 1:  # the first knot has no key
+        to_left[0] = np.inf
+    if p[-1] == n:  # nor has the last
+        to_right[-1] = np.inf
+    charge = np.minimum(to_left, to_right)
+
+    order = np.argsort(cost, kind="stable")
+    floor = np.minimum.accumulate(charge[order])
+    # a NaN charge fails the comparison, so it ends the prefix
+    short = np.flatnonzero(~(floor[:-1] > cost[order[1:]]))
+    return p[order[: short[0] + 1 if len(short) else len(p)]]
+
+
+def _scalar_merge(k, y, c, need: int, ordered: bool) -> list:
+    """Positions the merge removes next, popped one at a time.
+
+    Only the smallest ~1/16 of the keys enter the heap: those with cost at
+    most theta.  Every knot outside it has a key above theta, and a new key
+    above theta is not pushed, so the heap minimum is always the merge's
+    next removal until the heap runs dry.  When a cost is NaN (a slope
+    overflowed) the keys have no order, and every knot enters the heap.
+    """
+    m = len(k)
+    theta = np.partition(c, m >> 4)[m >> 4] if ordered else np.inf
+    (cand,) = np.nonzero(~(c > theta))
+    heap = list(zip(c[cand].tolist(), (cand + 1).tolist(), [0] * len(cand)))
+    heapq.heapify(heap)
+    kv, yv = array("d", k.tobytes()), array("d", y.tobytes())
+    prev, nxt = array("i", range(-1, m - 1)), array("i", range(1, m + 1))
+    stamp = array("i", bytes(4 * m))
+    gone = []
 
     def slope(i: int, j: int) -> float:
-        return (ys[j] - ys[i]) / (ks[j] - ks[i])
+        return (yv[j] - yv[i]) / (kv[j] - kv[i])
 
-    def cost(j: int) -> float:
-        return abs(slope(prev[j], j) - slope(j, nxt[j]))
-
-    heap = [(cost(j), j, 0) for j in range(1, n - 1)]
-    heapq.heapify(heap)
-    remaining = n - 1
-
-    while remaining > pieces:
-        c, j, s = heapq.heappop(heap)
-        if not alive[j] or s != stamp[j] or prev[j] < 0 or nxt[j] >= n:
+    while heap and len(gone) < need:
+        _, j, s = heapq.heappop(heap)
+        if s != stamp[j]:
             continue
-        alive[j] = False
+        gone.append(j)
         lo, hi = prev[j], nxt[j]
         nxt[lo], prev[hi] = hi, lo
-        remaining -= 1
         for nb in (lo, hi):
-            if alive[nb] and prev[nb] >= 0 and nxt[nb] < n:
+            if 0 < nb < m - 1:
                 stamp[nb] += 1
-                heapq.heappush(heap, (cost(nb), nb, stamp[nb]))
-
-    return [i for i in range(n) if alive[i]]
+                cost = abs(slope(prev[nb], nb) - slope(nb, nxt[nb]))
+                if not cost > theta:
+                    heapq.heappush(heap, (cost, nb, stamp[nb]))
+    return gone
 
 
 def _piece_index(sorted_knots, x):

@@ -15,6 +15,7 @@ the same Rescales once per cell and replays them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -311,10 +312,12 @@ class Observer:
         arr = np.asarray(batch, dtype=np.float64)
         if arr.size == 0:
             return self
-        if not np.all(np.isfinite(arr)):
+        # a NaN anywhere makes both NaN, an inf makes one of them inf
+        lo, hi = float(arr.min()), float(arr.max())
+        if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError("non-finite value in calibration batch")
-        self.running_min = min(self.running_min, float(arr.min()))
-        self.running_max = max(self.running_max, float(arr.max()))
+        self.running_min = min(self.running_min, lo)
+        self.running_max = max(self.running_max, hi)
         self.count += arr.size
         return self
 

@@ -133,7 +133,10 @@ class LstmState:
 def _observe(observers, key, value):
     if observers is None:
         return
-    observers.setdefault(key, Observer()).observe(np.atleast_1d(value))
+    obs = observers.get(key)
+    if obs is None:
+        obs = observers[key] = Observer()
+    obs.observe(value)
 
 
 def _observe_madnorm(observers, branch, pre):

@@ -355,6 +355,9 @@ _BAD_INPUTS = {
         ["quantize", "{npz}", "--calib", "{calib}", "--out", "{out}", "--pwl-pieces", "0"], 2
     ),
     "approx-pieces-0": (["approx", "--fn", "tanh", "--pieces", "0", "--out", "{out}"], 2),
+    "approx-exp-overflows": (
+        ["approx", "--fn", "exp", "--range", "-1", "1000", "--out", "{out}"], 2
+    ),
     "table-bits-1": (["table", "--bits", "1"], 2),
     "run-truncated-raw-header": (["run", "{model}", "--input", "{truncated}"], 3),
     "run-nan-input": (["run", "{model}", "--input", "{nan}"], 3),

@@ -1,10 +1,14 @@
 """Piecewise-linear activation tables: construction, reduction, evaluation."""
 
 import bisect
+import heapq
+import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from irnn import pwl
 from irnn.pwl import (
     ACTIVATIONS,
     activation_registry,
@@ -140,6 +144,163 @@ class TestReduce:
         table = build_full(fn, in_p, out_p)
         with pytest.raises(ValueError, match="invalid-budget"):
             reduce(table, 0)
+
+
+def _reference_pops(ks: list, ys: list, pieces: int) -> list:
+    """The greedy merge as a scalar heap loop: the knots it removes, in order."""
+    n = len(ks)
+    prev = list(range(-1, n - 1))
+    nxt = list(range(1, n + 1))
+    alive = [True] * n
+    stamp = [0] * n
+
+    def slope(i: int, j: int) -> float:
+        return (ys[j] - ys[i]) / (ks[j] - ks[i])
+
+    def cost(j: int) -> float:
+        return abs(slope(prev[j], j) - slope(j, nxt[j]))
+
+    heap = [(cost(j), j, 0) for j in range(1, n - 1)]
+    heapq.heapify(heap)
+    remaining = n - 1
+    pops = []
+
+    while remaining > pieces:
+        c, j, s = heapq.heappop(heap)
+        if not alive[j] or s != stamp[j] or prev[j] < 0 or nxt[j] >= n:
+            continue
+        alive[j] = False
+        pops.append(j)
+        lo, hi = prev[j], nxt[j]
+        nxt[lo], prev[hi] = hi, lo
+        remaining -= 1
+        for nb in (lo, hi):
+            if alive[nb] and prev[nb] >= 0 and nxt[nb] < n:
+                stamp[nb] += 1
+                heapq.heappush(heap, (cost(nb), nb, stamp[nb]))
+
+    return pops
+
+
+def _reference_knots(ks: list, ys: list, pieces: int) -> list:
+    gone = set(_reference_pops(ks, ys, pieces))
+    return [i for i in range(len(ks)) if i not in gone]
+
+
+@pytest.fixture
+def merge_paths(monkeypatch):
+    """Counts the certified rounds and the scalar merges that reduce runs."""
+    calls = Counter()
+    for name in ("_certified", "_scalar_merge"):
+        real = getattr(pwl, name)
+
+        def counted(*args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(pwl, name, counted)
+    return calls
+
+
+def _assert_reduce_is_reference(t, pieces):
+    values = pwl._knot_values(t)
+    keep = _reference_knots(t.knots.tolist(), values.tolist(), pieces)
+    got = reduce(t, pieces)
+    np.testing.assert_array_equal(got.knots, t.knots[keep])
+    np.testing.assert_array_equal(got.q_knots, t.q_knots[keep])
+    want = from_points(t.knots[keep], values[keep], t.in_params, t.out_params)
+    np.testing.assert_array_equal(got.fx_slopes, want.fx_slopes)
+    np.testing.assert_array_equal(got.fx_intercepts, want.fx_intercepts)
+
+
+class TestMergeRounds:
+    """reduce removes exactly the knots of the one-pop-at-a-time loop."""
+
+    @pytest.mark.parametrize("name", sorted(ACTIVATIONS))
+    def test_activations_match_reference(self, name, merge_paths):
+        # 3x wider ranges put tanh and sigmoid deep in saturation, where
+        # costs tie or sit at float noise and the scalar merge takes over
+        fn, (lo, hi) = activation_registry(name)
+        out_p = _params_for(name)[2]
+        for bits, budgets in ((8, (1, 2, 8, 32, 100)), (16, (32,))):
+            for width in (1, 3):
+                in_p = derive_params(lo * width, hi * width, bits)
+                table = build_full(fn, in_p, out_p)
+                for pieces in budgets:
+                    _assert_reduce_is_reference(table, pieces)
+        assert merge_paths["_certified"] > 0
+        assert merge_paths["_scalar_merge"] > 0
+
+    def test_random_tables_match_reference(self, merge_paths):
+        rng = np.random.default_rng(7)
+        in_p = derive_params(-1.0, 1.0, 8)
+        xs = dequantize(np.arange(256), in_p)
+        for trial in range(30):
+            kind = trial % 3
+            if kind == 0:  # exact ties
+                ys = rng.integers(-3, 4, size=256).astype(np.float64)
+            elif kind == 1:  # flat runs
+                ys = np.repeat(rng.normal(size=32), 8)
+            else:  # a random walk with noise
+                ys = np.cumsum(rng.normal(size=256)) + 1e-9 * rng.normal(size=256)
+            out_p = derive_params(min(ys.min(), 0.0), max(ys.max(), 0.0), 8)
+            table = from_points(xs, ys, in_p, out_p)
+            for pieces in (1, 2, 8, 32, 100):
+                _assert_reduce_is_reference(table, pieces)
+        assert merge_paths["_certified"] > 0
+        assert merge_paths["_scalar_merge"] > 0
+
+    def test_certified_batch_is_the_next_pops(self):
+        # each round's batch, in order, is what the scalar loop pops next;
+        # small tables with exact ties and uneven spacing reach the cases
+        # where a knot loses both neighbours in one batch
+        rng = np.random.default_rng(0)
+        certified = 0
+        for trial in range(3000):
+            n = int(rng.integers(6, 12))
+            if trial % 3 == 0:
+                ys = rng.integers(-3, 4, size=n).astype(np.float64)
+                ks = np.arange(n, dtype=np.float64)
+            elif trial % 3 == 1:
+                ys = rng.normal(size=n)
+                ks = np.cumsum(rng.uniform(0.2, 2.0, size=n))
+            else:
+                ys = rng.integers(-3, 4, size=n).astype(np.float64)
+                ks = np.cumsum(rng.integers(1, 4, size=n)).astype(np.float64)
+            s = np.diff(ys) / np.diff(ks)
+            got = pwl._certified(ks, ys, s, np.abs(s[:-1] - s[1:])).tolist()
+            assert got == _reference_pops(ks.tolist(), ys.tolist(), n - 1 - len(got))
+            certified += len(got)
+        # 4,830 at this seed; charging keys to the end knots, which have
+        # none, would cut it to 3,932
+        assert certified > 4500
+
+    def test_infinite_costs_match_reference(self):
+        # every adjacent slope overflows to +-inf, so every cost is inf
+        ks = np.arange(12, dtype=np.float64)
+        ys = np.tile([-1e308, 1e308], 6)
+        for pieces in (1, 4):
+            want = _reference_knots(ks.tolist(), ys.tolist(), pieces)
+            assert pwl._surviving_knots(ks, ys, pieces).tolist() == want
+
+    def test_nan_costs_still_meet_the_budget(self):
+        # slopes of +inf on both sides of a knot make its cost NaN
+        ks = np.arange(12, dtype=np.float64) * 1e-10
+        ys = np.arange(12, dtype=np.float64) * 1e300
+        kept = pwl._surviving_knots(ks, ys, 3).tolist()
+        assert len(kept) == 4 and kept[0] == 0 and kept[-1] == 11
+
+    def test_sixteen_bit_peak_memory(self):
+        # the scalar loop this replaces peaked at 17.9 MiB here
+        fn, (lo, hi) = activation_registry("sigmoid")
+        in_p = derive_params(lo, hi, 16)
+        tracemalloc.start()
+        try:
+            reduce(build_full(fn, in_p, derive_params(0.0, 1.0, 8)), 32)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 14 * 2**20
 
 
 class TestEvalFloat:

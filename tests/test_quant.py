@@ -242,8 +242,12 @@ class TestObserver:
         assert m.running_min == -1.0 and m.running_max == 2.0
 
     def test_rejects_nonfinite(self):
-        with pytest.raises(ValueError):
-            Observer().observe([1.0, float("nan")])
+        nan, inf = float("nan"), float("inf")
+        for batch in ([1.0, nan], [nan, 1.0], [1.0, inf], [-inf, 1.0], [-inf, inf], nan):
+            obs = Observer().observe([0.5])
+            with pytest.raises(ValueError, match="non-finite"):
+                obs.observe(batch)
+            assert (obs.running_min, obs.running_max, obs.count) == (0.5, 0.5, 1)
 
 
 class TestQTensor:
