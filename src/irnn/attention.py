@@ -26,7 +26,7 @@ from .fixedpoint import (
     Rescale,
     requant_multiplier,
     round_half_away,
-    rounded_div,
+    rounded_div_even,
     saturate,
     to_fixed,
 )
@@ -274,7 +274,8 @@ class AttentionPlan:
         num = q_exp.astype(np.float64) @ np.subtract(
             q_Henc.data, p_h.zero_point, dtype=np.float64
         )
-        q_s = rounded_div(self._ctx_raw * num.astype(np.int64), div_denom << REQUANT_FRACTION_BITS)
+        den = div_denom << REQUANT_FRACTION_BITS  # even and positive: f >= 1
+        q_s = rounded_div_even(self._ctx_raw * num.astype(np.int64), den)
         q_s = saturate(q_s + p_s.zero_point, p_s.qmin, p_s.qmax).astype(p_s.dtype)
 
         return AttentionIntermediates(

@@ -4,7 +4,8 @@ Subcommands: quantize (calibrate a float model into .irnn), approx (PWL
 table CSV), run (integer inference), compare (integer vs float report),
 bench (timing report), table (fixed-point format table).
 
-Exit codes: 0 success, 1 tolerance failure, 2 usage error, 3 I/O error.
+Exit codes: 0 success, 1 tolerance failure, 2 usage error, 3 I/O error,
+4 arithmetic overflow (an integer bound exceeded at run time).
 The IRNN_LOG environment variable (debug/info/warning/error) sets log
 verbosity.  All randomness sits behind --seed; bench timings are the only
 nondeterministic output.
@@ -428,6 +429,10 @@ def main(argv=None) -> int:
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
+    except OverflowError as e:
+        # FxOverflow: a per-call int32 or int64 check failed mid-run
+        print(f"error: arithmetic overflow: {e}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -27,6 +27,7 @@ __all__ = [
     "requant_multiplier",
     "round_half_away",
     "rounded_div",
+    "rounded_div_even",
     "rounded_shift",
     "saturate",
     "to_fixed",
@@ -98,6 +99,19 @@ def rounded_div(num, den):
     return mag if num >= 0 else -mag
 
 
+def rounded_div_even(num, den):
+    """num / den rounded half away from zero, for an even positive den.
+
+    (num - (num < 0) + den/2) // den: for num = -a < 0 it is
+    ceil((-a - den/2) / den) = -floor((a + den/2) / den) because den/2 is an
+    integer.  num is an int64 array, which is not written, or an int."""
+    out = num >> 63
+    out += num
+    out += den // 2
+    out //= den
+    return out
+
+
 def saturate(x, lo: int, hi: int):
     """Clip integer codes to [lo, hi]; an int64 array is clipped in place."""
     if isinstance(x, np.ndarray):
@@ -120,12 +134,11 @@ class FixedPointScalar:
             raise ValueError("fraction_bits must be >= 0")
         if self.integral_bits < 0:
             raise ValueError("integral_bits must be >= 0")
-        total = self.integral_bits + self.fraction_bits
-        if self.signed:
-            lo, hi = -(2**total), 2**total - 1
-        else:
-            lo, hi = 0, 2**total - 1
-        if not lo <= self.raw <= hi:
+        # raw fits Q(i.f) when its magnitude needs at most i + f bits;
+        # comparing bit lengths never builds 2**(i + f) itself
+        raw = int(self.raw)
+        mag = ~raw if raw < 0 and self.signed else raw
+        if mag < 0 or mag.bit_length() > self.integral_bits + self.fraction_bits:
             raise FxOverflow(
                 f"raw {self.raw} does not fit Q{self.integral_bits}."
                 f"{self.fraction_bits} ({'signed' if self.signed else 'unsigned'})"
@@ -233,11 +246,30 @@ class Rescale:
         return self.raws[k] * t
 
     def finish(self, acc):
-        """Round an accumulator of summed terms, add zero, saturate."""
-        out = rounded_shift(acc, self.f) + self.zero
+        """Round an accumulator of summed terms, add zero, saturate.
+
+        An int64 array is rounded in place in one fresh array, never in acc;
+        acc >> 63 is -1 where acc < 0, which makes it rounded_shift."""
+        f = self.f
+        if isinstance(acc, np.ndarray) and acc.dtype == np.int64 and 0 < f < 64:
+            out = acc >> 63
+            out += acc
+            out += 1 << (f - 1)
+            out >>= f
+            if self.zero:
+                out += self.zero
+        else:
+            out = rounded_shift(acc, f) + self.zero
         if self.lo is None:
             return out
         return saturate(out, self.lo, self.hi)
+
+    def centered(self) -> Rescale:
+        """This rescale minus its zero point, exactly and with no add for it:
+        saturate(r + z, lo, hi) - z == saturate(r, lo - z, hi - z)."""
+        out = Rescale(self.raws, self.f, 0, self.lo - self.zero, self.hi - self.zero)
+        out.per_call_check = self.per_call_check
+        return out
 
     def __call__(self, *terms):
         if self.per_call_check:

@@ -18,7 +18,7 @@ from .fixedpoint import (
     REQUANT_FRACTION_BITS,
     FxOverflow,
     requant_multiplier,
-    rounded_div,
+    rounded_div_even,
     saturate,
     to_fixed,
 )
@@ -95,9 +95,14 @@ class MadNormPlan:
     values (two-term rescale in one accumulator), the mean absolute
     deviation, and the normalized output via rounded integer division
     guarded by max(q_d, 1).  Calling the plan normalizes every row of
-    centered input codes [..., h] independently and returns int64 codes on
-    p_y's grid.
-    """
+    centered input codes [..., h] independently and returns centered codes
+    (minus Z_y) on p_y's grid.
+
+    The mean and centered values are centered too (Rescale.centered), so
+    the centering step negates the mean's multiplier.  Row statistics drop
+    the last axis: one row's are Python ints.  The deviation saturates at 1,
+    which is max(q_d, 1), and f >= 1 is checked here, so every divisor
+    q_d << f is even and positive, as rounded_div_even needs."""
 
     def __init__(
         self,
@@ -111,31 +116,32 @@ class MadNormPlan:
         if p_d.zero_point != 0:
             raise ValueError("deviation params must put zero at code 0")
         f = REQUANT_FRACTION_BITS
+        if f < 1:
+            raise ValueError("the normalization divisor needs a fraction bit")
         self.f = f
-        self.z_mu, self.z_xhat = p_mu.zero_point, p_xhat.zero_point
-        self.p_y = p_y
         self.mean = requant_rescale(
             requant_multiplier(px.scale / (p_mu.scale * h)), p_mu, h * max_centered(px)
-        )
+        ).centered()
         # centered values: S_x(q_x - Z_x) - S_mu(q_mu - Z_mu), one rounding
         self.center = sum_rescale(
-            px.scale, p_mu.scale, p_xhat, (max_centered(px), max_centered(p_mu))
-        )
+            px.scale, -p_mu.scale, p_xhat, (max_centered(px), max_centered(p_mu))
+        ).centered()
         self.dev = requant_rescale(
             requant_multiplier(p_xhat.scale / (p_d.scale * h)), p_d, h * max_centered(p_xhat)
         )
+        self.dev.lo = 1
         self.raw_y = to_fixed(p_xhat.scale / (p_y.scale * p_d.scale), f).raw
         if abs(self.raw_y) * 2**p_xhat.bitwidth > _INT64_MAX:
             raise FxOverflow("normalization numerator would overflow int64")
+        self.y_lo, self.y_hi = p_y.qmin - p_y.zero_point, p_y.qmax - p_y.zero_point
 
     def __call__(self, xc: np.ndarray) -> np.ndarray:
-        q_mu = self.mean(xc.sum(axis=-1, keepdims=True))
-        xhat = self.center(xc, self.z_mu - q_mu) - self.z_xhat
-        q_d = self.dev(np.abs(xhat).sum(axis=-1, keepdims=True))
-        # division guarded against a zero deviation code
-        den = np.maximum(q_d, 1) << self.f
-        q_y = rounded_div(self.raw_y * xhat, den) + self.p_y.zero_point
-        return saturate(q_y, self.p_y.qmin, self.p_y.qmax)
+        # [h, ...]: each row statistic broadcasts along the last axis
+        xt = xc.T
+        xhat = self.center(xt, self.mean(xt.sum(axis=0)))
+        den = self.dev(np.abs(xhat).sum(axis=0)) << self.f
+        q_y = rounded_div_even(self.raw_y * xhat, den)
+        return saturate(q_y, self.y_lo, self.y_hi).T
 
 
 def madnorm_int(
@@ -149,7 +155,7 @@ def madnorm_int(
     if qx.data.ndim != 1:
         raise ValueError("madnorm_int expects a 1-D vector")
     plan = MadNormPlan(qx.params, p_mu, p_xhat, p_d, p_y, qx.data.size)
-    return QTensor(plan(qx.centered()).astype(p_y.dtype), p_y)
+    return QTensor((plan(qx.centered()) + p_y.zero_point).astype(p_y.dtype), p_y)
 
 
 def scale_convergence_check(sampler, n: int, mean: float, rng=None) -> float:

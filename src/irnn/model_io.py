@@ -95,7 +95,11 @@ def _fx_to_json(fx: FixedPointScalar) -> dict:
 
 
 def _fx_from_json(d: dict) -> FixedPointScalar:
-    return FixedPointScalar(d["raw"], d["fraction_bits"], d["integral_bits"], d["signed"])
+    raw, f, i = d["raw"], d["fraction_bits"], d["integral_bits"]
+    # bool is an int subclass, so check the exact type
+    if any(type(v) is not int for v in (raw, f, i)) or not 0 <= f <= 62 or i < 0:
+        raise ValueError("malformed manifest: fixed-point fields out of range")
+    return FixedPointScalar(raw, f, i, d["signed"])
 
 
 class _BlobWriter:
@@ -278,7 +282,8 @@ def load(data: bytes) -> IrnnModel:
     """Parse bytes produced by save(); inference replays bit-identically.
 
     A malformed container, a missing or mistyped manifest field included,
-    raises ValueError.
+    raises ValueError, and so does a stored scale whose multipliers
+    overflow their fixed-point form when the cells are compiled.
     """
     if len(data) < _HEADER.size:
         raise ValueError("truncated container: missing header")
@@ -313,7 +318,7 @@ def load(data: bytes) -> IrnnModel:
         if manifest.get("format_version") != version:
             raise ValueError("manifest format_version disagrees with header")
         return _model_from(manifest, blob)
-    except (AttributeError, KeyError, TypeError) as e:
+    except (AttributeError, KeyError, TypeError, OverflowError) as e:
         what = f"missing {e.args[0]}" if isinstance(e, KeyError) else e
         raise ValueError(f"malformed manifest: {what}") from e
 

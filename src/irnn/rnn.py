@@ -299,8 +299,11 @@ class IntLstmCell:
             out: requant_multiplier(p[src].scale * wt.params.scale / p[out].scale)
             for out, src, wt in (("xprod", "x", w.wx), ("hprod", "h", w.wh))
         }
-        self._xprod = requant_rescale(self.multipliers["xprod"], p["xprod"], self._gemv_x.bound)
-        self._hprod = requant_rescale(self.multipliers["hprod"], p["hprod"], self._gemv_h.bound)
+        # xprod, hprod, fc and ij feed only centered operands (Rescale.centered)
+        self._xprod, self._hprod = (
+            requant_rescale(self.multipliers[s], p[s], gemv.bound).centered()
+            for s, gemv in (("xprod", self._gemv_x), ("hprod", self._gemv_h))
+        )
 
         self._norm_x = self._norm_h = None
         pa, pb = p["xprod"], p["hprod"]
@@ -312,7 +315,6 @@ class IntLstmCell:
                 pb, p["mnh_mu"], p["mnh_xhat"], p["mnh_d"], p["mnh_y"], 4 * m
             )
             pa, pb = p["mnx_y"], p["mnh_y"]
-        self._z_xbranch, self._z_hbranch = pa.zero_point, pb.zero_point
         self._sum1 = sum_rescale(
             pa.scale, pb.scale, p["sum1"], (max_centered(pa), max_centered(pb))
         )
@@ -335,8 +337,8 @@ class IntLstmCell:
         self._tanh_cell_lut = tanh_cell.lut_covering(p["c"])
         self._z_sig, self._z_tanh = p_sig.zero_point, p_tanh.zero_point
         self._z_tanh_cell = tanh_cell.out_params.zero_point
-        self._fc = qmul_rescale(p_sig, p["c"], p["fc"])
-        self._ij = qmul_rescale(p_sig, p_tanh, p["ij"])
+        self._fc = qmul_rescale(p_sig, p["c"], p["fc"]).centered()
+        self._ij = qmul_rescale(p_sig, p_tanh, p["ij"]).centered()
         self._c = sum_rescale(
             p["fc"].scale, p["ij"].scale, p["c"], (max_centered(p["fc"]), max_centered(p["ij"]))
         )
@@ -373,9 +375,9 @@ class IntLstmCell:
         sequence in one matmul; step() takes one row of it.
         """
         self._require(qxs, "x")
-        xa = self._xprod(self._gemv_x(qxs.data)) - self.sites["xprod"].zero_point
+        xa = self._xprod(self._gemv_x(qxs.data))
         if self._norm_x is not None:
-            xa = self._norm_x(xa) - self._z_xbranch
+            xa = self._norm_x(xa)
         return self._sum1.term(0, xa)
 
     def step(
@@ -396,9 +398,9 @@ class IntLstmCell:
         if xb is None:
             xb = self.input_branch(QTensor(qx.data[None], qx.params))[0]
 
-        hb = self._hprod(self._gemv_h(state.h.data)) - p["hprod"].zero_point
+        hb = self._hprod(self._gemv_h(state.h.data))
         if self._norm_h is not None:
-            hb = self._norm_h(hb) - self._z_hbranch
+            hb = self._norm_h(hb)
         gates = self._sum1.finish(xb + self._sum1.term(1, hb))
         if self._bias_codes is not None:
             gates = saturate(gates + self._bias_codes, p["sum1"].qmin, p["sum1"].qmax)
@@ -412,9 +414,7 @@ class IntLstmCell:
             self._tanh_gate_lut.take(gates[2 * m : 3 * m]), self._z_tanh, dtype=np.int64
         )
         c_old = np.subtract(state.c.data, p["c"].zero_point, dtype=np.int64)
-        q_fc = self._fc(sig[m : 2 * m] * c_old)
-        q_ij = self._ij(sig[:m] * tj)
-        q_c1 = self._c(q_fc - p["fc"].zero_point, q_ij - p["ij"].zero_point)
+        q_c1 = self._c(self._fc(sig[m : 2 * m] * c_old), self._ij(sig[:m] * tj))
         tc = np.subtract(self._tanh_cell_lut.take(q_c1), self._z_tanh_cell, dtype=np.int64)
         q_h1 = self._h(sig[3 * m :] * tc)
         ph, pc = p["h"], p["c"]

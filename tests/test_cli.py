@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from irnn import model_io as mio
+from irnn import quant
 from irnn.cli import main
 from irnn.pwl import eval_int
 from irnn.quant import QuantParams, derive_params
@@ -337,6 +338,8 @@ def bad_files(tmp_path_factory):
         "fx_hprod": lambda man: man["cells"]["main"]["fx_hprod"].update(raw=12345),
         "no_site": lambda man: man["cells"]["main"]["sites"].pop("sum1"),
         "no_cells": lambda man: man.pop("cells"),
+        # the xprod multiplier no longer fits its fixed-point form
+        "x_scale": lambda man: man["cells"]["main"]["sites"]["x"].update(scale=2.0**40),
     }
     for name, mutate in edits.items():
         files[name] = d / f"{name}.irnn"
@@ -367,6 +370,7 @@ _BAD_INPUTS = {
     "run-edited-fx-hprod": (["run", "{fx_hprod}"], 3),
     "run-manifest-missing-site": (["run", "{no_site}"], 3),
     "run-manifest-missing-cells": (["run", "{no_cells}"], 3),
+    "run-multiplier-overflows": (["run", "{x_scale}"], 3),
 }
 
 
@@ -382,6 +386,16 @@ def test_bad_input_exits_cleanly(case, bad_files, capsys):
     err = capsys.readouterr().err
     assert code == expected
     assert "error:" in err and "Traceback" not in err
+
+
+def test_runtime_overflow_exits_4(bad_files, capsys, monkeypatch):
+    # with the int32 GEMV bound lowered, the cells load with a per-call
+    # accumulator check, which the first step then fails
+    monkeypatch.setattr(quant, "_INT32_MAX", 1000)
+    for cmd in ("run", "compare"):
+        assert main([cmd, bad_files["model"], "--synth", "1", "--seq-len", "3"]) == 4
+        err = capsys.readouterr().err
+        assert "error: arithmetic overflow" in err and "Traceback" not in err
 
 
 class TestExitCodes:

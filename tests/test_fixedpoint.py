@@ -1,5 +1,7 @@
 """Fixed-point scalars, rounding primitives and the compiled Rescale."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from irnn.fixedpoint import (
     requant_multiplier,
     round_half_away,
     rounded_div,
+    rounded_div_even,
     rounded_shift,
     saturate,
     to_fixed,
@@ -104,6 +107,24 @@ class TestFixedPointScalar:
             FixedPointScalar(raw=200, fraction_bits=4, integral_bits=3)
         with pytest.raises(FxOverflow):
             FixedPointScalar(raw=-1, fraction_bits=4, integral_bits=3, signed=False)
+
+    def test_range_check_at_the_format_edges(self):
+        for i, f in ((0, 1), (3, 4), (2, 62)):
+            total = i + f
+            FixedPointScalar(2**total - 1, f, i)
+            FixedPointScalar(-(2**total), f, i)
+            FixedPointScalar(2**total - 1, f, i, signed=False)
+            with pytest.raises(FxOverflow):
+                FixedPointScalar(2**total, f, i)
+            with pytest.raises(FxOverflow):
+                FixedPointScalar(-(2**total) - 1, f, i)
+            with pytest.raises(FxOverflow):
+                FixedPointScalar(2**total, f, i, signed=False)
+
+    def test_huge_format_builds_no_huge_int(self):
+        # 2**(2**40) would need 128 GiB; the check compares bit lengths
+        fx = FixedPointScalar(raw=-5, fraction_bits=2**40, integral_bits=2**40)
+        assert fx.raw == -5
 
     def test_negative_fraction_bits_rejected(self):
         with pytest.raises(ValueError):
@@ -315,3 +336,152 @@ class TestRescale:
         assert saturate(-4, 0, 255) == 0
         x = np.array([-4, 7, 300], dtype=np.int64)
         assert saturate(x, 0, 255).tolist() == [0, 7, 255]
+
+
+class TestInPlaceFinish:
+    """Rescale.finish's one-array rounding kernel against big-int references."""
+
+    def test_matches_big_int_and_leaves_acc_alone(self):
+        rng = np.random.default_rng(42)
+        accumulators = TestRoundingProperties()._accumulators
+        for f in range(1, 63):
+            vals = accumulators(rng, f)
+            acc = np.array(vals, dtype=np.int64)
+            before = acc.copy()
+            rounded = [_ref_round_div(v, 2**f) for v in vals]
+            # no saturation and no zero: the bare rounding, both paths
+            op = Rescale((1,), f)
+            assert op.finish(acc).tolist() == rounded, f
+            assert [op.finish(v) for v in vals] == rounded, f
+            # zero point and saturation, in place on the fresh array
+            lo, hi = sorted(int(v) for v in rng.integers(-(2**40), 2**40, size=2))
+            zero = int(rng.integers(-(2**20), 2**20))
+            op = Rescale((1,), f, zero, lo, hi)
+            want = [min(max(r + zero, lo), hi) for r in rounded]
+            assert op.finish(acc).tolist() == want, f
+            assert [op.finish(v) for v in vals] == want, f
+            np.testing.assert_array_equal(acc, before)
+
+    def test_zero_fraction_bits_copies(self):
+        acc = np.array([-7, 0, 9], dtype=np.int64)
+        out = Rescale((1,), 0, 0, -5, 5).finish(acc)
+        assert out.tolist() == [-5, 0, 5]
+        assert acc.tolist() == [-7, 0, 9]
+
+
+class TestCenteredRescale:
+    def test_equals_uncentered_minus_zero(self):
+        rng = np.random.default_rng(42)
+        acc = np.arange(-(2**17), 2**17 + 1, dtype=np.int64)
+        for _ in range(50):
+            f = int(rng.integers(1, 12))
+            qmax = int(rng.choice([255, 65535]))
+            zero = int(rng.integers(0, qmax, endpoint=True))
+            raw = int(rng.integers(1, 2**12))
+            op = Rescale((raw,), f, zero, 0, qmax, bounds=(2**17,))
+            centered = op.centered()
+            assert (centered.zero, centered.lo, centered.hi) == (0, -zero, qmax - zero)
+            assert (op.zero, op.lo, op.hi) == (zero, 0, qmax)
+            np.testing.assert_array_equal(centered(acc), op(acc) - zero)
+            assert [centered(int(v)) for v in acc[::997]] == (op(acc[::997]) - zero).tolist()
+
+    def test_cell_rescales(self):
+        """Every centered site of a compiled cell equals quant's uncentered
+        rescale minus Z: on every operand its bound admits, or on 2^20 of
+        them, both ends included, where the bound passes 2^20."""
+        from irnn.quant import qmul_rescale, requant_rescale
+        from irnn.rnn import CellConfig, calibrate_lstm_cell
+
+        rng = np.random.default_rng(7)
+        n = m = 8
+        wx = rng.normal(0.0, 0.3, size=(4 * m, n))
+        wh = rng.normal(0.0, 0.3, size=(4 * m, m))
+        bias = rng.normal(0.0, 0.1, size=4 * m)
+        seqs = rng.normal(0.0, 1.0, size=(3, 10, n))
+        for bits in (8, 16):
+            cell = calibrate_lstm_cell(wx, wh, bias, seqs, CellConfig(bits, bits, True))
+            p = cell.sites
+            p_sig = cell.tables["sigmoid"].out_params
+            p_tanh = cell.tables["tanh_gate"].out_params
+            pairs = {
+                "xprod": (cell._xprod, requant_rescale(
+                    cell.multipliers["xprod"], p["xprod"], cell._gemv_x.bound), cell._gemv_x.bound),
+                "hprod": (cell._hprod, requant_rescale(
+                    cell.multipliers["hprod"], p["hprod"], cell._gemv_h.bound), cell._gemv_h.bound),
+                "fc": (cell._fc, qmul_rescale(p_sig, p["c"], p["fc"]), 255 * 2**bits),
+                "ij": (cell._ij, qmul_rescale(p_sig, p_tanh, p["ij"]), 255 * 255),
+            }
+            for site, (centered, plain, bound) in pairs.items():
+                if bound <= 2**20:
+                    ops = np.arange(-bound, bound + 1, dtype=np.int64)
+                else:
+                    ops = rng.integers(-bound, bound, size=2**20, endpoint=True)
+                    ops[:2] = -bound, bound
+                z = p[site].zero_point
+                np.testing.assert_array_equal(centered(ops), plain(ops) - z, err_msg=site)
+
+
+class TestEvenDivision:
+    def test_matches_rounded_div_and_big_int(self):
+        rng = np.random.default_rng(42)
+        for _ in range(300):
+            den = 2 * int(rng.integers(1, 2**39))
+            top = 2**63 - 1 - den // 2
+            nums = [0, 1, -1, top, -top, den // 2, -(den // 2)]
+            # n = +-(k + 1/2) * den, the exact ties, and their neighbours
+            for k in rng.integers(0, top // den - 1, size=10).tolist():
+                tie = k * den + den // 2
+                nums += [v * s for v in (tie - 1, tie, tie + 1) for s in (1, -1)]
+            nums += [int(v) * s for v in rng.integers(0, top, size=20) for s in (1, -1)]
+            want = [_ref_round_div(v, den) for v in nums]
+            assert [rounded_div_even(v, den) for v in nums] == want
+            arr = np.array(nums, dtype=np.int64)
+            before = arr.copy()
+            assert rounded_div_even(arr, den).tolist() == want
+            assert rounded_div(arr, den).tolist() == want
+            np.testing.assert_array_equal(arr, before)
+
+    def test_broadcast_divisors(self):
+        rng = np.random.default_rng(42)
+        num = rng.integers(-(2**50), 2**50, size=(9, 6))
+        num[0] = 3 * 2**20 * np.array([1, -1, 3, -3, 5, -5])  # ties at den = 2^21
+        den = 2 * rng.integers(1, 2**20, size=6)
+        den[:] = np.where(np.arange(6) < 2, 2**21, den)
+        want = [[_ref_round_div(int(v), int(d)) for v, d in zip(row, den)] for row in num]
+        assert rounded_div_even(num, den).tolist() == want
+        assert rounded_div(num, den).tolist() == want
+
+
+def _ref_round(x: float) -> int:
+    """A float rounded half away from zero, exactly, via its rational value."""
+    r = Fraction(x)
+    return _ref_round_div(r.numerator, r.denominator)
+
+
+class TestQaddDiffBigInt:
+    def test_matches_big_int(self):
+        from irnn.quant import derive_params, qadd_diff
+
+        rng = np.random.default_rng(42)
+        f = 30
+        for _ in range(60):
+            bits = [int(b) for b in rng.choice([8, 16], size=3)]
+            pa, pb, pc = (
+                derive_params(-float(rng.uniform(0.01, 8)), float(rng.uniform(0.01, 8)), b)
+                for b in bits
+            )
+            raw_a = _ref_round(pa.scale / pc.scale * 2**f)
+            raw_b = _ref_round(pb.scale / pc.scale * 2**f)
+            qa = rng.integers(0, pa.qmax, size=300, endpoint=True)
+            qb = rng.integers(0, pb.qmax, size=300, endpoint=True)
+            qa[:4] = [0, pa.qmax, 0, pa.qmax]
+            qb[:4] = [0, pb.qmax, pb.qmax, 0]
+            want = [
+                min(max(_ref_round_div(raw_a * (a - pa.zero_point)
+                                       + raw_b * (b - pb.zero_point), 2**f)
+                        + pc.zero_point, 0), pc.qmax)
+                for a, b in zip(qa.tolist(), qb.tolist())
+            ]
+            got = qadd_diff(qa.astype(pa.dtype), pa, qb.astype(pb.dtype), pb, pc)
+            assert got.tolist() == want
+            assert [qadd_diff(int(a), pa, int(b), pb, pc) for a, b in zip(qa[:20], qb[:20])] == want[:20]

@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from irnn.fixedpoint import FxOverflow
+from irnn.fixedpoint import REQUANT_FRACTION_BITS, FxOverflow, requant_multiplier, to_fixed
 from irnn.madnorm import (
     GAUSSIAN_MAD_RATIO,
+    MadNormPlan,
     compute_stats,
     concentration_check,
     layernorm_ref,
@@ -15,7 +16,16 @@ from irnn.madnorm import (
     madnorm_ref,
     scale_convergence_check,
 )
-from irnn.quant import Observer, QuantParams, derive_params, quantize_tensor
+from irnn.quant import (
+    Observer,
+    QTensor,
+    QuantParams,
+    derive_params,
+    max_centered,
+    quantize_tensor,
+    requant_rescale,
+    sum_rescale,
+)
 
 
 def _gauss(rng, n):
@@ -175,6 +185,98 @@ class TestMadnormInt:
         qx = quantize_tensor(np.array([0.5, -0.5]), px)
         with pytest.raises(FxOverflow):
             madnorm_int(qx, px, tiny, derive_params(0.0, 1.0, 8), px)
+
+
+def _round_div(num: int, den: int) -> int:
+    """Python big-int num / den, rounded half away from zero."""
+    q, r = divmod(abs(num), den)
+    q += 2 * r >= den
+    return q if num >= 0 else -q
+
+
+def _clip(v: int, p: QuantParams) -> int:
+    return min(max(v, p.qmin), p.qmax)
+
+
+def _reference_codes(row, px, p_mu, p_xhat, p_d, p_y) -> list:
+    """Big-int MadNorm of one row of centered codes, in the uncentered
+    four-step form: mean, centering, deviation, division by max(q_d, 1)."""
+    f, h = REQUANT_FRACTION_BITS, len(row)
+    fx = requant_multiplier(px.scale / (p_mu.scale * h))
+    q_mu = _clip(_round_div(fx.raw * sum(row), 2**fx.fraction_bits) + p_mu.zero_point, p_mu)
+    raw_a = to_fixed(px.scale / p_xhat.scale, f).raw
+    raw_b = to_fixed(p_mu.scale / p_xhat.scale, f).raw
+    xhat = [
+        _clip(_round_div(raw_a * x + raw_b * (p_mu.zero_point - q_mu), 2**f)
+              + p_xhat.zero_point, p_xhat) - p_xhat.zero_point
+        for x in row
+    ]
+    fx = requant_multiplier(p_xhat.scale / (p_d.scale * h))
+    q_d = _clip(_round_div(fx.raw * sum(map(abs, xhat)), 2**fx.fraction_bits), p_d)
+    raw_y = to_fixed(p_xhat.scale / (p_y.scale * p_d.scale), f).raw
+    return [
+        _clip(_round_div(raw_y * v, max(q_d, 1) << f) + p_y.zero_point, p_y) for v in xhat
+    ]
+
+
+class TestPlanExactness:
+    """The compiled plan against a big-int reference of the four steps."""
+
+    @staticmethod
+    def _rows(rng, px, h):
+        lo, hi = -px.zero_point, px.qmax - px.zero_point
+        rows = rng.integers(lo, hi, size=(40, h), endpoint=True)
+        rows[0] = rows[0, 0]  # zero deviation: the division guard
+        rows[1] = lo
+        rows[2] = hi
+        rows[3, ::2], rows[3, 1::2] = lo, hi
+        rows[4] = 0
+        # spreads of one code around one value: the smallest deviations
+        rows[5:10] = rows[5:10, :1] + rng.integers(-1, 1, size=(5, h), endpoint=True)
+        return np.clip(rows, lo, hi)
+
+    def test_one_and_many_rows(self):
+        rng = np.random.default_rng(42)
+        for bits, h in ((8, 16), (16, 16), (8, 256), (16, 64)):
+            p = _calibrate(rng.normal(0.0, 1.0, size=(100, h)), bitwidth=bits)
+            args = (p["x"], p["mu"], p["xhat"], p["d"], p["y"])
+            plan = MadNormPlan(*args, h)
+            rows = self._rows(rng, p["x"], h)
+            before = rows.copy()
+            want = [_reference_codes(r, *args) for r in rows.tolist()]
+            z_y = p["y"].zero_point
+            # [N x h] in one call, and the same rows one at a time
+            assert (plan(rows) + z_y).tolist() == want, (bits, h)
+            for r, w in zip(rows, want):
+                assert (plan(r) + z_y).tolist() == w, (bits, h)
+                qx = QTensor((r + p["x"].zero_point).astype(p["x"].dtype), p["x"])
+                assert madnorm_int(qx, *args[1:]).data.tolist() == w
+            # leading shape [2 x 20 x h], one code path
+            stacked = plan(rows.reshape(2, 20, h)) + z_y
+            assert stacked.reshape(40, h).tolist() == want
+            assert plan(rows[:0]).shape == (0, h)
+            np.testing.assert_array_equal(rows, before)
+
+    def test_centered_steps_equal_uncentered_minus_zero(self):
+        # every input code of the mean and centering steps, 8-bit sites
+        rng = np.random.default_rng(42)
+        h = 16
+        p = _calibrate(rng.normal(0.0, 1.0, size=(100, h)))
+        px, p_mu, p_xhat = p["x"], p["mu"], p["xhat"]
+        plan = MadNormPlan(px, p_mu, p_xhat, p["d"], p["y"], h)
+        c = max_centered(px)
+        sums = np.arange(-h * c, h * c + 1, dtype=np.int64)
+        mean = requant_rescale(
+            requant_multiplier(px.scale / (p_mu.scale * h)), p_mu, h * c
+        )
+        np.testing.assert_array_equal(plan.mean(sums), mean(sums) - p_mu.zero_point)
+        xc = np.arange(-px.zero_point, px.qmax - px.zero_point + 1, dtype=np.int64)
+        q_mu = np.arange(p_mu.qmax + 1, dtype=np.int64)
+        center = sum_rescale(px.scale, p_mu.scale, p_xhat, (c, max_centered(p_mu)))
+        np.testing.assert_array_equal(
+            plan.center(xc[:, None], (q_mu - p_mu.zero_point)[None, :]),
+            center(xc[:, None], (p_mu.zero_point - q_mu)[None, :]) - p_xhat.zero_point,
+        )
 
 
 class TestTheory:

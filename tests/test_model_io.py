@@ -128,6 +128,24 @@ class TestContainer:
         with pytest.raises(ValueError, match="dangling tensor reference"):
             mio.load(_remanifest(mio.save(model), drop))
 
+    def test_fixed_point_fields_checked_before_use(self):
+        # 2**(2**40) would be a 128 GiB int; each field is checked first
+        data = mio.save(_toy_model()[0])
+        for field, value in (
+            ("fraction_bits", 2**40),
+            ("fraction_bits", 63),
+            ("fraction_bits", -1),
+            ("integral_bits", -1),
+            ("raw", 1.5),
+            ("fraction_bits", True),
+        ):
+
+            def edit(man):
+                man["cells"]["main"]["fx_hprod"][field] = value
+
+            with pytest.raises(ValueError, match="fixed-point fields"):
+                mio.load(_remanifest(data, edit))
+
     def test_model_kind_validation(self):
         model, _ = _toy_model()
         cell = model.cells["main"]
