@@ -47,6 +47,7 @@ __all__ = [
     "EXP_DOMAIN",
     "AttentionIntermediates",
     "AttentionPlan",
+    "AttentionSource",
     "AttentionWeights",
     "attach_context",
     "attention_int",
@@ -157,9 +158,11 @@ def _softmax_rescale(p_e: QuantParams, p_in: QuantParams, bound=None) -> Rescale
 
 
 def _softmax(q_e, to_table: Rescale, exp_lut: np.ndarray):
+    """Max-shifted exp weights and their sum; exp_lut covers the table grid,
+    so the clipped gather saturates an unsaturated to_table."""
     q_e = np.asarray(q_e)
-    shifted = q_e.astype(np.int64) - int(q_e.max())
-    q_exp = exp_lut.take(to_table(shifted))
+    shifted = np.subtract(q_e, q_e.max(), dtype=np.int64)
+    q_exp = exp_lut.take(to_table(shifted), mode="clip")
     denom = int(q_exp.sum(dtype=np.int64))
     if denom <= 0:
         raise AssertionError("softmax denominator must be positive")
@@ -189,13 +192,29 @@ def _degrade_denominator(denom: int, bits: int, t_enc: int, exp_bits: int) -> in
     return max(1, round_half_away(code * step))
 
 
+@dataclass(frozen=True)
+class AttentionSource:
+    """The per-source terms of an attention stage (AttentionPlan.source).
+
+    keys is the key projection as [m_att x T] codes; key_term is the key
+    term raws[1] * (K - Z_k) of the sumqk rescale, int64 [T x m_att]; henc
+    is the centered encoder states, float64 [T x m_enc], the context
+    matmul's operand.
+    """
+
+    keys: QTensor
+    key_term: np.ndarray
+    henc: np.ndarray
+
+
 class AttentionPlan:
     """One attention stage compiled into integer constants, GEMV operands and LUTs.
 
     Built once from the weights and the two tables, which it keeps under
     those names; nothing changes after construction, so one plan serves any
-    number of threads.  keys() is the per-source key projection and
-    intermediates() one decoder step.
+    number of threads.  source() computes the per-source terms once per
+    encoder sequence, context() runs one decoder step against them and
+    intermediates() runs the same step with every intermediate recorded.
     """
 
     def __init__(self, weights: AttentionWeights, exp_table: PwlTable, tanh_table: PwlTable):
@@ -204,25 +223,30 @@ class AttentionPlan:
             raise ValueError("exp output grid must put zero at code 0")
         self.weights, self.exp_table, self.tanh_table = weights, exp_table, tanh_table
         self._keys = _key_projection(w)
-        p_q, p_k = sites["qproj"], sites["kproj"]
+        p_q, p_k, p_sum = sites["qproj"], sites["kproj"], sites["sumqk"]
         self._gemv_q = ExactGemv(w.wq, sites["hdec"])
+        # qproj, e and the shifted e feed only centered operands or clipped
+        # gathers, so they come out centered or unsaturated
         self._qproj = requant_rescale(
             requant_multiplier(sites["hdec"].scale * w.wq.params.scale / p_q.scale),
             p_q,
             self._gemv_q.bound,
-        )
+        ).centered()
         self._sumqk = sum_rescale(
-            p_q.scale, p_k.scale, sites["sumqk"], (max_centered(p_q), max_centered(p_k))
-        )
+            p_q.scale, p_k.scale, p_sum, (max_centered(p_q), max_centered(p_k))
+        ).unsaturated()
         p_tanh = tanh_table.out_params
         self._gemv_e = ExactGemv(w.v, p_tanh)
         self._e = requant_rescale(
             requant_multiplier(w.v.params.scale * p_tanh.scale / sites["e"].scale),
             sites["e"],
             self._gemv_e.bound,
-        )
-        self._tanh_lut = tanh_table.lut_covering(sites["sumqk"])
-        self._to_exp = _softmax_rescale(sites["e"], exp_table.in_params, sites["e"].qmax)
+        ).centered()
+        # a view over the sumqk grid: a clipped index is a saturated code
+        self._tanh_lut = tanh_table.lut_covering(p_sum)[: p_sum.qmax + 1]
+        self._to_exp = _softmax_rescale(
+            sites["e"], exp_table.in_params, sites["e"].qmax
+        ).unsaturated()
         self._ctx_raw = to_fixed(
             sites["henc"].scale / sites["s"].scale, REQUANT_FRACTION_BITS
         ).raw
@@ -230,6 +254,37 @@ class AttentionPlan:
     def keys(self, q_Henc: QTensor) -> QTensor:
         """project_keys with the compiled projection."""
         return _project(q_Henc, self.weights.sites, *self._keys)
+
+    def source(self, q_Henc: QTensor, keys: QTensor | None = None) -> AttentionSource:
+        """The per-source terms for [T x m_enc] encoder states, computed once
+        for every decoder step against them.
+
+        Proves that the context accumulator fits over T states; FxOverflow
+        otherwise, before any step runs.
+        """
+        p_h, p_k = self.weights.sites["henc"], self.weights.sites["kproj"]
+        if q_Henc.params != p_h:
+            raise ValueError("uncalibrated-tensor: henc params differ from calibration")
+        if keys is None:
+            keys = self.keys(q_Henc)
+        T = q_Henc.data.shape[0]
+        num_bound = T * 2 ** (self.exp_table.out_params.bitwidth + p_h.bitwidth)
+        if abs(self._ctx_raw) * num_bound > _INT64_MAX or num_bound >= _F64_EXACT:
+            raise FxOverflow("context accumulator would overflow int64")
+        kc = np.subtract(keys.data.T, p_k.zero_point, dtype=np.int64)
+        key_term = self._sumqk.term(1, kc)
+        henc = np.subtract(q_Henc.data, p_h.zero_point, dtype=np.float64)
+        return AttentionSource(keys, key_term, henc)
+
+    def context(
+        self, q_hdec: QTensor, src: AttentionSource, denom_bits: int | None = None
+    ) -> QTensor:
+        """One decoder step's context vector s against a source's terms.
+
+        denom_bits degrades the 32-bit softmax denominator to the given
+        width before the final division; diagnostic only.
+        """
+        return self._step(q_hdec, src, denom_bits, None)
 
     def intermediates(
         self,
@@ -243,50 +298,45 @@ class AttentionPlan:
         denom_bits degrades the 32-bit softmax denominator to the given
         width before the final division; diagnostic only.
         """
+        src = self.source(q_Henc, keys)
+        rec = {"keys_proj": src.keys}
+        rec["s"] = self._step(q_hdec, src, denom_bits, rec)
+        return AttentionIntermediates(**rec)
+
+    def _step(self, q_hdec, src, denom_bits, rec):
+        """The step kernel; with rec a dict, it records the intermediates."""
         sites = self.weights.sites
-        if q_hdec.params != sites["hdec"]:
+        if q_hdec.params is not sites["hdec"] and q_hdec.params != sites["hdec"]:
             raise ValueError("uncalibrated-tensor: hdec params differ from calibration")
-        if keys is None:
-            keys = self.keys(q_Henc)
-        T = q_Henc.data.shape[0]
-        p_q, p_k, p_sum, p_e = sites["qproj"], sites["kproj"], sites["sumqk"], sites["e"]
+        p_sum, p_s = sites["sumqk"], sites["s"]
 
         q_qp = self._qproj(self._gemv_q(q_hdec.data))
-        q_sum = self._sumqk(
-            (q_qp - p_q.zero_point)[:, None],
-            np.subtract(keys.data, p_k.zero_point, dtype=np.int64),
-        )
-        q_tanh = self._tanh_lut.take(q_sum)
-        q_e = self._e(self._gemv_e(q_tanh.T)[:, 0])
+        q_sum = self._sumqk.finish(src.key_term + self._sumqk.term(0, q_qp))
+        q_e = self._e(self._gemv_e(self._tanh_lut.take(q_sum, mode="clip"))[:, 0])
         q_exp, denom = _softmax(q_e, self._to_exp, self.exp_table.lut)
 
-        exp_bits = self.exp_table.out_params.bitwidth
         div_denom = denom
         if denom_bits:
-            div_denom = _degrade_denominator(denom, denom_bits, T, exp_bits)
-
-        # weighted context: one rounded division per output element
-        p_h, p_s = sites["henc"], sites["s"]
-        num_bound = T * 2 ** (exp_bits + p_h.bitwidth)
-        if abs(self._ctx_raw) * num_bound > _INT64_MAX or num_bound >= _F64_EXACT:
-            raise FxOverflow("context accumulator would overflow int64")
-        # every partial sum is an integer below 2^53, so float64 is exact
-        num = q_exp.astype(np.float64) @ np.subtract(
-            q_Henc.data, p_h.zero_point, dtype=np.float64
-        )
+            div_denom = _degrade_denominator(
+                denom, denom_bits, len(q_e), self.exp_table.out_params.bitwidth
+            )
+        # weighted context: one rounded division per output element; every
+        # partial sum is an integer below 2^53 (source() proves it), so
+        # float64 is exact
+        num = q_exp.astype(np.float64) @ src.henc
         den = div_denom << REQUANT_FRACTION_BITS  # even and positive: f >= 1
         q_s = rounded_div_even(self._ctx_raw * num.astype(np.int64), den)
         q_s = saturate(q_s + p_s.zero_point, p_s.qmin, p_s.qmax).astype(p_s.dtype)
 
-        return AttentionIntermediates(
-            query_proj=QTensor(q_qp.astype(p_q.dtype), p_q),
-            keys_proj=keys,
-            sum_qk=QTensor(q_sum.astype(p_sum.dtype), p_sum),
-            e=QTensor(q_e.astype(p_e.dtype), p_e),
-            exp_e=QTensor(q_exp, self.exp_table.out_params),
-            denom=denom,
-            s=QTensor(q_s, p_s),
-        )
+        if rec is not None:
+            p_q, p_e = sites["qproj"], sites["e"]
+            rec["query_proj"] = QTensor((q_qp + p_q.zero_point).astype(p_q.dtype), p_q)
+            sat = saturate(q_sum.T.copy(), p_sum.qmin, p_sum.qmax)
+            rec["sum_qk"] = QTensor(sat.astype(p_sum.dtype), p_sum)
+            rec["e"] = QTensor((q_e + p_e.zero_point).astype(p_e.dtype), p_e)
+            rec["exp_e"] = QTensor(q_exp, self.exp_table.out_params)
+            rec["denom"] = denom
+        return QTensor(q_s, p_s)
 
 
 def attention_intermediates(

@@ -40,6 +40,8 @@ __all__ = [
 REQUANT_FRACTION_BITS = 30
 
 _INT64_MAX = 2**63 - 1
+# acc >> 63 is -1 where acc < 0, else 0
+_SIGN_SHIFT = np.asarray(63, dtype=np.int64)
 
 
 class FxOverflow(OverflowError):
@@ -219,22 +221,47 @@ class Rescale:
     are checked here, once: the accumulator plus the rounding add must fit
     int64, else FxOverflow.  Without them, every call checks the magnitudes
     of its own operands instead.  With lo and hi omitted nothing saturates.
+    A stacked rescale (see stack) has one term whose raw, lo and hi are
+    int64 arrays, one entry per operand element.  A rescale is not changed
+    after construction; with_bounds makes a variant.
     """
 
-    __slots__ = ("raws", "f", "zero", "lo", "hi", "per_call_check")
+    __slots__ = ("raws", "f", "zero", "lo", "hi", "per_call_check", "_arr")
 
     def __init__(self, raws, f: int, zero: int = 0, lo=None, hi=None, bounds=None):
         if not 1 <= len(raws) <= 2:
             raise ValueError("a rescale combines one or two terms")
         if f < 0:
             raise ValueError("fraction_bits must be >= 0")
-        self.raws = tuple(int(r) for r in raws)
+        self.raws = tuple(r if isinstance(r, np.ndarray) else int(r) for r in raws)
         self.f = f
         self.zero = int(zero)
         self.lo, self.hi = lo, hi
         self.per_call_check = bounds is None
         if bounds is not None:
             self._require_fit(bounds)
+        self._arr = None  # see _array_constants
+
+    def _array_constants(self) -> tuple:
+        """The int64-array path's constants (raws, half, f, zero, lo, hi) as
+        0-d arrays, which ufuncs take without converting a Python int on
+        every call; () where f is outside 1..63 or a constant is past int64.
+
+        Built on the first array call, so a rescale that only seeds a
+        variant (centered, with_bounds, stack) never builds them; threads
+        that race here build equal tuples."""
+        if self._arr is None:
+            arr, f = (), self.f
+            if 0 < f < 64:
+                try:
+                    consts = (*self.raws, 1 << (f - 1), f, self.zero or None, self.lo, self.hi)
+                    arr = tuple(
+                        None if v is None else np.asarray(v, dtype=np.int64) for v in consts
+                    )
+                except OverflowError:
+                    pass
+            self._arr = arr
+        return self._arr
 
     def _require_fit(self, mags) -> None:
         total = sum(abs(r) * int(m) for r, m in zip(self.raws, mags))
@@ -243,6 +270,10 @@ class Rescale:
 
     def term(self, k: int, t):
         """Operand k scaled into the accumulator (for hoisting a term)."""
+        if isinstance(t, np.ndarray):
+            arr = self._array_constants()
+            if arr:
+                return arr[k] * t
         return self.raws[k] * t
 
     def finish(self, acc):
@@ -250,33 +281,85 @@ class Rescale:
 
         An int64 array is rounded in place in one fresh array, never in acc;
         acc >> 63 is -1 where acc < 0, which makes it rounded_shift."""
-        f = self.f
-        if isinstance(acc, np.ndarray) and acc.dtype == np.int64 and 0 < f < 64:
-            out = acc >> 63
+        arr = self._arr if self._arr is not None else self._array_constants()
+        if arr and isinstance(acc, np.ndarray) and acc.dtype == np.int64:
+            *_, half, f, zero, lo, hi = arr
+            out = acc >> _SIGN_SHIFT
             out += acc
-            out += 1 << (f - 1)
+            out += half
             out >>= f
-            if self.zero:
-                out += self.zero
-        else:
-            out = rounded_shift(acc, f) + self.zero
+            if zero is not None:
+                out += zero
+            if lo is None:
+                return out
+            np.maximum(out, lo, out=out)
+            return np.minimum(out, hi, out=out)
+        out = rounded_shift(acc, self.f) + self.zero
         if self.lo is None:
             return out
         return saturate(out, self.lo, self.hi)
 
+    def with_bounds(self, lo, hi, zero: int | None = None) -> Rescale:
+        """The same multiply and rounding with other saturation bounds and,
+        given, another zero point."""
+        out = Rescale(self.raws, self.f, self.zero if zero is None else zero, lo, hi)
+        out.per_call_check = self.per_call_check
+        return out
+
     def centered(self) -> Rescale:
         """This rescale minus its zero point, exactly and with no add for it:
         saturate(r + z, lo, hi) - z == saturate(r, lo - z, hi - z)."""
-        out = Rescale(self.raws, self.f, 0, self.lo - self.zero, self.hi - self.zero)
-        out.per_call_check = self.per_call_check
+        return self.with_bounds(self.lo - self.zero, self.hi - self.zero, 0)
+
+    def unsaturated(self) -> Rescale:
+        """This rescale without its final clip, for a caller that clips
+        anyway: a LUT gather lut[:hi + 1].take(x, mode="clip") with lo == 0
+        is the saturation."""
+        return self.with_bounds(None, None)
+
+    @classmethod
+    def stack(cls, parts) -> Rescale:
+        """One rescale of a stacked operand, from (rescale, length, bound) parts.
+
+        Each part is a one-term, centered, saturating rescale applied to the
+        next `length` elements, whose magnitudes are at most `bound`.  Every
+        raw is lifted to the largest fraction-bit count f, which changes no
+        rounding: with g = f - k >= 1, A = raw * t + 2^(g-1) and s = 1 where
+        raw * t < 0, else 0, (raw << k) * t rounds to
+        floor((A - s / 2^k) / 2^g) and raw * t to floor((A - s) / 2^g), and
+        the two agree because no multiple of 2^g lies strictly between A - 1
+        and A.  (With g = 0 both give raw * t.)  The lifted accumulators
+        plus the rounding add must fit int64, else FxOverflow; the check is
+        made here, once.
+        """
+        f = max(r.f for r, _, _ in parts)
+        raws = []
+        for r, _, bound in parts:
+            if len(r.raws) != 1 or r.zero or r.lo is None:
+                raise ValueError("stacked parts are one-term, centered, saturating rescales")
+            raws.append(r.raws[0] << (f - r.f))
+            # max(bound, 1): the lifted raw itself must fit int64 too
+            if abs(raws[-1]) * max(int(bound), 1) + (1 << max(f - 1, 0)) > _INT64_MAX:
+                raise FxOverflow("stacked rescale accumulator would overflow int64")
+        sizes = [n for _, n, _ in parts]
+
+        def per_element(values):
+            return np.repeat(np.array(values, dtype=np.int64), sizes)
+
+        out = cls(
+            (per_element(raws),), f, 0,
+            per_element([r.lo for r, _, _ in parts]),
+            per_element([r.hi for r, _, _ in parts]),
+        )
+        out.per_call_check = False
         return out
 
     def __call__(self, *terms):
         if self.per_call_check:
             self._require_fit([np.abs(np.asarray(t)).max(initial=0) for t in terms])
-        acc = self.raws[0] * terms[0]
+        acc = self.term(0, terms[0])
         if len(terms) == 2:
-            acc = acc + self.raws[1] * terms[1]
+            acc = acc + self.term(1, terms[1])
         return self.finish(acc)
 
 

@@ -150,12 +150,12 @@ class _Encdec(_Graph):
     def int_run(self, model, xs):
         enc, att = model.cells["enc"], model.attention
         H = enc.run(quantize_tensor(xs, enc.sites["x"]))
-        keys = att.keys(H)
+        src = att.source(H)
         p_s = att.weights.sites["s"]
         ctx = np.empty((xs.shape[0], H.data.shape[1]), dtype=p_s.dtype)
 
         def attend(t, h):
-            s = att.intermediates(h, H, keys=keys).s
+            s = att.context(h, src)
             ctx[t] = s.data
             return s
 

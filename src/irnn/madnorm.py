@@ -128,8 +128,7 @@ class MadNormPlan:
         ).centered()
         self.dev = requant_rescale(
             requant_multiplier(p_xhat.scale / (p_d.scale * h)), p_d, h * max_centered(p_xhat)
-        )
-        self.dev.lo = 1
+        ).with_bounds(1, p_d.qmax)
         self.raw_y = to_fixed(p_xhat.scale / (p_y.scale * p_d.scale), f).raw
         if abs(self.raw_y) * 2**p_xhat.bitwidth > _INT64_MAX:
             raise FxOverflow("normalization numerator would overflow int64")

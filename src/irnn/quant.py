@@ -59,6 +59,11 @@ _INT32_MAX = 2**31 - 1
 _F64_EXACT = 2**53
 
 
+def _is_int(v) -> bool:
+    """An integer that is not a bool (bool is an int subclass)."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 @dataclass(frozen=True)
 class QuantParams:
     """Clipping range plus derived scale/zero-point for one tensor."""
@@ -70,14 +75,14 @@ class QuantParams:
     zero_point: int
 
     def __post_init__(self):
-        if self.bitwidth not in STORAGE_DTYPES:
-            raise ValueError(f"unsupported bitwidth {self.bitwidth}")
-        if not (np.isfinite(self.min) and np.isfinite(self.max)):
+        if not _is_int(self.bitwidth) or self.bitwidth not in STORAGE_DTYPES:
+            raise ValueError(f"unsupported bitwidth {self.bitwidth!r}")
+        if not (math.isfinite(self.min) and math.isfinite(self.max)):
             raise ValueError("range bounds must be finite")
-        if self.scale <= 0.0:
-            raise ValueError("scale must be positive")
-        if not 0 <= self.zero_point <= self.qmax:
-            raise ValueError("zero_point outside storage range")
+        if not (math.isfinite(self.scale) and self.scale > 0.0):
+            raise ValueError("scale must be finite and positive")
+        if not _is_int(self.zero_point) or not 0 <= self.zero_point <= self.qmax:
+            raise ValueError("zero_point must be an integer in the storage range")
 
     @property
     def qmin(self) -> int:
@@ -235,7 +240,8 @@ class ExactGemv:
             raise FxOverflow("matmul accumulator exceeds float64's exact integer range")
         self.w = w.T.astype(np.float64)
         self.w.flags.writeable = False
-        self.zero = p_in.zero_point
+        # a 0-d array: ufuncs take it without converting a Python int per call
+        self.zero = np.asarray(p_in.zero_point, dtype=np.float64)
         self.bias = None if bias is None else bias.astype(np.float64)
         self.per_call_check = bound > _INT32_MAX
         self.bound = min(bound, _INT32_MAX)

@@ -19,7 +19,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .fixedpoint import FxOverflow, requant_multiplier, round_half_away, saturate
+from .fixedpoint import FxOverflow, Rescale, requant_multiplier, round_half_away, saturate
 from .madnorm import MadNormPlan, compute_stats, madnorm_ref
 from .pwl import activation_registry, build_full, reduce
 from .quant import (
@@ -319,6 +319,9 @@ class IntLstmCell:
             pa.scale, pb.scale, p["sum1"], (max_centered(pa), max_centered(pb))
         )
 
+        # The last gate rescale feeds only the LUT gathers, which clip their
+        # indices to the grid, so it does not saturate; an earlier one keeps
+        # its saturation.  The context rescale reads centered sum1 codes.
         self._gemv_s = self._context = None
         if w.ws is not None:
             self._gemv_s = ExactGemv(w.ws, p["s"])
@@ -328,17 +331,29 @@ class IntLstmCell:
                 p["s"].scale * w.ws.params.scale,
                 p["preact"],
                 (max_centered(p["sum1"]), self._gemv_s.bound),
-            )
+            ).unsaturated()
+            self._sum1 = self._sum1.centered()
+        elif self._bias_codes is None:
+            self._sum1 = self._sum1.unsaturated()
 
         sig, tanh_gate, tanh_cell = (self.tables[k] for k in TABLE_NAMES)
         p_sig, p_tanh = sig.out_params, tanh_gate.out_params
-        self._sig_lut = sig.lut_covering(p_gate)
-        self._tanh_gate_lut = tanh_gate.lut_covering(p_gate)
+        # views over the gate grid: a clipped index is a saturated gate code
+        self._sig_lut = sig.lut_covering(p_gate)[: p_gate.qmax + 1]
+        self._tanh_gate_lut = tanh_gate.lut_covering(p_gate)[: p_gate.qmax + 1]
         self._tanh_cell_lut = tanh_cell.lut_covering(p["c"])
-        self._z_sig, self._z_tanh = p_sig.zero_point, p_tanh.zero_point
-        self._z_tanh_cell = tanh_cell.out_params.zero_point
-        self._fc = qmul_rescale(p_sig, p["c"], p["fc"]).centered()
-        self._ij = qmul_rescale(p_sig, p_tanh, p["ij"]).centered()
+        # 0-d arrays, which ufuncs take without converting a Python int
+        self._z_sig = np.asarray(p_sig.zero_point, dtype=np.int64)
+        self._z_tanh_cell = np.asarray(tanh_cell.out_params.zero_point, dtype=np.int64)
+        # the zero points of the stacked operand [tanh(j), c]
+        self._z_jc = np.repeat(
+            np.array([p_tanh.zero_point, p["c"].zero_point], dtype=np.int64), m
+        )
+        # ij and fc as one rescale of the stacked products [si * tj, sf * c]
+        self._ij_fc = Rescale.stack([
+            (qmul_rescale(p_sig, pb, p[site]).centered(), m, max_centered(p_sig) * max_centered(pb))
+            for site, pb in (("ij", p_tanh), ("fc", p["c"]))
+        ])
         self._c = sum_rescale(
             p["fc"].scale, p["ij"].scale, p["c"], (max_centered(p["fc"]), max_centered(p["ij"]))
         )
@@ -403,18 +418,22 @@ class IntLstmCell:
             hb = self._norm_h(hb)
         gates = self._sum1.finish(xb + self._sum1.term(1, hb))
         if self._bias_codes is not None:
-            gates = saturate(gates + self._bias_codes, p["sum1"].qmin, p["sum1"].qmax)
+            gates = gates + self._bias_codes
+            if self._gemv_s is not None:
+                gates = saturate(gates, self._sum1.lo, self._sum1.hi)
         if self._gemv_s is not None:
             self._require(qs, "s")
-            gates = self._context(gates - p["sum1"].zero_point, self._gemv_s(qs.data))
+            gates = self._context(gates, self._gemv_s(qs.data))
 
         m = self.hidden_size
-        sig = np.subtract(self._sig_lut.take(gates), self._z_sig, dtype=np.int64)
-        tj = np.subtract(
-            self._tanh_gate_lut.take(gates[2 * m : 3 * m]), self._z_tanh, dtype=np.int64
+        sig = np.subtract(self._sig_lut.take(gates, mode="clip"), self._z_sig, dtype=np.int64)
+        jc = np.concatenate(
+            (self._tanh_gate_lut.take(gates[2 * m : 3 * m], mode="clip"), state.c.data),
+            dtype=np.int64,
         )
-        c_old = np.subtract(state.c.data, p["c"].zero_point, dtype=np.int64)
-        q_c1 = self._c(self._fc(sig[m : 2 * m] * c_old), self._ij(sig[:m] * tj))
+        jc -= self._z_jc
+        ij_fc = self._ij_fc(sig[: 2 * m] * jc)
+        q_c1 = self._c(ij_fc[m:], ij_fc[:m])
         tc = np.subtract(self._tanh_cell_lut.take(q_c1), self._z_tanh_cell, dtype=np.int64)
         q_h1 = self._h(sig[3 * m :] * tc)
         ph, pc = p["h"], p["c"]

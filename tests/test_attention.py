@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from irnn.attention import (
+    EXP_DOMAIN,
+    AttentionPlan,
     AttentionWeights,
     _degrade_denominator,
     attach_context,
@@ -14,7 +16,8 @@ from irnn.attention import (
     integer_softmax_weights,
     project_keys,
 )
-from irnn.quant import QTensor, derive_params, quantize_tensor
+from irnn.fixedpoint import FxOverflow
+from irnn.quant import QTensor, QuantParams, derive_params, qadd_diff, quantize_tensor
 
 
 def _toy(seed, T=8, m_enc=16, m_dec=16, m_att=12, n_cal=200, pieces=32):
@@ -221,6 +224,93 @@ class TestIntAttention:
         qHe = quantize_tensor(rng.normal(0.0, 0.6, size=(8, 16)), w.sites["henc"])
         with pytest.raises(ValueError, match="uncalibrated-tensor"):
             attention_int(bad, qHe, w, expt, tanht)
+
+
+class TestLeanStep:
+    """AttentionPlan.context, the decoder's step, against intermediates()."""
+
+    def test_context_equals_intermediates(self):
+        rng, _, w, expt, tanht = _toy(42)
+        plan = AttentionPlan(w, expt, tanht)
+        for T, sigma in ((1, 0.6), (8, 0.6), (8, 3.0), (13, 1.5)):
+            qHe = quantize_tensor(rng.normal(0.0, sigma, size=(T, 16)), w.sites["henc"])
+            src = plan.source(qHe)
+            for _ in range(10):
+                qhd = quantize_tensor(rng.normal(0.0, sigma, size=16), w.sites["hdec"])
+                for bits in (None, 4, 8):
+                    want = plan.intermediates(qhd, qHe, denom_bits=bits).s
+                    got = plan.context(qhd, src, denom_bits=bits)
+                    assert got.params == want.params
+                    np.testing.assert_array_equal(got.data, want.data)
+
+    def test_sum_qk_holds_saturated_codes(self):
+        # wide inputs push the sums past the sumqk grid at both ends
+        rng, _, w, expt, tanht = _toy(42)
+        plan = AttentionPlan(w, expt, tanht)
+        p_q, p_k, p_sum = (w.sites[k] for k in ("qproj", "kproj", "sumqk"))
+        hit = set()
+        for _ in range(10):
+            qhd = quantize_tensor(rng.normal(0.0, 3.0, size=16), w.sites["hdec"])
+            qHe = quantize_tensor(rng.normal(0.0, 3.0, size=(8, 16)), w.sites["henc"])
+            inter = plan.intermediates(qhd, qHe)
+            want = qadd_diff(
+                inter.query_proj.data[:, None], p_q, inter.keys_proj.data, p_k, p_sum
+            )
+            np.testing.assert_array_equal(inter.sum_qk.data, want)
+            hit |= set(np.intersect1d(want, [p_sum.qmin, p_sum.qmax]).tolist())
+        assert hit == {p_sum.qmin, p_sum.qmax}
+
+    def test_exp_gather_clips_below_the_domain(self):
+        # alignments spread past the exp table's [-10, 0] domain: shifted
+        # codes below it clip to the table's first code, as the saturating
+        # integer_softmax_weights does
+        rng = np.random.default_rng(5)
+        T, m = 8, 16
+        wq, wk = rng.normal(0.0, 0.4, size=(2, m, m))
+        v = rng.normal(0.0, 3.0, size=m)
+        hdec_s = rng.normal(0.0, 0.6, size=(50, m))
+        w, expt, tanht = calibrate_attention(
+            wq, wk, v, hdec_s, rng.normal(0.0, 0.6, size=(50, T, m))
+        )
+        plan, p_e = AttentionPlan(w, expt, tanht), w.sites["e"]
+        below = 0
+        for hd in hdec_s[:20]:
+            qhd = quantize_tensor(hd, w.sites["hdec"])
+            qHe = quantize_tensor(rng.normal(0.0, 0.6, size=(T, m)), w.sites["henc"])
+            inter = plan.intermediates(qhd, qHe)
+            q_exp, denom = integer_softmax_weights(inter.e.data, p_e, expt)
+            np.testing.assert_array_equal(inter.exp_e.data, q_exp)
+            assert inter.denom == denom
+            spread = (int(inter.e.data.max()) - inter.e.data.astype(np.int64)) * p_e.scale
+            below += int((spread > -EXP_DOMAIN[0] + 0.1).sum())
+        assert below > 0
+
+    def test_context_overflow_rejected_by_source(self):
+        # a context grid 4096x finer than the encoder's makes the context
+        # multiplier about 2^42, so T * 2^16 codes overflow int64 past T ~ 32
+        rng, _, w, expt, tanht = _toy(42, n_cal=16)
+        p_h, p_s = w.sites["henc"], w.sites["s"]
+        fine = QuantParams(p_s.min, p_s.max, 8, p_h.scale / 4096 * 1.3, p_s.zero_point)
+        plan = AttentionPlan(
+            AttentionWeights(w.wq, w.wk, w.v, {**w.sites, "s": fine}), expt, tanht
+        )
+        bits = expt.out_params.bitwidth + p_h.bitwidth
+        longest = (2**63 - 1) // (plan._ctx_raw << bits)
+        assert 1 <= longest < 64
+        ok = quantize_tensor(rng.normal(0.0, 0.6, size=(longest, 16)), p_h)
+        plan.source(ok)
+        over = quantize_tensor(rng.normal(0.0, 0.6, size=(longest + 1, 16)), p_h)
+        with pytest.raises(FxOverflow, match="context accumulator"):
+            plan.source(over)
+
+    def test_source_checks_encoder_params(self):
+        rng, _, w, expt, tanht = _toy(42, n_cal=16)
+        plan = AttentionPlan(w, expt, tanht)
+        qHe = quantize_tensor(rng.normal(0.0, 0.6, size=(8, 16)), w.sites["henc"])
+        keys = plan.keys(qHe)
+        bad = quantize_tensor(rng.normal(0.0, 0.6, size=(8, 16)), derive_params(-9, 9, 8))
+        with pytest.raises(ValueError, match="uncalibrated-tensor"):
+            plan.source(bad, keys)
 
 
 class TestAttachContext:

@@ -340,6 +340,12 @@ def bad_files(tmp_path_factory):
         "no_cells": lambda man: man.pop("cells"),
         # the xprod multiplier no longer fits its fixed-point form
         "x_scale": lambda man: man["cells"]["main"]["sites"]["x"].update(scale=2.0**40),
+        # QuantParams fields of the wrong type or value
+        "float_bits": lambda man: man["cells"]["main"]["sites"]["h"].update(bitwidth=8.0),
+        "frac_zero": lambda man: man["cells"]["main"]["sites"]["h"].update(zero_point=3.5),
+        "nan_scale": lambda man: man["cells"]["main"]["sites"]["h"].update(scale=float("nan")),
+        "bool_zero": lambda man: man["cells"]["main"]["sites"]["c"].update(zero_point=True),
+        "inf_scale": lambda man: man["cells"]["main"]["sites"]["c"].update(scale=float("inf")),
     }
     for name, mutate in edits.items():
         files[name] = d / f"{name}.irnn"
@@ -371,6 +377,11 @@ _BAD_INPUTS = {
     "run-manifest-missing-site": (["run", "{no_site}"], 3),
     "run-manifest-missing-cells": (["run", "{no_cells}"], 3),
     "run-multiplier-overflows": (["run", "{x_scale}"], 3),
+    "run-float-bitwidth": (["run", "{float_bits}"], 3),
+    "run-fractional-zero-point": (["run", "{frac_zero}"], 3),
+    "run-nan-scale": (["run", "{nan_scale}"], 3),
+    "run-bool-zero-point": (["run", "{bool_zero}"], 3),
+    "run-inf-scale": (["run", "{inf_scale}"], 3),
 }
 
 

@@ -388,7 +388,8 @@ class TestCenteredRescale:
     def test_cell_rescales(self):
         """Every centered site of a compiled cell equals quant's uncentered
         rescale minus Z: on every operand its bound admits, or on 2^20 of
-        them, both ends included, where the bound passes 2^20."""
+        them, both ends included, where the bound passes 2^20.  fc and ij
+        are the two blocks of the cell's stacked rescale."""
         from irnn.quant import qmul_rescale, requant_rescale
         from irnn.rnn import CellConfig, calibrate_lstm_cell
 
@@ -408,8 +409,10 @@ class TestCenteredRescale:
                     cell.multipliers["xprod"], p["xprod"], cell._gemv_x.bound), cell._gemv_x.bound),
                 "hprod": (cell._hprod, requant_rescale(
                     cell.multipliers["hprod"], p["hprod"], cell._gemv_h.bound), cell._gemv_h.bound),
-                "fc": (cell._fc, qmul_rescale(p_sig, p["c"], p["fc"]), 255 * 2**bits),
-                "ij": (cell._ij, qmul_rescale(p_sig, p_tanh, p["ij"]), 255 * 255),
+                "fc": (_block(cell._ij_fc, 1, m), qmul_rescale(p_sig, p["c"], p["fc"]),
+                       255 * 2**bits),
+                "ij": (_block(cell._ij_fc, 0, m), qmul_rescale(p_sig, p_tanh, p["ij"]),
+                       255 * 255),
             }
             for site, (centered, plain, bound) in pairs.items():
                 if bound <= 2**20:
@@ -419,6 +422,113 @@ class TestCenteredRescale:
                     ops[:2] = -bound, bound
                 z = p[site].zero_point
                 np.testing.assert_array_equal(centered(ops), plain(ops) - z, err_msg=site)
+
+
+def _block(stacked: Rescale, k: int, m: int):
+    """Block k of a rescale stacked from m-element blocks, as a rescale of
+    operands for that block alone: they fill its rows, the other blocks 0."""
+
+    def run(ops):
+        rows = -(-len(ops) // m)
+        stacked_ops = np.zeros((rows, len(stacked.raws[0])), dtype=np.int64)
+        flat = np.zeros(rows * m, dtype=np.int64)
+        flat[: len(ops)] = ops
+        stacked_ops[:, k * m : (k + 1) * m] = flat.reshape(rows, m)
+        return stacked(stacked_ops)[:, k * m : (k + 1) * m].ravel()[: len(ops)]
+
+    return run
+
+
+class TestStackedRescale:
+    """Rescale.stack against the separate rescales it stacks."""
+
+    @staticmethod
+    def _parts(pa, pb, pc, pd, pe):
+        from irnn.quant import max_centered, qmul_rescale
+
+        return (
+            (qmul_rescale(pa, pb, pc).centered(), max_centered(pa) * max_centered(pb)),
+            (qmul_rescale(pa, pd, pe).centered(), max_centered(pa) * max_centered(pd)),
+        )
+
+    def test_equals_separate_rescales(self):
+        """The lstm cell's ij/fc pair: every admitted operand at 8 bits, and
+        2^20 of them, both ends included, at 16 bits; plus random grids, on
+        which the two fraction-bit counts differ by as much as 18."""
+        from irnn.quant import derive_params
+
+        rng = np.random.default_rng(42)
+        p_sig, p_tanh = derive_params(0.0, 1.0, 8), derive_params(-1.0, 1.0, 8)
+        cases = []
+        for bits in (8, 16):
+            p_c = derive_params(-3.1, 2.7, bits)
+            cases.append((p_sig, p_tanh, derive_params(-0.9, 1.0, bits), p_c,
+                          derive_params(-2.9, 2.6, bits)))
+        for _ in range(20):
+            bits = int(rng.choice([8, 16]))
+            grid = lambda lo, hi: derive_params(-lo, hi, bits)
+            spans = 2.0 ** rng.uniform(-10, 10, size=4)
+            cases.append((p_sig, p_tanh, grid(*spans[:2]), grid(2.0, 3.0), grid(*spans[2:])))
+        m = 5
+        for case in cases:
+            (ij, ij_bound), (fc, fc_bound) = self._parts(*case)
+            stacked = Rescale.stack(((ij, m, ij_bound), (fc, m, fc_bound)))
+            assert stacked.f == max(ij.f, fc.f)
+            for k, (op, bound) in enumerate(((ij, ij_bound), (fc, fc_bound))):
+                if bound <= 2**20:
+                    ops = np.arange(-bound, bound + 1, dtype=np.int64)
+                else:
+                    ops = rng.integers(-bound, bound, size=2**20, endpoint=True)
+                    ops[:2] = -bound, bound
+                np.testing.assert_array_equal(_block(stacked, k, m)(ops), op(ops))
+
+    def test_exact_lift_at_ties(self):
+        # raw * t = (j + 1/2) * 2^g exactly: the lifted raw must round the tie
+        # away from zero on both signs, as the unlifted one does
+        for g in range(1, 20):
+            for k in (1, 7, 30):
+                low = Rescale((1,), g, 0, -(2**40), 2**40)
+                high = Rescale((1,), g + k, 0, -(2**40), 2**40)
+                stacked = Rescale.stack(((low, 1, 2**30), (high, 1, 2**20)))
+                ties = np.array([(2 * j + 1) << (g - 1) for j in range(-4, 4)], dtype=np.int64)
+                for t in (ties - 1, ties, ties + 1):
+                    got = stacked(np.stack([t, np.zeros_like(t)], axis=1))[:, 0]
+                    np.testing.assert_array_equal(got, low(t))
+
+    def test_lifted_overflow_rejected_at_construction(self):
+        # each part fits on its own; lifting the 8-fraction-bit raw by 40
+        # bits does not
+        wide = Rescale((2**20,), 8, 0, -255, 255, bounds=(2**20,))
+        deep = Rescale((3,), 48, 0, -255, 255, bounds=(2**20,))
+        with pytest.raises(FxOverflow):
+            Rescale.stack(((wide, 4, 2**20), (deep, 4, 2**20)))
+        # a smaller bound leaves room
+        Rescale.stack(((wide, 4, 2**2), (deep, 4, 2**20)))
+
+    def test_rejects_uncentered_or_unsaturated_parts(self):
+        op = Rescale((3,), 8, 0, -10, 10)
+        bad_parts = (Rescale((3,), 8, 1, -10, 10), Rescale((3,), 8), Rescale((1, 2), 8, 0, -1, 1))
+        for bad in bad_parts:
+            with pytest.raises(ValueError):
+                Rescale.stack(((op, 2, 10), (bad, 2, 10)))
+
+
+class TestClippedGather:
+    def test_equals_saturate_then_take(self):
+        rng = np.random.default_rng(42)
+        for qmax, extra in ((255, 0), (255, 40), (65535, 0)):
+            # a table longer than the grid it serves (lut_covering keeps a
+            # wider table's own lut) is cut to the grid first
+            lut = rng.integers(0, 256, size=qmax + 1 + extra).astype(np.uint8)
+            codes = np.concatenate([
+                np.arange(-300, 0), np.arange(0, qmax + 1, max(1, qmax // 1000)),
+                np.arange(qmax - 5, qmax + 300), [-(2**40), 2**40],
+            ]).astype(np.int64)
+            want = lut.take(saturate(codes.copy(), 0, qmax))
+            np.testing.assert_array_equal(lut[: qmax + 1].take(codes, mode="clip"), want)
+            np.testing.assert_array_equal(
+                Rescale((1,), 0, 0, 0, qmax).unsaturated()(codes), codes
+            )
 
 
 class TestEvenDivision:

@@ -78,6 +78,25 @@ class TestDeriveParams:
             derive_params(float("nan"), 1.0, 8)
 
 
+class TestQuantParams:
+    def test_field_types_and_values_checked(self):
+        good = dict(min=-1.0, max=1.0, bitwidth=8, scale=2 / 255, zero_point=128)
+        QuantParams(**good)
+        QuantParams(**{**good, "bitwidth": np.int64(8), "zero_point": np.uint8(128)})
+        bad = {
+            "bitwidth": (8.0, True, "8", 12),
+            "zero_point": (3.5, 128.0, True, -1, 256, None),
+            "scale": (0.0, -1.0, float("nan"), float("inf")),
+            "min": (float("-inf"), float("nan")),
+        }
+        for field, values in bad.items():
+            for value in values:
+                with pytest.raises((ValueError, TypeError)):
+                    QuantParams(**{**good, field: value})
+        with pytest.raises(ValueError, match="finite and positive"):
+            QuantParams(**{**good, "scale": float("inf")})
+
+
 class TestQuantizeDequantize:
     def test_worked_example(self):
         assert quantize(0.2, P_UNIT) == 154

@@ -8,7 +8,11 @@ import numpy as np
 import pytest
 
 from irnn import graph
-from irnn.quant import QTensor, derive_params, quantize_tensor
+from irnn.attention import attach_context
+from irnn.fixedpoint import round_half_away, saturate
+from irnn.madnorm import madnorm_int
+from irnn.pwl import eval_int
+from irnn.quant import QTensor, derive_params, qadd_diff, qlinear, qmul, quantize_tensor
 from irnn.rnn import (
     GATE_ORDER,
     CellConfig,
@@ -327,6 +331,77 @@ class TestCompiledCell:
         np.testing.assert_array_equal(
             cell.run(qxs, lambda t, h: QTensor(qss.data[t], qss.params)).data, np.stack(stepped)
         )
+
+
+def _reference_step(cell, qx, state, qs=None):
+    """One cell step composed of the compile-then-apply wrappers, with every
+    site saturated on its own grid: the cell's semantics, written out.
+    Returns (h', c', the sum1 codes before any bias or context)."""
+    p, w, m = cell.sites, cell.weights, cell.hidden_size
+    p_sig = cell.tables["sigmoid"].out_params
+    p_tanh = cell.tables["tanh_gate"].out_params
+    p_tc = cell.tables["tanh_cell"].out_params
+    mn = cell.cfg.use_madnorm
+    bias = None if mn else w.bias
+    xprod = qlinear(qx, w.wx, p["xprod"], bias, cell.multipliers["xprod"])
+    hprod = qlinear(state.h, w.wh, p["hprod"], None, cell.multipliers["hprod"])
+    if mn:
+        xprod = madnorm_int(xprod, *(p[f"mnx_{k}"] for k in ("mu", "xhat", "d", "y")))
+        hprod = madnorm_int(hprod, *(p[f"mnh_{k}"] for k in ("mu", "xhat", "d", "y")))
+    gates = sum1 = qadd_diff(xprod.data, xprod.params, hprod.data, hprod.params, p["sum1"])
+    if mn and w.bias is not None:
+        codes = round_half_away(
+            w.bias.astype(np.float64) * p["x"].scale * w.wx.params.scale / p["sum1"].scale
+        )
+        gates = saturate(gates.astype(np.int64) + codes, 0, p["sum1"].qmax)
+        gates = gates.astype(p["sum1"].dtype)
+    if qs is not None:
+        gates = attach_context(QTensor(gates, p["sum1"]), w.ws, qs, p["preact"]).data
+    sig = eval_int(cell.tables["sigmoid"], gates)
+    tj = eval_int(cell.tables["tanh_gate"], gates[2 * m : 3 * m])
+    fc = qmul(sig[m : 2 * m], p_sig, state.c.data, p["c"], p["fc"])
+    ij = qmul(sig[:m], p_sig, tj, p_tanh, p["ij"])
+    c1 = qadd_diff(fc, p["fc"], ij, p["ij"], p["c"])
+    h1 = qmul(sig[3 * m :], p_sig, eval_int(cell.tables["tanh_cell"], c1), p_tc, p["h"])
+    return h1, c1, sum1
+
+
+class TestReferenceStep:
+    """IntLstmCell.step against _reference_step on cells whose gate grid is
+    narrowed to a quarter of its calibrated range, so that gate codes
+    saturate often; a bias then pulls saturated codes back inside."""
+
+    @pytest.mark.parametrize("bits", [8, 16])
+    @pytest.mark.parametrize("madnorm", [False, True])
+    @pytest.mark.parametrize("context", [False, True])
+    def test_step_equals_reference(self, bits, madnorm, context):
+        rng = np.random.default_rng(11)
+        n, m, m_enc, T = 6, 8, 5, 24
+        wx, wh, bias = _toy_weights(rng, n, m)
+        bias = bias * 20
+        ws = rng.normal(0.0, 0.3, size=(4 * m, m_enc)) if context else None
+        cal = rng.normal(0.0, 1.0, size=(4, T, n))
+        s_cal = rng.normal(0.0, 0.5, size=(4, T, m_enc)) if context else None
+        cfg = CellConfig(cell_bits=bits, preact_bits=bits, use_madnorm=madnorm)
+        cell = calibrate_lstm_cell(wx, wh, bias, cal, cfg, ws=ws, s_seqs=s_cal)
+        sites = dict(cell.sites)
+        p = sites["sum1"]
+        sites["sum1"] = derive_params(p.min / 4, p.max / 4, p.bitwidth)
+        cell = IntLstmCell(cell.weights, cfg, sites, cell.tables)
+        qxs = quantize_tensor(rng.normal(0.0, 1.0, size=(T, n)), sites["x"])
+        qss = None
+        if context:
+            qss = quantize_tensor(rng.normal(0.0, 0.5, size=(T, m_enc)), sites["s"])
+        state, clipped = cell.initial_state(), 0
+        for t in range(T):
+            qx = QTensor(qxs.data[t], qxs.params)
+            qs = None if qss is None else QTensor(qss.data[t], qss.params)
+            h1, c1, sum1 = _reference_step(cell, qx, state, qs)
+            state = cell.step(qx, state, qs)
+            np.testing.assert_array_equal(state.h.data, h1)
+            np.testing.assert_array_equal(state.c.data, c1)
+            clipped += int(np.isin(sum1, [0, sites["sum1"].qmax]).sum())
+        assert clipped > 0
 
 
 class TestBilstm:
