@@ -136,20 +136,16 @@ def _key_projection(w: AttentionWeights) -> tuple[ExactGemv, Rescale]:
     return gemv, requant_rescale(fx, sites["kproj"], gemv.bound)
 
 
-def _project(q_Henc: QTensor, sites: dict, gemv: ExactGemv, rescale: Rescale):
-    p_k = sites["kproj"]
-    if q_Henc.params != sites["henc"]:
-        raise ValueError("uncalibrated-tensor: henc params differ from calibration")
-    return QTensor(rescale(gemv(q_Henc.data)).T.astype(p_k.dtype), p_k)
-
-
 def project_keys(q_Henc: QTensor, w: AttentionWeights) -> QTensor:
     """Encoder-side projection Wk @ h_enc_i for all i, as [m_att x T] codes.
 
-    Depends only on the encoder states, so callers decoding many steps
-    against one source sequence compute it once.
+    AttentionPlan.source computes the same keys, centered, once per source.
     """
-    return _project(q_Henc, w.sites, *_key_projection(w))
+    if q_Henc.params != w.sites["henc"]:
+        raise ValueError("uncalibrated-tensor: henc params differ from calibration")
+    gemv, rescale = _key_projection(w)
+    p_k = w.sites["kproj"]
+    return QTensor(rescale(gemv(q_Henc.data)).T.astype(p_k.dtype), p_k)
 
 
 def _softmax_rescale(p_e: QuantParams, p_in: QuantParams, bound=None) -> Rescale:
@@ -181,11 +177,12 @@ def integer_softmax_weights(q_e, p_e: QuantParams, exp_table: PwlTable):
 
 
 def _degrade_denominator(denom: int, bits: int, t_enc: int, exp_bits: int) -> int:
-    """Affine-requantize the denominator to `bits` over [0, T * exp_max].
+    """Affine-requantize a recorded denominator to `bits` over [0, T * exp_max].
 
-    Diagnostic only: models storing the softmax denominator at a narrow
-    bitwidth instead of the full 32-bit sum.  The grid step is proportional
-    to T, so concentrated attention (small denominators) loses the most.
+    A diagnostic applied to AttentionIntermediates.denom: it models storing
+    the softmax denominator at a narrow bitwidth instead of the full 32-bit
+    sum.  The grid step is proportional to T, so concentrated attention
+    (small denominators) loses the most.
     """
     step = t_enc * (2**exp_bits - 1) / (2**bits - 1)
     code = min(2**bits - 1, round_half_away(denom / step))
@@ -196,13 +193,13 @@ def _degrade_denominator(denom: int, bits: int, t_enc: int, exp_bits: int) -> in
 class AttentionSource:
     """The per-source terms of an attention stage (AttentionPlan.source).
 
-    keys is the key projection as [m_att x T] codes; key_term is the key
-    term raws[1] * (K - Z_k) of the sumqk rescale, int64 [T x m_att]; henc
-    is the centered encoder states, float64 [T x m_enc], the context
-    matmul's operand.
+    keys is the centered key projection K - Z_k, int64 [T x m_att];
+    key_term is the sumqk rescale's key term raws[1] * (K - Z_k); henc is
+    the centered encoder states, float64 [T x m_enc], the context matmul's
+    operand.
     """
 
-    keys: QTensor
+    keys: np.ndarray
     key_term: np.ndarray
     henc: np.ndarray
 
@@ -222,11 +219,12 @@ class AttentionPlan:
         if exp_table.out_params.zero_point != 0:
             raise ValueError("exp output grid must put zero at code 0")
         self.weights, self.exp_table, self.tanh_table = weights, exp_table, tanh_table
-        self._keys = _key_projection(w)
+        self._gemv_k, kproj = _key_projection(w)
         p_q, p_k, p_sum = sites["qproj"], sites["kproj"], sites["sumqk"]
         self._gemv_q = ExactGemv(w.wq, sites["hdec"])
-        # qproj, e and the shifted e feed only centered operands or clipped
-        # gathers, so they come out centered or unsaturated
+        # kproj, qproj, e and the shifted e feed only centered operands or
+        # clipped gathers, so they come out centered or unsaturated
+        self._kproj = kproj.centered()
         self._qproj = requant_rescale(
             requant_multiplier(sites["hdec"].scale * w.wq.params.scale / p_q.scale),
             p_q,
@@ -251,59 +249,39 @@ class AttentionPlan:
             sites["henc"].scale / sites["s"].scale, REQUANT_FRACTION_BITS
         ).raw
 
-    def keys(self, q_Henc: QTensor) -> QTensor:
-        """project_keys with the compiled projection."""
-        return _project(q_Henc, self.weights.sites, *self._keys)
-
-    def source(self, q_Henc: QTensor, keys: QTensor | None = None) -> AttentionSource:
+    def source(self, q_Henc: QTensor) -> AttentionSource:
         """The per-source terms for [T x m_enc] encoder states, computed once
         for every decoder step against them.
 
-        Proves that the context accumulator fits over T states; FxOverflow
-        otherwise, before any step runs.
+        Proves that the context division fits int64 over T states; FxOverflow
+        otherwise, before the keys are projected or any step runs.
         """
-        p_h, p_k = self.weights.sites["henc"], self.weights.sites["kproj"]
+        p_h = self.weights.sites["henc"]
         if q_Henc.params != p_h:
             raise ValueError("uncalibrated-tensor: henc params differ from calibration")
-        if keys is None:
-            keys = self.keys(q_Henc)
         T = q_Henc.data.shape[0]
-        num_bound = T * 2 ** (self.exp_table.out_params.bitwidth + p_h.bitwidth)
-        if abs(self._ctx_raw) * num_bound > _INT64_MAX or num_bound >= _F64_EXACT:
+        p_exp = self.exp_table.out_params
+        num_bound = T * 2 ** (p_exp.bitwidth + p_h.bitwidth)
+        # rounded_div_even adds half the denominator to the scaled sum
+        half_den = T * p_exp.qmax << (REQUANT_FRACTION_BITS - 1)
+        if abs(self._ctx_raw) * num_bound + half_den > _INT64_MAX or num_bound >= _F64_EXACT:
             raise FxOverflow("context accumulator would overflow int64")
-        kc = np.subtract(keys.data.T, p_k.zero_point, dtype=np.int64)
-        key_term = self._sumqk.term(1, kc)
+        keys = self._kproj(self._gemv_k(q_Henc.data))
         henc = np.subtract(q_Henc.data, p_h.zero_point, dtype=np.float64)
-        return AttentionSource(keys, key_term, henc)
+        return AttentionSource(keys, self._sumqk.term(1, keys), henc)
 
-    def context(
-        self, q_hdec: QTensor, src: AttentionSource, denom_bits: int | None = None
-    ) -> QTensor:
-        """One decoder step's context vector s against a source's terms.
+    def context(self, q_hdec: QTensor, src: AttentionSource) -> QTensor:
+        """One decoder step's context vector s against a source's terms."""
+        return self._step(q_hdec, src, None)
 
-        denom_bits degrades the 32-bit softmax denominator to the given
-        width before the final division; diagnostic only.
-        """
-        return self._step(q_hdec, src, denom_bits, None)
-
-    def intermediates(
-        self,
-        q_hdec: QTensor,
-        q_Henc: QTensor,
-        keys: QTensor | None = None,
-        denom_bits: int | None = None,
-    ) -> AttentionIntermediates:
-        """Integer attention with every intermediate exposed.
-
-        denom_bits degrades the 32-bit softmax denominator to the given
-        width before the final division; diagnostic only.
-        """
-        src = self.source(q_Henc, keys)
-        rec = {"keys_proj": src.keys}
-        rec["s"] = self._step(q_hdec, src, denom_bits, rec)
+    def intermediates(self, q_hdec: QTensor, q_Henc: QTensor) -> AttentionIntermediates:
+        """Integer attention with every intermediate exposed."""
+        src, p_k = self.source(q_Henc), self.weights.sites["kproj"]
+        rec = {"keys_proj": QTensor((src.keys.T + p_k.zero_point).astype(p_k.dtype), p_k)}
+        rec["s"] = self._step(q_hdec, src, rec)
         return AttentionIntermediates(**rec)
 
-    def _step(self, q_hdec, src, denom_bits, rec):
+    def _step(self, q_hdec, src, rec):
         """The step kernel; with rec a dict, it records the intermediates."""
         sites = self.weights.sites
         if q_hdec.params is not sites["hdec"] and q_hdec.params != sites["hdec"]:
@@ -315,16 +293,11 @@ class AttentionPlan:
         q_e = self._e(self._gemv_e(self._tanh_lut.take(q_sum, mode="clip"))[:, 0])
         q_exp, denom = _softmax(q_e, self._to_exp, self.exp_table.lut)
 
-        div_denom = denom
-        if denom_bits:
-            div_denom = _degrade_denominator(
-                denom, denom_bits, len(q_e), self.exp_table.out_params.bitwidth
-            )
         # weighted context: one rounded division per output element; every
         # partial sum is an integer below 2^53 (source() proves it), so
         # float64 is exact
         num = q_exp.astype(np.float64) @ src.henc
-        den = div_denom << REQUANT_FRACTION_BITS  # even and positive: f >= 1
+        den = denom << REQUANT_FRACTION_BITS  # even and positive: f >= 1
         q_s = rounded_div_even(self._ctx_raw * num.astype(np.int64), den)
         q_s = saturate(q_s + p_s.zero_point, p_s.qmin, p_s.qmax).astype(p_s.dtype)
 
@@ -345,16 +318,9 @@ def attention_intermediates(
     w: AttentionWeights,
     exp_table: PwlTable,
     tanh_table: PwlTable,
-    keys: QTensor | None = None,
-    denom_bits: int | None = None,
 ) -> AttentionIntermediates:
-    """Integer attention with every intermediate exposed (see AttentionPlan).
-
-    denom_bits degrades the 32-bit softmax denominator to the given width
-    before the final division; diagnostic only.
-    """
-    plan = AttentionPlan(w, exp_table, tanh_table)
-    return plan.intermediates(q_hdec, q_Henc, keys=keys, denom_bits=denom_bits)
+    """Integer attention with every intermediate exposed (see AttentionPlan)."""
+    return AttentionPlan(w, exp_table, tanh_table).intermediates(q_hdec, q_Henc)
 
 
 def attention_int(
@@ -363,13 +329,9 @@ def attention_int(
     w: AttentionWeights,
     exp_table: PwlTable,
     tanh_table: PwlTable,
-    keys: QTensor | None = None,
-    denom_bits: int | None = None,
 ):
     """Integer attention; returns (context QTensor, exp-weight QTensor)."""
-    inter = attention_intermediates(
-        q_hdec, q_Henc, w, exp_table, tanh_table, keys=keys, denom_bits=denom_bits
-    )
+    inter = attention_intermediates(q_hdec, q_Henc, w, exp_table, tanh_table)
     return inter.s, inter.exp_e
 
 
@@ -423,29 +385,18 @@ def freeze_attention(
     return weights, exp_table, tanh_table
 
 
-def calibrate_attention(
-    wq,
-    wk,
-    v,
-    hdec_samples,
-    henc_samples,
-    pieces: int = 32,
-    p_hdec: QuantParams | None = None,
-    p_henc: QuantParams | None = None,
-):
+def calibrate_attention(wq, wk, v, hdec_samples, henc_samples, pieces: int = 32):
     """Observe float attention over samples, then freeze (see freeze_attention).
 
-    hdec_samples is [N x m_dec]; henc_samples is [N x T x m_enc].  Existing
-    hidden-state params may be passed in; otherwise they are derived from
-    the samples.  Returns (AttentionWeights, exp_table, tanh_table).
+    hdec_samples is [N x m_dec]; henc_samples is [N x T x m_enc]; the
+    hidden-state params are derived from them.  Returns (AttentionWeights,
+    exp_table, tanh_table).
     """
     hdec_samples = np.asarray(hdec_samples, dtype=np.float64)
     henc_samples = np.asarray(henc_samples, dtype=np.float64)
     observers: dict[str, Observer] = {}
     for h_dec, H_enc in zip(hdec_samples, henc_samples):
         attention_ref(h_dec, H_enc, wq, wk, v, observers=observers)
-    if p_hdec is None:
-        p_hdec = Observer().observe(hdec_samples.ravel()).finalize(8)
-    if p_henc is None:
-        p_henc = Observer().observe(henc_samples.ravel()).finalize(8)
+    p_hdec = Observer().observe(hdec_samples.ravel()).finalize(8)
+    p_henc = Observer().observe(henc_samples.ravel()).finalize(8)
     return freeze_attention(observers, wq, wk, v, p_hdec, p_henc, pieces)

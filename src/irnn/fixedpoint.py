@@ -31,7 +31,6 @@ __all__ = [
     "rounded_shift",
     "saturate",
     "to_fixed",
-    "to_float",
 ]
 
 # Default fraction bits for requantization multipliers; chosen so that an
@@ -176,10 +175,6 @@ def to_fixed(m: float, f: int, signed: bool = True) -> FixedPointScalar:
         raise FxOverflow("negative multiplier in unsigned format")
     integral_bits = max(0, int(abs(raw)).bit_length() - f)
     return FixedPointScalar(raw, f, integral_bits, signed)
-
-
-def to_float(fx: FixedPointScalar) -> float:
-    return fx.value
 
 
 def requant_multiplier(m: float) -> FixedPointScalar:
@@ -364,7 +359,7 @@ class Rescale:
 
 
 def fx_apply(fx: FixedPointScalar, q, zero_out: int = 0):
-    """round(to_float(fx) * q) + zero_out, in integer arithmetic.
+    """round(fx.value * q) + zero_out, in integer arithmetic.
 
     q may be a Python int or an integer ndarray; the result has the same
     kind.  The product raw * q must fit int64.

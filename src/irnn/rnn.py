@@ -92,11 +92,8 @@ class LstmWeights:
     wh: QTensor
     bias: np.ndarray | None = None
     ws: QTensor | None = None
-    gate_order: tuple = GATE_ORDER
 
     def __post_init__(self):
-        if self.gate_order != GATE_ORDER:
-            raise ValueError(f"gate order is fixed as {GATE_ORDER}")
         for name, w in (("wx", self.wx), ("wh", self.wh), ("ws", self.ws)):
             if w is not None and w.params.bitwidth != 8:
                 raise ValueError(f"{name} must be 8-bit")

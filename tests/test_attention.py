@@ -16,7 +16,7 @@ from irnn.attention import (
     integer_softmax_weights,
     project_keys,
 )
-from irnn.fixedpoint import FxOverflow
+from irnn.fixedpoint import REQUANT_FRACTION_BITS, FxOverflow
 from irnn.quant import QTensor, QuantParams, derive_params, qadd_diff, quantize_tensor
 
 
@@ -199,24 +199,19 @@ class TestIntAttention:
             e8.append(np.abs(inter.exp_e.data / d8 - a_ref).sum())
         assert np.mean(e8) > np.mean(e32)
 
-    def test_denom_bits_changes_only_context(self):
+    def test_project_keys_equals_recorded_keys(self):
+        # wide encoder states push the keys past the kproj grid at both ends
         rng, _, w, expt, tanht = _toy(42)
-        qhd = quantize_tensor(rng.normal(0.0, 0.6, size=16), w.sites["hdec"])
-        qHe = quantize_tensor(rng.normal(0.0, 0.6, size=(8, 16)), w.sites["henc"])
-        a = attention_intermediates(qhd, qHe, w, expt, tanht)
-        b = attention_intermediates(qhd, qHe, w, expt, tanht, denom_bits=8)
-        np.testing.assert_array_equal(a.exp_e.data, b.exp_e.data)
-        assert a.denom == b.denom
-
-    def test_precomputed_keys_identical(self):
-        rng, _, w, expt, tanht = _toy(42)
-        qhd = quantize_tensor(rng.normal(0.0, 0.6, size=16), w.sites["hdec"])
-        qHe = quantize_tensor(rng.normal(0.0, 0.6, size=(8, 16)), w.sites["henc"])
-        keys = project_keys(qHe, w)
-        s1, a1 = attention_int(qhd, qHe, w, expt, tanht)
-        s2, a2 = attention_int(qhd, qHe, w, expt, tanht, keys=keys)
-        np.testing.assert_array_equal(s1.data, s2.data)
-        np.testing.assert_array_equal(a1.data, a2.data)
+        plan, p_k, hit = AttentionPlan(w, expt, tanht), w.sites["kproj"], set()
+        for _ in range(10):
+            qhd = quantize_tensor(rng.normal(0.0, 0.6, size=16), w.sites["hdec"])
+            qHe = quantize_tensor(rng.normal(0.0, 3.0, size=(8, 16)), w.sites["henc"])
+            keys = project_keys(qHe, w)
+            want = plan.intermediates(qhd, qHe).keys_proj
+            assert keys.params == want.params and keys.data.dtype == want.data.dtype
+            np.testing.assert_array_equal(keys.data, want.data)
+            hit |= set(np.intersect1d(keys.data, [p_k.qmin, p_k.qmax]).tolist())
+        assert hit == {p_k.qmin, p_k.qmax}
 
     def test_foreign_params_rejected(self):
         rng, _, w, expt, tanht = _toy(42)
@@ -237,11 +232,10 @@ class TestLeanStep:
             src = plan.source(qHe)
             for _ in range(10):
                 qhd = quantize_tensor(rng.normal(0.0, sigma, size=16), w.sites["hdec"])
-                for bits in (None, 4, 8):
-                    want = plan.intermediates(qhd, qHe, denom_bits=bits).s
-                    got = plan.context(qhd, src, denom_bits=bits)
-                    assert got.params == want.params
-                    np.testing.assert_array_equal(got.data, want.data)
+                want = plan.intermediates(qhd, qHe).s
+                got = plan.context(qhd, src)
+                assert got.params == want.params
+                np.testing.assert_array_equal(got.data, want.data)
 
     def test_sum_qk_holds_saturated_codes(self):
         # wide inputs push the sums past the sumqk grid at both ends
@@ -287,7 +281,7 @@ class TestLeanStep:
 
     def test_context_overflow_rejected_by_source(self):
         # a context grid 4096x finer than the encoder's makes the context
-        # multiplier about 2^42, so T * 2^16 codes overflow int64 past T ~ 32
+        # multiplier about 2^42, so T * 2^16 codes overflow int64 past T = 41
         rng, _, w, expt, tanht = _toy(42, n_cal=16)
         p_h, p_s = w.sites["henc"], w.sites["s"]
         fine = QuantParams(p_s.min, p_s.max, 8, p_h.scale / 4096 * 1.3, p_s.zero_point)
@@ -295,7 +289,8 @@ class TestLeanStep:
             AttentionWeights(w.wq, w.wk, w.v, {**w.sites, "s": fine}), expt, tanht
         )
         bits = expt.out_params.bitwidth + p_h.bitwidth
-        longest = (2**63 - 1) // (plan._ctx_raw << bits)
+        half_den = expt.out_params.qmax << (REQUANT_FRACTION_BITS - 1)
+        longest = (2**63 - 1) // ((plan._ctx_raw << bits) + half_den)
         assert 1 <= longest < 64
         ok = quantize_tensor(rng.normal(0.0, 0.6, size=(longest, 16)), p_h)
         plan.source(ok)
@@ -303,14 +298,30 @@ class TestLeanStep:
         with pytest.raises(FxOverflow, match="context accumulator"):
             plan.source(over)
 
+    def test_rounding_add_inside_the_context_proof(self):
+        # henc scale / s scale = 1/8 makes the context multiplier 2^27; at
+        # code 255 the scaled weighted sum plus rounded_div_even's half
+        # denominator, T * 255 * 2^29, fits int64 up to T = 1,032,506
+        rng, _, w, expt, tanht = _toy(42, m_enc=1, m_att=1, n_cal=16)
+        p_h = QuantParams(0, 2.55, 8, 0.01, 0)
+        sites = {**w.sites, "henc": p_h, "s": QuantParams(-1, 1, 8, 0.08, 128)}
+        plan = AttentionPlan(AttentionWeights(w.wq, w.wk, w.v, sites), expt, tanht)
+        assert plan._ctx_raw == 2**27
+        qhd = quantize_tensor(rng.normal(0.0, 0.6, size=16), w.sites["hdec"])
+        longest = 1_032_506
+        src = plan.source(QTensor(np.full((longest, 1), 255, dtype=np.uint8), p_h))
+        # every state is 2.55, and 2.55 / 0.08 = 31.875 rounds to 32 above Z_s
+        np.testing.assert_array_equal(plan.context(qhd, src).data, [160])
+        with pytest.raises(FxOverflow, match="context accumulator"):
+            plan.source(QTensor(np.full((longest + 1, 1), 255, dtype=np.uint8), p_h))
+
     def test_source_checks_encoder_params(self):
         rng, _, w, expt, tanht = _toy(42, n_cal=16)
         plan = AttentionPlan(w, expt, tanht)
-        qHe = quantize_tensor(rng.normal(0.0, 0.6, size=(8, 16)), w.sites["henc"])
-        keys = plan.keys(qHe)
         bad = quantize_tensor(rng.normal(0.0, 0.6, size=(8, 16)), derive_params(-9, 9, 8))
-        with pytest.raises(ValueError, match="uncalibrated-tensor"):
-            plan.source(bad, keys)
+        for project in (plan.source, lambda q: project_keys(q, w)):
+            with pytest.raises(ValueError, match="uncalibrated-tensor"):
+                project(bad)
 
 
 class TestAttachContext:

@@ -18,7 +18,6 @@ from irnn.fixedpoint import (
     rounded_shift,
     saturate,
     to_fixed,
-    to_float,
 )
 
 # Golden rows: (scaling, precision, signed lo, signed hi, unsigned lo, unsigned hi)
@@ -88,13 +87,13 @@ class TestFixedPointScalar:
             f = int(rng.integers(0, 40))
             m = float(rng.uniform(-4, 4))
             fx = to_fixed(m, f)
-            assert abs(to_float(fx) - m) <= 2.0 ** -(f + 1)
+            assert abs(fx.value - m) <= 2.0 ** -(f + 1)
 
     def test_requant_scale_round_trip(self):
         s = 0.0392
         fx = to_fixed(s, 30)
         assert fx.raw == round(s * 2**30)
-        assert abs(to_float(fx) - s) <= 2.0**-30
+        assert abs(fx.value - s) <= 2.0**-30
 
     def test_q3_4_extremes(self):
         fx = FixedPointScalar(raw=0, fraction_bits=4, integral_bits=3)
@@ -142,7 +141,7 @@ class TestRequantMultiplier:
         for m in (0.0039, 0.4968, 0.7153, 1.0, 3.7, 2**-12):
             fx = requant_multiplier(m)
             assert 2**29 < fx.raw <= 2**30
-            assert abs(to_float(fx) - m) / m <= 2.0**-29
+            assert abs(fx.value - m) / m <= 2.0**-29
 
     def test_zero_multiplier(self):
         fx = requant_multiplier(0.0)

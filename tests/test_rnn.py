@@ -14,7 +14,6 @@ from irnn.madnorm import madnorm_int
 from irnn.pwl import eval_int
 from irnn.quant import QTensor, derive_params, qadd_diff, qlinear, qmul, quantize_tensor
 from irnn.rnn import (
-    GATE_ORDER,
     CellConfig,
     IntLstmCell,
     LstmState,
@@ -146,15 +145,6 @@ class TestTypes:
         wh_bad = quantize_tensor(rng.normal(size=(8, 3)), p)
         with pytest.raises(ValueError, match="stacking"):
             LstmWeights(wx, wh_bad)
-
-    def test_gate_order_is_fixed(self):
-        rng = np.random.default_rng(42)
-        p = derive_params(-4, 4, 8)
-        wx = quantize_tensor(rng.normal(size=(8, 3)), p)
-        wh = quantize_tensor(rng.normal(size=(8, 2)), p)
-        assert LstmWeights(wx, wh).gate_order == GATE_ORDER
-        with pytest.raises(ValueError, match="fixed"):
-            LstmWeights(wx, wh, gate_order=("f", "i", "j", "o"))
 
     def test_hidden_state_must_be_8bit(self):
         p16 = derive_params(-1, 1, 16)
