@@ -30,7 +30,7 @@ from .fixedpoint import (
     saturate,
     to_fixed,
 )
-from .pwl import PwlTable, activation_registry, build_full, reduce
+from .pwl import TANH_GRID, UNIT_GRID, PwlTable, activation_registry, build_full, reduce
 from .quant import (
     ExactGemv,
     Observer,
@@ -45,6 +45,7 @@ from .quant import (
 
 __all__ = [
     "EXP_DOMAIN",
+    "EXP_GRID",
     "AttentionIntermediates",
     "AttentionPlan",
     "AttentionSource",
@@ -62,6 +63,8 @@ __all__ = [
 # exp approximation domain for shifted alignments; scores below -10 clamp
 # to exp(-10) ~ 0
 EXP_DOMAIN = (-10.0, 0.0)
+# the exp table's fixed 16-bit input grid over EXP_DOMAIN
+EXP_GRID = derive_params(*EXP_DOMAIN, 16)
 
 _INT64_MAX = 2**63 - 1
 # float64 represents every integer of smaller magnitude exactly
@@ -148,9 +151,10 @@ def project_keys(q_Henc: QTensor, w: AttentionWeights) -> QTensor:
     return QTensor(rescale(gemv(q_Henc.data)).T.astype(p_k.dtype), p_k)
 
 
-def _softmax_rescale(p_e: QuantParams, p_in: QuantParams, bound=None) -> Rescale:
-    """Rescale of max-shifted alignment codes onto the exp table's input grid."""
-    return requant_rescale(requant_multiplier(p_e.scale / p_in.scale), p_in, bound)
+def _softmax_rescale(p_e: QuantParams, p_in: QuantParams) -> Rescale:
+    """Rescale of max-shifted alignment codes, which lie in [-qmax_e, 0],
+    onto the exp table's input grid."""
+    return requant_rescale(requant_multiplier(p_e.scale / p_in.scale), p_in, p_e.qmax)
 
 
 def _softmax(q_e, to_table: Rescale, exp_lut: np.ndarray):
@@ -216,8 +220,9 @@ class AttentionPlan:
 
     def __init__(self, weights: AttentionWeights, exp_table: PwlTable, tanh_table: PwlTable):
         w, sites = weights, weights.sites
-        if exp_table.out_params.zero_point != 0:
-            raise ValueError("exp output grid must put zero at code 0")
+        tables = (exp_table, tanh_table)
+        if [(t.in_params, t.out_params) for t in tables] != list(self.table_grids(sites).values()):
+            raise ValueError("table-grid-mismatch: the exp or tanh table is not on its grids")
         self.weights, self.exp_table, self.tanh_table = weights, exp_table, tanh_table
         self._gemv_k, kproj = _key_projection(w)
         p_q, p_k, p_sum = sites["qproj"], sites["kproj"], sites["sumqk"]
@@ -233,21 +238,25 @@ class AttentionPlan:
         self._sumqk = sum_rescale(
             p_q.scale, p_k.scale, p_sum, (max_centered(p_q), max_centered(p_k))
         ).unsaturated()
-        p_tanh = tanh_table.out_params
-        self._gemv_e = ExactGemv(w.v, p_tanh)
+        self._gemv_e = ExactGemv(w.v, TANH_GRID)
         self._e = requant_rescale(
-            requant_multiplier(w.v.params.scale * p_tanh.scale / sites["e"].scale),
+            requant_multiplier(w.v.params.scale * TANH_GRID.scale / sites["e"].scale),
             sites["e"],
             self._gemv_e.bound,
         ).centered()
-        # a view over the sumqk grid: a clipped index is a saturated code
-        self._tanh_lut = tanh_table.lut_covering(p_sum)[: p_sum.qmax + 1]
-        self._to_exp = _softmax_rescale(
-            sites["e"], exp_table.in_params, sites["e"].qmax
-        ).unsaturated()
+        # the tanh LUT spans the sumqk grid: a clipped index is a saturated code
+        self._tanh_lut = tanh_table.lut
+        self._to_exp = _softmax_rescale(sites["e"], EXP_GRID).unsaturated()
         self._ctx_raw = to_fixed(
             sites["henc"].scale / sites["s"].scale, REQUANT_FRACTION_BITS
         ).raw
+
+    @staticmethod
+    def table_grids(sites: Mapping) -> dict:
+        """(input grid, output grid) of the exp and tanh tables: exp maps the
+        fixed EXP_GRID to [0, 1], so zero is output code 0, and tanh reads
+        the sumqk site."""
+        return {"exp": (EXP_GRID, UNIT_GRID), "tanh": (sites["sumqk"], TANH_GRID)}
 
     def source(self, q_Henc: QTensor) -> AttentionSource:
         """The per-source terms for [T x m_enc] encoder states, computed once
@@ -260,10 +269,9 @@ class AttentionPlan:
         if q_Henc.params != p_h:
             raise ValueError("uncalibrated-tensor: henc params differ from calibration")
         T = q_Henc.data.shape[0]
-        p_exp = self.exp_table.out_params
-        num_bound = T * 2 ** (p_exp.bitwidth + p_h.bitwidth)
+        num_bound = T * 2 ** (UNIT_GRID.bitwidth + p_h.bitwidth)
         # rounded_div_even adds half the denominator to the scaled sum
-        half_den = T * p_exp.qmax << (REQUANT_FRACTION_BITS - 1)
+        half_den = T * UNIT_GRID.qmax << (REQUANT_FRACTION_BITS - 1)
         if abs(self._ctx_raw) * num_bound + half_den > _INT64_MAX or num_bound >= _F64_EXACT:
             raise FxOverflow("context accumulator would overflow int64")
         keys = self._kproj(self._gemv_k(q_Henc.data))
@@ -375,13 +383,10 @@ def freeze_attention(
     weights = AttentionWeights(
         quantize_weight(wq), quantize_weight(wk), quantize_weight(v), sites
     )
-    p_eshift = derive_params(EXP_DOMAIN[0], EXP_DOMAIN[1], 16)
-    p_expout = derive_params(0.0, 1.0, 8)
-    p_tanhout = derive_params(-1.0, 1.0, 8)
-    exp_fn, _ = activation_registry("exp")
-    tanh_fn, _ = activation_registry("tanh")
-    exp_table = reduce(build_full(exp_fn, p_eshift, p_expout), pieces)
-    tanh_table = reduce(build_full(tanh_fn, sites["sumqk"], p_tanhout), pieces)
+    exp_table, tanh_table = (
+        reduce(build_full(activation_registry(name)[0], p_in, p_out), pieces)
+        for name, (p_in, p_out) in AttentionPlan.table_grids(sites).items()
+    )
     return weights, exp_table, tanh_table
 
 

@@ -54,7 +54,9 @@ def round_half_away(x):
     int64 array otherwise.
     """
     arr = np.asarray(x, dtype=np.float64)
-    out = np.where(arr >= 0.0, np.floor(arr + 0.5), np.ceil(arr - 0.5))
+    # floor(x + 0.5) where x >= 0, else ceil(x - 0.5): the same adds, and
+    # truncation is floor above zero and ceil below
+    out = np.trunc(arr + np.copysign(0.5, arr))
     if np.ndim(x) == 0:
         return int(out)
     return out.astype(np.int64)
@@ -212,18 +214,17 @@ class Rescale:
     the rescale is built; applying it is integer-only.  Terms are Python
     ints or int64 arrays of centered values.
 
-    `bounds` holds the largest |term| each operand can take.  Given, they
-    are checked here, once: the accumulator plus the rounding add must fit
-    int64, else FxOverflow.  Without them, every call checks the magnitudes
-    of its own operands instead.  With lo and hi omitted nothing saturates.
-    A stacked rescale (see stack) has one term whose raw, lo and hi are
-    int64 arrays, one entry per operand element.  A rescale is not changed
-    after construction; with_bounds makes a variant.
+    `bounds` holds the largest |term| each operand can take.  They are
+    checked here, once: the accumulator plus the rounding add must fit
+    int64, else FxOverflow.  With lo and hi omitted nothing saturates.
+    A stacked rescale (see stack) has one term whose raw, bound, lo and hi
+    are int64 arrays, one entry per operand element.  A rescale is not
+    changed after construction; with_bounds makes a variant.
     """
 
-    __slots__ = ("raws", "f", "zero", "lo", "hi", "per_call_check", "_arr")
+    __slots__ = ("raws", "f", "zero", "lo", "hi", "bounds", "_arr")
 
-    def __init__(self, raws, f: int, zero: int = 0, lo=None, hi=None, bounds=None):
+    def __init__(self, raws, f: int, zero: int = 0, lo=None, hi=None, *, bounds):
         if not 1 <= len(raws) <= 2:
             raise ValueError("a rescale combines one or two terms")
         if f < 0:
@@ -232,9 +233,8 @@ class Rescale:
         self.f = f
         self.zero = int(zero)
         self.lo, self.hi = lo, hi
-        self.per_call_check = bounds is None
-        if bounds is not None:
-            self._require_fit(bounds)
+        self.bounds = tuple(bounds)
+        self._require_fit()
         self._arr = None  # see _array_constants
 
     def _array_constants(self) -> tuple:
@@ -258,8 +258,16 @@ class Rescale:
             self._arr = arr
         return self._arr
 
-    def _require_fit(self, mags) -> None:
-        total = sum(abs(r) * int(m) for r, m in zip(self.raws, mags))
+    def _require_fit(self) -> None:
+        # in Python ints, so a product past int64 cannot wrap
+        total = 0
+        for raw, bound in zip(self.raws, self.bounds):
+            if isinstance(raw, np.ndarray):
+                # a stacked term: each element's raw with that element's
+                # bound, over the few distinct pairs
+                total += max(abs(r) * b for r, b in set(zip(raw.tolist(), bound.tolist())))
+            else:
+                total += abs(raw) * int(bound)
         if total + (1 << max(self.f - 1, 0)) > _INT64_MAX:
             raise FxOverflow("rescale accumulator would overflow int64")
 
@@ -297,9 +305,8 @@ class Rescale:
     def with_bounds(self, lo, hi, zero: int | None = None) -> Rescale:
         """The same multiply and rounding with other saturation bounds and,
         given, another zero point."""
-        out = Rescale(self.raws, self.f, self.zero if zero is None else zero, lo, hi)
-        out.per_call_check = self.per_call_check
-        return out
+        zero = self.zero if zero is None else zero
+        return Rescale(self.raws, self.f, zero, lo, hi, bounds=self.bounds)
 
     def centered(self) -> Rescale:
         """This rescale minus its zero point, exactly and with no add for it:
@@ -324,34 +331,29 @@ class Rescale:
         floor((A - s / 2^k) / 2^g) and raw * t to floor((A - s) / 2^g), and
         the two agree because no multiple of 2^g lies strictly between A - 1
         and A.  (With g = 0 both give raw * t.)  The lifted accumulators
-        plus the rounding add must fit int64, else FxOverflow; the check is
-        made here, once.
+        plus the rounding add must fit int64, else FxOverflow.
         """
         f = max(r.f for r, _, _ in parts)
         raws = []
-        for r, _, bound in parts:
+        for r, _, _ in parts:
             if len(r.raws) != 1 or r.zero or r.lo is None:
                 raise ValueError("stacked parts are one-term, centered, saturating rescales")
             raws.append(r.raws[0] << (f - r.f))
-            # max(bound, 1): the lifted raw itself must fit int64 too
-            if abs(raws[-1]) * max(int(bound), 1) + (1 << max(f - 1, 0)) > _INT64_MAX:
+            if abs(raws[-1]) > _INT64_MAX:
                 raise FxOverflow("stacked rescale accumulator would overflow int64")
         sizes = [n for _, n, _ in parts]
 
         def per_element(values):
             return np.repeat(np.array(values, dtype=np.int64), sizes)
 
-        out = cls(
+        return cls(
             (per_element(raws),), f, 0,
             per_element([r.lo for r, _, _ in parts]),
             per_element([r.hi for r, _, _ in parts]),
+            bounds=(per_element([bound for _, _, bound in parts]),),
         )
-        out.per_call_check = False
-        return out
 
     def __call__(self, *terms):
-        if self.per_call_check:
-            self._require_fit([np.abs(np.asarray(t)).max(initial=0) for t in terms])
         acc = self.term(0, terms[0])
         if len(terms) == 2:
             acc = acc + self.term(1, terms[1])
@@ -362,12 +364,14 @@ def fx_apply(fx: FixedPointScalar, q, zero_out: int = 0):
     """round(fx.value * q) + zero_out, in integer arithmetic.
 
     q may be a Python int or an integer ndarray; the result has the same
-    kind.  The product raw * q must fit int64.
+    kind.  The product raw * q must fit int64, else FxOverflow.
     """
-    op = Rescale((fx.raw,), fx.fraction_bits, zero_out)
     if isinstance(q, np.ndarray):
-        return op(q.astype(np.int64))
-    return int(op(int(q)))
+        q = q.astype(np.int64)
+        # not np.abs, which leaves INT64_MIN negative
+        bound = max(-int(q.min(initial=0)), int(q.max(initial=0)))
+        return Rescale((fx.raw,), fx.fraction_bits, zero_out, bounds=(bound,))(q)
+    return int(Rescale((fx.raw,), fx.fraction_bits, zero_out, bounds=(abs(int(q)),))(int(q)))
 
 
 def format_table(bitwidth: int = 8) -> list[dict]:

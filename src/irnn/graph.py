@@ -316,7 +316,7 @@ def export_float(model: IrnnModel) -> FloatModel:
     cell_meta = {}
     for name, prefix in GRAPHS[model.kind].cells.items():
         cell = model.cells[name]
-        cell_meta[name] = {"use_madnorm": cell.cfg.use_madnorm}
+        cell_meta[name] = {"use_madnorm": cell.use_madnorm}
         w = cell.weights
         arrays[prefix + "wx"] = w.wx.dequantize().astype(np.float32)
         arrays[prefix + "wh"] = w.wh.dequantize().astype(np.float32)

@@ -2,19 +2,25 @@
 
 Layout: a 16-byte header (magic, u32 format version, u64 manifest length),
 a JSON manifest with sorted keys, then 64-byte-aligned little-endian blobs.
-Every blob carries a CRC32 in the manifest and is addressed by a byte
-offset relative to the blob section, so editing the manifest never
-invalidates offsets.
+Every blob carries a CRC32, a dtype tag and a shape in the manifest and is
+addressed by a byte offset relative to the blob section, so editing the
+manifest never invalidates offsets.
 
-The manifest stores every quantization parameter set and every PWL table,
-plus each cell's two matmul requantization multipliers (raw/fraction-bit
-integer pairs).  Loading only deserializes: the cells and the attention
-stage compile from the stored sites and tables, without rebuilding any
-table, so a loaded model replays inference bit-for-bit.  The stored
-multipliers are not trusted; a pair that disagrees with the one the sites
-derive fails the load, as does a manifest with a missing or mistyped field.
-Which cells a model kind has, and which keys its float archive holds, is
-the graph module's; this module only (de)serializes.
+Format 2 stores each fact once.  The manifest holds each cell's weight
+params, bias flag and tensor sites, the attention stage's weight params
+and sites, the model kind and its free-form meta.  The blobs hold the
+weights, the int32 bias and, per PWL table, its knot codes (in its input
+grid's storage dtype) and its knot values (float64).  Everything else is
+derived at load, by the same code that derives it at build: a table's
+grids come from its stage's sites (IntLstmCell.table_grids,
+AttentionPlan.table_grids), its slopes, fixed-point constants and LUT from
+its knots, and every rescale from the sites.  So a loaded model replays
+inference bit-for-bit.  Each blob is read at the dtype and rank its
+reader expects; any other tag, a shape that disagrees with its byte count,
+a blob no reader takes and a missing or mistyped manifest field fail the
+load.  Which cells a
+model kind has, and which keys its float archive holds, is the graph
+module's; this module only (de)serializes.
 """
 
 from __future__ import annotations
@@ -27,11 +33,10 @@ import zlib
 import numpy as np
 
 from .attention import AttentionPlan, AttentionWeights
-from .fixedpoint import FixedPointScalar
 from .graph import FloatModel, IrnnModel, export_float, graph_for, infer_kind
 from .pwl import PwlTable
 from .quant import QTensor, QuantParams
-from .rnn import TABLE_NAMES, CellConfig, IntLstmCell, LstmWeights
+from .rnn import TABLE_NAMES, IntLstmCell, LstmWeights
 
 __all__ = [
     "FORMAT_VERSION",
@@ -50,21 +55,20 @@ __all__ = [
 ]
 
 MAGIC = b"IRNN"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 _ALIGN = 64
 _HEADER = struct.Struct("<4sIQ")
 
 # manifest dtype tag -> little-endian numpy dtype
 _DTYPES = {
-    "uint8": "<u1",
-    "uint16": "<u2",
-    "uint32": "<u4",
-    "int32": "<i4",
-    "int64": "<i8",
-    "float32": "<f4",
-    "float64": "<f8",
+    tag: np.dtype(le)
+    for tag, le in (
+        ("uint8", "<u1"), ("uint16", "<u2"), ("uint32", "<u4"), ("int32", "<i4"), ("float64", "<f8")
+    )
 }
+# scalar type a reader asks for -> its tag
+_TAGS = {dt.type: tag for tag, dt in _DTYPES.items()}
 
 
 def _align(n: int) -> int:
@@ -85,27 +89,9 @@ def _params_from_json(d: dict) -> QuantParams:
     return QuantParams(d["min"], d["max"], d["bitwidth"], d["scale"], d["zero_point"])
 
 
-def _fx_to_json(fx: FixedPointScalar) -> dict:
-    return {
-        "raw": int(fx.raw),
-        "fraction_bits": int(fx.fraction_bits),
-        "integral_bits": int(fx.integral_bits),
-        "signed": bool(fx.signed),
-    }
-
-
-def _fx_from_json(d: dict) -> FixedPointScalar:
-    raw, f, i = d["raw"], d["fraction_bits"], d["integral_bits"]
-    # bool is an int subclass, so check the exact type
-    if any(type(v) is not int for v in (raw, f, i)) or not 0 <= f <= 62 or i < 0:
-        raise ValueError("malformed manifest: fixed-point fields out of range")
-    return FixedPointScalar(raw, f, i, d["signed"])
-
-
 class _BlobWriter:
     def __init__(self):
         self.order = []
-        self.payload = {}
 
     def add(self, name: str, arr: np.ndarray) -> None:
         arr = np.ascontiguousarray(arr)
@@ -134,89 +120,59 @@ class _BlobWriter:
         return entries, b"".join(chunks)
 
 
-def _add_table(w: _BlobWriter, prefix: str, t: PwlTable) -> dict:
-    w.add(f"{prefix}/knots", t.knots)
-    w.add(f"{prefix}/slopes", t.slopes)
-    w.add(f"{prefix}/intercepts", t.intercepts)
-    w.add(f"{prefix}/q_knots", t.q_knots)
-    w.add(f"{prefix}/fx_slopes", t.fx_slopes)
-    w.add(f"{prefix}/fx_intercepts", t.fx_intercepts)
-    return {
-        "in_params": _params_to_json(t.in_params),
-        "out_params": _params_to_json(t.out_params),
-        "fraction_bits": int(t.fraction_bits),
-        "pieces": int(t.pieces),
-    }
+def _add_table(w: _BlobWriter, prefix: str, t: PwlTable) -> None:
+    w.add(f"{prefix}/q_knots", t.q_knots.astype(t.in_params.dtype))
+    w.add(f"{prefix}/values", t.values)
 
 
-def _table_from(entry: dict, prefix: str, blob) -> PwlTable:
-    return PwlTable(
-        knots=blob(f"{prefix}/knots"),
-        slopes=blob(f"{prefix}/slopes"),
-        intercepts=blob(f"{prefix}/intercepts"),
-        q_knots=blob(f"{prefix}/q_knots"),
-        in_params=_params_from_json(entry["in_params"]),
-        out_params=_params_from_json(entry["out_params"]),
-        fx_slopes=blob(f"{prefix}/fx_slopes"),
-        fx_intercepts=blob(f"{prefix}/fx_intercepts"),
-        fraction_bits=entry["fraction_bits"],
-    )
+def _table_from(prefix: str, blob, grids: tuple) -> PwlTable:
+    p_in, p_out = grids
+    q_knots = blob(f"{prefix}/q_knots", p_in.dtype, 1)
+    return PwlTable(q_knots, blob(f"{prefix}/values", np.float64, 1), p_in, p_out)
+
+
+def _add_weight(w: _BlobWriter, name: str, qt: QTensor) -> dict:
+    w.add(name, qt.data)
+    return _params_to_json(qt.params)
+
+
+def _weight_from(entry: dict, name: str, blob, ndim: int) -> QTensor:
+    p = _params_from_json(entry)
+    return QTensor(blob(name, p.dtype, ndim), p)
 
 
 def _add_cell(w: _BlobWriter, name: str, cell: IntLstmCell) -> dict:
-    weights, cfg = cell.weights, cell.cfg
+    weights = cell.weights
     prefix = f"cells/{name}"
-    w.add(f"{prefix}/wx", weights.wx.data)
-    w.add(f"{prefix}/wh", weights.wh.data)
     entry = {
-        "wx": _params_to_json(weights.wx.params),
-        "wh": _params_to_json(weights.wh.params),
+        "wx": _add_weight(w, f"{prefix}/wx", weights.wx),
+        "wh": _add_weight(w, f"{prefix}/wh", weights.wh),
         "ws": None,
         "has_bias": weights.bias is not None,
-        "cfg": {
-            "cell_bits": cfg.cell_bits,
-            "preact_bits": cfg.preact_bits,
-            "use_madnorm": cfg.use_madnorm,
-            "pwl_pieces": cfg.pwl_pieces,
-        },
         "sites": {k: _params_to_json(v) for k, v in cell.sites.items()},
-        "fx_xprod": _fx_to_json(cell.multipliers["xprod"]),
-        "fx_hprod": _fx_to_json(cell.multipliers["hprod"]),
-        "tables": {
-            name: _add_table(w, f"{prefix}/tables/{name}", cell.tables[name])
-            for name in TABLE_NAMES
-        },
     }
+    for table in TABLE_NAMES:
+        _add_table(w, f"{prefix}/tables/{table}", cell.tables[table])
     if weights.bias is not None:
         w.add(f"{prefix}/bias", weights.bias)
     if weights.ws is not None:
-        w.add(f"{prefix}/ws", weights.ws.data)
-        entry["ws"] = _params_to_json(weights.ws.params)
+        entry["ws"] = _add_weight(w, f"{prefix}/ws", weights.ws)
     return entry
 
 
 def _cell_from(entry: dict, name: str, blob) -> IntLstmCell:
     prefix = f"cells/{name}"
-    wx = QTensor(blob(f"{prefix}/wx"), _params_from_json(entry["wx"]))
-    wh = QTensor(blob(f"{prefix}/wh"), _params_from_json(entry["wh"]))
-    bias = blob(f"{prefix}/bias") if entry["has_bias"] else None
+    wx = _weight_from(entry["wx"], f"{prefix}/wx", blob, 2)
+    wh = _weight_from(entry["wh"], f"{prefix}/wh", blob, 2)
+    bias = blob(f"{prefix}/bias", np.int32, 1) if entry["has_bias"] else None
     ws = None
     if entry["ws"] is not None:
-        ws = QTensor(blob(f"{prefix}/ws"), _params_from_json(entry["ws"]))
+        ws = _weight_from(entry["ws"], f"{prefix}/ws", blob, 2)
     weights = LstmWeights(wx, wh, bias, ws=ws)
-    cfg = CellConfig(**entry["cfg"])
     sites = {k: _params_from_json(v) for k, v in entry["sites"].items()}
-    # the stored tables are authoritative: the cell compiles from them
-    # instead of rebuilding, so replay cannot drift from the save
-    tables = {
-        name: _table_from(entry["tables"][name], f"{prefix}/tables/{name}", blob)
-        for name in TABLE_NAMES
-    }
-    cell = IntLstmCell(weights, cfg, sites, tables)
-    for site, fx in cell.multipliers.items():
-        if _fx_from_json(entry[f"fx_{site}"]) != fx:
-            raise ValueError(f"multiplier-mismatch: {name} fx_{site} disagrees with its sites")
-    return cell
+    grids = IntLstmCell.table_grids(sites, ws is not None)
+    tables = {t: _table_from(f"{prefix}/tables/{t}", blob, grids[t]) for t in TABLE_NAMES}
+    return IntLstmCell(weights, sites, tables)
 
 
 def save(model: IrnnModel) -> bytes:
@@ -228,17 +184,12 @@ def save(model: IrnnModel) -> bytes:
     att_entry = None
     if model.attention is not None:
         aw = model.attention.weights
-        writer.add("att/wq", aw.wq.data)
-        writer.add("att/wk", aw.wk.data)
-        writer.add("att/v", aw.v.data)
         att_entry = {
-            "wq": _params_to_json(aw.wq.params),
-            "wk": _params_to_json(aw.wk.params),
-            "v": _params_to_json(aw.v.params),
-            "sites": {k: _params_to_json(v) for k, v in aw.sites.items()},
-            "exp_table": _add_table(writer, "att/tables/exp", model.attention.exp_table),
-            "tanh_table": _add_table(writer, "att/tables/tanh", model.attention.tanh_table),
+            key: _add_weight(writer, f"att/{key}", getattr(aw, key)) for key in ("wq", "wk", "v")
         }
+        att_entry["sites"] = {k: _params_to_json(v) for k, v in aw.sites.items()}
+        _add_table(writer, "att/tables/exp", model.attention.exp_table)
+        _add_table(writer, "att/tables/tanh", model.attention.tanh_table)
 
     blob_table, payload = writer.table()
     manifest = {
@@ -265,15 +216,16 @@ def _model_from(manifest: dict, blob) -> IrnnModel:
     if manifest["attention"] is not None:
         a = manifest["attention"]
         weights = AttentionWeights(
-            QTensor(blob("att/wq"), _params_from_json(a["wq"])),
-            QTensor(blob("att/wk"), _params_from_json(a["wk"])),
-            QTensor(blob("att/v"), _params_from_json(a["v"])),
+            _weight_from(a["wq"], "att/wq", blob, 2),
+            _weight_from(a["wk"], "att/wk", blob, 2),
+            _weight_from(a["v"], "att/v", blob, 1),
             {k: _params_from_json(v) for k, v in a["sites"].items()},
         )
+        grids = AttentionPlan.table_grids(weights.sites)
         attention = AttentionPlan(
             weights,
-            _table_from(a["exp_table"], "att/tables/exp", blob),
-            _table_from(a["tanh_table"], "att/tables/tanh", blob),
+            _table_from("att/tables/exp", blob, grids["exp"]),
+            _table_from("att/tables/tanh", blob, grids["tanh"]),
         )
     return IrnnModel(kind=kind, cells=cells, attention=attention, meta=manifest["meta"])
 
@@ -281,9 +233,10 @@ def _model_from(manifest: dict, blob) -> IrnnModel:
 def load(data: bytes) -> IrnnModel:
     """Parse bytes produced by save(); inference replays bit-identically.
 
-    A malformed container, a missing or mistyped manifest field included,
-    raises ValueError, and so does a stored scale whose multipliers
-    overflow their fixed-point form when the cells are compiled.
+    A malformed container, a missing or mistyped manifest field or a blob
+    of another dtype or rank than its reader expects included, raises
+    ValueError, and so does a stored scale whose multipliers overflow
+    their fixed-point form when the cells are compiled.
     """
     if len(data) < _HEADER.size:
         raise ValueError("truncated container: missing header")
@@ -298,26 +251,39 @@ def load(data: bytes) -> IrnnModel:
         raise ValueError("truncated container: manifest exceeds payload")
     manifest = json.loads(data[_HEADER.size : _HEADER.size + mlen].decode("utf-8"))
     section = _align(_HEADER.size + mlen)
+    read = set()
 
-    def blob(name: str) -> np.ndarray:
+    def blob(name: str, dtype, ndim: int) -> np.ndarray:
+        """Blob `name`, which must be tagged as the scalar type dtype and
+        have rank ndim."""
         entry = manifest["blobs"].get(name)
         if entry is None:
             raise ValueError(f"dangling tensor reference: {name!r}")
+        read.add(name)
+        tag, shape = _TAGS[dtype], entry["shape"]
+        if entry["dtype"] != tag:
+            raise ValueError(f"dtype-mismatch: blob {name!r} is not {tag}")
+        # a shape that disagrees with nbytes fails the reshape below
+        if len(shape) != ndim or any(type(d) is not int or d < 0 for d in shape):
+            raise ValueError(f"shape-mismatch: blob {name!r} is not a rank-{ndim} shape")
         start = section + entry["offset"]
         raw = data[start : start + entry["nbytes"]]
         if len(raw) != entry["nbytes"]:
             raise ValueError(f"checksum-mismatch: blob {name!r} truncated")
         if zlib.crc32(raw) & 0xFFFFFFFF != entry["crc32"]:
             raise ValueError(f"checksum-mismatch: blob {name!r}")
-        if entry["dtype"] not in _DTYPES:
-            raise ValueError(f"unknown blob dtype {entry['dtype']!r}")
-        arr = np.frombuffer(raw, dtype=_DTYPES[entry["dtype"]])
-        return arr.reshape(entry["shape"]).copy()
+        return np.frombuffer(raw, dtype=_DTYPES[tag]).reshape(shape).copy()
 
     try:
         if manifest.get("format_version") != version:
             raise ValueError("manifest format_version disagrees with header")
-        return _model_from(manifest, blob)
+        model = _model_from(manifest, blob)
+        # a blob no reader takes is a fact the model does not hold, such as a
+        # bias beside has_bias: false
+        unread = sorted(manifest["blobs"].keys() - read)
+        if unread:
+            raise ValueError(f"unreferenced blob: {unread[0]!r}")
+        return model
     except (AttributeError, KeyError, TypeError, OverflowError) as e:
         what = f"missing {e.args[0]}" if isinstance(e, KeyError) else e
         raise ValueError(f"malformed manifest: {what}") from e
@@ -393,7 +359,8 @@ def load_calibration(path) -> np.ndarray:
 
     CSV files hold one sequence (rows are timesteps); anything else is the
     raw format: u32 rank, u64 dims, little-endian float32 payload, rank 2
-    ([T x n]) or 3 ([N x T x n]).  Non-finite values are rejected.
+    ([T x n]) or 3 ([N x T x n]).  Non-finite values and data without a
+    sequence or a timestep are rejected.
     """
     if str(path).lower().endswith(".csv"):
         arr = np.loadtxt(path, delimiter=",", ndmin=2, dtype=np.float64)
@@ -403,6 +370,8 @@ def load_calibration(path) -> np.ndarray:
         arr = arr[None]
     if arr.ndim != 3:
         raise ValueError("calibration data must be [T x n] or [N x T x n]")
+    if arr.shape[0] == 0 or arr.shape[1] == 0:
+        raise ValueError("data holds no sequences or no timesteps")
     if not np.isfinite(arr).all():
         raise ValueError("data holds non-finite values")
     return arr

@@ -24,11 +24,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fixedpoint import FxOverflow, round_half_away, rounded_shift, saturate
-from .quant import QuantParams, dequantize
+from .quant import QuantParams, dequantize, derive_params
 
 __all__ = [
     "ACTIVATIONS",
     "PwlTable",
+    "TANH_GRID",
+    "UNIT_GRID",
     "activation_registry",
     "build_full",
     "eval_float",
@@ -74,31 +76,77 @@ def activation_registry(name: str):
         ) from None
 
 
-@dataclass(frozen=True)
+# the fixed 8-bit output grids: [0, 1] for the sigmoid and exp tables,
+# [-1, 1] for the tanh tables
+UNIT_GRID = derive_params(0.0, 1.0, 8)
+TANH_GRID = derive_params(-1.0, 1.0, 8)
+
+
+@dataclass(frozen=True, eq=False)
 class PwlTable:
     """Piecewise-linear approximation pinned to a quantized input grid.
 
-    knots has one more entry than slopes/intercepts; piece i covers
-    [knots[i], knots[i+1]) with g(x) = slopes[i] * (x - knots[i]) +
-    intercepts[i] and intercepts[i] = f(knots[i]).
-
-    lut[q] is the integer evaluation at input code q, for every code of
-    in_params; it is derived from the other fields at construction and is
-    read-only.
+    A table is its knot codes q_knots (strictly increasing codes of the
+    input grid in_params, at most 16-bit), its values (f at each knot) and
+    its output grid out_params.  Everything else is derived here, at
+    construction, so a table rebuilt from those four is the same table:
+      - knots, the real inputs at the knot codes;
+      - piece i covers [knots[i], knots[i+1]) with g(x) = slopes[i] *
+        (x - knots[i]) + intercepts[i] and intercepts[i] = values[i];
+      - fx_slopes and fx_intercepts, the fixed-point slopes and intercepts
+        with TABLE_FRACTION_BITS fraction bits, in the output grid's units;
+      - lut[q], the integer evaluation at every input code q, read-only.
+    FxOverflow if the fixed-point constants would overflow int64.
     """
 
-    knots: np.ndarray
-    slopes: np.ndarray
-    intercepts: np.ndarray
     q_knots: np.ndarray
+    values: np.ndarray
     in_params: QuantParams
     out_params: QuantParams
-    fx_slopes: np.ndarray
-    fx_intercepts: np.ndarray
-    fraction_bits: int = TABLE_FRACTION_BITS
-    lut: np.ndarray = field(init=False, repr=False, compare=False)
+    knots: np.ndarray = field(init=False, repr=False)
+    slopes: np.ndarray = field(init=False, repr=False)
+    intercepts: np.ndarray = field(init=False, repr=False)
+    fx_slopes: np.ndarray = field(init=False, repr=False)
+    fx_intercepts: np.ndarray = field(init=False, repr=False)
+    lut: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        q_knots = np.asarray(self.q_knots).astype(np.int64)
+        values = np.asarray(self.values, dtype=np.float64)
+        p_in, p_out = self.in_params, self.out_params
+        if p_in.bitwidth > 16:
+            raise ValueError("look-up tables are limited to 16-bit input grids")
+        if q_knots.ndim != 1 or values.shape != q_knots.shape or len(q_knots) < 2:
+            raise ValueError("a table needs at least two knots, each with one value")
+        if (q_knots[1:] <= q_knots[:-1]).any():
+            raise ValueError("knots must be strictly increasing")
+        if q_knots[0] < 0 or q_knots[-1] > p_in.qmax:
+            raise ValueError("knot outside the input storage range")
+        if not np.isfinite(values).all():
+            raise ValueError("nonfinite-activation: f(k) not finite at some knot")
+        knots = dequantize(q_knots, p_in)
+        intercepts = values[:-1]
+        scale = 2.0**TABLE_FRACTION_BITS
+        # a slope or constant that overflows float64 is caught below
+        with np.errstate(over="ignore", invalid="ignore"):
+            slopes = (values[1:] - values[:-1]) / (knots[1:] - knots[:-1])
+            fx = (slopes * (p_in.scale / p_out.scale) * scale, intercepts / p_out.scale * scale)
+        # one constant past 2^62 (or inf or NaN) breaks the bound below
+        # on its own; ruling it out first keeps the int64 casts defined
+        if not all(np.abs(v).max() <= 2.0**62 for v in fx):
+            raise FxOverflow("fixed-point table constants would overflow int64")
+        fx_slopes, fx_intercepts = (round_half_away(v) for v in fx)
+        bound = int(np.abs(fx_slopes).max()) * (p_in.qmax + 1) + int(
+            np.abs(fx_intercepts).max()
+        )
+        if bound > 2**62:
+            raise FxOverflow("fixed-point table constants would overflow int64")
+        derived = dict(
+            q_knots=q_knots, values=values, knots=knots, slopes=slopes,
+            intercepts=intercepts, fx_slopes=fx_slopes, fx_intercepts=fx_intercepts,
+        )
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
         lut = _expand(self)
         lut.flags.writeable = False
         object.__setattr__(self, "lut", lut)
@@ -106,15 +154,6 @@ class PwlTable:
     @property
     def pieces(self) -> int:
         return len(self.slopes)
-
-    def lut_covering(self, p: QuantParams) -> np.ndarray:
-        """lut, extended so that every code of grid p indexes it.
-
-        Codes past this table's own grid clamp to its top code, as eval_int
-        clamps them.
-        """
-        short = p.qmax + 1 - len(self.lut)
-        return np.pad(self.lut, (0, short), mode="edge") if short > 0 else self.lut
 
 
 # codes per block of _expand: its int64 temporaries (120 KiB) stay in cache
@@ -128,9 +167,7 @@ def _expand(t: PwlTable) -> np.ndarray:
     Codes between two knots take the lower knot's piece, the last knot takes
     the last piece, and codes outside the knot span clamp to its ends.
     """
-    if t.in_params.bitwidth > 16:
-        raise ValueError("look-up tables are limited to 16-bit input grids")
-    k = np.asarray(t.q_knots, dtype=np.int64)
+    k = t.q_knots
     # s * (q - k_i) + b_i regrouped as s * q + (b_i - s * k_i); the table's
     # 2^62 bound on |s| * 2^bits + |b| keeps both forms within int64
     offsets = t.fx_intercepts - t.fx_slopes * k[:-1]
@@ -144,46 +181,11 @@ def _expand(t: PwlTable) -> np.ndarray:
         end = min(start + _EXPAND_BLOCK, hi)
         idx = np.repeat(pieces, np.diff(np.clip(edges, start, end)))
         acc = t.fx_slopes.take(idx) * np.arange(start, end) + offsets.take(idx)
-        acc = rounded_shift(acc, t.fraction_bits) + p.zero_point
+        acc = rounded_shift(acc, TABLE_FRACTION_BITS) + p.zero_point
         lut[start:end] = saturate(acc, p.qmin, p.qmax)
     lut[:lo] = lut[lo]
     lut[hi:] = lut[hi - 1]
     return lut
-
-
-def _finalize(knots, values, q_knots, in_params, out_params) -> PwlTable:
-    knots = np.asarray(knots, dtype=np.float64)
-    values = np.asarray(values, dtype=np.float64)
-    q_knots = np.asarray(q_knots, dtype=np.int64)
-    if len(knots) < 2:
-        raise ValueError("a table needs at least two knots")
-    if np.any(np.diff(q_knots) <= 0):
-        raise ValueError("knots must be strictly increasing")
-    if not np.all(np.isfinite(values)):
-        raise ValueError("nonfinite-activation: f(k) not finite at some knot")
-    slopes = np.diff(values) / np.diff(knots)
-    intercepts = values[:-1]
-
-    f = TABLE_FRACTION_BITS
-    scale_ratio = in_params.scale / out_params.scale
-    fx_slopes = round_half_away(slopes * scale_ratio * 2.0**f)
-    fx_intercepts = round_half_away(intercepts / out_params.scale * 2.0**f)
-    bound = int(np.abs(fx_slopes).max()) * (in_params.qmax + 1) + int(
-        np.abs(fx_intercepts).max(initial=0)
-    )
-    if bound > 2**62:
-        raise FxOverflow("fixed-point table constants would overflow int64")
-    return PwlTable(
-        knots=knots,
-        slopes=slopes,
-        intercepts=intercepts,
-        q_knots=q_knots,
-        in_params=in_params,
-        out_params=out_params,
-        fx_slopes=fx_slopes,
-        fx_intercepts=fx_intercepts,
-        fraction_bits=f,
-    )
 
 
 def build_full(fn, in_params: QuantParams, out_params: QuantParams) -> PwlTable:
@@ -191,13 +193,13 @@ def build_full(fn, in_params: QuantParams, out_params: QuantParams) -> PwlTable:
     if in_params.bitwidth > 16:
         raise ValueError("full grid limited to 16-bit inputs")
     grid = np.arange(in_params.qmax + 1, dtype=np.int64)
-    knots = dequantize(grid, in_params)
-    values = np.asarray(fn(knots), dtype=np.float64)
-    return _finalize(knots, values, grid, in_params, out_params)
+    values = np.asarray(fn(dequantize(grid, in_params)), dtype=np.float64)
+    return PwlTable(grid, values, in_params, out_params)
 
 
 def from_points(xs, ys, in_params: QuantParams, out_params: QuantParams) -> PwlTable:
-    """Table through explicit (x, f(x)) samples; xs must sit on the grid."""
+    """Table through explicit (x, f(x)) samples; xs must sit on the grid,
+    and the knots are the grid points they sit on."""
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
     q = round_half_away(xs / in_params.scale) + in_params.zero_point
@@ -207,13 +209,7 @@ def from_points(xs, ys, in_params: QuantParams, out_params: QuantParams) -> PwlT
     back = dequantize(q, in_params)
     if not np.allclose(back, xs, rtol=0.0, atol=1e-9 * max(1.0, np.abs(xs).max())):
         raise ValueError("knots must be members of the quantized input grid")
-    return _finalize(xs, ys, q, in_params, out_params)
-
-
-def _knot_values(t: PwlTable) -> np.ndarray:
-    """f at every knot (intercepts plus the implied last-knot value)."""
-    last = t.slopes[-1] * (t.knots[-1] - t.knots[-2]) + t.intercepts[-1]
-    return np.append(t.intercepts, last)
+    return PwlTable(q, ys, in_params, out_params)
 
 
 def reduce(t: PwlTable, pieces: int) -> PwlTable:
@@ -227,11 +223,8 @@ def reduce(t: PwlTable, pieces: int) -> PwlTable:
         raise ValueError("invalid-budget: pieces must be >= 1")
     if pieces >= t.pieces:
         return t
-    values = _knot_values(t)
-    keep = _surviving_knots(t.knots, values, pieces)
-    return _finalize(
-        t.knots[keep], values[keep], t.q_knots[keep], t.in_params, t.out_params
-    )
+    keep = _surviving_knots(t.knots, t.values, pieces)
+    return PwlTable(t.q_knots[keep], t.values[keep], t.in_params, t.out_params)
 
 
 def _surviving_knots(ks: np.ndarray, ys: np.ndarray, pieces: int) -> np.ndarray:

@@ -25,8 +25,10 @@ from .fixedpoint import (
     FixedPointScalar,
     FxOverflow,
     Rescale,
+    fx_apply,
     requant_multiplier,
     round_half_away,
+    saturate,
     to_fixed,
 )
 
@@ -148,11 +150,11 @@ def _store(out, p: QuantParams, scalar: bool):
     return int(out) if scalar else np.asarray(out).astype(p.dtype)
 
 
-def requant_rescale(fx: FixedPointScalar, p_out: QuantParams, bound=None) -> Rescale:
-    """One-term rescale of an accumulator into p_out by multiplier fx."""
+def requant_rescale(fx: FixedPointScalar, p_out: QuantParams, bound: int) -> Rescale:
+    """One-term rescale into p_out by multiplier fx of an accumulator whose
+    magnitude is at most bound."""
     return Rescale(
-        (fx.raw,), fx.fraction_bits, p_out.zero_point, p_out.qmin, p_out.qmax,
-        bounds=None if bound is None else (bound,),
+        (fx.raw,), fx.fraction_bits, p_out.zero_point, p_out.qmin, p_out.qmax, bounds=(bound,)
     )
 
 
@@ -207,13 +209,14 @@ def requantize(acc, in_scale: float, p_out: QuantParams, fx: FixedPointScalar | 
     """Map an integer accumulator holding values at in_scale into p_out.
 
     acc represents real values acc * in_scale (zero already centered out, as
-    produced by matmuls over centered operands).
+    produced by matmuls over centered operands).  FxOverflow if the product
+    of fx and acc would not fit int64.
     """
     if fx is None:
         fx = requant_multiplier(in_scale / p_out.scale)
     scalar = np.ndim(acc) == 0 and not isinstance(acc, np.ndarray)
-    acc = int(acc) if scalar else np.asarray(acc).astype(np.int64)
-    return _store(requant_rescale(fx, p_out)(acc), p_out, scalar)
+    out = fx_apply(fx, int(acc) if scalar else np.asarray(acc), p_out.zero_point)
+    return _store(saturate(out, p_out.qmin, p_out.qmax), p_out, scalar)
 
 
 class ExactGemv:

@@ -21,13 +21,11 @@ import numpy as np
 
 from .fixedpoint import FxOverflow, Rescale, requant_multiplier, round_half_away, saturate
 from .madnorm import MadNormPlan, compute_stats, madnorm_ref
-from .pwl import activation_registry, build_full, reduce
+from .pwl import TANH_GRID, UNIT_GRID, activation_registry, build_full, reduce
 from .quant import (
     ExactGemv,
     Observer,
     QTensor,
-    QuantParams,
-    derive_params,
     max_centered,
     qmul_rescale,
     quantize_weight,
@@ -50,7 +48,8 @@ __all__ = [
 
 GATE_ORDER = ("i", "f", "j", "o")
 
-# a cell's PWL tables: the gate sigmoids, the j-gate tanh and tanh(c)
+# a cell's PWL tables: the gate sigmoids, the j-gate tanh and tanh(c); each
+# name starts with the name of the activation it approximates
 TABLE_NAMES = ("sigmoid", "tanh_gate", "tanh_cell")
 
 _INT32_MAX = 2**31 - 1
@@ -248,39 +247,57 @@ class IntLstmCell:
     """Integer-only LSTM cell, compiled once into integer constants and LUTs.
 
     sites maps tensor-site names to calibrated QuantParams: x, h, c, xprod,
-    hprod, sum1, fc, ij, plus preact and s for context-fed cells and the
-    mn{x,h}_{mu,xhat,d,y} group for MadNorm cells.  tables maps TABLE_NAMES
-    to the PWL tables the cell runs (see freeze_cell).
+    hprod, sum1, fc, ij, plus preact and s for context-fed cells.  A cell
+    normalizes its gate products (MadNorm) exactly when sites holds the
+    mn{x,h}_{mu,xhat,d,y} group, all eight of them.  tables maps
+    TABLE_NAMES to the PWL tables the cell runs, each on the grids that
+    table_grids gives (see freeze_cell).
 
-    Construction derives every rescale from the sites (the xprod and hprod
-    multipliers included), compiles the exact GEMV operands and the LUTs,
-    and proves the constant overflow bounds, so a step is only GEMVs, adds,
-    shifts, saturations and gathers.  The sites are read-only and nothing
-    compiled changes afterwards, so one cell may step many sequences on
-    many threads.
+    Construction derives every rescale from the sites, compiles the exact
+    GEMV operands and the LUTs, and proves the constant overflow bounds, so
+    a step is only GEMVs, adds, shifts, saturations and gathers.  The sites
+    are read-only and nothing compiled changes afterwards, so one cell may
+    step many sequences on many threads.
     """
 
-    def __init__(self, weights: LstmWeights, cfg: CellConfig, sites: Mapping, tables: dict):
+    def __init__(self, weights: LstmWeights, sites: Mapping, tables: dict):
         required = {"x", "h", "c", "xprod", "hprod", "sum1", "fc", "ij"}
         if weights.ws is not None:
             required |= {"s", "preact"}
-        if cfg.use_madnorm:
+        self.use_madnorm = not sites.keys().isdisjoint(_MN_SITES)
+        if self.use_madnorm:
             required |= set(_MN_SITES)
         missing = sorted(required - sites.keys())
         if missing:
             raise KeyError(f"uncalibrated-tensor: {', '.join(missing)}")
+        if sites["h"].bitwidth != 8:
+            raise ValueError("hidden state must be 8-bit")
         self.weights = weights
-        self.cfg = cfg
         self.sites = MappingProxyType(dict(sites))
         self.tables = dict(tables)
-        self._compile(self.sites["preact" if weights.ws is not None else "sum1"])
+        grids = self.table_grids(self.sites, weights.ws is not None)
+        if any((tables[k].in_params, tables[k].out_params) != g for k, g in grids.items()):
+            raise ValueError("table-grid-mismatch: a table is not on its sites' grids")
+        self._compile()
 
-    def _compile(self, p_gate: QuantParams) -> None:
+    @staticmethod
+    def table_grids(sites: Mapping, context: bool) -> dict:
+        """(input grid, output grid) of each TABLE_NAMES table: the gate
+        sigmoid and tanh read the gate site (preact for a context-fed cell,
+        else sum1), tanh(c) reads c, and the outputs are the fixed grids."""
+        p_gate = sites["preact" if context else "sum1"]
+        return {
+            "sigmoid": (p_gate, UNIT_GRID),
+            "tanh_gate": (p_gate, TANH_GRID),
+            "tanh_cell": (sites["c"], TANH_GRID),
+        }
+
+    def _compile(self) -> None:
         p, w, m = self.sites, self.weights, self.hidden_size
         bias_acc = None
         self._bias_codes = None
         if w.bias is not None:
-            if self.cfg.use_madnorm:
+            if self.use_madnorm:
                 # normalization is shift-invariant, so the bias only
                 # survives if it joins after the per-branch norms
                 self._bias_codes = round_half_away(
@@ -291,20 +308,19 @@ class IntLstmCell:
                 bias_acc = w.bias
         self._gemv_x = ExactGemv(w.wx, p["x"], bias_acc)
         self._gemv_h = ExactGemv(w.wh, p["h"])
-        # save() writes these two; load() checks the stored pair against them
-        self.multipliers = {
-            out: requant_multiplier(p[src].scale * wt.params.scale / p[out].scale)
-            for out, src, wt in (("xprod", "x", w.wx), ("hprod", "h", w.wh))
-        }
         # xprod, hprod, fc and ij feed only centered operands (Rescale.centered)
         self._xprod, self._hprod = (
-            requant_rescale(self.multipliers[s], p[s], gemv.bound).centered()
-            for s, gemv in (("xprod", self._gemv_x), ("hprod", self._gemv_h))
+            requant_rescale(
+                requant_multiplier(p[src].scale * wt.params.scale / p[out].scale), p[out], g.bound
+            ).centered()
+            for out, src, wt, g in (
+                ("xprod", "x", w.wx, self._gemv_x), ("hprod", "h", w.wh, self._gemv_h)
+            )
         )
 
         self._norm_x = self._norm_h = None
         pa, pb = p["xprod"], p["hprod"]
-        if self.cfg.use_madnorm:
+        if self.use_madnorm:
             self._norm_x = MadNormPlan(
                 pa, p["mnx_mu"], p["mnx_xhat"], p["mnx_d"], p["mnx_y"], 4 * m
             )
@@ -333,15 +349,14 @@ class IntLstmCell:
         elif self._bias_codes is None:
             self._sum1 = self._sum1.unsaturated()
 
-        sig, tanh_gate, tanh_cell = (self.tables[k] for k in TABLE_NAMES)
-        p_sig, p_tanh = sig.out_params, tanh_gate.out_params
-        # views over the gate grid: a clipped index is a saturated gate code
-        self._sig_lut = sig.lut_covering(p_gate)[: p_gate.qmax + 1]
-        self._tanh_gate_lut = tanh_gate.lut_covering(p_gate)[: p_gate.qmax + 1]
-        self._tanh_cell_lut = tanh_cell.lut_covering(p["c"])
+        # the LUTs span their input grids: a clipped index is a saturated code
+        self._sig_lut, self._tanh_gate_lut, self._tanh_cell_lut = (
+            self.tables[k].lut for k in TABLE_NAMES
+        )
+        p_sig, p_tanh = UNIT_GRID, TANH_GRID
         # 0-d arrays, which ufuncs take without converting a Python int
         self._z_sig = np.asarray(p_sig.zero_point, dtype=np.int64)
-        self._z_tanh_cell = np.asarray(tanh_cell.out_params.zero_point, dtype=np.int64)
+        self._z_tanh_cell = np.asarray(p_tanh.zero_point, dtype=np.int64)
         # the zero points of the stacked operand [tanh(j), c]
         self._z_jc = np.repeat(
             np.array([p_tanh.zero_point, p["c"].zero_point], dtype=np.int64), m
@@ -354,7 +369,7 @@ class IntLstmCell:
         self._c = sum_rescale(
             p["fc"].scale, p["ij"].scale, p["c"], (max_centered(p["fc"]), max_centered(p["ij"]))
         )
-        self._h = qmul_rescale(p_sig, tanh_cell.out_params, p["h"])
+        self._h = qmul_rescale(p_sig, p_tanh, p["h"])
 
     @property
     def hidden_size(self) -> int:
@@ -487,17 +502,12 @@ def freeze_cell(observers: dict, wx, wh, bias, cfg: CellConfig, ws=None) -> IntL
             raise FxOverflow("bias codes exceed int32 range")
         bias_i32 = codes.astype(np.int32)
     weights = LstmWeights(qwx, qwh, bias_i32, ws=qws)
-    p_gate = sites["preact" if ws is not None else "sum1"]
-    p_sig = derive_params(0.0, 1.0, 8)
-    p_tanh = derive_params(-1.0, 1.0, 8)
-    sigmoid_fn, _ = activation_registry("sigmoid")
-    tanh_fn, _ = activation_registry("tanh")
     tables = {
-        "sigmoid": reduce(build_full(sigmoid_fn, p_gate, p_sig), cfg.pwl_pieces),
-        "tanh_gate": reduce(build_full(tanh_fn, p_gate, p_tanh), cfg.pwl_pieces),
-        "tanh_cell": reduce(build_full(tanh_fn, sites["c"], p_tanh), cfg.pwl_pieces),
+        name: reduce(build_full(activation_registry(name.partition("_")[0])[0], *grids),
+                     cfg.pwl_pieces)
+        for name, grids in IntLstmCell.table_grids(sites, ws is not None).items()
     }
-    return IntLstmCell(weights, cfg, sites, tables)
+    return IntLstmCell(weights, sites, tables)
 
 
 def calibrate_lstm_cell(

@@ -5,6 +5,7 @@ import pytest
 
 from irnn.attention import (
     EXP_DOMAIN,
+    EXP_GRID,
     AttentionPlan,
     AttentionWeights,
     _degrade_denominator,
@@ -314,6 +315,19 @@ class TestLeanStep:
         np.testing.assert_array_equal(plan.context(qhd, src).data, [160])
         with pytest.raises(FxOverflow, match="context accumulator"):
             plan.source(QTensor(np.full((longest + 1, 1), 255, dtype=np.uint8), p_h))
+
+    def test_tables_on_other_grids_rejected(self):
+        # exp reads the fixed EXP_GRID and tanh the sumqk site; a swapped
+        # pair, or a tanh table left behind by a new sumqk grid, is refused
+        _, _, w, expt, tanht = _toy(42, n_cal=16)
+        p = w.sites["sumqk"]
+        moved = AttentionWeights(
+            w.wq, w.wk, w.v, {**w.sites, "sumqk": derive_params(p.min * 2, p.max * 2, 16)}
+        )
+        for weights, exp_table, tanh_table in ((w, tanht, expt), (moved, expt, tanht)):
+            with pytest.raises(ValueError, match="table-grid-mismatch"):
+                AttentionPlan(weights, exp_table, tanh_table)
+        assert expt.in_params == EXP_GRID
 
     def test_source_checks_encoder_params(self):
         rng, _, w, expt, tanht = _toy(42, n_cal=16)

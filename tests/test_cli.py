@@ -5,16 +5,17 @@ import json
 import statistics
 import struct
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from irnn import model_io as mio
 from irnn import quant
-from irnn.cli import main
-from irnn.pwl import eval_int
+from irnn.cli import build_model, main
+from irnn.pwl import PwlTable, eval_int
 from irnn.quant import QuantParams, derive_params
-from irnn.rnn import IntLstmCell
+from irnn.rnn import CellConfig, IntLstmCell
 
 _TABLE_GOLDEN = [
     "scaling,precision,signed_low,signed_high,unsigned_low,unsigned_high",
@@ -150,14 +151,17 @@ class TestQuantizeRunCompare:
         model = mio.load_file(path)
         cell = model.cells["main"]
         p = cell.sites["sum1"]
-        # shift the gate grid out from under the frozen tables
+        # shift the gate grid out from under the frozen knot codes
         sum1 = QuantParams(
             p.min + 3.0, p.max + 3.0, p.bitwidth, p.scale,
             max(0, p.zero_point - int(3.0 / p.scale)),
         )
-        model.cells["main"] = IntLstmCell(
-            cell.weights, cell.cfg, {**cell.sites, "sum1": sum1}, cell.tables
-        )
+        sites = {**cell.sites, "sum1": sum1}
+        tables = {
+            name: PwlTable(cell.tables[name].q_knots, cell.tables[name].values, *grids)
+            for name, grids in IntLstmCell.table_grids(sites, False).items()
+        }
+        model.cells["main"] = IntLstmCell(cell.weights, sites, tables)
         mio.save_file(model, path)
         code, out = _run(capsys, "compare", str(path), "--synth", "3")
         assert code == 1
@@ -318,7 +322,9 @@ def bad_files(tmp_path_factory):
     d = tmp_path_factory.mktemp("bad")
     rng = np.random.default_rng(42)
     names = {"npz": "model.npz", "calib": "calib.bin", "model": "model.irnn", "nan": "nan.bin",
-             "nan_npz": "nan.npz", "truncated": "truncated.bin", "out": "out.csv"}
+             "nan_npz": "nan.npz", "truncated": "truncated.bin", "out": "out.csv",
+             "v1": "v1.irnn", "no_seqs": "no_seqs.bin", "no_steps": "no_steps.bin",
+             "no_steps_2d": "no_steps_2d.bin"}
     files = {k: d / name for k, name in names.items()}
     _lstm_npz(files["npz"], rng)
     mio.save_calibration(files["calib"], rng.normal(0.0, 1.0, size=(4, 8, 12)))
@@ -334,8 +340,14 @@ def bad_files(tmp_path_factory):
     np.savez(files["nan_npz"], **weights)
     # rank 3 but only one of the three dims
     files["truncated"].write_bytes(struct.pack("<IQ", 3, 2))
+    for name, shape in (("no_seqs", (0, 4, 12)), ("no_steps", (1, 0, 12)),
+                        ("no_steps_2d", (0, 12))):
+        mio.save_calibration(files[name], np.zeros(shape))
+    v1 = bytearray(files["model"].read_bytes())
+    v1[4:8] = struct.pack("<I", 1)
+    files["v1"].write_bytes(bytes(v1))
+    tables = "cells/main/tables"
     edits = {
-        "fx_hprod": lambda man: man["cells"]["main"]["fx_hprod"].update(raw=12345),
         "no_site": lambda man: man["cells"]["main"]["sites"].pop("sum1"),
         "no_cells": lambda man: man.pop("cells"),
         # the xprod multiplier no longer fits its fixed-point form
@@ -346,6 +358,11 @@ def bad_files(tmp_path_factory):
         "nan_scale": lambda man: man["cells"]["main"]["sites"]["h"].update(scale=float("nan")),
         "bool_zero": lambda man: man["cells"]["main"]["sites"]["c"].update(zero_point=True),
         "inf_scale": lambda man: man["cells"]["main"]["sites"]["c"].update(scale=float("inf")),
+        # no build makes a 32-bit cell state, and no table spans one
+        "c_32": lambda man: man["cells"]["main"]["sites"]["c"].update(bitwidth=32),
+        # blobs retagged: the bytes stay valid, the dtype does not
+        "float_knots": lambda man: man["blobs"][f"{tables}/sigmoid/q_knots"].update(dtype="float64"),
+        "int_values": lambda man: man["blobs"][f"{tables}/sigmoid/values"].update(dtype="int32"),
     }
     for name, mutate in edits.items():
         files[name] = d / f"{name}.irnn"
@@ -373,7 +390,23 @@ _BAD_INPUTS = {
     "compare-nan-input": (["compare", "{model}", "--input", "{nan}"], 3),
     "quantize-nan-calib": (["quantize", "{npz}", "--calib", "{nan}", "--out", "{out}"], 3),
     "quantize-nan-weights": (["quantize", "{nan_npz}", "--calib", "{calib}", "--out", "{out}"], 3),
-    "run-edited-fx-hprod": (["run", "{fx_hprod}"], 3),
+    "run-v1-container": (["run", "{v1}"], 3),
+    "run-32-bit-cell-state": (["run", "{c_32}"], 3),
+    "run-float-knot-codes": (["run", "{float_knots}"], 3),
+    "run-int-knot-values": (["run", "{int_values}"], 3),
+    "run-no-sequences": (["run", "{model}", "--input", "{no_seqs}"], 3),
+    "run-no-timesteps": (["run", "{model}", "--input", "{no_steps}"], 3),
+    "run-no-timesteps-2d": (["run", "{model}", "--input", "{no_steps_2d}"], 3),
+    "compare-no-sequences": (["compare", "{model}", "--input", "{no_seqs}"], 3),
+    "compare-no-timesteps": (["compare", "{model}", "--input", "{no_steps}"], 3),
+    "quantize-no-sequences": (["quantize", "{npz}", "--calib", "{no_seqs}", "--out", "{out}"], 3),
+    "quantize-no-timesteps": (["quantize", "{npz}", "--calib", "{no_steps}", "--out", "{out}"], 3),
+    "quantize-no-timesteps-2d": (
+        ["quantize", "{npz}", "--calib", "{no_steps_2d}", "--out", "{out}"], 3
+    ),
+    "run-threads-0": (["run", "{model}", "--threads", "0"], 2),
+    "run-threads-negative": (["run", "{model}", "--threads", "-3"], 2),
+    "compare-threads-0": (["compare", "{model}", "--threads", "0"], 2),
     "run-manifest-missing-site": (["run", "{no_site}"], 3),
     "run-manifest-missing-cells": (["run", "{no_cells}"], 3),
     "run-multiplier-overflows": (["run", "{x_scale}"], 3),
@@ -444,7 +477,7 @@ class TestExitCodes:
         model = mio.load_file(path)
         bwd = model.cells["bwd"]
         model.cells["bwd"] = IntLstmCell(
-            bwd.weights, bwd.cfg, {**bwd.sites, "h": derive_params(-2.0, 2.0, 8)}, bwd.tables
+            bwd.weights, {**bwd.sites, "h": derive_params(-2.0, 2.0, 8)}, bwd.tables
         )
         mio.save_file(model, path)
         code = main(["run", str(path), "--synth", "2", "--seq-len", "5"])
@@ -461,3 +494,75 @@ class TestExitCodes:
         code, out = _run(capsys, "table")
         assert code == 0
         assert out.strip().splitlines() == _TABLE_GOLDEN
+
+
+def _leaves(node, path=()):
+    """The path of every leaf of a JSON tree (dict keys and list indices)."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        if isinstance(value, (dict, list)) and value:
+            yield from _leaves(value, path + (key,))
+        else:
+            yield path + (key,)
+
+
+_EXTREMES = (0, -1, 2**31, 2**63, -(2**63), 2**100, 1e308, -1e308, 1e-308, 0.5,
+             float("inf"), float("nan"), True, None, "x", [], {})
+
+
+def _mutate(data: bytes, rng) -> bytes:
+    """One seeded mutation: a manifest leaf set to an extreme value,
+    retyped or deleted, a flipped bit, or a truncation."""
+    kind = int(rng.integers(5))
+    if kind == 3:
+        out = bytearray(data)
+        out[int(rng.integers(len(out)))] ^= 1 << int(rng.integers(8))
+        return bytes(out)
+    if kind == 4:
+        return data[: int(rng.integers(len(data)))]
+    head = struct.Struct("<4sIQ")
+    magic, version, mlen = head.unpack_from(data)
+    manifest = json.loads(data[head.size : head.size + mlen])
+    leaves = list(_leaves(manifest))
+    *parent, key = leaves[int(rng.integers(len(leaves)))]
+    node = manifest
+    for k in parent:
+        node = node[k]
+    if kind == 0:
+        node[key] = _EXTREMES[int(rng.integers(len(_EXTREMES)))]
+    elif kind == 1:
+        node[key] = (str(node[key]), [node[key]])[int(rng.integers(2))]
+    else:
+        del node[key]
+    body = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode()
+    align = lambda n: (n + 63) // 64 * 64
+    pad = b"\0" * (align(head.size + len(body)) - head.size - len(body))
+    blobs = data[align(head.size + mlen) :]
+    return head.pack(magic, version, len(body)) + body + pad + blobs
+
+
+def test_mutated_containers_exit_cleanly(tmp_path, capsys):
+    # 400 seeded mutations of one small MadNorm container, each run through
+    # `irnn run`: every one exits with a documented code, and every failure
+    # with an error line instead of a traceback
+    rng = np.random.default_rng(42)
+    n, m = 3, 4
+    fm = mio.FloatModel("lstm", {
+        "wx": rng.normal(0.0, 0.3, size=(4 * m, n)),
+        "wh": rng.normal(0.0, 0.3, size=(4 * m, m)),
+        "bias": rng.normal(0.0, 0.1, size=4 * m),
+    })
+    cfg = CellConfig(use_madnorm=True, pwl_pieces=4)
+    data = mio.save(build_model(fm, rng.normal(size=(2, 5, n)), cfg))
+    path = tmp_path / "fuzz.irnn"
+    codes = Counter()
+    for _ in range(400):
+        path.write_bytes(_mutate(data, rng))
+        code = main(["run", str(path), "--synth", "1", "--seq-len", "2"])
+        err = capsys.readouterr().err
+        assert code in (0, 2, 3, 4)
+        assert "Traceback" not in err
+        assert code == 0 or err.startswith("error:")
+        codes[code] += 1
+    # most mutations break the container; some (meta, a site's min) do not
+    assert codes[3] > codes[0] > 0

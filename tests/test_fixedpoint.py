@@ -311,15 +311,26 @@ class TestRescale:
         with pytest.raises(FxOverflow):
             Rescale((2**40,), 30, bounds=(2**23,))
         op = Rescale((2**40,), 30, bounds=(2**22 - 1,))
-        assert not op.per_call_check
         assert op(2**22 - 1) == _ref_round_div(2**40 * (2**22 - 1), 2**30)
 
-    def test_unbounded_checks_each_call(self):
-        op = Rescale((2**40,), 30)
-        assert op.per_call_check
-        assert op(np.array([5, -7])).tolist() == [5 * 1024, -7 * 1024]
-        with pytest.raises(FxOverflow):
-            op(np.array([2**23]))
+    def test_wrappers_bound_their_own_operand(self):
+        # a rescale always has bounds; requantize and fx_apply take them from
+        # the operand they are given, so an overflowing one still raises
+        from irnn.quant import derive_params, requantize
+
+        with pytest.raises(TypeError):
+            Rescale((2**40,), 30)
+        fx = FixedPointScalar(2**40, 30, 11)
+        p_out = derive_params(-(2**34), 2**34, 32)
+        for q in (np.array([5, -7]), 5):
+            want = np.array(q) * 1024 + p_out.zero_point
+            assert np.array_equal(requantize(q, 1.0, p_out, fx), want)
+            assert np.array_equal(fx_apply(fx, q), np.array(q) * 1024)
+        for q in (np.array([2**23]), np.array([-(2**63)]), -(2**23)):
+            with pytest.raises(FxOverflow):
+                requantize(q, 1.0, p_out, fx)
+            with pytest.raises(FxOverflow):
+                fx_apply(fx, q)
 
     def test_two_terms_round_once_and_saturate(self):
         # 0.5 * a + 0.25 * b, one rounding, into [0, 255] around zero 128
@@ -349,13 +360,14 @@ class TestInPlaceFinish:
             before = acc.copy()
             rounded = [_ref_round_div(v, 2**f) for v in vals]
             # no saturation and no zero: the bare rounding, both paths
-            op = Rescale((1,), f)
+            bound = max(map(abs, vals))
+            op = Rescale((1,), f, bounds=(bound,))
             assert op.finish(acc).tolist() == rounded, f
             assert [op.finish(v) for v in vals] == rounded, f
             # zero point and saturation, in place on the fresh array
             lo, hi = sorted(int(v) for v in rng.integers(-(2**40), 2**40, size=2))
             zero = int(rng.integers(-(2**20), 2**20))
-            op = Rescale((1,), f, zero, lo, hi)
+            op = Rescale((1,), f, zero, lo, hi, bounds=(bound,))
             want = [min(max(r + zero, lo), hi) for r in rounded]
             assert op.finish(acc).tolist() == want, f
             assert [op.finish(v) for v in vals] == want, f
@@ -363,7 +375,7 @@ class TestInPlaceFinish:
 
     def test_zero_fraction_bits_copies(self):
         acc = np.array([-7, 0, 9], dtype=np.int64)
-        out = Rescale((1,), 0, 0, -5, 5).finish(acc)
+        out = Rescale((1,), 0, 0, -5, 5, bounds=(9,)).finish(acc)
         assert out.tolist() == [-5, 0, 5]
         assert acc.tolist() == [-7, 0, 9]
 
@@ -403,11 +415,15 @@ class TestCenteredRescale:
             p = cell.sites
             p_sig = cell.tables["sigmoid"].out_params
             p_tanh = cell.tables["tanh_gate"].out_params
+            fx = {
+                out: requant_multiplier(p[src].scale * w.params.scale / p[out].scale)
+                for out, src, w in (("xprod", "x", cell.weights.wx), ("hprod", "h", cell.weights.wh))
+            }
             pairs = {
                 "xprod": (cell._xprod, requant_rescale(
-                    cell.multipliers["xprod"], p["xprod"], cell._gemv_x.bound), cell._gemv_x.bound),
+                    fx["xprod"], p["xprod"], cell._gemv_x.bound), cell._gemv_x.bound),
                 "hprod": (cell._hprod, requant_rescale(
-                    cell.multipliers["hprod"], p["hprod"], cell._gemv_h.bound), cell._gemv_h.bound),
+                    fx["hprod"], p["hprod"], cell._gemv_h.bound), cell._gemv_h.bound),
                 "fc": (_block(cell._ij_fc, 1, m), qmul_rescale(p_sig, p["c"], p["fc"]),
                        255 * 2**bits),
                 "ij": (_block(cell._ij_fc, 0, m), qmul_rescale(p_sig, p_tanh, p["ij"]),
@@ -486,8 +502,8 @@ class TestStackedRescale:
         # away from zero on both signs, as the unlifted one does
         for g in range(1, 20):
             for k in (1, 7, 30):
-                low = Rescale((1,), g, 0, -(2**40), 2**40)
-                high = Rescale((1,), g + k, 0, -(2**40), 2**40)
+                low = Rescale((1,), g, 0, -(2**40), 2**40, bounds=(2**30,))
+                high = Rescale((1,), g + k, 0, -(2**40), 2**40, bounds=(2**20,))
                 stacked = Rescale.stack(((low, 1, 2**30), (high, 1, 2**20)))
                 ties = np.array([(2 * j + 1) << (g - 1) for j in range(-4, 4)], dtype=np.int64)
                 for t in (ties - 1, ties, ties + 1):
@@ -505,8 +521,12 @@ class TestStackedRescale:
         Rescale.stack(((wide, 4, 2**2), (deep, 4, 2**20)))
 
     def test_rejects_uncentered_or_unsaturated_parts(self):
-        op = Rescale((3,), 8, 0, -10, 10)
-        bad_parts = (Rescale((3,), 8, 1, -10, 10), Rescale((3,), 8), Rescale((1, 2), 8, 0, -1, 1))
+        op = Rescale((3,), 8, 0, -10, 10, bounds=(10,))
+        bad_parts = (
+            Rescale((3,), 8, 1, -10, 10, bounds=(10,)),
+            Rescale((3,), 8, bounds=(10,)),
+            Rescale((1, 2), 8, 0, -1, 1, bounds=(10, 10)),
+        )
         for bad in bad_parts:
             with pytest.raises(ValueError):
                 Rescale.stack(((op, 2, 10), (bad, 2, 10)))
@@ -516,8 +536,7 @@ class TestClippedGather:
     def test_equals_saturate_then_take(self):
         rng = np.random.default_rng(42)
         for qmax, extra in ((255, 0), (255, 40), (65535, 0)):
-            # a table longer than the grid it serves (lut_covering keeps a
-            # wider table's own lut) is cut to the grid first
+            # a table longer than the grid it serves is cut to the grid first
             lut = rng.integers(0, 256, size=qmax + 1 + extra).astype(np.uint8)
             codes = np.concatenate([
                 np.arange(-300, 0), np.arange(0, qmax + 1, max(1, qmax // 1000)),
@@ -526,7 +545,7 @@ class TestClippedGather:
             want = lut.take(saturate(codes.copy(), 0, qmax))
             np.testing.assert_array_equal(lut[: qmax + 1].take(codes, mode="clip"), want)
             np.testing.assert_array_equal(
-                Rescale((1,), 0, 0, 0, qmax).unsaturated()(codes), codes
+                Rescale((1,), 0, 0, 0, qmax, bounds=(2**40,)).unsaturated()(codes), codes
             )
 
 

@@ -57,24 +57,24 @@ OUTPUT_SHA256 = {
     "encdec-q8mn-p32": "5327581c14bd3b3cd0c93abd537b2054834f629a6ab516e2149b4836d5cde0f5",
 }
 CONTAINER_SHA256 = {
-    "lstm-q8-p8": "ec593ecfeaf5044c3f06b8a53228bf8aa33941d8969adad816891c4159f4a477",
-    "lstm-q8-p32": "51639968cdc7988864abe99fea290efed9b812ce2405ea4e3c811b2014b2e2e4",
-    "lstm-q16-p8": "5c875a8af35ed56477bafc3d00263426837720ada3e9c47db50dff10b99686f5",
-    "lstm-q16-p32": "688d26491245695ad5b3865a766f6457d67df52bdcbdc26ac11314d65a9b5ed7",
-    "lstm-q8mn-p8": "a2801a2d4e81ec15b9840286debcd453130bbf60c04d8ceeeddd41890bb0f76f",
-    "lstm-q8mn-p32": "feb1c9a70b3eea9b3f2f9dbc81985d2c2afb03c069f90fedd29edfdf88bc9ebe",
-    "bilstm-q8-p8": "76aefb3e37df8b246bd17ed2f964daca732ebd0cc3701e7d2f8b7a5811e13954",
-    "bilstm-q8-p32": "1ddc91c13c716a97986e717b2aa14f723eb97e3bb19fbfe163b2c67c039f9797",
-    "bilstm-q16-p8": "5c421b91747e4ece9aab9f6ce5407ef32aef9424ed801d328b9a37f8be117441",
-    "bilstm-q16-p32": "929ca51ba01e72e6b33ea863ccdf3a8375743a1a93a98a08123a785a6d91fecd",
-    "bilstm-q8mn-p8": "9c79ef425cf0b5e60162ba8409d77db9c0e89ad7d623892ab289f4e4f9546def",
-    "bilstm-q8mn-p32": "7c55e0ee517157ca36b23f13675a71b3dfdd1946788bf4e59d9db2b458798823",
-    "encdec-q8-p8": "5fb1314db33e38f9931eb6bdddb4147a765861269c0c0fe7466aa039e4f8e7b6",
-    "encdec-q8-p32": "7da0144eefcd21f3f7e6be607ea7a4aaeb3e1067c6d83a44517541386017dc86",
-    "encdec-q16-p8": "9db62c93b12d2494e97e1ee3cde5045deecf22b74b202071e2ebd1117824cf4e",
-    "encdec-q16-p32": "ef04b9711aa6a12c9f54584d6f28aab322098cfe1c8768a2cfa3508ecca72935",
-    "encdec-q8mn-p8": "3a8dea350e506cae3d4ac11c229f61368c3679506594423fe893b40ce61d043b",
-    "encdec-q8mn-p32": "1778b4f212ac10d91dd1f4dad102ea4d79d3524dfdd06d6f1ecb683e4288dfb8",
+    "lstm-q8-p8": "cfed2e140ee4b9be179616f2179df559d1a9c1f8725017b8d2e21f9139978801",
+    "lstm-q8-p32": "4e3d4acf2862d05e8f736fc3bc6ff3afb59436a4beef7e2066e1ec721afd6723",
+    "lstm-q16-p8": "a77a401cf965a2a403a25087129b88057630bb571cafe32b2f466d99e137747f",
+    "lstm-q16-p32": "721d80da436dc18aeb8b75934693fd1210c2ca9aa4df689cf29d2c1c34fc7b46",
+    "lstm-q8mn-p8": "f15c5a627567170347fa2cf307dacb639d23c45ae546b093d2d57848fe441379",
+    "lstm-q8mn-p32": "3c8af04ec8de45d4dbba2e8b94780ac0f37941cae4ce63ec243724142449f80e",
+    "bilstm-q8-p8": "4b611a344f75a940076c553b08cbc1a353cfafc2ad8719edfb7d40fccb9eeab5",
+    "bilstm-q8-p32": "2212b7eb4f18ddb174966ed78717e106e0433edbda1adc0b6b12baf386e2cda1",
+    "bilstm-q16-p8": "a8706639c288fe7b0d35ef3a78f7d83071f51631954b91b538b28aacffc10710",
+    "bilstm-q16-p32": "2da1eae8cd7f74da899482f021fe469ee8f70afa4ac13b3e76db17df7578152b",
+    "bilstm-q8mn-p8": "4c4b2bb524bd38cca5a0a4e89030a1227f0866f45adc4205de34a0889d7084fd",
+    "bilstm-q8mn-p32": "ea302a092f6dd63af3518647c3032e68c2bdf17391c4c9e59a24100d28a4da37",
+    "encdec-q8-p8": "e3cab0f07f7bce2bbc4e86748a7ef5d295965d01ad6f8d96e41fa0c3f9183097",
+    "encdec-q8-p32": "20549addd52b0c31963b8fdb894292b77719701cbd4c9269c9d40034af3ec392",
+    "encdec-q16-p8": "37036d4974c2b00626d6294a8261479cb42bf8c78c0469b0e1949beb715f1a37",
+    "encdec-q16-p32": "293d31de4b1b38b83a1eec128d266195ef1005a6b50c438e4fb97554499a5e0c",
+    "encdec-q8mn-p8": "78d2dcf80e92a8146eb88f546a0c457c718ea6f1924165792505af7376800fa1",
+    "encdec-q8mn-p32": "2d3e11c3d60acb02cc27b9c3bd5484e31523a03f03695a7b54b0385dc44405fa",
 }
 
 # the oracle reads only the 8-bit weights and the MadNorm flag, so cases
@@ -157,6 +157,7 @@ def test_golden(kind, cfg, pieces):
     blob, built, loaded, ref = _run_case(kind, cfg, pieces)
     for key in built:
         np.testing.assert_array_equal(built[key], loaded[key])
+    assert mio.save(mio.load(blob)) == blob
     case = _case_id(kind, cfg, pieces)
     assert hashlib.sha256(blob).hexdigest() == CONTAINER_SHA256[case]
     assert _digest(built) == OUTPUT_SHA256[case]

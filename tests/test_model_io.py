@@ -87,17 +87,19 @@ class TestContainer:
             mio.load(bytes(data))
 
     def test_unknown_version_refused(self):
+        # format 1 included: no reader for it is kept
         model, _ = _toy_model()
-        data = bytearray(mio.save(model))
-        data[4:8] = struct.pack("<I", 99)
-        with pytest.raises(ValueError, match="unsupported-version"):
-            mio.load(bytes(data))
+        for version in (1, 99):
+            data = bytearray(mio.save(model))
+            data[4:8] = struct.pack("<I", version)
+            with pytest.raises(ValueError, match="unsupported-version"):
+                mio.load(bytes(data))
 
     def test_manifest_version_must_match_header(self):
         model, _ = _toy_model()
 
         def bump(man):
-            man["format_version"] = 2
+            man["format_version"] = 1
 
         with pytest.raises(ValueError, match="format_version"):
             mio.load(_remanifest(mio.save(model), bump))
@@ -119,6 +121,15 @@ class TestContainer:
         with pytest.raises(ValueError, match="checksum-mismatch: blob 'cells/main/wx'"):
             mio.load(bytes(data))
 
+    def test_unreferenced_blob(self):
+        model, _ = _toy_model()
+
+        def no_bias(man):
+            man["cells"]["main"]["has_bias"] = False
+
+        with pytest.raises(ValueError, match="unreferenced blob: 'cells/main/bias'"):
+            mio.load(_remanifest(mio.save(model), no_bias))
+
     def test_dangling_tensor_reference(self):
         model, _ = _toy_model()
 
@@ -128,23 +139,30 @@ class TestContainer:
         with pytest.raises(ValueError, match="dangling tensor reference"):
             mio.load(_remanifest(mio.save(model), drop))
 
-    def test_fixed_point_fields_checked_before_use(self):
-        # 2**(2**40) would be a 128 GiB int; each field is checked first
+    def test_blob_read_at_its_readers_dtype_and_rank(self):
+        # weights at their params' storage dtype, bias int32, knot codes at
+        # their grid's storage dtype, knot values float64; each blob at its
+        # rank, with a shape that agrees with its byte count
         data = mio.save(_toy_model()[0])
-        for field, value in (
-            ("fraction_bits", 2**40),
-            ("fraction_bits", 63),
-            ("fraction_bits", -1),
-            ("integral_bits", -1),
-            ("raw", 1.5),
-            ("fraction_bits", True),
-        ):
+        table = "cells/main/tables/tanh_cell"
+        edits = {
+            "cells/main/wx": [("dtype", "int8", "dtype"), ("dtype", "float64", "dtype"),
+                              ("shape", [48 * 12], "shape"), ("shape", [48, 13], "shape")],
+            "cells/main/bias": [("dtype", "float32", "dtype"), ("dtype", "uint32", "dtype"),
+                                ("shape", [48, 1], "shape")],
+            f"{table}/q_knots": [("dtype", "float64", "dtype"), ("dtype", "uint16", "dtype"),
+                                 ("shape", [1, 33], "shape")],
+            f"{table}/values": [("dtype", "int64", "dtype"), ("dtype", "uint8", "dtype"),
+                                ("shape", [33, 1], "shape"), ("shape", ["33"], "shape")],
+        }
+        for name, cases in edits.items():
+            for key, value, match in cases:
 
-            def edit(man):
-                man["cells"]["main"]["fx_hprod"][field] = value
+                def edit(man):
+                    man["blobs"][name][key] = value
 
-            with pytest.raises(ValueError, match="fixed-point fields"):
-                mio.load(_remanifest(data, edit))
+                with pytest.raises(ValueError, match=match):
+                    mio.load(_remanifest(data, edit))
 
     def test_model_kind_validation(self):
         model, _ = _toy_model()
@@ -155,6 +173,82 @@ class TestContainer:
             mio.IrnnModel("gru", {"main": cell})
         with pytest.raises(ValueError, match="attention"):
             mio.IrnnModel("encdec", {"enc": cell, "dec": cell}, attention=None)
+
+
+class TestFormat2:
+    """A format-2 container stores each fact once."""
+
+    def _manifest(self, data):
+        _, _, mlen = _HEADER.unpack_from(data)
+        return json.loads(data[_HEADER.size : _HEADER.size + mlen])
+
+    def _models(self):
+        rng = np.random.default_rng(42)
+        n = m = 8
+        cell = lambda prefix, **extra: {
+            prefix + "wx": rng.normal(0.0, 0.3, size=(4 * m, n)),
+            prefix + "wh": rng.normal(0.0, 0.3, size=(4 * m, m)),
+            prefix + "bias": rng.normal(0.0, 0.1, size=4 * m),
+            **extra,
+        }
+        encdec = mio.FloatModel("encdec", {
+            **cell("enc_"),
+            **cell("dec_", dec_ws=rng.normal(0.0, 0.3, size=(4 * m, m))),
+            "att_wq": rng.normal(0.0, 0.4, size=(m, m)),
+            "att_wk": rng.normal(0.0, 0.4, size=(m, m)),
+            "att_v": rng.normal(0.0, 0.4, size=m),
+        })
+        calib = rng.normal(0.0, 1.0, size=(3, 6, n))
+        cfg16 = CellConfig(cell_bits=16, preact_bits=16, use_madnorm=True, pwl_pieces=8)
+        return [_toy_model(madnorm=True)[0], build_model(encdec, calib, cfg16)]
+
+    def test_no_stored_config_multipliers_or_table_fields(self):
+        banned = {"cfg", "fx_xprod", "fx_hprod", "in_params", "out_params",
+                  "fraction_bits", "pieces", "tables", "exp_table", "tanh_table"}
+
+        def keys(node):
+            if isinstance(node, dict):
+                for k, v in node.items():
+                    yield k
+                    yield from keys(v)
+
+        for model in self._models():
+            man = self._manifest(mio.save(model))
+            assert not banned & set(keys({k: v for k, v in man.items() if k != "blobs"}))
+            for entry in man["cells"].values():
+                assert set(entry) == {"wx", "wh", "ws", "has_bias", "sites"}
+
+    def test_each_table_is_two_blobs(self):
+        for model in self._models():
+            data = mio.save(model)
+            blobs = self._manifest(data)["blobs"]
+            tables = {}
+            for name, entry in blobs.items():
+                prefix, _, part = name.rpartition("/")
+                if "/tables/" in prefix:
+                    tables.setdefault(prefix, {})[part] = entry["dtype"]
+            loaded = mio.load(data)
+            live = {f"cells/{c}/tables/{t}": tab for c, cell in loaded.cells.items()
+                    for t, tab in cell.tables.items()}
+            if loaded.attention is not None:
+                live["att/tables/exp"] = loaded.attention.exp_table
+                live["att/tables/tanh"] = loaded.attention.tanh_table
+            assert tables.keys() == live.keys()
+            for prefix, parts in tables.items():
+                grid = live[prefix].in_params
+                assert parts == {"q_knots": np.dtype(grid.dtype).name, "values": "float64"}
+
+    def test_load_rebuilds_every_derived_field(self):
+        for model in self._models():
+            loaded = mio.load(mio.save(model))
+            for name, cell in model.cells.items():
+                twin = loaded.cells[name]
+                assert twin.use_madnorm == cell.use_madnorm
+                for t in cell.tables:
+                    a, b = cell.tables[t], twin.tables[t]
+                    assert (a.in_params, a.out_params) == (b.in_params, b.out_params)
+                    for field in ("knots", "slopes", "fx_slopes", "fx_intercepts", "lut"):
+                        np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
 
 
 class TestBilstmAndEncdec:

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from irnn import pwl
+from irnn.fixedpoint import FxOverflow
 from irnn.pwl import (
     ACTIVATIONS,
     activation_registry,
@@ -203,7 +204,7 @@ def merge_paths(monkeypatch):
 
 
 def _assert_reduce_is_reference(t, pieces):
-    values = pwl._knot_values(t)
+    values = t.values
     keep = _reference_knots(t.knots.tolist(), values.tolist(), pieces)
     got = reduce(t, pieces)
     np.testing.assert_array_equal(got.knots, t.knots[keep])
@@ -393,8 +394,8 @@ def _formula(t, q: int) -> int:
     qc = min(max(q, k[0]), k[-1])
     i = min(max(bisect.bisect_right(k, qc) - 1, 0), t.pieces - 1)
     acc = int(t.fx_slopes[i]) * (qc - k[i]) + int(t.fx_intercepts[i])
-    mag, rem = divmod(abs(acc), 2**t.fraction_bits)
-    if 2 * rem >= 2**t.fraction_bits:
+    mag, rem = divmod(abs(acc), 2**pwl.TABLE_FRACTION_BITS)
+    if 2 * rem >= 2**pwl.TABLE_FRACTION_BITS:
         mag += 1
     out = (mag if acc >= 0 else -mag) + t.out_params.zero_point
     return min(max(out, t.out_params.qmin), t.out_params.qmax)
@@ -434,10 +435,30 @@ class TestLut:
         with pytest.raises(ValueError):
             t.lut[0] = 1
 
-    def test_lut_covering_a_wider_grid(self):
-        t = self._tables()["sigmoid-8"]
-        wide = t.lut_covering(derive_params(-8.0, 8.0, 16))
-        assert len(wide) == 2**16
-        np.testing.assert_array_equal(wide[:256], t.lut)
-        assert (wide[256:] == t.lut[-1]).all()
-        assert t.lut_covering(t.in_params) is t.lut
+    def test_malformed_knots_rejected(self):
+        # what a container stores is checked before anything is derived
+        in8, out8 = derive_params(-8.0, 8.0, 8), derive_params(0.0, 1.0, 8)
+        cases = {
+            "at least two": ([3], [0.5], in8),
+            "one value": ([3, 9], [0.5], in8),
+            "strictly increasing": ([9, 3], [0.5, 0.6], in8),
+            "storage range": ([3, 256], [0.5, 0.6], in8),
+            "16-bit": ([3, 9], [0.5, 0.6], derive_params(-8.0, 8.0, 32)),
+            "nonfinite": ([3, 9], [0.5, np.inf], in8),
+        }
+        for match, (q, v, p_in) in cases.items():
+            with pytest.raises(ValueError, match=match):
+                pwl.PwlTable(np.array(q), np.array(v), p_in, out8)
+        # slopes past float64, and constants past the int64 bound
+        for v in ([-1e308, 1e308], [0.0, 2.0**40]):
+            with pytest.raises(FxOverflow):
+                pwl.PwlTable(np.array([3, 9]), np.array(v), in8, out8)
+
+    def test_rebuilt_from_knot_codes_and_values(self):
+        # a table is its knot codes, values and grids: everything else is
+        # derived, so rebuilding from those four gives the same table
+        for name, t in self._tables().items():
+            twin = pwl.PwlTable(t.q_knots, t.values, t.in_params, t.out_params)
+            for field in ("knots", "slopes", "intercepts", "fx_slopes", "fx_intercepts", "lut"):
+                np.testing.assert_array_equal(getattr(twin, field), getattr(t, field), name)
+            np.testing.assert_array_equal(t.knots, dequantize(t.q_knots, t.in_params), name)

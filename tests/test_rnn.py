@@ -11,7 +11,7 @@ from irnn import graph
 from irnn.attention import attach_context
 from irnn.fixedpoint import round_half_away, saturate
 from irnn.madnorm import madnorm_int
-from irnn.pwl import eval_int
+from irnn.pwl import TANH_GRID, PwlTable, eval_int
 from irnn.quant import QTensor, derive_params, qadd_diff, qlinear, qmul, quantize_tensor
 from irnn.rnn import (
     CellConfig,
@@ -29,6 +29,12 @@ def _toy_weights(rng, n, m, scale=0.3):
     wh = rng.normal(0.0, scale, size=(4 * m, m))
     bias = rng.normal(0.0, 0.1, size=4 * m)
     return wx, wh, bias
+
+
+def _regrid(tables, grids):
+    """The named tables' knot codes and values, on other (input, output) grids."""
+    return {name: PwlTable(tables[name].q_knots, tables[name].values, *g)
+            for name, g in grids.items()}
 
 
 def _toy_cell(seed, cfg, n=16, m=16, T=32, n_cal=8):
@@ -253,7 +259,39 @@ class TestIntCell:
         sites = dict(cell.sites)
         del sites["sum1"]
         with pytest.raises(KeyError, match="uncalibrated-tensor"):
-            IntLstmCell(cell.weights, cell.cfg, sites, cell.tables)
+            IntLstmCell(cell.weights, sites, cell.tables)
+
+    def test_madnorm_wiring_read_from_sites(self):
+        # all eight mn* sites make a MadNorm cell, none a plain one, and
+        # anything between is a missing site
+        cell, _, _ = _toy_cell(42, CellConfig(use_madnorm=True))
+        assert cell.use_madnorm
+        mn = [k for k in cell.sites if k.startswith("mn")]
+        assert len(mn) == 8
+        plain = {k: v for k, v in cell.sites.items() if k not in mn}
+        assert not IntLstmCell(cell.weights, plain, cell.tables).use_madnorm
+        for k in mn:
+            with pytest.raises(KeyError, match=f"uncalibrated-tensor: {k}'"):
+                IntLstmCell(cell.weights, {**plain, **{j: cell.sites[j] for j in mn if j != k}},
+                            cell.tables)
+            with pytest.raises(KeyError, match="uncalibrated-tensor"):
+                IntLstmCell(cell.weights, {**plain, k: cell.sites[k]}, cell.tables)
+
+    def test_tables_on_other_grids_rejected(self):
+        cell, _, _ = _toy_cell(42, CellConfig())
+        tables = cell.tables
+        swapped = {**tables, "sigmoid": tables["tanh_gate"]}
+        wide = derive_params(-20.0, 20.0, 8)
+        regridded = {**tables, **_regrid(tables, {"tanh_cell": (wide, TANH_GRID)})}
+        for bad in (swapped, regridded):
+            with pytest.raises(ValueError, match="table-grid-mismatch"):
+                IntLstmCell(cell.weights, cell.sites, bad)
+
+    def test_wide_hidden_state_rejected(self):
+        cell, _, _ = _toy_cell(42, CellConfig())
+        sites = {**cell.sites, "h": derive_params(-1.0, 1.0, 16)}
+        with pytest.raises(ValueError, match="8-bit"):
+            IntLstmCell(cell.weights, sites, cell.tables)
 
     def test_foreign_input_params_rejected(self):
         cell, xs, _ = _toy_cell(42, CellConfig())
@@ -331,10 +369,10 @@ def _reference_step(cell, qx, state, qs=None):
     p_sig = cell.tables["sigmoid"].out_params
     p_tanh = cell.tables["tanh_gate"].out_params
     p_tc = cell.tables["tanh_cell"].out_params
-    mn = cell.cfg.use_madnorm
+    mn = cell.use_madnorm
     bias = None if mn else w.bias
-    xprod = qlinear(qx, w.wx, p["xprod"], bias, cell.multipliers["xprod"])
-    hprod = qlinear(state.h, w.wh, p["hprod"], None, cell.multipliers["hprod"])
+    xprod = qlinear(qx, w.wx, p["xprod"], bias)
+    hprod = qlinear(state.h, w.wh, p["hprod"])
     if mn:
         xprod = madnorm_int(xprod, *(p[f"mnx_{k}"] for k in ("mu", "xhat", "d", "y")))
         hprod = madnorm_int(hprod, *(p[f"mnh_{k}"] for k in ("mu", "xhat", "d", "y")))
@@ -377,7 +415,8 @@ class TestReferenceStep:
         sites = dict(cell.sites)
         p = sites["sum1"]
         sites["sum1"] = derive_params(p.min / 4, p.max / 4, p.bitwidth)
-        cell = IntLstmCell(cell.weights, cfg, sites, cell.tables)
+        grids = IntLstmCell.table_grids(sites, context)
+        cell = IntLstmCell(cell.weights, sites, _regrid(cell.tables, grids))
         qxs = quantize_tensor(rng.normal(0.0, 1.0, size=(T, n)), sites["x"])
         qss = None
         if context:
@@ -448,7 +487,7 @@ class TestBilstm:
         _, model, _ = self._calibrated_pair()
         bwd = model.cells["bwd"]
         model.cells["bwd"] = IntLstmCell(
-            bwd.weights, bwd.cfg, {**bwd.sites, "h": derive_params(-2.0, 2.0, 8)}, bwd.tables
+            bwd.weights, {**bwd.sites, "h": derive_params(-2.0, 2.0, 8)}, bwd.tables
         )
         with pytest.raises(ValueError, match="concat-params-mismatch"):
             graph.run_int(model, np.zeros((4, 16)))
