@@ -77,6 +77,8 @@ class AttentionWeights:
 
     sites: hdec, henc, qproj, kproj, sumqk, e, s (eshift and the table
     output grids are fixed analytically), kept as a read-only mapping.
+    In an encdec model hdec, henc and s are tied to the decoder's h, the
+    encoder's h and the decoder's s, and stored once, with the cells.
     """
 
     wq: QTensor
@@ -132,13 +134,6 @@ def attention_ref(h_dec, H_enc, wq, wk, v, observers: dict | None = None):
     return s, alpha
 
 
-def _key_projection(w: AttentionWeights) -> tuple[ExactGemv, Rescale]:
-    sites = w.sites
-    gemv = ExactGemv(w.wk, sites["henc"])
-    fx = requant_multiplier(sites["henc"].scale * w.wk.params.scale / sites["kproj"].scale)
-    return gemv, requant_rescale(fx, sites["kproj"], gemv.bound)
-
-
 def project_keys(q_Henc: QTensor, w: AttentionWeights) -> QTensor:
     """Encoder-side projection Wk @ h_enc_i for all i, as [m_att x T] codes.
 
@@ -146,9 +141,8 @@ def project_keys(q_Henc: QTensor, w: AttentionWeights) -> QTensor:
     """
     if q_Henc.params != w.sites["henc"]:
         raise ValueError("uncalibrated-tensor: henc params differ from calibration")
-    gemv, rescale = _key_projection(w)
-    p_k = w.sites["kproj"]
-    return QTensor(rescale(gemv(q_Henc.data)).T.astype(p_k.dtype), p_k)
+    gemv, p_k = ExactGemv(w.wk, q_Henc.params), w.sites["kproj"]
+    return QTensor(gemv.rescale(p_k)(gemv(q_Henc.data)).T.astype(p_k.dtype), p_k)
 
 
 def _softmax_rescale(p_e: QuantParams, p_in: QuantParams) -> Rescale:
@@ -224,26 +218,18 @@ class AttentionPlan:
         if [(t.in_params, t.out_params) for t in tables] != list(self.table_grids(sites).values()):
             raise ValueError("table-grid-mismatch: the exp or tanh table is not on its grids")
         self.weights, self.exp_table, self.tanh_table = weights, exp_table, tanh_table
-        self._gemv_k, kproj = _key_projection(w)
         p_q, p_k, p_sum = sites["qproj"], sites["kproj"], sites["sumqk"]
+        self._gemv_k = ExactGemv(w.wk, sites["henc"])
         self._gemv_q = ExactGemv(w.wq, sites["hdec"])
         # kproj, qproj, e and the shifted e feed only centered operands or
         # clipped gathers, so they come out centered or unsaturated
-        self._kproj = kproj.centered()
-        self._qproj = requant_rescale(
-            requant_multiplier(sites["hdec"].scale * w.wq.params.scale / p_q.scale),
-            p_q,
-            self._gemv_q.bound,
-        ).centered()
+        self._kproj = self._gemv_k.rescale(p_k).centered()
+        self._qproj = self._gemv_q.rescale(p_q).centered()
         self._sumqk = sum_rescale(
             p_q.scale, p_k.scale, p_sum, (max_centered(p_q), max_centered(p_k))
         ).unsaturated()
         self._gemv_e = ExactGemv(w.v, TANH_GRID)
-        self._e = requant_rescale(
-            requant_multiplier(w.v.params.scale * TANH_GRID.scale / sites["e"].scale),
-            sites["e"],
-            self._gemv_e.bound,
-        ).centered()
+        self._e = self._gemv_e.rescale(sites["e"]).centered()
         # the tanh LUT spans the sumqk grid: a clipped index is a saturated code
         self._tanh_lut = tanh_table.lut
         self._to_exp = _softmax_rescale(sites["e"], EXP_GRID).unsaturated()
@@ -368,18 +354,15 @@ def attach_context(
     return QTensor(out.astype(p_out.dtype), p_out)
 
 
-def freeze_attention(
-    observers: dict, wq, wk, v, p_hdec: QuantParams, p_henc: QuantParams, pieces: int = 32
-):
+def freeze_attention(observers: dict, wq, wk, v, pieces: int = 32):
     """Freeze observed attention sites; quantize the weights; build the tables.
 
-    observers holds attention_ref's sites (qproj, kproj, sumqk, e, s);
-    p_hdec and p_henc are the params of the hidden states the stage reads.
-    Returns (AttentionWeights, exp_table, tanh_table).
+    observers holds attention_ref's sites (qproj, kproj, sumqk, e, s) and
+    those of the hidden states the stage reads (hdec, henc).  Returns
+    (AttentionWeights, exp_table, tanh_table).
     """
     sixteen = {"sumqk", "e"}
     sites = {k: o.finalize(16 if k in sixteen else 8) for k, o in observers.items()}
-    sites["hdec"], sites["henc"] = p_hdec, p_henc
     weights = AttentionWeights(
         quantize_weight(wq), quantize_weight(wk), quantize_weight(v), sites
     )
@@ -399,9 +382,10 @@ def calibrate_attention(wq, wk, v, hdec_samples, henc_samples, pieces: int = 32)
     """
     hdec_samples = np.asarray(hdec_samples, dtype=np.float64)
     henc_samples = np.asarray(henc_samples, dtype=np.float64)
-    observers: dict[str, Observer] = {}
+    observers = {
+        "hdec": Observer().observe(hdec_samples.ravel()),
+        "henc": Observer().observe(henc_samples.ravel()),
+    }
     for h_dec, H_enc in zip(hdec_samples, henc_samples):
         attention_ref(h_dec, H_enc, wq, wk, v, observers=observers)
-    p_hdec = Observer().observe(hdec_samples.ravel()).finalize(8)
-    p_henc = Observer().observe(henc_samples.ravel()).finalize(8)
-    return freeze_attention(observers, wq, wk, v, p_hdec, p_henc, pieces)
+    return freeze_attention(observers, wq, wk, v, pieces)

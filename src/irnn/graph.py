@@ -7,11 +7,14 @@ float run and one integer run.  The float run is the float64 oracle;
 calibration is the same run with min/max observers attached, followed by
 a freeze of every cell and of the attention stage.
 
+A kind also lists its ties: a site of one stage (a cell, or "att") that
+holds another stage's grid, because the same codes pass between them
+unrescaled.  The freeze gives the two one observer, an IrnnModel refuses
+them differing, and the container stores the grid once.
+
 encdec is a toy graph that teacher-forces the decoder with the source
 sequence: the encoder consumes x_t, the decoder consumes the same x_t plus
-the attention context over all encoder states.  The context params are
-observed once and shared, so the attention output feeds the decoder
-without requantization.
+the attention context over all encoder states.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .attention import AttentionPlan, attention_ref, freeze_attention
-from .quant import dequantize, quantize_tensor
+from .quant import QTensor, dequantize, quantize_tensor
 from .rnn import CellConfig, IntLstmCell, freeze_cell, lstm_run_ref
 
 __all__ = [
@@ -44,22 +47,21 @@ class GraphError(ValueError):
     """A model or an input the graph cannot run."""
 
 
-def _cell_int(cell: IntLstmCell, xs, context=None) -> np.ndarray:
-    return cell.run(quantize_tensor(xs, cell.sites["x"]), context).dequantize()
-
-
 class _Graph:
     """One model kind.
 
     cells maps each cell name, in container order, to its float-archive key
-    prefix; extra_keys are the float keys beyond each cell's wx and wh.
-    float_run() takes float64 weights, each cell's MadNorm flag and observer
-    dicts by cell name (and "att"), any of which may be absent; freeze()
-    turns the observers into (cells, attention plan or None).
+    prefix; extra_keys are the float keys beyond each cell's wx and wh;
+    ties maps each tied (stage, site) to the (stage, site) whose grid it
+    takes.  float_run() takes float64 weights, each cell's MadNorm flag and
+    observer dicts by cell name (and "att"), any of which may be absent;
+    freeze() turns the observers into (cells, attention plan or None).
+    int_run() takes the input codes on the input cell's x grid.
     """
 
     cells: dict
     extra_keys: tuple = ()
+    ties: dict = {}
 
     @property
     def input_cell(self) -> str:
@@ -82,6 +84,18 @@ class _Graph:
             observers[name], a[p + "wx"], a[p + "wh"], a.get(p + "bias"), cfg, ws=ws
         )
 
+    def _tie(self, observers) -> None:
+        """Give each tied site and its source one observer, which saw both."""
+        for (stage, site), (src, src_site) in self.ties.items():
+            obs = observers[src][src_site]
+            if site in observers[stage]:
+                obs = obs.merged(observers[stage][site])
+            observers[src][src_site] = observers[stage][site] = obs
+
+    def freeze(self, a, observers, cfg):
+        self._tie(observers)
+        return {name: self._freeze(a, name, observers, cfg) for name in self.cells}, None
+
 
 class _Lstm(_Graph):
     cells = {"main": ""}
@@ -90,12 +104,9 @@ class _Lstm(_Graph):
         h = self._cell_ref(a, "main", xs, madnorm, observers)
         return {"main": h, "out": h}
 
-    def int_run(self, model, xs):
-        h = _cell_int(model.cells["main"], xs)
+    def int_run(self, model, qxs):
+        h = model.cells["main"].run(qxs).dequantize()
         return {"main": h, "out": h}
-
-    def freeze(self, a, observers, cfg):
-        return {"main": self._freeze(a, "main", observers, cfg)}, None
 
 
 class _Bilstm(_Graph):
@@ -103,28 +114,17 @@ class _Bilstm(_Graph):
     states, with the backward half time-reversed back."""
 
     cells = {"fwd": "fwd_", "bwd": "bwd_"}
+    ties = {("bwd", "x"): ("fwd", "x"), ("bwd", "h"): ("fwd", "h")}
 
     def float_run(self, a, xs, madnorm, observers):
         hf = self._cell_ref(a, "fwd", xs, madnorm, observers)
         hb = self._cell_ref(a, "bwd", xs[::-1], madnorm, observers)[::-1]
         return {"fwd": hf, "bwd": hb, "out": np.concatenate([hf, hb], axis=1)}
 
-    def int_run(self, model, xs):
-        # each direction quantizes its input with its own x params
-        fwd, bwd = model.cells["fwd"], model.cells["bwd"]
-        if fwd.sites["h"] != bwd.sites["h"]:
-            raise GraphError("concat-params-mismatch: fwd/bwd hidden params differ")
-        hf = _cell_int(fwd, xs)
-        hb = _cell_int(bwd, np.ascontiguousarray(xs[::-1]))[::-1]
+    def int_run(self, model, qxs):
+        hf = model.cells["fwd"].run(qxs).dequantize()
+        hb = model.cells["bwd"].run(QTensor(qxs.data[::-1], qxs.params)).dequantize()[::-1]
         return {"fwd": hf, "bwd": hb, "out": np.concatenate([hf, hb], axis=1)}
-
-    def freeze(self, a, observers, cfg):
-        # the two directions share x and h params, so their hidden states
-        # concatenate without rescaling
-        fwd, bwd = observers["fwd"], observers["bwd"]
-        for key in ("x", "h"):
-            fwd[key] = bwd[key] = fwd[key].merged(bwd[key])
-        return {name: self._freeze(a, name, observers, cfg) for name in self.cells}, None
 
 
 class _Encdec(_Graph):
@@ -133,6 +133,12 @@ class _Encdec(_Graph):
 
     cells = {"enc": "enc_", "dec": "dec_"}
     extra_keys = ("dec_ws", "att_wq", "att_wk", "att_v")
+    ties = {
+        ("dec", "x"): ("enc", "x"),
+        ("att", "hdec"): ("dec", "h"),
+        ("att", "henc"): ("enc", "h"),
+        ("att", "s"): ("dec", "s"),
+    }
 
     def float_run(self, a, xs, madnorm, observers):
         H = self._cell_ref(a, "enc", xs, madnorm, observers)
@@ -147,30 +153,28 @@ class _Encdec(_Graph):
         out = self._cell_ref(a, "dec", xs, madnorm, observers, a["dec_ws"], attend)
         return {"enc": H, "att": ctx, "dec": out, "out": out}
 
-    def int_run(self, model, xs):
-        enc, att = model.cells["enc"], model.attention
-        H = enc.run(quantize_tensor(xs, enc.sites["x"]))
+    def int_run(self, model, qxs):
+        att = model.attention
+        H = model.cells["enc"].run(qxs)
         src = att.source(H)
         p_s = att.weights.sites["s"]
-        ctx = np.empty((xs.shape[0], H.data.shape[1]), dtype=p_s.dtype)
+        ctx = np.empty((qxs.data.shape[0], H.data.shape[1]), dtype=p_s.dtype)
 
         def attend(t, h):
             s = att.context(h, src)
             ctx[t] = s.data
             return s
 
-        out = _cell_int(model.cells["dec"], xs, attend)
+        out = model.cells["dec"].run(qxs, attend).dequantize()
         return {"enc": H.dequantize(), "att": dequantize(ctx, p_s), "dec": out, "out": out}
 
     def freeze(self, a, observers, cfg):
+        self._tie(observers)
         enc = self._freeze(a, "enc", observers, cfg)
         dec = self._freeze(a, "dec", observers, cfg, ws=a["dec_ws"])
         aw, exp_table, tanh_table = freeze_attention(
-            observers["att"], a["att_wq"], a["att_wk"], a["att_v"],
-            p_hdec=dec.sites["h"], p_henc=enc.sites["h"], pieces=cfg.pwl_pieces,
+            observers["att"], a["att_wq"], a["att_wk"], a["att_v"], cfg.pwl_pieces
         )
-        # the decoder and the attention stage observed the same context stream
-        assert aw.sites["s"] == dec.sites["s"]
         return {"enc": enc, "dec": dec}, AttentionPlan(aw, exp_table, tanh_table)
 
 
@@ -207,6 +211,19 @@ class IrnnModel:
             raise GraphError(f"{self.kind} model needs cells {expected}")
         if (self.attention is not None) != (self.kind == "encdec"):
             raise GraphError("attention is present exactly for encdec models")
+        self.check_ties()
+
+    def sites(self, stage: str):
+        """The sites of a cell, or of the attention stage for "att"."""
+        return self.attention.weights.sites if stage == "att" else self.cells[stage].sites
+
+    def check_ties(self) -> None:
+        """GraphError unless every tied site holds its source's grid."""
+        for (stage, site), (src, src_site) in GRAPHS[self.kind].ties.items():
+            if self.sites(stage)[site] != self.sites(src)[src_site]:
+                raise GraphError(
+                    f"tied-site-mismatch: {stage}.{site} differs from {src}.{src_site}"
+                )
 
     @property
     def input_cell(self) -> IntLstmCell:
@@ -287,8 +304,10 @@ def run_ref(fm: FloatModel, xs) -> dict:
 
 
 def run_int(model: IrnnModel, xs) -> dict:
-    """Integer inference on one [T x n] sequence; dequantized traces."""
-    return GRAPHS[model.kind].int_run(model, xs)
+    """Integer inference on one [T x n] sequence; dequantized traces.  The
+    input quantizes once: every cell that reads it has the same x grid."""
+    qxs = quantize_tensor(xs, model.input_cell.sites["x"])
+    return GRAPHS[model.kind].int_run(model, qxs)
 
 
 def run_batch(run, model, seqs, threads: int = 1) -> dict:

@@ -6,21 +6,24 @@ Every blob carries a CRC32, a dtype tag and a shape in the manifest and is
 addressed by a byte offset relative to the blob section, so editing the
 manifest never invalidates offsets.
 
-Format 2 stores each fact once.  The manifest holds each cell's weight
+Format 3 stores each fact once.  The manifest holds each cell's weight
 params, bias flag and tensor sites, the attention stage's weight params
-and sites, the model kind and its free-form meta.  The blobs hold the
-weights, the int32 bias and, per PWL table, its knot codes (in its input
-grid's storage dtype) and its knot values (float64).  Everything else is
-derived at load, by the same code that derives it at build: a table's
-grids come from its stage's sites (IntLstmCell.table_grids,
+and sites, the model kind and its free-form meta (a JSON object).  A
+grid (params) is its bitwidth, scale and zero point.  A site the graph
+ties to another stage's (graph._Graph.ties) is stored once, with its
+source, and filled in at load.  The blobs hold the weights, the int32
+bias and, per PWL table, its knot codes (in its input grid's storage
+dtype) and its knot values (float64).  Everything else is derived at
+load, by the same code that derives it at build: a table's grids come
+from its stage's sites (IntLstmCell.table_grids,
 AttentionPlan.table_grids), its slopes, fixed-point constants and LUT from
 its knots, and every rescale from the sites.  So a loaded model replays
 inference bit-for-bit.  Each blob is read at the dtype and rank its
 reader expects; any other tag, a shape that disagrees with its byte count,
-a blob no reader takes and a missing or mistyped manifest field fail the
-load.  Which cells a
-model kind has, and which keys its float archive holds, is the graph
-module's; this module only (de)serializes.
+a blob no reader takes, a stored copy of a tied site and a missing,
+extra or mistyped manifest field fail the load.  Which cells a model kind
+has, which sites it ties and which keys its float archive holds is the
+graph module's; this module only (de)serializes.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from .attention import AttentionPlan, AttentionWeights
 from .graph import FloatModel, IrnnModel, export_float, graph_for, infer_kind
 from .pwl import PwlTable
 from .quant import QTensor, QuantParams
-from .rnn import TABLE_NAMES, IntLstmCell, LstmWeights
+from .rnn import IntLstmCell, LstmWeights
 
 __all__ = [
     "FORMAT_VERSION",
@@ -55,7 +58,7 @@ __all__ = [
 ]
 
 MAGIC = b"IRNN"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 _ALIGN = 64
 _HEADER = struct.Struct("<4sIQ")
@@ -76,158 +79,142 @@ def _align(n: int) -> int:
 
 
 def _params_to_json(p: QuantParams) -> dict:
-    return {
-        "min": float(p.min),
-        "max": float(p.max),
-        "bitwidth": int(p.bitwidth),
-        "scale": float(p.scale),
-        "zero_point": int(p.zero_point),
-    }
+    return {"bitwidth": int(p.bitwidth), "scale": float(p.scale), "zero_point": int(p.zero_point)}
 
 
 def _params_from_json(d: dict) -> QuantParams:
-    return QuantParams(d["min"], d["max"], d["bitwidth"], d["scale"], d["zero_point"])
+    # a missing or extra key is a TypeError
+    return QuantParams(**d)
 
 
 class _BlobWriter:
+    """Blobs in the order added: their manifest entries and the payload."""
+
     def __init__(self):
-        self.order = []
+        self.entries, self.payload = {}, bytearray()
 
     def add(self, name: str, arr: np.ndarray) -> None:
         arr = np.ascontiguousarray(arr)
         tag = str(arr.dtype)
         if tag not in _DTYPES:
             raise ValueError(f"unserializable dtype {tag} for blob {name!r}")
-        self.order.append((name, arr.astype(_DTYPES[tag]), tag))
-
-    def table(self) -> tuple[dict, bytes]:
-        entries = {}
-        chunks = []
-        offset = 0
-        for name, arr, tag in self.order:
-            raw = arr.tobytes()
-            entries[name] = {
-                "offset": offset,
-                "nbytes": len(raw),
-                "crc32": zlib.crc32(raw) & 0xFFFFFFFF,
-                "dtype": tag,
-                "shape": list(arr.shape),
-            }
-            chunks.append(raw)
-            padded = _align(len(raw))
-            chunks.append(b"\x00" * (padded - len(raw)))
-            offset += padded
-        return entries, b"".join(chunks)
+        raw = arr.astype(_DTYPES[tag]).tobytes()
+        self.entries[name] = {
+            "offset": len(self.payload),
+            "nbytes": len(raw),
+            "crc32": zlib.crc32(raw) & 0xFFFFFFFF,
+            "dtype": tag,
+            "shape": list(arr.shape),
+        }
+        self.payload += raw.ljust(_align(len(raw)), b"\x00")
 
 
-def _add_table(w: _BlobWriter, prefix: str, t: PwlTable) -> None:
-    w.add(f"{prefix}/q_knots", t.q_knots.astype(t.in_params.dtype))
-    w.add(f"{prefix}/values", t.values)
-
-
-def _table_from(prefix: str, blob, grids: tuple) -> PwlTable:
-    p_in, p_out = grids
-    q_knots = blob(f"{prefix}/q_knots", p_in.dtype, 1)
-    return PwlTable(q_knots, blob(f"{prefix}/values", np.float64, 1), p_in, p_out)
-
-
-def _add_weight(w: _BlobWriter, name: str, qt: QTensor) -> dict:
-    w.add(name, qt.data)
-    return _params_to_json(qt.params)
-
-
-def _weight_from(entry: dict, name: str, blob, ndim: int) -> QTensor:
-    p = _params_from_json(entry)
-    return QTensor(blob(name, p.dtype, ndim), p)
-
-
-def _add_cell(w: _BlobWriter, name: str, cell: IntLstmCell) -> dict:
-    weights = cell.weights
-    prefix = f"cells/{name}"
-    entry = {
-        "wx": _add_weight(w, f"{prefix}/wx", weights.wx),
-        "wh": _add_weight(w, f"{prefix}/wh", weights.wh),
-        "ws": None,
-        "has_bias": weights.bias is not None,
-        "sites": {k: _params_to_json(v) for k, v in cell.sites.items()},
-    }
-    for table in TABLE_NAMES:
-        _add_table(w, f"{prefix}/tables/{table}", cell.tables[table])
-    if weights.bias is not None:
-        w.add(f"{prefix}/bias", weights.bias)
-    if weights.ws is not None:
-        entry["ws"] = _add_weight(w, f"{prefix}/ws", weights.ws)
+def _add_stage(w: _BlobWriter, prefix: str, weights: dict, sites: dict, tables: dict) -> dict:
+    """A stage's manifest entry: its weights' params (None for an absent
+    weight) and its stored sites; the weight and table blobs go to w."""
+    entry = {"sites": sites}
+    for k, qt in weights.items():
+        entry[k] = None if qt is None else _params_to_json(qt.params)
+        if qt is not None:
+            w.add(f"{prefix}/{k}", qt.data)
+    for name, t in tables.items():
+        w.add(f"{prefix}/tables/{name}/q_knots", t.q_knots.astype(t.in_params.dtype))
+        w.add(f"{prefix}/tables/{name}/values", t.values)
     return entry
 
 
-def _cell_from(entry: dict, name: str, blob) -> IntLstmCell:
-    prefix = f"cells/{name}"
-    wx = _weight_from(entry["wx"], f"{prefix}/wx", blob, 2)
-    wh = _weight_from(entry["wh"], f"{prefix}/wh", blob, 2)
-    bias = blob(f"{prefix}/bias", np.int32, 1) if entry["has_bias"] else None
-    ws = None
-    if entry["ws"] is not None:
-        ws = _weight_from(entry["ws"], f"{prefix}/ws", blob, 2)
-    weights = LstmWeights(wx, wh, bias, ws=ws)
-    sites = {k: _params_from_json(v) for k, v in entry["sites"].items()}
-    grids = IntLstmCell.table_grids(sites, ws is not None)
-    tables = {t: _table_from(f"{prefix}/tables/{t}", blob, grids[t]) for t in TABLE_NAMES}
-    return IntLstmCell(weights, sites, tables)
+def _weights_from(entry: dict, prefix: str, blob, ranks: dict) -> dict:
+    """A stage's stored weights by name, each a blob of the rank given."""
+    weights = {}
+    for k, ndim in ranks.items():
+        if entry[k] is not None:
+            p = _params_from_json(entry[k])
+            weights[k] = QTensor(blob(f"{prefix}/{k}", p.dtype, ndim), p)
+    return weights
+
+
+def _tables_from(prefix: str, blob, grids: dict) -> dict:
+    """A stage's tables by name, each on its (input, output) grids."""
+    tables = {}
+    for name, (p_in, p_out) in grids.items():
+        q_knots = blob(f"{prefix}/tables/{name}/q_knots", p_in.dtype, 1)
+        values = blob(f"{prefix}/tables/{name}/values", np.float64, 1)
+        tables[name] = PwlTable(q_knots, values, p_in, p_out)
+    return tables
 
 
 def save(model: IrnnModel) -> bytes:
-    """Serialize to bytes; identical models produce identical bytes."""
+    """Serialize to bytes; identical models produce identical bytes.  A
+    tied site is stored once, with its source: GraphError if they differ."""
+    model.check_ties()
+    ties = graph_for(model.kind).ties
+
+    def stored(stage: str) -> dict:
+        items = model.sites(stage).items()
+        return {k: _params_to_json(v) for k, v in items if (stage, k) not in ties}
+
     writer = _BlobWriter()
     cells_entry = {}
     for name in graph_for(model.kind).cells:
-        cells_entry[name] = _add_cell(writer, name, model.cells[name])
+        cell, w = model.cells[name], model.cells[name].weights
+        weights = {"wx": w.wx, "wh": w.wh, "ws": w.ws}
+        entry = _add_stage(writer, f"cells/{name}", weights, stored(name), cell.tables)
+        cells_entry[name] = {**entry, "has_bias": w.bias is not None}
+        if w.bias is not None:
+            writer.add(f"cells/{name}/bias", w.bias)
     att_entry = None
     if model.attention is not None:
-        aw = model.attention.weights
-        att_entry = {
-            key: _add_weight(writer, f"att/{key}", getattr(aw, key)) for key in ("wq", "wk", "v")
-        }
-        att_entry["sites"] = {k: _params_to_json(v) for k, v in aw.sites.items()}
-        _add_table(writer, "att/tables/exp", model.attention.exp_table)
-        _add_table(writer, "att/tables/tanh", model.attention.tanh_table)
+        plan, aw = model.attention, model.attention.weights
+        weights = {"wq": aw.wq, "wk": aw.wk, "v": aw.v}
+        tables = {"exp": plan.exp_table, "tanh": plan.tanh_table}
+        att_entry = _add_stage(writer, "att", weights, stored("att"), tables)
 
-    blob_table, payload = writer.table()
     manifest = {
         "format_version": FORMAT_VERSION,
         "kind": model.kind,
         "cells": cells_entry,
         "attention": att_entry,
         "meta": model.meta,
-        "blobs": blob_table,
+        "blobs": writer.entries,
     }
     body = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode("utf-8")
     header = _HEADER.pack(MAGIC, FORMAT_VERSION, len(body))
     pad = _align(_HEADER.size + len(body)) - _HEADER.size - len(body)
-    return header + body + b"\x00" * pad + payload
+    return header + body + b"\x00" * pad + bytes(writer.payload)
 
 
 def _model_from(manifest: dict, blob) -> IrnnModel:
-    kind = manifest["kind"]
-    cells = {
-        name: _cell_from(manifest["cells"][name], name, blob)
-        for name in graph_for(kind).cells
-    }
-    attention = None
+    kind, meta = manifest["kind"], manifest["meta"]
+    if not isinstance(meta, dict):
+        raise ValueError("malformed manifest: meta is not an object")
+    g = graph_for(kind)
+    entries = {name: manifest["cells"][name] for name in g.cells}
     if manifest["attention"] is not None:
-        a = manifest["attention"]
-        weights = AttentionWeights(
-            _weight_from(a["wq"], "att/wq", blob, 2),
-            _weight_from(a["wk"], "att/wk", blob, 2),
-            _weight_from(a["v"], "att/v", blob, 1),
-            {k: _params_from_json(v) for k, v in a["sites"].items()},
+        entries["att"] = manifest["attention"]
+    sites = {
+        stage: {k: _params_from_json(v) for k, v in entry["sites"].items()}
+        for stage, entry in entries.items()
+    }
+    for (stage, site), (src, src_site) in g.ties.items():
+        if stage in sites:
+            if site in sites[stage]:
+                raise ValueError(f"tied site stored twice: {stage}.{site} is {src}.{src_site}")
+            sites[stage][site] = sites[src][src_site]
+    cells = {}
+    for name in g.cells:
+        prefix, entry = f"cells/{name}", entries[name]
+        w = _weights_from(entry, prefix, blob, {"wx": 2, "wh": 2, "ws": 2})
+        bias = blob(f"{prefix}/bias", np.int32, 1) if entry["has_bias"] else None
+        grids = IntLstmCell.table_grids(sites[name], "ws" in w)
+        cells[name] = IntLstmCell(
+            LstmWeights(bias=bias, **w), sites[name], _tables_from(prefix, blob, grids)
         )
-        grids = AttentionPlan.table_grids(weights.sites)
-        attention = AttentionPlan(
-            weights,
-            _table_from("att/tables/exp", blob, grids["exp"]),
-            _table_from("att/tables/tanh", blob, grids["tanh"]),
-        )
-    return IrnnModel(kind=kind, cells=cells, attention=attention, meta=manifest["meta"])
+    attention = None
+    if "att" in entries:
+        w = _weights_from(entries["att"], "att", blob, {"wq": 2, "wk": 2, "v": 1})
+        t = _tables_from("att", blob, AttentionPlan.table_grids(sites["att"]))
+        attention = AttentionPlan(AttentionWeights(sites=sites["att"], **w), t["exp"], t["tanh"])
+    return IrnnModel(kind=kind, cells=cells, attention=attention, meta=meta)
 
 
 def load(data: bytes) -> IrnnModel:

@@ -1,11 +1,14 @@
 """Affine quantization: parameters, tensors, and integer-only arithmetic.
 
-Real values x in [min, max] map to unsigned b-bit codes via
+A grid is (bitwidth b, scale S, zero point Z), and nothing else: real
+values map to unsigned b-bit codes via
 
-    q = round(x / S) + Z        S = (max - min) / (2^b - 1)
-    x ~ S * (q - Z)             Z = round(-min / S)
+    q = clip(round(x / S) + Z, 0, 2^b - 1)        x ~ S * (q - Z)
 
-Zero is always representable (code Z exactly).  The arithmetic primitives
+derive_params picks S and Z for a calibrated range [min, max] (S = (max -
+min) / (2^b - 1), Z = round(-min / S)); the range itself is not kept, since
+min quantizes to code 0 and max to the top code.  Zero is always
+representable (code Z exactly).  The arithmetic primitives
 (qmul, qadd_same, qadd_diff) combine codes from different parameter sets
 using fixed-point multipliers so the hot path is integer-only; each op
 performs a single final rounding.  Each is a thin wrapper that compiles a
@@ -68,10 +71,8 @@ def _is_int(v) -> bool:
 
 @dataclass(frozen=True)
 class QuantParams:
-    """Clipping range plus derived scale/zero-point for one tensor."""
+    """The grid of one tensor: bitwidth, scale and zero point."""
 
-    min: float
-    max: float
     bitwidth: int
     scale: float
     zero_point: int
@@ -79,8 +80,6 @@ class QuantParams:
     def __post_init__(self):
         if not _is_int(self.bitwidth) or self.bitwidth not in STORAGE_DTYPES:
             raise ValueError(f"unsupported bitwidth {self.bitwidth!r}")
-        if not (math.isfinite(self.min) and math.isfinite(self.max)):
-            raise ValueError("range bounds must be finite")
         if not (math.isfinite(self.scale) and self.scale > 0.0):
             raise ValueError("scale must be finite and positive")
         if not _is_int(self.zero_point) or not 0 <= self.zero_point <= self.qmax:
@@ -112,21 +111,20 @@ def derive_params(rmin: float, rmax: float, bitwidth: int) -> QuantParams:
     if rmin == rmax:
         # Only reachable for min == max == 0 (dead channel); pick the
         # identity grid so downstream arithmetic stays well-defined.
-        return QuantParams(0.0, 0.0, bitwidth, 1.0, 0)
+        return QuantParams(bitwidth, 1.0, 0)
     levels = 2**bitwidth - 1
     scale = (rmax - rmin) / levels
     zero_point = int(np.clip(round_half_away(-rmin / scale), 0, levels))
-    return QuantParams(float(rmin), float(rmax), bitwidth, scale, zero_point)
+    return QuantParams(bitwidth, scale, zero_point)
 
 
 def quantize(x, p: QuantParams):
-    """Map real values to storage codes; clips to [p.min, p.max] first."""
-    arr = np.clip(np.asarray(x, dtype=np.float64), p.min, p.max)
-    q = round_half_away(arr / p.scale)
-    q = np.clip(np.asarray(q) + p.zero_point, p.qmin, p.qmax)
-    if np.ndim(x) == 0:
-        return int(q)
-    return q.astype(p.dtype)
+    """Map real values to storage codes, saturating at 0 and qmax; the
+    codes clip before the integer conversion, however far off x lies."""
+    with np.errstate(over="ignore"):
+        t = np.asarray(x, dtype=np.float64) / p.scale
+    q = round_half_away(np.clip(t, -p.zero_point, p.qmax - p.zero_point)) + p.zero_point
+    return q if np.ndim(x) == 0 else q.astype(p.dtype)
 
 
 def dequantize(q, p: QuantParams):
@@ -228,10 +226,11 @@ class ExactGemv:
     of |W - Z_w| times the largest centered input code, plus |bias|), so
     BLAS in float64 computes it exactly whenever bound < 2^53.  The int32
     accumulator contract is checked here when the bound proves it, else on
-    every call; `bound` is what callers may assume about the result.
+    every call; `bound` is what callers may assume about the result, and
+    `scale` is the real value of one accumulator unit, S_in * S_w.
     """
 
-    __slots__ = ("w", "zero", "bias", "bound", "per_call_check")
+    __slots__ = ("w", "zero", "bias", "bound", "per_call_check", "scale")
 
     def __init__(self, qw: QTensor, p_in: QuantParams, bias=None):
         w = np.atleast_2d(qw.centered())
@@ -248,6 +247,11 @@ class ExactGemv:
         self.bias = None if bias is None else bias.astype(np.float64)
         self.per_call_check = bound > _INT32_MAX
         self.bound = min(bound, _INT32_MAX)
+        self.scale = p_in.scale * qw.params.scale
+
+    def rescale(self, p_out: QuantParams) -> Rescale:
+        """The rescale of this product's accumulator into p_out."""
+        return requant_rescale(requant_multiplier(self.scale / p_out.scale), p_out, self.bound)
 
     def __call__(self, q):
         acc = np.subtract(q, self.zero, dtype=np.float64) @ self.w

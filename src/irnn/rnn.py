@@ -19,7 +19,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .fixedpoint import FxOverflow, Rescale, requant_multiplier, round_half_away, saturate
+from .fixedpoint import FxOverflow, Rescale, round_half_away, saturate
 from .madnorm import MadNormPlan, compute_stats, madnorm_ref
 from .pwl import TANH_GRID, UNIT_GRID, activation_registry, build_full, reduce
 from .quant import (
@@ -29,7 +29,6 @@ from .quant import (
     max_centered,
     qmul_rescale,
     quantize_weight,
-    requant_rescale,
     sum_rescale,
 )
 
@@ -309,14 +308,8 @@ class IntLstmCell:
         self._gemv_x = ExactGemv(w.wx, p["x"], bias_acc)
         self._gemv_h = ExactGemv(w.wh, p["h"])
         # xprod, hprod, fc and ij feed only centered operands (Rescale.centered)
-        self._xprod, self._hprod = (
-            requant_rescale(
-                requant_multiplier(p[src].scale * wt.params.scale / p[out].scale), p[out], g.bound
-            ).centered()
-            for out, src, wt, g in (
-                ("xprod", "x", w.wx, self._gemv_x), ("hprod", "h", w.wh, self._gemv_h)
-            )
-        )
+        self._xprod = self._gemv_x.rescale(p["xprod"]).centered()
+        self._hprod = self._gemv_h.rescale(p["hprod"]).centered()
 
         self._norm_x = self._norm_h = None
         pa, pb = p["xprod"], p["hprod"]

@@ -74,11 +74,11 @@ def _out_params(name, fn, lo, hi):
 
 def test_01_worked_examples_bit_exact():
     # published walkthrough values; scales rounded to four decimals as printed
-    p_unit = QuantParams(-1.0, 1.0, 8, 0.0078, 128)
-    p_pos5 = QuantParams(0.0, 5.0, 8, 0.0196, 0)
-    p_sym5 = QuantParams(-5.0, 5.0, 8, 0.0392, 128)
-    p_sym2 = QuantParams(-2.0, 2.0, 8, 0.0157, 128)
-    p_mix6 = QuantParams(-1.0, 6.0, 8, 0.0274, 36)
+    p_unit = QuantParams(8, 0.0078, 128)
+    p_pos5 = QuantParams(8, 0.0196, 0)
+    p_sym5 = QuantParams(8, 0.0392, 128)
+    p_sym2 = QuantParams(8, 0.0157, 128)
+    p_mix6 = QuantParams(8, 0.0274, 36)
 
     assert quantize(0.2, p_unit) == 154
     assert dequantize(154, p_unit) == pytest.approx(0.2028)

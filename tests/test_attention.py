@@ -18,7 +18,14 @@ from irnn.attention import (
     project_keys,
 )
 from irnn.fixedpoint import REQUANT_FRACTION_BITS, FxOverflow
-from irnn.quant import QTensor, QuantParams, derive_params, qadd_diff, quantize_tensor
+from irnn.quant import (
+    QTensor,
+    QuantParams,
+    dequantize,
+    derive_params,
+    qadd_diff,
+    quantize_tensor,
+)
 
 
 def _toy(seed, T=8, m_enc=16, m_dec=16, m_att=12, n_cal=200, pieces=32):
@@ -176,7 +183,8 @@ class TestIntAttention:
         # shift keeps the range width (hence the scale); it must also keep
         # zero inside the range or the grid cannot be derived at all
         for c in (0.37, -1.9, 1.1):
-            p_shift = derive_params(p_e.min + c, p_e.max + c, 16)
+            lo, hi = dequantize(0, p_e) + c, dequantize(p_e.qmax, p_e) + c
+            p_shift = derive_params(lo, hi, 16)
             q1, _ = integer_softmax_weights(
                 quantize_tensor(e + c, p_shift).data, p_shift, expt
             )
@@ -285,7 +293,7 @@ class TestLeanStep:
         # multiplier about 2^42, so T * 2^16 codes overflow int64 past T = 41
         rng, _, w, expt, tanht = _toy(42, n_cal=16)
         p_h, p_s = w.sites["henc"], w.sites["s"]
-        fine = QuantParams(p_s.min, p_s.max, 8, p_h.scale / 4096 * 1.3, p_s.zero_point)
+        fine = QuantParams(8, p_h.scale / 4096 * 1.3, p_s.zero_point)
         plan = AttentionPlan(
             AttentionWeights(w.wq, w.wk, w.v, {**w.sites, "s": fine}), expt, tanht
         )
@@ -304,8 +312,8 @@ class TestLeanStep:
         # code 255 the scaled weighted sum plus rounded_div_even's half
         # denominator, T * 255 * 2^29, fits int64 up to T = 1,032,506
         rng, _, w, expt, tanht = _toy(42, m_enc=1, m_att=1, n_cal=16)
-        p_h = QuantParams(0, 2.55, 8, 0.01, 0)
-        sites = {**w.sites, "henc": p_h, "s": QuantParams(-1, 1, 8, 0.08, 128)}
+        p_h = QuantParams(8, 0.01, 0)
+        sites = {**w.sites, "henc": p_h, "s": QuantParams(8, 0.08, 128)}
         plan = AttentionPlan(AttentionWeights(w.wq, w.wk, w.v, sites), expt, tanht)
         assert plan._ctx_raw == 2**27
         qhd = quantize_tensor(rng.normal(0.0, 0.6, size=16), w.sites["hdec"])
@@ -321,9 +329,8 @@ class TestLeanStep:
         # pair, or a tanh table left behind by a new sumqk grid, is refused
         _, _, w, expt, tanht = _toy(42, n_cal=16)
         p = w.sites["sumqk"]
-        moved = AttentionWeights(
-            w.wq, w.wk, w.v, {**w.sites, "sumqk": derive_params(p.min * 2, p.max * 2, 16)}
-        )
+        wide = derive_params(dequantize(0, p) * 2, dequantize(p.qmax, p) * 2, 16)
+        moved = AttentionWeights(w.wq, w.wk, w.v, {**w.sites, "sumqk": wide})
         for weights, exp_table, tanh_table in ((w, tanht, expt), (moved, expt, tanht)):
             with pytest.raises(ValueError, match="table-grid-mismatch"):
                 AttentionPlan(weights, exp_table, tanh_table)

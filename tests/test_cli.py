@@ -14,7 +14,7 @@ from irnn import model_io as mio
 from irnn import quant
 from irnn.cli import build_model, main
 from irnn.pwl import PwlTable, eval_int
-from irnn.quant import QuantParams, derive_params
+from irnn.quant import QuantParams
 from irnn.rnn import CellConfig, IntLstmCell
 
 _TABLE_GOLDEN = [
@@ -152,10 +152,7 @@ class TestQuantizeRunCompare:
         cell = model.cells["main"]
         p = cell.sites["sum1"]
         # shift the gate grid out from under the frozen knot codes
-        sum1 = QuantParams(
-            p.min + 3.0, p.max + 3.0, p.bitwidth, p.scale,
-            max(0, p.zero_point - int(3.0 / p.scale)),
-        )
+        sum1 = QuantParams(p.bitwidth, p.scale, max(0, p.zero_point - int(3.0 / p.scale)))
         sites = {**cell.sites, "sum1": sum1}
         tables = {
             name: PwlTable(cell.tables[name].q_knots, cell.tables[name].values, *grids)
@@ -323,7 +320,7 @@ def bad_files(tmp_path_factory):
     rng = np.random.default_rng(42)
     names = {"npz": "model.npz", "calib": "calib.bin", "model": "model.irnn", "nan": "nan.bin",
              "nan_npz": "nan.npz", "truncated": "truncated.bin", "out": "out.csv",
-             "v1": "v1.irnn", "no_seqs": "no_seqs.bin", "no_steps": "no_steps.bin",
+             "v1": "v1.irnn", "v2": "v2.irnn", "no_seqs": "no_seqs.bin", "no_steps": "no_steps.bin",
              "no_steps_2d": "no_steps_2d.bin"}
     files = {k: d / name for k, name in names.items()}
     _lstm_npz(files["npz"], rng)
@@ -343,9 +340,10 @@ def bad_files(tmp_path_factory):
     for name, shape in (("no_seqs", (0, 4, 12)), ("no_steps", (1, 0, 12)),
                         ("no_steps_2d", (0, 12))):
         mio.save_calibration(files[name], np.zeros(shape))
-    v1 = bytearray(files["model"].read_bytes())
-    v1[4:8] = struct.pack("<I", 1)
-    files["v1"].write_bytes(bytes(v1))
+    for version in (1, 2):
+        old = bytearray(files["model"].read_bytes())
+        old[4:8] = struct.pack("<I", version)
+        files[f"v{version}"].write_bytes(bytes(old))
     tables = "cells/main/tables"
     edits = {
         "no_site": lambda man: man["cells"]["main"]["sites"].pop("sum1"),
@@ -358,11 +356,18 @@ def bad_files(tmp_path_factory):
         "nan_scale": lambda man: man["cells"]["main"]["sites"]["h"].update(scale=float("nan")),
         "bool_zero": lambda man: man["cells"]["main"]["sites"]["c"].update(zero_point=True),
         "inf_scale": lambda man: man["cells"]["main"]["sites"]["c"].update(scale=float("inf")),
+        # a grid is bitwidth, scale and zero point; a stored range is refused
+        "site_min": lambda man: man["cells"]["main"]["sites"]["x"].update(min=-1.0),
         # no build makes a 32-bit cell state, and no table spans one
         "c_32": lambda man: man["cells"]["main"]["sites"]["c"].update(bitwidth=32),
         # blobs retagged: the bytes stay valid, the dtype does not
         "float_knots": lambda man: man["blobs"][f"{tables}/sigmoid/q_knots"].update(dtype="float64"),
         "int_values": lambda man: man["blobs"][f"{tables}/sigmoid/values"].update(dtype="int32"),
+        # meta must be a JSON object: the float export copies it into a dict
+        "meta_str": lambda man: man.update(meta="x"),
+        "meta_num": lambda man: man.update(meta=5),
+        "meta_null": lambda man: man.update(meta=None),
+        "meta_list": lambda man: man.update(meta=[1]),
     }
     for name, mutate in edits.items():
         files[name] = d / f"{name}.irnn"
@@ -391,6 +396,7 @@ _BAD_INPUTS = {
     "quantize-nan-calib": (["quantize", "{npz}", "--calib", "{nan}", "--out", "{out}"], 3),
     "quantize-nan-weights": (["quantize", "{nan_npz}", "--calib", "{calib}", "--out", "{out}"], 3),
     "run-v1-container": (["run", "{v1}"], 3),
+    "run-v2-container": (["run", "{v2}"], 3),
     "run-32-bit-cell-state": (["run", "{c_32}"], 3),
     "run-float-knot-codes": (["run", "{float_knots}"], 3),
     "run-int-knot-values": (["run", "{int_values}"], 3),
@@ -415,6 +421,11 @@ _BAD_INPUTS = {
     "run-nan-scale": (["run", "{nan_scale}"], 3),
     "run-bool-zero-point": (["run", "{bool_zero}"], 3),
     "run-inf-scale": (["run", "{inf_scale}"], 3),
+    "run-site-with-range": (["run", "{site_min}"], 3),
+    "compare-meta-string": (["compare", "{meta_str}"], 3),
+    "compare-meta-number": (["compare", "{meta_num}"], 3),
+    "compare-meta-null": (["compare", "{meta_null}"], 3),
+    "compare-meta-list": (["compare", "{meta_list}"], 3),
 }
 
 
@@ -472,17 +483,15 @@ class TestExitCodes:
         code, _ = _run(capsys, "run", str(model), "--input", str(bad))
         assert code == 2
 
-    def test_concat_params_mismatch_is_usage_error(self, capsys, tmp_path):
+    def test_stored_tied_site_is_io_error(self, capsys, tmp_path):
+        # bwd.h is fwd.h's grid and stored once, with fwd; a container that
+        # stores a second, differing copy is refused at load
         path = _quantize(capsys, tmp_path, kind="bilstm", n_feat=10)
-        model = mio.load_file(path)
-        bwd = model.cells["bwd"]
-        model.cells["bwd"] = IntLstmCell(
-            bwd.weights, {**bwd.sites, "h": derive_params(-2.0, 2.0, 8)}, bwd.tables
-        )
-        mio.save_file(model, path)
+        h = {"bitwidth": 8, "scale": 4.0 / 255, "zero_point": 128}
+        _edit_manifest(path, lambda man: man["cells"]["bwd"]["sites"].update(h=h))
         code = main(["run", str(path), "--synth", "2", "--seq-len", "5"])
-        assert code == 2
-        assert "concat-params-mismatch" in capsys.readouterr().err
+        assert code == 3
+        assert "tied site stored twice: bwd.h" in capsys.readouterr().err
 
     def test_attend_needs_encdec(self, capsys, tmp_path):
         model = _quantize(capsys, tmp_path)
@@ -541,28 +550,49 @@ def _mutate(data: bytes, rng) -> bytes:
     return head.pack(magic, version, len(body)) + body + pad + blobs
 
 
-def test_mutated_containers_exit_cleanly(tmp_path, capsys):
-    # 400 seeded mutations of one small MadNorm container, each run through
-    # `irnn run`: every one exits with a documented code, and every failure
-    # with an error line instead of a traceback
-    rng = np.random.default_rng(42)
+def _fuzz_model(kind: str, rng) -> mio.IrnnModel:
+    """A small model of each graph kind: lstm with MadNorm, bilstm, encdec."""
     n, m = 3, 4
-    fm = mio.FloatModel("lstm", {
-        "wx": rng.normal(0.0, 0.3, size=(4 * m, n)),
-        "wh": rng.normal(0.0, 0.3, size=(4 * m, m)),
-        "bias": rng.normal(0.0, 0.1, size=4 * m),
-    })
-    cfg = CellConfig(use_madnorm=True, pwl_pieces=4)
-    data = mio.save(build_model(fm, rng.normal(size=(2, 5, n)), cfg))
+    cell = lambda prefix: {
+        prefix + "wx": rng.normal(0.0, 0.3, size=(4 * m, n)),
+        prefix + "wh": rng.normal(0.0, 0.3, size=(4 * m, m)),
+        prefix + "bias": rng.normal(0.0, 0.1, size=4 * m),
+    }
+    arrays = {
+        "lstm": lambda: cell(""),
+        "bilstm": lambda: {**cell("fwd_"), **cell("bwd_")},
+        "encdec": lambda: {
+            **cell("enc_"), **cell("dec_"),
+            "dec_ws": rng.normal(0.0, 0.3, size=(4 * m, m)),
+            "att_wq": rng.normal(0.0, 0.4, size=(m, m)),
+            "att_wk": rng.normal(0.0, 0.4, size=(m, m)),
+            "att_v": rng.normal(0.0, 0.4, size=m),
+        },
+    }[kind]()
+    cfg = CellConfig(use_madnorm=kind == "lstm", pwl_pieces=4)
+    return build_model(mio.FloatModel(kind, arrays), rng.normal(size=(2, 5, n)), cfg)
+
+
+@pytest.mark.parametrize("kind", ["lstm", "bilstm", "encdec"])
+def test_mutated_containers_exit_cleanly(kind, tmp_path, capsys):
+    # 400 seeded mutations of one small container of each graph kind, each
+    # through `irnn run` and `irnn compare`: every one exits with a
+    # documented code, and every failure with an error line instead of a
+    # traceback (compare may also exit 1, a tolerance failure)
+    rng = np.random.default_rng(42)
+    data = mio.save(_fuzz_model(kind, rng))
     path = tmp_path / "fuzz.irnn"
     codes = Counter()
     for _ in range(400):
         path.write_bytes(_mutate(data, rng))
-        code = main(["run", str(path), "--synth", "1", "--seq-len", "2"])
-        err = capsys.readouterr().err
-        assert code in (0, 2, 3, 4)
-        assert "Traceback" not in err
-        assert code == 0 or err.startswith("error:")
-        codes[code] += 1
-    # most mutations break the container; some (meta, a site's min) do not
+        for cmd, passed in (("run", (0,)), ("compare", (0, 1))):
+            code = main([cmd, str(path), "--synth", "1", "--seq-len", "2"])
+            err = capsys.readouterr().err
+            assert code in passed + (2, 3, 4)
+            assert "Traceback" not in err
+            assert code in passed or err.startswith("error:")
+            if cmd == "run":
+                codes[code] += 1
+    # most mutations break the container; some (a flipped padding bit, a
+    # truthy has_bias, a scale or zero point that still compiles) do not
     assert codes[3] > codes[0] > 0

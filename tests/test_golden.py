@@ -57,24 +57,24 @@ OUTPUT_SHA256 = {
     "encdec-q8mn-p32": "5327581c14bd3b3cd0c93abd537b2054834f629a6ab516e2149b4836d5cde0f5",
 }
 CONTAINER_SHA256 = {
-    "lstm-q8-p8": "cfed2e140ee4b9be179616f2179df559d1a9c1f8725017b8d2e21f9139978801",
-    "lstm-q8-p32": "4e3d4acf2862d05e8f736fc3bc6ff3afb59436a4beef7e2066e1ec721afd6723",
-    "lstm-q16-p8": "a77a401cf965a2a403a25087129b88057630bb571cafe32b2f466d99e137747f",
-    "lstm-q16-p32": "721d80da436dc18aeb8b75934693fd1210c2ca9aa4df689cf29d2c1c34fc7b46",
-    "lstm-q8mn-p8": "f15c5a627567170347fa2cf307dacb639d23c45ae546b093d2d57848fe441379",
-    "lstm-q8mn-p32": "3c8af04ec8de45d4dbba2e8b94780ac0f37941cae4ce63ec243724142449f80e",
-    "bilstm-q8-p8": "4b611a344f75a940076c553b08cbc1a353cfafc2ad8719edfb7d40fccb9eeab5",
-    "bilstm-q8-p32": "2212b7eb4f18ddb174966ed78717e106e0433edbda1adc0b6b12baf386e2cda1",
-    "bilstm-q16-p8": "a8706639c288fe7b0d35ef3a78f7d83071f51631954b91b538b28aacffc10710",
-    "bilstm-q16-p32": "2da1eae8cd7f74da899482f021fe469ee8f70afa4ac13b3e76db17df7578152b",
-    "bilstm-q8mn-p8": "4c4b2bb524bd38cca5a0a4e89030a1227f0866f45adc4205de34a0889d7084fd",
-    "bilstm-q8mn-p32": "ea302a092f6dd63af3518647c3032e68c2bdf17391c4c9e59a24100d28a4da37",
-    "encdec-q8-p8": "e3cab0f07f7bce2bbc4e86748a7ef5d295965d01ad6f8d96e41fa0c3f9183097",
-    "encdec-q8-p32": "20549addd52b0c31963b8fdb894292b77719701cbd4c9269c9d40034af3ec392",
-    "encdec-q16-p8": "37036d4974c2b00626d6294a8261479cb42bf8c78c0469b0e1949beb715f1a37",
-    "encdec-q16-p32": "293d31de4b1b38b83a1eec128d266195ef1005a6b50c438e4fb97554499a5e0c",
-    "encdec-q8mn-p8": "78d2dcf80e92a8146eb88f546a0c457c718ea6f1924165792505af7376800fa1",
-    "encdec-q8mn-p32": "2d3e11c3d60acb02cc27b9c3bd5484e31523a03f03695a7b54b0385dc44405fa",
+    "lstm-q8-p8": "b4f7a956eeb5ebda0d4e8ede29bfedd5f519bb1bc7056b482742f4650e1bef6e",
+    "lstm-q8-p32": "10b7ffdafa083bc6bcf0c18c4db915c2ac3a54a719f31c9b3657b397a12123f8",
+    "lstm-q16-p8": "6d88c4fc1ef547568bf060dd5de5757ebda3dfc3614cf03d7aa428e7fa27699e",
+    "lstm-q16-p32": "e6e02f4dba37669f2fdf97319d0c693b7528dccf1088021171cb46be5fb9944a",
+    "lstm-q8mn-p8": "9b44327f6e43a580c87adacec11268e4cb805ae2b470851f3905968788eba6dd",
+    "lstm-q8mn-p32": "aaa369ce41703379a6b413f03e618b4eb7606ae506ff322deef981b1380e2b7c",
+    "bilstm-q8-p8": "f231b3ea041c0727f423a7cbdbc16dac27cdbe5e228d229e5fb496881d5d6d14",
+    "bilstm-q8-p32": "61523d9d5d7f0d43d0025194a610f2a1ef10c224b6a1247d4c441ec051aa50db",
+    "bilstm-q16-p8": "752a3aa3359974b73da5ee23ac44891a85fe793fbf874c175a71e986098bf0a5",
+    "bilstm-q16-p32": "037564453dfa652643a6e6893aae7f63eed7e0aa1f52f0fb89a2a69e03471723",
+    "bilstm-q8mn-p8": "e99ed98505ea446b66d675c62d86b7cb0570d84f9a9ea760c739875f89c9847b",
+    "bilstm-q8mn-p32": "e9bd971b808238c1bd695fba273a9fb8c5e1db16f5c7769d77e6ecbb4f6fb686",
+    "encdec-q8-p8": "1015317bcf5526303f581c6170e26f608016fb4a0f5c565c12af6b487b3953b4",
+    "encdec-q8-p32": "f18795e800f802872ddfeee2a33ad027be5afb1621078fa422bf48d7fa49d783",
+    "encdec-q16-p8": "07ab78bd13b6cf6d1a73137f19896b68a1ba71e715e09f3b50fb669bb3328cd4",
+    "encdec-q16-p32": "a57fdb6c818f355f49a9af3c4e1c37a460020f6733bc0c49622cc15889cacfe6",
+    "encdec-q8mn-p8": "552394b2456ad05a36a5538feca765b6ad58aa887fa3e3ac9143d906b720eb46",
+    "encdec-q8mn-p32": "8e1095d9e20868579b848d2186eece7d464a3cf8323bd4689c3d4f25cd16b79f",
 }
 
 # the oracle reads only the 8-bit weights and the MadNorm flag, so cases

@@ -175,13 +175,13 @@ class TestMadnormInt:
     def test_rejects_nonzero_deviation_zero_point(self):
         px = derive_params(-1.0, 1.0, 8)
         qx = quantize_tensor(np.array([1.0, -1.0]), px)
-        bad = QuantParams(-1.0, 1.0, 8, 2.0 / 255, 128)
+        bad = QuantParams(8, 2.0 / 255, 128)
         with pytest.raises(ValueError, match="code 0"):
             madnorm_int(qx, px, px, bad, px)
 
     def test_centering_overflow_guard(self):
-        px = QuantParams(-(2.0**40), 2.0**40, 8, 2.0**41 / 255, 128)
-        tiny = QuantParams(-1e-6, 1e-6, 8, 2e-6 / 255, 128)
+        px = QuantParams(8, 2.0**41 / 255, 128)
+        tiny = QuantParams(8, 2e-6 / 255, 128)
         qx = quantize_tensor(np.array([0.5, -0.5]), px)
         with pytest.raises(FxOverflow):
             madnorm_int(qx, px, tiny, derive_params(0.0, 1.0, 8), px)

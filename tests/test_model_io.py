@@ -7,10 +7,11 @@ import sys
 import numpy as np
 import pytest
 
+from irnn import graph
 from irnn import model_io as mio
-from irnn.attention import AttentionPlan, attention_int, calibrate_attention
+from irnn.attention import AttentionPlan, AttentionWeights, attention_int, calibrate_attention
 from irnn.cli import build_model, run_model_int
-from irnn.quant import QTensor, quantize_tensor
+from irnn.quant import QTensor, QuantParams, quantize_tensor
 from irnn.rnn import CellConfig, calibrate_lstm_cell
 
 _HEADER = struct.Struct("<4sIQ")
@@ -87,9 +88,9 @@ class TestContainer:
             mio.load(bytes(data))
 
     def test_unknown_version_refused(self):
-        # format 1 included: no reader for it is kept
+        # formats 1 and 2 included: no reader for them is kept
         model, _ = _toy_model()
-        for version in (1, 99):
+        for version in (1, 2, 99):
             data = bytearray(mio.save(model))
             data[4:8] = struct.pack("<I", version)
             with pytest.raises(ValueError, match="unsupported-version"):
@@ -175,32 +176,40 @@ class TestContainer:
             mio.IrnnModel("encdec", {"enc": cell, "dec": cell}, attention=None)
 
 
+def _manifest(data):
+    _, _, mlen = _HEADER.unpack_from(data)
+    return json.loads(data[_HEADER.size : _HEADER.size + mlen])
+
+
+def _kind_models():
+    """A MadNorm lstm, an 8-bit bilstm and a 16-bit MadNorm encdec."""
+    rng = np.random.default_rng(42)
+    n = m = 8
+    cell = lambda prefix, **extra: {
+        prefix + "wx": rng.normal(0.0, 0.3, size=(4 * m, n)),
+        prefix + "wh": rng.normal(0.0, 0.3, size=(4 * m, m)),
+        prefix + "bias": rng.normal(0.0, 0.1, size=4 * m),
+        **extra,
+    }
+    encdec = mio.FloatModel("encdec", {
+        **cell("enc_"),
+        **cell("dec_", dec_ws=rng.normal(0.0, 0.3, size=(4 * m, m))),
+        "att_wq": rng.normal(0.0, 0.4, size=(m, m)),
+        "att_wk": rng.normal(0.0, 0.4, size=(m, m)),
+        "att_v": rng.normal(0.0, 0.4, size=m),
+    })
+    calib = rng.normal(0.0, 1.0, size=(3, 6, n))
+    cfg16 = CellConfig(cell_bits=16, preact_bits=16, use_madnorm=True, pwl_pieces=8)
+    bilstm = mio.FloatModel("bilstm", {**cell("fwd_"), **cell("bwd_")})
+    return [
+        _toy_model(madnorm=True)[0],
+        build_model(bilstm, calib, CellConfig(pwl_pieces=8)),
+        build_model(encdec, calib, cfg16),
+    ]
+
+
 class TestFormat2:
-    """A format-2 container stores each fact once."""
-
-    def _manifest(self, data):
-        _, _, mlen = _HEADER.unpack_from(data)
-        return json.loads(data[_HEADER.size : _HEADER.size + mlen])
-
-    def _models(self):
-        rng = np.random.default_rng(42)
-        n = m = 8
-        cell = lambda prefix, **extra: {
-            prefix + "wx": rng.normal(0.0, 0.3, size=(4 * m, n)),
-            prefix + "wh": rng.normal(0.0, 0.3, size=(4 * m, m)),
-            prefix + "bias": rng.normal(0.0, 0.1, size=4 * m),
-            **extra,
-        }
-        encdec = mio.FloatModel("encdec", {
-            **cell("enc_"),
-            **cell("dec_", dec_ws=rng.normal(0.0, 0.3, size=(4 * m, m))),
-            "att_wq": rng.normal(0.0, 0.4, size=(m, m)),
-            "att_wk": rng.normal(0.0, 0.4, size=(m, m)),
-            "att_v": rng.normal(0.0, 0.4, size=m),
-        })
-        calib = rng.normal(0.0, 1.0, size=(3, 6, n))
-        cfg16 = CellConfig(cell_bits=16, preact_bits=16, use_madnorm=True, pwl_pieces=8)
-        return [_toy_model(madnorm=True)[0], build_model(encdec, calib, cfg16)]
+    """What format 2 stopped storing stays out of the container."""
 
     def test_no_stored_config_multipliers_or_table_fields(self):
         banned = {"cfg", "fx_xprod", "fx_hprod", "in_params", "out_params",
@@ -212,16 +221,16 @@ class TestFormat2:
                     yield k
                     yield from keys(v)
 
-        for model in self._models():
-            man = self._manifest(mio.save(model))
+        for model in _kind_models():
+            man = _manifest(mio.save(model))
             assert not banned & set(keys({k: v for k, v in man.items() if k != "blobs"}))
             for entry in man["cells"].values():
                 assert set(entry) == {"wx", "wh", "ws", "has_bias", "sites"}
 
     def test_each_table_is_two_blobs(self):
-        for model in self._models():
+        for model in _kind_models():
             data = mio.save(model)
-            blobs = self._manifest(data)["blobs"]
+            blobs = _manifest(data)["blobs"]
             tables = {}
             for name, entry in blobs.items():
                 prefix, _, part = name.rpartition("/")
@@ -239,7 +248,7 @@ class TestFormat2:
                 assert parts == {"q_knots": np.dtype(grid.dtype).name, "values": "float64"}
 
     def test_load_rebuilds_every_derived_field(self):
-        for model in self._models():
+        for model in _kind_models():
             loaded = mio.load(mio.save(model))
             for name, cell in model.cells.items():
                 twin = loaded.cells[name]
@@ -249,6 +258,73 @@ class TestFormat2:
                     assert (a.in_params, a.out_params) == (b.in_params, b.out_params)
                     for field in ("knots", "slopes", "fx_slopes", "fx_intercepts", "lut"):
                         np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
+
+
+class TestFormat3:
+    """A format-3 grid is (bitwidth, scale, zero point), and a grid that the
+    graph ties to another stage's is stored once, with its source."""
+
+    def _params(self, node):
+        """Every params object of a manifest tree: the dicts with a bitwidth."""
+        if isinstance(node, dict):
+            if "bitwidth" in node:
+                yield node
+            for value in node.values():
+                yield from self._params(value)
+
+    def test_grids_store_no_range(self):
+        for model in _kind_models():
+            params = list(self._params(_manifest(mio.save(model))))
+            assert len(params) >= 18
+            for p in params:
+                assert set(p) == {"bitwidth", "scale", "zero_point"}
+
+    def test_each_tied_grid_stored_once(self):
+        for model in _kind_models():
+            ties = graph.graph_for(model.kind).ties
+            assert bool(ties) == (model.kind != "lstm")
+            man = _manifest(mio.save(model))
+            stored = {name: entry["sites"] for name, entry in man["cells"].items()}
+            if man["attention"] is not None:
+                stored["att"] = man["attention"]["sites"]
+            loaded = mio.load(mio.save(model))
+            for (stage, site), (src, src_site) in ties.items():
+                assert site not in stored[stage] and src_site in stored[src]
+                assert loaded.sites(stage)[site] is loaded.sites(src)[src_site]
+                assert loaded.sites(stage)[site] == model.sites(stage)[site]
+
+    def test_tied_copies_cannot_be_written(self):
+        # the attention sites that copy the cells' (scale or zero point
+        # edited) and a differing bwd.h: a manifest that stores one fails
+        # the load, and a model that holds one fails the save
+        _, bilstm, encdec = _kind_models()
+        aw = encdec.attention.weights
+        copies = [(encdec, ("attention",), site, aw.sites[site]) for site in ("hdec", "henc", "s")]
+        copies.append((bilstm, ("cells", "bwd"), "h", bilstm.cells["fwd"].sites["h"]))
+        for model, path, site, p in copies:
+            for field in ("scale", "zero_point"):
+                stored = {"bitwidth": p.bitwidth, "scale": p.scale, "zero_point": p.zero_point}
+                stored[field] += stored[field] if field == "scale" else 1
+
+                def add(man):
+                    entry = man
+                    for key in path:
+                        entry = entry[key]
+                    entry["sites"][site] = stored
+
+                with pytest.raises(ValueError, match="tied site stored twice"):
+                    mio.load(_remanifest(mio.save(model), add))
+        for site in ("hdec", "henc", "s"):
+            p = aw.sites[site]
+            moved = QuantParams(p.bitwidth, p.scale * 2, p.zero_point)
+            weights = AttentionWeights(aw.wq, aw.wk, aw.v, {**aw.sites, site: moved})
+            plan = AttentionPlan(weights, encdec.attention.exp_table, encdec.attention.tanh_table)
+            with pytest.raises(graph.GraphError, match=f"tied-site-mismatch: att.{site}"):
+                mio.IrnnModel("encdec", encdec.cells, attention=plan)
+            encdec.attention, kept = plan, encdec.attention
+            with pytest.raises(graph.GraphError, match=f"tied-site-mismatch: att.{site}"):
+                mio.save(encdec)
+            encdec.attention = kept
 
 
 class TestBilstmAndEncdec:
@@ -272,11 +348,13 @@ class TestBilstmAndEncdec:
     def test_encdec_round_trip(self):
         rng = np.random.default_rng(42)
         n, m, m_att, T = 8, 8, 6, 7
+        # the decoder reads the encoder's input, so both calibrate on it
+        cal = rng.normal(0.0, 1.0, size=(4, T, n))
         enc = calibrate_lstm_cell(
             rng.normal(0.0, 0.3, size=(4 * m, n)),
             rng.normal(0.0, 0.3, size=(4 * m, m)),
             None,
-            rng.normal(0.0, 1.0, size=(4, T, n)),
+            cal,
             CellConfig(),
         )
         s_seqs = rng.normal(0.0, 0.4, size=(4, T, m))
@@ -284,7 +362,7 @@ class TestBilstmAndEncdec:
             rng.normal(0.0, 0.3, size=(4 * m, n)),
             rng.normal(0.0, 0.3, size=(4 * m, m)),
             None,
-            rng.normal(0.0, 1.0, size=(4, T, n)),
+            cal,
             CellConfig(),
             ws=rng.normal(0.0, 0.3, size=(4 * m, m)),
             s_seqs=s_seqs,
@@ -296,6 +374,9 @@ class TestBilstmAndEncdec:
             rng.normal(0.0, 0.5, size=(20, m)),
             rng.normal(0.0, 0.5, size=(20, T, m)),
         )
+        # hdec, henc and s are tied to the cells' sites
+        tied = {"hdec": dec.sites["h"], "henc": enc.sites["h"], "s": dec.sites["s"]}
+        aw = AttentionWeights(aw.wq, aw.wk, aw.v, {**aw.sites, **tied})
         model = mio.IrnnModel(
             "encdec",
             {"enc": enc, "dec": dec},

@@ -23,14 +23,15 @@ from irnn.quant import (
     qmul,
     quantize,
     quantize_tensor,
+    requantize,
 )
 
 # ranges [-1,1], [0,5], [-5,5], [-2,2], [-1,6] at 8 bits, scales as printed
-P_UNIT = QuantParams(-1.0, 1.0, 8, 0.0078, 128)
-P_POS5 = QuantParams(0.0, 5.0, 8, 0.0196, 0)
-P_SYM5 = QuantParams(-5.0, 5.0, 8, 0.0392, 128)
-P_SYM2 = QuantParams(-2.0, 2.0, 8, 0.0157, 128)
-P_MIX6 = QuantParams(-1.0, 6.0, 8, 0.0274, 36)
+P_UNIT = QuantParams(8, 0.0078, 128)
+P_POS5 = QuantParams(8, 0.0196, 0)
+P_SYM5 = QuantParams(8, 0.0392, 128)
+P_SYM2 = QuantParams(8, 0.0157, 128)
+P_MIX6 = QuantParams(8, 0.0274, 36)
 
 
 class TestDeriveParams:
@@ -80,14 +81,13 @@ class TestDeriveParams:
 
 class TestQuantParams:
     def test_field_types_and_values_checked(self):
-        good = dict(min=-1.0, max=1.0, bitwidth=8, scale=2 / 255, zero_point=128)
+        good = dict(bitwidth=8, scale=2 / 255, zero_point=128)
         QuantParams(**good)
         QuantParams(**{**good, "bitwidth": np.int64(8), "zero_point": np.uint8(128)})
         bad = {
             "bitwidth": (8.0, True, "8", 12),
             "zero_point": (3.5, 128.0, True, -1, 256, None),
             "scale": (0.0, -1.0, float("nan"), float("inf")),
-            "min": (float("-inf"), float("nan")),
         }
         for field, values in bad.items():
             for value in values:
@@ -116,6 +116,32 @@ class TestQuantizeDequantize:
         assert quantize(3.0, p) == quantize(1.0, p)
         assert quantize(-3.0, p) == quantize(-1.0, p)
         assert quantize(1e9, p) == 255
+
+    def test_range_ends_are_end_codes(self):
+        # quantize keeps no float range: a grid from derive_params(lo, hi)
+        # maps lo to code 0 and hi to the top code, and everything beyond
+        # either end saturates there, however far off
+        rng = np.random.default_rng(42)
+        for i in range(3000):
+            b = (8, 16)[i % 2]
+            lo = -float(10 ** rng.uniform(-6, 6))
+            hi = float(10 ** rng.uniform(-6, 6))
+            lo, hi = ((lo, hi), (0.0, hi), (lo, 0.0))[i % 3]
+            p = derive_params(lo, hi, b)
+            assert quantize(lo, p) == 0
+            assert quantize(hi, p) == p.qmax
+            for d in (abs(hi - lo) * 1e-9, p.scale, 1e3 * abs(hi - lo), 1e300):
+                assert quantize(np.array([lo - d, hi + d]), p).tolist() == [0, p.qmax]
+
+    def test_identity_grid_rounds_like_a_rescale(self):
+        # a site calibrated only on zeros gets the identity grid (S = 1,
+        # Z = 0); an input on it rounds to the nearest code and saturates,
+        # as a rescale into that grid does
+        p = derive_params(0.0, 0.0, 8)
+        xs = np.array([-3.0, -0.4, 0.0, 0.5, 1.49, 2.5, 254.6, 1e6])
+        assert quantize(xs, p).tolist() == [0, 0, 0, 1, 1, 3, 255, 255]
+        acc = np.arange(-5, 300)
+        np.testing.assert_array_equal(quantize(acc.astype(float), p), requantize(acc, 1.0, p))
 
     def test_monotone(self):
         rng = np.random.default_rng(42)
@@ -247,8 +273,7 @@ class TestObserver:
 
     def test_zero_inclusion_on_finalize(self):
         obs = Observer().observe(np.array([0.1, 0.3]))
-        p = obs.finalize(8)
-        assert p.min == 0.0 and p.max == 0.3
+        assert obs.finalize(8) == derive_params(0.0, 0.3, 8)
 
     def test_unobserved_finalize_degenerate(self):
         p = Observer().finalize(8)
@@ -325,8 +350,8 @@ class TestExactGemv:
         np.testing.assert_array_equal(gemv(codes[3]), want[3])
 
     def test_unproven_int32_bound_checks_each_call(self):
-        w = QTensor(np.full((2, 200), 255, dtype=np.uint8), QuantParams(0.0, 1.0, 8, 1 / 255, 0))
-        p_in = QuantParams(0.0, 1.0, 16, 1 / 65535, 0)
+        w = QTensor(np.full((2, 200), 255, dtype=np.uint8), QuantParams(8, 1 / 255, 0))
+        p_in = QuantParams(16, 1 / 65535, 0)
         gemv = ExactGemv(w, p_in)
         assert gemv.per_call_check and gemv.bound == 2**31 - 1
         small = np.full(200, 10, dtype=np.uint16)

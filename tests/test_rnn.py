@@ -8,11 +8,20 @@ import numpy as np
 import pytest
 
 from irnn import graph
+from irnn import model_io as mio
 from irnn.attention import attach_context
 from irnn.fixedpoint import round_half_away, saturate
 from irnn.madnorm import madnorm_int
 from irnn.pwl import TANH_GRID, PwlTable, eval_int
-from irnn.quant import QTensor, derive_params, qadd_diff, qlinear, qmul, quantize_tensor
+from irnn.quant import (
+    QTensor,
+    dequantize,
+    derive_params,
+    qadd_diff,
+    qlinear,
+    qmul,
+    quantize_tensor,
+)
 from irnn.rnn import (
     CellConfig,
     IntLstmCell,
@@ -318,8 +327,8 @@ class TestIntCell:
         out = cell.run(quantize_tensor(wild, cell.sites["x"]))
         ph = cell.sites["h"]
         deq = out.dequantize()
-        assert deq.min() >= ph.min - ph.scale
-        assert deq.max() <= ph.max + ph.scale
+        assert deq.min() >= dequantize(0, ph)
+        assert deq.max() <= dequantize(ph.qmax, ph)
 
     def test_hidden_always_8bit(self):
         cell, xs, _ = _toy_cell(42, CellConfig(cell_bits=16, preact_bits=16))
@@ -414,7 +423,9 @@ class TestReferenceStep:
         cell = calibrate_lstm_cell(wx, wh, bias, cal, cfg, ws=ws, s_seqs=s_cal)
         sites = dict(cell.sites)
         p = sites["sum1"]
-        sites["sum1"] = derive_params(p.min / 4, p.max / 4, p.bitwidth)
+        sites["sum1"] = derive_params(
+            dequantize(0, p) / 4, dequantize(p.qmax, p) / 4, p.bitwidth
+        )
         grids = IntLstmCell.table_grids(sites, context)
         cell = IntLstmCell(cell.weights, sites, _regrid(cell.tables, grids))
         qxs = quantize_tensor(rng.normal(0.0, 1.0, size=(T, n)), sites["x"])
@@ -484,10 +495,18 @@ class TestBilstm:
         np.testing.assert_array_equal(mid[:16], mid[16:])
 
     def test_params_mismatch_rejected(self):
+        # bwd's x and h are tied to fwd's: a model whose grids differ is
+        # refused when it is made, and a changed one cannot be saved
         _, model, _ = self._calibrated_pair()
         bwd = model.cells["bwd"]
-        model.cells["bwd"] = IntLstmCell(
-            bwd.weights, {**bwd.sites, "h": derive_params(-2.0, 2.0, 8)}, bwd.tables
-        )
-        with pytest.raises(ValueError, match="concat-params-mismatch"):
-            graph.run_int(model, np.zeros((4, 16)))
+        for site in ("x", "h"):
+            moved = IntLstmCell(
+                bwd.weights, {**bwd.sites, site: derive_params(-2.0, 2.0, 8)}, bwd.tables
+            )
+            cells = {**model.cells, "bwd": moved}
+            with pytest.raises(graph.GraphError, match=f"tied-site-mismatch: bwd.{site}"):
+                graph.IrnnModel("bilstm", cells)
+            model.cells["bwd"] = moved
+            with pytest.raises(graph.GraphError, match=f"tied-site-mismatch: bwd.{site}"):
+                mio.save(model)
+            model.cells["bwd"] = bwd
