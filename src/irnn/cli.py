@@ -285,6 +285,8 @@ def cmd_bench(args) -> int:
     cell = model.input_cell
     xs = rng.normal(0.0, 1.0, size=(args.seq_len, cell.input_size))
 
+    container = mio.save(model)
+    load_ns = _median_ns(lambda: mio.load(container), args.runs, args.warmup)
     int_ns = _median_ns(lambda: graph.run_int(model, xs), args.runs, args.warmup)
     float_ns = _median_ns(lambda: graph.run_ref(fm, xs), args.runs, args.warmup)
 
@@ -294,7 +296,7 @@ def cmd_bench(args) -> int:
     ).astype(np.int64)
     pwl_ns = _median_ns(lambda: eval_int(table, codes), args.runs, args.warmup)
 
-    model_bytes = len(mio.save(model))
+    model_bytes = len(container)
     float_bytes = len(mio.save_float(fm))
     report = RunReport(
         timings={
@@ -303,6 +305,7 @@ def cmd_bench(args) -> int:
             "float_over_int": float_ns / int_ns if int_ns else float("nan"),
             "pwl_eval_ns": pwl_ns,
             "pwl_pieces": table.pieces,
+            "load_ns": load_ns,
             "seq_len": args.seq_len,
             "runs": args.runs,
             "warmup": args.warmup,

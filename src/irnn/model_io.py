@@ -204,6 +204,8 @@ def _model_from(manifest: dict, blob) -> IrnnModel:
     for name in g.cells:
         prefix, entry = f"cells/{name}", entries[name]
         w = _weights_from(entry, prefix, blob, {"wx": 2, "wh": 2, "ws": 2})
+        if not isinstance(entry["has_bias"], bool):
+            raise ValueError(f"malformed manifest: {name}.has_bias is not a boolean")
         bias = blob(f"{prefix}/bias", np.int32, 1) if entry["has_bias"] else None
         grids = IntLstmCell.table_grids(sites[name], "ws" in w)
         cells[name] = IntLstmCell(

@@ -8,10 +8,13 @@ always equal the true function value at their knot, so surviving grid
 points evaluate exactly.
 
 Integer evaluation uses fixed-point slopes/intercepts sharing one fraction
-count, accumulated in int64 with a single final rounding.  A table runs
-that evaluation over every code of its (at most 16-bit) input grid when it
-is constructed and keeps the result as an exact look-up table, so integer
-evaluation afterwards is a single gather.
+count, accumulated in int64 with a single final rounding.  A table turns
+that evaluation into an exact look-up table over its (at most 16-bit)
+input grid when it is constructed, so integer evaluation afterwards is a
+single gather.  Each piece's output is monotone, so the table is a series
+of runs of equal codes; where runs are few against codes, each run's first
+code is found by one exact integer division, and otherwise every code is
+evaluated.
 """
 
 from __future__ import annotations
@@ -95,7 +98,8 @@ class PwlTable:
         (x - knots[i]) + intercepts[i] and intercepts[i] = values[i];
       - fx_slopes and fx_intercepts, the fixed-point slopes and intercepts
         with TABLE_FRACTION_BITS fraction bits, in the output grid's units;
-      - lut[q], the integer evaluation at every input code q, read-only.
+      - lut[q], the integer evaluation at every input code q, read-only;
+        _lut builds it from its runs of equal outputs where they are few.
     FxOverflow if the fixed-point constants would overflow int64.
     """
 
@@ -147,7 +151,7 @@ class PwlTable:
         )
         for name, value in derived.items():
             object.__setattr__(self, name, value)
-        lut = _expand(self)
+        lut = _lut(self)
         lut.flags.writeable = False
         object.__setattr__(self, "lut", lut)
 
@@ -156,17 +160,94 @@ class PwlTable:
         return len(self.slopes)
 
 
+# building a LUT from its runs costs about as much as evaluating _RUN_SETUP
+# codes, plus _RUN_COST codes per run; a table whose runs cost more than its
+# codes is evaluated code by code
+_RUN_SETUP, _RUN_COST = 2048, 8
+
 # codes per block of _expand: its int64 temporaries (120 KiB) stay in cache
 # and below the 128 KiB from which glibc's malloc maps each request afresh
 _EXPAND_BLOCK = 15 * 1024
 
 
-def _expand(t: PwlTable) -> np.ndarray:
-    """Evaluate every input code, block by block.
+def _lut(t: PwlTable) -> np.ndarray:
+    """The output code at every input code.
 
     Codes between two knots take the lower knot's piece, the last knot takes
-    the last piece, and codes outside the knot span clamp to its ends.
+    the last piece, and codes outside the knot span clamp to its ends.  A
+    piece is linear, and rounding and saturation are monotone, so a piece's
+    outputs step monotonically from its value at its first code to its
+    value at its last: one run of equal codes per output value in between.
+    A table with few runs for its codes is built from where each run starts
+    (_runs); any other evaluates every code (_expand).
     """
+    codes = t.in_params.qmax + 1
+    if _RUN_SETUP + _RUN_COST * t.pieces >= codes:  # a piece has one run or more
+        return _expand(t)
+    first, runs = _piece_runs(t)
+    if _RUN_SETUP + _RUN_COST * int(runs.sum()) >= codes:
+        return _expand(t)
+    return _runs(t, first, runs)
+
+
+def _piece_runs(t: PwlTable) -> tuple[np.ndarray, np.ndarray]:
+    """Each piece's output at its first code, and its number of runs."""
+    b = t.fx_intercepts
+    # each piece's last code, from its first; the last piece ends on a knot
+    last = np.diff(t.q_knots)
+    last[:-1] -= 1
+    p = t.out_params
+    ends = rounded_shift(np.concatenate((b, t.fx_slopes * last + b)), TABLE_FRACTION_BITS)
+    ends = saturate(ends + p.zero_point, p.qmin, p.qmax)
+    first = ends[: t.pieces]
+    return first, np.abs(ends[t.pieces :] - first) + 1
+
+
+def _runs(t: PwlTable, first: np.ndarray, runs: np.ndarray) -> np.ndarray:
+    """The LUT as one repeat of run values over run lengths.
+
+    first[i] is piece i's output at its first code and runs[i] its number
+    of output values.  Let sign be -1 on a falling piece and +1 otherwise,
+    and w = sign * (output - zero point).  Rounding half away from zero is
+    odd, so sign * acc rounds to w or more exactly when sign * acc >= A(w),
+    where A(w) = T + (T < 0) and T = w * 2^F - 2^(F-1).  The run of w thus
+    starts at the first code q with |s| * (q - k_i) >= A(w) - sign * b_i,
+    which one exact ceiling division gives.  Past a piece's first run, A(w)
+    lies between the accumulators at the piece's first and last codes, so
+    the difference stays within the table's 2^62 bound.
+    """
+    s = t.fx_slopes
+    sign = np.where(s < 0, -1, 1)
+    head = np.cumsum(runs) - runs  # each piece's first run
+    # per run, from its piece: w at the piece's first run less that run's
+    # index, sign, sign * b + 2^(F-1), |s| (a flat piece has one run and
+    # divides nothing) and the first code
+    w, sign, bh, mag, k = np.repeat(
+        np.array((
+            sign * (first - t.out_params.zero_point) - head,
+            sign,
+            sign * t.fx_intercepts + 2 ** (TABLE_FRACTION_BITS - 1),
+            np.abs(s) + (s == 0),
+            t.q_knots[:-1],
+        )),
+        runs,
+        axis=1,
+    )
+    w += np.arange(len(w))
+    # sign * b - A(w); T < 0 exactly when w <= 0
+    gap = bh - w * 2**TABLE_FRACTION_BITS - (w <= 0)
+    gap[head] = 0  # a piece's first run starts at its first code, not at A(w)
+    bounds = np.empty(len(w) + 1, dtype=np.int64)
+    np.subtract(k, gap // mag, out=bounds[:-1])
+    # the first run takes the codes below the first knot, the last those
+    # above the last
+    bounds[0], bounds[-1] = 0, t.in_params.qmax + 1
+    vals = sign * w + t.out_params.zero_point
+    return np.repeat(vals.astype(t.out_params.dtype), np.diff(bounds))
+
+
+def _expand(t: PwlTable) -> np.ndarray:
+    """_lut by evaluating every input code, block by block."""
     k = t.q_knots
     # s * (q - k_i) + b_i regrouped as s * q + (b_i - s * k_i); the table's
     # 2^62 bound on |s| * 2^bits + |b| keeps both forms within int64

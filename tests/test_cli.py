@@ -274,6 +274,7 @@ class TestBench:
         assert t["float_over_int"] > 0
         assert t["runs"] == 10 and t["warmup"] == 2
         assert t["pwl_eval_ns"] > 0
+        assert t["load_ns"] > 0
         assert report["size_ratio"] > 0
 
     def test_small_table_not_slower(self, capsys, tmp_path):
@@ -368,6 +369,11 @@ def bad_files(tmp_path_factory):
         "meta_num": lambda man: man.update(meta=5),
         "meta_null": lambda man: man.update(meta=None),
         "meta_list": lambda man: man.update(meta=[1]),
+        # has_bias must be a JSON boolean, not merely truthy
+        "bias_int": lambda man: man["cells"]["main"].update(has_bias=2147483648),
+        "bias_float": lambda man: man["cells"]["main"].update(has_bias=0.5),
+        "bias_str": lambda man: man["cells"]["main"].update(has_bias="True"),
+        "bias_list": lambda man: man["cells"]["main"].update(has_bias=[True]),
     }
     for name, mutate in edits.items():
         files[name] = d / f"{name}.irnn"
@@ -426,6 +432,10 @@ _BAD_INPUTS = {
     "compare-meta-number": (["compare", "{meta_num}"], 3),
     "compare-meta-null": (["compare", "{meta_null}"], 3),
     "compare-meta-list": (["compare", "{meta_list}"], 3),
+    "run-has-bias-int": (["run", "{bias_int}"], 3),
+    "run-has-bias-float": (["run", "{bias_float}"], 3),
+    "run-has-bias-string": (["run", "{bias_str}"], 3),
+    "run-has-bias-list": (["run", "{bias_list}"], 3),
 }
 
 
@@ -594,5 +604,5 @@ def test_mutated_containers_exit_cleanly(kind, tmp_path, capsys):
             if cmd == "run":
                 codes[code] += 1
     # most mutations break the container; some (a flipped padding bit, a
-    # truthy has_bias, a scale or zero point that still compiles) do not
+    # scale or zero point that still compiles) do not
     assert codes[3] > codes[0] > 0

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from irnn import pwl
-from irnn.fixedpoint import FxOverflow
+from irnn.fixedpoint import FxOverflow, rounded_shift
 from irnn.pwl import (
     ACTIVATIONS,
     activation_registry,
@@ -19,7 +19,7 @@ from irnn.pwl import (
     from_points,
     reduce,
 )
-from irnn.quant import dequantize, derive_params, quantize
+from irnn.quant import QuantParams, dequantize, derive_params, quantize
 
 
 def _params_for(name, bits=8):
@@ -462,3 +462,146 @@ class TestLut:
             for field in ("knots", "slopes", "intercepts", "fx_slopes", "fx_intercepts", "lut"):
                 np.testing.assert_array_equal(getattr(twin, field), getattr(t, field), name)
             np.testing.assert_array_equal(t.knots, dequantize(t.q_knots, t.in_params), name)
+
+
+def _assert_forms_agree(t, label):
+    """The LUT built from run boundaries equals direct evaluation, code by
+    code, and each piece's runs span its outputs at its first and last codes."""
+    first, runs = pwl._piece_runs(t)
+    direct = pwl._expand(t)
+    k = t.q_knots
+    last = np.append(k[1:-1] - 1, k[-1])
+    np.testing.assert_array_equal(first, direct[k[:-1]], err_msg=str(label))
+    np.testing.assert_array_equal(runs, np.abs(direct[last] - first) + 1, err_msg=str(label))
+    built = pwl._runs(t, first, runs)
+    assert built.dtype == direct.dtype == t.out_params.dtype, label
+    np.testing.assert_array_equal(built, direct, err_msg=str(label))
+    np.testing.assert_array_equal(t.lut, direct, err_msg=str(label))
+
+
+def _random_table(rng):
+    """A from_points table on power-of-two grids, so that many accumulators
+    sit exactly on a rounding tie; its values may leave the output grid."""
+    bits = int(rng.choice([8, 16]))
+    in_p = QuantParams(bits, 2.0 ** -int(rng.integers(2, 9)), int(rng.integers(0, 2**bits)))
+    out_p = QuantParams(8, 2.0**-4, int(rng.integers(0, 256)))
+    q = rng.choice(in_p.qmax + 1, size=int(rng.integers(2, 41)), replace=False)
+    if rng.random() < 0.3:  # single-code pieces
+        q = np.concatenate((q, q[q < in_p.qmax] + 1))
+    if rng.random() < 0.3:  # knots on both grid ends, no clamped tails
+        q = np.concatenate((q, [0, in_p.qmax]))
+    q = np.unique(q)
+    # outputs on half codes from half a grid below it to half a grid above
+    codes = rng.integers(-256, 768, size=len(q)) / 2
+    flat = rng.random(len(q)) < 0.25
+    flat[0] = False
+    for i in np.flatnonzero(flat):
+        codes[i] = codes[i - 1]
+    ys = (codes - out_p.zero_point) * out_p.scale
+    return from_points(dequantize(q, in_p), ys, in_p, out_p)
+
+
+def _piece_ends_unclipped(t):
+    """Each piece's rounded output at its first and last codes, unsaturated."""
+    ends = []
+    for i in range(t.pieces):
+        last = t.q_knots[i + 1] - t.q_knots[i] - (i < t.pieces - 1)
+        for d in (0, last):
+            acc = int(t.fx_slopes[i]) * int(d) + int(t.fx_intercepts[i])
+            ends.append(rounded_shift(acc, pwl.TABLE_FRACTION_BITS) + t.out_params.zero_point)
+    return np.array(ends).reshape(-1, 2)
+
+
+class TestRunForm:
+    """Run-boundary LUTs against direct evaluation of every code."""
+
+    @pytest.mark.parametrize("bits", (8, 16))
+    @pytest.mark.parametrize("name", sorted(ACTIVATIONS))
+    def test_activations(self, name, bits):
+        fn, in_p, out_p = _params_for(name, bits)
+        full = build_full(fn, in_p, out_p)
+        _assert_forms_agree(full, "full")
+        for pieces in (1, 2, 8, 32, 100):
+            _assert_forms_agree(reduce(full, pieces), pieces)
+
+    def test_random_tables(self):
+        rng = np.random.default_rng(20)
+        seen = Counter()
+        for i in range(240):
+            t = _random_table(rng)
+            _assert_forms_agree(t, i)
+            half = 2 ** (pwl.TABLE_FRACTION_BITS - 1)
+            ends = _piece_ends_unclipped(t)
+            inside = (ends >= 0) & (ends <= t.out_params.qmax)
+            seen["tie"] += bool((np.abs(t.fx_intercepts) % (2 * half) == half).any())
+            seen["flat"] += bool((t.fx_slopes == 0).any())
+            seen["falling"] += bool((t.fx_slopes < 0).any())
+            seen["single-code"] += bool((np.diff(t.q_knots)[:-1] == 1).any())
+            seen["short"] += bool(t.q_knots[0] > 0 or t.q_knots[-1] < t.in_params.qmax)
+            seen["saturates partway"] += bool((inside[:, 0] != inside[:, 1]).any())
+        # every case the generator aims at occurs in many tables
+        for case in ("tie", "flat", "falling", "single-code", "short", "saturates partway"):
+            assert seen[case] >= 20, (case, seen)
+
+    @pytest.mark.parametrize("bits", (8, 16))
+    @pytest.mark.parametrize("sign", (1, -1))
+    def test_slopes_at_the_constant_bound(self, bits, sign):
+        # |s| * 2^bits + |b| is exactly 2^62, the largest the table takes;
+        # the piece starts 2^30 output codes off the grid and jumps across
+        # it at about a third of the input codes, so the one threshold
+        # divides an accumulator gap of about 2^60
+        in_p, out_p = QuantParams(bits, 1.0, 0), QuantParams(8, 1.0, 128)
+        for q in ([0, in_p.qmax], [3, in_p.qmax - 2]):
+            q = np.array(q)
+            v0 = -sign * 2.0**30
+            values = [v0, v0 + sign * 3.0 * 2.0 ** (30 - bits) * (q[1] - q[0])]
+            t = pwl.PwlTable(q, np.array(values), in_p, out_p)
+            s, b = int(t.fx_slopes[0]), int(t.fx_intercepts[0])
+            assert abs(s) * (in_p.qmax + 1) + abs(b) == 2**62
+            assert s * sign > 0
+            _assert_forms_agree(t, (bits, sign, q.tolist()))
+            want = [_formula(t, c) for c in range(in_p.qmax + 1)]
+            assert t.lut.tolist() == want
+            ends = [0, out_p.qmax][::sign]
+            assert [want[0], want[-1]] == ends
+            assert abs(want.index(ends[1]) - (in_p.qmax + 1) / 3) < 8
+
+    def test_form_follows_runs_against_codes(self, monkeypatch):
+        # a table with about as many runs as codes is evaluated code by code
+        calls = []
+        for name in ("_runs", "_expand"):
+            real = getattr(pwl, name)
+
+            def counted(*args, _real=real, _name=name):
+                calls.append(_name)
+                return _real(*args)
+
+            monkeypatch.setattr(pwl, name, counted)
+        cases = {
+            (8, 32): "_expand",
+            (8, 1): "_expand",
+            (16, 32): "_runs",
+            (16, 100): "_runs",
+            (16, None): "_expand",
+        }
+        for (bits, pieces), form in cases.items():
+            fn, in_p, out_p = _params_for("sigmoid", bits)
+            t = build_full(fn, in_p, out_p)
+            if pieces is not None:
+                t = reduce(t, pieces)
+            calls.clear()
+            pwl.PwlTable(t.q_knots, t.values, in_p, out_p)
+            assert calls == [form], (bits, pieces)
+
+    def test_reduced_sixteen_bit_table_peak_memory(self):
+        # evaluating every code in int64 blocks peaked at about 666 KiB here;
+        # the LUT itself is 64 KiB
+        fn, in_p, out_p = _params_for("sigmoid", 16)
+        t = reduce(build_full(fn, in_p, out_p), 32)
+        tracemalloc.start()
+        try:
+            pwl.PwlTable(t.q_knots, t.values, in_p, out_p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 2**10
