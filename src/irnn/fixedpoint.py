@@ -5,13 +5,20 @@ Requantization multipliers (ratios of quantization scales) are stored as
 applying it to an integer accumulator is a 64-bit multiply followed by a
 rounded right shift, so the inference path never touches floating point.
 
-Rounding is round-to-nearest with ties away from zero: one add of half a
-step (less one for negative values) before an arithmetic right shift,
-which numpy and Python both define as a floor.
+Rounding is round-to-nearest with ties away from zero, by an add before
+an arithmetic right shift, which numpy and Python both define as a floor.
+Adding half a step rounds every accumulator but a negative exact half
+(acc = (j + 1/2) * 2^f, j < 0) the right way, and that one needs one less
+to round away from zero.  A Rescale certifies at construction, from its
+raws, fraction bits and operand bounds alone, whether any of its
+accumulators can be an exact half (see _tie_free).  A certified rescale
+rounds int64 arrays as (acc + half) >> f; every other one keeps the sign
+fix, (acc + (acc >> 63) + half) >> f.  Both give the same codes.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -53,13 +60,14 @@ def round_half_away(x):
     Accepts scalars or arrays; returns a Python int for scalar input and an
     int64 array otherwise.
     """
-    arr = np.asarray(x, dtype=np.float64)
     # floor(x + 0.5) where x >= 0, else ceil(x - 0.5): the same adds, and
-    # truncation is floor above zero and ceil below
-    out = np.trunc(arr + np.copysign(0.5, arr))
+    # truncation is floor above zero and ceil below.  A scalar takes the
+    # same float64 add in Python floats, without numpy's per-call overhead.
     if np.ndim(x) == 0:
-        return int(out)
-    return out.astype(np.int64)
+        v = float(x)
+        return int(v + math.copysign(0.5, v))
+    arr = np.asarray(x, dtype=np.float64)
+    return np.trunc(arr + np.copysign(0.5, arr)).astype(np.int64)
 
 
 def rounded_shift(acc, f: int):
@@ -113,6 +121,69 @@ def rounded_div_even(num, den):
     out += den // 2
     out //= den
     return out
+
+
+def _trailing_zeros(x: int) -> int:
+    return (x & -x).bit_length() - 1
+
+
+def _floor_sum(n: int, m: int, a: int, b: int) -> int:
+    """sum(floor((a * j + b) / m) for j in range(n)), for a, b >= 0 and
+    m >= 1, in O(log m) steps: Euclid's algorithm on (a, m)."""
+    total = 0
+    while True:
+        if a >= m:
+            total += n * (n - 1) // 2 * (a // m)
+            a %= m
+        if b >= m:
+            total += n * (b // m)
+            b %= m
+        top = a * n + b
+        if top < m:
+            return total
+        n, b = divmod(top, m)
+        m, a = a, m
+
+
+def _tie_free(f: int, terms) -> bool:
+    """True when no sum of raw * t over the (raw, bound) terms, with each
+    |t| <= bound, is congruent to 2^(f-1) mod 2^f: an exact half step.
+
+    A term whose raw is a multiple of 2^f, or whose bound is 0, never moves
+    the residue.  With one term left, raw = r * 2^p (r odd, p < f), the
+    product is a tie exactly when t is an odd multiple of 2^(f-1-p), so
+    bound < 2^(f-1-p) certifies it.  With two, ra * a + rb * b, the larger
+    bound A is solved for at every code b of the smaller one: ra * a =
+    2^(f-1) - rb * b (mod 2^f) needs 2^p to divide the right side, which
+    holds for b = s * k, |k| <= K = B // s, s = 2^max(p - p_b, 0), and then
+    fixes a modulo M = 2^(f-p) at r^-1 * (2^(f-1-p) - (rb * s / 2^p) * k).
+    That a is in reach when its centered residue is at most A, that is
+    when (a + A) mod M <= 2A, which every a is once 2A >= M.  The codes k
+    whose (a + A) mod M, linear in k, exceeds 2A are counted with two floor
+    sums rather than scanned, so the cost does not grow with the bounds;
+    the rescale is tie-free when that is all 2K + 1 of them.
+    """
+    terms = [(r, b) for r, b in terms if b and r % (1 << f)]
+    if not terms:
+        return True
+    if len(terms) == 1:
+        (raw, bound), = terms
+        return bound < 1 << (f - 1 - _trailing_zeros(raw))
+    (ra, A), (rb, B) = terms if terms[0][1] >= terms[1][1] else terms[::-1]
+    p = _trailing_zeros(ra)
+    s = 1 << max(p - _trailing_zeros(rb), 0)
+    M = 1 << (f - p)
+    if 2 * A >= M:
+        return False
+    inv = pow(ra >> p, -1, M)
+    v = inv * (rb * s >> p) % M
+    # (a + A) mod M over k = j - K for j in 0..2K is (start - v * j) mod M
+    K = B // s
+    start = ((inv << (f - 1 - p)) + A + v * K) % M
+    n, step = 2 * K + 1, -v % M
+    # floor((y + M - 1 - c) / M) - floor(y / M) is 1 where y mod M > c, else 0
+    above = _floor_sum(n, M, step, start + M - 1 - 2 * A) - _floor_sum(n, M, step, start)
+    return above == n
 
 
 def saturate(x, lo: int, hi: int):
@@ -214,28 +285,57 @@ class Rescale:
     the rescale is built; applying it is integer-only.  Terms are Python
     ints or int64 arrays of centered values.
 
-    `bounds` holds the largest |term| each operand can take.  They are
-    checked here, once: the accumulator plus the rounding add must fit
-    int64, else FxOverflow.  With lo and hi omitted nothing saturates.
-    A stacked rescale (see stack) has one term whose raw, bound, lo and hi
-    are int64 arrays, one entry per operand element.  A rescale is not
-    changed after construction; with_bounds makes a variant.
+    `bounds` holds the largest |term| each operand can take, one per term.
+    They are checked here, once: the accumulator plus the rounding add must
+    fit int64, else FxOverflow.  From them the rescale also certifies, once,
+    whether any accumulator of its terms is an exact half step (tie_free);
+    a certified one rounds arrays without the sign fix.  With lo and hi
+    omitted nothing saturates.  A stacked rescale (see stack) has one term
+    whose raw, bound, lo and hi are int64 arrays, one entry per operand
+    element.  A rescale is not changed after construction; with_bounds
+    makes a variant.
     """
 
-    __slots__ = ("raws", "f", "zero", "lo", "hi", "bounds", "_arr")
+    __slots__ = ("raws", "f", "zero", "lo", "hi", "bounds", "_tie_free", "_arr")
 
     def __init__(self, raws, f: int, zero: int = 0, lo=None, hi=None, *, bounds):
         if not 1 <= len(raws) <= 2:
             raise ValueError("a rescale combines one or two terms")
         if f < 0:
             raise ValueError("fraction_bits must be >= 0")
+        if len(bounds) != len(raws):
+            raise ValueError("a rescale needs one bound per term")
         self.raws = tuple(r if isinstance(r, np.ndarray) else int(r) for r in raws)
         self.f = f
         self.zero = int(zero)
         self.lo, self.hi = lo, hi
         self.bounds = tuple(bounds)
-        self._require_fit()
+        # in Python ints, so a product past int64 cannot wrap
+        total, terms = 0, []
+        for raw, bound in zip(self.raws, self.bounds):
+            if isinstance(raw, np.ndarray) or isinstance(bound, np.ndarray):
+                if not (isinstance(raw, np.ndarray) and isinstance(bound, np.ndarray)
+                        and raw.shape == bound.shape):
+                    raise ValueError("a stacked term needs a bound array of its raw's shape")
+                # each element's raw with that element's bound, over the
+                # few distinct pairs
+                pairs = set(zip(raw.tolist(), bound.tolist()))
+            else:
+                pairs = ((raw, int(bound)),)
+            if min(b for _, b in pairs) < 0:
+                raise ValueError("bounds are magnitudes, >= 0")
+            total += max(abs(r) * b for r, b in pairs)
+            terms.append(pairs)
+        if total + (1 << max(f - 1, 0)) > _INT64_MAX:
+            raise FxOverflow("rescale accumulator would overflow int64")
+        self._tie_free = all(_tie_free(f, combo) for combo in itertools.product(*terms))
         self._arr = None  # see _array_constants
+
+    @property
+    def tie_free(self) -> bool:
+        """True when no accumulator of this rescale's terms within their
+        bounds is an exact half step, so arrays round as (acc + half) >> f."""
+        return self._tie_free
 
     def _array_constants(self) -> tuple:
         """The int64-array path's constants (raws, half, f, zero, lo, hi) as
@@ -258,19 +358,6 @@ class Rescale:
             self._arr = arr
         return self._arr
 
-    def _require_fit(self) -> None:
-        # in Python ints, so a product past int64 cannot wrap
-        total = 0
-        for raw, bound in zip(self.raws, self.bounds):
-            if isinstance(raw, np.ndarray):
-                # a stacked term: each element's raw with that element's
-                # bound, over the few distinct pairs
-                total += max(abs(r) * b for r, b in set(zip(raw.tolist(), bound.tolist())))
-            else:
-                total += abs(raw) * int(bound)
-        if total + (1 << max(self.f - 1, 0)) > _INT64_MAX:
-            raise FxOverflow("rescale accumulator would overflow int64")
-
     def term(self, k: int, t):
         """Operand k scaled into the accumulator (for hoisting a term)."""
         if isinstance(t, np.ndarray):
@@ -282,14 +369,26 @@ class Rescale:
     def finish(self, acc):
         """Round an accumulator of summed terms, add zero, saturate.
 
-        An int64 array is rounded in place in one fresh array, never in acc;
-        acc >> 63 is -1 where acc < 0, which makes it rounded_shift."""
+        acc is a sum of this rescale's own terms, each within its bound: the
+        tie certificate holds only for those.  An int64 array is rounded in
+        one fresh array, never in acc."""
+        return self._finish(acc, False)
+
+    def _finish(self, acc, own: bool):
+        # own: acc is an array this rescale allocated, which it may overwrite
         arr = self._arr if self._arr is not None else self._array_constants()
         if arr and isinstance(acc, np.ndarray) and acc.dtype == np.int64:
             *_, half, f, zero, lo, hi = arr
-            out = acc >> _SIGN_SHIFT
-            out += acc
-            out += half
+            if not self._tie_free:
+                # acc >> 63 is -1 where acc < 0, which makes it rounded_shift
+                out = acc >> _SIGN_SHIFT
+                out += acc
+                out += half
+            elif own:
+                out = acc
+                out += half
+            else:
+                out = acc + half
             out >>= f
             if zero is not None:
                 out += zero
@@ -304,9 +403,13 @@ class Rescale:
 
     def with_bounds(self, lo, hi, zero: int | None = None) -> Rescale:
         """The same multiply and rounding with other saturation bounds and,
-        given, another zero point."""
-        zero = self.zero if zero is None else zero
-        return Rescale(self.raws, self.f, zero, lo, hi, bounds=self.bounds)
+        given, another zero point.  The overflow proof and the tie
+        certificate do not depend on either, so the variant keeps them."""
+        out = object.__new__(Rescale)
+        out.raws, out.f, out.bounds, out._tie_free = self.raws, self.f, self.bounds, self._tie_free
+        out.zero = self.zero if zero is None else int(zero)
+        out.lo, out.hi, out._arr = lo, hi, None
+        return out
 
     def centered(self) -> Rescale:
         """This rescale minus its zero point, exactly and with no add for it:
@@ -354,10 +457,12 @@ class Rescale:
         )
 
     def __call__(self, *terms):
+        # an array accumulator is a fresh product or sum, so a certified
+        # rescale rounds in place in it
         acc = self.term(0, terms[0])
         if len(terms) == 2:
             acc = acc + self.term(1, terms[1])
-        return self.finish(acc)
+        return self._finish(acc, True)
 
 
 def fx_apply(fx: FixedPointScalar, q, zero_out: int = 0):
