@@ -21,6 +21,8 @@ from types import MappingProxyType
 import numpy as np
 
 from .fixedpoint import (
+    _F64_EXACT,
+    _INT64_MAX,
     REQUANT_FRACTION_BITS,
     FxOverflow,
     Rescale,
@@ -50,7 +52,6 @@ __all__ = [
     "AttentionPlan",
     "AttentionSource",
     "AttentionWeights",
-    "attach_context",
     "attention_int",
     "attention_intermediates",
     "attention_ref",
@@ -65,10 +66,6 @@ __all__ = [
 EXP_DOMAIN = (-10.0, 0.0)
 # the exp table's fixed 16-bit input grid over EXP_DOMAIN
 EXP_GRID = derive_params(*EXP_DOMAIN, 16)
-
-_INT64_MAX = 2**63 - 1
-# float64 represents every integer of smaller magnitude exactly
-_F64_EXACT = 2**53
 
 
 @dataclass
@@ -327,31 +324,6 @@ def attention_int(
     """Integer attention; returns (context QTensor, exp-weight QTensor)."""
     inter = attention_intermediates(q_hdec, q_Henc, w, exp_table, tanh_table)
     return inter.s, inter.exp_e
-
-
-def attach_context(
-    gates: QTensor, ws: QTensor, s: QTensor, p_out: QuantParams | None = None
-) -> QTensor:
-    """Add the context projection Ws @ s into gate pre-activations.
-
-    Both the rescaled gates and the projection accumulator share one wide
-    fixed-point accumulator, so the sum rounds once.  With p_out omitted the
-    result stays on the gate grid and a zero projection passes codes
-    through bit-exactly.  An IntLstmCell fed a context compiles the same
-    two-term rescale once.
-    """
-    if ws.shape[0] != gates.data.shape[-1] and ws.shape[0] != gates.data.shape[0]:
-        raise ValueError("projection rows disagree with gate width")
-    if ws.shape[1] != s.data.shape[0]:
-        raise ValueError("projection columns disagree with context width")
-    p_g = gates.params
-    p_out = p_g if p_out is None else p_out
-    gemv = ExactGemv(ws, s.params)
-    op = sum_rescale(
-        p_g.scale, s.params.scale * ws.params.scale, p_out, (max_centered(p_g), gemv.bound)
-    )
-    out = op(gates.centered(), gemv(s.data))
-    return QTensor(out.astype(p_out.dtype), p_out)
 
 
 def freeze_attention(observers: dict, wq, wk, v, pieces: int = 32):

@@ -45,7 +45,10 @@ __all__ = [
 # inside int64.
 REQUANT_FRACTION_BITS = 30
 
+_INT32_MAX = 2**31 - 1
 _INT64_MAX = 2**63 - 1
+# float64 represents every integer of smaller magnitude exactly
+_F64_EXACT = 2**53
 # acc >> 63 is -1 where acc < 0, else 0
 _SIGN_SHIFT = np.asarray(63, dtype=np.int64)
 
@@ -60,14 +63,18 @@ def round_half_away(x):
     Accepts scalars or arrays; returns a Python int for scalar input and an
     int64 array otherwise.
     """
-    # floor(x + 0.5) where x >= 0, else ceil(x - 0.5): the same adds, and
-    # truncation is floor above zero and ceil below.  A scalar takes the
-    # same float64 add in Python floats, without numpy's per-call overhead.
+    # trunc(x), plus one away from zero where the remainder r = x - trunc(x)
+    # is at least a half, i.e. where trunc(2r) is +-1.  r and 2r are exact in
+    # float64, so nothing rounds before the truncation, as x + 0.5 does at
+    # 2^52 + 1 and just below 0.5.  A scalar takes the same steps in Python
+    # floats, without numpy's per-call overhead.
     if np.ndim(x) == 0:
         v = float(x)
-        return int(v + math.copysign(0.5, v))
+        t = int(v)
+        return t + int(2.0 * (v - t))
     arr = np.asarray(x, dtype=np.float64)
-    return np.trunc(arr + np.copysign(0.5, arr)).astype(np.int64)
+    t = np.trunc(arr)
+    return (t + np.trunc(2.0 * (arr - t))).astype(np.int64)
 
 
 def rounded_shift(acc, f: int):

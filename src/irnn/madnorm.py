@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fixedpoint import (
+    _INT64_MAX,
     REQUANT_FRACTION_BITS,
     FxOverflow,
     requant_multiplier,
@@ -23,8 +24,6 @@ from .fixedpoint import (
     to_fixed,
 )
 from .quant import QTensor, QuantParams, max_centered, requant_rescale, sum_rescale
-
-_INT64_MAX = 2**63 - 1
 
 __all__ = [
     "GAUSSIAN_MAD_RATIO",

@@ -1,35 +1,35 @@
 """Binary model container (.irnn) plus float-model and calibration loaders.
 
-Layout: a 16-byte header (magic, u32 format version, u64 manifest length),
-a JSON manifest with sorted keys, then 64-byte-aligned little-endian blobs.
-Every blob carries a CRC32, a dtype tag and a shape in the manifest and is
-addressed by a byte offset relative to the blob section, so editing the
-manifest never invalidates offsets.
+Format 4: a 20-byte header (magic, u32 format version, u32 CRC32, u64
+manifest length), a sorted-key JSON manifest, zero padding to 64 bytes,
+then the little-endian blobs in sorted name order, each zero-padded to 64
+bytes.  The CRC32 covers every byte after its own field, so a tool that
+edits a container re-saves it.  A blob's manifest entry is its dtype tag
+and shape; its size and offset follow from the entries before it, and a
+payload of any other length is refused.
 
-Format 3 stores each fact once.  The manifest holds each cell's weight
-params, bias flag and tensor sites, the attention stage's weight params
-and sites, the model kind and its free-form meta (a JSON object).  A
-grid (params) is its bitwidth, scale and zero point.  A site the graph
-ties to another stage's (graph._Graph.ties) is stored once, with its
-source, and filled in at load.  The blobs hold the weights, the int32
-bias and, per PWL table, its knot codes (in its input grid's storage
-dtype) and its knot values (float64).  Everything else is derived at
-load, by the same code that derives it at build: a table's grids come
-from its stage's sites (IntLstmCell.table_grids,
-AttentionPlan.table_grids), its slopes, fixed-point constants and LUT from
-its knots, and every rescale from the sites.  So a loaded model replays
-inference bit-for-bit.  Each blob is read at the dtype and rank its
-reader expects; any other tag, a shape that disagrees with its byte count,
-a blob no reader takes, a stored copy of a tied site and a missing,
-extra or mistyped manifest field fail the load.  Which cells a model kind
-has, which sites it ties and which keys its float archive holds is the
-graph module's; this module only (de)serializes.
+Each fact is stored once.  The manifest holds each stage's weight params
+and the sites it does not tie to another stage's (graph._Graph.ties; load
+fills a tied site in from its source), the model kind and its meta (a JSON
+object).  A grid is its bitwidth, scale and zero point.  The blobs hold
+the weights, each cell's int32 bias (a cell has a bias exactly when that
+blob is stored) and, per PWL table, its knot codes (at its input grid's
+storage dtype) and values (float64).  Everything else is derived at load
+by the code that derives it at build: a table's grids from its stage's
+sites (IntLstmCell.table_grids, AttentionPlan.table_grids), its slopes,
+fixed-point constants and LUT from its knots, every rescale from the
+sites.  So a loaded model replays inference bit-for-bit.  A blob of
+another dtype or rank than its reader expects, a blob no reader takes, a
+stored tied site and a missing, extra or mistyped manifest field fail the
+load.  Which cells a kind has, which sites it ties and which keys its
+float archive holds is the graph module's; this module only (de)serializes.
 """
 
 from __future__ import annotations
 
 import io
 import json
+import math
 import struct
 import zlib
 
@@ -58,10 +58,12 @@ __all__ = [
 ]
 
 MAGIC = b"IRNN"
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 _ALIGN = 64
-_HEADER = struct.Struct("<4sIQ")
+_HEADER = struct.Struct("<4sIIQ")
+# the CRC32 covers every byte from the manifest length on
+_CHECKED = struct.calcsize("<4sII")
 
 # manifest dtype tag -> little-endian numpy dtype
 _DTYPES = {
@@ -70,8 +72,6 @@ _DTYPES = {
         ("uint8", "<u1"), ("uint16", "<u2"), ("uint32", "<u4"), ("int32", "<i4"), ("float64", "<f8")
     )
 }
-# scalar type a reader asks for -> its tag
-_TAGS = {dt.type: tag for tag, dt in _DTYPES.items()}
 
 
 def _align(n: int) -> int:
@@ -87,39 +87,17 @@ def _params_from_json(d: dict) -> QuantParams:
     return QuantParams(**d)
 
 
-class _BlobWriter:
-    """Blobs in the order added: their manifest entries and the payload."""
-
-    def __init__(self):
-        self.entries, self.payload = {}, bytearray()
-
-    def add(self, name: str, arr: np.ndarray) -> None:
-        arr = np.ascontiguousarray(arr)
-        tag = str(arr.dtype)
-        if tag not in _DTYPES:
-            raise ValueError(f"unserializable dtype {tag} for blob {name!r}")
-        raw = arr.astype(_DTYPES[tag]).tobytes()
-        self.entries[name] = {
-            "offset": len(self.payload),
-            "nbytes": len(raw),
-            "crc32": zlib.crc32(raw) & 0xFFFFFFFF,
-            "dtype": tag,
-            "shape": list(arr.shape),
-        }
-        self.payload += raw.ljust(_align(len(raw)), b"\x00")
-
-
-def _add_stage(w: _BlobWriter, prefix: str, weights: dict, sites: dict, tables: dict) -> dict:
+def _add_stage(blobs: dict, prefix: str, weights: dict, sites: dict, tables: dict) -> dict:
     """A stage's manifest entry: its weights' params (None for an absent
-    weight) and its stored sites; the weight and table blobs go to w."""
+    weight) and its stored sites; the weight and table arrays go to blobs."""
     entry = {"sites": sites}
     for k, qt in weights.items():
         entry[k] = None if qt is None else _params_to_json(qt.params)
         if qt is not None:
-            w.add(f"{prefix}/{k}", qt.data)
+            blobs[f"{prefix}/{k}"] = qt.data
     for name, t in tables.items():
-        w.add(f"{prefix}/tables/{name}/q_knots", t.q_knots.astype(t.in_params.dtype))
-        w.add(f"{prefix}/tables/{name}/values", t.values)
+        blobs[f"{prefix}/tables/{name}/q_knots"] = t.q_knots.astype(t.in_params.dtype)
+        blobs[f"{prefix}/tables/{name}/values"] = t.values
     return entry
 
 
@@ -143,6 +121,14 @@ def _tables_from(prefix: str, blob, grids: dict) -> dict:
     return tables
 
 
+def _blob_bytes(name: str, arr: np.ndarray) -> bytes:
+    """arr's little-endian bytes, zero-padded to the alignment."""
+    if str(arr.dtype) not in _DTYPES:
+        raise ValueError(f"unserializable dtype {arr.dtype} for blob {name!r}")
+    raw = np.ascontiguousarray(arr, dtype=_DTYPES[str(arr.dtype)]).tobytes()
+    return raw.ljust(_align(len(raw)), b"\x00")
+
+
 def save(model: IrnnModel) -> bytes:
     """Serialize to bytes; identical models produce identical bytes.  A
     tied site is stored once, with its source: GraphError if they differ."""
@@ -153,34 +139,58 @@ def save(model: IrnnModel) -> bytes:
         items = model.sites(stage).items()
         return {k: _params_to_json(v) for k, v in items if (stage, k) not in ties}
 
-    writer = _BlobWriter()
-    cells_entry = {}
+    blobs, cells_entry = {}, {}
     for name in graph_for(model.kind).cells:
         cell, w = model.cells[name], model.cells[name].weights
         weights = {"wx": w.wx, "wh": w.wh, "ws": w.ws}
-        entry = _add_stage(writer, f"cells/{name}", weights, stored(name), cell.tables)
-        cells_entry[name] = {**entry, "has_bias": w.bias is not None}
+        cells_entry[name] = _add_stage(blobs, f"cells/{name}", weights, stored(name), cell.tables)
         if w.bias is not None:
-            writer.add(f"cells/{name}/bias", w.bias)
+            blobs[f"cells/{name}/bias"] = w.bias
     att_entry = None
     if model.attention is not None:
         plan, aw = model.attention, model.attention.weights
         weights = {"wq": aw.wq, "wk": aw.wk, "v": aw.v}
         tables = {"exp": plan.exp_table, "tanh": plan.tanh_table}
-        att_entry = _add_stage(writer, "att", weights, stored("att"), tables)
+        att_entry = _add_stage(blobs, "att", weights, stored("att"), tables)
 
     manifest = {
-        "format_version": FORMAT_VERSION,
         "kind": model.kind,
         "cells": cells_entry,
         "attention": att_entry,
         "meta": model.meta,
-        "blobs": writer.entries,
+        "blobs": {k: {"dtype": str(a.dtype), "shape": list(a.shape)} for k, a in blobs.items()},
     }
     body = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    header = _HEADER.pack(MAGIC, FORMAT_VERSION, len(body))
-    pad = _align(_HEADER.size + len(body)) - _HEADER.size - len(body)
-    return header + body + b"\x00" * pad + bytes(writer.payload)
+    pad = b"\x00" * (_align(_HEADER.size + len(body)) - _HEADER.size - len(body))
+    payload = b"".join(_blob_bytes(name, blobs[name]) for name in sorted(blobs))
+    out = bytearray(_HEADER.pack(MAGIC, FORMAT_VERSION, 0, len(body)) + body + pad + payload)
+    struct.pack_into("<I", out, _CHECKED - 4, zlib.crc32(memoryview(out)[_CHECKED:]))
+    return bytes(out)
+
+
+def _unpack(entries: dict, data: bytes, start: int) -> dict:
+    """Every blob by name, read in name order from byte start on; their
+    dtypes and shapes must account for every byte up to the end."""
+    layout = []
+    for name in sorted(entries):
+        entry = entries[name]
+        if entry.keys() != {"dtype", "shape"}:
+            raise ValueError(f"malformed manifest: blob {name!r} is not a dtype and a shape")
+        tag, shape = entry["dtype"], entry["shape"]
+        if tag not in _DTYPES:
+            raise ValueError(f"dtype-mismatch: blob {name!r} has unknown dtype {tag!r}")
+        if type(shape) is not list or any(type(d) is not int or d < 0 for d in shape):
+            raise ValueError(f"shape-mismatch: blob {name!r} has no valid shape")
+        layout.append((name, _DTYPES[tag], shape, start))
+        start += _align(math.prod(shape) * _DTYPES[tag].itemsize)
+    if start != len(data):
+        raise ValueError(
+            f"payload-length-mismatch: {len(data)} bytes, blob dtypes and shapes give {start}"
+        )
+    return {
+        name: np.frombuffer(data, dt, math.prod(shape), offset).reshape(shape).copy()
+        for name, dt, shape, offset in layout
+    }
 
 
 def _model_from(manifest: dict, blob) -> IrnnModel:
@@ -200,13 +210,11 @@ def _model_from(manifest: dict, blob) -> IrnnModel:
             if site in sites[stage]:
                 raise ValueError(f"tied site stored twice: {stage}.{site} is {src}.{src_site}")
             sites[stage][site] = sites[src][src_site]
-    cells = {}
+    cells, blobs = {}, manifest["blobs"]
     for name in g.cells:
         prefix, entry = f"cells/{name}", entries[name]
         w = _weights_from(entry, prefix, blob, {"wx": 2, "wh": 2, "ws": 2})
-        if not isinstance(entry["has_bias"], bool):
-            raise ValueError(f"malformed manifest: {name}.has_bias is not a boolean")
-        bias = blob(f"{prefix}/bias", np.int32, 1) if entry["has_bias"] else None
+        bias = blob(f"{prefix}/bias", np.int32, 1) if f"{prefix}/bias" in blobs else None
         grids = IntLstmCell.table_grids(sites[name], "ws" in w)
         cells[name] = IntLstmCell(
             LstmWeights(bias=bias, **w), sites[name], _tables_from(prefix, blob, grids)
@@ -222,56 +230,45 @@ def _model_from(manifest: dict, blob) -> IrnnModel:
 def load(data: bytes) -> IrnnModel:
     """Parse bytes produced by save(); inference replays bit-identically.
 
-    A malformed container, a missing or mistyped manifest field or a blob
-    of another dtype or rank than its reader expects included, raises
-    ValueError, and so does a stored scale whose multipliers overflow
-    their fixed-point form when the cells are compiled.
+    Raises ValueError for a malformed container: a bad magic, another
+    format version, a CRC32 that disagrees with the bytes, a payload whose
+    length the blobs' dtypes and shapes do not give, a missing or mistyped
+    manifest field, a blob of another dtype or rank than its reader
+    expects, or a stored scale whose multipliers overflow their
+    fixed-point form when the cells are compiled.
     """
     if len(data) < _HEADER.size:
         raise ValueError("truncated container: missing header")
-    magic, version, mlen = _HEADER.unpack_from(data)
+    magic, version, crc, mlen = _HEADER.unpack_from(data)
     if magic != MAGIC:
         raise ValueError("bad magic: not an .irnn payload")
     if version != FORMAT_VERSION:
-        raise ValueError(
-            f"unsupported-version: {version} (this build reads {FORMAT_VERSION})"
-        )
+        raise ValueError(f"unsupported-version: {version} (this build reads {FORMAT_VERSION})")
+    if zlib.crc32(memoryview(data)[_CHECKED:]) != crc:
+        raise ValueError("checksum-mismatch: the container's bytes disagree with its CRC32")
     if _HEADER.size + mlen > len(data):
         raise ValueError("truncated container: manifest exceeds payload")
     manifest = json.loads(data[_HEADER.size : _HEADER.size + mlen].decode("utf-8"))
-    section = _align(_HEADER.size + mlen)
-    read = set()
-
-    def blob(name: str, dtype, ndim: int) -> np.ndarray:
-        """Blob `name`, which must be tagged as the scalar type dtype and
-        have rank ndim."""
-        entry = manifest["blobs"].get(name)
-        if entry is None:
-            raise ValueError(f"dangling tensor reference: {name!r}")
-        read.add(name)
-        tag, shape = _TAGS[dtype], entry["shape"]
-        if entry["dtype"] != tag:
-            raise ValueError(f"dtype-mismatch: blob {name!r} is not {tag}")
-        # a shape that disagrees with nbytes fails the reshape below
-        if len(shape) != ndim or any(type(d) is not int or d < 0 for d in shape):
-            raise ValueError(f"shape-mismatch: blob {name!r} is not a rank-{ndim} shape")
-        start = section + entry["offset"]
-        raw = data[start : start + entry["nbytes"]]
-        if len(raw) != entry["nbytes"]:
-            raise ValueError(f"checksum-mismatch: blob {name!r} truncated")
-        if zlib.crc32(raw) & 0xFFFFFFFF != entry["crc32"]:
-            raise ValueError(f"checksum-mismatch: blob {name!r}")
-        return np.frombuffer(raw, dtype=_DTYPES[tag]).reshape(shape).copy()
-
     try:
-        if manifest.get("format_version") != version:
-            raise ValueError("manifest format_version disagrees with header")
+        # each reader takes its blob out, so any left over were read by none
+        unread = _unpack(manifest["blobs"], data, _align(_HEADER.size + mlen))
+
+        def blob(name: str, dtype, ndim: int) -> np.ndarray:
+            """Blob `name`, which must hold scalar type dtype at rank ndim."""
+            if name not in unread:
+                raise ValueError(f"dangling tensor reference: {name!r}")
+            arr = unread.pop(name)
+            if arr.dtype.type is not dtype:
+                raise ValueError(f"dtype-mismatch: blob {name!r} is not {np.dtype(dtype).name}")
+            if arr.ndim != ndim:
+                raise ValueError(f"shape-mismatch: blob {name!r} is not a rank-{ndim} shape")
+            return arr
+
         model = _model_from(manifest, blob)
         # a blob no reader takes is a fact the model does not hold, such as a
-        # bias beside has_bias: false
-        unread = sorted(manifest["blobs"].keys() - read)
+        # context weight beside ws: null
         if unread:
-            raise ValueError(f"unreferenced blob: {unread[0]!r}")
+            raise ValueError(f"unreferenced blob: {min(unread)!r}")
         return model
     except (AttributeError, KeyError, TypeError, OverflowError) as e:
         what = f"missing {e.args[0]}" if isinstance(e, KeyError) else e
@@ -328,11 +325,12 @@ def _read_raw(path) -> np.ndarray:
             raise ValueError("raw tensor header truncated")
         dims = struct.unpack(f"<{ndim}Q", dim_bytes)
         payload = f.read()
-    count = int(np.prod(dims))
     arr = np.frombuffer(payload, dtype="<f4")
-    if arr.size != count:
+    if arr.size != math.prod(dims):
         raise ValueError("raw tensor length disagrees with header")
-    return arr.reshape(dims).astype(np.float64)
+    # widening a signalling NaN sets the invalid flag; load_calibration refuses NaNs
+    with np.errstate(invalid="ignore"):
+        return arr.reshape(dims).astype(np.float64)
 
 
 def _write_raw(path, arr: np.ndarray) -> None:
@@ -348,8 +346,8 @@ def load_calibration(path) -> np.ndarray:
 
     CSV files hold one sequence (rows are timesteps); anything else is the
     raw format: u32 rank, u64 dims, little-endian float32 payload, rank 2
-    ([T x n]) or 3 ([N x T x n]).  Non-finite values and data without a
-    sequence or a timestep are rejected.
+    ([T x n]) or 3 ([N x T x n]).  Values that are not finite float32 values
+    and data without a sequence or a timestep are rejected.
     """
     if str(path).lower().endswith(".csv"):
         arr = np.loadtxt(path, delimiter=",", ndmin=2, dtype=np.float64)
@@ -361,8 +359,8 @@ def load_calibration(path) -> np.ndarray:
         raise ValueError("calibration data must be [T x n] or [N x T x n]")
     if arr.shape[0] == 0 or arr.shape[1] == 0:
         raise ValueError("data holds no sequences or no timesteps")
-    if not np.isfinite(arr).all():
-        raise ValueError("data holds non-finite values")
+    if not (np.abs(arr) <= np.finfo(np.float32).max).all():
+        raise ValueError("data holds non-finite values or values beyond float32's range")
     return arr
 
 

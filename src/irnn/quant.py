@@ -24,6 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fixedpoint import (
+    _F64_EXACT,
+    _INT32_MAX,
     REQUANT_FRACTION_BITS,
     FixedPointScalar,
     FxOverflow,
@@ -46,7 +48,6 @@ __all__ = [
     "max_centered",
     "qadd_diff",
     "qadd_same",
-    "qlinear",
     "qmul",
     "qmul_rescale",
     "quantize",
@@ -58,10 +59,6 @@ __all__ = [
 ]
 
 STORAGE_DTYPES = {8: np.uint8, 16: np.uint16, 32: np.uint32}
-
-_INT32_MAX = 2**31 - 1
-# float64 represents every integer of smaller magnitude exactly
-_F64_EXACT = 2**53
 
 
 def _is_int(v) -> bool:
@@ -291,26 +288,6 @@ class QTensor:
 
 def quantize_tensor(x, p: QuantParams) -> QTensor:
     return QTensor(quantize(np.asarray(x, dtype=np.float64), p), p)
-
-
-def qlinear(
-    qx: QTensor,
-    qw: QTensor,
-    p_out: QuantParams,
-    bias: np.ndarray | None = None,
-    fx: FixedPointScalar | None = None,
-) -> QTensor:
-    """Integer matmul qw @ qx with requantization into p_out.
-
-    Both operands are centered, multiplied with int32/int64 accumulation,
-    the optional int32 bias (at scale S_x * S_w) is added, and one
-    fixed-point rounding maps the accumulator into the output grid.
-    """
-    acc = qw.centered() @ qx.centered()
-    if bias is not None:
-        acc = acc + bias.astype(np.int64)
-    scale = qx.params.scale * qw.params.scale
-    return QTensor(requantize(acc, scale, p_out, fx=fx), p_out)
 
 
 @dataclass

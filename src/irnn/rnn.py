@@ -19,7 +19,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .fixedpoint import FxOverflow, Rescale, round_half_away, saturate
+from .fixedpoint import _INT32_MAX, FxOverflow, Rescale, round_half_away, saturate
 from .madnorm import MadNormPlan, compute_stats, madnorm_ref
 from .pwl import TANH_GRID, UNIT_GRID, activation_registry, build_full, reduce
 from .quant import (
@@ -50,8 +50,6 @@ GATE_ORDER = ("i", "f", "j", "o")
 # a cell's PWL tables: the gate sigmoids, the j-gate tanh and tanh(c); each
 # name starts with the name of the activation it approximates
 TABLE_NAMES = ("sigmoid", "tanh_gate", "tanh_cell")
-
-_INT32_MAX = 2**31 - 1
 
 # tensor sites normalized per MadNorm branch: mu, centered, deviation, output
 _MN_SITES = tuple(
@@ -232,13 +230,16 @@ def lstm_run_ref(
     h = np.zeros(m)
     c = np.zeros(m)
     out = np.empty((xs.shape[0], m))
-    for t in range(xs.shape[0]):
-        s = None if context is None else context(t, h)
-        h, c = lstm_step_ref(
-            xs[t], h, c, wx, wh, bias,
-            ws=ws, s=s, use_madnorm=use_madnorm, observers=observers,
-        )
-        out[t] = h
+    # a gate below -709 overflows exp(-v) to inf, where the sigmoid is 0
+    # exactly; the flag is set aside once per sequence, not once per step
+    with np.errstate(over="ignore"):
+        for t in range(xs.shape[0]):
+            s = None if context is None else context(t, h)
+            h, c = lstm_step_ref(
+                xs[t], h, c, wx, wh, bias,
+                ws=ws, s=s, use_madnorm=use_madnorm, observers=observers,
+            )
+            out[t] = h
     return out
 
 

@@ -16,6 +16,7 @@ from irnn.cli import build_model, main
 from irnn.pwl import PwlTable, eval_int
 from irnn.quant import QuantParams
 from irnn.rnn import CellConfig, IntLstmCell
+from reseal import manifest_of, reseal, unsealed
 
 _TABLE_GOLDEN = [
     "scaling,precision,signed_low,signed_high,unsigned_low,unsigned_high",
@@ -301,19 +302,6 @@ class TestBench:
         assert evals["8"] <= evals["32"] * 1.3
 
 
-def _edit_manifest(path, mutate):
-    """Rewrite a container's manifest in place; the blobs stay where they are."""
-    head, align = struct.Struct("<4sIQ"), lambda n: (n + 63) // 64 * 64
-    data = path.read_bytes()
-    magic, version, mlen = head.unpack_from(data)
-    manifest = json.loads(data[head.size : head.size + mlen])
-    mutate(manifest)
-    body = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode()
-    pad = b"\0" * (align(head.size + len(body)) - head.size - len(body))
-    blobs = data[align(head.size + mlen) :]
-    path.write_bytes(head.pack(magic, version, len(body)) + body + pad + blobs)
-
-
 @pytest.fixture(scope="module")
 def bad_files(tmp_path_factory):
     """A quantized lstm plus malformed data files and containers, by name."""
@@ -321,8 +309,8 @@ def bad_files(tmp_path_factory):
     rng = np.random.default_rng(42)
     names = {"npz": "model.npz", "calib": "calib.bin", "model": "model.irnn", "nan": "nan.bin",
              "nan_npz": "nan.npz", "truncated": "truncated.bin", "out": "out.csv",
-             "v1": "v1.irnn", "v2": "v2.irnn", "no_seqs": "no_seqs.bin", "no_steps": "no_steps.bin",
-             "no_steps_2d": "no_steps_2d.bin"}
+             "v1": "v1.irnn", "v2": "v2.irnn", "v3": "v3.irnn", "no_seqs": "no_seqs.bin",
+             "no_steps": "no_steps.bin", "no_steps_2d": "no_steps_2d.bin"}
     files = {k: d / name for k, name in names.items()}
     _lstm_npz(files["npz"], rng)
     mio.save_calibration(files["calib"], rng.normal(0.0, 1.0, size=(4, 8, 12)))
@@ -341,7 +329,7 @@ def bad_files(tmp_path_factory):
     for name, shape in (("no_seqs", (0, 4, 12)), ("no_steps", (1, 0, 12)),
                         ("no_steps_2d", (0, 12))):
         mio.save_calibration(files[name], np.zeros(shape))
-    for version in (1, 2):
+    for version in (1, 2, 3):
         old = bytearray(files["model"].read_bytes())
         old[4:8] = struct.pack("<I", version)
         files[f"v{version}"].write_bytes(bytes(old))
@@ -369,16 +357,23 @@ def bad_files(tmp_path_factory):
         "meta_num": lambda man: man.update(meta=5),
         "meta_null": lambda man: man.update(meta=None),
         "meta_list": lambda man: man.update(meta=[1]),
-        # has_bias must be a JSON boolean, not merely truthy
-        "bias_int": lambda man: man["cells"]["main"].update(has_bias=2147483648),
-        "bias_float": lambda man: man["cells"]["main"].update(has_bias=0.5),
-        "bias_str": lambda man: man["cells"]["main"].update(has_bias="True"),
-        "bias_list": lambda man: man["cells"]["main"].update(has_bias=[True]),
     }
+    # edits that leave the container's CRC32 as it was: a weight's zero
+    # point, a site's scale, a dropped bias (its blob's entry deleted)
+    old_crc = {
+        "zp_edit": lambda man: man["cells"]["main"]["wx"].update(zero_point=0),
+        "scale_edit": lambda man: man["cells"]["main"]["sites"]["h"].update(
+            scale=man["cells"]["main"]["sites"]["h"]["scale"] * 1.01
+        ),
+        "bias_edit": lambda man: man["blobs"].pop("cells/main/bias"),
+    }
+    data = files["model"].read_bytes()
     for name, mutate in edits.items():
         files[name] = d / f"{name}.irnn"
-        files[name].write_bytes(files["model"].read_bytes())
-        _edit_manifest(files[name], mutate)
+        files[name].write_bytes(reseal(data, mutate))
+    for name, mutate in old_crc.items():
+        files[name] = d / f"{name}.irnn"
+        files[name].write_bytes(unsealed(data, mutate))
     return {k: str(v) for k, v in files.items()}
 
 
@@ -403,6 +398,10 @@ _BAD_INPUTS = {
     "quantize-nan-weights": (["quantize", "{nan_npz}", "--calib", "{calib}", "--out", "{out}"], 3),
     "run-v1-container": (["run", "{v1}"], 3),
     "run-v2-container": (["run", "{v2}"], 3),
+    "run-v3-container": (["run", "{v3}"], 3, "unsupported-version"),
+    "run-edited-zero-point": (["run", "{zp_edit}"], 3, "checksum-mismatch"),
+    "run-edited-scale": (["run", "{scale_edit}"], 3, "checksum-mismatch"),
+    "run-dropped-bias-entry": (["run", "{bias_edit}"], 3, "checksum-mismatch"),
     "run-32-bit-cell-state": (["run", "{c_32}"], 3),
     "run-float-knot-codes": (["run", "{float_knots}"], 3),
     "run-int-knot-values": (["run", "{int_values}"], 3),
@@ -432,18 +431,15 @@ _BAD_INPUTS = {
     "compare-meta-number": (["compare", "{meta_num}"], 3),
     "compare-meta-null": (["compare", "{meta_null}"], 3),
     "compare-meta-list": (["compare", "{meta_list}"], 3),
-    "run-has-bias-int": (["run", "{bias_int}"], 3),
-    "run-has-bias-float": (["run", "{bias_float}"], 3),
-    "run-has-bias-string": (["run", "{bias_str}"], 3),
-    "run-has-bias-list": (["run", "{bias_list}"], 3),
 }
 
 
 @pytest.mark.parametrize("case", sorted(_BAD_INPUTS))
 def test_bad_input_exits_cleanly(case, bad_files, capsys):
     # usage errors exit 2 and unreadable data or containers exit 3, each
-    # with an error line; exit 1 stays reserved for tolerance failure
-    argv, expected = _BAD_INPUTS[case]
+    # with an error line (naming the fault, where a case gives it); exit 1
+    # stays reserved for tolerance failure
+    argv, expected, *fault = _BAD_INPUTS[case]
     try:
         code = main([arg.format(**bad_files) for arg in argv])
     except SystemExit as e:  # argparse rejects the argument
@@ -451,6 +447,7 @@ def test_bad_input_exits_cleanly(case, bad_files, capsys):
     err = capsys.readouterr().err
     assert code == expected
     assert "error:" in err and "Traceback" not in err
+    assert all(f in err for f in fault)
 
 
 def test_runtime_overflow_exits_4(bad_files, capsys, monkeypatch):
@@ -498,7 +495,8 @@ class TestExitCodes:
         # stores a second, differing copy is refused at load
         path = _quantize(capsys, tmp_path, kind="bilstm", n_feat=10)
         h = {"bitwidth": 8, "scale": 4.0 / 255, "zero_point": 128}
-        _edit_manifest(path, lambda man: man["cells"]["bwd"]["sites"].update(h=h))
+        stored = lambda man: man["cells"]["bwd"]["sites"].update(h=h)
+        path.write_bytes(reseal(path.read_bytes(), stored))
         code = main(["run", str(path), "--synth", "2", "--seq-len", "5"])
         assert code == 3
         assert "tied site stored twice: bwd.h" in capsys.readouterr().err
@@ -531,7 +529,8 @@ _EXTREMES = (0, -1, 2**31, 2**63, -(2**63), 2**100, 1e308, -1e308, 1e-308, 0.5,
 
 def _mutate(data: bytes, rng) -> bytes:
     """One seeded mutation: a manifest leaf set to an extreme value,
-    retyped or deleted, a flipped bit, or a truncation."""
+    retyped or deleted (under a recomputed CRC32), a flipped bit, or a
+    truncation."""
     kind = int(rng.integers(5))
     if kind == 3:
         out = bytearray(data)
@@ -539,25 +538,23 @@ def _mutate(data: bytes, rng) -> bytes:
         return bytes(out)
     if kind == 4:
         return data[: int(rng.integers(len(data)))]
-    head = struct.Struct("<4sIQ")
-    magic, version, mlen = head.unpack_from(data)
-    manifest = json.loads(data[head.size : head.size + mlen])
+    manifest = manifest_of(data)
     leaves = list(_leaves(manifest))
-    *parent, key = leaves[int(rng.integers(len(leaves)))]
-    node = manifest
-    for k in parent:
-        node = node[k]
-    if kind == 0:
-        node[key] = _EXTREMES[int(rng.integers(len(_EXTREMES)))]
-    elif kind == 1:
-        node[key] = (str(node[key]), [node[key]])[int(rng.integers(2))]
-    else:
-        del node[key]
-    body = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode()
-    align = lambda n: (n + 63) // 64 * 64
-    pad = b"\0" * (align(head.size + len(body)) - head.size - len(body))
-    blobs = data[align(head.size + mlen) :]
-    return head.pack(magic, version, len(body)) + body + pad + blobs
+    path = leaves[int(rng.integers(len(leaves)))]
+
+    def edit(man):
+        *parent, key = path
+        for k in parent:
+            man = man[k]
+        if kind == 0:
+            man[key] = _EXTREMES[int(rng.integers(len(_EXTREMES)))]
+        elif kind == 1:
+            man[key] = (str(man[key]), [man[key]])[int(rng.integers(2))]
+        else:
+            del man[key]
+
+    # resealed, so the mutation reaches the field checks past the CRC32
+    return reseal(data, edit)
 
 
 def _fuzz_model(kind: str, rng) -> mio.IrnnModel:
@@ -603,6 +600,71 @@ def test_mutated_containers_exit_cleanly(kind, tmp_path, capsys):
             assert code in passed or err.startswith("error:")
             if cmd == "run":
                 codes[code] += 1
-    # most mutations break the container; some (a flipped padding bit, a
-    # scale or zero point that still compiles) do not
+    # most mutations break the container; some (a `meta` value, a scale or
+    # zero point that still compiles) do not
+    assert codes[3] > codes[0] > 0
+
+
+# values a raw data header's rank or dims are set to
+_HEADER_EXTREMES = (0, 1, 2, 3, 4, 5, 2**31, 2**32 - 1)
+_DIM_EXTREMES = (0, 1, 2**31, 2**32, 2**63, 2**64 - 1)
+# fields a CSV cell is set to
+_CSV_EXTREMES = (b"", b"x", b"nan", b"-inf", b"1e999", b"1e38", b"-1e308", b"0x10", b",", b"\n")
+
+
+def _mutate_data(data: bytes, csv_file: bool, rng) -> bytes:
+    """One seeded mutation of a data file: a flipped bit, a truncation, or
+    (raw) its rank or one dim set to an extreme, or (CSV) one field set to
+    an extreme."""
+    kind = int(rng.integers(3))
+    if kind == 0:
+        out = bytearray(data)
+        out[int(rng.integers(len(out)))] ^= 1 << int(rng.integers(8))
+        return bytes(out)
+    if kind == 1:
+        return data[: int(rng.integers(len(data)))]
+    if csv_file:
+        fields = data.split(b",")
+        at = int(rng.integers(len(fields)))
+        fields[at] = _CSV_EXTREMES[int(rng.integers(len(_CSV_EXTREMES)))]
+        return b",".join(fields)
+    (ndim,) = struct.unpack_from("<I", data)
+    at = int(rng.integers(ndim + 1))
+    if at == 0:
+        value = _HEADER_EXTREMES[int(rng.integers(len(_HEADER_EXTREMES)))]
+        return struct.pack("<I", value) + data[4:]
+    value = _DIM_EXTREMES[int(rng.integers(len(_DIM_EXTREMES)))]
+    pos = 4 + 8 * (at - 1)
+    return data[:pos] + struct.pack("<Q", value) + data[pos + 8 :]
+
+
+@pytest.mark.parametrize("suffix", [".bin", ".csv"])
+def test_mutated_data_files_exit_cleanly(suffix, bad_files, tmp_path, capsys):
+    # 40 seeded mutations of a small raw and a small CSV data file, each
+    # through `irnn run --input`, `irnn compare --input` and `irnn quantize
+    # --calib`: every one exits 0, 1 (compare only), 2 or 3, and every
+    # failure with an error line instead of a traceback
+    rng = np.random.default_rng(42)
+    clean = tmp_path / f"clean{suffix}"
+    mio.save_calibration(clean, rng.normal(0.0, 1.0, size=(1 if suffix == ".csv" else 2, 4, 12)))
+    data = clean.read_bytes()
+    path, out = tmp_path / f"fuzz{suffix}", str(tmp_path / "fuzz.irnn")
+    commands = {
+        "run": (["run", bad_files["model"], "--input", str(path)], (0,)),
+        "compare": (["compare", bad_files["model"], "--input", str(path)], (0, 1)),
+        "quantize": (
+            ["quantize", bad_files["npz"], "--calib", str(path), "--out", out, "--pwl-pieces", "4"],
+            (0,),
+        ),
+    }
+    codes = Counter()
+    for _ in range(40):
+        path.write_bytes(_mutate_data(data, suffix == ".csv", rng))
+        for cmd, (argv, passed) in commands.items():
+            code = main(argv)
+            captured = capsys.readouterr()
+            assert code in passed + (2, 3), (cmd, captured.err)
+            assert "Traceback" not in captured.err
+            assert code in passed or captured.err.startswith("error:")
+            codes[code] += 1
     assert codes[3] > codes[0] > 0

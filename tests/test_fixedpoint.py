@@ -64,6 +64,15 @@ class TestRounding:
         small = np.float32(2.5), np.float32(-0.49999997), 7, -(2**40)
         assert [round_half_away(x) for x in small] == [3, 0, 7, -(2**40)]
 
+    def test_float64_edges(self):
+        # x + 0.5 rounds before any truncation at 2^52 + 1 (to 2^52 + 2) and
+        # at the largest double below a half (to 1); neither is a tie
+        edges = {2.0**52 + 1: 2**52 + 1, 0.49999999999999994: 0}
+        for x, want in edges.items():
+            for sign in (1, -1):
+                assert round_half_away(sign * x) == sign * want
+                assert round_half_away(np.array([sign * x])).tolist() == [sign * want]
+
     def test_rounded_shift_matches_true_division(self):
         rng = np.random.default_rng(42)
         for _ in range(200):

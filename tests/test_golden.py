@@ -57,24 +57,24 @@ OUTPUT_SHA256 = {
     "encdec-q8mn-p32": "5327581c14bd3b3cd0c93abd537b2054834f629a6ab516e2149b4836d5cde0f5",
 }
 CONTAINER_SHA256 = {
-    "lstm-q8-p8": "b4f7a956eeb5ebda0d4e8ede29bfedd5f519bb1bc7056b482742f4650e1bef6e",
-    "lstm-q8-p32": "10b7ffdafa083bc6bcf0c18c4db915c2ac3a54a719f31c9b3657b397a12123f8",
-    "lstm-q16-p8": "6d88c4fc1ef547568bf060dd5de5757ebda3dfc3614cf03d7aa428e7fa27699e",
-    "lstm-q16-p32": "e6e02f4dba37669f2fdf97319d0c693b7528dccf1088021171cb46be5fb9944a",
-    "lstm-q8mn-p8": "9b44327f6e43a580c87adacec11268e4cb805ae2b470851f3905968788eba6dd",
-    "lstm-q8mn-p32": "aaa369ce41703379a6b413f03e618b4eb7606ae506ff322deef981b1380e2b7c",
-    "bilstm-q8-p8": "f231b3ea041c0727f423a7cbdbc16dac27cdbe5e228d229e5fb496881d5d6d14",
-    "bilstm-q8-p32": "61523d9d5d7f0d43d0025194a610f2a1ef10c224b6a1247d4c441ec051aa50db",
-    "bilstm-q16-p8": "752a3aa3359974b73da5ee23ac44891a85fe793fbf874c175a71e986098bf0a5",
-    "bilstm-q16-p32": "037564453dfa652643a6e6893aae7f63eed7e0aa1f52f0fb89a2a69e03471723",
-    "bilstm-q8mn-p8": "e99ed98505ea446b66d675c62d86b7cb0570d84f9a9ea760c739875f89c9847b",
-    "bilstm-q8mn-p32": "e9bd971b808238c1bd695fba273a9fb8c5e1db16f5c7769d77e6ecbb4f6fb686",
-    "encdec-q8-p8": "1015317bcf5526303f581c6170e26f608016fb4a0f5c565c12af6b487b3953b4",
-    "encdec-q8-p32": "f18795e800f802872ddfeee2a33ad027be5afb1621078fa422bf48d7fa49d783",
-    "encdec-q16-p8": "07ab78bd13b6cf6d1a73137f19896b68a1ba71e715e09f3b50fb669bb3328cd4",
-    "encdec-q16-p32": "a57fdb6c818f355f49a9af3c4e1c37a460020f6733bc0c49622cc15889cacfe6",
-    "encdec-q8mn-p8": "552394b2456ad05a36a5538feca765b6ad58aa887fa3e3ac9143d906b720eb46",
-    "encdec-q8mn-p32": "8e1095d9e20868579b848d2186eece7d464a3cf8323bd4689c3d4f25cd16b79f",
+    "lstm-q8-p8": "74258ffe240cb511fcaa0fcdbfcf69870463dc90bce97f6299ea59be34f004b8",
+    "lstm-q8-p32": "58df51bb429803f273d03e6b8be4e1c93d10ad5ff193a301045c759460788176",
+    "lstm-q16-p8": "ee52b55ff476a0f4484d107a7311a5aac06b0b2bee534e5ebb040a1f210b8608",
+    "lstm-q16-p32": "8d85f3a58f7c9c5a17349387d0a69f8931a61d441cece3747a2636e30ec844b8",
+    "lstm-q8mn-p8": "73cf34ac68b712bfcfa197f263532108604e7310e85608a2c1e77d1b790d8cd3",
+    "lstm-q8mn-p32": "0d2ac031aa523e1c99926ad8c2ae38c2164b8f47b3d8f79b5bc7ff64205515af",
+    "bilstm-q8-p8": "7e4892f0f94d81a3f6f8b4ef8433943dab4d712fd03d54ff71f826bb3c5406e7",
+    "bilstm-q8-p32": "f02a2d59eadfcea8324bd1c13f33ee3a6f5ac4c69a90f3489a568d483f6b65b7",
+    "bilstm-q16-p8": "dbbb85e7d2016dcc2332359a061cdf8374ad0324bb27fa3df34f5e6822047ca3",
+    "bilstm-q16-p32": "e7bca02a00d14545412c6f13b2fab91aeb3a29f5d79ecb2230c5ff7d5535f3f8",
+    "bilstm-q8mn-p8": "211a82f22e57660b41a25a8ffb002c1a0c2ae53d0bc4c36d2eaa6889a4cf8512",
+    "bilstm-q8mn-p32": "1641a7dfe28354f039017764dc563873c92a49bd4104480e897b2ad3fd1fc40c",
+    "encdec-q8-p8": "9f15a9055f77c2db2994b897bec137accbb992a27094a18edafd3c0c2ff0052e",
+    "encdec-q8-p32": "cf09d4d5016d273182366afab60d44674141ba6b5291c03ad552e5ef7d474747",
+    "encdec-q16-p8": "02ddf2cefb17681ccd87921111f3ccc00ee2673cd037b502ae131fa01370bb0f",
+    "encdec-q16-p32": "0c4fa7ef08ba4765a59590164c6ed19ad0e8935619e549964794ceddbf7e7d12",
+    "encdec-q8mn-p8": "8087cff6742f51cf79e0a082e828e004a3caf87e684626be63852b623f2452a2",
+    "encdec-q8mn-p32": "a7d6695cd3314f4d51866d31f91c1a1efc2aec6c26fb24292ef5c097280894de",
 }
 
 # the oracle reads only the 8-bit weights and the MadNorm flag, so cases

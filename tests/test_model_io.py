@@ -1,6 +1,5 @@
 """Container format: round-trips, integrity errors, float export, loaders."""
 
-import json
 import struct
 import sys
 
@@ -13,34 +12,18 @@ from irnn.attention import AttentionPlan, AttentionWeights, attention_int, calib
 from irnn.cli import build_model, run_model_int
 from irnn.quant import QTensor, QuantParams, quantize_tensor
 from irnn.rnn import CellConfig, calibrate_lstm_cell
-
-_HEADER = struct.Struct("<4sIQ")
-
-
-def _align64(n):
-    return (n + 63) // 64 * 64
+from reseal import HEADER, manifest_of, payload_of, reseal, unsealed
 
 
-def _toy_model(seed=42, n=12, m=12, madnorm=False):
+def _toy_model(seed=42, n=12, m=12, madnorm=False, with_bias=True):
     rng = np.random.default_rng(seed)
     wx = rng.normal(0.0, 0.3, size=(4 * m, n))
     wh = rng.normal(0.0, 0.3, size=(4 * m, m))
-    bias = rng.normal(0.0, 0.1, size=4 * m)
+    bias = rng.normal(0.0, 0.1, size=4 * m) if with_bias else None
     seqs = rng.normal(0.0, 1.0, size=(6, 20, n))
     cfg = CellConfig(use_madnorm=madnorm)
     cell = calibrate_lstm_cell(wx, wh, bias, seqs, cfg)
     return mio.IrnnModel("lstm", {"main": cell}, meta={"seed": seed}), rng
-
-
-def _remanifest(data, mutate):
-    """Re-encode the manifest after an edit; blob payload stays in place."""
-    magic, version, mlen = _HEADER.unpack_from(data)
-    manifest = json.loads(data[_HEADER.size : _HEADER.size + mlen])
-    mutate(manifest)
-    body = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode()
-    pad = _align64(_HEADER.size + len(body)) - _HEADER.size - len(body)
-    payload = data[_align64(_HEADER.size + mlen) :]
-    return _HEADER.pack(magic, version, len(body)) + body + b"\x00" * pad + payload
 
 
 class TestContainer:
@@ -88,22 +71,13 @@ class TestContainer:
             mio.load(bytes(data))
 
     def test_unknown_version_refused(self):
-        # formats 1 and 2 included: no reader for them is kept
+        # formats 1 to 3 included: no reader for them is kept
         model, _ = _toy_model()
-        for version in (1, 2, 99):
+        for version in (1, 2, 3, 99):
             data = bytearray(mio.save(model))
             data[4:8] = struct.pack("<I", version)
             with pytest.raises(ValueError, match="unsupported-version"):
                 mio.load(bytes(data))
-
-    def test_manifest_version_must_match_header(self):
-        model, _ = _toy_model()
-
-        def bump(man):
-            man["format_version"] = 1
-
-        with pytest.raises(ValueError, match="format_version"):
-            mio.load(_remanifest(mio.save(model), bump))
 
     def test_truncated_blob_is_checksum_error(self):
         model, _ = _toy_model()
@@ -113,32 +87,33 @@ class TestContainer:
 
     def test_corrupted_blob_byte(self):
         model, _ = _toy_model()
-        data = bytearray(mio.save(model))
-        _, _, mlen = _HEADER.unpack_from(data)
-        manifest = json.loads(bytes(data[_HEADER.size : _HEADER.size + mlen]))
-        entry = manifest["blobs"]["cells/main/wx"]
-        pos = _align64(_HEADER.size + mlen) + entry["offset"]
-        data[pos] ^= 0xFF
-        with pytest.raises(ValueError, match="checksum-mismatch: blob 'cells/main/wx'"):
-            mio.load(bytes(data))
+        data = mio.save(model)
+        pos = len(data) - len(payload_of(data))
+        corrupt = bytearray(data)
+        corrupt[pos] ^= 0xFF
+        with pytest.raises(ValueError, match="checksum-mismatch"):
+            mio.load(bytes(corrupt))
 
     def test_unreferenced_blob(self):
-        model, _ = _toy_model()
+        # the decoder's context weight is stored, but its manifest entry
+        # says the cell has none
+        encdec = _kind_models()[2]
 
-        def no_bias(man):
-            man["cells"]["main"]["has_bias"] = False
+        def no_ws(man):
+            man["cells"]["dec"]["ws"] = None
 
-        with pytest.raises(ValueError, match="unreferenced blob: 'cells/main/bias'"):
-            mio.load(_remanifest(mio.save(model), no_bias))
+        with pytest.raises(ValueError, match="unreferenced blob: 'cells/dec/ws'"):
+            mio.load(reseal(mio.save(encdec), no_ws))
 
     def test_dangling_tensor_reference(self):
+        # renamed in place: the blob keeps its position in name order
         model, _ = _toy_model()
 
-        def drop(man):
-            del man["blobs"]["cells/main/wh"]
+        def rename(man):
+            man["blobs"]["cells/main/wh~"] = man["blobs"].pop("cells/main/wh")
 
-        with pytest.raises(ValueError, match="dangling tensor reference"):
-            mio.load(_remanifest(mio.save(model), drop))
+        with pytest.raises(ValueError, match="dangling tensor reference: 'cells/main/wh'"):
+            mio.load(reseal(mio.save(model), rename))
 
     def test_blob_read_at_its_readers_dtype_and_rank(self):
         # weights at their params' storage dtype, bias int32, knot codes at
@@ -163,7 +138,7 @@ class TestContainer:
                     man["blobs"][name][key] = value
 
                 with pytest.raises(ValueError, match=match):
-                    mio.load(_remanifest(data, edit))
+                    mio.load(reseal(data, edit))
 
     def test_model_kind_validation(self):
         model, _ = _toy_model()
@@ -174,11 +149,6 @@ class TestContainer:
             mio.IrnnModel("gru", {"main": cell})
         with pytest.raises(ValueError, match="attention"):
             mio.IrnnModel("encdec", {"enc": cell, "dec": cell}, attention=None)
-
-
-def _manifest(data):
-    _, _, mlen = _HEADER.unpack_from(data)
-    return json.loads(data[_HEADER.size : _HEADER.size + mlen])
 
 
 def _kind_models():
@@ -208,29 +178,30 @@ def _kind_models():
     ]
 
 
+def _keys(node):
+    """Every key of a JSON tree's objects."""
+    if isinstance(node, dict):
+        for k, v in node.items():
+            yield k
+            yield from _keys(v)
+
+
 class TestFormat2:
     """What format 2 stopped storing stays out of the container."""
 
     def test_no_stored_config_multipliers_or_table_fields(self):
         banned = {"cfg", "fx_xprod", "fx_hprod", "in_params", "out_params",
                   "fraction_bits", "pieces", "tables", "exp_table", "tanh_table"}
-
-        def keys(node):
-            if isinstance(node, dict):
-                for k, v in node.items():
-                    yield k
-                    yield from keys(v)
-
         for model in _kind_models():
-            man = _manifest(mio.save(model))
-            assert not banned & set(keys({k: v for k, v in man.items() if k != "blobs"}))
+            man = manifest_of(mio.save(model))
+            assert not banned & set(_keys({k: v for k, v in man.items() if k != "blobs"}))
             for entry in man["cells"].values():
-                assert set(entry) == {"wx", "wh", "ws", "has_bias", "sites"}
+                assert set(entry) == {"wx", "wh", "ws", "sites"}
 
     def test_each_table_is_two_blobs(self):
         for model in _kind_models():
             data = mio.save(model)
-            blobs = _manifest(data)["blobs"]
+            blobs = manifest_of(data)["blobs"]
             tables = {}
             for name, entry in blobs.items():
                 prefix, _, part = name.rpartition("/")
@@ -274,7 +245,7 @@ class TestFormat3:
 
     def test_grids_store_no_range(self):
         for model in _kind_models():
-            params = list(self._params(_manifest(mio.save(model))))
+            params = list(self._params(manifest_of(mio.save(model))))
             assert len(params) >= 18
             for p in params:
                 assert set(p) == {"bitwidth", "scale", "zero_point"}
@@ -283,7 +254,7 @@ class TestFormat3:
         for model in _kind_models():
             ties = graph.graph_for(model.kind).ties
             assert bool(ties) == (model.kind != "lstm")
-            man = _manifest(mio.save(model))
+            man = manifest_of(mio.save(model))
             stored = {name: entry["sites"] for name, entry in man["cells"].items()}
             if man["attention"] is not None:
                 stored["att"] = man["attention"]["sites"]
@@ -313,7 +284,7 @@ class TestFormat3:
                     entry["sites"][site] = stored
 
                 with pytest.raises(ValueError, match="tied site stored twice"):
-                    mio.load(_remanifest(mio.save(model), add))
+                    mio.load(reseal(mio.save(model), add))
         for site in ("hdec", "henc", "s"):
             p = aw.sites[site]
             moved = QuantParams(p.bitwidth, p.scale * 2, p.zero_point)
@@ -325,6 +296,93 @@ class TestFormat3:
             with pytest.raises(graph.GraphError, match=f"tied-site-mismatch: att.{site}"):
                 mio.save(encdec)
             encdec.attention = kept
+
+
+class TestFormat4:
+    """One CRC32 covers the container; a blob entry is its dtype and shape,
+    and its place follows from name order; a cell has a bias exactly when
+    its bias blob is stored."""
+
+    # edits that format 3 loaded and ran with other outputs: a weight's
+    # zero point, a site's scale, a dropped bias (the blob's entry deleted)
+    FOUND_EDITS = {
+        "zero-point": lambda man: man["cells"]["main"]["wx"].update(zero_point=0),
+        "scale": lambda man: man["cells"]["main"]["sites"]["h"].update(
+            scale=man["cells"]["main"]["sites"]["h"]["scale"] * 1.01
+        ),
+        "dropped-bias": lambda man: man["blobs"].pop("cells/main/bias"),
+    }
+
+    def test_manifest_holds_no_layout_or_repeated_fact(self):
+        banned = {"offset", "nbytes", "crc32", "has_bias", "format_version"}
+        for model in _kind_models() + [_toy_model(with_bias=False)[0]]:
+            man = manifest_of(mio.save(model))
+            assert not banned & set(_keys(man))
+            for entry in man["blobs"].values():
+                assert set(entry) == {"dtype", "shape"}
+
+    def test_blobs_sit_in_name_order(self):
+        # each blob starts where the padded blobs before it in name order end
+        model, _ = _toy_model()
+        data = mio.save(model)
+        blobs, payload = manifest_of(data)["blobs"], payload_of(data)
+        w, at = model.cells["main"].weights, 0
+        stored = {"cells/main/wx": w.wx.data, "cells/main/wh": w.wh.data, "cells/main/bias": w.bias}
+        for name in sorted(blobs):
+            size = int(np.prod(blobs[name]["shape"])) * np.dtype(blobs[name]["dtype"]).itemsize
+            if name in stored:
+                le = stored[name].dtype.newbyteorder("<")
+                assert payload[at : at + size] == stored[name].astype(le).tobytes()
+            at += (size + 63) // 64 * 64
+        assert at == len(payload)
+
+    def test_blob_entry_holds_dtype_and_shape_only(self):
+        # a format-3 layout field, or a missing shape, under a valid CRC
+        data = mio.save(_toy_model()[0])
+        edits = [lambda entry, f=f: entry.update({f: 0}) for f in ("offset", "nbytes", "crc32")]
+        edits.append(lambda entry: entry.pop("shape"))
+        for edit in edits:
+            with pytest.raises(ValueError, match="is not a dtype and a shape"):
+                mio.load(reseal(data, lambda man: edit(man["blobs"]["cells/main/wx"])))
+
+    def test_bias_present_exactly_when_stored(self):
+        for with_bias in (True, False):
+            model, _ = _toy_model(with_bias=with_bias)
+            data = mio.save(model)
+            assert ("cells/main/bias" in manifest_of(data)["blobs"]) == with_bias
+            bias = mio.load(data).cells["main"].weights.bias
+            assert (bias is not None) == with_bias
+            if with_bias:
+                np.testing.assert_array_equal(bias, model.cells["main"].weights.bias)
+
+    @pytest.mark.parametrize("edit", sorted(FOUND_EDITS))
+    def test_edit_under_old_checksum_refused(self, edit):
+        # resealed, the first two load (a tool that re-saves may make them)
+        # and the third fails on its payload length
+        data = mio.save(_toy_model()[0])
+        if edit != "dropped-bias":
+            mio.load(reseal(data, self.FOUND_EDITS[edit]))
+        with pytest.raises(ValueError, match="checksum-mismatch"):
+            mio.load(unsealed(data, self.FOUND_EDITS[edit]))
+
+    def test_payload_length_must_match_shapes(self):
+        # each under a valid CRC: one aligned block more or less, and a
+        # dropped bias entry, whose bytes stay in the payload
+        data = mio.save(_toy_model()[0])
+        edited = [
+            reseal(data, payload=lambda p: p + bytes(64)),
+            reseal(data, payload=lambda p: p[:-64]),
+            reseal(data, self.FOUND_EDITS["dropped-bias"]),
+        ]
+        for bad in edited:
+            with pytest.raises(ValueError, match="payload-length-mismatch"):
+                mio.load(bad)
+
+    def test_header_layout(self):
+        data = mio.save(_toy_model()[0])
+        magic, version, _, mlen = HEADER.unpack_from(data)
+        assert (magic, version) == (b"IRNN", 4)
+        assert len(data) - len(payload_of(data)) == (HEADER.size + mlen + 63) // 64 * 64
 
 
 class TestBilstmAndEncdec:
@@ -563,3 +621,30 @@ class TestCalibrationData:
     def test_csv_rejects_batch(self, tmp_path):
         with pytest.raises(ValueError, match="single sequence"):
             mio.save_calibration(tmp_path / "x.csv", np.zeros((2, 3, 4)))
+
+    def test_raw_signalling_nan_rejected(self, tmp_path):
+        # widening a signalling NaN sets the invalid flag; the load refuses
+        # it as non-finite without a warning
+        path = tmp_path / "snan.bin"
+        path.write_bytes(struct.pack("<I2Q", 2, 1, 2) + struct.pack("<f", 1.0) + b"\x00\x00\xa0\x7f")
+        with pytest.raises(ValueError, match="non-finite"):
+            mio.load_calibration(path)
+
+    def test_values_beyond_float32_rejected(self, tmp_path):
+        # a CSV parses as float64, but data holds float32 values, as the raw
+        # format does: larger ones could overflow the oracle's gate sums
+        path = tmp_path / "big.csv"
+        big = np.finfo(np.float32).max
+        for value in (1e39, -1e308):
+            mio.save_calibration(path, np.array([[0.5, value]]))
+            with pytest.raises(ValueError, match="beyond float32"):
+                mio.load_calibration(path)
+        mio.save_calibration(path, np.array([[big, -big]]))
+        assert mio.load_calibration(path).tolist() == [[[big, -big]]]
+
+    def test_raw_dims_beyond_int64(self, tmp_path):
+        path = tmp_path / "huge.bin"
+        for dims in ((2**63, 2), (2**64 - 1, 2**64 - 1), (0, 2**64 - 1)):
+            path.write_bytes(struct.pack("<I2Q", 2, *dims) + bytes(8))
+            with pytest.raises(ValueError, match="disagrees"):
+                mio.load_calibration(path)

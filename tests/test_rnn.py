@@ -9,7 +9,6 @@ import pytest
 
 from irnn import graph
 from irnn import model_io as mio
-from irnn.attention import attach_context
 from irnn.fixedpoint import round_half_away, saturate
 from irnn.madnorm import madnorm_int
 from irnn.pwl import TANH_GRID, PwlTable, eval_int
@@ -17,10 +16,12 @@ from irnn.quant import (
     QTensor,
     dequantize,
     derive_params,
+    max_centered,
     qadd_diff,
-    qlinear,
     qmul,
     quantize_tensor,
+    requantize,
+    sum_rescale,
 )
 from irnn.rnn import (
     CellConfig,
@@ -89,6 +90,15 @@ class TestFloatRef:
         sig = 1.0 / (1.0 + np.exp(-bias[:m]))
         expect = c + sig * np.tanh(bias[2 * m : 3 * m])
         np.testing.assert_allclose(c1, expect, atol=1e-8)
+
+    def test_saturated_gates_without_overflow_warning(self):
+        # gates far below -709 overflow exp(-v); the sigmoid is then 0, so
+        # a run closes every gate without a warning
+        m = 3
+        hs = lstm_run_ref(
+            np.ones((4, 2)), np.full((4 * m, 2), -1e4), np.zeros((4 * m, m)), np.zeros(4 * m)
+        )
+        np.testing.assert_array_equal(hs, np.zeros((4, m)))
 
     def test_against_per_gate_oracle(self):
         # second implementation with four separate weight matrices
@@ -371,17 +381,26 @@ class TestCompiledCell:
 
 
 def _reference_step(cell, qx, state, qs=None):
-    """One cell step composed of the compile-then-apply wrappers, with every
-    site saturated on its own grid: the cell's semantics, written out.
-    Returns (h', c', the sum1 codes before any bias or context)."""
+    """One cell step composed of the compile-then-apply wrappers and
+    centered products, with every site saturated on its own grid: the
+    cell's semantics, written out.  Returns (h', c', the sum1 codes before
+    any bias or context)."""
     p, w, m = cell.sites, cell.weights, cell.hidden_size
     p_sig = cell.tables["sigmoid"].out_params
     p_tanh = cell.tables["tanh_gate"].out_params
     p_tc = cell.tables["tanh_cell"].out_params
     mn = cell.use_madnorm
-    bias = None if mn else w.bias
-    xprod = qlinear(qx, w.wx, p["xprod"], bias)
-    hprod = qlinear(state.h, w.wh, p["hprod"])
+
+    def product(qw, q, p_out, bias=None):
+        """qw @ q over centered codes, plus an int32 bias at its scale,
+        requantized into p_out."""
+        acc = qw.centered() @ q.centered()
+        if bias is not None:
+            acc = acc + bias.astype(np.int64)
+        return QTensor(requantize(acc, q.params.scale * qw.params.scale, p_out), p_out)
+
+    xprod = product(w.wx, qx, p["xprod"], None if mn else w.bias)
+    hprod = product(w.wh, state.h, p["hprod"])
     if mn:
         xprod = madnorm_int(xprod, *(p[f"mnx_{k}"] for k in ("mu", "xhat", "d", "y")))
         hprod = madnorm_int(hprod, *(p[f"mnh_{k}"] for k in ("mu", "xhat", "d", "y")))
@@ -393,7 +412,15 @@ def _reference_step(cell, qx, state, qs=None):
         gates = saturate(gates.astype(np.int64) + codes, 0, p["sum1"].qmax)
         gates = gates.astype(p["sum1"].dtype)
     if qs is not None:
-        gates = attach_context(QTensor(gates, p["sum1"]), w.ws, qs, p["preact"]).data
+        # the centered gates and the context projection share one rounding
+        ws = w.ws.centered()
+        bound = int(np.abs(ws).sum(axis=1).max()) * max_centered(qs.params)
+        op = sum_rescale(
+            p["sum1"].scale, qs.params.scale * w.ws.params.scale, p["preact"],
+            (max_centered(p["sum1"]), bound),
+        )
+        centered = gates.astype(np.int64) - p["sum1"].zero_point
+        gates = op(centered, ws @ qs.centered()).astype(p["preact"].dtype)
     sig = eval_int(cell.tables["sigmoid"], gates)
     tj = eval_int(cell.tables["tanh_gate"], gates[2 * m : 3 * m])
     fc = qmul(sig[m : 2 * m], p_sig, state.c.data, p["c"], p["fc"])
