@@ -205,8 +205,8 @@ class AttentionPlan:
     Built once from the weights and the two tables, which it keeps under
     those names; nothing changes after construction, so one plan serves any
     number of threads.  source() computes the per-source terms once per
-    encoder sequence, context() runs one decoder step against them and
-    intermediates() runs the same step with every intermediate recorded.
+    encoder sequence, context() runs one decoder step on codes against them
+    and intermediates() runs the same step with every intermediate recorded.
     """
 
     def __init__(self, weights: AttentionWeights, exp_table: PwlTable, tanh_table: PwlTable):
@@ -261,25 +261,27 @@ class AttentionPlan:
         henc = np.subtract(q_Henc.data, p_h.zero_point, dtype=np.float64)
         return AttentionSource(keys, self._sumqk.term(1, keys), henc)
 
-    def context(self, q_hdec: QTensor, src: AttentionSource) -> QTensor:
-        """One decoder step's context vector s against a source's terms."""
-        return self._step(q_hdec, src, None)
+    def context(self, hdec: np.ndarray, src: AttentionSource) -> np.ndarray:
+        """One decoder step's context codes (s grid) from decoder codes (hdec
+        grid) against a source's terms, unchecked: the tie table proves both."""
+        return self._step(hdec, src, None)
 
     def intermediates(self, q_hdec: QTensor, q_Henc: QTensor) -> AttentionIntermediates:
         """Integer attention with every intermediate exposed."""
-        src, p_k = self.source(q_Henc), self.weights.sites["kproj"]
+        sites = self.weights.sites
+        if q_hdec.params != sites["hdec"]:
+            raise ValueError("uncalibrated-tensor: hdec params differ from calibration")
+        src, p_k = self.source(q_Henc), sites["kproj"]
         rec = {"keys_proj": QTensor((src.keys.T + p_k.zero_point).astype(p_k.dtype), p_k)}
-        rec["s"] = self._step(q_hdec, src, rec)
+        rec["s"] = QTensor(self._step(q_hdec.data, src, rec), sites["s"])
         return AttentionIntermediates(**rec)
 
-    def _step(self, q_hdec, src, rec):
-        """The step kernel; with rec a dict, it records the intermediates."""
+    def _step(self, hdec, src, rec):
+        """The step kernel on codes; with rec a dict, it records the intermediates."""
         sites = self.weights.sites
-        if q_hdec.params is not sites["hdec"] and q_hdec.params != sites["hdec"]:
-            raise ValueError("uncalibrated-tensor: hdec params differ from calibration")
         p_sum, p_s = sites["sumqk"], sites["s"]
 
-        q_qp = self._qproj(self._gemv_q(q_hdec.data))
+        q_qp = self._qproj(self._gemv_q(hdec))
         q_sum = self._sumqk.finish(src.key_term + self._sumqk.term(0, q_qp))
         q_e = self._e(self._gemv_e(self._tanh_lut.take(q_sum, mode="clip"))[:, 0])
         q_exp, denom = _softmax(q_e, self._to_exp, self.exp_table.lut)
@@ -300,7 +302,7 @@ class AttentionPlan:
             rec["e"] = QTensor((q_e + p_e.zero_point).astype(p_e.dtype), p_e)
             rec["exp_e"] = QTensor(q_exp, self.exp_table.out_params)
             rec["denom"] = denom
-        return QTensor(q_s, p_s)
+        return q_s
 
 
 def attention_intermediates(

@@ -178,7 +178,13 @@ def cmd_quantize(args) -> int:
         use_madnorm=args.madnorm,
         pwl_pieces=args.pwl_pieces,
     )
-    model = build_model(fm, seqs, cfg, meta={"seed": args.seed})
+    try:
+        model = build_model(fm, seqs, cfg, meta={"seed": args.seed})
+    except graph.GraphError:
+        raise
+    except (ValueError, OverflowError) as e:
+        # finite weights near float64's limits overflow the float run or a multiplier
+        raise CliIOError(f"cannot calibrate {args.float_model!r}: {e}") from e
     try:
         mio.save_file(model, args.out)
     except OSError as e:
@@ -333,13 +339,15 @@ def cmd_table(args) -> int:
 # ---------------------------------------------------------------- parser
 
 
-def _at_least(lo: int):
-    """argparse type: an integer no smaller than lo."""
+def _int_in(lo: int, hi: int | None = None):
+    """argparse type: an integer no smaller than lo (and no larger than hi)."""
 
     def parse(text: str) -> int:
         value = int(text)
         if value < lo:
             raise argparse.ArgumentTypeError(f"must be at least {lo}, got {value}")
+        if hi is not None and value > hi:
+            raise argparse.ArgumentTypeError(f"must be at most {hi}, got {value}")
         return value
 
     parse.__name__ = "int"  # argparse names the type in "invalid int value"
@@ -359,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--out", required=True, help="output .irnn path")
     q.add_argument("--cell-bits", type=int, choices=(8, 16), default=8)
     q.add_argument("--preact-bits", type=int, choices=(8, 16), default=8)
-    q.add_argument("--pwl-pieces", type=_at_least(1), default=32)
+    q.add_argument("--pwl-pieces", type=_int_in(1), default=32)
     q.add_argument("--madnorm", action="store_true", help="normalize gate products")
     q.add_argument("--seed", type=int, default=42)
     q.set_defaults(func=cmd_quantize)
@@ -368,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--fn", required=True, choices=sorted(ACTIVATIONS))
     a.add_argument("--range", nargs=2, type=float, metavar=("LO", "HI"))
     a.add_argument("--bits", type=int, choices=(8, 16), default=8)
-    a.add_argument("--pieces", type=_at_least(1), default=16)
+    a.add_argument("--pieces", type=_int_in(1), default=16)
     a.add_argument("--out", required=True, help="CSV path for (x, f, g, abs_err)")
     a.set_defaults(func=cmd_approx)
 
@@ -376,10 +384,10 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("model", help=".irnn model path")
     src = r.add_mutually_exclusive_group()
     src.add_argument("--input", help="input sequences (CSV or raw)")
-    src.add_argument("--synth", type=_at_least(1), default=4, help="synthesize N sequences")
-    r.add_argument("--seq-len", type=_at_least(1), default=32, help="length of synthetic input")
+    src.add_argument("--synth", type=_int_in(1), default=4, help="synthesize N sequences")
+    r.add_argument("--seq-len", type=_int_in(1), default=32, help="length of synthetic input")
     r.add_argument("--out", help="write outputs (CSV or raw)")
-    r.add_argument("--threads", type=_at_least(1), default=1)
+    r.add_argument("--threads", type=_int_in(1), default=1)
     r.add_argument("--attend", action="store_true", help="require the encoder-decoder graph")
     r.add_argument("--seed", type=int, default=42)
     r.set_defaults(func=cmd_run)
@@ -388,22 +396,23 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("model", help=".irnn model path")
     src = c.add_mutually_exclusive_group()
     src.add_argument("--input", help="input sequences (CSV or raw)")
-    src.add_argument("--synth", type=_at_least(1), default=4)
-    c.add_argument("--seq-len", type=_at_least(1), default=32)
-    c.add_argument("--threads", type=_at_least(1), default=1)
+    src.add_argument("--synth", type=_int_in(1), default=4)
+    c.add_argument("--seq-len", type=_int_in(1), default=32)
+    c.add_argument("--threads", type=_int_in(1), default=1)
     c.add_argument("--seed", type=int, default=42)
     c.set_defaults(func=cmd_compare)
 
     b = sub.add_parser("bench", help="median step timings")
     b.add_argument("model", help=".irnn model path")
-    b.add_argument("--seq-len", type=_at_least(1), default=128)
-    b.add_argument("--runs", type=_at_least(1), default=100)
+    b.add_argument("--seq-len", type=_int_in(1), default=128)
+    b.add_argument("--runs", type=_int_in(1), default=100)
     b.add_argument("--warmup", type=int, default=5)
     b.add_argument("--seed", type=int, default=42)
     b.set_defaults(func=cmd_bench)
 
     t = sub.add_parser("table", help="fixed-point format table as CSV")
-    t.add_argument("--bits", type=_at_least(2), default=8)
+    # the widest table whose largest entry, (2^b - 1) * 2^1, is a finite float64
+    t.add_argument("--bits", type=_int_in(2, sys.float_info.max_exp - 2), default=8)
     t.set_defaults(func=cmd_table)
     return p
 

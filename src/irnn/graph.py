@@ -71,6 +71,16 @@ class _Graph:
         keys = tuple(p + k for p in self.cells.values() for k in ("wx", "wh"))
         return keys + self.extra_keys
 
+    def layout(self, shapes: dict) -> dict:
+        """The shape of each float array, from the shapes of the required
+        ones: a cell's wh is [4m x m], its wx [4m x n] and its bias [4m],
+        with m and n the columns of its wh and wx (calibrate checks n)."""
+        out = {}
+        for p in self.cells.values():
+            m, n = (_last(shapes[p + k]) for k in ("wh", "wx"))
+            out.update({p + "wh": (4 * m, m), p + "wx": (4 * m, n), p + "bias": (4 * m,)})
+        return out
+
     def _cell_ref(self, a, name, xs, madnorm, observers, ws=None, context=None) -> np.ndarray:
         p = self.cells[name]
         return lstm_run_ref(
@@ -95,6 +105,10 @@ class _Graph:
     def freeze(self, a, observers, cfg):
         self._tie(observers)
         return {name: self._freeze(a, name, observers, cfg) for name in self.cells}, None
+
+
+def _last(shape: tuple) -> int:
+    return shape[-1] if shape else 0
 
 
 class _Lstm(_Graph):
@@ -140,6 +154,13 @@ class _Encdec(_Graph):
         ("att", "s"): ("dec", "s"),
     }
 
+    def layout(self, shapes):
+        """The cells' layout, plus dec_ws [4m_dec x m_enc], att_wq [m_att x
+        m_dec], att_wk [m_att x m_enc] and att_v [m_att]."""
+        m_enc, m_dec, m_att = (_last(shapes[k]) for k in ("enc_wh", "dec_wh", "att_v"))
+        return super().layout(shapes) | {"dec_ws": (4 * m_dec, m_enc), "att_wq": (m_att, m_dec),
+                                         "att_wk": (m_att, m_enc), "att_v": (m_att,)}
+
     def float_run(self, a, xs, madnorm, observers):
         H = self._cell_ref(a, "enc", xs, madnorm, observers)
         ctx = np.empty((xs.shape[0], H.shape[1]))
@@ -161,9 +182,8 @@ class _Encdec(_Graph):
         ctx = np.empty((qxs.data.shape[0], H.data.shape[1]), dtype=p_s.dtype)
 
         def attend(t, h):
-            s = att.context(h, src)
-            ctx[t] = s.data
-            return s
+            ctx[t] = att.context(h, src)
+            return ctx[t]
 
         out = model.cells["dec"].run(qxs, attend).dequantize()
         return {"enc": H.dequantize(), "att": dequantize(ctx, p_s), "dec": out, "out": out}
@@ -258,9 +278,15 @@ class FloatModel:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        missing = sorted(set(graph_for(self.kind).required_keys()) - set(self.arrays))
+        g = graph_for(self.kind)
+        missing = sorted(set(g.required_keys()) - set(self.arrays))
         if missing:
             raise GraphError(f"float model missing keys: {', '.join(missing)}")
+        shapes = {k: np.shape(v) for k, v in self.arrays.items()}
+        for key, want in g.layout(shapes).items():
+            if key in shapes and (shapes[key] != want or 0 in want):
+                raise GraphError(f"float-model-shape: {key} is {shapes[key]}; the "
+                                 f"{self.kind} layout gives {want}, with no empty axis")
 
 
 def _float64(arrays: dict) -> dict:

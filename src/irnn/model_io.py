@@ -31,6 +31,7 @@ import io
 import json
 import math
 import struct
+import zipfile
 import zlib
 
 import numpy as np
@@ -298,16 +299,20 @@ def save_float(fm: FloatModel) -> bytes:
 
 
 def load_float(src) -> FloatModel:
-    """Read a float model from an .npz path or the bytes of one; non-finite
-    weights are rejected."""
-    if isinstance(src, (bytes, bytearray)):
-        src = io.BytesIO(bytes(src))
-    with np.load(src) as archive:
-        arrays = {k: np.asarray(archive[k]) for k in archive.files}
+    """Read a float model from an .npz path or the bytes of one; a corrupt
+    archive and weights that are not finite real numbers are rejected."""
+    with io.BytesIO(bytes(src)) if isinstance(src, (bytes, bytearray)) else open(src, "rb") as f:
+        try:
+            archive = np.load(f)
+            if not isinstance(archive, np.lib.npyio.NpzFile):
+                raise ValueError("float model is not an .npz archive")
+            arrays = {k: np.asarray(archive[k]) for k in archive.files}
+        except (zipfile.BadZipFile, EOFError, NotImplementedError) as e:
+            raise ValueError(f"float model archive is corrupt: {e}") from e
     kind = str(arrays.pop("kind")) if "kind" in arrays else infer_kind(arrays)
     meta = json.loads(str(arrays.pop("meta_json"))) if "meta_json" in arrays else {}
-    if not all(np.isfinite(v.astype(np.float64)).all() for v in arrays.values()):
-        raise ValueError("float model holds non-finite weights")
+    if not all(v.dtype.kind in "biuf" and np.isfinite(v).all() for v in arrays.values()):
+        raise ValueError("float model holds non-finite or non-real weights")
     # FloatModel checks the kind and the keys it requires
     return FloatModel(kind=kind, arrays=arrays, meta=meta)
 

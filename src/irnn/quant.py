@@ -111,6 +111,8 @@ def derive_params(rmin: float, rmax: float, bitwidth: int) -> QuantParams:
         return QuantParams(bitwidth, 1.0, 0)
     levels = 2**bitwidth - 1
     scale = (rmax - rmin) / levels
+    if scale == 0.0:
+        raise ValueError("degenerate-range: too narrow for a positive scale")
     zero_point = int(np.clip(round_half_away(-rmin / scale), 0, levels))
     return QuantParams(bitwidth, scale, zero_point)
 

@@ -33,10 +33,8 @@ from .quant import (
 )
 
 __all__ = [
-    "GATE_ORDER",
     "CellConfig",
     "IntLstmCell",
-    "LstmState",
     "LstmWeights",
     "TABLE_NAMES",
     "calibrate_lstm_cell",
@@ -44,8 +42,6 @@ __all__ = [
     "lstm_run_ref",
     "lstm_step_ref",
 ]
-
-GATE_ORDER = ("i", "f", "j", "o")
 
 # a cell's PWL tables: the gate sigmoids, the j-gate tanh and tanh(c); each
 # name starts with the name of the activation it approximates
@@ -111,16 +107,6 @@ class LstmWeights:
     @property
     def input_size(self) -> int:
         return self.wx.shape[1]
-
-
-@dataclass
-class LstmState:
-    h: QTensor
-    c: QTensor
-
-    def __post_init__(self):
-        if self.h.params.bitwidth != 8:
-            raise ValueError("hidden state must be 8-bit")
 
 
 def _observe(observers, key, value):
@@ -255,9 +241,10 @@ class IntLstmCell:
 
     Construction derives every rescale from the sites, compiles the exact
     GEMV operands and the LUTs, and proves the constant overflow bounds, so
-    a step is only GEMVs, adds, shifts, saturations and gathers.  The sites
-    are read-only and nothing compiled changes afterwards, so one cell may
-    step many sequences on many threads.
+    a step is only GEMVs, adds, shifts, saturations and gathers on plain
+    code arrays, with no per-step check.  The sites are read-only and
+    nothing compiled changes afterwards, so one cell may step many
+    sequences on many threads.
     """
 
     def __init__(self, weights: LstmWeights, sites: Mapping, tables: dict):
@@ -364,6 +351,7 @@ class IntLstmCell:
             p["fc"].scale, p["ij"].scale, p["c"], (max_centered(p["fc"]), max_centered(p["ij"]))
         )
         self._h = qmul_rescale(p_sig, p_tanh, p["h"])
+        self._h_dtype, self._c_dtype = p["h"].dtype, p["c"].dtype
 
     @property
     def hidden_size(self) -> int:
@@ -373,53 +361,23 @@ class IntLstmCell:
     def input_size(self) -> int:
         return self.weights.input_size
 
-    def initial_state(self) -> LstmState:
-        """Zero state: every code sits at its zero-point."""
-        ph, pc = self.sites["h"], self.sites["c"]
-        m = self.hidden_size
-        return LstmState(
-            QTensor(np.full(m, ph.zero_point, dtype=ph.dtype), ph),
-            QTensor(np.full(m, pc.zero_point, dtype=pc.dtype), pc),
-        )
-
-    def _require(self, qt: QTensor, site: str):
-        expected = self.sites[site]
-        if qt.params is not expected and qt.params != expected:
-            raise ValueError(f"uncalibrated-tensor: {site} params differ from calibration")
-
-    def input_branch(self, qxs: QTensor) -> np.ndarray:
-        """The h-independent part of the gate sum for [T x n] inputs.
-
-        Wx x + bias, its xprod requantization and (with MadNorm) the
-        x-branch normalization, as the x operand of the gate-sum rescale:
-        int64 [T x 4m], one row per step.  run() computes it for the whole
-        sequence in one matmul; step() takes one row of it.
-        """
-        self._require(qxs, "x")
-        xa = self._xprod(self._gemv_x(qxs.data))
+    def input_branch(self, xs: np.ndarray) -> np.ndarray:
+        """The h-independent part of the gate sum for [T x n] x codes: Wx x +
+        bias, its xprod requantization and (with MadNorm) the x-branch
+        normalization, as the x operand of the gate-sum rescale, int64
+        [T x 4m].  run() computes it for the whole sequence in one matmul;
+        step() takes one row of it."""
+        xa = self._xprod(self._gemv_x(xs))
         if self._norm_x is not None:
             xa = self._norm_x(xa)
         return self._sum1.term(0, xa)
 
-    def step(
-        self,
-        qx: QTensor | None,
-        state: LstmState,
-        qs: QTensor | None = None,
-        *,
-        xb: np.ndarray | None = None,
-    ) -> LstmState:
-        """One timestep; xb, when given, is this step's input_branch() row
-        and stands in for qx (which may then be None)."""
-        p = self.sites
-        self._require(state.h, "h")
-        self._require(state.c, "c")
-        if (qs is None) != (self._gemv_s is None):
-            raise ValueError("context input does not match cell wiring")
-        if xb is None:
-            xb = self.input_branch(QTensor(qx.data[None], qx.params))[0]
-
-        hb = self._hprod(self._gemv_h(state.h.data))
+    def step(self, xb: np.ndarray, h: np.ndarray, c: np.ndarray, s=None):
+        """One timestep on code arrays: xb is this step's input_branch() row,
+        h and c the state's codes and s (for a context-fed cell) the context
+        codes; returns (h', c').  Nothing is checked: run() checks its input
+        once, and the cell's own outputs are on its grids by construction."""
+        hb = self._hprod(self._gemv_h(h))
         if self._norm_h is not None:
             hb = self._norm_h(hb)
         gates = self._sum1.finish(xb + self._sum1.term(1, hb))
@@ -428,42 +386,39 @@ class IntLstmCell:
             if self._gemv_s is not None:
                 gates = saturate(gates, self._sum1.lo, self._sum1.hi)
         if self._gemv_s is not None:
-            self._require(qs, "s")
-            gates = self._context(gates, self._gemv_s(qs.data))
+            gates = self._context(gates, self._gemv_s(s))
 
         m = self.hidden_size
         sig = np.subtract(self._sig_lut.take(gates, mode="clip"), self._z_sig, dtype=np.int64)
         jc = np.concatenate(
-            (self._tanh_gate_lut.take(gates[2 * m : 3 * m], mode="clip"), state.c.data),
-            dtype=np.int64,
+            (self._tanh_gate_lut.take(gates[2 * m : 3 * m], mode="clip"), c), dtype=np.int64
         )
         jc -= self._z_jc
         ij_fc = self._ij_fc(sig[: 2 * m] * jc)
         q_c1 = self._c(ij_fc[m:], ij_fc[:m])
         tc = np.subtract(self._tanh_cell_lut.take(q_c1), self._z_tanh_cell, dtype=np.int64)
         q_h1 = self._h(sig[3 * m :] * tc)
-        ph, pc = p["h"], p["c"]
-        return LstmState(QTensor(q_h1.astype(ph.dtype), ph), QTensor(q_c1.astype(pc.dtype), pc))
+        return q_h1.astype(self._h_dtype), q_c1.astype(self._c_dtype)
 
     def run(self, qxs: QTensor, context=None) -> QTensor:
         """Drive the cell over a [T x n] input from zero state; returns all
-        hidden states.
-
-        context(t, h), for a context-fed cell, returns step t's context
-        codes from the hidden state h before that step.  The input branch
-        runs once over the whole sequence; only the h-branch is left inside
-        the recurrence.
-        """
+        hidden states.  The input's grid and length and the context wiring
+        are checked once, the input branch runs once over the sequence, and
+        step() runs once per timestep on code arrays.  context(t, h), for a
+        context-fed cell only, returns step t's context codes from the
+        hidden-state codes h before that step."""
+        if qxs.params != self.sites["x"]:
+            raise ValueError("uncalibrated-tensor: x params differ from calibration")
         if qxs.data.ndim != 2 or qxs.data.shape[0] < 1:
             raise ValueError("expected a [T x n] input sequence with T >= 1")
-        xb = self.input_branch(qxs)
-        ph = self.sites["h"]
-        state = self.initial_state()
-        out = np.empty((qxs.data.shape[0], self.hidden_size), dtype=ph.dtype)
-        for t in range(qxs.data.shape[0]):
-            qs = None if context is None else context(t, state.h)
-            state = self.step(None, state, qs, xb=xb[t])
-            out[t] = state.h.data
+        if (context is None) != (self._gemv_s is None):
+            raise ValueError("context input does not match cell wiring")
+        xb, m, ph = self.input_branch(qxs.data), self.hidden_size, self.sites["h"]
+        h, c = (np.full(m, p.zero_point, dtype=p.dtype) for p in (ph, self.sites["c"]))
+        out = np.empty((len(xb), m), dtype=ph.dtype)
+        for t in range(len(xb)):
+            h, c = self.step(xb[t], h, c, None if context is None else context(t, h))
+            out[t] = h
         return QTensor(out, ph)
 
 
@@ -488,13 +443,12 @@ def freeze_cell(observers: dict, wx, wh, bias, cfg: CellConfig, ws=None) -> IntL
     qws = quantize_weight(ws) if ws is not None else None
     bias_i32 = None
     if bias is not None:
-        codes = round_half_away(
-            np.asarray(bias, dtype=np.float64)
-            / (sites["x"].scale * qwx.params.scale)
-        )
-        if int(np.abs(codes).max(initial=0)) > _INT32_MAX:
+        # checked before rounding; an inf or nan code (the scales underflow) too
+        with np.errstate(all="ignore"):
+            codes = np.asarray(bias, dtype=np.float64) / (sites["x"].scale * qwx.params.scale)
+        if not np.abs(codes).max(initial=0) < _INT32_MAX + 0.5:
             raise FxOverflow("bias codes exceed int32 range")
-        bias_i32 = codes.astype(np.int32)
+        bias_i32 = round_half_away(codes).astype(np.int32)
     weights = LstmWeights(qwx, qwh, bias_i32, ws=qws)
     tables = {
         name: reduce(build_full(activation_registry(name.partition("_")[0])[0], *grids),

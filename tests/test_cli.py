@@ -1,6 +1,7 @@
 """CLI subcommands: quantize/run/compare/bench/approx/table, exit codes."""
 
 import csv
+import io
 import json
 import statistics
 import struct
@@ -92,6 +93,17 @@ class TestTable:
         code, out = _run(capsys, "table")
         assert code == 0
         assert out.strip().splitlines() == _TABLE_GOLDEN
+
+    def test_widest_table(self, capsys):
+        # 1022 is the widest width whose every entry is a finite float64; at
+        # 1023 the top row's unsigned high is inf, a usage error
+        # (test_bad_input_exits_cleanly)
+        code, out = _run(capsys, "table", "--bits", "1022")
+        assert code == 0
+        rows = out.strip().splitlines()
+        assert len(rows) == 1 + 1024
+        assert rows[1].split(",")[4:] == ["0.0", repr(2.0**1023)]
+        assert rows[-1].split(",")[:2] == ["2^-1022", repr(2.0**-1022)]
 
 
 class TestQuantizeRunCompare:
@@ -324,6 +336,26 @@ def bad_files(tmp_path_factory):
         weights = dict(archive)
     weights["wh"][2, 1] = np.nan
     np.savez(files["nan_npz"], **weights)
+    weights["wh"][2, 1] = 0.0
+    # float archives whose arrays break the lstm layout [4m x n], [4m x m],
+    # [4m], or whose finite weights overflow the float run or a multiplier
+    probes = {
+        "wh_cols": {"wh": weights["wh"][:, :-1]},
+        "wx_rows": {"wx": weights["wx"][:-1]},
+        "bias_5": {"bias": weights["bias"][:5]},
+        "wx_rank3": {"wx": weights["wx"][..., None]},
+        "wx_0d": {"wx": np.float32(1.0)},
+        "wx_no_columns": {"wx": weights["wx"][:, :0]},
+        "wx_1e308": {"wx": np.full(weights["wx"].shape, 1e308)},
+        "tiny": {k: v.astype(np.float64) * 1e-300 for k, v in weights.items()},
+    }
+    for name, change in probes.items():
+        files[name] = d / f"{name}.npz"
+        np.savez(files[name], **{**weights, **change})
+    files["npy"] = d / "wx.npy"
+    np.save(files["npy"], weights["wx"])
+    files["cut_npz"] = d / "cut.npz"
+    files["cut_npz"].write_bytes(files["npz"].read_bytes()[:-100])
     # rank 3 but only one of the three dims
     files["truncated"].write_bytes(struct.pack("<IQ", 3, 2))
     for name, shape in (("no_seqs", (0, 4, 12)), ("no_steps", (1, 0, 12)),
@@ -391,11 +423,47 @@ _BAD_INPUTS = {
         ["approx", "--fn", "exp", "--range", "-1", "1000", "--out", "{out}"], 2
     ),
     "table-bits-1": (["table", "--bits", "1"], 2),
+    "table-bits-1023": (["table", "--bits", "1023"], 2, "at most 1022"),
+    "table-bits-1025": (["table", "--bits", "1025"], 2, "at most 1022"),
+    "table-bits-2000": (["table", "--bits", "2000"], 2, "at most 1022"),
     "run-truncated-raw-header": (["run", "{model}", "--input", "{truncated}"], 3),
     "run-nan-input": (["run", "{model}", "--input", "{nan}"], 3),
     "compare-nan-input": (["compare", "{model}", "--input", "{nan}"], 3),
     "quantize-nan-calib": (["quantize", "{npz}", "--calib", "{nan}", "--out", "{out}"], 3),
     "quantize-nan-weights": (["quantize", "{nan_npz}", "--calib", "{calib}", "--out", "{out}"], 3),
+    "quantize-npy-archive": (
+        ["quantize", "{npy}", "--calib", "{calib}", "--out", "{out}"], 3, "not an .npz archive"
+    ),
+    "quantize-truncated-archive": (
+        ["quantize", "{cut_npz}", "--calib", "{calib}", "--out", "{out}"], 3, "archive is corrupt"
+    ),
+    "quantize-wh-columns": (
+        ["quantize", "{wh_cols}", "--calib", "{calib}", "--out", "{out}"], 3, "float-model-shape: wh"
+    ),
+    "quantize-wx-rows": (
+        ["quantize", "{wx_rows}", "--calib", "{calib}", "--out", "{out}"], 3, "float-model-shape: wx"
+    ),
+    "quantize-bias-length-5": (
+        ["quantize", "{bias_5}", "--calib", "{calib}", "--out", "{out}"], 3,
+        "float-model-shape: bias",
+    ),
+    "quantize-wx-rank-3": (
+        ["quantize", "{wx_rank3}", "--calib", "{calib}", "--out", "{out}"], 3,
+        "float-model-shape: wx",
+    ),
+    "quantize-wx-0d": (
+        ["quantize", "{wx_0d}", "--calib", "{calib}", "--out", "{out}"], 3, "float-model-shape: wx"
+    ),
+    "quantize-wx-no-columns": (
+        ["quantize", "{wx_no_columns}", "--calib", "{calib}", "--out", "{out}"], 3,
+        "float-model-shape: wx",
+    ),
+    "quantize-float-run-overflows": (
+        ["quantize", "{wx_1e308}", "--calib", "{calib}", "--out", "{out}"], 3, "cannot calibrate"
+    ),
+    "quantize-multiplier-overflows": (
+        ["quantize", "{tiny}", "--calib", "{calib}", "--out", "{out}"], 3, "cannot calibrate"
+    ),
     "run-v1-container": (["run", "{v1}"], 3),
     "run-v2-container": (["run", "{v2}"], 3),
     "run-v3-container": (["run", "{v3}"], 3, "unsupported-version"),
@@ -557,8 +625,8 @@ def _mutate(data: bytes, rng) -> bytes:
     return reseal(data, edit)
 
 
-def _fuzz_model(kind: str, rng) -> mio.IrnnModel:
-    """A small model of each graph kind: lstm with MadNorm, bilstm, encdec."""
+def _fuzz_arrays(kind: str, rng) -> dict:
+    """The float arrays of a small model of each graph kind, n = 3, m = 4."""
     n, m = 3, 4
     cell = lambda prefix: {
         prefix + "wx": rng.normal(0.0, 0.3, size=(4 * m, n)),
@@ -575,9 +643,15 @@ def _fuzz_model(kind: str, rng) -> mio.IrnnModel:
             "att_wk": rng.normal(0.0, 0.4, size=(m, m)),
             "att_v": rng.normal(0.0, 0.4, size=m),
         },
-    }[kind]()
+    }
+    return arrays[kind]()
+
+
+def _fuzz_model(kind: str, rng) -> mio.IrnnModel:
+    """A small model of each graph kind: lstm with MadNorm, bilstm, encdec."""
     cfg = CellConfig(use_madnorm=kind == "lstm", pwl_pieces=4)
-    return build_model(mio.FloatModel(kind, arrays), rng.normal(size=(2, 5, n)), cfg)
+    arrays = _fuzz_arrays(kind, rng)
+    return build_model(mio.FloatModel(kind, arrays), rng.normal(size=(2, 5, 3)), cfg)
 
 
 @pytest.mark.parametrize("kind", ["lstm", "bilstm", "encdec"])
@@ -667,4 +741,64 @@ def test_mutated_data_files_exit_cleanly(suffix, bad_files, tmp_path, capsys):
             assert "Traceback" not in captured.err
             assert code in passed or captured.err.startswith("error:")
             codes[code] += 1
+    assert codes[3] > codes[0] > 0
+
+
+# what a float archive's array is filled with, retyped to, or reshaped by
+_WEIGHT_EXTREMES = (0.0, 1e308, -1e308, 1e30, 1e-300, 1e-320, np.nan, -np.inf)
+_WEIGHT_DTYPES = (np.int8, np.bool_, np.float16, np.complex64, np.str_)
+_RESHAPES = (
+    lambda a: a[None], lambda a: a.reshape(-1), lambda a: a[:-1], lambda a: a.T,
+    lambda a: a.reshape(-1)[:1].reshape(()),
+)
+
+
+def _mutate_archive(arrays: dict, rng) -> bytes:
+    """One seeded mutation of a float model archive: a flipped bit or a
+    truncation of its bytes; one array filled with an extreme value,
+    retyped, reshaped (an axis added, dropped or shortened, or the array
+    transposed or made 0-d) or deleted; or a `kind` or `meta_json` tag."""
+    buf = io.BytesIO()
+    kind = int(rng.integers(7))
+    pick = lambda seq: seq[int(rng.integers(len(seq)))]
+    arrays = dict(arrays)
+    key = pick(sorted(arrays))
+    if kind == 2:
+        arrays[key] = np.full(arrays[key].shape, pick(_WEIGHT_EXTREMES))
+    elif kind == 3:
+        arrays[key] = arrays[key].astype(pick(_WEIGHT_DTYPES))
+    elif kind == 4:
+        arrays[key] = pick(_RESHAPES)(arrays[key])
+    elif kind == 5:
+        del arrays[key]
+    elif kind == 6:
+        arrays[pick(("kind", "meta_json"))] = pick(("lstm", "bilstm", "encdec", "gru", "{", "[]"))
+    np.savez(buf, **arrays)
+    data = buf.getvalue()
+    if kind == 0:
+        out = bytearray(data)
+        out[int(rng.integers(len(out)))] ^= 1 << int(rng.integers(8))
+        return bytes(out)
+    return data[: int(rng.integers(len(data)))] if kind == 1 else data
+
+
+@pytest.mark.parametrize("kind", ["lstm", "bilstm", "encdec"])
+def test_mutated_float_archives_exit_cleanly(kind, tmp_path, capsys):
+    # 40 seeded mutations of a small float archive of each graph kind, each
+    # through `irnn quantize`: every one exits 0 or 3, and every failure
+    # with an error line instead of a traceback (a warning fails the test)
+    rng = np.random.default_rng(42)
+    arrays = _fuzz_arrays(kind, rng)
+    calib, path, out = tmp_path / "calib.bin", tmp_path / "fuzz.npz", str(tmp_path / "fuzz.irnn")
+    mio.save_calibration(calib, rng.normal(size=(2, 5, 3)))
+    codes = Counter()
+    for _ in range(40):
+        path.write_bytes(_mutate_archive(arrays, rng))
+        code = main(["quantize", str(path), "--calib", str(calib), "--out", out,
+                     "--pwl-pieces", "4"])
+        err = capsys.readouterr().err
+        assert code in (0, 3), err
+        assert "Traceback" not in err
+        assert code == 0 or err.startswith("error:")
+        codes[code] += 1
     assert codes[3] > codes[0] > 0

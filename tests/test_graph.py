@@ -52,6 +52,17 @@ class TestKinds:
         with pytest.raises(graph.GraphError, match="missing keys: att_v, dec_ws"):
             graph.FloatModel("encdec", arrays)
 
+    @pytest.mark.parametrize("kind", ["lstm", "bilstm", "encdec"])
+    def test_layout_checked(self, kind):
+        # any array of a kind one row short, or with an axis added, breaks
+        # the kind's layout, and the archive is refused before any run
+        arrays = _arrays(kind, np.random.default_rng(42))
+        graph.FloatModel(kind, arrays)
+        for key in arrays:
+            for bad in (arrays[key][:-1], arrays[key][None]):
+                with pytest.raises(graph.GraphError, match="float-model-shape"):
+                    graph.FloatModel(kind, {**arrays, key: bad})
+
     def test_input_cell(self):
         rng = np.random.default_rng(42)
         fm = graph.FloatModel("encdec", _arrays("encdec", rng))

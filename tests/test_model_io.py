@@ -452,7 +452,7 @@ class TestBilstmAndEncdec:
         ss = rng.normal(0.0, 0.4, size=(T, m))
         qxs = quantize_tensor(xs, dec.sites["x"])
         qss = quantize_tensor(ss, dec.sites["s"])
-        context = lambda t, h: QTensor(qss.data[t], qss.params)
+        context = lambda t, h: qss.data[t]
         np.testing.assert_array_equal(
             dec.run(qxs, context).data, loaded.cells["dec"].run(qxs, context).data
         )

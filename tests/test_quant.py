@@ -68,6 +68,10 @@ class TestDeriveParams:
     def test_errors(self):
         with pytest.raises(ValueError, match="degenerate-range"):
             derive_params(1.0, -1.0, 8)
+        # ranges so narrow that the scale underflows to 0
+        for lo, hi, bits in ((0.0, 5e-322, 8), (-5e-322, 0.0, 16)):
+            with pytest.raises(ValueError, match="degenerate-range"):
+                derive_params(lo, hi, bits)
         with pytest.raises(ValueError, match="zero-excluded"):
             derive_params(0.5, 1.0, 8)
         with pytest.raises(ValueError, match="zero-excluded"):

@@ -9,11 +9,12 @@ import pytest
 
 from irnn import graph
 from irnn import model_io as mio
-from irnn.fixedpoint import round_half_away, saturate
+from irnn.fixedpoint import FxOverflow, round_half_away, saturate
 from irnn.madnorm import madnorm_int
 from irnn.pwl import TANH_GRID, PwlTable, eval_int
 from irnn.quant import (
     QTensor,
+    QuantParams,
     dequantize,
     derive_params,
     max_centered,
@@ -26,9 +27,9 @@ from irnn.quant import (
 from irnn.rnn import (
     CellConfig,
     IntLstmCell,
-    LstmState,
     LstmWeights,
     calibrate_lstm_cell,
+    freeze_cell,
     lstm_run_ref,
     lstm_step_ref,
 )
@@ -56,6 +57,12 @@ def _toy_cell(seed, cfg, n=16, m=16, T=32, n_cal=8):
     xs = rng.normal(0.0, 1.0, size=(T, n))
     ref = lstm_run_ref(xs, wx, wh, bias, use_madnorm=cfg.use_madnorm)
     return cell, xs, ref
+
+
+def _zero_state(cell):
+    """The (h, c) codes a run starts from: every code at its zero point."""
+    return tuple(np.full(cell.hidden_size, cell.sites[k].zero_point, dtype=cell.sites[k].dtype)
+                 for k in ("h", "c"))
 
 
 def _trajectory_error(cell, xs, ref):
@@ -172,10 +179,13 @@ class TestTypes:
             LstmWeights(wx, wh_bad)
 
     def test_hidden_state_must_be_8bit(self):
-        p16 = derive_params(-1, 1, 16)
-        h = quantize_tensor(np.zeros(4), p16)
-        with pytest.raises(ValueError, match="8-bit"):
-            LstmState(h, h)
+        # the calibrated h grid, widened to 16 or 32 bits
+        cell, _, _ = _toy_cell(42, CellConfig(), n_cal=2)
+        p = cell.sites["h"]
+        for bits in (16, 32):
+            sites = {**cell.sites, "h": QuantParams(bits, p.scale, p.zero_point)}
+            with pytest.raises(ValueError, match="8-bit"):
+                IntLstmCell(cell.weights, sites, cell.tables)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -239,8 +249,8 @@ class TestIntCell:
         cell, xs, _ = _toy_cell(42, CellConfig())
         qx = quantize_tensor(xs[:1], cell.sites["x"])
         run_out = cell.run(qx)
-        state = cell.step(QTensor(qx.data[0], qx.params), cell.initial_state())
-        np.testing.assert_array_equal(run_out.data[0], state.h.data)
+        h, _ = cell.step(cell.input_branch(qx.data)[0], *_zero_state(cell))
+        np.testing.assert_array_equal(run_out.data[0], h)
 
     def test_deterministic_repeat(self):
         cell, xs, _ = _toy_cell(42, CellConfig())
@@ -269,7 +279,7 @@ class TestIntCell:
         ref = lstm_run_ref(xs, wx, wh, bias, ws=ws, context=lambda t, h: ss[t])
         qxs = quantize_tensor(xs, cell.sites["x"])
         qss = quantize_tensor(ss, cell.sites["s"])
-        err = np.abs(cell.run(qxs, lambda t, h: QTensor(qss.data[t], qss.params)).dequantize() - ref)
+        err = np.abs(cell.run(qxs, lambda t, h: qss.data[t]).dequantize() - ref)
         assert err.max() <= 0.05
         assert err.mean() <= 0.008
 
@@ -312,6 +322,21 @@ class TestIntCell:
         with pytest.raises(ValueError, match="8-bit"):
             IntLstmCell(cell.weights, sites, cell.tables)
 
+    def test_bias_beyond_int32_rejected(self):
+        # checked before rounding, where a code past int64 failed the cast:
+        # a code of top + 0.25 rounds to int32's top, one of top + 0.75 past it
+        rng = np.random.default_rng(42)
+        wx, wh, _ = _toy_weights(rng, 4, 4)
+        observers = {}
+        lstm_run_ref(rng.normal(0.0, 1.0, size=(5, 4)), wx, wh, np.zeros(16), observers=observers)
+        cell = freeze_cell(observers, wx, wh, None, CellConfig())
+        unit, top = cell.sites["x"].scale * cell.weights.wx.params.scale, 2**31 - 1
+        edge = freeze_cell(observers, wx, wh, np.full(16, (top + 0.25) * unit), CellConfig())
+        assert edge.weights.bias.max() == top
+        for b in ((top + 0.75) * unit, 1e300):
+            with pytest.raises(FxOverflow, match="bias codes"):
+                freeze_cell(observers, wx, wh, np.full(16, b), CellConfig())
+
     def test_foreign_input_params_rejected(self):
         cell, xs, _ = _toy_cell(42, CellConfig())
         qxs = quantize_tensor(xs, derive_params(-20.0, 20.0, 8))
@@ -320,10 +345,10 @@ class TestIntCell:
 
     def test_context_wiring_mismatch(self):
         cell, xs, _ = _toy_cell(42, CellConfig())
-        qx = quantize_tensor(xs[0], cell.sites["x"])
+        qxs = quantize_tensor(xs, cell.sites["x"])
         qs = quantize_tensor(np.zeros(4), derive_params(-1, 1, 8))
         with pytest.raises(ValueError, match="wiring"):
-            cell.step(qx, cell.initial_state(), qs)
+            cell.run(qxs, lambda t, h: qs.data)
 
     def test_saturation_no_wraparound(self):
         # evaluate far outside the calibrated amplitude: values clip to the
@@ -342,10 +367,10 @@ class TestIntCell:
 
     def test_hidden_always_8bit(self):
         cell, xs, _ = _toy_cell(42, CellConfig(cell_bits=16, preact_bits=16))
-        qx = quantize_tensor(xs[0], cell.sites["x"])
-        state = cell.step(qx, cell.initial_state())
-        assert state.h.params.bitwidth == 8
-        assert state.c.params.bitwidth == 16
+        qx = quantize_tensor(xs[:1], cell.sites["x"])
+        h, c = cell.step(cell.input_branch(qx.data)[0], *_zero_state(cell))
+        assert np.iinfo(h.dtype).bits == 8
+        assert np.iinfo(c.dtype).bits == 16
 
 
 class TestCompiledCell:
@@ -370,17 +395,34 @@ class TestCompiledCell:
     @pytest.mark.parametrize("madnorm", [False, True])
     def test_hoisted_input_branch_equals_stepping(self, madnorm):
         cell, qxs, qss = self._context_cell(madnorm)
-        state, stepped = cell.initial_state(), []
+        (h, c), stepped = _zero_state(cell), []
         for t in range(qxs.data.shape[0]):
-            qx = QTensor(qxs.data[t], qxs.params)
-            state = cell.step(qx, state, QTensor(qss.data[t], qss.params))
-            stepped.append(state.h.data)
+            h, c = cell.step(cell.input_branch(qxs.data[t : t + 1])[0], h, c, qss.data[t])
+            stepped.append(h)
         np.testing.assert_array_equal(
-            cell.run(qxs, lambda t, h: QTensor(qss.data[t], qss.params)).data, np.stack(stepped)
+            cell.run(qxs, lambda t, h: qss.data[t]).data, np.stack(stepped)
         )
 
+    def test_context_cell_refuses_a_run_without_context(self):
+        cell, qxs, _ = self._context_cell(False)
+        with pytest.raises(ValueError, match="wiring"):
+            cell.run(qxs)
 
-def _reference_step(cell, qx, state, qs=None):
+    @pytest.mark.parametrize("context", [False, True])
+    def test_run_steps_once_per_timestep(self, context, monkeypatch):
+        # the benchmark's rnn.IntLstmCell.step.calls counts timesteps
+        if context:
+            cell, qxs, qss = self._context_cell(False)
+        else:
+            cell, xs, _ = _toy_cell(42, CellConfig(), n_cal=2)
+            qxs = quantize_tensor(xs, cell.sites["x"])
+        calls, step = [], IntLstmCell.step
+        monkeypatch.setattr(IntLstmCell, "step", lambda self, *a: calls.append(a) or step(self, *a))
+        out = cell.run(qxs, (lambda t, h: qss.data[t]) if context else None)
+        assert len(calls) == len(out.data) == qxs.data.shape[0]
+
+
+def _reference_step(cell, qx, h, c, qs=None):
     """One cell step composed of the compile-then-apply wrappers and
     centered products, with every site saturated on its own grid: the
     cell's semantics, written out.  Returns (h', c', the sum1 codes before
@@ -400,7 +442,7 @@ def _reference_step(cell, qx, state, qs=None):
         return QTensor(requantize(acc, q.params.scale * qw.params.scale, p_out), p_out)
 
     xprod = product(w.wx, qx, p["xprod"], None if mn else w.bias)
-    hprod = product(w.wh, state.h, p["hprod"])
+    hprod = product(w.wh, QTensor(h, p["h"]), p["hprod"])
     if mn:
         xprod = madnorm_int(xprod, *(p[f"mnx_{k}"] for k in ("mu", "xhat", "d", "y")))
         hprod = madnorm_int(hprod, *(p[f"mnh_{k}"] for k in ("mu", "xhat", "d", "y")))
@@ -423,7 +465,7 @@ def _reference_step(cell, qx, state, qs=None):
         gates = op(centered, ws @ qs.centered()).astype(p["preact"].dtype)
     sig = eval_int(cell.tables["sigmoid"], gates)
     tj = eval_int(cell.tables["tanh_gate"], gates[2 * m : 3 * m])
-    fc = qmul(sig[m : 2 * m], p_sig, state.c.data, p["c"], p["fc"])
+    fc = qmul(sig[m : 2 * m], p_sig, c, p["c"], p["fc"])
     ij = qmul(sig[:m], p_sig, tj, p_tanh, p["ij"])
     c1 = qadd_diff(fc, p["fc"], ij, p["ij"], p["c"])
     h1 = qmul(sig[3 * m :], p_sig, eval_int(cell.tables["tanh_cell"], c1), p_tc, p["h"])
@@ -459,14 +501,15 @@ class TestReferenceStep:
         qss = None
         if context:
             qss = quantize_tensor(rng.normal(0.0, 0.5, size=(T, m_enc)), sites["s"])
-        state, clipped = cell.initial_state(), 0
+        (h, c), clipped = _zero_state(cell), 0
+        xb = cell.input_branch(qxs.data)
         for t in range(T):
             qx = QTensor(qxs.data[t], qxs.params)
             qs = None if qss is None else QTensor(qss.data[t], qss.params)
-            h1, c1, sum1 = _reference_step(cell, qx, state, qs)
-            state = cell.step(qx, state, qs)
-            np.testing.assert_array_equal(state.h.data, h1)
-            np.testing.assert_array_equal(state.c.data, c1)
+            h1, c1, sum1 = _reference_step(cell, qx, h, c, qs)
+            h, c = cell.step(xb[t], h, c, None if qs is None else qs.data)
+            np.testing.assert_array_equal(h, h1)
+            np.testing.assert_array_equal(c, c1)
             clipped += int(np.isin(sum1, [0, sites["sum1"].qmax]).sum())
         assert clipped > 0
 
