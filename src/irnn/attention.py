@@ -38,6 +38,8 @@ from .quant import (
     Observer,
     QTensor,
     QuantParams,
+    _gemv_rows,
+    _observe,
     derive_params,
     max_centered,
     quantize_weight,
@@ -107,27 +109,35 @@ class AttentionIntermediates:
 
 
 def attention_ref(h_dec, H_enc, wq, wk, v, observers: dict | None = None):
-    """Float additive attention; returns (context s, weights alpha)."""
-    h_dec = np.asarray(h_dec, dtype=np.float64)
+    """Float additive attention of decoder states h_dec [..., m_dec] over
+    encoder states H_enc [..., T, m_enc]; returns (context s [..., m_enc],
+    weights alpha [..., T]).  Rows are independent, and each has the bits
+    of a call on it alone."""
     H_enc = np.asarray(H_enc, dtype=np.float64)
-    if H_enc.ndim != 2 or H_enc.shape[0] < 1:
-        raise ValueError("encoder states must be [T x m_enc] with T >= 1")
-    qp = np.asarray(wq, dtype=np.float64) @ h_dec
-    K = H_enc @ np.asarray(wk, dtype=np.float64).T
-    sums = qp[None, :] + K
+    return _attend_ref(h_dec, H_enc, _keys_ref(H_enc, wk, observers), wq, v, observers)
+
+
+def _keys_ref(H_enc: np.ndarray, wk, observers: dict | None) -> np.ndarray:
+    """The float keys H_enc @ wk.T [..., T, m_att] of float64 encoder states
+    [..., T, m_enc], observed as kproj; computed once per source."""
+    if H_enc.ndim < 2 or H_enc.shape[-2] < 1:
+        raise ValueError("encoder states must be [..., T x m_enc] with T >= 1")
+    keys = H_enc @ np.asarray(wk, dtype=np.float64).T
+    _observe(observers, "kproj", keys)
+    return keys
+
+
+def _attend_ref(h_dec, H_enc, keys, wq, v, observers: dict | None):
+    """attention_ref's step against a source's keys (see _keys_ref).  The
+    query is one gemv per row and the softmax reduces each row's last axis."""
+    qp = _gemv_rows(np.asarray(wq, dtype=np.float64), np.asarray(h_dec, dtype=np.float64))
+    sums = qp[..., None, :] + keys
     e = np.tanh(sums) @ np.asarray(v, dtype=np.float64)
-    shifted = e - e.max()
-    w = np.exp(shifted)
-    alpha = w / w.sum()
-    s = alpha @ H_enc
-    if observers is not None:
-        for key, val in (
-            ("qproj", qp), ("kproj", K), ("sumqk", sums), ("e", e), ("s", s),
-        ):
-            obs = observers.get(key)
-            if obs is None:
-                obs = observers[key] = Observer()
-            obs.observe(val)
+    w = np.exp(e - e.max(axis=-1, keepdims=True))
+    alpha = w / w.sum(axis=-1, keepdims=True)
+    s = (alpha[..., None, :] @ H_enc)[..., 0, :]
+    for key, val in (("qproj", qp), ("sumqk", sums), ("e", e), ("s", s)):
+        _observe(observers, key, val)
     return s, alpha
 
 
@@ -348,7 +358,8 @@ def freeze_attention(observers: dict, wq, wk, v, pieces: int = 32):
 
 
 def calibrate_attention(wq, wk, v, hdec_samples, henc_samples, pieces: int = 32):
-    """Observe float attention over samples, then freeze (see freeze_attention).
+    """Observe one float attention pass over all samples, then freeze (see
+    freeze_attention).
 
     hdec_samples is [N x m_dec]; henc_samples is [N x T x m_enc]; the
     hidden-state params are derived from them.  Returns (AttentionWeights,
@@ -357,9 +368,8 @@ def calibrate_attention(wq, wk, v, hdec_samples, henc_samples, pieces: int = 32)
     hdec_samples = np.asarray(hdec_samples, dtype=np.float64)
     henc_samples = np.asarray(henc_samples, dtype=np.float64)
     observers = {
-        "hdec": Observer().observe(hdec_samples.ravel()),
-        "henc": Observer().observe(henc_samples.ravel()),
+        "hdec": Observer().observe(hdec_samples),
+        "henc": Observer().observe(henc_samples),
     }
-    for h_dec, H_enc in zip(hdec_samples, henc_samples):
-        attention_ref(h_dec, H_enc, wq, wk, v, observers=observers)
+    attention_ref(hdec_samples, henc_samples, wq, wk, v, observers=observers)
     return freeze_attention(observers, wq, wk, v, pieces)

@@ -7,7 +7,8 @@ bench (timing report), table (fixed-point format table).
 Exit codes: 0 success, 1 tolerance failure, 2 usage error, 3 I/O error,
 4 arithmetic overflow (a bound that depends on the input failed at run
 time: a matmul accumulator whose int32 bound was not proven when the model
-was compiled, or the attention context over a too-long source).
+was compiled, or the attention context over a too-long source), 141 when
+the reader of standard output closed it early (128 + SIGPIPE).
 The IRNN_LOG environment variable (debug/info/warning/error) sets log
 verbosity.  All randomness sits behind --seed; bench timings are the only
 nondeterministic output.
@@ -436,7 +437,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        # a closed pipe can surface only here, when buffered output is flushed
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader of stdout left early: no error line, and stdout points at
+        # devnull so that the flush at shutdown cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (CliError, graph.GraphError) as e:
         # a graph error is a model or input the graph cannot run: usage
         print(f"error: {e}", file=sys.stderr)

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .attention import AttentionPlan, attention_ref, freeze_attention
+from .attention import AttentionPlan, _attend_ref, _keys_ref, freeze_attention
 from .quant import QTensor, dequantize, quantize_tensor
 from .rnn import CellConfig, IntLstmCell, freeze_cell, lstm_run_ref
 
@@ -53,10 +53,12 @@ class _Graph:
     cells maps each cell name, in container order, to its float-archive key
     prefix; extra_keys are the float keys beyond each cell's wx and wh;
     ties maps each tied (stage, site) to the (stage, site) whose grid it
-    takes.  float_run() takes float64 weights, each cell's MadNorm flag and
-    observer dicts by cell name (and "att"), any of which may be absent;
-    freeze() turns the observers into (cells, attention plan or None).
-    int_run() takes the input codes on the input cell's x grid.
+    takes.  Every cell reads the model input.  float_run() takes float64
+    weights, inputs [..., T, n], each cell's MadNorm flag and observer dicts
+    by cell name (and "att"), any of which may be absent; it steps every
+    sequence together, each with the bits of a run on it alone.  freeze()
+    turns the observers into (cells, attention plan or None).  int_run()
+    takes one sequence's codes on the input cell's x grid.
     """
 
     cells: dict
@@ -74,10 +76,12 @@ class _Graph:
     def layout(self, shapes: dict) -> dict:
         """The shape of each float array, from the shapes of the required
         ones: a cell's wh is [4m x m], its wx [4m x n] and its bias [4m],
-        with m and n the columns of its wh and wx (calibrate checks n)."""
+        with m the columns of its wh and n those of the input cell's wx,
+        since every cell reads the model input (calibrate checks n)."""
+        n = _last(shapes[self.cells[self.input_cell] + "wx"])
         out = {}
         for p in self.cells.values():
-            m, n = (_last(shapes[p + k]) for k in ("wh", "wx"))
+            m = _last(shapes[p + "wh"])
             out.update({p + "wh": (4 * m, m), p + "wx": (4 * m, n), p + "bias": (4 * m,)})
         return out
 
@@ -132,8 +136,8 @@ class _Bilstm(_Graph):
 
     def float_run(self, a, xs, madnorm, observers):
         hf = self._cell_ref(a, "fwd", xs, madnorm, observers)
-        hb = self._cell_ref(a, "bwd", xs[::-1], madnorm, observers)[::-1]
-        return {"fwd": hf, "bwd": hb, "out": np.concatenate([hf, hb], axis=1)}
+        hb = self._cell_ref(a, "bwd", xs[..., ::-1, :], madnorm, observers)[..., ::-1, :]
+        return {"fwd": hf, "bwd": hb, "out": np.concatenate([hf, hb], axis=-1)}
 
     def int_run(self, model, qxs):
         hf = model.cells["fwd"].run(qxs).dequantize()
@@ -163,13 +167,15 @@ class _Encdec(_Graph):
 
     def float_run(self, a, xs, madnorm, observers):
         H = self._cell_ref(a, "enc", xs, madnorm, observers)
-        ctx = np.empty((xs.shape[0], H.shape[1]))
+        # the keys are projected once per source, as AttentionPlan.source does
+        keys = _keys_ref(H, a["att_wk"], observers.get("att"))
+        ctx = np.empty(H.shape)
 
         def attend(t, h):
-            ctx[t], _ = attention_ref(
-                h, H, a["att_wq"], a["att_wk"], a["att_v"], observers=observers.get("att")
+            ctx[..., t, :], _ = _attend_ref(
+                h, H, keys, a["att_wq"], a["att_v"], observers.get("att")
             )
-            return ctx[t]
+            return ctx[..., t, :]
 
         out = self._cell_ref(a, "dec", xs, madnorm, observers, a["dec_ws"], attend)
         return {"enc": H, "att": ctx, "dec": out, "out": out}
@@ -294,24 +300,25 @@ def _float64(arrays: dict) -> dict:
 
 
 def calibrate(fm: FloatModel, seqs, cfg: CellConfig) -> IrnnModel:
-    """Run the float graph over [N x T x n] sequences with observers
-    attached, then freeze the cells and the attention stage."""
+    """Run the float graph once over [N x T x n] sequences, every sequence
+    stepping together, with observers attached; then freeze the cells and
+    the attention stage."""
     seqs = np.asarray(seqs, dtype=np.float64)
     if seqs.ndim != 3:
         raise GraphError("calibration sequences must be [N x T x n]")
     g = graph_for(fm.kind)
     a = _float64(fm.arrays)
-    for name, prefix in g.cells.items():
-        n_in = a[prefix + "wx"].shape[1]
-        if seqs.shape[2] != n_in:
-            raise GraphError(
-                f"dimension mismatch: {name} cell expects {n_in} features, "
-                f"data has {seqs.shape[2]}"
-            )
+    n_in = a[g.cells[g.input_cell] + "wx"].shape[1]
+    if seqs.shape[2] != n_in:
+        raise GraphError(
+            f"dimension mismatch: {g.input_cell} cell expects {n_in} features, "
+            f"data has {seqs.shape[2]}"
+        )
     observers = {name: {} for name in (*g.cells, "att")}
-    madnorm = dict.fromkeys(g.cells, cfg.use_madnorm)
-    for xs in seqs:
-        g.float_run(a, xs, madnorm, observers)
+    # weights near float64's limit overflow the run, in one row or another
+    # of the batch; the observers refuse the first non-finite site value
+    with np.errstate(over="ignore", invalid="ignore"):
+        g.float_run(a, seqs, dict.fromkeys(g.cells, cfg.use_madnorm), observers)
     cells, attention = g.freeze(a, observers, cfg)
     return IrnnModel(fm.kind, cells, attention=attention)
 

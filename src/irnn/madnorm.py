@@ -75,15 +75,23 @@ def layernorm_ref(x) -> np.ndarray:
 
 
 def madnorm_ref(x) -> np.ndarray:
-    """Normalize by mean absolute deviation; zero deviation gives zeros."""
-    x = np.asarray(x, dtype=np.float64)
-    mu = x.mean()
+    """Normalize every row of x [..., h] by its mean absolute deviation; a
+    row of zero deviation gives zeros."""
+    return _madnorm_parts(np.asarray(x, dtype=np.float64))[3]
+
+
+def _madnorm_parts(x: np.ndarray):
+    """(mu, x - mu, d, y) of MadNorm over every row of float64 x [..., h].
+    Each statistic reduces the last axis one row at a time, so every row
+    has the bits of its own 1-D normalization."""
+    h = x.shape[-1]
+    # x.mean() is this sum over h; the ufunc reductions skip its overhead
+    mu = np.add.reduce(x, axis=-1, keepdims=True) / h
     centered = x - mu
-    d = np.abs(centered).mean()
-    # constant vectors leave only roundoff in the deviation
-    if d <= 1e-12 * max(1.0, float(np.abs(x).max(initial=0.0))):
-        return np.zeros_like(centered)
-    return centered / d
+    d = np.add.reduce(np.abs(centered), axis=-1, keepdims=True) / h
+    # constant rows leave only roundoff in the deviation; they give zeros
+    flat = d <= 1e-12 * np.maximum.reduce(np.abs(x), axis=-1, keepdims=True, initial=1.0)
+    return mu, centered, d, np.divide(centered, d, out=np.zeros_like(centered), where=~flat)
 
 
 class MadNormPlan:

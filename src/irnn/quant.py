@@ -292,9 +292,19 @@ def quantize_tensor(x, p: QuantParams) -> QTensor:
     return QTensor(quantize(np.asarray(x, dtype=np.float64), p), p)
 
 
+def _gemv_rows(w: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Float w @ x for every row of x [..., n]: one BLAS gemv per row, so
+    each row has the bits of w @ row.  A GEMM over the rows [N x n] @ w.T
+    rounds differently; a 1-D x takes the plain product."""
+    if x.ndim == 1:
+        return w @ x
+    return np.matmul(x[..., None, :], w.T)[..., 0, :]
+
+
 @dataclass
 class Observer:
-    """Running min/max of everything shown to one tensor site."""
+    """Running min/max of everything shown to one tensor site; one
+    observation of a batch equals one of each of its parts."""
 
     running_min: float = float("inf")
     running_max: float = float("-inf")
@@ -327,6 +337,17 @@ class Observer:
         return derive_params(
             min(self.running_min, 0.0), max(self.running_max, 0.0), bitwidth
         )
+
+
+def _observe(observers: dict | None, key: str, value) -> None:
+    """Show value to the Observer of site key in observers, made on first
+    use; nothing when observers is None."""
+    if observers is None:
+        return
+    obs = observers.get(key)
+    if obs is None:
+        obs = observers[key] = Observer()
+    obs.observe(value)
 
 
 def quantize_weight(w) -> QTensor:

@@ -6,9 +6,9 @@ step function.  Weight matrices hold the four gates stacked as rows in the
 fixed order (i, f, j, o); hidden states are always 8-bit while the cell
 state may be 8- or 16-bit.
 
-Calibration runs the float reference over representative sequences with a
-min/max observer attached to every intermediate tensor site, then freezes
-one QuantParams set per site.
+Calibration runs the float reference once over representative sequences,
+stepping them together, with a min/max observer attached to every
+intermediate tensor site, then freezes one QuantParams set per site.
 """
 
 from __future__ import annotations
@@ -20,12 +20,14 @@ from types import MappingProxyType
 import numpy as np
 
 from .fixedpoint import _INT32_MAX, FxOverflow, Rescale, round_half_away, saturate
-from .madnorm import MadNormPlan, compute_stats, madnorm_ref
+from .madnorm import MadNormPlan, _madnorm_parts
 from .pwl import TANH_GRID, UNIT_GRID, activation_registry, build_full, reduce
 from .quant import (
     ExactGemv,
     Observer,
     QTensor,
+    _gemv_rows,
+    _observe,
     max_centered,
     qmul_rescale,
     quantize_weight,
@@ -109,23 +111,13 @@ class LstmWeights:
         return self.wx.shape[1]
 
 
-def _observe(observers, key, value):
-    if observers is None:
-        return
-    obs = observers.get(key)
-    if obs is None:
-        obs = observers[key] = Observer()
-    obs.observe(value)
-
-
-def _observe_madnorm(observers, branch, pre):
-    if observers is None:
-        return
-    st = compute_stats(pre)
-    _observe(observers, f"mn{branch}_mu", st.mu)
-    _observe(observers, f"mn{branch}_xhat", pre - st.mu)
-    _observe(observers, f"mn{branch}_d", st.d)
-    _observe(observers, f"mn{branch}_y", madnorm_ref(pre))
+def _madnorm_observed(observers, branch, pre):
+    """MadNorm of gate products pre [..., 4m], observing its four sites."""
+    parts = _madnorm_parts(pre)
+    if observers is not None:
+        for part, value in zip(("mu", "xhat", "d", "y"), parts):
+            _observe(observers, f"mn{branch}_{part}", value)
+    return parts[3]
 
 
 def lstm_step_ref(
@@ -141,12 +133,16 @@ def lstm_step_ref(
     use_madnorm: bool = False,
     observers: dict | None = None,
 ):
-    """One float LSTM step; returns (h', c').
+    """One float LSTM step on every row of x [..., n] from states h and c
+    [..., m]; returns (h', c') [..., m].
 
     Gates stack as (i, f, j, o); the cell update is
     c' = sigmoid(f) * c + sigmoid(i) * tanh(j) and h' = sigmoid(o) * tanh(c').
     With use_madnorm the two matmul products are normalized separately
-    before the gate sum and the bias joins after normalization.
+    before the gate sum and the bias joins after normalization.  Rows are
+    independent: each row's products are one gemv and its MadNorm reduces
+    its own row, so a row has the bits of a 1-D step on it, and an observer
+    sees the batch as it would each row.
     """
     x = np.asarray(x, dtype=np.float64)
     h = np.asarray(h, dtype=np.float64)
@@ -160,17 +156,15 @@ def lstm_step_ref(
     if four_m % 4 or wh.shape != (four_m, four_m // 4):
         raise ValueError("weight shapes disagree")
     m = four_m // 4
-    if x.shape != (wx.shape[1],) or h.shape != (m,) or c.shape != (m,):
+    if x.shape[-1:] != wx.shape[1:] or h.shape != x.shape[:-1] + (m,) or c.shape != h.shape:
         raise ValueError("input/state shapes disagree")
 
-    gx = wx @ x
-    gh = wh @ h
+    gx = _gemv_rows(wx, x)
+    gh = _gemv_rows(wh, h)
     _observe(observers, "xprod", gx if use_madnorm or bias is None else gx + bias)
     _observe(observers, "hprod", gh)
     if use_madnorm:
-        _observe_madnorm(observers, "x", gx)
-        _observe_madnorm(observers, "h", gh)
-        total = madnorm_ref(gx) + madnorm_ref(gh)
+        total = _madnorm_observed(observers, "x", gx) + _madnorm_observed(observers, "h", gh)
         if bias is not None:
             total = total + bias
     else:
@@ -179,17 +173,18 @@ def lstm_step_ref(
         total = gx + gh
     _observe(observers, "sum1", total)
     if ws is not None:
-        total = total + np.asarray(ws, dtype=np.float64) @ np.asarray(s, dtype=np.float64)
+        s = np.asarray(s, dtype=np.float64)
+        total = total + _gemv_rows(np.asarray(ws, dtype=np.float64), s)
         _observe(observers, "preact", total)
 
-    gi, gf, gj, go = (total[k * m : (k + 1) * m] for k in range(4))
-    sig = lambda v: 1.0 / (1.0 + np.exp(-v))
-    fc = sig(gf) * c
-    ij = sig(gi) * np.tanh(gj)
+    # elementwise, so one sigmoid over all four gates has each gate's bits
+    sig = 1.0 / (1.0 + np.exp(-total))
+    fc = sig[..., m : 2 * m] * c
+    ij = sig[..., :m] * np.tanh(total[..., 2 * m : 3 * m])
     _observe(observers, "fc", fc)
     _observe(observers, "ij", ij)
     c1 = fc + ij
-    h1 = sig(go) * np.tanh(c1)
+    h1 = sig[..., 3 * m :] * np.tanh(c1)
     _observe(observers, "c", c1)
     _observe(observers, "h", h1)
     return h1, c1
@@ -206,26 +201,30 @@ def lstm_run_ref(
     use_madnorm: bool = False,
     observers: dict | None = None,
 ) -> np.ndarray:
-    """Float reference over a [T x n] sequence from zero state; returns [T x m].
+    """Float reference over sequences xs [..., T, n] from zero state;
+    returns [..., T, m].  Every sequence steps together, each with the bits
+    of its own run (see lstm_step_ref).
 
-    context(t, h), for a cell with ws, returns step t's context vector from
-    the hidden state h before that step.
+    context(t, h), for a cell with ws, returns step t's context vectors
+    [..., m_s] from the hidden states h [..., m] before that step.
     """
     xs = np.asarray(xs, dtype=np.float64)
+    if xs.ndim < 2:
+        raise ValueError("expected [..., T x n] input sequences")
     m = np.asarray(wx).shape[0] // 4
-    h = np.zeros(m)
-    c = np.zeros(m)
-    out = np.empty((xs.shape[0], m))
+    h = np.zeros(xs.shape[:-2] + (m,))
+    c = np.zeros_like(h)
+    out = np.empty(xs.shape[:-1] + (m,))
     # a gate below -709 overflows exp(-v) to inf, where the sigmoid is 0
-    # exactly; the flag is set aside once per sequence, not once per step
+    # exactly; the flag is set aside once per run, not once per step
     with np.errstate(over="ignore"):
-        for t in range(xs.shape[0]):
+        for t in range(xs.shape[-2]):
             s = None if context is None else context(t, h)
             h, c = lstm_step_ref(
-                xs[t], h, c, wx, wh, bias,
+                xs[..., t, :], h, c, wx, wh, bias,
                 ws=ws, s=s, use_madnorm=use_madnorm, observers=observers,
             )
-            out[t] = h
+            out[..., t, :] = h
     return out
 
 
@@ -461,19 +460,16 @@ def freeze_cell(observers: dict, wx, wh, bias, cfg: CellConfig, ws=None) -> IntL
 def calibrate_lstm_cell(
     wx, wh, bias, seqs, cfg: CellConfig, ws=None, s_seqs=None
 ) -> IntLstmCell:
-    """Observe a float run over calibration sequences, then freeze the cell.
+    """Observe one float run over calibration sequences, then freeze the cell.
 
-    seqs is [N x T x n] (or a list of [T x n] arrays); s_seqs, when the cell
-    takes a context input, matches its leading shape.
+    seqs is [..., T x n], every sequence stepping together; s_seqs, when the
+    cell takes a context input, is [..., T x m_s] with the same leading axes.
     """
-    seqs = np.asarray(seqs, dtype=np.float64)
-    if seqs.ndim == 2:
-        seqs = seqs[None]
     observers: dict[str, Observer] = {}
-    for idx, xs in enumerate(seqs):
-        lstm_run_ref(
-            xs, wx, wh, bias,
-            ws=ws, context=None if s_seqs is None else lambda t, h: s_seqs[idx][t],
-            use_madnorm=cfg.use_madnorm, observers=observers,
-        )
+    s_seqs = None if s_seqs is None else np.asarray(s_seqs, dtype=np.float64)
+    lstm_run_ref(
+        seqs, wx, wh, bias,
+        ws=ws, context=None if s_seqs is None else lambda t, h: s_seqs[..., t, :],
+        use_madnorm=cfg.use_madnorm, observers=observers,
+    )
     return freeze_cell(observers, wx, wh, bias, cfg, ws=ws)

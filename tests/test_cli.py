@@ -3,10 +3,14 @@
 import csv
 import io
 import json
+import os
 import statistics
 import struct
+import subprocess
+import sys
 import time
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -573,6 +577,37 @@ class TestExitCodes:
         model = _quantize(capsys, tmp_path)
         code, _ = _run(capsys, "run", str(model), "--attend")
         assert code == 2
+
+    def test_bidirectional_input_width_is_io_error(self, capsys, tmp_path):
+        # every cell reads the model input, so a backward cell of another
+        # width is a malformed archive, whatever the data's width
+        rng = np.random.default_rng(42)
+        npz, calib = tmp_path / "m.npz", tmp_path / "c.bin"
+        _bilstm_npz(npz, rng)
+        with np.load(npz) as archive:
+            arrays = dict(archive)
+        np.savez(npz, **{**arrays, "bwd_wx": arrays["bwd_wx"][:, :-1]})
+        mio.save_calibration(calib, rng.normal(0.0, 1.0, size=(2, 5, 10)))
+        out = tmp_path / "m.irnn"
+        code = main(["quantize", str(npz), "--calib", str(calib), "--out", str(out)])
+        assert code == 3
+        assert "float-model-shape: bwd_wx is (40, 9)" in capsys.readouterr().err
+
+    def test_closed_pipe_exits_141_silently(self):
+        # a reader that leaves early is not an I/O error: no error line, no
+        # shutdown message, and 128 + SIGPIPE, which no other outcome uses
+        path = [str(Path(__file__).resolve().parent.parent / "src"), os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+        # about 1 MB of rows, far more than a pipe buffers
+        with subprocess.Popen(
+            [sys.executable, "-m", "irnn.cli", "table", "--bits", "1022"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        ) as proc:
+            assert proc.stdout.readline().startswith(b"scaling,")
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) == 141
+        assert err == b""
 
     def test_log_env_accepted(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("IRNN_LOG", "debug")

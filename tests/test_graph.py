@@ -73,8 +73,9 @@ class TestKinds:
 class TestCalibrate:
     @pytest.mark.parametrize("kind,per_step", [("lstm", 1), ("bilstm", 2), ("encdec", 2)])
     def test_each_recurrence_runs_once(self, kind, per_step, monkeypatch):
-        # one float step per cell per calibration timestep: calibration is
-        # the float graph run once with observers attached
+        # one float step per cell per timestep for the whole calibration
+        # set: calibration is the float graph run once over every sequence
+        # with observers attached
         rng = np.random.default_rng(42)
         n_seq, T = 3, 5
         fm = mio.FloatModel(kind, _arrays(kind, rng))
@@ -89,18 +90,19 @@ class TestCalibrate:
             if name.startswith("irnn") and getattr(module, "lstm_step_ref", None) is orig:
                 monkeypatch.setattr(module, "lstm_step_ref", counting)
         build_model(fm, calib, CellConfig())
-        assert len(calls) == per_step * n_seq * T
+        assert len(calls) == per_step * T
 
     def test_bidirectional_input_width_checked(self):
+        # every cell reads the model input, so a backward cell of another
+        # width is a malformed archive, refused before any data is read
         rng = np.random.default_rng(42)
         arrays = _arrays("bilstm", rng)
         arrays["bwd_wx"] = arrays["bwd_wx"][:, :-1]
-        with pytest.raises(graph.GraphError, match="bwd cell expects 7 features"):
-            graph.calibrate(
-                graph.FloatModel("bilstm", arrays),
-                rng.normal(0.0, 1.0, size=(2, 5, N_FEAT)),
-                CellConfig(),
-            )
+        with pytest.raises(graph.GraphError, match=r"float-model-shape: bwd_wx is \(32, 7\)"):
+            graph.FloatModel("bilstm", arrays)
+        fm = graph.FloatModel("bilstm", _arrays("bilstm", rng))
+        with pytest.raises(graph.GraphError, match="fwd cell expects 8 features, data has 7"):
+            graph.calibrate(fm, rng.normal(0.0, 1.0, size=(2, 5, N_FEAT - 1)), CellConfig())
 
     def test_calibration_rank_checked(self):
         fm = graph.FloatModel("lstm", _arrays("lstm", np.random.default_rng(42)))
