@@ -5,7 +5,11 @@ look-up table of the quantized activation) and is thinned by greedily
 removing the shared knot of the most similar adjacent slope pair until a
 piece budget is met.  Knots always stay on the input grid and intercepts
 always equal the true function value at their knot, so surviving grid
-points evaluate exactly.
+points evaluate exactly.  The greedy merge runs in numpy rounds, each of
+which removes a batch of knots proven to be the merge's next removals.  A
+round looks only at a window, the survivors whose cost is at most a
+threshold theta; theta rises over buckets of costs when the window drains,
+so a round costs about what it removes, not what survives.
 
 Integer evaluation uses fixed-point slopes/intercepts sharing one fraction
 count, accumulated in int64 with a single final rounding.  A table turns
@@ -21,7 +25,6 @@ from __future__ import annotations
 
 import heapq
 import math
-from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -308,53 +311,217 @@ def reduce(t: PwlTable, pieces: int) -> PwlTable:
     return PwlTable(t.q_knots[keep], t.values[keep], t.in_params, t.out_params)
 
 
+# A knot's bucket is its cost's float64 bits shifted right by _BUCKET_SHIFT:
+# costs are not negative, so buckets order like costs, two to a binade.  A
+# window opens the next buckets until they hold _WINDOW_MIN filed knots.
+_BUCKET_SHIFT, _WINDOW_MIN = 51, 512
+# inf's bucket, the last
+_INF_BUCKET = int(np.array(np.inf).view(np.int64)) >> _BUCKET_SHIFT
+
+# a round that certifies fewer knots than this hands its window to
+# _scalar_merge, which pops them for less than another round costs
+_SCALAR_BELOW = 32
+
+
 def _surviving_knots(ks: np.ndarray, ys: np.ndarray, pieces: int) -> np.ndarray:
     """Indices of the knots the greedy merge keeps.
 
     The merge removes, one at a time, the surviving interior knot with the
     smallest key (cost, index), where cost = |slope(prev, j) - slope(j, next)|
     over its surviving neighbours and slope(i, j) = (y_j - y_i) / (k_j - k_i)
-    in float64.  It runs in rounds over the surviving knots.  Each round
-    computes every cost with that expression in numpy (IEEE subtract, divide
-    and abs give the scalar bits) and removes at once the batch that
-    _certified proves to be the merge's next removals.  A round that
-    certifies too few hands the smallest keys to _scalar_merge instead.
+    in float64; numpy's IEEE subtract, divide and abs give the scalar bits.
+
+    It runs in rounds over a window: the survivors whose cost is at most a
+    threshold theta.  Every other survivor has a key above theta, so the
+    merge pops the whole window, as it stands after each removal, before
+    anything else.  Each round removes at once the batch that _certified
+    proves to be the merge's next pops; a round that certifies too few hands
+    the window to _scalar_merge, which pops it dry.  A removal changes only
+    its neighbours' keys (_Path.remove): a neighbour whose new cost is at
+    most theta joins the window, any other leaves it for _Buckets.  When the
+    window is empty, _Buckets.open raises theta and refills it.  So a round
+    costs about what its window holds, not what survives.
+
+    A NaN cost (a slope overflowed) leaves the keys unordered; then
+    _scalar_merge pops every survivor, with theta inf.
     """
-    idx = np.arange(len(ks), dtype=np.int32)
-    k, y = ks, ys
+    todo = len(ks) - 1 - pieces
     # slopes that overflow give inf and NaN silently, as Python floats do
     with np.errstate(over="ignore", invalid="ignore"):
-        while len(idx) - 1 > pieces:
-            need = len(idx) - 1 - pieces
-            s = np.diff(y) / np.diff(k)
-            c = np.abs(s[:-1] - s[1:])  # c[p - 1] is the cost of the knot at p
-            ordered = not np.isnan(c).any()
-            gone = _certified(k, y, s, c)[:need] if ordered else []
-            if len(gone) < min(need, max(8, len(idx) >> 8)):
-                gone = _scalar_merge(k, y, c, need, ordered)
-            keep = np.ones(len(idx), dtype=bool)
-            keep[gone] = False
-            idx, k, y = idx[keep], k[keep], y[keep]
-    return idx
+        path = _Path(ks, ys)
+        buckets = _Buckets(path)
+        window, theta = path.live()[:0], -np.inf
+        ordered = not np.isnan(path.cost).any()
+        while todo > 0:
+            if not ordered:
+                path.remove(_scalar_merge(path, path.live(), todo, np.inf))
+                break
+            if not len(window):
+                theta, window = buckets.open()
+                continue
+            gone = _certified(path, window)[:todo]
+            if len(gone) < min(todo, _SCALAR_BELOW):
+                gone = _scalar_merge(path, window, todo, theta)
+            todo -= len(gone)
+            changed = path.remove(gone)
+            cost = path.cost[changed]
+            ordered = not np.isnan(cost).any()
+            out = cost > theta
+            buckets.add(changed[out])
+            # two sorted runs, which a stable sort merges
+            window = np.concatenate((window[path.alive[window]], changed[~out]))
+            window = _distinct(np.sort(window, kind="stable"))
+            window = window[~(path.cost[window] > theta)]
+    return np.flatnonzero(path.alive)
 
 
-def _certified(k, y, s, c) -> np.ndarray:
-    """Positions of knots that are the merge's next removals, in pop order.
+def _distinct(a: np.ndarray) -> np.ndarray:
+    """The distinct values of a sorted array."""
+    first = np.ones(len(a), dtype=bool)
+    first[1:] = a[1:] != a[:-1]
+    return a[first]
 
-    k and y are the surviving knots, s their adjacent slopes and c the
-    interior costs.  Equal costs order by position, which is index order,
-    so the keys are distinct.
 
-    A = the greedy independent set in key order on the path of interior
-    knots: a knot is in A iff no neighbour with a smaller key is.  Valleys
-    are in, knots on a monotone run alternate from its valley, and a peak
-    is in iff both its neighbours are out.  Removing a knot of A gives each
-    interior neighbour a new key.  That key is charged to the removal if the
-    neighbour's other neighbour stays or goes later; if both neighbours go,
-    the key left by both removals is charged to the later one.
+class _Path:
+    """The surviving knots as a linked path, with their slopes and keys.
 
-    With b_1, b_2, ... the knots of A in key order, the result is the
-    longest prefix b_1..b_k in which every cost charged to b_1..b_{k-1} is
+    prev and nxt link the survivors by knot index, right[j] is the slope
+    from j to nxt[j] and cost[j] = |right[prev[j]] - right[j]| is the cost
+    of interior knot j; the end knots have no cost.
+    """
+
+    def __init__(self, k: np.ndarray, y: np.ndarray):
+        n = len(k)
+        self.k = np.ascontiguousarray(k, dtype=np.float64)
+        self.y = np.ascontiguousarray(y, dtype=np.float64)
+        self.prev = np.arange(-1, n - 1, dtype=np.int64)
+        self.nxt = np.arange(1, n + 1, dtype=np.int64)
+        self.alive = np.ones(n, dtype=bool)
+        self.right = np.zeros(n)
+        self.right[:-1] = np.diff(self.y) / np.diff(self.k)
+        self.cost = np.zeros(n)
+        self.cost[1:-1] = np.abs(self.right[:-2] - self.right[1:-1])
+        self.last = n - 1
+
+    def slope(self, i, j):
+        return (self.y[j] - self.y[i]) / (self.k[j] - self.k[i])
+
+    def live(self) -> np.ndarray:
+        """The surviving interior knots, in index order."""
+        return np.flatnonzero(self.alive[1:-1]) + 1
+
+    def remove(self, gone) -> np.ndarray:
+        """Unlink the knots gone; return the interior survivors whose cost
+        changed, in index order.  Removing a set leaves the same path in any
+        order, so each run of gone knots adjacent on the path is unlinked at
+        once, from the survivors on its two sides."""
+        prev, nxt = self.prev, self.nxt
+        g = np.sort(gone)
+        self.alive[g] = False
+        joined = nxt[g[:-1]] == g[1:]
+        lo = prev[g[np.concatenate(([True], ~joined))]]
+        hi = nxt[g[np.concatenate((~joined, [True]))]]
+        nxt[lo], prev[hi] = hi, lo
+        self.right[lo] = self.slope(lo, hi)
+        # lo[i] < hi[i] <= lo[i + 1], so interleaved they are sorted
+        near = np.empty(2 * len(lo), dtype=np.int64)
+        near[0::2], near[1::2] = lo, hi
+        near = _distinct(near)
+        near = near[(near > 0) & (near < self.last)]
+        self.cost[near] = np.abs(self.right[prev[near]] - self.right[near])
+        return near
+
+
+class _Buckets:
+    """Every survivor outside the window, filed under its cost's bucket.
+
+    A knot that leaves the window is added to pending, and open files it
+    under its cost's bucket then.  A knot whose cost changes is added again,
+    so it may also sit under an old bucket; open skips it there.
+    """
+
+    def __init__(self, path: _Path):
+        self.path = path
+        self.pending = [path.live()]
+        self.filed: dict[int, list] = {}
+        self.count = np.zeros(_INF_BUCKET + 1, dtype=np.int64)
+        self.top = -1  # the last bucket opened
+
+    def add(self, knots: np.ndarray) -> None:
+        self.pending.append(knots)
+
+    def _file(self) -> None:
+        if not self.pending:
+            return
+        idx = np.concatenate(self.pending)
+        self.pending = []
+        idx = idx[self.path.alive[idx]]
+        if not len(idx):
+            return
+        b = (self.path.cost[idx].view(np.int64) >> _BUCKET_SHIFT).astype(np.int16)
+        o = np.argsort(b, kind="stable")
+        idx, b = idx[o], b[o]
+        cut = np.flatnonzero(b[1:] != b[:-1]) + 1
+        keys = b[np.concatenate(([0], cut))].tolist()
+        for key, part in zip(keys, np.split(idx, cut)):
+            self.filed.setdefault(key, []).append(part)
+            self.count[key] += len(part)
+
+    def open(self):
+        """Raise theta over the next buckets; return it and their knots.
+
+        The buckets opened are the next ones that hold _WINDOW_MIN filed
+        knots, or all that are left.  Theta is the largest float in the last
+        of them, inf in the last bucket, so the survivors of cost at most
+        theta are exactly the knots filed under the buckets opened.
+        """
+        self._file()
+        lo = self.top + 1
+        reach = np.cumsum(self.count[lo:])
+        top = min(lo + int(np.searchsorted(reach, _WINDOW_MIN)), _INF_BUCKET)
+        self.count[lo : top + 1] = 0
+        self.top = top
+        theta = np.inf
+        if top < _INF_BUCKET:
+            # the largest float below the next bucket's smallest
+            bits = np.array(((top + 1) << _BUCKET_SHIFT) - 1, dtype=np.int64)
+            theta = float(bits.view(np.float64))
+        parts = [np.empty(0, dtype=np.int64)]
+        for key in sorted(key for key in self.filed if key <= top):
+            parts += self.filed.pop(key)
+        w = np.concatenate(parts)
+        w = w[self.path.alive[w]]
+        return theta, _distinct(np.sort(w[~(self.path.cost[w] > theta)]))
+
+
+def _certified(path: _Path, window: np.ndarray) -> np.ndarray:
+    """Indices of window knots that are the merge's next pops, in pop order.
+
+    window holds the surviving interior knots of cost at most theta, in
+    index order, and none of their costs is NaN.  Equal costs order by
+    index, so the keys are distinct.
+
+    The result is the longer of two runs, each proven to be the next pops.
+
+    The zero-cost run.  A knot of cost 0 is neutral if the slope across it
+    equals the slopes on its two sides.  Removing a neutral knot leaves its
+    neighbours' slopes, so every key, as it was.  So the merge pops the
+    knots of cost 0 in index order for as long as each is neutral when its
+    turn comes, that is with the zero-cost knots just left of it gone: the
+    run is those pops, up to and including the first knot that is not
+    neutral.  The knots inside a flat stretch of y are all neutral, so a
+    flat tail goes in one round.
+
+    The prefix of A, the greedy independent set in key order on the path
+    of interior knots: a knot is in A iff no neighbour with a smaller key
+    is.  Valleys are in, knots on a monotone run alternate from its valley,
+    and a peak is in iff both its neighbours are out.  Removing a knot of A gives each interior neighbour a new key.
+    That key is charged to the removal if the neighbour's other neighbour
+    stays or goes later; if both neighbours go, the key left by both
+    removals is charged to the later one.
+
+    With b_1, b_2, ... the knots of A in key order, the prefix is the
+    longest b_1..b_k in which every cost charged to b_1..b_{k-1} is
     strictly greater than cost(b_k).  Proof that the merge pops b_1..b_k
     next, in order: say it has popped b_1..b_{i-1}, i <= k.  Neither
     neighbour of b_i is in A, so b_i still has its round key.  Any other
@@ -365,82 +532,112 @@ def _certified(k, y, s, c) -> np.ndarray:
         x has a neighbour in A with a smaller key; had x's key been below
         b_i's, that neighbour would be some b_j, j < i, already removed.
     So b_i holds the smallest key and is popped next.
+
+    Only the window is looked at, and the prefix is the same as over every
+    survivor, cut at theta.  A survivor outside the window has a cost above
+    theta, so a key above every window knot's, and it is never the smaller
+    neighbour of a window knot.  So A's members in the window are the
+    greedy independent set of the window's own path segments, and they are
+    A's key-order prefix up to theta.  A knot of A outside the window goes
+    after a window knot of A two away from it, so that knot's charge is its
+    neighbour's key with the outside knot still standing, as over every
+    survivor.  Every knot of cost 0 is in the window, so the zero-cost run
+    is the same too.
     """
-    n = len(c)  # interior knots sit at positions 1..n
+    prev, nxt, right = path.prev, path.nxt, path.right
+    c = path.cost[window]
+    z = window[c == 0]
+    if len(z):
+        # each zero-cost knot's left neighbour once the zero-cost knots just
+        # left of it on the path have gone
+        head = np.ones(len(z), dtype=bool)
+        head[1:] = nxt[z[:-1]] != z[1:]
+        lo = prev[z[np.maximum.accumulate(np.where(head, np.arange(len(z)), 0))]]
+        across = path.slope(lo, nxt[z])
+        neutral = (path.slope(lo, z) == across) & (across == right[z])
+        z = z[: len(z) if neutral.all() else np.argmin(neutral) + 1]
+
+    n = len(c)
+    hi = nxt[window]
+    # neighbours on the path that are both in the window
+    joined = hi[:-1] == window[1:]
     up = c[:-1] <= c[1:]  # key(i) < key(i + 1)
-    i = np.arange(n, dtype=np.int32)
-    lower_left = np.concatenate(([False], up))
-    lower_right = np.concatenate((~up, [False]))
+    i = np.arange(n)
+    lower_left = np.concatenate(([False], joined & up))
+    lower_right = np.concatenate((joined & ~up, [False]))
     start = np.maximum.accumulate(np.where(lower_left, 0, i))
     end = np.minimum.accumulate(np.where(lower_right, n - 1, i)[::-1])[::-1]
-    take = np.where(lower_left, (i - start) % 2 == 0, (end - i) % 2 == 0)
+    take = (np.where(lower_left, i - start, end - i) & 1) == 0
     peak = np.flatnonzero(lower_left & lower_right)
     take[peak] = ~(take[peak - 1] | take[peak + 1])
-    p = np.flatnonzero(take) + 1
+    (a,) = np.nonzero(take)
 
-    cost = c[p - 1]
+    p, cost, hi = window[a], c[a], hi[a]
+    lo = prev[p]
     # the slope across p once it goes
-    ms = (y[p + 1] - y[p - 1]) / (k[p + 1] - k[p - 1])
+    ms = path.slope(lo, hi)
     # p's neighbours keep their outer slopes unless a knot of A two away
-    # goes first; clipped lookups at the ends are charged inf below
-    outer_left = s.take(p - 2, mode="clip")
-    outer_right = s.take(p + 1, mode="clip")
-    pair = p[1:] - p[:-1] == 2
+    # goes first; the end knots have no key, so their charge is inf
+    outer_left = right[prev[lo]]
+    outer_right = right[hi]
+    pair = hi[:-1] == lo[1:]
     left_first = cost[:-1] <= cost[1:]
     later = pair & left_first
     outer_left[1:][later] = ms[:-1][later]
     later = pair & ~left_first
     outer_right[:-1][later] = ms[1:][later]
-    to_left = np.abs(outer_left - ms)
-    to_right = np.abs(ms - outer_right)
-    if p[0] == 1:  # the first knot has no key
-        to_left[0] = np.inf
-    if p[-1] == n:  # nor has the last
-        to_right[-1] = np.inf
+    to_left = np.where(lo == 0, np.inf, np.abs(outer_left - ms))
+    to_right = np.where(hi == path.last, np.inf, np.abs(ms - outer_right))
     charge = np.minimum(to_left, to_right)
 
     order = np.argsort(cost, kind="stable")
     floor = np.minimum.accumulate(charge[order])
     # a NaN charge fails the comparison, so it ends the prefix
     short = np.flatnonzero(~(floor[:-1] > cost[order[1:]]))
-    return p[order[: short[0] + 1 if len(short) else len(p)]]
+    p = p[order[: short[0] + 1 if len(short) else len(p)]]
+    # both are runs of the next pops; the longer certifies more
+    return p if len(p) >= len(z) else z
 
 
-def _scalar_merge(k, y, c, need: int, ordered: bool) -> list:
-    """Positions the merge removes next, popped one at a time.
+def _scalar_merge(path: _Path, window: np.ndarray, need: int, theta) -> list:
+    """Indices the merge removes next, popped one at a time from the window.
 
-    Only the smallest ~1/16 of the keys enter the heap: those with cost at
-    most theta.  Every knot outside it has a key above theta, and a new key
-    above theta is not pushed, so the heap minimum is always the merge's
-    next removal until the heap runs dry.  When a cost is NaN (a slope
-    overflowed) the keys have no order, and every knot enters the heap.
+    Only the window's knots enter the heap: those with cost at most theta.
+    Every other knot has a key above theta, and a new key above theta is
+    not pushed, so the heap minimum is always the merge's next removal until
+    the heap runs dry.  With theta inf every survivor is in the heap; that
+    also holds when some cost is NaN and the keys have no order.
     """
-    m = len(k)
-    theta = np.partition(c, m >> 4)[m >> 4] if ordered else np.inf
-    (cand,) = np.nonzero(~(c > theta))
-    heap = list(zip(c[cand].tolist(), (cand + 1).tolist(), [0] * len(cand)))
+    heap = list(zip(path.cost[window].tolist(), window.tolist(), [0] * len(window)))
     heapq.heapify(heap)
-    kv, yv = array("d", k.tobytes()), array("d", y.tobytes())
-    prev, nxt = array("i", range(-1, m - 1)), array("i", range(1, m + 1))
-    stamp = array("i", bytes(4 * m))
+    pop, push = heapq.heappop, heapq.heappush
+    # memoryviews index to Python floats and ints; the links are copies
+    kv, yv = memoryview(path.k), memoryview(path.y)
+    prev, nxt = memoryview(path.prev.copy()), memoryview(path.nxt.copy())
+    stamp = memoryview(np.zeros(len(kv), dtype=np.int32))
+    last, theta = path.last, float(theta)
     gone = []
-
-    def slope(i: int, j: int) -> float:
-        return (yv[j] - yv[i]) / (kv[j] - kv[i])
-
     while heap and len(gone) < need:
-        _, j, s = heapq.heappop(heap)
+        _, j, s = pop(heap)
         if s != stamp[j]:
             continue
         gone.append(j)
         lo, hi = prev[j], nxt[j]
         nxt[lo], prev[hi] = hi, lo
-        for nb in (lo, hi):
-            if 0 < nb < m - 1:
-                stamp[nb] += 1
-                cost = abs(slope(prev[nb], nb) - slope(nb, nxt[nb]))
-                if not cost > theta:
-                    heapq.heappush(heap, (cost, nb, stamp[nb]))
+        # each neighbour's new cost, with the slope across j shared
+        mid = (yv[hi] - yv[lo]) / (kv[hi] - kv[lo])
+        if lo > 0:
+            i = prev[lo]
+            c = abs((yv[lo] - yv[i]) / (kv[lo] - kv[i]) - mid)
+            stamp[lo] += 1
+            if not c > theta:
+                push(heap, (c, lo, stamp[lo]))
+        if hi < last:
+            i = nxt[hi]
+            c = abs(mid - (yv[i] - yv[hi]) / (kv[i] - kv[hi]))
+            stamp[hi] += 1
+            if not c > theta:
+                push(heap, (c, hi, stamp[hi]))
     return gone
 
 

@@ -26,8 +26,11 @@ from .quant import (
     ExactGemv,
     Observer,
     QTensor,
+    QuantParams,
     _gemv_rows,
     _observe,
+    dequantize,
+    derive_params,
     max_centered,
     qmul_rescale,
     quantize_weight,
@@ -429,6 +432,13 @@ def _bits_for(site: str, cfg: CellConfig) -> int:
     return 8
 
 
+def _product_grid(pa: QuantParams, pb: QuantParams, bitwidth: int) -> QuantParams:
+    """The grid of every product of a real on grid pa and one on grid pb."""
+    ends = [dequantize(q, p) for p in (pa, pb) for q in (p.qmin, p.qmax)]
+    corners = [a * b for a in ends[:2] for b in ends[2:]]
+    return derive_params(min(corners), max(corners), bitwidth)
+
+
 def freeze_cell(observers: dict, wx, wh, bias, cfg: CellConfig, ws=None) -> IntLstmCell:
     """Freeze observed tensor sites, quantize the weights, build the tables.
 
@@ -437,6 +447,11 @@ def freeze_cell(observers: dict, wx, wh, bias, cfg: CellConfig, ws=None) -> IntL
     The activation tables are reduced PWL fits over the gate and cell grids.
     """
     sites = {k: o.finalize(_bits_for(k, cfg)) for k, o in observers.items()}
+    # fc = sigmoid(f) * c is only ever 0 in a one-step run from zero state;
+    # a site seen at a single point takes the grid its operands can reach
+    fc = observers["fc"]
+    if fc.running_min == fc.running_max:
+        sites["fc"] = _product_grid(sites["c"], UNIT_GRID, _bits_for("fc", cfg))
     qwx = quantize_weight(wx)
     qwh = quantize_weight(wh)
     qws = quantize_weight(ws) if ws is not None else None

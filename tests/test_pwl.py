@@ -268,13 +268,117 @@ class TestMergeRounds:
             else:
                 ys = rng.integers(-3, 4, size=n).astype(np.float64)
                 ks = np.cumsum(rng.integers(1, 4, size=n)).astype(np.float64)
-            s = np.diff(ys) / np.diff(ks)
-            got = pwl._certified(ks, ys, s, np.abs(s[:-1] - s[1:])).tolist()
+            path = pwl._Path(ks, ys)
+            got = pwl._certified(path, path.live()).tolist()
             assert got == _reference_pops(ks.tolist(), ys.tolist(), n - 1 - len(got))
             certified += len(got)
-        # 4,830 at this seed; charging keys to the end knots, which have
-        # none, would cut it to 3,932
+        # 4,897 at this seed; charging keys to the end knots, which have
+        # none, would cut it to 4,242
         assert certified > 4500
+
+    def test_windowed_batches_are_the_next_pops(self):
+        # round after round on the live path, each over the window of knots
+        # with cost at most a theta drawn from the live costs, every batch is
+        # what the scalar loop pops next, and no shorter than the batch over
+        # every survivor cut at theta
+        rng = np.random.default_rng(1)
+        seen = Counter()
+        for trial in range(2000):
+            n = int(rng.integers(6, 14))
+            kind = trial % 5
+            ks = np.cumsum(rng.integers(1, 4, size=n)).astype(np.float64)
+            if kind == 0:  # exact ties
+                ys = rng.integers(-3, 4, size=n).astype(np.float64)
+            elif kind == 1:  # flat runs
+                ys = np.repeat(rng.integers(-2, 3, size=n), rng.integers(1, 4, size=n))[:n]
+                ys = ys.astype(np.float64)
+                n = len(ys)
+                ks = ks[:n]
+            elif kind == 2:
+                ys = rng.normal(size=n)
+            elif kind == 3:
+                ys = rng.normal(size=n)
+                ks = np.cumsum(rng.uniform(0.2, 2.0, size=n))
+            else:  # a line in float64: equal slopes, but not always across two
+                n = int(rng.integers(20, 40))
+                ks = np.cumsum(rng.choice([0.1, 0.2], size=n))
+                ys = ks * rng.choice([0.7, 1.1, -1.3, 3.0]) + rng.choice([0.0, 0.1])
+            want = _reference_pops(ks.tolist(), ys.tolist(), 1)
+            path = pwl._Path(ks, ys)
+            done = 0
+            while done < len(want):
+                live = path.live()
+                cost = path.cost[live]
+                # every other draw, theta is the smallest cost, so a window
+                # may hold only knots of cost 0
+                theta = cost[rng.integers(len(live))] if rng.integers(2) else cost.min()
+                window = live[cost <= theta]
+                got = pwl._certified(path, window)
+                assert got.tolist() == want[done : done + len(got)]
+                full = pwl._certified(path, live)
+                assert len(got) >= np.count_nonzero(path.cost[full] <= theta)
+                # where theta fell: on a tie, inside a monotone run (the
+                # knot at theta has a smaller and a greater neighbour), at a
+                # knot next to an end knot
+                at = live[cost == theta]
+                seen["tie"] += len(at) > 1
+                j = at[0]
+                sides = [path.cost[x] for x in (path.prev[j], path.nxt[j]) if 0 < x < path.last]
+                seen["run"] += len(sides) == 2 and min(sides) < theta < max(sides)
+                seen["end"] += path.prev[j] == 0 or path.nxt[j] == path.last
+                # a knot of cost 0 whose removal changes its neighbours' keys
+                z = window[path.cost[window] == 0]
+                across = path.slope(path.prev[z], path.nxt[z])
+                seen["not neutral"] += bool((across != path.right[z]).any())
+                path.remove(got)
+                done += len(got)
+            assert np.flatnonzero(path.alive).tolist() == [0, n - 1]
+        assert min(seen[k] for k in ("tie", "run", "end")) > 500, seen
+        assert seen["not neutral"] > 20, seen
+
+    @pytest.mark.parametrize(
+        "name, in_p",
+        [
+            # the sum1 grid of a 16-bit workload cell, off centre
+            ("sigmoid", QuantParams(16, 15.686614731666213 / 65535, 34302)),
+            ("tanh", QuantParams(16, 15.686614731666213 / 65535, 34302)),
+            ("tanh", derive_params(-4.2, 4.2, 16)),
+        ],
+    )
+    def test_workload_grids_match_reference(self, name, in_p, merge_paths):
+        fn = activation_registry(name)[0]
+        table = build_full(fn, in_p, _params_for(name)[2])
+        _assert_reduce_is_reference(table, 32)
+        assert merge_paths["_certified"] > 0
+        assert merge_paths["_scalar_merge"] > 0
+
+    def test_one_bucket_windows_match_reference(self, monkeypatch, merge_paths):
+        # each window opens a single bucket, so windows drain and refill
+        # often, and some buckets hold only knots filed there before their
+        # cost changed
+        monkeypatch.setattr(pwl, "_WINDOW_MIN", 1)
+        opened = Counter()
+        real_open = pwl._Buckets.open
+
+        def counted(buckets):
+            theta, window = real_open(buckets)
+            opened["empty" if len(window) == 0 else "full"] += 1
+            return theta, window
+
+        monkeypatch.setattr(pwl._Buckets, "open", counted)
+        rng = np.random.default_rng(11)
+        for trial in range(40):
+            n = int(rng.integers(50, 400))
+            ks = np.cumsum(rng.uniform(0.2, 2.0, size=n))
+            ys = np.cumsum(rng.normal(size=n)) * np.exp(rng.uniform(-20, 20, size=n))
+            if trial % 2:
+                ys = np.round(np.tanh(ks / ks[-1] * 8 - 4) * 2.0**20) / 2.0**20
+            for pieces in (1, 5, n // 4):
+                want = _reference_knots(ks.tolist(), ys.tolist(), pieces)
+                assert pwl._surviving_knots(ks, ys, pieces).tolist() == want
+        assert opened["full"] > 1000 and opened["empty"] > 0, opened
+        assert merge_paths["_certified"] > 0
+        assert merge_paths["_scalar_merge"] > 0
 
     def test_infinite_costs_match_reference(self):
         # every adjacent slope overflows to +-inf, so every cost is inf
