@@ -110,9 +110,9 @@ def run_model_int(model: mio.IrnnModel, seqs, threads: int = 1) -> dict:
     return graph.run_batch(graph.run_int, model, seqs, threads)
 
 
-def run_model_ref(fm: mio.FloatModel, seqs, threads: int = 1) -> dict:
+def run_model_ref(fm: mio.FloatModel, seqs) -> dict:
     """Batch float64 oracle with the traces of run_model_int."""
-    return graph.run_batch(graph.run_ref, fm, seqs, threads)
+    return graph.run_batch(graph.run_ref, fm, seqs)
 
 
 # ---------------------------------------------------------------- plumbing

@@ -228,15 +228,24 @@ def _model_from(manifest: dict, blob) -> IrnnModel:
     return IrnnModel(kind=kind, cells=cells, attention=attention, meta=meta)
 
 
+def _json(text: str, what: str):
+    """json.loads, with JSON nested too deeply to parse as a ValueError."""
+    try:
+        return json.loads(text)
+    except RecursionError as e:
+        raise ValueError(f"malformed {what}: nested too deeply") from e
+
+
 def load(data: bytes) -> IrnnModel:
     """Parse bytes produced by save(); inference replays bit-identically.
 
     Raises ValueError for a malformed container: a bad magic, another
     format version, a CRC32 that disagrees with the bytes, a payload whose
-    length the blobs' dtypes and shapes do not give, a missing or mistyped
-    manifest field, a blob of another dtype or rank than its reader
-    expects, or a stored scale whose multipliers overflow their
-    fixed-point form when the cells are compiled.
+    length the blobs' dtypes and shapes do not give, a manifest nested too
+    deeply to parse, a missing or mistyped manifest field, a blob of
+    another dtype or rank than its reader expects, or a stored scale whose
+    multipliers overflow their fixed-point form when the cells are
+    compiled.
     """
     if len(data) < _HEADER.size:
         raise ValueError("truncated container: missing header")
@@ -249,7 +258,7 @@ def load(data: bytes) -> IrnnModel:
         raise ValueError("checksum-mismatch: the container's bytes disagree with its CRC32")
     if _HEADER.size + mlen > len(data):
         raise ValueError("truncated container: manifest exceeds payload")
-    manifest = json.loads(data[_HEADER.size : _HEADER.size + mlen].decode("utf-8"))
+    manifest = _json(data[_HEADER.size : _HEADER.size + mlen].decode("utf-8"), "manifest")
     try:
         # each reader takes its blob out, so any left over were read by none
         unread = _unpack(manifest["blobs"], data, _align(_HEADER.size + mlen))
@@ -310,7 +319,7 @@ def load_float(src) -> FloatModel:
         except (zipfile.BadZipFile, EOFError, NotImplementedError) as e:
             raise ValueError(f"float model archive is corrupt: {e}") from e
     kind = str(arrays.pop("kind")) if "kind" in arrays else infer_kind(arrays)
-    meta = json.loads(str(arrays.pop("meta_json"))) if "meta_json" in arrays else {}
+    meta = _json(str(arrays.pop("meta_json")), "meta") if "meta_json" in arrays else {}
     if not all(v.dtype.kind in "biuf" and np.isfinite(v).all() for v in arrays.values()):
         raise ValueError("float model holds non-finite or non-real weights")
     # FloatModel checks the kind and the keys it requires

@@ -8,8 +8,10 @@ always equal the true function value at their knot, so surviving grid
 points evaluate exactly.  The greedy merge runs in numpy rounds, each of
 which removes a batch of knots proven to be the merge's next removals.  A
 round looks only at a window, the survivors whose cost is at most a
-threshold theta; theta rises over buckets of costs when the window drains,
-so a round costs about what it removes, not what survives.
+threshold theta.  Each round rebuilds the window from the live costs,
+with theta at the end of the bucket of costs that holds the 512th
+smallest, so the certificate runs on about what a round removes, not on
+every survivor.
 
 Integer evaluation uses fixed-point slopes/intercepts sharing one fraction
 count, accumulated in int64 with a single final rounding.  A table turns
@@ -311,9 +313,10 @@ def reduce(t: PwlTable, pieces: int) -> PwlTable:
     return PwlTable(t.q_knots[keep], t.values[keep], t.in_params, t.out_params)
 
 
-# A knot's bucket is its cost's float64 bits shifted right by _BUCKET_SHIFT:
-# costs are not negative, so buckets order like costs, two to a binade.  A
-# window opens the next buckets until they hold _WINDOW_MIN filed knots.
+# A cost's bucket is its float64 bits shifted right by _BUCKET_SHIFT: costs
+# are not negative, so buckets order like costs, two to a binade.  Each round
+# rebuilds its window from the live costs: every knot up to the end of the
+# bucket that holds the _WINDOW_MIN-th smallest cost.
 _BUCKET_SHIFT, _WINDOW_MIN = 51, 512
 # inf's bucket, the last
 _INF_BUCKET = int(np.array(np.inf).view(np.int64)) >> _BUCKET_SHIFT
@@ -331,16 +334,13 @@ def _surviving_knots(ks: np.ndarray, ys: np.ndarray, pieces: int) -> np.ndarray:
     over its surviving neighbours and slope(i, j) = (y_j - y_i) / (k_j - k_i)
     in float64; numpy's IEEE subtract, divide and abs give the scalar bits.
 
-    It runs in rounds over a window: the survivors whose cost is at most a
-    threshold theta.  Every other survivor has a key above theta, so the
-    merge pops the whole window, as it stands after each removal, before
-    anything else.  Each round removes at once the batch that _certified
-    proves to be the merge's next pops; a round that certifies too few hands
-    the window to _scalar_merge, which pops it dry.  A removal changes only
-    its neighbours' keys (_Path.remove): a neighbour whose new cost is at
-    most theta joins the window, any other leaves it for _Buckets.  When the
-    window is empty, _Buckets.open raises theta and refills it.  So a round
-    costs about what its window holds, not what survives.
+    It runs in rounds, each over a window rebuilt from the live costs: the
+    survivors whose cost is at most a threshold theta (_theta).  Every other
+    survivor has a key above theta, so the merge pops the whole window, as
+    it stands after each removal, before anything else.  Each round removes
+    at once the batch that _certified proves to be the merge's next pops; a
+    round that certifies too few hands the window to _scalar_merge, which
+    pops it dry.  A removal changes only its neighbours' keys (_Path.remove).
 
     A NaN cost (a slope overflowed) leaves the keys unordered; then
     _scalar_merge pops every survivor, with theta inf.
@@ -349,37 +349,41 @@ def _surviving_knots(ks: np.ndarray, ys: np.ndarray, pieces: int) -> np.ndarray:
     # slopes that overflow give inf and NaN silently, as Python floats do
     with np.errstate(over="ignore", invalid="ignore"):
         path = _Path(ks, ys)
-        buckets = _Buckets(path)
-        window, theta = path.live()[:0], -np.inf
-        ordered = not np.isnan(path.cost).any()
         while todo > 0:
-            if not ordered:
-                path.remove(_scalar_merge(path, path.live(), todo, np.inf))
+            live = path.live()
+            cost = path.cost[live]
+            if np.isnan(cost).any():
+                path.remove(_scalar_merge(path, live, todo, np.inf))
                 break
-            if not len(window):
-                theta, window = buckets.open()
-                continue
+            theta = _theta(cost)
+            window = live[cost <= theta]
             gone = _certified(path, window)[:todo]
             if len(gone) < min(todo, _SCALAR_BELOW):
                 gone = _scalar_merge(path, window, todo, theta)
             todo -= len(gone)
-            changed = path.remove(gone)
-            cost = path.cost[changed]
-            ordered = not np.isnan(cost).any()
-            out = cost > theta
-            buckets.add(changed[out])
-            # two sorted runs, which a stable sort merges
-            window = np.concatenate((window[path.alive[window]], changed[~out]))
-            window = _distinct(np.sort(window, kind="stable"))
-            window = window[~(path.cost[window] > theta)]
+            path.remove(gone)
     return np.flatnonzero(path.alive)
 
 
-def _distinct(a: np.ndarray) -> np.ndarray:
-    """The distinct values of a sorted array."""
-    first = np.ones(len(a), dtype=bool)
-    first[1:] = a[1:] != a[:-1]
-    return a[first]
+def _theta(cost: np.ndarray) -> float:
+    """A round's theta over the live costs: the largest float in the bucket
+    that holds the _WINDOW_MIN-th smallest cost, so the window holds at
+    least _WINDOW_MIN knots.  inf when there are no more than _WINDOW_MIN
+    costs or that bucket is inf's, so the window holds every survivor.
+
+    Two other rules made the 16-bit workload tables slower, by up to four
+    times: a window of exactly the _WINDOW_MIN smallest costs took five
+    times the rounds, and one of the costs up to twice the _WINDOW_MIN-th
+    handed twice the knots to _scalar_merge.
+    """
+    if len(cost) <= _WINDOW_MIN:
+        return np.inf
+    kth = np.partition(cost, _WINDOW_MIN - 1)[_WINDOW_MIN - 1]
+    top = int(kth.view(np.int64)) >> _BUCKET_SHIFT
+    if top >= _INF_BUCKET:
+        return np.inf
+    # the largest float below the next bucket's smallest
+    return float(np.int64(((top + 1) << _BUCKET_SHIFT) - 1).view(np.float64))
 
 
 class _Path:
@@ -410,11 +414,11 @@ class _Path:
         """The surviving interior knots, in index order."""
         return np.flatnonzero(self.alive[1:-1]) + 1
 
-    def remove(self, gone) -> np.ndarray:
-        """Unlink the knots gone; return the interior survivors whose cost
-        changed, in index order.  Removing a set leaves the same path in any
-        order, so each run of gone knots adjacent on the path is unlinked at
-        once, from the survivors on its two sides."""
+    def remove(self, gone) -> None:
+        """Unlink the knots gone and recompute their neighbours' costs.
+        Removing a set leaves the same path in any order, so each run of
+        gone knots adjacent on the path is unlinked at once, from the
+        survivors on its two sides."""
         prev, nxt = self.prev, self.nxt
         g = np.sort(gone)
         self.alive[g] = False
@@ -423,75 +427,9 @@ class _Path:
         hi = nxt[g[np.concatenate((~joined, [True]))]]
         nxt[lo], prev[hi] = hi, lo
         self.right[lo] = self.slope(lo, hi)
-        # lo[i] < hi[i] <= lo[i + 1], so interleaved they are sorted
-        near = np.empty(2 * len(lo), dtype=np.int64)
-        near[0::2], near[1::2] = lo, hi
-        near = _distinct(near)
+        near = np.concatenate((lo, hi))
         near = near[(near > 0) & (near < self.last)]
         self.cost[near] = np.abs(self.right[prev[near]] - self.right[near])
-        return near
-
-
-class _Buckets:
-    """Every survivor outside the window, filed under its cost's bucket.
-
-    A knot that leaves the window is added to pending, and open files it
-    under its cost's bucket then.  A knot whose cost changes is added again,
-    so it may also sit under an old bucket; open skips it there.
-    """
-
-    def __init__(self, path: _Path):
-        self.path = path
-        self.pending = [path.live()]
-        self.filed: dict[int, list] = {}
-        self.count = np.zeros(_INF_BUCKET + 1, dtype=np.int64)
-        self.top = -1  # the last bucket opened
-
-    def add(self, knots: np.ndarray) -> None:
-        self.pending.append(knots)
-
-    def _file(self) -> None:
-        if not self.pending:
-            return
-        idx = np.concatenate(self.pending)
-        self.pending = []
-        idx = idx[self.path.alive[idx]]
-        if not len(idx):
-            return
-        b = (self.path.cost[idx].view(np.int64) >> _BUCKET_SHIFT).astype(np.int16)
-        o = np.argsort(b, kind="stable")
-        idx, b = idx[o], b[o]
-        cut = np.flatnonzero(b[1:] != b[:-1]) + 1
-        keys = b[np.concatenate(([0], cut))].tolist()
-        for key, part in zip(keys, np.split(idx, cut)):
-            self.filed.setdefault(key, []).append(part)
-            self.count[key] += len(part)
-
-    def open(self):
-        """Raise theta over the next buckets; return it and their knots.
-
-        The buckets opened are the next ones that hold _WINDOW_MIN filed
-        knots, or all that are left.  Theta is the largest float in the last
-        of them, inf in the last bucket, so the survivors of cost at most
-        theta are exactly the knots filed under the buckets opened.
-        """
-        self._file()
-        lo = self.top + 1
-        reach = np.cumsum(self.count[lo:])
-        top = min(lo + int(np.searchsorted(reach, _WINDOW_MIN)), _INF_BUCKET)
-        self.count[lo : top + 1] = 0
-        self.top = top
-        theta = np.inf
-        if top < _INF_BUCKET:
-            # the largest float below the next bucket's smallest
-            bits = np.array(((top + 1) << _BUCKET_SHIFT) - 1, dtype=np.int64)
-            theta = float(bits.view(np.float64))
-        parts = [np.empty(0, dtype=np.int64)]
-        for key in sorted(key for key in self.filed if key <= top):
-            parts += self.filed.pop(key)
-        w = np.concatenate(parts)
-        w = w[self.path.alive[w]]
-        return theta, _distinct(np.sort(w[~(self.path.cost[w] > theta)]))
 
 
 def _certified(path: _Path, window: np.ndarray) -> np.ndarray:

@@ -29,12 +29,20 @@ def reseal(data: bytes, edit=None, payload=None) -> bytes:
     """data with edit(manifest) applied to its manifest in place and its
     blob bytes replaced by payload(old blob bytes), under a fresh CRC32;
     the magic and the format version are kept."""
-    magic, version, _, _ = HEADER.unpack_from(data)
     manifest = manifest_of(data)
     if edit is not None:
         edit(manifest)
     blobs = payload_of(data) if payload is None else payload(payload_of(data))
     body = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode()
+    return with_manifest(data, body, blobs)
+
+
+def with_manifest(data: bytes, body: bytes, blobs: bytes | None = None) -> bytes:
+    """data with its manifest's bytes replaced by body, which need not be
+    valid JSON, and its blob bytes by blobs (kept if None), under a fresh
+    CRC32; the magic and the format version are kept."""
+    magic, version, _, _ = HEADER.unpack_from(data)
+    blobs = payload_of(data) if blobs is None else blobs
     pad = b"\0" * (_align64(HEADER.size + len(body)) - HEADER.size - len(body))
     checked = struct.pack("<Q", len(body)) + body + pad + blobs
     return struct.pack("<4sII", magic, version, zlib.crc32(checked)) + checked

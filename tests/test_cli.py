@@ -21,7 +21,7 @@ from irnn.cli import build_model, main
 from irnn.pwl import PwlTable, eval_int
 from irnn.quant import QuantParams
 from irnn.rnn import CellConfig, IntLstmCell
-from reseal import manifest_of, reseal, unsealed
+from reseal import manifest_of, reseal, unsealed, with_manifest
 
 _TABLE_GOLDEN = [
     "scaling,precision,signed_low,signed_high,unsigned_low,unsigned_high",
@@ -410,6 +410,11 @@ def bad_files(tmp_path_factory):
     for name, mutate in old_crc.items():
         files[name] = d / f"{name}.irnn"
         files[name].write_bytes(unsealed(data, mutate))
+    # JSON nested deeper than the parser recurses, under a valid checksum
+    files["nested"] = d / "nested.irnn"
+    files["nested"].write_bytes(with_manifest(data, b"[" * 200_000))
+    files["nested_npz"] = d / "nested_npz.npz"
+    np.savez(files["nested_npz"], **weights, meta_json=np.array("[" * 200_000))
     return {k: str(v) for k, v in files.items()}
 
 
@@ -503,6 +508,10 @@ _BAD_INPUTS = {
     "compare-meta-number": (["compare", "{meta_num}"], 3),
     "compare-meta-null": (["compare", "{meta_null}"], 3),
     "compare-meta-list": (["compare", "{meta_list}"], 3),
+    "run-nested-manifest": (["run", "{nested}"], 3, "malformed manifest"),
+    "quantize-nested-meta": (
+        ["quantize", "{nested_npz}", "--calib", "{calib}", "--out", "{out}"], 3, "malformed meta"
+    ),
 }
 
 

@@ -353,19 +353,17 @@ class TestMergeRounds:
         assert merge_paths["_scalar_merge"] > 0
 
     def test_one_bucket_windows_match_reference(self, monkeypatch, merge_paths):
-        # each window opens a single bucket, so windows drain and refill
-        # often, and some buckets hold only knots filed there before their
-        # cost changed
+        # each window is the one bucket of the smallest live cost, so rounds
+        # are many and small
         monkeypatch.setattr(pwl, "_WINDOW_MIN", 1)
-        opened = Counter()
-        real_open = pwl._Buckets.open
+        rounds = Counter()
+        real_theta = pwl._theta
 
-        def counted(buckets):
-            theta, window = real_open(buckets)
-            opened["empty" if len(window) == 0 else "full"] += 1
-            return theta, window
+        def counted(cost):
+            rounds["theta"] += 1
+            return real_theta(cost)
 
-        monkeypatch.setattr(pwl._Buckets, "open", counted)
+        monkeypatch.setattr(pwl, "_theta", counted)
         rng = np.random.default_rng(11)
         for trial in range(40):
             n = int(rng.integers(50, 400))
@@ -376,9 +374,40 @@ class TestMergeRounds:
             for pieces in (1, 5, n // 4):
                 want = _reference_knots(ks.tolist(), ys.tolist(), pieces)
                 assert pwl._surviving_knots(ks, ys, pieces).tolist() == want
-        assert opened["full"] > 1000 and opened["empty"] > 0, opened
+        assert rounds["theta"] > 1000, rounds
         assert merge_paths["_certified"] > 0
         assert merge_paths["_scalar_merge"] > 0
+
+    def test_theta_ends_the_kth_cost_bucket(self):
+        k = pwl._WINDOW_MIN
+        rng = np.random.default_rng(5)
+        # no more than k costs: the window is every survivor
+        assert pwl._theta(np.zeros(0)) == np.inf
+        assert pwl._theta(rng.uniform(0.0, 1.0, size=k)) == np.inf
+        # a k-th cost of 0: theta is below every positive normal cost
+        zero = np.concatenate((np.zeros(k), rng.uniform(1.0, 2.0, size=7)))
+        theta = pwl._theta(zero)
+        assert 0.0 <= theta < np.finfo(np.float64).tiny
+        # a k-th cost in the last finite bucket: the largest finite float
+        top = np.full(k + 3, np.finfo(np.float64).max * 0.9)
+        assert pwl._theta(top) == np.finfo(np.float64).max
+        # an inf k-th cost: inf
+        assert pwl._theta(np.concatenate((np.ones(k - 1), np.full(4, np.inf)))) == np.inf
+        # otherwise theta covers the k-th cost and stops short of the next
+        # bucket, whose smallest value is the next power of two or 1.5 times
+        # the power of two below
+        for trial in range(200):
+            n = int(rng.integers(k + 1, 3 * k))
+            cost = np.abs(rng.normal(size=n)) * 10.0 ** rng.uniform(-300, 300)
+            if trial % 4 == 0:
+                cost[rng.integers(n, size=n // 2)] = 0.0
+            kth = np.sort(cost)[k - 1]
+            theta = pwl._theta(cost)
+            assert kth <= theta < np.inf
+            mant, exp = np.frexp(kth)  # kth = mant * 2^exp, mant in [0.5, 1)
+            if kth >= np.finfo(np.float64).tiny:
+                nxt = np.ldexp(0.75 if mant < 0.75 else 1.0, exp)
+                assert theta < nxt and np.nextafter(theta, np.inf) == nxt
 
     def test_infinite_costs_match_reference(self):
         # every adjacent slope overflows to +-inf, so every cost is inf
