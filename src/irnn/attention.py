@@ -292,17 +292,20 @@ class AttentionPlan:
         p_sum, p_s = sites["sumqk"], sites["s"]
 
         q_qp = self._qproj(self._gemv_q(hdec))
-        q_sum = self._sumqk.finish(src.key_term + self._sumqk.term(0, q_qp))
+        # the query term broadcasts into a new [T x m_att] sum, rounded there
+        q_sum = self._sumqk.finish_in_place(self._sumqk.term(0, q_qp) + src.key_term)
         q_e = self._e(self._gemv_e(self._tanh_lut.take(q_sum, mode="clip"))[:, 0])
         q_exp, denom = _softmax(q_e, self._to_exp, self.exp_table.lut)
 
         # weighted context: one rounded division per output element; every
         # partial sum is an integer below 2^53 (source() proves it), so
         # float64 is exact
-        num = q_exp.astype(np.float64) @ src.henc
+        num = (q_exp.astype(np.float64) @ src.henc).astype(np.int64)
+        num *= self._ctx_raw
         den = denom << REQUANT_FRACTION_BITS  # even and positive: f >= 1
-        q_s = rounded_div_even(self._ctx_raw * num.astype(np.int64), den)
-        q_s = saturate(q_s + p_s.zero_point, p_s.qmin, p_s.qmax).astype(p_s.dtype)
+        q_s = rounded_div_even(num, den)
+        q_s += p_s.zero_point
+        q_s = saturate(q_s, p_s.qmin, p_s.qmax).astype(p_s.dtype)
 
         if rec is not None:
             p_q, p_e = sites["qproj"], sites["e"]

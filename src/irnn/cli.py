@@ -407,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("model", help=".irnn model path")
     b.add_argument("--seq-len", type=_int_in(1), default=128)
     b.add_argument("--runs", type=_int_in(1), default=100)
-    b.add_argument("--warmup", type=int, default=5)
+    b.add_argument("--warmup", type=_int_in(0), default=5)
     b.add_argument("--seed", type=int, default=42)
     b.set_defaults(func=cmd_bench)
 

@@ -13,7 +13,8 @@ to round away from zero.  A Rescale certifies at construction, from its
 raws, fraction bits and operand bounds alone, whether any of its
 accumulators can be an exact half (see _tie_free).  A certified rescale
 rounds int64 arrays as (acc + half) >> f; every other one keeps the sign
-fix, (acc + (acc >> 63) + half) >> f.  Both give the same codes.
+fix, (acc + (acc >> 63) + half) >> f.  Both give the same codes.  Python
+ints always take the sign fix, which costs next to nothing there.
 """
 
 from __future__ import annotations
@@ -301,6 +302,11 @@ class Rescale:
     whose raw, bound, lo and hi are int64 arrays, one entry per operand
     element.  A rescale is not changed after construction; with_bounds
     makes a variant.
+
+    Calling it on arrays forms the accumulator in one fresh int64 array and
+    rounds it there, in place (finish_in_place), with the constants bound
+    once as 0-d int64 arrays on the first array call.  Python-int operands
+    take plain int arithmetic, which always keeps the sign fix.
     """
 
     __slots__ = ("raws", "f", "zero", "lo", "hi", "bounds", "_tie_free", "_arr")
@@ -333,10 +339,11 @@ class Rescale:
                 raise ValueError("bounds are magnitudes, >= 0")
             total += max(abs(r) * b for r, b in pairs)
             terms.append(pairs)
+        # this also keeps f <= 63, so every shift below is an int64 shift
         if total + (1 << max(f - 1, 0)) > _INT64_MAX:
             raise FxOverflow("rescale accumulator would overflow int64")
         self._tie_free = all(_tie_free(f, combo) for combo in itertools.product(*terms))
-        self._arr = None  # see _array_constants
+        self._arr = None  # see _bind
 
     @property
     def tie_free(self) -> bool:
@@ -344,69 +351,79 @@ class Rescale:
         bounds is an exact half step, so arrays round as (acc + half) >> f."""
         return self._tie_free
 
-    def _array_constants(self) -> tuple:
-        """The int64-array path's constants (raws, half, f, zero, lo, hi) as
-        0-d arrays, which ufuncs take without converting a Python int on
-        every call; () where f is outside 1..63 or a constant is past int64.
+    def _bind(self) -> tuple:
+        """The array path's constants (raw0, raw1, half, f, zero, lo, hi) as
+        0-d int64 arrays, which ufuncs take without converting a Python int
+        on every call, with None for a second raw, zero or bounds it lacks.
 
-        Built on the first array call, so a rescale that only seeds a
-        variant (centered, with_bounds, stack) never builds them; threads
-        that race here build equal tuples."""
-        if self._arr is None:
-            arr, f = (), self.f
-            if 0 < f < 64:
-                try:
-                    consts = (*self.raws, 1 << (f - 1), f, self.zero or None, self.lo, self.hi)
-                    arr = tuple(
-                        None if v is None else np.asarray(v, dtype=np.int64) for v in consts
-                    )
-                except OverflowError:
-                    pass
-            self._arr = arr
-        return self._arr
+        Bound on the first array call, so a rescale that only seeds a
+        variant (centered, with_bounds, stack) never binds them; threads
+        that race here bind equal tuples, each whole."""
+        raws = self.raws if len(self.raws) == 2 else (*self.raws, None)
+        consts = (*raws, (1 << self.f) >> 1, self.f, self.zero or None, self.lo, self.hi)
+        arr = tuple(None if v is None else np.asarray(v, dtype=np.int64) for v in consts)
+        self._arr = arr
+        return arr
 
     def term(self, k: int, t):
         """Operand k scaled into the accumulator (for hoisting a term)."""
         if isinstance(t, np.ndarray):
-            arr = self._array_constants()
-            if arr:
-                return arr[k] * t
+            return (self._arr or self._bind())[k] * t
         return self.raws[k] * t
+
+    def __call__(self, t0, t1=None):
+        if isinstance(t0, np.ndarray) or isinstance(t1, np.ndarray):
+            arr = self._arr or self._bind()
+            if t1 is None:
+                return self.finish_in_place(arr[0] * t0)
+            # the terms may broadcast against each other
+            return self.finish_in_place(arr[0] * t0 + arr[1] * t1)
+        acc = self.raws[0] * int(t0)
+        if t1 is not None:
+            acc += self.raws[1] * int(t1)
+        return self._finish_int(acc)
 
     def finish(self, acc):
         """Round an accumulator of summed terms, add zero, saturate.
 
         acc is a sum of this rescale's own terms, each within its bound: the
-        tie certificate holds only for those.  An int64 array is rounded in
-        one fresh array, never in acc."""
-        return self._finish(acc, False)
+        tie certificate holds only for those.  An array is rounded in a
+        fresh int64 copy, never in acc."""
+        if isinstance(acc, np.ndarray):
+            return self.finish_in_place(acc.astype(np.int64))
+        return self._finish_int(int(acc))
 
-    def _finish(self, acc, own: bool):
-        # own: acc is an array this rescale allocated, which it may overwrite
-        arr = self._arr if self._arr is not None else self._array_constants()
-        if arr and isinstance(acc, np.ndarray) and acc.dtype == np.int64:
-            *_, half, f, zero, lo, hi = arr
-            if not self._tie_free:
-                # acc >> 63 is -1 where acc < 0, which makes it rounded_shift
-                out = acc >> _SIGN_SHIFT
-                out += acc
-                out += half
-            elif own:
-                out = acc
-                out += half
-            else:
-                out = acc + half
-            out >>= f
-            if zero is not None:
-                out += zero
-            if lo is None:
-                return out
-            np.maximum(out, lo, out=out)
-            return np.minimum(out, hi, out=out)
-        out = rounded_shift(acc, self.f) + self.zero
-        if self.lo is None:
-            return out
-        return saturate(out, self.lo, self.hi)
+    def finish_in_place(self, acc: np.ndarray) -> np.ndarray:
+        """finish on an int64 array accumulator that the caller gives up:
+        rounded, shifted by zero and saturated in place, and returned."""
+        _, _, half, f, zero, lo, hi = self._arr or self._bind()
+        if not self._tie_free:
+            # acc >> 63 is -1 where acc < 0: one less for a negative half
+            acc += acc >> _SIGN_SHIFT
+        acc += half
+        acc >>= f
+        if zero is not None:
+            acc += zero
+        if lo is not None:
+            np.maximum(acc, lo, out=acc)
+            np.minimum(acc, hi, out=acc)
+        return acc
+
+    def _finish_int(self, acc: int) -> int:
+        """finish on a Python int, in plain int arithmetic: rounded_shift's
+        sign-fixed add and shift, which needs no tie certificate, then zero
+        and the clip."""
+        f = self.f
+        if f:
+            acc = (acc - (acc < 0) + (1 << (f - 1))) >> f
+        acc += self.zero
+        lo = self.lo
+        if lo is None:
+            return acc
+        if acc < lo:
+            return lo
+        hi = self.hi
+        return hi if acc > hi else acc
 
     def with_bounds(self, lo, hi, zero: int | None = None) -> Rescale:
         """The same multiply and rounding with other saturation bounds and,
@@ -463,14 +480,6 @@ class Rescale:
             bounds=(per_element([bound for _, _, bound in parts]),),
         )
 
-    def __call__(self, *terms):
-        # an array accumulator is a fresh product or sum, so a certified
-        # rescale rounds in place in it
-        acc = self.term(0, terms[0])
-        if len(terms) == 2:
-            acc = acc + self.term(1, terms[1])
-        return self._finish(acc, True)
-
 
 def fx_apply(fx: FixedPointScalar, q, zero_out: int = 0):
     """round(fx.value * q) + zero_out, in integer arithmetic.
@@ -478,7 +487,7 @@ def fx_apply(fx: FixedPointScalar, q, zero_out: int = 0):
     q may be a Python int or an integer ndarray; the result has the same
     kind.  The product raw * q must fit int64, else FxOverflow.
     """
-    if isinstance(q, np.ndarray):
+    if isinstance(q, np.ndarray) and q.ndim:
         q = q.astype(np.int64)
         # not np.abs, which leaves INT64_MIN negative
         bound = max(-int(q.min(initial=0)), int(q.max(initial=0)))

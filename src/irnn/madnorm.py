@@ -106,10 +106,13 @@ class MadNormPlan:
     (minus Z_y) on p_y's grid.
 
     The mean and centered values are centered too (Rescale.centered), so
-    the centering step negates the mean's multiplier.  Row statistics drop
-    the last axis: one row's are Python ints.  The deviation saturates at 1,
-    which is max(q_d, 1), and f >= 1 is checked here, so every divisor
-    q_d << f is even and positive, as rounded_div_even needs."""
+    the centering step negates the mean's multiplier.  One row's mean and
+    deviation are Python ints; a batch's are [..., 1] columns.  The
+    centered values are rounded in the array their product allocated, and
+    scaled for the division there, so the input is never written.  The
+    deviation saturates at 1, which is max(q_d, 1), and f >= 1 is checked
+    here, so every divisor q_d << f is even and positive, as
+    rounded_div_even needs."""
 
     def __init__(
         self,
@@ -142,12 +145,20 @@ class MadNormPlan:
         self.y_lo, self.y_hi = p_y.qmin - p_y.zero_point, p_y.qmax - p_y.zero_point
 
     def __call__(self, xc: np.ndarray) -> np.ndarray:
-        # [h, ...]: each row statistic broadcasts along the last axis
-        xt = xc.T
-        xhat = self.center(xt, self.mean(xt.sum(axis=0)))
-        den = self.dev(np.abs(xhat).sum(axis=0)) << self.f
-        q_y = rounded_div_even(self.raw_y * xhat, den)
-        return saturate(q_y, self.y_lo, self.y_hi).T
+        xhat = self.center.term(0, xc)
+        xhat += self.center.term(1, self.mean(_row_sums(xc)))
+        xhat = self.center.finish_in_place(xhat)
+        den = self.dev(_row_sums(np.abs(xhat))) << self.f
+        xhat *= self.raw_y
+        return saturate(rounded_div_even(xhat, den), self.y_lo, self.y_hi)
+
+
+def _row_sums(a: np.ndarray):
+    """The sums of int64 a over its last axis: a Python int for one row,
+    else [..., 1], which broadcasts back along the row."""
+    if a.ndim == 1:
+        return int(np.add.reduce(a))
+    return np.add.reduce(a, axis=-1, keepdims=True)
 
 
 def madnorm_int(

@@ -283,6 +283,7 @@ class IntLstmCell:
 
     def _compile(self) -> None:
         p, w, m = self.sites, self.weights, self.hidden_size
+        self._m = m
         bias_acc = None
         self._bias_codes = None
         if w.bias is not None:
@@ -337,8 +338,8 @@ class IntLstmCell:
             self.tables[k].lut for k in TABLE_NAMES
         )
         p_sig, p_tanh = UNIT_GRID, TANH_GRID
-        # 0-d arrays, which ufuncs take without converting a Python int
-        self._z_sig = np.asarray(p_sig.zero_point, dtype=np.int64)
+        # a 0-d array, which ufuncs take without converting a Python int;
+        # the sigmoid codes need none, UNIT_GRID's zero point being 0
         self._z_tanh_cell = np.asarray(p_tanh.zero_point, dtype=np.int64)
         # the zero points of the stacked operand [tanh(j), c]
         self._z_jc = np.repeat(
@@ -378,28 +379,37 @@ class IntLstmCell:
         """One timestep on code arrays: xb is this step's input_branch() row,
         h and c the state's codes and s (for a context-fed cell) the context
         codes; returns (h', c').  Nothing is checked: run() checks its input
-        once, and the cell's own outputs are on its grids by construction."""
+        once, and the cell's own outputs are on its grids by construction.
+
+        The inputs are only read.  The gate sum and both gate products are
+        formed in fresh arrays and worked on in place there, each rescale
+        rounds in the array its product allocated, and the sigmoid codes
+        are taken as centered, since UNIT_GRID puts zero at code 0."""
         hb = self._hprod(self._gemv_h(h))
         if self._norm_h is not None:
             hb = self._norm_h(hb)
-        gates = self._sum1.finish(xb + self._sum1.term(1, hb))
+        gates = self._sum1.term(1, hb)
+        gates += xb
+        gates = self._sum1.finish_in_place(gates)
         if self._bias_codes is not None:
-            gates = gates + self._bias_codes
+            gates += self._bias_codes
             if self._gemv_s is not None:
                 gates = saturate(gates, self._sum1.lo, self._sum1.hi)
         if self._gemv_s is not None:
             gates = self._context(gates, self._gemv_s(s))
 
-        m = self.hidden_size
-        sig = np.subtract(self._sig_lut.take(gates, mode="clip"), self._z_sig, dtype=np.int64)
+        m = self._m
+        sig = self._sig_lut.take(gates, mode="clip")
         jc = np.concatenate(
             (self._tanh_gate_lut.take(gates[2 * m : 3 * m], mode="clip"), c), dtype=np.int64
         )
         jc -= self._z_jc
-        ij_fc = self._ij_fc(sig[: 2 * m] * jc)
+        jc *= sig[: 2 * m]
+        ij_fc = self._ij_fc(jc)
         q_c1 = self._c(ij_fc[m:], ij_fc[:m])
         tc = np.subtract(self._tanh_cell_lut.take(q_c1), self._z_tanh_cell, dtype=np.int64)
-        q_h1 = self._h(sig[3 * m :] * tc)
+        tc *= sig[3 * m :]
+        q_h1 = self._h(tc)
         return q_h1.astype(self._h_dtype), q_c1.astype(self._c_dtype)
 
     def run(self, qxs: QTensor, context=None) -> QTensor:

@@ -424,6 +424,7 @@ _BAD_INPUTS = {
     "run-seq-len-0": (["run", "{model}", "--seq-len", "0"], 2),
     "bench-seq-len-0": (["bench", "{model}", "--seq-len", "0"], 2),
     "bench-runs-0": (["bench", "{model}", "--runs", "0"], 2),
+    "bench-warmup-negative": (["bench", "{model}", "--warmup", "-3"], 2, "at least 0"),
     "quantize-pwl-pieces-0": (
         ["quantize", "{npz}", "--calib", "{calib}", "--out", "{out}", "--pwl-pieces", "0"], 2
     ),

@@ -424,6 +424,81 @@ class TestInPlaceFinish:
         assert acc.tolist() == [-7, 0, 9]
 
 
+class TestPythonIntPath:
+    """Rescale on Python ints, in plain int arithmetic, against its int64-array
+    path and big ints: __call__ and finish, bare, with a zero point and
+    with a clip that bites, on the tie-free and the sign-fix kernel."""
+
+    def _check(self, raws, f, bounds, operands, rng) -> bool:
+        """operands: term tuples of Python ints, each within bounds; returns
+        whether the rescale is tie-free."""
+        zero = int(rng.integers(-(2**20), 2**20))
+        bare, shifted = Rescale(raws, f, bounds=bounds), Rescale(raws, f, zero, bounds=bounds)
+        accs = [sum(r * t for r, t in zip(raws, ts)) for ts in operands]
+        rounded = [_ref_round_div(a, 2**f) + zero for a in accs]
+        distinct = sorted(set(rounded))
+        lo, hi = distinct[1], distinct[-2]
+        clipped = Rescale(raws, f, zero, lo, hi, bounds=bounds)
+        cols = [np.array(col, dtype=np.int64) for col in zip(*operands)]
+        for op in (bare, shifted, clipped):
+            assert op.tie_free == bare.tie_free
+            array = op(*cols).tolist()
+            assert op.finish(np.array(accs, dtype=np.int64)).tolist() == array
+            ints = [op(*ts) for ts in operands]
+            assert all(type(v) is int for v in ints)
+            assert ints == array == [op.finish(a) for a in accs]
+            want = [_ref_round_div(a, 2**f) + op.zero for a in accs]
+            if op.lo is not None:
+                want = [min(max(v, lo), hi) for v in want]
+            assert array == want
+        # the clip bites on both sides
+        assert min(rounded) < lo <= hi < max(rounded)
+        return bare.tie_free
+
+    def test_one_term_every_half_and_the_bounds(self):
+        # raw = 2^(f-1): every odd operand is an exact half, of either sign
+        rng = np.random.default_rng(42)
+        for f in range(1, 63):
+            raw = 1 << (f - 1)
+            bound = min(9, (2**63 - 1 - raw) // raw)
+            operands = [(t,) for t in range(-bound, bound + 1)]
+            assert not self._check((raw,), f, (bound,), operands, rng), f
+
+    def test_two_terms_every_half_in_the_box(self):
+        # raws 2^(f-1) and 3 * 2^(f-1): a + 3b odd is an exact half
+        rng = np.random.default_rng(42)
+        box = [(a, b) for a in range(-4, 5) for b in range(-3, 4)]
+        for f in range(1, 61):
+            half = 1 << (f - 1)
+            assert not self._check((half, 3 * half), f, (4, 3), box, rng), f
+
+    def test_tie_free_at_the_bounds(self):
+        # an odd raw times operands below 2^(f-1) never lands on a half,
+        # and a second raw that is a multiple of 2^f moves no residue
+        rng = np.random.default_rng(42)
+        for f in range(2, 58):
+            bound = (1 << (f - 1)) - 1
+            headroom = 2**63 - 1 - (1 << (f - 1)) - (3 << f) * 5
+            raw = (min(int(rng.integers(1, 2**40)), headroom // bound) - 1) | 1
+            mids = rng.integers(-bound, bound, size=30, endpoint=True).tolist()
+            ends = [-bound, bound, 1 - bound, bound - 1, 0, 1, -1]
+            assert self._check((raw,), f, (bound,), [(t,) for t in ends + mids], rng), f
+            pairs = [(t, u) for t in ends + mids[:5] for u in (-5, 0, 5)]
+            assert self._check((raw, 3 << f), f, (bound, 5), pairs, rng), f
+
+    def test_zero_fraction_bits(self):
+        rng = np.random.default_rng(42)
+        box = [(a, b) for a in range(-5, 6) for b in range(-5, 6)]
+        assert self._check((3,), 0, (5,), [(t,) for t in range(-5, 6)], rng)
+        assert self._check((-7, 2), 0, (5, 5), box, rng)
+
+    def test_numpy_scalar_operands(self):
+        op = Rescale((3, 5), 2, 7, 0, 20, bounds=(9, 9))
+        for a, b in ((-9, 9), (3, -2), (9, 9), (-9, -9)):
+            got = op(np.int64(a), np.int64(b))
+            assert type(got) is int and got == op(a, b) == op.finish(3 * a + 5 * b)
+
+
 class TestCenteredRescale:
     def test_equals_uncentered_minus_zero(self):
         rng = np.random.default_rng(42)

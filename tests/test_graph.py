@@ -8,7 +8,8 @@ import pytest
 from irnn import graph
 from irnn import model_io as mio
 from irnn import rnn
-from irnn.cli import build_model
+from irnn.cli import build_model, run_model_int
+from irnn.quant import dequantize, quantize_tensor
 from irnn.rnn import CellConfig
 
 N_FEAT = M = 8
@@ -138,3 +139,95 @@ class TestRun:
         graph.run_batch(graph.run_ref, oracle, seqs)
         assert calls.count("run") == calls.count("ref") == 2 * len(seqs)
         assert traces["att"].shape == (3, 6, M)
+
+
+def _frozen(*arrays):
+    """Mark arrays read-only, so that any write into them raises, and return
+    copies to compare them with afterwards."""
+    for a in arrays:
+        a.flags.writeable = False
+    return [a.copy() for a in arrays]
+
+
+class TestKernelInputs:
+    """The step kernels work in place only in arrays they allocate: every
+    input stays unwritten, and a run on read-only inputs has the bits of
+    graph.run_int."""
+
+    def _model(self, kind, cfg):
+        rng = np.random.default_rng(42)
+        fm = graph.FloatModel(kind, _arrays(kind, rng, n=64, m=64))
+        model = build_model(fm, rng.normal(0.0, 1.0, size=(8, 12, 64)), cfg)
+        xs = rng.normal(0.0, 1.0, size=(12, 64))
+        return model, quantize_tensor(xs, model.input_cell.sites["x"]), xs
+
+    @staticmethod
+    def _zero_state(cell):
+        return [np.full(cell.hidden_size, cell.sites[k].zero_point, dtype=cell.sites[k].dtype)
+                for k in ("h", "c")]
+
+    def test_lstm_step(self):
+        model, qxs, xs = self._model("lstm", CellConfig(16, 16, use_madnorm=True))
+        cell = model.input_cell
+        # each step reads one row view of the input branch's [T x 4m] array
+        xb = cell.input_branch(qxs.data)
+        (xb_was,) = _frozen(xb)
+        h, c = self._zero_state(cell)
+        hs = []
+        for t in range(len(xb)):
+            was = _frozen(h, c)
+            h1, c1 = cell.step(xb[t], h, c)
+            for a, b in zip((h, c), was):
+                np.testing.assert_array_equal(a, b)
+            h, c = h1, c1
+            hs.append(h)
+        np.testing.assert_array_equal(xb, xb_was)
+        want = graph.run_int(model, xs)["out"]
+        np.testing.assert_array_equal(dequantize(np.stack(hs), cell.sites["h"]), want)
+
+    def test_encdec_decoder_and_attention(self):
+        model, qxs, xs = self._model("encdec", CellConfig())
+        enc, dec, att = model.cells["enc"], model.cells["dec"], model.attention
+        src = att.source(enc.run(qxs))
+        src_was = _frozen(src.keys, src.key_term, src.henc)
+        xb = dec.input_branch(qxs.data)
+        (xb_was,) = _frozen(xb)
+        h, c = self._zero_state(dec)
+        hs = []
+        for t in range(len(xb)):
+            was = _frozen(h, c)
+            s = att.context(h, src)
+            was += _frozen(s)
+            h1, c1 = dec.step(xb[t], h, c, s)
+            for a, b in zip((h, c, s), was):
+                np.testing.assert_array_equal(a, b)
+            h, c = h1, c1
+            hs.append(h)
+        for a, b in zip((src.keys, src.key_term, src.henc, xb), [*src_was, xb_was]):
+            np.testing.assert_array_equal(a, b)
+        want = graph.run_int(model, xs)["out"]
+        np.testing.assert_array_equal(dequantize(np.stack(hs), dec.sites["h"]), want)
+
+
+@pytest.mark.parametrize("kind,cfg", [
+    ("lstm", CellConfig(16, 16, use_madnorm=True)),
+    ("encdec", CellConfig(use_madnorm=True)),
+])
+def test_first_threaded_call_on_a_fresh_load(kind, cfg):
+    # a loaded model binds each rescale's array constants on its first
+    # call, so the first threaded call races on the binding; switching
+    # threads every microsecond, on a few fresh loads, makes the race likely
+    rng = np.random.default_rng(42)
+    fm = graph.FloatModel(kind, _arrays(kind, rng))
+    blob = mio.save(build_model(fm, rng.normal(0.0, 1.0, size=(6, 10, N_FEAT)), cfg))
+    seqs = rng.normal(0.0, 1.0, size=(8, 10, N_FEAT))
+    single = run_model_int(mio.load(blob), seqs, threads=1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        pooled = [run_model_int(mio.load(blob), seqs, threads=4) for _ in range(5)]
+    finally:
+        sys.setswitchinterval(interval)
+    for run in pooled:
+        for key in single:
+            np.testing.assert_array_equal(single[key], run[key])
