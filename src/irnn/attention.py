@@ -162,9 +162,9 @@ def _softmax(q_e, to_table: Rescale, exp_lut: np.ndarray):
     """Max-shifted exp weights and their sum; exp_lut covers the table grid,
     so the clipped gather saturates an unsaturated to_table."""
     q_e = np.asarray(q_e)
-    shifted = np.subtract(q_e, q_e.max(), dtype=np.int64)
+    shifted = np.subtract(q_e, np.maximum.reduce(q_e, axis=None), dtype=np.int64)
     q_exp = exp_lut.take(to_table(shifted), mode="clip")
-    denom = int(q_exp.sum(dtype=np.int64))
+    denom = int(np.add.reduce(q_exp, axis=None, dtype=np.int64))
     if denom <= 0:
         raise AssertionError("softmax denominator must be positive")
     return q_exp, denom
@@ -235,14 +235,17 @@ class AttentionPlan:
         self._sumqk = sum_rescale(
             p_q.scale, p_k.scale, p_sum, (max_centered(p_q), max_centered(p_k))
         ).unsaturated()
+        self._sumqk_c = self._sumqk.fold_constant()  # carried by the query term
         self._gemv_e = ExactGemv(w.v, TANH_GRID)
         self._e = self._gemv_e.rescale(sites["e"]).centered()
         # the tanh LUT spans the sumqk grid: a clipped index is a saturated code
         self._tanh_lut = tanh_table.lut
         self._to_exp = _softmax_rescale(sites["e"], EXP_GRID).unsaturated()
-        self._ctx_raw = to_fixed(
-            sites["henc"].scale / sites["s"].scale, REQUANT_FRACTION_BITS
-        ).raw
+        p_s = sites["s"]
+        self._ctx_raw = to_fixed(sites["henc"].scale / p_s.scale, REQUANT_FRACTION_BITS).raw
+        # the context tail's multiplier, Z_s and s bounds, as 0-d int64
+        self._ctx = tuple(np.asarray(v, dtype=np.int64)
+                          for v in (self._ctx_raw, p_s.zero_point, p_s.qmin, p_s.qmax))
 
     @staticmethod
     def table_grids(sites: Mapping) -> dict:
@@ -287,25 +290,29 @@ class AttentionPlan:
         return AttentionIntermediates(**rec)
 
     def _step(self, hdec, src, rec):
-        """The step kernel on codes; with rec a dict, it records the intermediates."""
+        """The step kernel on codes; with rec a dict, it records the intermediates.
+        The query term carries the sumqk rounding add and zero point, so the
+        [T x m_att] sum it broadcasts into takes one add and one shift."""
         sites = self.weights.sites
         p_sum, p_s = sites["sumqk"], sites["s"]
 
         q_qp = self._qproj(self._gemv_q(hdec))
-        # the query term broadcasts into a new [T x m_att] sum, rounded there
-        q_sum = self._sumqk.finish_in_place(self._sumqk.term(0, q_qp) + src.key_term)
+        q_term = self._sumqk.term(0, q_qp)
+        q_term += self._sumqk_c
+        q_sum = self._sumqk.finish_in_place(q_term + src.key_term, self._sumqk_c)
         q_e = self._e(self._gemv_e(self._tanh_lut.take(q_sum, mode="clip"))[:, 0])
         q_exp, denom = _softmax(q_e, self._to_exp, self.exp_table.lut)
 
         # weighted context: one rounded division per output element; every
         # partial sum is an integer below 2^53 (source() proves it), so
         # float64 is exact
+        raw, zero, lo, hi = self._ctx
         num = (q_exp.astype(np.float64) @ src.henc).astype(np.int64)
-        num *= self._ctx_raw
+        num *= raw
         den = denom << REQUANT_FRACTION_BITS  # even and positive: f >= 1
         q_s = rounded_div_even(num, den)
-        q_s += p_s.zero_point
-        q_s = saturate(q_s, p_s.qmin, p_s.qmax).astype(p_s.dtype)
+        q_s += zero
+        q_s = saturate(q_s, lo, hi).astype(p_s.dtype)
 
         if rec is not None:
             p_q, p_e = sites["qproj"], sites["e"]

@@ -52,6 +52,10 @@ _INT64_MAX = 2**63 - 1
 _F64_EXACT = 2**53
 # acc >> 63 is -1 where acc < 0, else 0
 _SIGN_SHIFT = np.asarray(63, dtype=np.int64)
+try:  # the clip ufunc, min(max(x, lo), hi) in one call
+    from numpy._core.umath import clip as _clip
+except ImportError:  # numpy < 2
+    from numpy.core.umath import clip as _clip
 
 
 class FxOverflow(OverflowError):
@@ -124,7 +128,9 @@ def rounded_div_even(num, den):
     (num - (num < 0) + den/2) // den: for num = -a < 0 it is
     ceil((-a - den/2) / den) = -floor((a + den/2) / den) because den/2 is an
     integer.  num is an int64 array, which is not written, or an int."""
-    out = num >> 63
+    if not isinstance(num, np.ndarray):
+        return (num - (num < 0) + den // 2) // den
+    out = num >> _SIGN_SHIFT
     out += num
     out += den // 2
     out //= den
@@ -194,11 +200,11 @@ def _tie_free(f: int, terms) -> bool:
     return above == n
 
 
-def saturate(x, lo: int, hi: int):
-    """Clip integer codes to [lo, hi]; an int64 array is clipped in place."""
+def saturate(x, lo, hi):
+    """Clip integer codes to [lo, hi]; an int64 array is clipped in place by
+    one clip ufunc call, to int, 0-d int64 or broadcasting array bounds."""
     if isinstance(x, np.ndarray):
-        np.maximum(x, lo, out=x)
-        return np.minimum(x, hi, out=x)
+        return _clip(x, lo, hi, out=x)
     return min(max(int(x), lo), hi)
 
 
@@ -305,11 +311,14 @@ class Rescale:
 
     Calling it on arrays forms the accumulator in one fresh int64 array and
     rounds it there, in place (finish_in_place), with the constants bound
-    once as 0-d int64 arrays on the first array call.  Python-int operands
-    take plain int arithmetic, which always keeps the sign fix.
+    once as 0-d int64 arrays on the first array call, and saturates it with
+    one clip ufunc call; a short term that broadcasts into the accumulator
+    can carry the rounding add and the zero point (fold_constant).
+    Python-int operands take plain int arithmetic, which always keeps the
+    sign fix.
     """
 
-    __slots__ = ("raws", "f", "zero", "lo", "hi", "bounds", "_tie_free", "_arr")
+    __slots__ = ("raws", "f", "zero", "lo", "hi", "bounds", "_peak", "_tie_free", "_arr")
 
     def __init__(self, raws, f: int, zero: int = 0, lo=None, hi=None, *, bounds):
         if not 1 <= len(raws) <= 2:
@@ -342,6 +351,7 @@ class Rescale:
         # this also keeps f <= 63, so every shift below is an int64 shift
         if total + (1 << max(f - 1, 0)) > _INT64_MAX:
             raise FxOverflow("rescale accumulator would overflow int64")
+        self._peak = total
         self._tie_free = all(_tie_free(f, combo) for combo in itertools.product(*terms))
         self._arr = None  # see _bind
 
@@ -393,21 +403,32 @@ class Rescale:
             return self.finish_in_place(acc.astype(np.int64))
         return self._finish_int(int(acc))
 
-    def finish_in_place(self, acc: np.ndarray) -> np.ndarray:
+    def finish_in_place(self, acc: np.ndarray, c=None) -> np.ndarray:
         """finish on an int64 array accumulator that the caller gives up:
-        rounded, shifted by zero and saturated in place, and returned."""
+        rounded, shifted by zero and saturated in place, and returned.  With
+        c = fold_constant(), acc already carries c, so one shift rounds it
+        and adds zero, and the sign fix reads the sign of acc - c."""
         _, _, half, f, zero, lo, hi = self._arr or self._bind()
         if not self._tie_free:
-            # acc >> 63 is -1 where acc < 0: one less for a negative half
-            acc += acc >> _SIGN_SHIFT
-        acc += half
+            # x >> 63 is -1 where x < 0: one less for a negative half
+            acc += (acc if c is None else acc - c) >> _SIGN_SHIFT
+        if c is None:
+            acc += half
         acc >>= f
-        if zero is not None:
+        if zero is not None and c is None:
             acc += zero
         if lo is not None:
-            np.maximum(acc, lo, out=acc)
-            np.minimum(acc, hi, out=acc)
+            _clip(acc, lo, hi, out=acc)
         return acc
+
+    def fold_constant(self) -> np.ndarray:
+        """half + (zero << f) as a 0-d int64, for one term to carry into the
+        accumulator (see finish_in_place); FxOverflow unless every
+        accumulator plus it fits int64."""
+        c = ((1 << self.f) >> 1) + (self.zero << self.f)
+        if self._peak + abs(c) > _INT64_MAX:
+            raise FxOverflow("folded rounding constant would overflow int64")
+        return np.asarray(c, dtype=np.int64)
 
     def _finish_int(self, acc: int) -> int:
         """finish on a Python int, in plain int arithmetic: rounded_shift's
@@ -430,7 +451,8 @@ class Rescale:
         given, another zero point.  The overflow proof and the tie
         certificate do not depend on either, so the variant keeps them."""
         out = object.__new__(Rescale)
-        out.raws, out.f, out.bounds, out._tie_free = self.raws, self.f, self.bounds, self._tie_free
+        out.raws, out.f, out.bounds = self.raws, self.f, self.bounds
+        out._peak, out._tie_free = self._peak, self._tie_free
         out.zero = self.zero if zero is None else int(zero)
         out.lo, out.hi, out._arr = lo, hi, None
         return out

@@ -112,7 +112,9 @@ class MadNormPlan:
     scaled for the division there, so the input is never written.  The
     deviation saturates at 1, which is max(q_d, 1), and f >= 1 is checked
     here, so every divisor q_d << f is even and positive, as
-    rounded_div_even needs."""
+    rounded_div_even needs.  The plan's own constants, raw_y and the y
+    bounds, are 0-d int64 arrays, and the output saturates with one call of
+    the clip ufunc."""
 
     def __init__(
         self,
@@ -139,10 +141,11 @@ class MadNormPlan:
         self.dev = requant_rescale(
             requant_multiplier(p_xhat.scale / (p_d.scale * h)), p_d, h * max_centered(p_xhat)
         ).with_bounds(1, p_d.qmax)
-        self.raw_y = to_fixed(p_xhat.scale / (p_y.scale * p_d.scale), f).raw
-        if abs(self.raw_y) * 2**p_xhat.bitwidth > _INT64_MAX:
+        raw_y = to_fixed(p_xhat.scale / (p_y.scale * p_d.scale), f).raw
+        if abs(raw_y) * 2**p_xhat.bitwidth > _INT64_MAX:
             raise FxOverflow("normalization numerator would overflow int64")
-        self.y_lo, self.y_hi = p_y.qmin - p_y.zero_point, p_y.qmax - p_y.zero_point
+        self.raw_y, self.y_lo, self.y_hi = (np.asarray(v, dtype=np.int64) for v in (
+            raw_y, p_y.qmin - p_y.zero_point, p_y.qmax - p_y.zero_point))
 
     def __call__(self, xc: np.ndarray) -> np.ndarray:
         xhat = self.center.term(0, xc)

@@ -119,10 +119,14 @@ def derive_params(rmin: float, rmax: float, bitwidth: int) -> QuantParams:
 
 def quantize(x, p: QuantParams):
     """Map real values to storage codes, saturating at 0 and qmax; the
-    codes clip before the integer conversion, however far off x lies."""
+    codes clip before the integer conversion, however far off x lies, so
+    +-inf saturates.  NaN has no code: ValueError."""
     with np.errstate(over="ignore"):
-        t = np.asarray(x, dtype=np.float64) / p.scale
-    q = round_half_away(np.clip(t, -p.zero_point, p.qmax - p.zero_point)) + p.zero_point
+        t = np.clip(np.asarray(x, dtype=np.float64) / p.scale, -p.zero_point, p.qmax - p.zero_point)
+    nan = np.flatnonzero(np.isnan(t))
+    if nan.size:
+        raise ValueError(f"cannot quantize a non-finite input: NaN at flat index {nan[0]}")
+    q = round_half_away(t) + p.zero_point
     return q if np.ndim(x) == 0 else q.astype(p.dtype)
 
 

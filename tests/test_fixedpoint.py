@@ -424,6 +424,155 @@ class TestInPlaceFinish:
         assert acc.tolist() == [-7, 0, 9]
 
 
+class TestClipUfunc:
+    """saturate and finish_in_place clip with one call of the clip ufunc; in
+    place on int64 arrays they equal np.maximum then np.minimum."""
+
+    @staticmethod
+    def _max_min(x, lo, hi):
+        out = x.copy()
+        np.maximum(out, lo, out=out)
+        return np.minimum(out, hi, out=out)
+
+    def test_saturate_bounds_of_every_kind(self):
+        rng = np.random.default_rng(42)
+        x = rng.integers(-(2**40), 2**40, size=64)
+        lo_el = rng.integers(-(2**40), 0, size=64)
+        hi_el = rng.integers(0, 2**40, size=64)
+        for lo, hi in (
+            (-(2**20), 2**20),
+            (np.asarray(-(2**20), dtype=np.int64), np.asarray(2**20, dtype=np.int64)),
+            (0, np.asarray(2**39, dtype=np.int64)),
+            (lo_el, hi_el),
+            (lo_el[None, :], hi_el[None, :]),
+        ):
+            a = np.array(x) if np.ndim(lo) < 2 else np.array(x)[None, :].repeat(3, axis=0)
+            want = self._max_min(a, lo, hi)
+            out = saturate(a, lo, hi)
+            assert out is a
+            np.testing.assert_array_equal(out, want)
+            # the clip bites on both sides
+            assert (want != np.broadcast_to(x, want.shape)).any(axis=-1).all()
+        assert saturate(300, np.int64(0), np.int64(255)) == 255
+
+    def test_finish_in_place_scalar_and_zero_d_bounds(self):
+        rng = np.random.default_rng(42)
+        t = rng.integers(-(2**30), 2**30, size=200)
+        op = Rescale((12345,), 17, 9, -(2**20), 2**20, bounds=(2**30,))
+        bare = op.unsaturated().finish(op.term(0, t))
+        want = self._max_min(bare, -(2**20), 2**20)
+        assert (want != bare).sum() > 10
+        acc = op.term(0, t)
+        out = op.finish_in_place(acc)
+        assert out is acc
+        np.testing.assert_array_equal(out, want)
+        # the bound 0-d constants
+        assert all(v.ndim == 0 and v.dtype == np.int64 for v in op._arr[2:])
+
+    def test_finish_in_place_per_element_bounds(self):
+        # as in the cell's stacked ij_fc rescale: one lo, hi and raw per
+        # element of the stacked operand
+        rng = np.random.default_rng(42)
+        parts = [
+            (Rescale((raw,), f, 0, lo, hi, bounds=(2**14,)), 16, 2**14)
+            for raw, f, lo, hi in ((3001, 9, -300, 200), (-77, 4, -1000, 1500), (5, 1, -9, 9))
+        ]
+        op = Rescale.stack(parts)
+        assert op.lo.shape == op.hi.shape == (48,)
+        t = rng.integers(-(2**14), 2**14 + 1, size=(5, 48))
+        bare = op.unsaturated().finish(op.term(0, t))
+        want = self._max_min(bare, op.lo, op.hi)
+        assert (want != bare).any() and (want == bare).any()
+        np.testing.assert_array_equal(op.finish_in_place(op.term(0, t)), want)
+
+    def test_rounded_div_even_on_ints_gives_an_int(self):
+        for num, den in ((-7, 4), (7, 4), (-6, 4), (0, 2), (-(2**70) - 2**69, 2**70)):
+            out = rounded_div_even(num, den)
+            assert type(out) is int
+            assert out == _ref_round_div(num, den)
+
+
+def _folded(op: Rescale, t0, t1):
+    """op on the two terms with the rounding constant carried by term 0, as
+    the attention step forms its [T x m_att] sum."""
+    c = op.fold_constant()
+    short = op.term(0, t0)
+    short += c
+    return op.finish_in_place(short + op.term(1, t1), c)
+
+
+class TestFoldedFinish:
+    """finish_in_place on acc + fold_constant() against finish on acc and big
+    ints, on a certified rescale and on one whose raws are rich in trailing
+    zeros, so that it keeps the sign fix."""
+
+    CERTIFIED = ((794568949, 869730877), 20, (300, 200))
+    RICH = ((3 << 10, 5 << 12), 14, (300, 200))
+
+    def _check(self, op: Rescale, t0, t1):
+        acc = op.term(0, t0) + op.term(1, t1)
+        want = _ref_rescaled(acc, op)
+        before = [t0.copy(), t1.copy()]
+        np.testing.assert_array_equal(op.finish(acc), want)
+        np.testing.assert_array_equal(_folded(op, t0, t1), want)
+        for a, b in zip((t0, t1), before):
+            np.testing.assert_array_equal(a, b)
+        return acc
+
+    def test_every_half_and_the_bounds(self):
+        for (raws, f, bounds), tie_free in ((self.CERTIFIED, True), (self.RICH, False)):
+            for zero, lo, hi in ((0, None, None), (3001, None, None), (-517, -(2**9), 2**9)):
+                op = Rescale(raws, f, zero, lo, hi, bounds=bounds)
+                assert op.tie_free is tie_free
+                # every operand pair of the box: ±bounds and, where any
+                # exists, every exact half; term 0 is the broadcast row
+                a, b = bounds
+                t0 = np.arange(-a, a + 1, dtype=np.int64)
+                t1 = np.arange(-b, b + 1, dtype=np.int64)[:, None]
+                acc = self._check(op, t0, t1)
+                assert _has_tie(acc, f) is not tie_free
+
+    def test_seeded_random_sample(self):
+        rng = np.random.default_rng(42)
+        kinds = {True: 0, False: 0}
+        for _ in range(300):
+            raws = [_random_raw(rng) for _ in range(2)]
+            f = int(rng.integers(1, 30))
+            bounds = [int(2 ** rng.uniform(0, 12)) for _ in range(2)]
+            zero = int(rng.integers(-(2**16), 2**16))
+            clip = sorted(int(v) for v in rng.integers(-(2**10), 2**10, size=2))
+            op = Rescale(raws, f, zero, *(clip if rng.random() < 0.5 else (None, None)),
+                         bounds=bounds)
+            t0 = rng.integers(-bounds[0], bounds[0] + 1, size=16)
+            t1 = rng.integers(-bounds[1], bounds[1] + 1, size=(24, 16))
+            t0[:2], t1[:2, :2] = (-bounds[0], bounds[0]), [[-bounds[1]], [bounds[1]]]
+            self._check(op, t0, t1)
+            kinds[op.tie_free] += 1
+        assert min(kinds.values()) >= 50, kinds
+
+    def test_headroom_for_the_constant(self):
+        # C = half + (zero << f) = 1 + 2 * zero at f = 1; the accumulator
+        # bound plus |C| must fit int64, checked in Python ints
+        for zero in (5, 2**40, -(2**40)):
+            c = 1 + 2 * zero
+            room = (1 << 63) - 1 - abs(c)
+            op = Rescale((1,), 1, zero, bounds=(room,))
+            assert int(op.fold_constant()) == c
+            t = np.array([-room, -room + 1, -1, 0, 1, room - 1, room], dtype=np.int64)
+            v = op.term(0, t)
+            v += op.fold_constant()
+            want = [_ref_round_div(int(x), 2) + zero for x in t]
+            assert op.finish_in_place(v, op.fold_constant()).tolist() == want
+            with pytest.raises(FxOverflow, match="folded rounding constant"):
+                Rescale((1,), 1, zero, bounds=(room + 1,)).fold_constant()
+        # a zero point that a plain finish adds after the shift overflows
+        # before it: 2 << 62 is 2^63
+        op = Rescale((1,), 62, 2, bounds=(1,))
+        assert op.finish(np.array([-1, 0, 1])).tolist() == [2, 2, 2]
+        with pytest.raises(FxOverflow, match="folded rounding constant"):
+            op.fold_constant()
+
+
 class TestPythonIntPath:
     """Rescale on Python ints, in plain int arithmetic, against its int64-array
     path and big ints: __call__ and finish, bare, with a zero point and

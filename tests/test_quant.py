@@ -6,10 +6,14 @@ arithmetic, so the fixture params are constructed with the same rounded
 constants rather than re-derived exact ratios.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
+from irnn.cli import build_model, run_model_int
 from irnn.fixedpoint import FxOverflow
+from irnn.graph import FloatModel
 from irnn.quant import (
     ExactGemv,
     Observer,
@@ -24,6 +28,7 @@ from irnn.quant import (
     quantize_tensor,
     requantize,
 )
+from irnn.rnn import CellConfig
 
 # ranges [-1,1], [0,5], [-5,5], [-2,2], [-1,6] at 8 bits, scales as printed
 P_UNIT = QuantParams(8, 0.0078, 128)
@@ -169,6 +174,50 @@ class TestQuantizeDequantize:
         assert q.shape == (3, 4) and q.dtype == np.uint8
         q16 = quantize(0.5, derive_params(-1, 1, 16))
         assert isinstance(q16, int)
+
+
+class TestNonFiniteInput:
+    """NaN has no code; +-inf saturates at the end codes."""
+
+    def test_nan_raises_inf_saturates(self):
+        p = QuantParams(8, 0.05, 128)
+        with pytest.raises(ValueError, match="NaN at flat index 1"):
+            quantize([0.1, float("nan"), float("inf"), float("-inf")], p)
+        with pytest.raises(ValueError, match="NaN at flat index 3"):
+            quantize(np.array([[0.0, 1.0], [2.0, np.nan]]), p)
+        with pytest.raises(ValueError, match="NaN"):
+            quantize(float("nan"), p)
+        with pytest.raises(ValueError, match="NaN"):
+            quantize_tensor(np.array([np.nan]), p)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert quantize([0.1, float("inf"), float("-inf")], p).tolist() == [130, 255, 0]
+            assert (quantize(float("inf"), p), quantize(float("-inf"), p)) == (255, 0)
+
+    @pytest.mark.parametrize("kind", ["lstm", "encdec"])
+    def test_run_model_int_rejects_nan(self, kind):
+        rng = np.random.default_rng(42)
+        n = m = 8
+
+        def cell(prefix, context=0):
+            arrays = {prefix + "wx": rng.normal(0.0, 0.3, size=(4 * m, n)),
+                      prefix + "wh": rng.normal(0.0, 0.3, size=(4 * m, m))}
+            if context:
+                arrays[prefix + "ws"] = rng.normal(0.0, 0.3, size=(4 * m, context))
+            return arrays
+
+        arrays = cell("") if kind == "lstm" else {
+            **cell("enc_"), **cell("dec_", context=m),
+            **{"att_" + k: rng.normal(0.0, 0.4, size=(m, m)) for k in ("wq", "wk")},
+            "att_v": rng.normal(0.0, 0.4, size=m),
+        }
+        model = build_model(FloatModel(kind, arrays), rng.normal(0.0, 1.0, size=(4, 6, n)),
+                            CellConfig())
+        seqs = rng.normal(0.0, 1.0, size=(2, 6, n))
+        run_model_int(model, seqs)
+        seqs[1, 3, 5] = np.nan
+        with pytest.raises(ValueError, match="NaN at flat index 29"):
+            run_model_int(model, seqs)
 
 
 class TestQmul:
