@@ -22,15 +22,12 @@ import numpy as np
 
 from .fixedpoint import (
     _F64_EXACT,
-    _INT64_MAX,
-    REQUANT_FRACTION_BITS,
     FxOverflow,
+    Quotient,
     Rescale,
     requant_multiplier,
     round_half_away,
-    rounded_div_even,
     saturate,
-    to_fixed,
 )
 from .pwl import TANH_GRID, UNIT_GRID, PwlTable, activation_registry, build_full, reduce
 from .quant import (
@@ -242,10 +239,7 @@ class AttentionPlan:
         self._tanh_lut = tanh_table.lut
         self._to_exp = _softmax_rescale(sites["e"], EXP_GRID).unsaturated()
         p_s = sites["s"]
-        self._ctx_raw = to_fixed(sites["henc"].scale / p_s.scale, REQUANT_FRACTION_BITS).raw
-        # the context tail's multiplier, Z_s and s bounds, as 0-d int64
-        self._ctx = tuple(np.asarray(v, dtype=np.int64)
-                          for v in (self._ctx_raw, p_s.zero_point, p_s.qmin, p_s.qmax))
+        self._ctx = Quotient(sites["henc"].scale / p_s.scale, p_s.zero_point, p_s.qmin, p_s.qmax)
 
     @staticmethod
     def table_grids(sites: Mapping) -> dict:
@@ -258,17 +252,17 @@ class AttentionPlan:
         """The per-source terms for [T x m_enc] encoder states, computed once
         for every decoder step against them.
 
-        Proves that the context division fits int64 over T states; FxOverflow
-        otherwise, before the keys are projected or any step runs.
+        Proves, for T states, that the weighted sum is exact in float64 and
+        that the context Quotient fits int64 over it and every denominator up
+        to T times the top exp code; FxOverflow otherwise, before the keys
+        are projected or any step runs.
         """
         p_h = self.weights.sites["henc"]
         if q_Henc.params != p_h:
             raise ValueError("uncalibrated-tensor: henc params differ from calibration")
         T = q_Henc.data.shape[0]
         num_bound = T * 2 ** (UNIT_GRID.bitwidth + p_h.bitwidth)
-        # rounded_div_even adds half the denominator to the scaled sum
-        half_den = T * UNIT_GRID.qmax << (REQUANT_FRACTION_BITS - 1)
-        if abs(self._ctx_raw) * num_bound + half_den > _INT64_MAX or num_bound >= _F64_EXACT:
+        if num_bound >= _F64_EXACT or not self._ctx.fits(num_bound, T * UNIT_GRID.qmax):
             raise FxOverflow("context accumulator would overflow int64")
         keys = self._kproj(self._gemv_k(q_Henc.data))
         henc = np.subtract(q_Henc.data, p_h.zero_point, dtype=np.float64)
@@ -306,13 +300,8 @@ class AttentionPlan:
         # weighted context: one rounded division per output element; every
         # partial sum is an integer below 2^53 (source() proves it), so
         # float64 is exact
-        raw, zero, lo, hi = self._ctx
         num = (q_exp.astype(np.float64) @ src.henc).astype(np.int64)
-        num *= raw
-        den = denom << REQUANT_FRACTION_BITS  # even and positive: f >= 1
-        q_s = rounded_div_even(num, den)
-        q_s += zero
-        q_s = saturate(q_s, lo, hi).astype(p_s.dtype)
+        q_s = self._ctx(num, denom).astype(p_s.dtype)
 
         if rec is not None:
             p_q, p_e = sites["qproj"], sites["e"]

@@ -4,6 +4,7 @@ Requantization multipliers (ratios of quantization scales) are stored as
 (raw, fraction_bits) integer pairs.  A Rescale is compiled from them once;
 applying it to an integer accumulator is a 64-bit multiply followed by a
 rounded right shift, so the inference path never touches floating point.
+A Quotient, compiled the same way, is the one rounded division.
 
 Rounding is round-to-nearest with ties away from zero, by an add before
 an arithmetic right shift, which numpy and Python both define as a floor.
@@ -28,6 +29,7 @@ import numpy as np
 __all__ = [
     "FixedPointScalar",
     "FxOverflow",
+    "Quotient",
     "REQUANT_FRACTION_BITS",
     "Rescale",
     "format_table",
@@ -35,7 +37,6 @@ __all__ = [
     "requant_multiplier",
     "round_half_away",
     "rounded_div",
-    "rounded_div_even",
     "rounded_shift",
     "saturate",
     "to_fixed",
@@ -120,21 +121,6 @@ def rounded_div(num, den):
     num = int(num)
     mag = (abs(num) + den // 2) // den
     return mag if num >= 0 else -mag
-
-
-def rounded_div_even(num, den):
-    """num / den rounded half away from zero, for an even positive den.
-
-    (num - (num < 0) + den/2) // den: for num = -a < 0 it is
-    ceil((-a - den/2) / den) = -floor((a + den/2) / den) because den/2 is an
-    integer.  num is an int64 array, which is not written, or an int."""
-    if not isinstance(num, np.ndarray):
-        return (num - (num < 0) + den // 2) // den
-    out = num >> _SIGN_SHIFT
-    out += num
-    out += den // 2
-    out //= den
-    return out
 
 
 def _trailing_zeros(x: int) -> int:
@@ -248,7 +234,7 @@ class FixedPointScalar:
         return (lo, hi)
 
 
-def to_fixed(m: float, f: int, signed: bool = True) -> FixedPointScalar:
+def to_fixed(m: float, f: int) -> FixedPointScalar:
     """Convert a real multiplier to fixed point with f fraction bits."""
     if f < 0:
         raise ValueError("fraction_bits must be >= 0")
@@ -258,10 +244,8 @@ def to_fixed(m: float, f: int, signed: bool = True) -> FixedPointScalar:
     if not math.isfinite(v) or abs(v) > _INT64_MAX:
         raise FxOverflow(f"mantissa for {m!r} overflows int64 at f={f}")
     raw = round_half_away(v)
-    if not signed and raw < 0:
-        raise FxOverflow("negative multiplier in unsigned format")
     integral_bits = max(0, int(abs(raw)).bit_length() - f)
-    return FixedPointScalar(raw, f, integral_bits, signed)
+    return FixedPointScalar(raw, f, integral_bits)
 
 
 def requant_multiplier(m: float) -> FixedPointScalar:
@@ -501,6 +485,45 @@ class Rescale:
             per_element([r.hi for r, _, _ in parts]),
             bounds=(per_element([bound for _, _, bound in parts]),),
         )
+
+
+class Quotient:
+    """A compiled rounded division, the one integer division step.
+
+    Computes saturate(round(m * num / den) + zero, lo, hi), rounded half
+    away from zero.  m becomes raw = to_fixed(m, f).raw once, at
+    f = REQUANT_FRACTION_BITS; then with D = den << f, which is even, the
+    quotient is (raw * num - (num < 0) + D/2) // D.  num is an int64 array
+    that the caller gives up: scaled, divided, shifted by zero and clipped
+    (one clip ufunc call) in place, and returned.  den is a positive int,
+    or an int64 array of positive divisors that broadcasts against num.
+    fits() is the one int64 headroom proof; each caller raises its own
+    FxOverflow."""
+
+    __slots__ = ("raw", "_arr")
+
+    def __init__(self, m: float, zero: int, lo: int, hi: int):
+        self.raw = to_fixed(m, REQUANT_FRACTION_BITS).raw
+        # raw, zero (None when 0) and the bounds as 0-d int64
+        self._arr = tuple(None if v is None else np.asarray(v, dtype=np.int64)
+                          for v in (self.raw, zero or None, lo, hi))
+
+    def fits(self, num_bound: int, den_bound: int) -> bool:
+        """True when D and raw * num plus the rounding add D/2 stay in int64
+        for every |num| <= num_bound and den <= den_bound."""
+        half = den_bound << (REQUANT_FRACTION_BITS - 1)
+        return 2 * half <= _INT64_MAX and abs(self.raw) * num_bound + half <= _INT64_MAX
+
+    def __call__(self, num: np.ndarray, den) -> np.ndarray:
+        raw, zero, lo, hi = self._arr
+        num *= raw
+        den = den << REQUANT_FRACTION_BITS
+        num += num >> _SIGN_SHIFT  # one less where num < 0
+        num += den >> 1
+        num //= den
+        if zero is not None:
+            num += zero
+        return _clip(num, lo, hi, out=num)
 
 
 def fx_apply(fx: FixedPointScalar, q, zero_out: int = 0):

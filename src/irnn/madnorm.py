@@ -14,15 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fixedpoint import (
-    _INT64_MAX,
-    REQUANT_FRACTION_BITS,
-    FxOverflow,
-    requant_multiplier,
-    rounded_div_even,
-    saturate,
-    to_fixed,
-)
+from .fixedpoint import FxOverflow, Quotient, requant_multiplier
 from .quant import QTensor, QuantParams, max_centered, requant_rescale, sum_rescale
 
 __all__ = [
@@ -109,12 +101,10 @@ class MadNormPlan:
     the centering step negates the mean's multiplier.  One row's mean and
     deviation are Python ints; a batch's are [..., 1] columns.  The
     centered values are rounded in the array their product allocated, and
-    scaled for the division there, so the input is never written.  The
-    deviation saturates at 1, which is max(q_d, 1), and f >= 1 is checked
-    here, so every divisor q_d << f is even and positive, as
-    rounded_div_even needs.  The plan's own constants, raw_y and the y
-    bounds, are 0-d int64 arrays, and the output saturates with one call of
-    the clip ufunc."""
+    divided there by the output Quotient, so the input is never written.
+    The deviation saturates at 1, which is max(q_d, 1), so every divisor
+    is positive; the division's int64 headroom over every centered value
+    and every q_d is proven here, once (Quotient.fits)."""
 
     def __init__(
         self,
@@ -127,10 +117,6 @@ class MadNormPlan:
     ):
         if p_d.zero_point != 0:
             raise ValueError("deviation params must put zero at code 0")
-        f = REQUANT_FRACTION_BITS
-        if f < 1:
-            raise ValueError("the normalization divisor needs a fraction bit")
-        self.f = f
         self.mean = requant_rescale(
             requant_multiplier(px.scale / (p_mu.scale * h)), p_mu, h * max_centered(px)
         ).centered()
@@ -141,19 +127,16 @@ class MadNormPlan:
         self.dev = requant_rescale(
             requant_multiplier(p_xhat.scale / (p_d.scale * h)), p_d, h * max_centered(p_xhat)
         ).with_bounds(1, p_d.qmax)
-        raw_y = to_fixed(p_xhat.scale / (p_y.scale * p_d.scale), f).raw
-        if abs(raw_y) * 2**p_xhat.bitwidth > _INT64_MAX:
+        self.norm = Quotient(p_xhat.scale / (p_y.scale * p_d.scale), 0,
+                             p_y.qmin - p_y.zero_point, p_y.qmax - p_y.zero_point)
+        if not self.norm.fits(max_centered(p_xhat), p_d.qmax):
             raise FxOverflow("normalization numerator would overflow int64")
-        self.raw_y, self.y_lo, self.y_hi = (np.asarray(v, dtype=np.int64) for v in (
-            raw_y, p_y.qmin - p_y.zero_point, p_y.qmax - p_y.zero_point))
 
     def __call__(self, xc: np.ndarray) -> np.ndarray:
         xhat = self.center.term(0, xc)
         xhat += self.center.term(1, self.mean(_row_sums(xc)))
         xhat = self.center.finish_in_place(xhat)
-        den = self.dev(_row_sums(np.abs(xhat))) << self.f
-        xhat *= self.raw_y
-        return saturate(rounded_div_even(xhat, den), self.y_lo, self.y_hi)
+        return self.norm(xhat, self.dev(_row_sums(np.abs(xhat))))
 
 
 def _row_sums(a: np.ndarray):

@@ -300,7 +300,7 @@ class TestLeanStep:
         )
         bits = expt.out_params.bitwidth + p_h.bitwidth
         half_den = expt.out_params.qmax << (REQUANT_FRACTION_BITS - 1)
-        longest = (2**63 - 1) // ((plan._ctx_raw << bits) + half_den)
+        longest = (2**63 - 1) // ((plan._ctx.raw << bits) + half_den)
         assert 1 <= longest < 64
         ok = quantize_tensor(rng.normal(0.0, 0.6, size=(longest, 16)), p_h)
         plan.source(ok)
@@ -310,13 +310,13 @@ class TestLeanStep:
 
     def test_rounding_add_inside_the_context_proof(self):
         # henc scale / s scale = 1/8 makes the context multiplier 2^27; at
-        # code 255 the scaled weighted sum plus rounded_div_even's half
+        # code 255 the scaled weighted sum plus the context Quotient's half
         # denominator, T * 255 * 2^29, fits int64 up to T = 1,032,506
         rng, _, w, expt, tanht = _toy(42, m_enc=1, m_att=1, n_cal=16)
         p_h = QuantParams(8, 0.01, 0)
         sites = {**w.sites, "henc": p_h, "s": QuantParams(8, 0.08, 128)}
         plan = AttentionPlan(AttentionWeights(w.wq, w.wk, w.v, sites), expt, tanht)
-        assert plan._ctx_raw == 2**27
+        assert plan._ctx.raw == 2**27
         qhd = quantize_tensor(rng.normal(0.0, 0.6, size=16), w.sites["hdec"])
         longest = 1_032_506
         src = plan.source(QTensor(np.full((longest, 1), 255, dtype=np.uint8), p_h))

@@ -4,17 +4,19 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from bigint_ref import round_div as _ref_round_div
 
 from irnn.fixedpoint import (
+    REQUANT_FRACTION_BITS,
     FixedPointScalar,
     FxOverflow,
+    Quotient,
     Rescale,
     format_table,
     fx_apply,
     requant_multiplier,
     round_half_away,
     rounded_div,
-    rounded_div_even,
     rounded_shift,
     saturate,
     to_fixed,
@@ -242,14 +244,6 @@ class TestFormatTable:
         assert rows[1.0]["signed"] == (-128.0, 127.0)
         assert rows[2.0**-7]["signed"] == (-1.0, 0.9921875)
         assert rows[2.0**-8]["unsigned"] == (0.0, 0.99609375)
-
-
-def _ref_round_div(num: int, den: int) -> int:
-    """Python big-int num / den, rounded half away from zero."""
-    q, r = divmod(abs(num), den)
-    if 2 * r >= den:
-        q += 1
-    return q if num >= 0 else -q
 
 
 def _admitted(f: int) -> int:
@@ -484,12 +478,6 @@ class TestClipUfunc:
         want = self._max_min(bare, op.lo, op.hi)
         assert (want != bare).any() and (want == bare).any()
         np.testing.assert_array_equal(op.finish_in_place(op.term(0, t)), want)
-
-    def test_rounded_div_even_on_ints_gives_an_int(self):
-        for num, den in ((-7, 4), (7, 4), (-6, 4), (0, 2), (-(2**70) - 2**69, 2**70)):
-            out = rounded_div_even(num, den)
-            assert type(out) is int
-            assert out == _ref_round_div(num, den)
 
 
 def _folded(op: Rescale, t0, t1):
@@ -817,35 +805,104 @@ class TestClippedGather:
             )
 
 
+_F = REQUANT_FRACTION_BITS
+_WIDE = (-(2**63), 2**63 - 1)  # saturation bounds that clip nothing
+
+
+def _quotient_ref(q: Quotient, nums, den, zero=0, lo=_WIDE[0], hi=_WIDE[1]) -> list:
+    """Quotient q on nums over den, in Python big ints."""
+    return [min(max(_ref_round_div(q.raw * v, den << _F) + zero, lo), hi) for v in nums]
+
+
+def _ties(rng, den: int, top: int, raw: int = 1, size: int = 10) -> list:
+    """Numerators whose raw * num is an exact half of D = den << f away
+    from a multiple of it, one either side, of both signs, |num| <= top.
+    raw must be a power of two no larger than D / 2."""
+    step = (den << _F) // raw  # num = (k + 1/2) * step is a tie
+    ks = [0, 1, top // step - 1] + rng.integers(0, top // step - 1, size=size).tolist()
+    return [s * (k * step + step // 2 + d) for k in ks for d in (-1, 0, 1) for s in (1, -1)]
+
+
 class TestEvenDivision:
+    """Quotient divides raw * num by the even D = den << f, rounding half
+    away from zero; it is checked against Python big ints on the divisors
+    that MadNorm and the attention context meet."""
+
     def test_matches_rounded_div_and_big_int(self):
+        # raw 1, so num itself is the scaled numerator: every tie is in reach
         rng = np.random.default_rng(42)
-        for _ in range(300):
-            den = 2 * int(rng.integers(1, 2**39))
-            top = 2**63 - 1 - den // 2
-            nums = [0, 1, -1, top, -top, den // 2, -(den // 2)]
-            # n = +-(k + 1/2) * den, the exact ties, and their neighbours
-            for k in rng.integers(0, top // den - 1, size=10).tolist():
-                tie = k * den + den // 2
-                nums += [v * s for v in (tie - 1, tie, tie + 1) for s in (1, -1)]
+        q = Quotient(2.0**-_F, 0, *_WIDE)
+        assert q.raw == 1
+        # D itself must fit: 2^33 << 30 is 2^63
+        assert q.fits(0, 2**33 - 1) and not q.fits(0, 2**33)
+        for den in [1, 2, 3, 255] + rng.integers(1, 2**10, size=100).tolist():
+            top = 2**63 - 1 - (den << (_F - 1))
+            assert q.fits(top, den) and not q.fits(top + 1, den)
+            nums = [0, 1, -1, top, -top] + _ties(rng, den, top)
             nums += [int(v) * s for v in rng.integers(0, top, size=20) for s in (1, -1)]
-            want = [_ref_round_div(v, den) for v in nums]
-            assert [rounded_div_even(v, den) for v in nums] == want
+            want = _quotient_ref(q, nums, den)
             arr = np.array(nums, dtype=np.int64)
-            before = arr.copy()
-            assert rounded_div_even(arr, den).tolist() == want
-            assert rounded_div(arr, den).tolist() == want
-            np.testing.assert_array_equal(arr, before)
+            assert rounded_div(arr, den << _F).tolist() == want
+            assert q(arr, den).tolist() == want, den
+
+    def test_every_madnorm_divisor(self):
+        # every q_d in 1..255, with the raw 1 ties and with the raws of
+        # multipliers near the top, each at +-its proven bound
+        rng = np.random.default_rng(42)
+        quotients = [Quotient(2.0**-_F, 0, *_WIDE)] + [
+            Quotient(m, 0, *_WIDE) for m in (1.0, 0.75, 2.0**17 / 3, 987.654321)
+        ]
+        for q in quotients:
+            bound = (2**63 - 1 - (255 << (_F - 1))) // q.raw
+            assert q.fits(bound, 255) and not q.fits(bound + 1, 255)
+            extra = rng.integers(-bound, bound, size=20, endpoint=True).tolist()
+            for den in range(1, 256):
+                nums = [0, 1, -1, bound, -bound, bound - 1, 1 - bound] + extra
+                if q.raw == 1:
+                    nums += _ties(rng, den, bound, size=3)
+                got = q(np.array(nums, dtype=np.int64), den)
+                assert got.tolist() == _quotient_ref(q, nums, den), (q.raw, den)
+
+    def test_attention_denominators_at_the_longest_source(self):
+        # the context multiplier 1/8 (raw 2^27) over T states: numerators
+        # up to T * 2^16 and denominators up to T * 255, at the largest T
+        # that fits admits; every output saturates to an 8-bit grid at Z 128
+        rng = np.random.default_rng(42)
+        q = Quotient(0.125, 128, 0, 255)
+        wide = Quotient(0.125, 128, *_WIDE)
+        assert q.raw == 2**27
+        T = 1_032_506
+        assert q.fits(T * 2**16, T * 255) and not q.fits((T + 1) * 2**16, (T + 1) * 255)
+        top = T * 2**16
+        dens = [1, 2, 255, T, T * 255 - 1, T * 255]
+        for den in dens + rng.integers(1, T * 255, size=40).tolist():
+            nums = [0, 1, -1, top, -top] + _ties(rng, den, top, raw=2**27, size=3)
+            nums += rng.integers(-top, top, size=10, endpoint=True).tolist()
+            arr = np.array(nums, dtype=np.int64)
+            assert wide(arr.copy(), den).tolist() == _quotient_ref(wide, nums, den, 128), den
+            assert q(arr, den).tolist() == _quotient_ref(q, nums, den, 128, 0, 255), den
 
     def test_broadcast_divisors(self):
+        # a batched MadNorm divides each row of [N x h] by its own q_d, an
+        # [N x 1] column, at that grid's saturation bounds
         rng = np.random.default_rng(42)
-        num = rng.integers(-(2**50), 2**50, size=(9, 6))
-        num[0] = 3 * 2**20 * np.array([1, -1, 3, -3, 5, -5])  # ties at den = 2^21
-        den = 2 * rng.integers(1, 2**20, size=6)
-        den[:] = np.where(np.arange(6) < 2, 2**21, den)
-        want = [[_ref_round_div(int(v), int(d)) for v, d in zip(row, den)] for row in num]
-        assert rounded_div_even(num, den).tolist() == want
-        assert rounded_div(num, den).tolist() == want
+        q = Quotient(2.0**-_F, 0, -128, 127)
+        den = np.array([[1], [2], [3], [255], [128], [77]], dtype=np.int64)
+        ties = np.array([_ties(rng, int(d[0]), 2**40, size=0) for d in den])
+        # 127.5 and -128.5 steps of each row's D: ties just past hi and lo
+        edge = (den << _F) * np.array([127, -128]) + (den << (_F - 1)) * np.array([1, -1])
+        num = np.hstack([ties, edge, rng.integers(-(2**40), 2**40, size=(6, 9))])
+        want = [_quotient_ref(q, row.tolist(), int(d[0]), 0, -128, 127)
+                for row, d in zip(num, den)]
+        assert q(num.copy(), den).tolist() == want
+        assert [w[18:20] for w in want] == [[127, -128]] * 6
+
+    def test_call_divides_in_place(self):
+        q = Quotient(0.5, 3, -50, 50)
+        num = np.array([7, -7, 1000], dtype=np.int64)
+        out = q(num, 2)
+        assert out is num
+        assert out.tolist() == [5, 1, 50]
 
 
 def _ref_round(x: float) -> int:

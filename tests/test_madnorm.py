@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from bigint_ref import madnorm_codes, round_div
 
 from irnn.fixedpoint import REQUANT_FRACTION_BITS, FxOverflow, requant_multiplier, to_fixed
 from irnn.madnorm import (
@@ -187,38 +188,6 @@ class TestMadnormInt:
             madnorm_int(qx, px, tiny, derive_params(0.0, 1.0, 8), px)
 
 
-def _round_div(num: int, den: int) -> int:
-    """Python big-int num / den, rounded half away from zero."""
-    q, r = divmod(abs(num), den)
-    q += 2 * r >= den
-    return q if num >= 0 else -q
-
-
-def _clip(v: int, p: QuantParams) -> int:
-    return min(max(v, p.qmin), p.qmax)
-
-
-def _reference_codes(row, px, p_mu, p_xhat, p_d, p_y) -> list:
-    """Big-int MadNorm of one row of centered codes, in the uncentered
-    four-step form: mean, centering, deviation, division by max(q_d, 1)."""
-    f, h = REQUANT_FRACTION_BITS, len(row)
-    fx = requant_multiplier(px.scale / (p_mu.scale * h))
-    q_mu = _clip(_round_div(fx.raw * sum(row), 2**fx.fraction_bits) + p_mu.zero_point, p_mu)
-    raw_a = to_fixed(px.scale / p_xhat.scale, f).raw
-    raw_b = to_fixed(p_mu.scale / p_xhat.scale, f).raw
-    xhat = [
-        _clip(_round_div(raw_a * x + raw_b * (p_mu.zero_point - q_mu), 2**f)
-              + p_xhat.zero_point, p_xhat) - p_xhat.zero_point
-        for x in row
-    ]
-    fx = requant_multiplier(p_xhat.scale / (p_d.scale * h))
-    q_d = _clip(_round_div(fx.raw * sum(map(abs, xhat)), 2**fx.fraction_bits), p_d)
-    raw_y = to_fixed(p_xhat.scale / (p_y.scale * p_d.scale), f).raw
-    return [
-        _clip(_round_div(raw_y * v, max(q_d, 1) << f) + p_y.zero_point, p_y) for v in xhat
-    ]
-
-
 class TestPlanExactness:
     """The compiled plan against a big-int reference of the four steps."""
 
@@ -243,7 +212,7 @@ class TestPlanExactness:
             plan = MadNormPlan(*args, h)
             rows = self._rows(rng, p["x"], h)
             before = rows.copy()
-            want = [_reference_codes(r, *args) for r in rows.tolist()]
+            want = [madnorm_codes(r, *args) for r in rows.tolist()]
             z_y = p["y"].zero_point
             # [N x h] in one call, and the same rows one at a time
             assert (plan(rows) + z_y).tolist() == want, (bits, h)
@@ -277,6 +246,56 @@ class TestPlanExactness:
             plan.center(xc[:, None], (q_mu - p_mu.zero_point)[None, :]),
             center(xc[:, None], (p_mu.zero_point - q_mu)[None, :]) - p_xhat.zero_point,
         )
+
+
+class TestDivisionProof:
+    """The output division's int64 proof counts its rounding add.  With a
+    16-bit input, a 32-bit deviation grid at 2^-30 and an output scale near
+    2^13, the row below centers to 57343 and seven zeros, its deviation
+    saturates at the top code 2^32 - 1, and raw_y * 57343 plus half the
+    divisor (2^32 - 1) << 30 passes 2^63 once raw_y is near 2^47."""
+
+    PX = QuantParams(16, 1.0, 32768)
+    P_XHAT = QuantParams(16, 1.0, 0)
+    P_D = QuantParams(32, 2.0**-30, 0)
+    ROW = [32767] + [-32768] * 7
+
+    def _grids(self, p_y):
+        return self.PX, self.PX, self.P_XHAT, self.P_D, p_y
+
+    def _y_grid(self, raw):
+        """The output grid whose normalization multiplier has this raw."""
+        y = 2.0**60 / raw
+        for _ in range(1000):
+            got = to_fixed(self.P_XHAT.scale / (y * self.P_D.scale), REQUANT_FRACTION_BITS).raw
+            if got == raw:
+                return QuantParams(8, y, 128)
+            y = np.nextafter(y, np.inf if got > raw else 0.0)
+        raise AssertionError(f"no output scale gives raw {raw}")
+
+    def test_numerator_past_int64_refused(self):
+        grids = self._grids(QuantParams(8, 2**13 * (1 + 1e-6), 128))
+        # what the division owes; an unproven int64 numerator wraps to -2
+        assert madnorm_codes(self.ROW, *grids)[0] - 128 == 2
+        with pytest.raises(FxOverflow, match="normalization numerator"):
+            MadNormPlan(*grids, len(self.ROW))
+
+    def test_largest_admitted_multiplier_is_exact(self):
+        num, den = max_centered(self.P_XHAT), self.P_D.qmax
+        top = (2**63 - 1 - (den << (REQUANT_FRACTION_BITS - 1))) // num
+        grids = self._grids(self._y_grid(top))
+        plan = MadNormPlan(*grids, len(self.ROW))
+        assert plan.norm.raw == top
+        assert plan.norm.fits(num, den) and not plan.norm.fits(num + 1, den)
+        row = np.array(self.ROW)
+        assert (plan(row) + 128).tolist() == madnorm_codes(self.ROW, *grids)
+        # the largest numerator over the largest divisor, both signs
+        nums = [num, num - 1, 1, 0, -1, -num]
+        want = [round_div(top * v, den << REQUANT_FRACTION_BITS) for v in nums]
+        assert plan.norm(np.array(nums), den).tolist() == want
+        assert want[0] == 2
+        with pytest.raises(FxOverflow, match="normalization numerator"):
+            MadNormPlan(*self._grids(self._y_grid(top + 1)), len(self.ROW))
 
 
 class TestTheory:

@@ -6,23 +6,18 @@ frozen; they are regression bounds, not theoretical limits.
 
 import numpy as np
 import pytest
+from bigint_ref import clip_code, madnorm_codes, requant, two_term
 
 from irnn import graph
 from irnn import model_io as mio
-from irnn.fixedpoint import FxOverflow, round_half_away, saturate
-from irnn.madnorm import madnorm_int
+from irnn.fixedpoint import FxOverflow, round_half_away
 from irnn.pwl import TANH_GRID, PwlTable, eval_int
 from irnn.quant import (
     QTensor,
     QuantParams,
     dequantize,
     derive_params,
-    max_centered,
-    qadd_diff,
-    qmul,
     quantize_tensor,
-    requantize,
-    sum_rescale,
 )
 from irnn.rnn import (
     CellConfig,
@@ -423,52 +418,66 @@ class TestCompiledCell:
 
 
 def _reference_step(cell, qx, h, c, qs=None):
-    """One cell step composed of the compile-then-apply wrappers and
-    centered products, with every site saturated on its own grid: the
-    cell's semantics, written out.  Returns (h', c', the sum1 codes before
-    any bias or context)."""
+    """One cell step in Python big ints from the sites' grids and the table
+    gathers, with every site saturated on its own grid: the cell's
+    semantics, written out.  Returns (h', c', the sum1 codes before any
+    bias or context)."""
     p, w, m = cell.sites, cell.weights, cell.hidden_size
     p_sig = cell.tables["sigmoid"].out_params
     p_tanh = cell.tables["tanh_gate"].out_params
     p_tc = cell.tables["tanh_cell"].out_params
     mn = cell.use_madnorm
 
-    def product(qw, q, p_out, bias=None):
+    def centered(codes, params):
+        return [int(v) - params.zero_point for v in codes]
+
+    def product(qw, q, p_q, p_out, bias=None):
         """qw @ q over centered codes, plus an int32 bias at its scale,
         requantized into p_out."""
-        acc = qw.centered() @ q.centered()
+        x = centered(q, p_q)
+        acc = [sum(a * b for a, b in zip(row, x)) for row in qw.centered().tolist()]
         if bias is not None:
-            acc = acc + bias.astype(np.int64)
-        return QTensor(requantize(acc, q.params.scale * qw.params.scale, p_out), p_out)
+            acc = [a + b for a, b in zip(acc, bias.tolist())]
+        return [requant(a, p_q.scale * qw.params.scale / p_out.scale, p_out) for a in acc]
 
-    xprod = product(w.wx, qx, p["xprod"], None if mn else w.bias)
-    hprod = product(w.wh, QTensor(h, p["h"]), p["hprod"])
+    def mul(qa, pa, qb, pb, pc):
+        """The centered product of two code vectors, requantized into pc."""
+        return [requant(a * b, pa.scale * pb.scale / pc.scale, pc)
+                for a, b in zip(centered(qa, pa), centered(qb, pb))]
+
+    def add(qa, pa, qb, pb, pc):
+        return [two_term(a, pa.scale, b, pb.scale, pc)
+                for a, b in zip(centered(qa, pa), centered(qb, pb))]
+
+    def gather(name, codes):
+        return eval_int(cell.tables[name], np.array(codes)).tolist()
+
+    xprod = product(w.wx, qx.data, qx.params, p["xprod"], None if mn else w.bias)
+    hprod = product(w.wh, h, p["h"], p["hprod"])
+    px, ph = p["xprod"], p["hprod"]
     if mn:
-        xprod = madnorm_int(xprod, *(p[f"mnx_{k}"] for k in ("mu", "xhat", "d", "y")))
-        hprod = madnorm_int(hprod, *(p[f"mnh_{k}"] for k in ("mu", "xhat", "d", "y")))
-    gates = sum1 = qadd_diff(xprod.data, xprod.params, hprod.data, hprod.params, p["sum1"])
+        steps = ("mu", "xhat", "d", "y")
+        xprod = madnorm_codes(centered(xprod, px), px, *(p[f"mnx_{k}"] for k in steps))
+        hprod = madnorm_codes(centered(hprod, ph), ph, *(p[f"mnh_{k}"] for k in steps))
+        px, ph = p["mnx_y"], p["mnh_y"]
+    gates = sum1 = add(xprod, px, hprod, ph, p["sum1"])
     if mn and w.bias is not None:
         codes = round_half_away(
             w.bias.astype(np.float64) * p["x"].scale * w.wx.params.scale / p["sum1"].scale
         )
-        gates = saturate(gates.astype(np.int64) + codes, 0, p["sum1"].qmax)
-        gates = gates.astype(p["sum1"].dtype)
+        gates = [clip_code(g + b, p["sum1"]) for g, b in zip(gates, codes.tolist())]
     if qs is not None:
         # the centered gates and the context projection share one rounding
-        ws = w.ws.centered()
-        bound = int(np.abs(ws).sum(axis=1).max()) * max_centered(qs.params)
-        op = sum_rescale(
-            p["sum1"].scale, qs.params.scale * w.ws.params.scale, p["preact"],
-            (max_centered(p["sum1"]), bound),
-        )
-        centered = gates.astype(np.int64) - p["sum1"].zero_point
-        gates = op(centered, ws @ qs.centered()).astype(p["preact"].dtype)
-    sig = eval_int(cell.tables["sigmoid"], gates)
-    tj = eval_int(cell.tables["tanh_gate"], gates[2 * m : 3 * m])
-    fc = qmul(sig[m : 2 * m], p_sig, c, p["c"], p["fc"])
-    ij = qmul(sig[:m], p_sig, tj, p_tanh, p["ij"])
-    c1 = qadd_diff(fc, p["fc"], ij, p["ij"], p["c"])
-    h1 = qmul(sig[3 * m :], p_sig, eval_int(cell.tables["tanh_cell"], c1), p_tc, p["h"])
+        s = centered(qs.data, qs.params)
+        proj = [sum(a * b for a, b in zip(row, s)) for row in w.ws.centered().tolist()]
+        gates = [two_term(g, p["sum1"].scale, v, qs.params.scale * w.ws.params.scale, p["preact"])
+                 for g, v in zip(centered(gates, p["sum1"]), proj)]
+    sig = gather("sigmoid", gates)
+    tj = gather("tanh_gate", gates[2 * m : 3 * m])
+    fc = mul(sig[m : 2 * m], p_sig, c, p["c"], p["fc"])
+    ij = mul(sig[:m], p_sig, tj, p_tanh, p["ij"])
+    c1 = add(fc, p["fc"], ij, p["ij"], p["c"])
+    h1 = mul(sig[3 * m :], p_sig, gather("tanh_cell", c1), p_tc, p["h"])
     return h1, c1, sum1
 
 
