@@ -73,8 +73,8 @@ class AttentionWeights:
 
     sites: hdec, henc, qproj, kproj, sumqk, e, s (eshift and the table
     output grids are fixed analytically), kept as a read-only mapping.
-    In an encdec model hdec, henc and s are tied to the decoder's h, the
-    encoder's h and the decoder's s, and stored once, with the cells.
+    In an encoder-decoder model hdec, henc and s are tied to the decoder's
+    h, the encoder's h and the decoder's s, and stored once, with the cells.
     """
 
     wq: QTensor
@@ -155,27 +155,35 @@ def _softmax_rescale(p_e: QuantParams, p_in: QuantParams) -> Rescale:
     return requant_rescale(requant_multiplier(p_e.scale / p_in.scale), p_in, p_e.qmax)
 
 
+def _prove_denominator(to_table: Rescale, exp_lut: np.ndarray) -> None:
+    """Every softmax sum holds the exp code of the shifted maximum, at
+    shifted code 0; ValueError unless that code is at least 1, which proves
+    every denominator positive."""
+    if exp_lut.take(to_table(0), mode="clip") < 1:
+        raise ValueError("softmax-denominator: the exp table maps the shifted maximum to 0")
+
+
 def _softmax(q_e, to_table: Rescale, exp_lut: np.ndarray):
-    """Max-shifted exp weights and their sum; exp_lut covers the table grid,
-    so the clipped gather saturates an unsaturated to_table."""
+    """Max-shifted exp weights and their sum, positive by _prove_denominator;
+    exp_lut covers the table grid, so the clipped gather saturates an
+    unsaturated to_table."""
     q_e = np.asarray(q_e)
     shifted = np.subtract(q_e, np.maximum.reduce(q_e, axis=None), dtype=np.int64)
     q_exp = exp_lut.take(to_table(shifted), mode="clip")
-    denom = int(np.add.reduce(q_exp, axis=None, dtype=np.int64))
-    if denom <= 0:
-        raise AssertionError("softmax denominator must be positive")
-    return q_exp, denom
+    return q_exp, int(np.add.reduce(q_exp, axis=None, dtype=np.int64))
 
 
 def integer_softmax_weights(q_e, p_e: QuantParams, exp_table: PwlTable):
     """Shift alignments by their max and exponentiate; returns (q_exp, denom).
 
     The shift happens on integer codes, so any constant offset of q_e
-    cancels exactly.  The maximal element lands on the table's top knot,
-    whose value quantizes to the top output code; the denominator is
-    therefore at least 2^b - 1 > 0.
+    cancels exactly.  The maximal element takes the exp code at shifted
+    code 0, so the denominator is at least that code, proven to be at
+    least 1 for the table given (ValueError otherwise).
     """
-    return _softmax(q_e, _softmax_rescale(p_e, exp_table.in_params), exp_table.lut)
+    to_table = _softmax_rescale(p_e, exp_table.in_params)
+    _prove_denominator(to_table, exp_table.lut)
+    return _softmax(q_e, to_table, exp_table.lut)
 
 
 def _degrade_denominator(denom: int, bits: int, t_enc: int, exp_bits: int) -> int:
@@ -238,6 +246,7 @@ class AttentionPlan:
         # the tanh LUT spans the sumqk grid: a clipped index is a saturated code
         self._tanh_lut = tanh_table.lut
         self._to_exp = _softmax_rescale(sites["e"], EXP_GRID).unsaturated()
+        _prove_denominator(self._to_exp, exp_table.lut)
         p_s = sites["s"]
         self._ctx = Quotient(sites["henc"].scale / p_s.scale, p_s.zero_point, p_s.qmin, p_s.qmax)
 

@@ -222,15 +222,15 @@ def cmd_approx(args) -> int:
     except OSError as e:
         raise CliIOError(f"cannot write {args.out!r}: {e}") from e
     print("q_knot,x_knot,f_knot")
-    for q, x in zip(table.q_knots, table.knots):
-        print(f"{int(q)},{float(x)!r},{float(fn(x))!r}")
+    for q, x, v in zip(table.q_knots, table.knots, table.values):
+        print(f"{int(q)},{float(x)!r},{float(v)!r}")
     log.info("%s: %d pieces over [%g, %g]", args.fn, table.pieces, lo, hi)
     return 0
 
 
 def cmd_run(args) -> int:
     model = _read(mio.load_file, "model", args.model)
-    if args.attend and model.kind != "encdec":
+    if args.attend and not graph.graph_for(model.kind).attend:
         raise CliError("--attend requires an encoder-decoder model")
     seqs = _gather_inputs(args, model)
     outs = run_model_int(model, seqs, threads=args.threads)["out"]

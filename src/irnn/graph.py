@@ -1,11 +1,13 @@
 """Model graphs: the one definition of each model kind.
 
-A kind (lstm, bilstm, encdec) fixes which cells a model has, in container
-order, the key prefix of each cell in float-model archives and the float
-keys it needs; its first cell sets the input width.  Each kind has one
-float run and one integer run.  The float run is the float64 oracle;
-calibration is the same run with min/max observers attached, followed by
-a freeze of every cell and of the attention stage.
+A kind (lstm, bilstm, encdec) is one table entry: which cells a model
+has, in run and container order, the key prefix of each cell in
+float-model archives, the cells that read the input time-reversed and the
+cell whose context attends over another's states.  Its first cell sets the
+input width.  One interpreter runs that wiring on two backends: the float
+cells, which are the float64 oracle, and the integer cells.  Calibration is
+the float run with min/max observers attached, followed by a freeze of
+every cell and of the attention stage.
 
 A kind also lists its ties: a site of one stage (a cell, or "att") that
 holds another stage's grid, because the same codes pass between them
@@ -47,164 +49,158 @@ class GraphError(ValueError):
     """A model or an input the graph cannot run."""
 
 
+@dataclass(frozen=True)
 class _Graph:
-    """One model kind.
+    """One model kind, as data.
 
-    cells maps each cell name, in container order, to its float-archive key
-    prefix; extra_keys are the float keys beyond each cell's wx and wh;
-    ties maps each tied (stage, site) to the (stage, site) whose grid it
-    takes.  Every cell reads the model input.  float_run() takes float64
-    weights, inputs [..., T, n], each cell's MadNorm flag and observer dicts
-    by cell name (and "att"), any of which may be absent; it steps every
-    sequence together, each with the bits of a run on it alone.  freeze()
-    turns the observers into (cells, attention plan or None).  int_run()
-    takes one sequence's codes on the input cell's x grid.
+    cells maps each cell name, in run and container order, to its
+    float-archive key prefix; every cell reads the model input.  The cells
+    in reverse read it time-reversed, and their states are reversed back.
+    attend, if set, is (cell, source): that cell's context (ws) attends over
+    the source cell's states through the att_ weights.  ties maps each tied
+    (stage, site) to the (stage, site) whose grid it takes.  The output
+    concatenates the states of every cell that nothing attends over.
+
+    float_run() takes float64 weights, inputs [..., T, n], each cell's
+    MadNorm flag and observer dicts by cell name (and "att"), any of which
+    may be absent; it steps every sequence together, each with the bits of
+    a run on it alone.  freeze() turns the observers into (cells, attention
+    plan or None).  int_run() takes one sequence's codes on the input
+    cell's x grid.  Both runs are _run on their own backend.
     """
 
     cells: dict
-    extra_keys: tuple = ()
-    ties: dict = {}
+    reverse: tuple = ()
+    attend: tuple = ()
+    ties: dict = field(default_factory=dict)
 
     @property
     def input_cell(self) -> str:
         return next(iter(self.cells))
 
+    def _ws(self, a, name):
+        """Cell name's context weights; None unless it attends."""
+        return a[self.cells[name] + "ws"] if self.attend and name == self.attend[0] else None
+
     def required_keys(self) -> tuple:
         keys = tuple(p + k for p in self.cells.values() for k in ("wx", "wh"))
-        return keys + self.extra_keys
+        if self.attend:
+            keys += (self.cells[self.attend[0]] + "ws", "att_wq", "att_wk", "att_v")
+        return keys
 
     def layout(self, shapes: dict) -> dict:
         """The shape of each float array, from the shapes of the required
         ones: a cell's wh is [4m x m], its wx [4m x n] and its bias [4m],
         with m the columns of its wh and n those of the input cell's wx,
-        since every cell reads the model input (calibrate checks n)."""
+        since every cell reads the model input (calibrate checks n).  The
+        attending cell's ws is [4m x m_src], with m_src its source's m, and
+        att_wq, att_wk and att_v are [m_att x m], [m_att x m_src] and [m_att]."""
         n = _last(shapes[self.cells[self.input_cell] + "wx"])
+        m = {name: _last(shapes[p + "wh"]) for name, p in self.cells.items()}
         out = {}
-        for p in self.cells.values():
-            m = _last(shapes[p + "wh"])
-            out.update({p + "wh": (4 * m, m), p + "wx": (4 * m, n), p + "bias": (4 * m,)})
+        for name, p in self.cells.items():
+            out |= {p + "wh": (4 * m[name], m[name]), p + "wx": (4 * m[name], n),
+                    p + "bias": (4 * m[name],)}
+        if self.attend:
+            (dec, enc), m_att = self.attend, _last(shapes["att_v"])
+            out |= {self.cells[dec] + "ws": (4 * m[dec], m[enc]), "att_wq": (m_att, m[dec]),
+                    "att_wk": (m_att, m[enc]), "att_v": (m_att,)}
         return out
 
-    def _cell_ref(self, a, name, xs, madnorm, observers, ws=None, context=None) -> np.ndarray:
-        p = self.cells[name]
-        return lstm_run_ref(
-            xs, a[p + "wx"], a[p + "wh"], a.get(p + "bias"), ws=ws, context=context,
-            use_madnorm=madnorm[name], observers=observers.get(name),
-        )
-
-    def _freeze(self, a, name, observers, cfg, ws=None) -> IntLstmCell:
-        p = self.cells[name]
-        return freeze_cell(
-            observers[name], a[p + "wx"], a[p + "wh"], a.get(p + "bias"), cfg, ws=ws
-        )
-
-    def _tie(self, observers) -> None:
-        """Give each tied site and its source one observer, which saw both."""
+    def freeze(self, a, observers, cfg):
+        # give each tied site and its source one observer, which saw both
         for (stage, site), (src, src_site) in self.ties.items():
             obs = observers[src][src_site]
             if site in observers[stage]:
                 obs = obs.merged(observers[stage][site])
             observers[src][src_site] = observers[stage][site] = obs
+        cells = {
+            name: freeze_cell(observers[name], a[p + "wx"], a[p + "wh"], a.get(p + "bias"), cfg,
+                              ws=self._ws(a, name))
+            for name, p in self.cells.items()
+        }
+        if not self.attend:
+            return cells, None
+        aw, exp_table, tanh_table = freeze_attention(
+            observers["att"], a["att_wq"], a["att_wk"], a["att_v"], cfg.pwl_pieces
+        )
+        return cells, AttentionPlan(aw, exp_table, tanh_table)
 
-    def freeze(self, a, observers, cfg):
-        self._tie(observers)
-        return {name: self._freeze(a, name, observers, cfg) for name in self.cells}, None
+    def _run(self, xs, cell, attention, trace) -> dict:
+        """The wiring over one backend's input xs [..., T, n]; the traces.
+
+        cell(name, xs, context) runs a cell from zero state and returns its
+        states [..., T, m].  attention(H) takes the source's states and
+        returns (step, ctx): step(h) is one decoder step's context, and ctx
+        the [..., T, m_src] array to hold every step's.  trace(stage, v)
+        gives the float64 values of a cell's states, or of ctx for "att".
+        """
+        states, traces = {}, {}
+        for name in self.cells:
+            rev, context, ctx = name in self.reverse, None, None
+            if self.attend and name == self.attend[0]:
+                step, ctx = attention(states[self.attend[1]])
+
+                def context(t, h):
+                    ctx[..., t, :] = step(h)
+                    return ctx[..., t, :]
+
+            h = cell(name, xs[..., ::-1, :] if rev else xs, context)
+            states[name] = h[..., ::-1, :] if rev else h
+            traces[name] = trace(name, states[name])
+            if ctx is not None:
+                traces["att"] = trace("att", ctx)
+        kept = [traces[name] for name in self.cells if name not in self.attend[1:]]
+        traces["out"] = np.concatenate(kept, axis=-1)
+        return traces
+
+    def float_run(self, a, xs, madnorm, observers):
+        def cell(name, xs, context):
+            p = self.cells[name]
+            return lstm_run_ref(
+                xs, a[p + "wx"], a[p + "wh"], a.get(p + "bias"), ws=self._ws(a, name),
+                context=context, use_madnorm=madnorm[name], observers=observers.get(name),
+            )
+
+        def attention(H):
+            # the keys are projected once per source, as AttentionPlan.source does
+            obs, wq, v = observers.get("att"), a["att_wq"], a["att_v"]
+            keys = _keys_ref(H, a["att_wk"], obs)
+            return lambda h: _attend_ref(h, H, keys, wq, v, obs)[0], np.empty(H.shape)
+
+        return self._run(xs, cell, attention, lambda stage, v: v)
+
+    def int_run(self, model, qxs):
+        att = model.attention
+
+        def cell(name, xs, context):
+            return model.cells[name].run(QTensor(xs, qxs.params), context).data
+
+        def attention(H):
+            src = att.source(QTensor(H, att.weights.sites["henc"]))
+            return lambda h: att.context(h, src), np.empty(H.shape, att.weights.sites["s"].dtype)
+
+        def trace(stage, codes):
+            return dequantize(codes, model.sites(stage)["s" if stage == "att" else "h"])
+
+        return self._run(qxs.data, cell, attention, trace)
 
 
 def _last(shape: tuple) -> int:
     return shape[-1] if shape else 0
 
 
-class _Lstm(_Graph):
-    cells = {"main": ""}
-
-    def float_run(self, a, xs, madnorm, observers):
-        h = self._cell_ref(a, "main", xs, madnorm, observers)
-        return {"main": h, "out": h}
-
-    def int_run(self, model, qxs):
-        h = model.cells["main"].run(qxs).dequantize()
-        return {"main": h, "out": h}
-
-
-class _Bilstm(_Graph):
-    """Forward and backward cells; the output concatenates their hidden
-    states, with the backward half time-reversed back."""
-
-    cells = {"fwd": "fwd_", "bwd": "bwd_"}
-    ties = {("bwd", "x"): ("fwd", "x"), ("bwd", "h"): ("fwd", "h")}
-
-    def float_run(self, a, xs, madnorm, observers):
-        hf = self._cell_ref(a, "fwd", xs, madnorm, observers)
-        hb = self._cell_ref(a, "bwd", xs[..., ::-1, :], madnorm, observers)[..., ::-1, :]
-        return {"fwd": hf, "bwd": hb, "out": np.concatenate([hf, hb], axis=-1)}
-
-    def int_run(self, model, qxs):
-        hf = model.cells["fwd"].run(qxs).dequantize()
-        hb = model.cells["bwd"].run(QTensor(qxs.data[::-1], qxs.params)).dequantize()[::-1]
-        return {"fwd": hf, "bwd": hb, "out": np.concatenate([hf, hb], axis=1)}
-
-
-class _Encdec(_Graph):
-    """Encoder, then the decoder, whose context callback attends over the
-    encoder states from its hidden state and records the att trace."""
-
-    cells = {"enc": "enc_", "dec": "dec_"}
-    extra_keys = ("dec_ws", "att_wq", "att_wk", "att_v")
-    ties = {
+GRAPHS = {
+    "lstm": _Graph({"main": ""}),
+    "bilstm": _Graph({"fwd": "fwd_", "bwd": "bwd_"}, reverse=("bwd",),
+                     ties={("bwd", "x"): ("fwd", "x"), ("bwd", "h"): ("fwd", "h")}),
+    "encdec": _Graph({"enc": "enc_", "dec": "dec_"}, attend=("dec", "enc"), ties={
         ("dec", "x"): ("enc", "x"),
         ("att", "hdec"): ("dec", "h"),
         ("att", "henc"): ("enc", "h"),
         ("att", "s"): ("dec", "s"),
-    }
-
-    def layout(self, shapes):
-        """The cells' layout, plus dec_ws [4m_dec x m_enc], att_wq [m_att x
-        m_dec], att_wk [m_att x m_enc] and att_v [m_att]."""
-        m_enc, m_dec, m_att = (_last(shapes[k]) for k in ("enc_wh", "dec_wh", "att_v"))
-        return super().layout(shapes) | {"dec_ws": (4 * m_dec, m_enc), "att_wq": (m_att, m_dec),
-                                         "att_wk": (m_att, m_enc), "att_v": (m_att,)}
-
-    def float_run(self, a, xs, madnorm, observers):
-        H = self._cell_ref(a, "enc", xs, madnorm, observers)
-        # the keys are projected once per source, as AttentionPlan.source does
-        keys = _keys_ref(H, a["att_wk"], observers.get("att"))
-        ctx = np.empty(H.shape)
-
-        def attend(t, h):
-            ctx[..., t, :], _ = _attend_ref(
-                h, H, keys, a["att_wq"], a["att_v"], observers.get("att")
-            )
-            return ctx[..., t, :]
-
-        out = self._cell_ref(a, "dec", xs, madnorm, observers, a["dec_ws"], attend)
-        return {"enc": H, "att": ctx, "dec": out, "out": out}
-
-    def int_run(self, model, qxs):
-        att = model.attention
-        H = model.cells["enc"].run(qxs)
-        src = att.source(H)
-        p_s = att.weights.sites["s"]
-        ctx = np.empty((qxs.data.shape[0], H.data.shape[1]), dtype=p_s.dtype)
-
-        def attend(t, h):
-            ctx[t] = att.context(h, src)
-            return ctx[t]
-
-        out = model.cells["dec"].run(qxs, attend).dequantize()
-        return {"enc": H.dequantize(), "att": dequantize(ctx, p_s), "dec": out, "out": out}
-
-    def freeze(self, a, observers, cfg):
-        self._tie(observers)
-        enc = self._freeze(a, "enc", observers, cfg)
-        dec = self._freeze(a, "dec", observers, cfg, ws=a["dec_ws"])
-        aw, exp_table, tanh_table = freeze_attention(
-            observers["att"], a["att_wq"], a["att_wk"], a["att_v"], cfg.pwl_pieces
-        )
-        return {"enc": enc, "dec": dec}, AttentionPlan(aw, exp_table, tanh_table)
-
-
-GRAPHS = {"lstm": _Lstm(), "bilstm": _Bilstm(), "encdec": _Encdec()}
+    }),
+}
 
 
 def graph_for(kind: str) -> _Graph:
@@ -232,11 +228,11 @@ class IrnnModel:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        expected = tuple(graph_for(self.kind).cells)
-        if tuple(sorted(self.cells)) != tuple(sorted(expected)):
-            raise GraphError(f"{self.kind} model needs cells {expected}")
-        if (self.attention is not None) != (self.kind == "encdec"):
-            raise GraphError("attention is present exactly for encdec models")
+        g = graph_for(self.kind)
+        if tuple(sorted(self.cells)) != tuple(sorted(g.cells)):
+            raise GraphError(f"{self.kind} model needs cells {tuple(g.cells)}")
+        if (self.attention is not None) != bool(g.attend):
+            raise GraphError(f"a {self.kind} model {'needs an' if g.attend else 'has no'} attention stage")
         self.check_ties()
 
     def sites(self, stage: str):

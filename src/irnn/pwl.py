@@ -61,7 +61,8 @@ def _sigmoid(x):
 
 def _gelu(x):
     x = np.asarray(x, dtype=np.float64)
-    return 0.5 * x * (1.0 + _erf(x / math.sqrt(2.0)).astype(np.float64))
+    # _erf gives an object array, or a Python float for a 0-d x
+    return 0.5 * x * (1.0 + np.asarray(_erf(x / math.sqrt(2.0)), dtype=np.float64))
 
 
 # name -> (function, conventional clip range)

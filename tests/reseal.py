@@ -5,8 +5,11 @@ that is meant to reach the loader's field checks has to recompute it.
 """
 
 import json
+import math
 import struct
 import zlib
+
+import numpy as np
 
 HEADER = struct.Struct("<4sIIQ")  # magic, format version, CRC32, manifest length
 
@@ -52,3 +55,15 @@ def unsealed(data: bytes, edit) -> bytes:
     """data with edit(manifest) applied but its CRC32 left as it was."""
     edited = reseal(data, edit)
     return edited[:8] + data[8:12] + edited[12:]
+
+
+def blob_zeroed(data: bytes, name: str) -> bytes:
+    """data with the bytes of blob `name` set to zero, under a fresh CRC32;
+    the blobs lie in name order, each padded to 64 bytes."""
+    blobs, start = manifest_of(data)["blobs"], 0
+    for key in sorted(blobs):
+        size = math.prod(blobs[key]["shape"]) * np.dtype(blobs[key]["dtype"]).itemsize
+        if key == name:
+            return reseal(data, payload=lambda p: p[:start] + bytes(size) + p[start + size :])
+        start += _align64(size)
+    raise KeyError(name)

@@ -17,6 +17,7 @@ from irnn.attention import (
     project_keys,
 )
 from irnn.fixedpoint import REQUANT_FRACTION_BITS, FxOverflow
+from irnn.pwl import PwlTable
 from irnn.quant import (
     QTensor,
     QuantParams,
@@ -336,6 +337,21 @@ class TestLeanStep:
             with pytest.raises(ValueError, match="table-grid-mismatch"):
                 AttentionPlan(weights, exp_table, tanh_table)
         assert expt.in_params == EXP_GRID
+
+    def test_exp_table_zero_at_the_maximum_rejected(self):
+        # every softmax sum holds the exp code of the shifted maximum, so a
+        # table that maps shifted code 0 to 0 is refused where the plan is
+        # built and before integer_softmax_weights sums anything, even
+        # though its other codes are positive
+        rng, _, w, expt, tanht = _toy(42, n_cal=16)
+        values = expt.values.copy()
+        values[-1] = 0.0
+        low = PwlTable(expt.q_knots, values, expt.in_params, expt.out_params)
+        assert low.lut[-1] == 0 and low.lut.max() > 0
+        with pytest.raises(ValueError, match="softmax-denominator"):
+            AttentionPlan(w, low, tanht)
+        with pytest.raises(ValueError, match="softmax-denominator"):
+            integer_softmax_weights(rng.integers(-300, 300, size=8), w.sites["e"], low)
 
     def test_source_checks_encoder_params(self):
         rng, _, w, expt, tanht = _toy(42, n_cal=16)

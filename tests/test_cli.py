@@ -18,10 +18,10 @@ import pytest
 from irnn import model_io as mio
 from irnn import quant
 from irnn.cli import build_model, main
-from irnn.pwl import PwlTable, eval_int
+from irnn.pwl import ACTIVATIONS, PwlTable, eval_int
 from irnn.quant import QuantParams
 from irnn.rnn import CellConfig, IntLstmCell
-from reseal import manifest_of, reseal, unsealed, with_manifest
+from reseal import blob_zeroed, manifest_of, reseal, unsealed, with_manifest
 
 _TABLE_GOLDEN = [
     "scaling,precision,signed_low,signed_high,unsigned_low,unsigned_high",
@@ -225,20 +225,28 @@ class TestDeterminism:
 
 
 class TestApprox:
-    def test_csv_round_trips_losslessly(self, capsys, tmp_path):
-        out = tmp_path / "tanh.csv"
+    @pytest.mark.parametrize("bits", [8, 16])
+    @pytest.mark.parametrize("fn", sorted(ACTIVATIONS))
+    def test_csv_round_trips_losslessly(self, capsys, tmp_path, fn, bits):
+        out = tmp_path / f"{fn}.csv"
         code, knots = _run(
-            capsys, "approx", "--fn", "tanh", "--pieces", "16", "--out", str(out)
+            capsys, "approx", "--fn", fn, "--bits", str(bits), "--pieces", "16",
+            "--out", str(out),
         )
         assert code == 0
-        assert knots.splitlines()[0] == "q_knot,x_knot,f_knot"
-        assert len(knots.strip().splitlines()) == 1 + 17
+        lines = knots.strip().splitlines()
+        assert lines[0] == "q_knot,x_knot,f_knot"
+        assert len(lines) == 1 + 17
         with open(out, newline="") as f:
             rows = list(csv.reader(f))
         assert rows[0] == ["x", "f", "g", "abs_err"]
-        assert len(rows) == 1 + 256
+        assert len(rows) == 1 + 2**bits
         for x, fv, gv, err in rows[1:]:
             assert float(err) == abs(float(fv) - float(gv))
+        # each knot line is the csv row at its code, x and f alike
+        for line in lines[1:]:
+            q, x, fv = line.split(",")
+            assert rows[1 + int(q)][:2] == [x, fv]
 
     def test_more_pieces_tighter(self, capsys, tmp_path):
         errs = {}
@@ -415,6 +423,15 @@ def bad_files(tmp_path_factory):
     files["nested"].write_bytes(with_manifest(data, b"[" * 200_000))
     files["nested_npz"] = d / "nested_npz.npz"
     np.savez(files["nested_npz"], **weights, meta_json=np.array("[" * 200_000))
+    # an encdec container whose exp table maps every code to 0, so that no
+    # softmax denominator is positive
+    _encdec_npz(d / "encdec.npz", rng)
+    mio.save_calibration(d / "calib8.bin", rng.normal(0.0, 1.0, size=(4, 8, 8)))
+    argv = ["quantize", str(d / "encdec.npz"), "--calib", str(d / "calib8.bin")]
+    assert main(argv + ["--out", str(d / "encdec.irnn")]) == 0
+    files["zero_exp"] = d / "zero_exp.irnn"
+    zeroed = blob_zeroed((d / "encdec.irnn").read_bytes(), "att/tables/exp/values")
+    files["zero_exp"].write_bytes(zeroed)
     return {k: str(v) for k, v in files.items()}
 
 
@@ -510,6 +527,7 @@ _BAD_INPUTS = {
     "compare-meta-null": (["compare", "{meta_null}"], 3),
     "compare-meta-list": (["compare", "{meta_list}"], 3),
     "run-nested-manifest": (["run", "{nested}"], 3, "malformed manifest"),
+    "run-zero-exp-table": (["run", "{zero_exp}"], 3, "softmax-denominator"),
     "quantize-nested-meta": (
         ["quantize", "{nested_npz}", "--calib", "{calib}", "--out", "{out}"], 3, "malformed meta"
     ),

@@ -279,6 +279,20 @@ class TestRoundingProperties:
             got = rounded_shift(np.array(vals, dtype=np.int64), f)
             assert got.tolist() == want, f
 
+    def test_rounded_shift_no_fraction_and_past_int64(self):
+        # f = 0 returns acc as it is; past 63 fraction bits every int64
+        # magnitude below 2^63 is under half a step and rounds to zero
+        vals = [0, 1, -1, 5, -5, 2**62 + 3, 2**63 - 1, -(2**63 - 1)]
+        arr = np.array(vals, dtype=np.int64)
+        assert [rounded_shift(v, 0) for v in vals] == vals
+        assert rounded_shift(arr, 0).tolist() == vals
+        for f in (64, 65, 100):
+            want = [_ref_round_div(v, 2**f) for v in vals]
+            assert want == [0] * len(vals)
+            assert [rounded_shift(v, f) for v in vals] == want, f
+            got = rounded_shift(arr, f)
+            assert got.dtype == np.int64 and got.tolist() == want, f
+
     def test_rounded_div_matches_big_int(self):
         rng = np.random.default_rng(42)
         for _ in range(200):

@@ -42,6 +42,16 @@ class TestRegistry:
             assert lo < hi
             assert np.isfinite(fn(np.array([lo, hi]))).all()
 
+    def test_scalar_input_gives_float64(self):
+        # a 0-d input, such as one knot, gives a float64 like an array's
+        for name in sorted(ACTIVATIONS):
+            fn, (lo, hi) = activation_registry(name)
+            xs = np.linspace(lo, hi, 7)
+            for x, want in zip(xs, fn(xs)):
+                got = fn(x)
+                assert np.asarray(got).dtype == np.float64, name
+                assert float(got) == pytest.approx(float(want), rel=1e-15, abs=1e-300), name
+
     def test_conventional_ranges(self):
         assert activation_registry("tanh")[1] == (-8.0, 8.0)
         assert activation_registry("exp")[1] == (-10.0, 0.0)
@@ -645,6 +655,21 @@ def _piece_ends_unclipped(t):
     return np.array(ends).reshape(-1, 2)
 
 
+def _counted_forms(monkeypatch) -> list:
+    """Patch _runs and _expand to log their names, in call order, into the
+    list returned."""
+    calls = []
+    for name in ("_runs", "_expand"):
+        real = getattr(pwl, name)
+
+        def counted(*args, _real=real, _name=name):
+            calls.append(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(pwl, name, counted)
+    return calls
+
+
 class TestRunForm:
     """Run-boundary LUTs against direct evaluation of every code."""
 
@@ -701,15 +726,7 @@ class TestRunForm:
 
     def test_form_follows_runs_against_codes(self, monkeypatch):
         # a table with about as many runs as codes is evaluated code by code
-        calls = []
-        for name in ("_runs", "_expand"):
-            real = getattr(pwl, name)
-
-            def counted(*args, _real=real, _name=name):
-                calls.append(_name)
-                return _real(*args)
-
-            monkeypatch.setattr(pwl, name, counted)
+        calls = _counted_forms(monkeypatch)
         cases = {
             (8, 32): "_expand",
             (8, 1): "_expand",
@@ -725,6 +742,23 @@ class TestRunForm:
             calls.clear()
             pwl.PwlTable(t.q_knots, t.values, in_p, out_p)
             assert calls == [form], (bits, pieces)
+
+    def test_too_many_runs_for_the_codes(self, monkeypatch):
+        # a 16-bit tanh onto a 16-bit output grid keeps about one run per
+        # code at 32 pieces, so a table that passes the piece count still
+        # evaluates every code; the run form gives the same LUT
+        fn, in_p, _ = _params_for("tanh", 16)
+        out_p = derive_params(-1.0, 1.0, 16)
+        t = reduce(build_full(fn, in_p, out_p), 32)
+        first, runs = pwl._piece_runs(t)
+        codes = in_p.qmax + 1
+        assert pwl._RUN_SETUP + pwl._RUN_COST * t.pieces < codes
+        assert pwl._RUN_SETUP + pwl._RUN_COST * int(runs.sum()) >= codes
+        calls = _counted_forms(monkeypatch)
+        twin = pwl.PwlTable(t.q_knots, t.values, in_p, out_p)
+        assert calls == ["_expand"]
+        np.testing.assert_array_equal(twin.lut, t.lut)
+        np.testing.assert_array_equal(t.lut, pwl._runs(t, first, runs))
 
     def test_reduced_sixteen_bit_table_peak_memory(self):
         # evaluating every code in int64 blocks peaked at about 666 KiB here;
