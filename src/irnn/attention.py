@@ -8,8 +8,9 @@ sum divided once per element by that denominator, so no per-weight division
 or reciprocal approximation is involved.
 
 An AttentionPlan compiles the stage once: requantization rescales, exact
-GEMV operands and the tables' LUTs.  The module-level functions compile a
-plan (or the part they need) and run it.
+GEMV operands, the tables' LUTs and a score table that composes the
+query-key sum with the tanh LUT for every pair of 8-bit codes.  The
+module-level functions compile a plan (or the part they need) and run it.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .fixedpoint import (
+    _F32_EXACT,
     _F64_EXACT,
     FxOverflow,
     Quotient,
@@ -204,13 +206,15 @@ class AttentionSource:
     """The per-source terms of an attention stage (AttentionPlan.source).
 
     keys is the centered key projection K - Z_k, int64 [T x m_att];
-    key_term is the sumqk rescale's key term raws[1] * (K - Z_k); henc is
-    the centered encoder states, float64 [T x m_enc], the context matmul's
-    operand.
+    offsets is each key's row in the plan's score table plus the query zero
+    point, K * 256 + Z_q, int64 [T x m_att], so offsets + (Q - Z_q) indexes
+    the tanh code of the pair; henc is the centered encoder states
+    [T x m_enc], the context matmul's operand, float32 when source() proves
+    that product below 2^24, else float64.
     """
 
     keys: np.ndarray
-    key_term: np.ndarray
+    offsets: np.ndarray
     henc: np.ndarray
 
 
@@ -222,6 +226,8 @@ class AttentionPlan:
     number of threads.  source() computes the per-source terms once per
     encoder sequence, context() runs one decoder step on codes against them
     and intermediates() runs the same step with every intermediate recorded.
+    The qproj and kproj grids must be 8-bit, so that the score table holds
+    2^16 codes; ValueError otherwise, before any table is built.
     """
 
     def __init__(self, weights: AttentionWeights, exp_table: PwlTable, tanh_table: PwlTable):
@@ -229,8 +235,10 @@ class AttentionPlan:
         tables = (exp_table, tanh_table)
         if [(t.in_params, t.out_params) for t in tables] != list(self.table_grids(sites).values()):
             raise ValueError("table-grid-mismatch: the exp or tanh table is not on its grids")
-        self.weights, self.exp_table, self.tanh_table = weights, exp_table, tanh_table
         p_q, p_k, p_sum = sites["qproj"], sites["kproj"], sites["sumqk"]
+        if p_q.bitwidth != 8 or p_k.bitwidth != 8:
+            raise ValueError("score-table: the qproj and kproj grids must be 8-bit")
+        self.weights, self.exp_table, self.tanh_table = weights, exp_table, tanh_table
         self._gemv_k = ExactGemv(w.wk, sites["henc"])
         self._gemv_q = ExactGemv(w.wq, sites["hdec"])
         # kproj, qproj, e and the shifted e feed only centered operands or
@@ -240,11 +248,19 @@ class AttentionPlan:
         self._sumqk = sum_rescale(
             p_q.scale, p_k.scale, p_sum, (max_centered(p_q), max_centered(p_k))
         ).unsaturated()
-        self._sumqk_c = self._sumqk.fold_constant()  # carried by the query term
+        # the tanh code of every (key code K, query code Q) pair, at K * 256 + Q:
+        # the sumqk rescale, its rounding add and zero point carried by the
+        # query term, then the clipped tanh gather, whose LUT spans the sumqk
+        # grid, so a clipped index is a saturated code
+        c = self._sumqk.fold_constant()
+        q_term = self._sumqk.term(0, np.arange(256, dtype=np.int64) - p_q.zero_point)
+        q_term += c
+        k_term = self._sumqk.term(1, np.arange(256, dtype=np.int64)[:, None] - p_k.zero_point)
+        q_sum = self._sumqk.finish_in_place(q_term + k_term, c)
+        self._score = tanh_table.lut.take(q_sum.ravel(), mode="clip")
+        self._score.flags.writeable = False
         self._gemv_e = ExactGemv(w.v, TANH_GRID)
         self._e = self._gemv_e.rescale(sites["e"]).centered()
-        # the tanh LUT spans the sumqk grid: a clipped index is a saturated code
-        self._tanh_lut = tanh_table.lut
         self._to_exp = _softmax_rescale(sites["e"], EXP_GRID).unsaturated()
         _prove_denominator(self._to_exp, exp_table.lut)
         p_s = sites["s"]
@@ -261,12 +277,13 @@ class AttentionPlan:
         """The per-source terms for [T x m_enc] encoder states, computed once
         for every decoder step against them.
 
-        Proves, for T states, that the weighted sum is exact in float64 and
-        that the context Quotient fits int64 over it and every denominator up
-        to T times the top exp code; FxOverflow otherwise, before the keys
-        are projected or any step runs.
+        Proves, for T states, that the weighted sum is exact in float64,
+        and in float32 below 2^24, and that the context Quotient fits int64
+        over it and every denominator up to T times the top exp code;
+        FxOverflow otherwise, before the keys are projected or any step runs.
         """
-        p_h = self.weights.sites["henc"]
+        sites = self.weights.sites
+        p_h = sites["henc"]
         if q_Henc.params != p_h:
             raise ValueError("uncalibrated-tensor: henc params differ from calibration")
         T = q_Henc.data.shape[0]
@@ -274,8 +291,10 @@ class AttentionPlan:
         if num_bound >= _F64_EXACT or not self._ctx.fits(num_bound, T * UNIT_GRID.qmax):
             raise FxOverflow("context accumulator would overflow int64")
         keys = self._kproj(self._gemv_k(q_Henc.data))
-        henc = np.subtract(q_Henc.data, p_h.zero_point, dtype=np.float64)
-        return AttentionSource(keys, self._sumqk.term(1, keys), henc)
+        offsets = (keys + sites["kproj"].zero_point) * 256 + sites["qproj"].zero_point
+        dtype = np.float32 if num_bound < _F32_EXACT else np.float64
+        henc = np.subtract(q_Henc.data, p_h.zero_point, dtype=dtype)
+        return AttentionSource(keys, offsets, henc)
 
     def context(self, hdec: np.ndarray, src: AttentionSource) -> np.ndarray:
         """One decoder step's context codes (s grid) from decoder codes (hdec
@@ -294,28 +313,25 @@ class AttentionPlan:
 
     def _step(self, hdec, src, rec):
         """The step kernel on codes; with rec a dict, it records the intermediates.
-        The query term carries the sumqk rounding add and zero point, so the
-        [T x m_att] sum it broadcasts into takes one add and one shift."""
+        Each score is one gather from the score table, at the key's offset
+        plus the centered query code."""
         sites = self.weights.sites
-        p_sum, p_s = sites["sumqk"], sites["s"]
+        p_s = sites["s"]
 
         q_qp = self._qproj(self._gemv_q(hdec))
-        q_term = self._sumqk.term(0, q_qp)
-        q_term += self._sumqk_c
-        q_sum = self._sumqk.finish_in_place(q_term + src.key_term, self._sumqk_c)
-        q_e = self._e(self._gemv_e(self._tanh_lut.take(q_sum, mode="clip"))[:, 0])
+        q_e = self._e(self._gemv_e(self._score.take(src.offsets + q_qp))[:, 0])
         q_exp, denom = _softmax(q_e, self._to_exp, self.exp_table.lut)
 
         # weighted context: one rounded division per output element; every
-        # partial sum is an integer below 2^53 (source() proves it), so
-        # float64 is exact
-        num = (q_exp.astype(np.float64) @ src.henc).astype(np.int64)
+        # partial sum is an integer below 2^53, and below 2^24 where henc is
+        # float32 (source() proves it), so the product is exact
+        num = (q_exp.astype(src.henc.dtype) @ src.henc).astype(np.int64)
         q_s = self._ctx(num, denom).astype(p_s.dtype)
 
         if rec is not None:
-            p_q, p_e = sites["qproj"], sites["e"]
+            p_q, p_sum, p_e = sites["qproj"], sites["sumqk"], sites["e"]
             rec["query_proj"] = QTensor((q_qp + p_q.zero_point).astype(p_q.dtype), p_q)
-            sat = saturate(q_sum.T.copy(), p_sum.qmin, p_sum.qmax)
+            sat = saturate(self._sumqk(q_qp, src.keys).T.copy(), p_sum.qmin, p_sum.qmax)
             rec["sum_qk"] = QTensor(sat.astype(p_sum.dtype), p_sum)
             rec["e"] = QTensor((q_e + p_e.zero_point).astype(p_e.dtype), p_e)
             rec["exp_e"] = QTensor(q_exp, self.exp_table.out_params)

@@ -49,7 +49,8 @@ REQUANT_FRACTION_BITS = 30
 
 _INT32_MAX = 2**31 - 1
 _INT64_MAX = 2**63 - 1
-# float64 represents every integer of smaller magnitude exactly
+# float32 and float64 represent every integer of smaller magnitude exactly
+_F32_EXACT = 2**24
 _F64_EXACT = 2**53
 # acc >> 63 is -1 where acc < 0, else 0
 _SIGN_SHIFT = np.asarray(63, dtype=np.int64)
@@ -87,22 +88,22 @@ def rounded_shift(acc, f: int):
     """acc / 2^f rounded half away from zero, as one add and one shift.
 
     Adding 2^(f-1), less one when acc is negative, before the arithmetic
-    (floor) shift rounds ties away from zero on both signs.  An int64 array
-    needs headroom for the add: |acc| <= INT64_MAX - 2^(f-1), which every
-    Rescale bound leaves.
+    (floor) shift rounds ties away from zero on both signs.  A Python int
+    takes that formula for every f.  An int64 array needs headroom for the
+    add: |acc| <= INT64_MAX - 2^(f-1), which every Rescale bound leaves.
     """
     if f < 0:
         raise ValueError("fraction_bits must be >= 0")
     if f == 0:
         return acc
-    if f > 63:
-        # The entire product is fractional; int64 magnitudes stay below
-        # 2^(f-1), so everything rounds to zero.
-        return acc * 0
-    if isinstance(acc, np.ndarray):
-        acc = acc.astype(np.int64, copy=False)
+    if not isinstance(acc, np.ndarray):
+        acc = int(acc)
         return (acc - (acc < 0) + (1 << (f - 1))) >> f
-    acc = int(acc)
+    acc = acc.astype(np.int64, copy=False)
+    if f > 63:
+        # every int64 lies within 2^63 <= 2^(f-1) of zero, so all round to
+        # zero but -2^63 at f = 64, a tie, which rounds away to -1
+        return -(acc == -(2**63)).astype(np.int64) if f == 64 else acc * 0
     return (acc - (acc < 0) + (1 << (f - 1))) >> f
 
 

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fixedpoint import (
+    _F32_EXACT,
     _F64_EXACT,
     _INT32_MAX,
     REQUANT_FRACTION_BITS,
@@ -221,16 +222,18 @@ def requantize(acc, in_scale: float, p_out: QuantParams, fx: FixedPointScalar | 
 
 
 class ExactGemv:
-    """Integer matmul of fixed 8-bit weights, run as an exact float64 product.
+    """Integer matmul of fixed 8-bit weights, run as an exact float product.
 
     Calling it maps codes [..., n] on the input grid to the int64
     accumulator (W - Z_w)(q - Z_in) [..., rows], plus an optional integer
     bias.  Every partial sum is an integer no larger than `bound` (row sums
     of |W - Z_w| times the largest centered input code, plus |bias|), so
-    BLAS in float64 computes it exactly whenever bound < 2^53.  The int32
-    accumulator contract is checked here when the bound proves it, else on
-    every call; `bound` is what callers may assume about the result, and
-    `scale` is the real value of one accumulator unit, S_in * S_w.
+    BLAS computes it exactly in float32 when bound < 2^24 and in float64
+    when bound < 2^53; the weights, zero point and bias take the narrowest
+    of the two that the bound proves.  The int32 accumulator contract is
+    checked here when the bound proves it, else on every call; `bound` is
+    what callers may assume about the result, and `scale` is the real value
+    of one accumulator unit, S_in * S_w.
     """
 
     __slots__ = ("w", "zero", "bias", "bound", "per_call_check", "scale")
@@ -243,11 +246,12 @@ class ExactGemv:
         bound = int(rows.max(initial=0))
         if bound >= _F64_EXACT:
             raise FxOverflow("matmul accumulator exceeds float64's exact integer range")
-        self.w = w.T.astype(np.float64)
+        dtype = np.float32 if bound < _F32_EXACT else np.float64
+        self.w = w.T.astype(dtype)
         self.w.flags.writeable = False
         # a 0-d array: ufuncs take it without converting a Python int per call
-        self.zero = np.asarray(p_in.zero_point, dtype=np.float64)
-        self.bias = None if bias is None else bias.astype(np.float64)
+        self.zero = np.asarray(p_in.zero_point, dtype=dtype)
+        self.bias = None if bias is None else bias.astype(dtype)
         self.per_call_check = bound > _INT32_MAX
         self.bound = min(bound, _INT32_MAX)
         self.scale = p_in.scale * qw.params.scale
@@ -257,7 +261,7 @@ class ExactGemv:
         return requant_rescale(requant_multiplier(self.scale / p_out.scale), p_out, self.bound)
 
     def __call__(self, q):
-        acc = np.subtract(q, self.zero, dtype=np.float64) @ self.w
+        acc = np.subtract(q, self.zero, dtype=self.w.dtype) @ self.w
         if self.bias is not None:
             acc += self.bias
         if self.per_call_check and acc.size and np.abs(acc).max() > _INT32_MAX:

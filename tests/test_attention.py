@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from bigint_ref import two_term
 
 from irnn.attention import (
     EXP_DOMAIN,
@@ -17,7 +18,7 @@ from irnn.attention import (
     project_keys,
 )
 from irnn.fixedpoint import REQUANT_FRACTION_BITS, FxOverflow
-from irnn.pwl import PwlTable
+from irnn.pwl import TANH_GRID, PwlTable, activation_registry, build_full, reduce
 from irnn.quant import (
     QTensor,
     QuantParams,
@@ -360,6 +361,63 @@ class TestLeanStep:
         for project in (plan.source, lambda q: project_keys(q, w)):
             with pytest.raises(ValueError, match="uncalibrated-tensor"):
                 project(bad)
+
+    @pytest.mark.parametrize("T,dtype", [(255, np.float32), (256, np.float64)])
+    def test_context_operand_float32_below_two_to_the_24(self, T, dtype):
+        # T * 2^(8 + 8) partial-sum bound: below 2^24 up to T = 255
+        rng, _, w, expt, tanht = _toy(42, n_cal=16)
+        plan = AttentionPlan(w, expt, tanht)
+        qHe = quantize_tensor(rng.normal(0.0, 0.6, size=(T, 16)), w.sites["henc"])
+        src = plan.source(qHe)
+        assert src.henc.dtype == dtype
+        for sigma in (0.3, 3.0):
+            qhd = quantize_tensor(rng.normal(0.0, sigma, size=16), w.sites["hdec"])
+            want = plan.intermediates(qhd, qHe).s
+            np.testing.assert_array_equal(plan.context(qhd.data, src), want.data)
+
+
+class TestScoreTable:
+    """The plan's one uint8 table over every (kproj code, qproj code) pair."""
+
+    @staticmethod
+    def _narrow(w):
+        # a sumqk grid a quarter as wide, with a tanh table on it, so most
+        # pairs saturate it at one end or the other
+        p = w.sites["sumqk"]
+        narrow = QuantParams(16, p.scale / 4, p.zero_point)
+        tanht = reduce(build_full(activation_registry("tanh")[0], narrow, TANH_GRID), 32)
+        return AttentionWeights(w.wq, w.wk, w.v, {**w.sites, "sumqk": narrow}), tanht
+
+    def test_equals_big_int_composition(self):
+        _, _, w, expt, tanht = _toy(42, n_cal=16)
+        for weights, tanh_table in ((w, tanht), self._narrow(w)):
+            plan = AttentionPlan(weights, expt, tanh_table)
+            p_q, p_k, p_sum = (weights.sites[k] for k in ("qproj", "kproj", "sumqk"))
+            sums = [
+                two_term(q - p_q.zero_point, p_q.scale, k - p_k.zero_point, p_k.scale, p_sum)
+                for k in range(256) for q in range(256)
+            ]
+            assert {p_sum.qmin, p_sum.qmax} <= set(sums)
+            assert plan._score.dtype == np.uint8 and plan._score.shape == (2**16,)
+            np.testing.assert_array_equal(plan._score, tanh_table.lut[sums])
+
+    def test_read_only(self):
+        _, _, w, expt, tanht = _toy(42, n_cal=16)
+        score = AttentionPlan(w, expt, tanht)._score
+        assert not score.flags.writeable
+        with pytest.raises(ValueError):
+            score[0] = 1
+
+    @pytest.mark.parametrize("site", ["qproj", "kproj"])
+    def test_projection_grids_must_be_8_bit(self, site):
+        # freeze_attention writes both at 8 bits; a plan given a 16-bit one
+        # is refused before its score table is built
+        _, _, w, expt, tanht = _toy(42, n_cal=16)
+        assert w.sites[site].bitwidth == 8
+        p = w.sites[site]
+        sites = {**w.sites, site: QuantParams(16, p.scale, p.zero_point)}
+        with pytest.raises(ValueError, match="score-table"):
+            AttentionPlan(AttentionWeights(w.wq, w.wk, w.v, sites), expt, tanht)
 
 
 class TestAttachContext:

@@ -432,6 +432,11 @@ def bad_files(tmp_path_factory):
     files["zero_exp"] = d / "zero_exp.irnn"
     zeroed = blob_zeroed((d / "encdec.irnn").read_bytes(), "att/tables/exp/values")
     files["zero_exp"].write_bytes(zeroed)
+    # an encdec container whose query projection grid is 16-bit: the score
+    # table spans two 8-bit projection grids only
+    files["qproj_16"] = d / "qproj_16.irnn"
+    wide = lambda man: man["attention"]["sites"]["qproj"].update(bitwidth=16)
+    files["qproj_16"].write_bytes(reseal((d / "encdec.irnn").read_bytes(), wide))
     return {k: str(v) for k, v in files.items()}
 
 
@@ -528,6 +533,7 @@ _BAD_INPUTS = {
     "compare-meta-list": (["compare", "{meta_list}"], 3),
     "run-nested-manifest": (["run", "{nested}"], 3, "malformed manifest"),
     "run-zero-exp-table": (["run", "{zero_exp}"], 3, "softmax-denominator"),
+    "run-16-bit-qproj": (["run", "{qproj_16}"], 3, "score-table"),
     "quantize-nested-meta": (
         ["quantize", "{nested_npz}", "--calib", "{calib}", "--out", "{out}"], 3, "malformed meta"
     ),

@@ -293,6 +293,24 @@ class TestRoundingProperties:
             got = rounded_shift(arr, f)
             assert got.dtype == np.int64 and got.tolist() == want, f
 
+    def test_rounded_shift_past_64_bits_is_exact(self):
+        # a Python int of any size rounds by the same add and shift; an int64
+        # array reaches half a step at f = 64 only at -2^63, a tie
+        int64_vals = [0, 1, -1, 2**62, -(2**62), 2**63 - 1, -(2**63 - 1), -(2**63)]
+        for f in (64, 65, 70, 200):
+            half = 2 ** (f - 1)
+            ties = [half, 3 * half, 5 * half + 2**f * 7]
+            vals = int64_vals + [s * v for v in (2**63, 2**70, *ties) for s in (1, -1)]
+            vals += [s * (v + d) for v in ties for d in (-1, 1) for s in (1, -1)]
+            want = [_ref_round_div(v, 2**f) for v in vals]
+            assert [rounded_shift(v, f) for v in vals] == want, f
+            got = rounded_shift(np.array(int64_vals, dtype=np.int64), f)
+            want64 = [_ref_round_div(v, 2**f) for v in int64_vals]
+            assert got.dtype == np.int64 and got.tolist() == want64, f
+        assert rounded_shift(2**70, 64) == 64
+        assert rounded_shift(-(2**63), 64) == -1
+        assert rounded_shift(np.array([-(2**63)], dtype=np.int64), 64).tolist() == [-1]
+
     def test_rounded_div_matches_big_int(self):
         rng = np.random.default_rng(42)
         for _ in range(200):

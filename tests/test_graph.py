@@ -189,7 +189,7 @@ class TestKernelInputs:
         model, qxs, xs = self._model("encdec", CellConfig())
         enc, dec, att = model.cells["enc"], model.cells["dec"], model.attention
         src = att.source(enc.run(qxs))
-        src_was = _frozen(src.keys, src.key_term, src.henc)
+        src_was = _frozen(src.keys, src.offsets, src.henc)
         xb = dec.input_branch(qxs.data)
         (xb_was,) = _frozen(xb)
         h, c = self._zero_state(dec)
@@ -203,7 +203,7 @@ class TestKernelInputs:
                 np.testing.assert_array_equal(a, b)
             h, c = h1, c1
             hs.append(h)
-        for a, b in zip((src.keys, src.key_term, src.henc, xb), [*src_was, xb_was]):
+        for a, b in zip((src.keys, src.offsets, src.henc, xb), [*src_was, xb_was]):
             np.testing.assert_array_equal(a, b)
         want = graph.run_int(model, xs)["out"]
         np.testing.assert_array_equal(dequantize(np.stack(hs), dec.sites["h"]), want)

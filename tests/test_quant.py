@@ -411,6 +411,30 @@ class TestExactGemv:
         np.testing.assert_array_equal(gemv(codes), want)
         np.testing.assert_array_equal(gemv(codes[3]), want[3])
 
+    @pytest.mark.parametrize("extra,dtype", [(0, np.float32), (1, np.float64)])
+    def test_float32_below_two_to_the_24(self, extra, dtype):
+        # float32 holds every integer below 2^24: each row sums
+        # 258 * 255 * 255 + 765 = 2^24 - 1, plus extra, and the input grid's
+        # zero point 255 makes code 0 the most negative
+        w = QTensor(np.full((3, 258), 255, dtype=np.uint8), QuantParams(8, 1 / 255, 0))
+        p_in = QuantParams(8, 0.01, 255)
+        bias = np.array([765 + extra, -765 - extra, 0], dtype=np.int32)
+        gemv = ExactGemv(w, p_in, bias)
+        assert gemv.bound == 2**24 - 1 + extra
+        assert gemv.w.dtype == gemv.zero.dtype == gemv.bias.dtype == dtype
+        rng = np.random.default_rng(42)
+        codes = np.vstack([
+            np.zeros(258), np.full(258, 255), np.full(258, 254),
+            rng.integers(0, 256, size=(5, 258)),
+        ]).astype(np.uint8)
+        want = (codes.astype(np.int64) - 255) @ w.centered().T + bias
+        assert want.min() == -(2**24 - 1 + extra)
+        for q in (codes, codes.astype(np.int64)):
+            got = gemv(q)
+            assert got.dtype == np.int64
+            np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(gemv(codes[0]), want[0])
+
     def test_unproven_int32_bound_checks_each_call(self):
         w = QTensor(np.full((2, 200), 255, dtype=np.uint8), QuantParams(8, 1 / 255, 0))
         p_in = QuantParams(16, 1 / 65535, 0)
