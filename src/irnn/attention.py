@@ -27,7 +27,6 @@ from .fixedpoint import (
     FxOverflow,
     Quotient,
     Rescale,
-    requant_multiplier,
     round_half_away,
     saturate,
 )
@@ -42,8 +41,7 @@ from .quant import (
     derive_params,
     max_centered,
     quantize_weight,
-    requant_rescale,
-    sum_rescale,
+    rescale,
 )
 
 __all__ = [
@@ -154,7 +152,7 @@ def project_keys(q_Henc: QTensor, w: AttentionWeights) -> QTensor:
 def _softmax_rescale(p_e: QuantParams, p_in: QuantParams) -> Rescale:
     """Rescale of max-shifted alignment codes, which lie in [-qmax_e, 0],
     onto the exp table's input grid."""
-    return requant_rescale(requant_multiplier(p_e.scale / p_in.scale), p_in, p_e.qmax)
+    return rescale(p_in, (p_e.scale / p_in.scale, p_e.qmax))
 
 
 def _prove_denominator(to_table: Rescale, exp_lut: np.ndarray) -> None:
@@ -245,18 +243,14 @@ class AttentionPlan:
         # clipped gathers, so they come out centered or unsaturated
         self._kproj = self._gemv_k.rescale(p_k).centered()
         self._qproj = self._gemv_q.rescale(p_q).centered()
-        self._sumqk = sum_rescale(
-            p_q.scale, p_k.scale, p_sum, (max_centered(p_q), max_centered(p_k))
-        ).unsaturated()
+        self._sumqk = rescale(p_sum, (p_q.scale / p_sum.scale, max_centered(p_q)),
+                              (p_k.scale / p_sum.scale, max_centered(p_k))).unsaturated()
         # the tanh code of every (key code K, query code Q) pair, at K * 256 + Q:
-        # the sumqk rescale, its rounding add and zero point carried by the
-        # query term, then the clipped tanh gather, whose LUT spans the sumqk
-        # grid, so a clipped index is a saturated code
-        c = self._sumqk.fold_constant()
-        q_term = self._sumqk.term(0, np.arange(256, dtype=np.int64) - p_q.zero_point)
-        q_term += c
-        k_term = self._sumqk.term(1, np.arange(256, dtype=np.int64)[:, None] - p_k.zero_point)
-        q_sum = self._sumqk.finish_in_place(q_term + k_term, c)
+        # the sumqk rescale of the broadcast query row and key column, then
+        # the clipped tanh gather, whose LUT spans the sumqk grid, so a
+        # clipped index is a saturated code
+        codes = np.arange(256, dtype=np.int64)
+        q_sum = self._sumqk(codes - p_q.zero_point, codes[:, None] - p_k.zero_point)
         self._score = tanh_table.lut.take(q_sum.ravel(), mode="clip")
         self._score.flags.writeable = False
         self._gemv_e = ExactGemv(w.v, TANH_GRID)

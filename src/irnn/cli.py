@@ -21,10 +21,12 @@ import csv
 import json
 import logging
 import os
+import re
 import statistics
 import sys
 import time
 from dataclasses import asdict, dataclass, field
+from decimal import Decimal
 
 import numpy as np
 
@@ -51,6 +53,8 @@ log = logging.getLogger("irnn")
 # before re-converging), while the mean stays two orders tighter
 _MEAN_TOLERANCES = {8: 0.02, 16: 0.01}
 _MADNORM_MEAN_TOLERANCE = 0.08
+# a negative float literal in exponent form
+_EXP_FORM = re.compile(r"-(\d+\.?\d*|\.\d+)[eE][-+]?\d+")
 
 
 class CliError(Exception):
@@ -198,6 +202,9 @@ def cmd_quantize(args) -> int:
 def cmd_approx(args) -> int:
     fn, default_range = activation_registry(args.fn)
     lo, hi = args.range if args.range is not None else default_range
+    if lo >= hi:
+        # derive_params(0, 0) is the identity grid of a dead channel
+        raise CliError(f"degenerate-range: --range needs LO < HI, got {lo!r} {hi!r}")
     try:
         p_in = derive_params(lo, hi, args.bits)
         grid = np.arange(p_in.qmax + 1)
@@ -355,6 +362,18 @@ def _int_in(lo: int, hi: int | None = None):
     return parse
 
 
+def _plain_range(argv: list[str]) -> list[str]:
+    """argv with each --range operand (the flag possibly abbreviated, as
+    argparse allows) that is a negative float literal in exponent form
+    (-1e1, -2.5e-1), which argparse takes for an option, as the exact
+    decimal of its value, which argparse reads as a number and float()
+    reads back as the same double."""
+    flags = [i for i, arg in enumerate(argv) if len(arg) > 2 and "--range".startswith(arg)]
+    ops = {i + k for i in flags for k in (1, 2)}
+    return [format(Decimal(float(a)), "f") if i in ops and _EXP_FORM.fullmatch(a) else a
+            for i, a in enumerate(argv)]
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="irnn",
@@ -435,7 +454,7 @@ def _configure_logging() -> None:
 def main(argv=None) -> int:
     _configure_logging()
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_plain_range(sys.argv[1:] if argv is None else argv))
     try:
         code = args.func(args)
         # a closed pipe can surface only here, when buffered output is flushed

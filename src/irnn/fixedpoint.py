@@ -1,9 +1,10 @@
 """Q-format fixed-point scalars and shift/mask rounding.
 
 Requantization multipliers (ratios of quantization scales) are stored as
-(raw, fraction_bits) integer pairs.  A Rescale is compiled from them once;
-applying it to an integer accumulator is a 64-bit multiply followed by a
-rounded right shift, so the inference path never touches floating point.
+(raw, fraction_bits) integer pairs, which quant.rescale encodes.  A Rescale
+is compiled from them once; applying it to an integer accumulator is a
+64-bit multiply followed by a rounded right shift, so the inference path
+never touches floating point.
 A Quotient, compiled the same way, is the one rounded division.
 
 Rounding is round-to-nearest with ties away from zero, by an add before
@@ -294,16 +295,16 @@ class Rescale:
     element.  A rescale is not changed after construction; with_bounds
     makes a variant.
 
-    Calling it on arrays forms the accumulator in one fresh int64 array and
-    rounds it there, in place (finish_in_place), with the constants bound
-    once as 0-d int64 arrays on the first array call, and saturates it with
-    one clip ufunc call; a short term that broadcasts into the accumulator
-    can carry the rounding add and the zero point (fold_constant).
-    Python-int operands take plain int arithmetic, which always keeps the
-    sign fix.
+    Calling it on arrays forms the accumulator in one fresh int64 array,
+    the terms broadcasting against each other, and rounds it there, in
+    place (finish_in_place), with the constants bound once as 0-d int64
+    arrays on the first array call, and saturates it with one clip ufunc
+    call.  Python-int operands take plain int arithmetic, which always
+    keeps the sign fix.  quant.rescale compiles every rescale from real
+    scales; this class takes raws already encoded.
     """
 
-    __slots__ = ("raws", "f", "zero", "lo", "hi", "bounds", "_peak", "_tie_free", "_arr")
+    __slots__ = ("raws", "f", "zero", "lo", "hi", "bounds", "_tie_free", "_arr")
 
     def __init__(self, raws, f: int, zero: int = 0, lo=None, hi=None, *, bounds):
         if not 1 <= len(raws) <= 2:
@@ -336,7 +337,6 @@ class Rescale:
         # this also keeps f <= 63, so every shift below is an int64 shift
         if total + (1 << max(f - 1, 0)) > _INT64_MAX:
             raise FxOverflow("rescale accumulator would overflow int64")
-        self._peak = total
         self._tie_free = all(_tie_free(f, combo) for combo in itertools.product(*terms))
         self._arr = None  # see _bind
 
@@ -388,32 +388,20 @@ class Rescale:
             return self.finish_in_place(acc.astype(np.int64))
         return self._finish_int(int(acc))
 
-    def finish_in_place(self, acc: np.ndarray, c=None) -> np.ndarray:
+    def finish_in_place(self, acc: np.ndarray) -> np.ndarray:
         """finish on an int64 array accumulator that the caller gives up:
-        rounded, shifted by zero and saturated in place, and returned.  With
-        c = fold_constant(), acc already carries c, so one shift rounds it
-        and adds zero, and the sign fix reads the sign of acc - c."""
+        rounded, shifted by zero and saturated in place, and returned."""
         _, _, half, f, zero, lo, hi = self._arr or self._bind()
         if not self._tie_free:
             # x >> 63 is -1 where x < 0: one less for a negative half
-            acc += (acc if c is None else acc - c) >> _SIGN_SHIFT
-        if c is None:
-            acc += half
+            acc += acc >> _SIGN_SHIFT
+        acc += half
         acc >>= f
-        if zero is not None and c is None:
+        if zero is not None:
             acc += zero
         if lo is not None:
             _clip(acc, lo, hi, out=acc)
         return acc
-
-    def fold_constant(self) -> np.ndarray:
-        """half + (zero << f) as a 0-d int64, for one term to carry into the
-        accumulator (see finish_in_place); FxOverflow unless every
-        accumulator plus it fits int64."""
-        c = ((1 << self.f) >> 1) + (self.zero << self.f)
-        if self._peak + abs(c) > _INT64_MAX:
-            raise FxOverflow("folded rounding constant would overflow int64")
-        return np.asarray(c, dtype=np.int64)
 
     def _finish_int(self, acc: int) -> int:
         """finish on a Python int, in plain int arithmetic: rounded_shift's
@@ -437,7 +425,7 @@ class Rescale:
         certificate do not depend on either, so the variant keeps them."""
         out = object.__new__(Rescale)
         out.raws, out.f, out.bounds = self.raws, self.f, self.bounds
-        out._peak, out._tie_free = self._peak, self._tie_free
+        out._tie_free = self._tie_free
         out.zero = self.zero if zero is None else int(zero)
         out.lo, out.hi, out._arr = lo, hi, None
         return out

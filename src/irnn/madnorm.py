@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fixedpoint import FxOverflow, Quotient, requant_multiplier
-from .quant import QTensor, QuantParams, max_centered, requant_rescale, sum_rescale
+from .fixedpoint import FxOverflow, Quotient
+from .quant import QTensor, QuantParams, max_centered, rescale
 
 __all__ = [
     "GAUSSIAN_MAD_RATIO",
@@ -117,15 +117,12 @@ class MadNormPlan:
     ):
         if p_d.zero_point != 0:
             raise ValueError("deviation params must put zero at code 0")
-        self.mean = requant_rescale(
-            requant_multiplier(px.scale / (p_mu.scale * h)), p_mu, h * max_centered(px)
-        ).centered()
+        self.mean = rescale(p_mu, (px.scale / (p_mu.scale * h), h * max_centered(px))).centered()
         # centered values: S_x(q_x - Z_x) - S_mu(q_mu - Z_mu), one rounding
-        self.center = sum_rescale(
-            px.scale, -p_mu.scale, p_xhat, (max_centered(px), max_centered(p_mu))
-        ).centered()
-        self.dev = requant_rescale(
-            requant_multiplier(p_xhat.scale / (p_d.scale * h)), p_d, h * max_centered(p_xhat)
+        self.center = rescale(p_xhat, (px.scale / p_xhat.scale, max_centered(px)),
+                              (-p_mu.scale / p_xhat.scale, max_centered(p_mu))).centered()
+        self.dev = rescale(
+            p_d, (p_xhat.scale / (p_d.scale * h), h * max_centered(p_xhat))
         ).with_bounds(1, p_d.qmax)
         self.norm = Quotient(p_xhat.scale / (p_y.scale * p_d.scale), 0,
                              p_y.qmin - p_y.zero_point, p_y.qmax - p_y.zero_point)

@@ -309,7 +309,8 @@ def save_float(fm: FloatModel) -> bytes:
 
 def load_float(src) -> FloatModel:
     """Read a float model from an .npz path or the bytes of one; a corrupt
-    archive and weights that are not finite real numbers are rejected."""
+    archive, a meta_json that is not a JSON object and weights that are not
+    finite real numbers are rejected."""
     with io.BytesIO(bytes(src)) if isinstance(src, (bytes, bytearray)) else open(src, "rb") as f:
         try:
             archive = np.load(f)
@@ -320,6 +321,8 @@ def load_float(src) -> FloatModel:
             raise ValueError(f"float model archive is corrupt: {e}") from e
     kind = str(arrays.pop("kind")) if "kind" in arrays else infer_kind(arrays)
     meta = _json(str(arrays.pop("meta_json")), "meta") if "meta_json" in arrays else {}
+    if not isinstance(meta, dict):
+        raise ValueError("malformed meta: meta_json is not a JSON object")
     if not all(v.dtype.kind in "biuf" and np.isfinite(v).all() for v in arrays.values()):
         raise ValueError("float model holds non-finite or non-real weights")
     # FloatModel checks the kind and the keys it requires

@@ -13,7 +13,8 @@ representable (code Z exactly).  The arithmetic primitives
 using fixed-point multipliers so the hot path is integer-only; each op
 performs a single final rounding.  Each is a thin wrapper that compiles a
 Rescale from the parameter sets, then applies it; the model code compiles
-the same Rescales once per cell and replays them.
+the same Rescales once per stage and replays them.  rescale() is the one
+place where a ratio of real scales becomes a fixed-point raw.
 """
 
 from __future__ import annotations
@@ -54,9 +55,8 @@ __all__ = [
     "quantize",
     "quantize_tensor",
     "quantize_weight",
-    "requant_rescale",
     "requantize",
-    "sum_rescale",
+    "rescale",
 ]
 
 STORAGE_DTYPES = {8: np.uint8, 16: np.uint16, 32: np.uint32}
@@ -152,32 +152,27 @@ def _store(out, p: QuantParams, scalar: bool):
     return int(out) if scalar else np.asarray(out).astype(p.dtype)
 
 
-def requant_rescale(fx: FixedPointScalar, p_out: QuantParams, bound: int) -> Rescale:
-    """One-term rescale into p_out by multiplier fx of an accumulator whose
-    magnitude is at most bound."""
-    return Rescale(
-        (fx.raw,), fx.fraction_bits, p_out.zero_point, p_out.qmin, p_out.qmax, bounds=(bound,)
-    )
+def rescale(p_out: QuantParams, *terms) -> Rescale:
+    """The one compile step from real scales to a saturating Rescale into p_out.
+
+    Each term is (ratio, bound): its operand's real scale over p_out's, and
+    the operand's largest magnitude.  One term takes requant_multiplier's
+    normalized mantissa; two terms take to_fixed(ratio, REQUANT_FRACTION_BITS)
+    each, so both round once in one accumulator.  Reassociating a ratio's
+    expression can change its raw, and so the codes."""
+    ratios, bounds = zip(*terms)
+    if len(terms) == 1:
+        fx = requant_multiplier(ratios[0])
+        raws, f = (fx.raw,), fx.fraction_bits
+    else:
+        f = REQUANT_FRACTION_BITS
+        raws = tuple(to_fixed(r, f).raw for r in ratios)
+    return Rescale(raws, f, p_out.zero_point, p_out.qmin, p_out.qmax, bounds=bounds)
 
 
 def qmul_rescale(pa: QuantParams, pb: QuantParams, pc: QuantParams) -> Rescale:
     """Rescale of the centered product (q_a - Z_a)(q_b - Z_b) into pc."""
-    fx = requant_multiplier(pa.scale * pb.scale / pc.scale)
-    return requant_rescale(fx, pc, max_centered(pa) * max_centered(pb))
-
-
-def sum_rescale(scale_a: float, scale_b: float, p_out: QuantParams, bounds) -> Rescale:
-    """Two-term rescale of centered operands at scale_a and scale_b into p_out.
-
-    Both operands are rescaled into the output grid inside one wide
-    accumulator (shared fraction bits) so only a single rounding happens.
-    """
-    f = REQUANT_FRACTION_BITS
-    raw_a = to_fixed(scale_a / p_out.scale, f).raw
-    raw_b = to_fixed(scale_b / p_out.scale, f).raw
-    return Rescale(
-        (raw_a, raw_b), f, p_out.zero_point, p_out.qmin, p_out.qmax, bounds=bounds
-    )
+    return rescale(pc, (pa.scale * pb.scale / pc.scale, max_centered(pa) * max_centered(pb)))
 
 
 def qmul(qa, pa: QuantParams, qb, pb: QuantParams, pc: QuantParams):
@@ -195,15 +190,15 @@ def qmul(qa, pa: QuantParams, qb, pb: QuantParams, pc: QuantParams):
 def qadd_same(qa, qb, p_in: QuantParams, p_out: QuantParams):
     """Sum of two values sharing one parameter set, requantized into p_out."""
     scalar = np.ndim(qa) == 0 and np.ndim(qb) == 0
-    fx = requant_multiplier(p_in.scale / p_out.scale)
-    op = requant_rescale(fx, p_out, 2 * max_centered(p_in))
+    op = rescale(p_out, (p_in.scale / p_out.scale, 2 * max_centered(p_in)))
     return _store(op(_centered(qa, p_in) + _centered(qb, p_in)), p_out, scalar)
 
 
 def qadd_diff(qa, pa: QuantParams, qb, pb: QuantParams, pc: QuantParams):
-    """Sum of two values with distinct parameter sets (see sum_rescale)."""
+    """Sum of two values with distinct parameter sets, rounded once (see rescale)."""
     scalar = np.ndim(qa) == 0 and np.ndim(qb) == 0
-    op = sum_rescale(pa.scale, pb.scale, pc, (max_centered(pa), max_centered(pb)))
+    op = rescale(pc, (pa.scale / pc.scale, max_centered(pa)),
+                 (pb.scale / pc.scale, max_centered(pb)))
     return _store(op(_centered(qa, pa), _centered(qb, pb)), pc, scalar)
 
 
@@ -258,7 +253,7 @@ class ExactGemv:
 
     def rescale(self, p_out: QuantParams) -> Rescale:
         """The rescale of this product's accumulator into p_out."""
-        return requant_rescale(requant_multiplier(self.scale / p_out.scale), p_out, self.bound)
+        return rescale(p_out, (self.scale / p_out.scale, self.bound))
 
     def __call__(self, q):
         acc = np.subtract(q, self.zero, dtype=self.w.dtype) @ self.w

@@ -34,7 +34,7 @@ from .quant import (
     max_centered,
     qmul_rescale,
     quantize_weight,
-    sum_rescale,
+    rescale,
 )
 
 __all__ = [
@@ -312,9 +312,8 @@ class IntLstmCell:
                 pb, p["mnh_mu"], p["mnh_xhat"], p["mnh_d"], p["mnh_y"], 4 * m
             )
             pa, pb = p["mnx_y"], p["mnh_y"]
-        self._sum1 = sum_rescale(
-            pa.scale, pb.scale, p["sum1"], (max_centered(pa), max_centered(pb))
-        )
+        self._sum1 = rescale(p["sum1"], (pa.scale / p["sum1"].scale, max_centered(pa)),
+                             (pb.scale / p["sum1"].scale, max_centered(pb)))
 
         # The last gate rescale feeds only the LUT gathers, which clip their
         # indices to the grid, so it does not saturate; an earlier one keeps
@@ -323,11 +322,9 @@ class IntLstmCell:
         if w.ws is not None:
             self._gemv_s = ExactGemv(w.ws, p["s"])
             # the context accumulator joins at scale S_s * S_ws
-            self._context = sum_rescale(
-                p["sum1"].scale,
-                p["s"].scale * w.ws.params.scale,
-                p["preact"],
-                (max_centered(p["sum1"]), self._gemv_s.bound),
+            self._context = rescale(
+                p["preact"], (p["sum1"].scale / p["preact"].scale, max_centered(p["sum1"])),
+                (p["s"].scale * w.ws.params.scale / p["preact"].scale, self._gemv_s.bound),
             ).unsaturated()
             self._sum1 = self._sum1.centered()
         elif self._bias_codes is None:
@@ -350,9 +347,8 @@ class IntLstmCell:
             (qmul_rescale(p_sig, pb, p[site]).centered(), m, max_centered(p_sig) * max_centered(pb))
             for site, pb in (("ij", p_tanh), ("fc", p["c"]))
         ])
-        self._c = sum_rescale(
-            p["fc"].scale, p["ij"].scale, p["c"], (max_centered(p["fc"]), max_centered(p["ij"]))
-        )
+        self._c = rescale(p["c"], (p["fc"].scale / p["c"].scale, max_centered(p["fc"])),
+                          (p["ij"].scale / p["c"].scale, max_centered(p["ij"])))
         self._h = qmul_rescale(p_sig, p_tanh, p["h"])
         self._h_dtype, self._c_dtype = p["h"].dtype, p["c"].dtype
 

@@ -17,7 +17,7 @@ from irnn.attention import (
     integer_softmax_weights,
     project_keys,
 )
-from irnn.fixedpoint import REQUANT_FRACTION_BITS, FxOverflow
+from irnn.fixedpoint import REQUANT_FRACTION_BITS, FxOverflow, Rescale, to_fixed
 from irnn.pwl import TANH_GRID, PwlTable, activation_registry, build_full, reduce
 from irnn.quant import (
     QTensor,
@@ -27,7 +27,6 @@ from irnn.quant import (
     max_centered,
     qadd_diff,
     quantize_tensor,
-    sum_rescale,
 )
 
 
@@ -422,8 +421,9 @@ class TestScoreTable:
 
 class TestAttachContext:
     """Gate pre-activations plus a context projection Ws @ s, as one
-    two-term sum_rescale of the centered gates and the centered product, so
-    the sum rounds once; the output grid defaults to the gates'."""
+    two-term rescale of the centered gates and the centered product, built
+    from to_fixed directly, so the sum rounds once; the output grid
+    defaults to the gates'."""
 
     def _fixtures(self):
         rng = np.random.default_rng(42)
@@ -437,9 +437,13 @@ class TestAttachContext:
         p_out = p_g if p_out is None else p_out
         w = ws.centered()
         bound = int(np.abs(w).sum(axis=1).max()) * max_centered(s.params)
-        op = sum_rescale(
-            p_g.scale, s.params.scale * ws.params.scale, p_out, (max_centered(p_g), bound)
+        f = REQUANT_FRACTION_BITS
+        raws = (
+            to_fixed(p_g.scale / p_out.scale, f).raw,
+            to_fixed(s.params.scale * ws.params.scale / p_out.scale, f).raw,
         )
+        op = Rescale(raws, f, p_out.zero_point, p_out.qmin, p_out.qmax,
+                     bounds=(max_centered(p_g), bound))
         return QTensor(op(gates.centered(), w @ s.centered()).astype(p_out.dtype), p_out)
 
     def test_zero_context_within_one_code(self):

@@ -272,6 +272,21 @@ class TestApprox:
         # piecewise fit; measured 0.0132 at 32 pieces
         assert max(float(r[3]) for r in rows) < 0.02
 
+    def test_negative_exponent_range_operands(self, capsys, tmp_path):
+        # argparse reads -1e1 as an option unless it is rewritten first,
+        # after the flag or an abbreviation of it
+        for fn, spelled, plain in (
+            ("exp", ("--range", "-1e1", "0"), ("--range", "-10", "0")),
+            ("tanh", ("--ran", "-2.5e-1", "2.5e-1"), ("--range", "-0.25", "0.25")),
+        ):
+            csvs = []
+            for name, rng in (("spelled", spelled), ("plain", plain)):
+                out = tmp_path / f"{fn}_{name}.csv"
+                code, knots = _run(capsys, "approx", "--fn", fn, *rng, "--out", str(out))
+                assert code == 0
+                csvs.append((out.read_bytes(), knots))
+            assert csvs[0] == csvs[1]
+
     def test_unknown_function_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as ei:
             main(["approx", "--fn", "sinh", "--out", str(tmp_path / "x.csv")])
@@ -423,6 +438,8 @@ def bad_files(tmp_path_factory):
     files["nested"].write_bytes(with_manifest(data, b"[" * 200_000))
     files["nested_npz"] = d / "nested_npz.npz"
     np.savez(files["nested_npz"], **weights, meta_json=np.array("[" * 200_000))
+    files["list_meta_npz"] = d / "list_meta.npz"
+    np.savez(files["list_meta_npz"], **weights, meta_json=np.array("[1, 2]"))
     # an encdec container whose exp table maps every code to 0, so that no
     # softmax denominator is positive
     _encdec_npz(d / "encdec.npz", rng)
@@ -453,6 +470,10 @@ _BAD_INPUTS = {
     "approx-pieces-0": (["approx", "--fn", "tanh", "--pieces", "0", "--out", "{out}"], 2),
     "approx-exp-overflows": (
         ["approx", "--fn", "exp", "--range", "-1", "1000", "--out", "{out}"], 2
+    ),
+    # a zero-width range would approximate over the identity grid, 0..255
+    "approx-range-zero-width": (
+        ["approx", "--fn", "tanh", "--range", "0", "0", "--out", "{out}"], 2, "degenerate-range"
     ),
     "table-bits-1": (["table", "--bits", "1"], 2),
     "table-bits-1023": (["table", "--bits", "1023"], 2, "at most 1022"),
@@ -536,6 +557,10 @@ _BAD_INPUTS = {
     "run-16-bit-qproj": (["run", "{qproj_16}"], 3, "score-table"),
     "quantize-nested-meta": (
         ["quantize", "{nested_npz}", "--calib", "{calib}", "--out", "{out}"], 3, "malformed meta"
+    ),
+    "quantize-list-meta": (
+        ["quantize", "{list_meta_npz}", "--calib", "{calib}", "--out", "{out}"], 3,
+        "not a JSON object",
     ),
 }
 

@@ -512,19 +512,11 @@ class TestClipUfunc:
         np.testing.assert_array_equal(op.finish_in_place(op.term(0, t)), want)
 
 
-def _folded(op: Rescale, t0, t1):
-    """op on the two terms with the rounding constant carried by term 0, as
-    the attention step forms its [T x m_att] sum."""
-    c = op.fold_constant()
-    short = op.term(0, t0)
-    short += c
-    return op.finish_in_place(short + op.term(1, t1), c)
-
-
 class TestFoldedFinish:
-    """finish_in_place on acc + fold_constant() against finish on acc and big
-    ints, on a certified rescale and on one whose raws are rich in trailing
-    zeros, so that it keeps the sign fix."""
+    """The two-term call op(t0, t1) on a broadcast row and column, as the
+    attention score table forms its sums, against finish on the summed
+    accumulator and big ints, on a certified rescale and on one whose raws
+    are rich in trailing zeros, so that it keeps the sign fix."""
 
     CERTIFIED = ((794568949, 869730877), 20, (300, 200))
     RICH = ((3 << 10, 5 << 12), 14, (300, 200))
@@ -534,7 +526,7 @@ class TestFoldedFinish:
         want = _ref_rescaled(acc, op)
         before = [t0.copy(), t1.copy()]
         np.testing.assert_array_equal(op.finish(acc), want)
-        np.testing.assert_array_equal(_folded(op, t0, t1), want)
+        np.testing.assert_array_equal(op(t0, t1), want)
         for a, b in zip((t0, t1), before):
             np.testing.assert_array_equal(a, b)
         return acc
@@ -571,26 +563,18 @@ class TestFoldedFinish:
         assert min(kinds.values()) >= 50, kinds
 
     def test_headroom_for_the_constant(self):
-        # C = half + (zero << f) = 1 + 2 * zero at f = 1; the accumulator
-        # bound plus |C| must fit int64, checked in Python ints
+        # the plain finish adds only the rounding half before the shift: at
+        # f = 1 an accumulator up to INT64_MAX - 1 - 2|zero| rounds exactly
         for zero in (5, 2**40, -(2**40)):
-            c = 1 + 2 * zero
-            room = (1 << 63) - 1 - abs(c)
+            room = (1 << 63) - 1 - abs(1 + 2 * zero)
             op = Rescale((1,), 1, zero, bounds=(room,))
-            assert int(op.fold_constant()) == c
             t = np.array([-room, -room + 1, -1, 0, 1, room - 1, room], dtype=np.int64)
-            v = op.term(0, t)
-            v += op.fold_constant()
             want = [_ref_round_div(int(x), 2) + zero for x in t]
-            assert op.finish_in_place(v, op.fold_constant()).tolist() == want
-            with pytest.raises(FxOverflow, match="folded rounding constant"):
-                Rescale((1,), 1, zero, bounds=(room + 1,)).fold_constant()
-        # a zero point that a plain finish adds after the shift overflows
-        # before it: 2 << 62 is 2^63
+            assert op.finish_in_place(op.term(0, t)).tolist() == want
+        # and the zero point joins after the shift, so it needs no headroom
+        # in the accumulator: 2 << 62 would be 2^63
         op = Rescale((1,), 62, 2, bounds=(1,))
         assert op.finish(np.array([-1, 0, 1])).tolist() == [2, 2, 2]
-        with pytest.raises(FxOverflow, match="folded rounding constant"):
-            op.fold_constant()
 
 
 class TestPythonIntPath:
@@ -685,12 +669,19 @@ class TestCenteredRescale:
             assert [centered(int(v)) for v in acc[::997]] == (op(acc[::997]) - zero).tolist()
 
     def test_cell_rescales(self):
-        """Every centered site of a compiled cell equals quant's uncentered
-        rescale minus Z: on every operand its bound admits, or on 2^20 of
-        them, both ends included, where the bound passes 2^20.  fc and ij
-        are the two blocks of the cell's stacked rescale."""
-        from irnn.quant import qmul_rescale, requant_rescale
+        """Every centered site of a compiled cell equals the uncentered
+        rescale that requant_multiplier gives, minus Z: on every operand its
+        bound admits, or on 2^20 of them, both ends included, where the
+        bound passes 2^20.  fc and ij are the two blocks of the cell's
+        stacked rescale."""
+        from irnn.quant import max_centered
         from irnn.rnn import CellConfig, calibrate_lstm_cell
+
+        def plain_rescale(m, p_out, bound):
+            # the reference, from requant_multiplier directly
+            fx = requant_multiplier(m)
+            return Rescale((fx.raw,), fx.fraction_bits, p_out.zero_point, p_out.qmin,
+                           p_out.qmax, bounds=(bound,))
 
         rng = np.random.default_rng(7)
         n = m = 8
@@ -703,20 +694,24 @@ class TestCenteredRescale:
             p = cell.sites
             p_sig = cell.tables["sigmoid"].out_params
             p_tanh = cell.tables["tanh_gate"].out_params
-            fx = {
-                out: requant_multiplier(p[src].scale * w.params.scale / p[out].scale)
-                for out, src, w in (("xprod", "x", cell.weights.wx), ("hprod", "h", cell.weights.wh))
-            }
             pairs = {
-                "xprod": (cell._xprod, requant_rescale(
-                    fx["xprod"], p["xprod"], cell._gemv_x.bound), cell._gemv_x.bound),
-                "hprod": (cell._hprod, requant_rescale(
-                    fx["hprod"], p["hprod"], cell._gemv_h.bound), cell._gemv_h.bound),
-                "fc": (_block(cell._ij_fc, 1, m), qmul_rescale(p_sig, p["c"], p["fc"]),
-                       255 * 2**bits),
-                "ij": (_block(cell._ij_fc, 0, m), qmul_rescale(p_sig, p_tanh, p["ij"]),
-                       255 * 255),
+                out: (
+                    centered,
+                    plain_rescale(p[src].scale * w.params.scale / p[out].scale, p[out], gemv.bound),
+                    gemv.bound,
+                )
+                for out, src, w, centered, gemv in (
+                    ("xprod", "x", cell.weights.wx, cell._xprod, cell._gemv_x),
+                    ("hprod", "h", cell.weights.wh, cell._hprod, cell._gemv_h),
+                )
             }
+            for site, k, pb, bound in (("fc", 1, p["c"], 255 * 2**bits), ("ij", 0, p_tanh, 255 * 255)):
+                pairs[site] = (
+                    _block(cell._ij_fc, k, m),
+                    plain_rescale(p_sig.scale * pb.scale / p[site].scale, p[site],
+                                  max_centered(p_sig) * max_centered(pb)),
+                    bound,
+                )
             for site, (centered, plain, bound) in pairs.items():
                 if bound <= 2**20:
                     ops = np.arange(-bound, bound + 1, dtype=np.int64)

@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 from bigint_ref import madnorm_codes, round_div
 
-from irnn.fixedpoint import REQUANT_FRACTION_BITS, FxOverflow, requant_multiplier, to_fixed
+from irnn.fixedpoint import (
+    REQUANT_FRACTION_BITS,
+    FxOverflow,
+    Rescale,
+    requant_multiplier,
+    to_fixed,
+)
 from irnn.madnorm import (
     GAUSSIAN_MAD_RATIO,
     MadNormPlan,
@@ -24,8 +30,6 @@ from irnn.quant import (
     derive_params,
     max_centered,
     quantize_tensor,
-    requant_rescale,
-    sum_rescale,
 )
 
 
@@ -235,13 +239,19 @@ class TestPlanExactness:
         plan = MadNormPlan(px, p_mu, p_xhat, p["d"], p["y"], h)
         c = max_centered(px)
         sums = np.arange(-h * c, h * c + 1, dtype=np.int64)
-        mean = requant_rescale(
-            requant_multiplier(px.scale / (p_mu.scale * h)), p_mu, h * c
+        # the references, from requant_multiplier and to_fixed directly
+        fx = requant_multiplier(px.scale / (p_mu.scale * h))
+        mean = Rescale(
+            (fx.raw,), fx.fraction_bits, p_mu.zero_point, p_mu.qmin, p_mu.qmax, bounds=(h * c,)
         )
         np.testing.assert_array_equal(plan.mean(sums), mean(sums) - p_mu.zero_point)
         xc = np.arange(-px.zero_point, px.qmax - px.zero_point + 1, dtype=np.int64)
         q_mu = np.arange(p_mu.qmax + 1, dtype=np.int64)
-        center = sum_rescale(px.scale, p_mu.scale, p_xhat, (c, max_centered(p_mu)))
+        f = REQUANT_FRACTION_BITS
+        center = Rescale(
+            (to_fixed(px.scale / p_xhat.scale, f).raw, to_fixed(p_mu.scale / p_xhat.scale, f).raw),
+            f, p_xhat.zero_point, p_xhat.qmin, p_xhat.qmax, bounds=(c, max_centered(p_mu)),
+        )
         np.testing.assert_array_equal(
             plan.center(xc[:, None], (q_mu - p_mu.zero_point)[None, :]),
             center(xc[:, None], (p_mu.zero_point - q_mu)[None, :]) - p_xhat.zero_point,

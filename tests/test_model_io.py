@@ -560,6 +560,21 @@ class TestFloatExport:
         with pytest.raises(ValueError, match="missing keys"):
             mio.load_float(buf.getvalue())
 
+    def test_meta_json_must_be_an_object(self):
+        import io as _io
+
+        rng = np.random.default_rng(42)
+        weights = {k: rng.normal(size=(8, 2)).astype(np.float32) for k in ("wx", "wh")}
+        for meta, ok in (("[1, 2]", False), ("5", False), ("null", False), ('"x"', False),
+                         ('{"seed": 1}', True)):
+            buf = _io.BytesIO()
+            np.savez(buf, **weights, meta_json=np.array(meta))
+            if ok:
+                assert mio.load_float(buf.getvalue()).meta == {"seed": 1}
+            else:
+                with pytest.raises(ValueError, match="not a JSON object"):
+                    mio.load_float(buf.getvalue())
+
     def test_size_ratio_at_scale(self):
         # 205k parameters; weight payload dwarfs tables and manifest
         rng = np.random.default_rng(42)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from irnn.cli import build_model, run_model_int
-from irnn.fixedpoint import FxOverflow
+from irnn.fixedpoint import FxOverflow, Rescale, requant_multiplier, to_fixed
 from irnn.graph import FloatModel
 from irnn.quant import (
     ExactGemv,
@@ -27,6 +27,7 @@ from irnn.quant import (
     quantize,
     quantize_tensor,
     requantize,
+    rescale,
 )
 from irnn.rnn import CellConfig
 
@@ -308,6 +309,50 @@ class TestQaddDiff:
         qc = qadd_diff(quantize(a, pa), pa, quantize(b, pb), pb, pc)
         err = np.abs(dequantize(qc, pc) - (a + b))
         assert err.max() <= pc.scale / 2 + pc.scale
+
+
+def _fields(op: Rescale) -> tuple:
+    return op.raws, op.f, op.zero, op.lo, op.hi, op.bounds, op.tie_free
+
+
+class TestRescale:
+    """rescale's encoding: one term takes requant_multiplier's mantissa, two
+    terms take to_fixed raws at f = 30; the references are built from
+    those functions directly."""
+
+    P_OUTS = (QuantParams(8, 0.0392, 128), QuantParams(16, 3.1e-4, 0), QuantParams(8, 2.5, 255))
+
+    def test_one_term_is_the_normalized_multiplier(self):
+        for p_out in self.P_OUTS:
+            for ratio in (0.0, 1e-9, 0.0078 / 0.0392, 1.0, 0.75, 5.0, 3.3e4):
+                op = rescale(p_out, (ratio, 1000))
+                fx = requant_multiplier(ratio)
+                want = Rescale((fx.raw,), fx.fraction_bits, p_out.zero_point, p_out.qmin,
+                               p_out.qmax, bounds=(1000,))
+                assert _fields(op) == _fields(want), (p_out, ratio)
+                t = np.arange(-1000, 1001, dtype=np.int64)
+                np.testing.assert_array_equal(op(t), want(t))
+        assert rescale(self.P_OUTS[0], (0.0, 7)).raws == (0,)
+
+    def test_two_terms_share_thirty_fraction_bits(self):
+        # MadNorm's centering step negates the mean's ratio; a zero ratio
+        # drops its term
+        for p_out in self.P_OUTS:
+            for ra, rb in ((0.4, 0.3), (1.7, -0.55), (2.0**-12, -3.0), (0.9, 0.0), (0.0, -1.25)):
+                op = rescale(p_out, (ra, 300), (rb, 200))
+                assert op.f == 30
+                raws = (to_fixed(ra, 30).raw, to_fixed(rb, 30).raw)
+                want = Rescale(raws, 30, p_out.zero_point, p_out.qmin, p_out.qmax,
+                               bounds=(300, 200))
+                assert _fields(op) == _fields(want), (p_out, ra, rb)
+                t0 = np.arange(-300, 301, dtype=np.int64)
+                t1 = np.arange(-200, 201, 7, dtype=np.int64)[:, None]
+                np.testing.assert_array_equal(op(t0, t1), want(t0, t1))
+        assert rescale(self.P_OUTS[0], (0.5, 3), (0.0, 3)).raws[1] == 0
+
+    def test_one_negative_term_is_refused(self):
+        with pytest.raises(ValueError, match="ratios of positive scales"):
+            rescale(self.P_OUTS[0], (-0.5, 10))
 
 
 class TestObserver:
