@@ -21,21 +21,14 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .fixedpoint import (
-    _F32_EXACT,
-    _F64_EXACT,
-    FxOverflow,
-    Quotient,
-    Rescale,
-    round_half_away,
-    saturate,
-)
+from .fixedpoint import FxOverflow, Quotient, Rescale, round_half_away, saturate
 from .pwl import TANH_GRID, UNIT_GRID, PwlTable, activation_registry, build_full, reduce
 from .quant import (
     ExactGemv,
     Observer,
     QTensor,
     QuantParams,
+    _exact_dtype,
     _gemv_rows,
     _observe,
     derive_params,
@@ -282,11 +275,11 @@ class AttentionPlan:
             raise ValueError("uncalibrated-tensor: henc params differ from calibration")
         T = q_Henc.data.shape[0]
         num_bound = T * 2 ** (UNIT_GRID.bitwidth + p_h.bitwidth)
-        if num_bound >= _F64_EXACT or not self._ctx.fits(num_bound, T * UNIT_GRID.qmax):
+        dtype = _exact_dtype(num_bound, "context accumulator")
+        if not self._ctx.fits(num_bound, T * UNIT_GRID.qmax):
             raise FxOverflow("context accumulator would overflow int64")
         keys = self._kproj(self._gemv_k(q_Henc.data))
         offsets = (keys + sites["kproj"].zero_point) * 256 + sites["qproj"].zero_point
-        dtype = np.float32 if num_bound < _F32_EXACT else np.float64
         henc = np.subtract(q_Henc.data, p_h.zero_point, dtype=dtype)
         return AttentionSource(keys, offsets, henc)
 

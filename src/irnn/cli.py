@@ -20,8 +20,8 @@ import argparse
 import csv
 import json
 import logging
+import math
 import os
-import re
 import statistics
 import sys
 import time
@@ -53,8 +53,6 @@ log = logging.getLogger("irnn")
 # before re-converging), while the mean stays two orders tighter
 _MEAN_TOLERANCES = {8: 0.02, 16: 0.01}
 _MADNORM_MEAN_TOLERANCE = 0.08
-# a negative float literal in exponent form
-_EXP_FORM = re.compile(r"-(\d+\.?\d*|\.\d+)[eE][-+]?\d+")
 
 
 class CliError(Exception):
@@ -364,14 +362,25 @@ def _int_in(lo: int, hi: int | None = None):
 
 def _plain_range(argv: list[str]) -> list[str]:
     """argv with each --range operand (the flag possibly abbreviated, as
-    argparse allows) that is a negative float literal in exponent form
-    (-1e1, -2.5e-1), which argparse takes for an option, as the exact
-    decimal of its value, which argparse reads as a number and float()
-    reads back as the same double."""
+    argparse allows) that is a negative float literal, which argparse takes
+    for an option in exponent form (-1e1, -2.5e-1) or as -inf or -nan, in a
+    form argparse reads as a number: the exact decimal of its double, which
+    float() reads back as the same double.  A non-finite value has no
+    decimal, so cmd_approx refuses what float() reads back: "nan", or
+    -10^309, which overflows to -inf as -1e400 does."""
     flags = [i for i, arg in enumerate(argv) if len(arg) > 2 and "--range".startswith(arg)]
     ops = {i + k for i in flags for k in (1, 2)}
-    return [format(Decimal(float(a)), "f") if i in ops and _EXP_FORM.fullmatch(a) else a
-            for i, a in enumerate(argv)]
+    return [_plain(a) if i in ops and a.startswith("-") else a for i, a in enumerate(argv)]
+
+
+def _plain(arg: str) -> str:
+    try:
+        v = float(arg)
+    except ValueError:  # an option, or no number: argparse reports it
+        return arg
+    if math.isfinite(v):
+        return format(Decimal(v), "f")
+    return "nan" if math.isnan(v) else "-1" + "0" * 309
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1,11 +1,12 @@
-"""Q-format fixed-point scalars and shift/mask rounding.
+"""Fixed-point constants and shift/mask rounding.
 
-Requantization multipliers (ratios of quantization scales) are stored as
-(raw, fraction_bits) integer pairs, which quant.rescale encodes.  A Rescale
-is compiled from them once; applying it to an integer accumulator is a
-64-bit multiply followed by a rounded right shift, so the inference path
-never touches floating point.
-A Quotient, compiled the same way, is the one rounded division.
+A requantization multiplier (a ratio of quantization scales) is a plain
+int raw at f fraction bits, m ~ raw * 2^-f: to_fixed gives the raw at a
+given f, and requant_multiplier the pair (raw, f) with a normalized raw.
+quant.rescale compiles a Rescale from them once; applying it to an integer
+accumulator is a 64-bit multiply followed by a rounded right shift, so the
+inference path never touches floating point.  A Quotient, compiled the same
+way, is the one rounded division.
 
 Rounding is round-to-nearest with ties away from zero, by an add before
 an arithmetic right shift, which numpy and Python both define as a floor.
@@ -23,12 +24,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "FixedPointScalar",
     "FxOverflow",
     "Quotient",
     "REQUANT_FRACTION_BITS",
@@ -50,9 +49,6 @@ REQUANT_FRACTION_BITS = 30
 
 _INT32_MAX = 2**31 - 1
 _INT64_MAX = 2**63 - 1
-# float32 and float64 represent every integer of smaller magnitude exactly
-_F32_EXACT = 2**24
-_F64_EXACT = 2**53
 # acc >> 63 is -1 where acc < 0, else 0
 _SIGN_SHIFT = np.asarray(63, dtype=np.int64)
 try:  # the clip ufunc, min(max(x, lo), hi) in one call
@@ -196,48 +192,9 @@ def saturate(x, lo, hi):
     return min(max(int(x), lo), hi)
 
 
-@dataclass(frozen=True)
-class FixedPointScalar:
-    """A real number stored as raw * 2^-fraction_bits (Q-format)."""
-
-    raw: int
-    fraction_bits: int
-    integral_bits: int
-    signed: bool = True
-
-    def __post_init__(self):
-        if self.fraction_bits < 0:
-            raise ValueError("fraction_bits must be >= 0")
-        if self.integral_bits < 0:
-            raise ValueError("integral_bits must be >= 0")
-        # raw fits Q(i.f) when its magnitude needs at most i + f bits;
-        # comparing bit lengths never builds 2**(i + f) itself
-        raw = int(self.raw)
-        mag = ~raw if raw < 0 and self.signed else raw
-        if mag < 0 or mag.bit_length() > self.integral_bits + self.fraction_bits:
-            raise FxOverflow(
-                f"raw {self.raw} does not fit Q{self.integral_bits}."
-                f"{self.fraction_bits} ({'signed' if self.signed else 'unsigned'})"
-            )
-
-    @property
-    def value(self) -> float:
-        return self.raw * 2.0**-self.fraction_bits
-
-    @property
-    def resolution(self) -> float:
-        return 2.0**-self.fraction_bits
-
-    @property
-    def range(self) -> tuple[float, float]:
-        """Representable (low, high) of this Q-format."""
-        hi = 2.0**self.integral_bits - 2.0**-self.fraction_bits
-        lo = -(2.0**self.integral_bits) if self.signed else 0.0
-        return (lo, hi)
-
-
-def to_fixed(m: float, f: int) -> FixedPointScalar:
-    """Convert a real multiplier to fixed point with f fraction bits."""
+def to_fixed(m: float, f: int) -> int:
+    """The raw of a real multiplier at f fraction bits: m * 2^f rounded half
+    away from zero, so |raw * 2^-f - m| <= 2^-(f+1).  FxOverflow past int64."""
     if f < 0:
         raise ValueError("fraction_bits must be >= 0")
     if not math.isfinite(m):
@@ -245,22 +202,20 @@ def to_fixed(m: float, f: int) -> FixedPointScalar:
     v = m * 2.0**f
     if not math.isfinite(v) or abs(v) > _INT64_MAX:
         raise FxOverflow(f"mantissa for {m!r} overflows int64 at f={f}")
-    raw = round_half_away(v)
-    integral_bits = max(0, int(abs(raw)).bit_length() - f)
-    return FixedPointScalar(raw, f, integral_bits)
+    return round_half_away(v)
 
 
-def requant_multiplier(m: float) -> FixedPointScalar:
-    """Fixed-point form of a nonnegative requantization multiplier.
+def requant_multiplier(m: float) -> tuple[int, int]:
+    """(raw, f) of a nonnegative requantization multiplier, m ~ raw * 2^-f.
 
     Normalizes m = m_hat * 2^e with m_hat in (0.5, 1] and folds the exponent
-    into fraction_bits, so the mantissa always carries REQUANT_FRACTION_BITS
-    significant fraction bits regardless of the multiplier's magnitude.
+    into f, so the raw always carries REQUANT_FRACTION_BITS significant
+    fraction bits regardless of the multiplier's magnitude.
     """
     if m < 0:
         raise ValueError("requantization multipliers are ratios of positive scales")
     if m == 0.0:
-        return FixedPointScalar(0, REQUANT_FRACTION_BITS, 0)
+        return 0, REQUANT_FRACTION_BITS
     e = math.ceil(math.log2(m))
     # log2 can land on the wrong side of a power of two; nudge until
     # m * 2^-e is in (0.5, 1].
@@ -272,7 +227,7 @@ def requant_multiplier(m: float) -> FixedPointScalar:
     if f < 0:
         raise FxOverflow(f"multiplier {m!r} too large for fixed-point form")
     f = min(f, 62)
-    return to_fixed(m, f)
+    return to_fixed(m, f), f
 
 
 class Rescale:
@@ -378,19 +333,11 @@ class Rescale:
             acc += self.raws[1] * int(t1)
         return self._finish_int(acc)
 
-    def finish(self, acc):
-        """Round an accumulator of summed terms, add zero, saturate.
-
-        acc is a sum of this rescale's own terms, each within its bound: the
-        tie certificate holds only for those.  An array is rounded in a
-        fresh int64 copy, never in acc."""
-        if isinstance(acc, np.ndarray):
-            return self.finish_in_place(acc.astype(np.int64))
-        return self._finish_int(int(acc))
-
     def finish_in_place(self, acc: np.ndarray) -> np.ndarray:
-        """finish on an int64 array accumulator that the caller gives up:
-        rounded, shifted by zero and saturated in place, and returned."""
+        """Round an int64 array accumulator of this rescale's own terms, each
+        within its bound (the tie certificate holds only for those), that the
+        caller gives up: rounded, shifted by zero and saturated in place, and
+        returned."""
         _, _, half, f, zero, lo, hi = self._arr or self._bind()
         if not self._tie_free:
             # x >> 63 is -1 where x < 0: one less for a negative half
@@ -404,9 +351,9 @@ class Rescale:
         return acc
 
     def _finish_int(self, acc: int) -> int:
-        """finish on a Python int, in plain int arithmetic: rounded_shift's
-        sign-fixed add and shift, which needs no tie certificate, then zero
-        and the clip."""
+        """finish_in_place on a Python int, in plain int arithmetic:
+        rounded_shift's sign-fixed add and shift, which needs no tie
+        certificate, then zero and the clip."""
         f = self.f
         if f:
             acc = (acc - (acc < 0) + (1 << (f - 1))) >> f
@@ -480,7 +427,7 @@ class Quotient:
     """A compiled rounded division, the one integer division step.
 
     Computes saturate(round(m * num / den) + zero, lo, hi), rounded half
-    away from zero.  m becomes raw = to_fixed(m, f).raw once, at
+    away from zero.  m becomes raw = to_fixed(m, f) once, at
     f = REQUANT_FRACTION_BITS; then with D = den << f, which is even, the
     quotient is (raw * num - (num < 0) + D/2) // D.  num is an int64 array
     that the caller gives up: scaled, divided, shifted by zero and clipped
@@ -492,7 +439,7 @@ class Quotient:
     __slots__ = ("raw", "_arr")
 
     def __init__(self, m: float, zero: int, lo: int, hi: int):
-        self.raw = to_fixed(m, REQUANT_FRACTION_BITS).raw
+        self.raw = to_fixed(m, REQUANT_FRACTION_BITS)
         # raw, zero (None when 0) and the bounds as 0-d int64
         self._arr = tuple(None if v is None else np.asarray(v, dtype=np.int64)
                           for v in (self.raw, zero or None, lo, hi))
@@ -515,18 +462,25 @@ class Quotient:
         return _clip(num, lo, hi, out=num)
 
 
-def fx_apply(fx: FixedPointScalar, q, zero_out: int = 0):
-    """round(fx.value * q) + zero_out, in integer arithmetic.
+def _own_bound(q):
+    """q as a Python int, or as an int64 array when it has dimensions, and
+    its largest magnitude: the bound of a rescale that q alone feeds."""
+    if isinstance(q, np.ndarray) and q.ndim:
+        q = q.astype(np.int64)
+        # not np.abs, which leaves INT64_MIN negative
+        return q, max(-int(q.min(initial=0)), int(q.max(initial=0)))
+    q = int(q)
+    return q, abs(q)
+
+
+def fx_apply(raw: int, f: int, q, zero_out: int = 0):
+    """round(raw * 2^-f * q) + zero_out, in integer arithmetic.
 
     q may be a Python int or an integer ndarray; the result has the same
     kind.  The product raw * q must fit int64, else FxOverflow.
     """
-    if isinstance(q, np.ndarray) and q.ndim:
-        q = q.astype(np.int64)
-        # not np.abs, which leaves INT64_MIN negative
-        bound = max(-int(q.min(initial=0)), int(q.max(initial=0)))
-        return Rescale((fx.raw,), fx.fraction_bits, zero_out, bounds=(bound,))(q)
-    return int(Rescale((fx.raw,), fx.fraction_bits, zero_out, bounds=(abs(int(q)),))(int(q)))
+    q, bound = _own_bound(q)
+    return Rescale((raw,), f, zero_out, bounds=(bound,))(q)
 
 
 def format_table(bitwidth: int = 8) -> list[dict]:

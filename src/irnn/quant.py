@@ -9,12 +9,13 @@ derive_params picks S and Z for a calibrated range [min, max] (S = (max -
 min) / (2^b - 1), Z = round(-min / S)); the range itself is not kept, since
 min quantizes to code 0 and max to the top code.  Zero is always
 representable (code Z exactly).  The arithmetic primitives
-(qmul, qadd_same, qadd_diff) combine codes from different parameter sets
-using fixed-point multipliers so the hot path is integer-only; each op
-performs a single final rounding.  Each is a thin wrapper that compiles a
-Rescale from the parameter sets, then applies it; the model code compiles
-the same Rescales once per stage and replays them.  rescale() is the one
-place where a ratio of real scales becomes a fixed-point raw.
+(qmul, qadd_same, qadd_diff, requantize) combine codes from different
+parameter sets using fixed-point multipliers so the hot path is
+integer-only; each op performs a single final rounding.  Each is a thin
+wrapper that compiles a Rescale from the parameter sets, then applies it;
+the model code compiles the same Rescales once per stage and replays them.
+rescale() is the one place where a ratio of real scales becomes a
+fixed-point raw, a plain int at a number of fraction bits.
 """
 
 from __future__ import annotations
@@ -25,17 +26,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fixedpoint import (
-    _F32_EXACT,
-    _F64_EXACT,
     _INT32_MAX,
     REQUANT_FRACTION_BITS,
-    FixedPointScalar,
     FxOverflow,
     Rescale,
-    fx_apply,
+    _own_bound,
     requant_multiplier,
     round_half_away,
-    saturate,
     to_fixed,
 )
 
@@ -162,11 +159,11 @@ def rescale(p_out: QuantParams, *terms) -> Rescale:
     expression can change its raw, and so the codes."""
     ratios, bounds = zip(*terms)
     if len(terms) == 1:
-        fx = requant_multiplier(ratios[0])
-        raws, f = (fx.raw,), fx.fraction_bits
+        raw, f = requant_multiplier(ratios[0])
+        raws = (raw,)
     else:
         f = REQUANT_FRACTION_BITS
-        raws = tuple(to_fixed(r, f).raw for r in ratios)
+        raws = tuple(to_fixed(r, f) for r in ratios)
     return Rescale(raws, f, p_out.zero_point, p_out.qmin, p_out.qmax, bounds=bounds)
 
 
@@ -202,18 +199,26 @@ def qadd_diff(qa, pa: QuantParams, qb, pb: QuantParams, pc: QuantParams):
     return _store(op(_centered(qa, pa), _centered(qb, pb)), pc, scalar)
 
 
-def requantize(acc, in_scale: float, p_out: QuantParams, fx: FixedPointScalar | None = None):
+def requantize(acc, in_scale: float, p_out: QuantParams):
     """Map an integer accumulator holding values at in_scale into p_out.
 
     acc represents real values acc * in_scale (zero already centered out, as
-    produced by matmuls over centered operands).  FxOverflow if the product
-    of fx and acc would not fit int64.
+    produced by matmuls over centered operands).  The rescale is bounded by
+    acc itself: FxOverflow if its product with the multiplier would not fit
+    int64.
     """
-    if fx is None:
-        fx = requant_multiplier(in_scale / p_out.scale)
     scalar = np.ndim(acc) == 0 and not isinstance(acc, np.ndarray)
-    out = fx_apply(fx, int(acc) if scalar else np.asarray(acc), p_out.zero_point)
-    return _store(saturate(out, p_out.qmin, p_out.qmax), p_out, scalar)
+    acc, bound = _own_bound(acc if scalar else np.asarray(acc))
+    return _store(rescale(p_out, (in_scale / p_out.scale, bound))(acc), p_out, scalar)
+
+
+def _exact_dtype(bound: int, what: str):
+    """The narrower float dtype that represents every integer up to bound
+    in magnitude exactly: float32 below 2^24, float64 below 2^53;
+    FxOverflow, naming what, at or above."""
+    if bound >= 2**53:
+        raise FxOverflow(f"{what} exceeds float64's exact integer range")
+    return np.float32 if bound < 2**24 else np.float64
 
 
 class ExactGemv:
@@ -239,9 +244,7 @@ class ExactGemv:
         if bias is not None:
             rows = rows + np.abs(bias.astype(np.int64))
         bound = int(rows.max(initial=0))
-        if bound >= _F64_EXACT:
-            raise FxOverflow("matmul accumulator exceeds float64's exact integer range")
-        dtype = np.float32 if bound < _F32_EXACT else np.float64
+        dtype = _exact_dtype(bound, "matmul accumulator")
         self.w = w.T.astype(dtype)
         self.w.flags.writeable = False
         # a 0-d array: ufuncs take it without converting a Python int per call

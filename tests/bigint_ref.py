@@ -25,15 +25,15 @@ def clip_code(v: int, p) -> int:
 def requant(acc: int, m: float, p) -> int:
     """acc times the requantization multiplier m, rounded once, plus Z_p,
     saturated on p."""
-    fx = requant_multiplier(m)
-    return clip_code(round_div(fx.raw * acc, 1 << fx.fraction_bits) + p.zero_point, p)
+    raw, f = requant_multiplier(m)
+    return clip_code(round_div(raw * acc, 1 << f) + p.zero_point, p)
 
 
 def two_term(a: int, scale_a: float, b: int, scale_b: float, p) -> int:
     """S_a * a + S_b * b on grid p with one rounding: both raws at
     REQUANT_FRACTION_BITS in one accumulator."""
     f = REQUANT_FRACTION_BITS
-    acc = to_fixed(scale_a / p.scale, f).raw * a + to_fixed(scale_b / p.scale, f).raw * b
+    acc = to_fixed(scale_a / p.scale, f) * a + to_fixed(scale_b / p.scale, f) * b
     return clip_code(round_div(acc, 1 << f) + p.zero_point, p)
 
 
@@ -47,7 +47,7 @@ def madnorm_codes(row, px, p_mu, p_xhat, p_d, p_y) -> list:
         for x in row
     ]
     q_d = requant(sum(map(abs, xhat)), p_xhat.scale / (p_d.scale * h), p_d)
-    raw_y = to_fixed(p_xhat.scale / (p_y.scale * p_d.scale), f).raw
+    raw_y = to_fixed(p_xhat.scale / (p_y.scale * p_d.scale), f)
     return [
         clip_code(round_div(raw_y * v, max(q_d, 1) << f) + p_y.zero_point, p_y) for v in xhat
     ]

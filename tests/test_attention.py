@@ -439,8 +439,8 @@ class TestAttachContext:
         bound = int(np.abs(w).sum(axis=1).max()) * max_centered(s.params)
         f = REQUANT_FRACTION_BITS
         raws = (
-            to_fixed(p_g.scale / p_out.scale, f).raw,
-            to_fixed(s.params.scale * ws.params.scale / p_out.scale, f).raw,
+            to_fixed(p_g.scale / p_out.scale, f),
+            to_fixed(s.params.scale * ws.params.scale / p_out.scale, f),
         )
         op = Rescale(raws, f, p_out.zero_point, p_out.qmin, p_out.qmax,
                      bounds=(max_centered(p_g), bound))

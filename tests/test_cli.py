@@ -475,6 +475,20 @@ _BAD_INPUTS = {
     "approx-range-zero-width": (
         ["approx", "--fn", "tanh", "--range", "0", "0", "--out", "{out}"], 2, "degenerate-range"
     ),
+    # -1e400 is -inf: the same refusal as an overflowing HI, not argparse's
+    # "expected 2 arguments" for an operand it takes for an option
+    "approx-range-lo-overflows": (
+        ["approx", "--fn", "exp", "--range", "-1e400", "0", "--out", "{out}"], 2,
+        "range bounds must be finite",
+    ),
+    "approx-range-lo-minus-inf": (
+        ["approx", "--fn", "exp", "--range", "-inf", "0", "--out", "{out}"], 2,
+        "range bounds must be finite",
+    ),
+    "approx-range-hi-minus-nan": (
+        ["approx", "--fn", "exp", "--range", "-1", "-nan", "--out", "{out}"], 2,
+        "range bounds must be finite",
+    ),
     "table-bits-1": (["table", "--bits", "1"], 2),
     "table-bits-1023": (["table", "--bits", "1023"], 2, "at most 1022"),
     "table-bits-1025": (["table", "--bits", "1025"], 2, "at most 1022"),

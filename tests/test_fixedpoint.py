@@ -1,4 +1,4 @@
-"""Fixed-point scalars, rounding primitives and the compiled Rescale."""
+"""Fixed-point raws, rounding primitives and the compiled Rescale."""
 
 from fractions import Fraction
 
@@ -8,7 +8,6 @@ from bigint_ref import round_div as _ref_round_div
 
 from irnn.fixedpoint import (
     REQUANT_FRACTION_BITS,
-    FixedPointScalar,
     FxOverflow,
     Quotient,
     Rescale,
@@ -103,9 +102,12 @@ class TestRounding:
 
 
 class TestFixedPointScalar:
+    """to_fixed: a real multiplier as a plain int raw at f fraction bits."""
+
     def test_to_fixed_simple(self):
-        assert to_fixed(0.5, 4).raw == 8
-        assert to_fixed(0.0078125, 7).raw == 1
+        assert to_fixed(0.5, 4) == 8
+        assert to_fixed(0.0078125, 7) == 1
+        assert type(to_fixed(0.3, 30)) is int
 
     def test_round_trip_bound(self):
         # conversion error is at most half a resolution step
@@ -113,48 +115,18 @@ class TestFixedPointScalar:
         for _ in range(500):
             f = int(rng.integers(0, 40))
             m = float(rng.uniform(-4, 4))
-            fx = to_fixed(m, f)
-            assert abs(fx.value - m) <= 2.0 ** -(f + 1)
+            raw = to_fixed(m, f)
+            assert abs(raw * 2.0**-f - m) <= 2.0 ** -(f + 1)
 
     def test_requant_scale_round_trip(self):
         s = 0.0392
-        fx = to_fixed(s, 30)
-        assert fx.raw == round(s * 2**30)
-        assert abs(fx.value - s) <= 2.0**-30
-
-    def test_q3_4_extremes(self):
-        fx = FixedPointScalar(raw=0, fraction_bits=4, integral_bits=3)
-        assert fx.range == (-8.0, 7.9375)
-        assert fx.resolution == 0.0625
-
-    def test_raw_must_fit_format(self):
-        FixedPointScalar(raw=127, fraction_bits=4, integral_bits=3)
-        with pytest.raises(FxOverflow):
-            FixedPointScalar(raw=200, fraction_bits=4, integral_bits=3)
-        with pytest.raises(FxOverflow):
-            FixedPointScalar(raw=-1, fraction_bits=4, integral_bits=3, signed=False)
-
-    def test_range_check_at_the_format_edges(self):
-        for i, f in ((0, 1), (3, 4), (2, 62)):
-            total = i + f
-            FixedPointScalar(2**total - 1, f, i)
-            FixedPointScalar(-(2**total), f, i)
-            FixedPointScalar(2**total - 1, f, i, signed=False)
-            with pytest.raises(FxOverflow):
-                FixedPointScalar(2**total, f, i)
-            with pytest.raises(FxOverflow):
-                FixedPointScalar(-(2**total) - 1, f, i)
-            with pytest.raises(FxOverflow):
-                FixedPointScalar(2**total, f, i, signed=False)
-
-    def test_huge_format_builds_no_huge_int(self):
-        # 2**(2**40) would need 128 GiB; the check compares bit lengths
-        fx = FixedPointScalar(raw=-5, fraction_bits=2**40, integral_bits=2**40)
-        assert fx.raw == -5
+        raw = to_fixed(s, 30)
+        assert raw == round(s * 2**30)
+        assert abs(raw * 2.0**-30 - s) <= 2.0**-30
 
     def test_negative_fraction_bits_rejected(self):
         with pytest.raises(ValueError):
-            FixedPointScalar(raw=0, fraction_bits=-1, integral_bits=0)
+            to_fixed(0.5, -1)
 
     def test_to_fixed_overflow(self):
         with pytest.raises(FxOverflow):
@@ -164,15 +136,14 @@ class TestFixedPointScalar:
 class TestRequantMultiplier:
     def test_normalized_mantissa(self):
         # raw mantissa always lands in (2^29, 2^30]; the exponent moves
-        # into fraction_bits instead
+        # into f instead
         for m in (0.0039, 0.4968, 0.7153, 1.0, 3.7, 2**-12):
-            fx = requant_multiplier(m)
-            assert 2**29 < fx.raw <= 2**30
-            assert abs(fx.value - m) / m <= 2.0**-29
+            raw, f = requant_multiplier(m)
+            assert 2**29 < raw <= 2**30
+            assert abs(raw * 2.0**-f - m) / m <= 2.0**-29
 
     def test_zero_multiplier(self):
-        fx = requant_multiplier(0.0)
-        assert fx.raw == 0
+        assert requant_multiplier(0.0) == (0, REQUANT_FRACTION_BITS)
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
@@ -185,46 +156,43 @@ class TestRequantMultiplier:
 
 class TestFxApply:
     def test_identity_multiplier(self):
-        fx = FixedPointScalar(raw=2**10, fraction_bits=10, integral_bits=1)
-        assert fx_apply(fx, 37, zero_out=5) == 42
+        assert fx_apply(2**10, 10, 37, zero_out=5) == 42
         np.testing.assert_array_equal(
-            fx_apply(fx, np.array([1, -2, 0]), zero_out=0), [1, -2, 0]
+            fx_apply(2**10, 10, np.array([1, -2, 0]), zero_out=0), [1, -2, 0]
         )
 
     def test_mask_rounding_halves(self):
         # raw/2^1 = 0.5 multiplier: products 2 and 3 exercise the mask bit
-        fx = FixedPointScalar(raw=1, fraction_bits=1, integral_bits=0)
-        assert fx_apply(fx, 2) == 1  # 1.0 exactly
-        assert fx_apply(fx, 3) == 2  # 1.5 rounds away from zero
-        assert fx_apply(fx, -3) == -2
+        assert fx_apply(1, 1, 2) == 1  # 1.0 exactly
+        assert fx_apply(1, 1, 3) == 2  # 1.5 rounds away from zero
+        assert fx_apply(1, 1, -3) == -2
 
     def test_against_float_oracle(self):
         rng = np.random.default_rng(42)
         for _ in range(10_000):
             m = float(rng.uniform(2**-16, 4.0))
             q = int(rng.integers(-(2**16), 2**16))
-            fx = requant_multiplier(m)
+            raw, f = requant_multiplier(m)
             want = round_half_away(m * q) + 7
-            assert abs(fx_apply(fx, q, zero_out=7) - want) <= 1
+            assert abs(fx_apply(raw, f, q, zero_out=7) - want) <= 1
 
     def test_odd_symmetry(self):
         rng = np.random.default_rng(42)
         for _ in range(500):
-            fx = requant_multiplier(float(rng.uniform(0.01, 2.0)))
+            raw, f = requant_multiplier(float(rng.uniform(0.01, 2.0)))
             q = int(rng.integers(0, 2**15))
-            plus = fx_apply(fx, q, 100) - 100
-            minus = fx_apply(fx, -q, 100) - 100
+            plus = fx_apply(raw, f, q, 100) - 100
+            minus = fx_apply(raw, f, -q, 100) - 100
             assert plus == -minus
 
     def test_power_of_two_is_exact_shift(self):
-        fx = requant_multiplier(2.0**-3)
+        raw, f = requant_multiplier(2.0**-3)
         for q in range(-64, 65, 8):
-            assert fx_apply(fx, q) == q // 8
+            assert fx_apply(raw, f, q) == q // 8
 
     def test_overflow_guard(self):
-        fx = FixedPointScalar(raw=2**40, fraction_bits=30, integral_bits=11)
         with pytest.raises(FxOverflow):
-            fx_apply(fx, 2**40)
+            fx_apply(2**40, 30, 2**40)
 
 
 class TestFormatTable:
@@ -344,17 +312,16 @@ class TestRoundingProperties:
         for _ in range(300):
             f = int(rng.integers(1, 63))
             raw = int(rng.integers(1, 2**31)) * int(rng.choice([1, -1]))
-            fx = FixedPointScalar(raw, f, max(0, abs(raw).bit_length() - f))
             limit = _admitted(f) // abs(raw)
             qs = [limit, -limit] + [
                 int(v) for v in rng.integers(-limit, limit, size=20, endpoint=True)
             ]
             want = [_ref_round_div(raw * q, 2**f) + 3 for q in qs]
-            assert [fx_apply(fx, q, 3) for q in qs] == want
-            assert fx_apply(fx, np.array(qs, dtype=np.int64), 3).tolist() == want
+            assert [fx_apply(raw, f, q, 3) for q in qs] == want
+            assert fx_apply(raw, f, np.array(qs, dtype=np.int64), 3).tolist() == want
             # one step past what the rounding add leaves room for
             with pytest.raises(FxOverflow):
-                fx_apply(fx, np.array([limit + 1], dtype=np.int64))
+                fx_apply(raw, f, np.array([limit + 1], dtype=np.int64))
 
 
 class TestRescale:
@@ -371,17 +338,22 @@ class TestRescale:
 
         with pytest.raises(TypeError):
             Rescale((2**40,), 30)
-        fx = FixedPointScalar(2**40, 30, 11)
         p_out = derive_params(-(2**34), 2**34, 32)
+        # a multiplier of 1024: fx_apply's raw 2^40 at f = 30 overflows past
+        # |q| = 2^23 - 1, requantize's normalized raw 2^30 at f = 20 past 2^33 - 1
+        in_scale = 1024 * p_out.scale
         for q in (np.array([5, -7]), 5):
             want = np.array(q) * 1024 + p_out.zero_point
-            assert np.array_equal(requantize(q, 1.0, p_out, fx), want)
-            assert np.array_equal(fx_apply(fx, q), np.array(q) * 1024)
+            assert np.array_equal(requantize(q, in_scale, p_out), want)
+            assert np.array_equal(fx_apply(2**40, 30, q), np.array(q) * 1024)
+        for q in (np.array([2**33]), np.array([-(2**63)]), -(2**33)):
+            with pytest.raises(FxOverflow):
+                requantize(q, in_scale, p_out)
         for q in (np.array([2**23]), np.array([-(2**63)]), -(2**23)):
             with pytest.raises(FxOverflow):
-                requantize(q, 1.0, p_out, fx)
-            with pytest.raises(FxOverflow):
-                fx_apply(fx, q)
+                fx_apply(2**40, 30, q)
+        assert requantize(2**33 - 1, in_scale, p_out) == p_out.qmax
+        assert fx_apply(2**40, 30, 2**23 - 1) == (2**23 - 1) * 1024
 
     def test_two_terms_round_once_and_saturate(self):
         # 0.5 * a + 0.25 * b, one rounding, into [0, 255] around zero 128
@@ -390,7 +362,7 @@ class TestRescale:
         b = np.array([0, 0, 0, 500, -500])
         want = [128 + _ref_round_div(x + y, 2) for x, y in zip(a.tolist(), b.tolist())]
         assert op(a, b).tolist() == [min(max(v, 0), 255) for v in want]
-        assert op.finish(op.term(0, a) + op.term(1, b)).tolist() == op(a, b).tolist()
+        assert op.finish_in_place(op.term(0, a) + op.term(1, b)).tolist() == op(a, b).tolist()
 
     def test_one_bound_per_term(self):
         # a missing bound left its term out of the overflow proof: this one
@@ -416,7 +388,8 @@ class TestRescale:
 
 
 class TestInPlaceFinish:
-    """Rescale.finish's one-array rounding kernel against big-int references."""
+    """Rescale.finish_in_place's one-array rounding kernel, on a copy and
+    through __call__, against big-int references."""
 
     def test_matches_big_int_and_leaves_acc_alone(self):
         rng = np.random.default_rng(42)
@@ -431,21 +404,23 @@ class TestInPlaceFinish:
             op = Rescale((1,), f, bounds=(bound,))
             # vals holds exact ties, so this is the sign-fixing kernel
             assert not op.tie_free, f
-            assert op.finish(acc).tolist() == rounded, f
-            assert [op.finish(v) for v in vals] == rounded, f
+            assert op.finish_in_place(acc.copy()).tolist() == rounded, f
+            assert op(acc).tolist() == rounded, f
+            assert [op(v) for v in vals] == rounded, f
             # zero point and saturation, in place on the fresh array
             lo, hi = sorted(int(v) for v in rng.integers(-(2**40), 2**40, size=2))
             zero = int(rng.integers(-(2**20), 2**20))
             op = Rescale((1,), f, zero, lo, hi, bounds=(bound,))
             assert not op.tie_free, f
             want = [min(max(r + zero, lo), hi) for r in rounded]
-            assert op.finish(acc).tolist() == want, f
-            assert [op.finish(v) for v in vals] == want, f
+            assert op.finish_in_place(acc.copy()).tolist() == want, f
+            assert op(acc).tolist() == want, f
+            assert [op(v) for v in vals] == want, f
             np.testing.assert_array_equal(acc, before)
 
     def test_zero_fraction_bits_copies(self):
         acc = np.array([-7, 0, 9], dtype=np.int64)
-        out = Rescale((1,), 0, 0, -5, 5, bounds=(9,)).finish(acc)
+        out = Rescale((1,), 0, 0, -5, 5, bounds=(9,))(acc)
         assert out.tolist() == [-5, 0, 5]
         assert acc.tolist() == [-7, 0, 9]
 
@@ -485,7 +460,7 @@ class TestClipUfunc:
         rng = np.random.default_rng(42)
         t = rng.integers(-(2**30), 2**30, size=200)
         op = Rescale((12345,), 17, 9, -(2**20), 2**20, bounds=(2**30,))
-        bare = op.unsaturated().finish(op.term(0, t))
+        bare = op.unsaturated().finish_in_place(op.term(0, t))
         want = self._max_min(bare, -(2**20), 2**20)
         assert (want != bare).sum() > 10
         acc = op.term(0, t)
@@ -506,7 +481,7 @@ class TestClipUfunc:
         op = Rescale.stack(parts)
         assert op.lo.shape == op.hi.shape == (48,)
         t = rng.integers(-(2**14), 2**14 + 1, size=(5, 48))
-        bare = op.unsaturated().finish(op.term(0, t))
+        bare = op.unsaturated().finish_in_place(op.term(0, t))
         want = self._max_min(bare, op.lo, op.hi)
         assert (want != bare).any() and (want == bare).any()
         np.testing.assert_array_equal(op.finish_in_place(op.term(0, t)), want)
@@ -514,9 +489,9 @@ class TestClipUfunc:
 
 class TestFoldedFinish:
     """The two-term call op(t0, t1) on a broadcast row and column, as the
-    attention score table forms its sums, against finish on the summed
-    accumulator and big ints, on a certified rescale and on one whose raws
-    are rich in trailing zeros, so that it keeps the sign fix."""
+    attention score table forms its sums, against finish_in_place on the
+    summed accumulator and big ints, on a certified rescale and on one whose
+    raws are rich in trailing zeros, so that it keeps the sign fix."""
 
     CERTIFIED = ((794568949, 869730877), 20, (300, 200))
     RICH = ((3 << 10, 5 << 12), 14, (300, 200))
@@ -525,7 +500,7 @@ class TestFoldedFinish:
         acc = op.term(0, t0) + op.term(1, t1)
         want = _ref_rescaled(acc, op)
         before = [t0.copy(), t1.copy()]
-        np.testing.assert_array_equal(op.finish(acc), want)
+        np.testing.assert_array_equal(op.finish_in_place(acc.copy()), want)
         np.testing.assert_array_equal(op(t0, t1), want)
         for a, b in zip((t0, t1), before):
             np.testing.assert_array_equal(a, b)
@@ -574,13 +549,13 @@ class TestFoldedFinish:
         # and the zero point joins after the shift, so it needs no headroom
         # in the accumulator: 2 << 62 would be 2^63
         op = Rescale((1,), 62, 2, bounds=(1,))
-        assert op.finish(np.array([-1, 0, 1])).tolist() == [2, 2, 2]
+        assert op(np.array([-1, 0, 1])).tolist() == [2, 2, 2]
 
 
 class TestPythonIntPath:
     """Rescale on Python ints, in plain int arithmetic, against its int64-array
-    path and big ints: __call__ and finish, bare, with a zero point and
-    with a clip that bites, on the tie-free and the sign-fix kernel."""
+    path (__call__ and finish_in_place) and big ints, bare, with a zero point
+    and with a clip that bites, on the tie-free and the sign-fix kernel."""
 
     def _check(self, raws, f, bounds, operands, rng) -> bool:
         """operands: term tuples of Python ints, each within bounds; returns
@@ -596,10 +571,10 @@ class TestPythonIntPath:
         for op in (bare, shifted, clipped):
             assert op.tie_free == bare.tie_free
             array = op(*cols).tolist()
-            assert op.finish(np.array(accs, dtype=np.int64)).tolist() == array
+            assert op.finish_in_place(np.array(accs, dtype=np.int64)).tolist() == array
             ints = [op(*ts) for ts in operands]
             assert all(type(v) is int for v in ints)
-            assert ints == array == [op.finish(a) for a in accs]
+            assert ints == array
             want = [_ref_round_div(a, 2**f) + op.zero for a in accs]
             if op.lo is not None:
                 want = [min(max(v, lo), hi) for v in want]
@@ -649,7 +624,8 @@ class TestPythonIntPath:
         op = Rescale((3, 5), 2, 7, 0, 20, bounds=(9, 9))
         for a, b in ((-9, 9), (3, -2), (9, 9), (-9, -9)):
             got = op(np.int64(a), np.int64(b))
-            assert type(got) is int and got == op(a, b) == op.finish(3 * a + 5 * b)
+            want = min(max(_ref_round_div(3 * a + 5 * b, 4) + 7, 0), 20)
+            assert type(got) is int and got == op(a, b) == want
 
 
 class TestCenteredRescale:
@@ -679,8 +655,8 @@ class TestCenteredRescale:
 
         def plain_rescale(m, p_out, bound):
             # the reference, from requant_multiplier directly
-            fx = requant_multiplier(m)
-            return Rescale((fx.raw,), fx.fraction_bits, p_out.zero_point, p_out.qmin,
+            raw, f = requant_multiplier(m)
+            return Rescale((raw,), f, p_out.zero_point, p_out.qmin,
                            p_out.qmax, bounds=(bound,))
 
         rng = np.random.default_rng(7)
@@ -1002,9 +978,7 @@ class TestTieCertificate:
         summed = op.term(0, terms[0])
         if len(terms) == 2:
             summed = summed + op.term(1, terms[1])
-        before = summed.copy()
-        np.testing.assert_array_equal(op.finish(summed), want)
-        np.testing.assert_array_equal(summed, before)
+        np.testing.assert_array_equal(op.finish_in_place(summed), want)
         # the variants keep the certificate
         for variant in (op.unsaturated(), op.with_bounds(-(2**20), 2**20, 3)):
             assert variant.tie_free == op.tie_free
@@ -1054,7 +1028,7 @@ class TestTieCertificate:
         t = np.array([-5, -3, -1, 0, 1, 3, 5], dtype=np.int64)
         want = [-3, -2, -1, 0, 1, 2, 3]
         assert op(t).tolist() == want
-        assert op.finish(op.term(0, t)).tolist() == want
+        assert op.finish_in_place(op.term(0, t)).tolist() == want
         # one code less and no tie is in reach
         assert Rescale((1 << 29,), 30, bounds=(0,)).tie_free
         assert Rescale((1 << 28,), 30, bounds=(1,)).tie_free

@@ -240,16 +240,14 @@ class TestPlanExactness:
         c = max_centered(px)
         sums = np.arange(-h * c, h * c + 1, dtype=np.int64)
         # the references, from requant_multiplier and to_fixed directly
-        fx = requant_multiplier(px.scale / (p_mu.scale * h))
-        mean = Rescale(
-            (fx.raw,), fx.fraction_bits, p_mu.zero_point, p_mu.qmin, p_mu.qmax, bounds=(h * c,)
-        )
+        raw, f = requant_multiplier(px.scale / (p_mu.scale * h))
+        mean = Rescale((raw,), f, p_mu.zero_point, p_mu.qmin, p_mu.qmax, bounds=(h * c,))
         np.testing.assert_array_equal(plan.mean(sums), mean(sums) - p_mu.zero_point)
         xc = np.arange(-px.zero_point, px.qmax - px.zero_point + 1, dtype=np.int64)
         q_mu = np.arange(p_mu.qmax + 1, dtype=np.int64)
         f = REQUANT_FRACTION_BITS
         center = Rescale(
-            (to_fixed(px.scale / p_xhat.scale, f).raw, to_fixed(p_mu.scale / p_xhat.scale, f).raw),
+            (to_fixed(px.scale / p_xhat.scale, f), to_fixed(p_mu.scale / p_xhat.scale, f)),
             f, p_xhat.zero_point, p_xhat.qmin, p_xhat.qmax, bounds=(c, max_centered(p_mu)),
         )
         np.testing.assert_array_equal(
@@ -277,7 +275,7 @@ class TestDivisionProof:
         """The output grid whose normalization multiplier has this raw."""
         y = 2.0**60 / raw
         for _ in range(1000):
-            got = to_fixed(self.P_XHAT.scale / (y * self.P_D.scale), REQUANT_FRACTION_BITS).raw
+            got = to_fixed(self.P_XHAT.scale / (y * self.P_D.scale), REQUANT_FRACTION_BITS)
             if got == raw:
                 return QuantParams(8, y, 128)
             y = np.nextafter(y, np.inf if got > raw else 0.0)

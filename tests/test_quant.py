@@ -326,9 +326,9 @@ class TestRescale:
         for p_out in self.P_OUTS:
             for ratio in (0.0, 1e-9, 0.0078 / 0.0392, 1.0, 0.75, 5.0, 3.3e4):
                 op = rescale(p_out, (ratio, 1000))
-                fx = requant_multiplier(ratio)
-                want = Rescale((fx.raw,), fx.fraction_bits, p_out.zero_point, p_out.qmin,
-                               p_out.qmax, bounds=(1000,))
+                raw, f = requant_multiplier(ratio)
+                want = Rescale((raw,), f, p_out.zero_point, p_out.qmin, p_out.qmax,
+                               bounds=(1000,))
                 assert _fields(op) == _fields(want), (p_out, ratio)
                 t = np.arange(-1000, 1001, dtype=np.int64)
                 np.testing.assert_array_equal(op(t), want(t))
@@ -341,7 +341,7 @@ class TestRescale:
             for ra, rb in ((0.4, 0.3), (1.7, -0.55), (2.0**-12, -3.0), (0.9, 0.0), (0.0, -1.25)):
                 op = rescale(p_out, (ra, 300), (rb, 200))
                 assert op.f == 30
-                raws = (to_fixed(ra, 30).raw, to_fixed(rb, 30).raw)
+                raws = (to_fixed(ra, 30), to_fixed(rb, 30))
                 want = Rescale(raws, 30, p_out.zero_point, p_out.qmin, p_out.qmax,
                                bounds=(300, 200))
                 assert _fields(op) == _fields(want), (p_out, ra, rb)
@@ -349,6 +349,25 @@ class TestRescale:
                 t1 = np.arange(-200, 201, 7, dtype=np.int64)[:, None]
                 np.testing.assert_array_equal(op(t0, t1), want(t0, t1))
         assert rescale(self.P_OUTS[0], (0.5, 3), (0.0, 3)).raws[1] == 0
+
+    def test_requantize_is_the_rescale_of_its_own_operand(self):
+        # requantize compiles rescale(p_out, (in_scale / S_out, max |acc|)),
+        # on arrays and on Python ints; the largest scale saturates both ends
+        rng = np.random.default_rng(42)
+        for p_out in self.P_OUTS:
+            for in_scale in (1e-5, 0.0078 * 0.0392, 0.3, 7.0):
+                ratio = in_scale / p_out.scale
+                acc = rng.integers(-(2**20), 2**20, size=200)
+                acc[:2] = -(2**20), 2**20
+                want = rescale(p_out, (ratio, 2**20))(acc)
+                got = requantize(acc, in_scale, p_out)
+                assert got.dtype == p_out.dtype
+                np.testing.assert_array_equal(got, want)
+                scalars = [int(a) for a in acc[:40]]
+                assert [requantize(a, in_scale, p_out) for a in scalars] == [
+                    rescale(p_out, (ratio, abs(a)))(a) for a in scalars
+                ]
+            assert want.min() == p_out.qmin and want.max() == p_out.qmax
 
     def test_one_negative_term_is_refused(self):
         with pytest.raises(ValueError, match="ratios of positive scales"):
@@ -479,6 +498,14 @@ class TestExactGemv:
             assert got.dtype == np.int64
             np.testing.assert_array_equal(got, want)
         np.testing.assert_array_equal(gemv(codes[0]), want[0])
+
+    def test_float64_below_two_to_the_53(self):
+        # a bias of 2^53 - 1 has an exact float64; a magnitude of 2^53 is refused
+        w = QTensor(np.zeros((2, 3), dtype=np.uint8), QuantParams(8, 1.0, 0))
+        gemv = ExactGemv(w, P_UNIT, np.array([2**53 - 1, 0], dtype=np.int64))
+        assert gemv.w.dtype == gemv.bias.dtype == np.float64 and gemv.per_call_check
+        with pytest.raises(FxOverflow, match="matmul accumulator"):
+            ExactGemv(w, P_UNIT, np.array([0, -(2**53)], dtype=np.int64))
 
     def test_unproven_int32_bound_checks_each_call(self):
         w = QTensor(np.full((2, 200), 255, dtype=np.uint8), QuantParams(8, 1 / 255, 0))
