@@ -197,9 +197,9 @@ class AttentionSource:
     """The per-source terms of an attention stage (AttentionPlan.source).
 
     keys is the centered key projection K - Z_k, int64 [T x m_att];
-    offsets is each key's row in the plan's score table plus the query zero
-    point, K * 256 + Z_q, int64 [T x m_att], so offsets + (Q - Z_q) indexes
-    the tanh code of the pair; henc is the centered encoder states
+    offsets holds, for key i and column j, the flat index j * 256 + K of its
+    code in the [m_att x 256] score-table rows that a step gathers for its
+    query, int64 [T x m_att]; henc is the centered encoder states
     [T x m_enc], the context matmul's operand, float32 when source() proves
     that product below 2^24, else float64.
     """
@@ -217,8 +217,13 @@ class AttentionPlan:
     number of threads.  source() computes the per-source terms once per
     encoder sequence, context() runs one decoder step on codes against them
     and intermediates() runs the same step with every intermediate recorded.
-    The qproj and kproj grids must be 8-bit, so that the score table holds
-    2^16 codes; ValueError otherwise, before any table is built.
+    Both project the decoder codes with the plan's own query GEMV and
+    rescale (_gemv_q, _qproj), then run the step kernel (_step), which
+    takes centered query codes.  An encoder-decoder model stacks those two
+    under the decoder's h projection instead (IntLstmCell.with_query) and
+    feeds the kernel the query codes that projection carries.  The qproj
+    and kproj grids must be 8-bit, so that the score table holds 2^16
+    codes; ValueError otherwise, before any table is built.
     """
 
     def __init__(self, weights: AttentionWeights, exp_table: PwlTable, tanh_table: PwlTable):
@@ -238,13 +243,15 @@ class AttentionPlan:
         self._qproj = self._gemv_q.rescale(p_q).centered()
         self._sumqk = rescale(p_sum, (p_q.scale / p_sum.scale, max_centered(p_q)),
                               (p_k.scale / p_sum.scale, max_centered(p_k))).unsaturated()
-        # the tanh code of every (key code K, query code Q) pair, at K * 256 + Q:
-        # the sumqk rescale of the broadcast query row and key column, then
-        # the clipped tanh gather, whose LUT spans the sumqk grid, so a
-        # clipped index is a saturated code
+        # the tanh code of every (query code Q, key code K) pair, at row
+        # (Q - Z_q) mod 256 and column K, so a step's centered query codes
+        # index its rows directly: the sumqk rescale of the broadcast query
+        # column and key row, then the clipped tanh gather, whose LUT spans
+        # the sumqk grid, so a clipped index is a saturated code
         codes = np.arange(256, dtype=np.int64)
-        q_sum = self._sumqk(codes - p_q.zero_point, codes[:, None] - p_k.zero_point)
-        self._score = tanh_table.lut.take(q_sum.ravel(), mode="clip")
+        q_rows = (codes + p_q.zero_point) % 256 - p_q.zero_point
+        q_sum = self._sumqk(q_rows[:, None], codes - p_k.zero_point)
+        self._score = tanh_table.lut.take(q_sum, mode="clip")
         self._score.flags.writeable = False
         self._gemv_e = ExactGemv(w.v, TANH_GRID)
         self._e = self._gemv_e.rescale(sites["e"]).centered()
@@ -279,14 +286,14 @@ class AttentionPlan:
         if not self._ctx.fits(num_bound, T * UNIT_GRID.qmax):
             raise FxOverflow("context accumulator would overflow int64")
         keys = self._kproj(self._gemv_k(q_Henc.data))
-        offsets = (keys + sites["kproj"].zero_point) * 256 + sites["qproj"].zero_point
+        offsets = keys + (np.arange(keys.shape[1]) * 256 + sites["kproj"].zero_point)
         henc = np.subtract(q_Henc.data, p_h.zero_point, dtype=dtype)
         return AttentionSource(keys, offsets, henc)
 
     def context(self, hdec: np.ndarray, src: AttentionSource) -> np.ndarray:
         """One decoder step's context codes (s grid) from decoder codes (hdec
         grid) against a source's terms, unchecked: the tie table proves both."""
-        return self._step(hdec, src, None)
+        return self._step(self._qproj(self._gemv_q(hdec)), src)
 
     def intermediates(self, q_hdec: QTensor, q_Henc: QTensor) -> AttentionIntermediates:
         """Integer attention with every intermediate exposed."""
@@ -295,18 +302,23 @@ class AttentionPlan:
             raise ValueError("uncalibrated-tensor: hdec params differ from calibration")
         src, p_k = self.source(q_Henc), sites["kproj"]
         rec = {"keys_proj": QTensor((src.keys.T + p_k.zero_point).astype(p_k.dtype), p_k)}
-        rec["s"] = QTensor(self._step(q_hdec.data, src, rec), sites["s"])
+        q_qp = self._qproj(self._gemv_q(q_hdec.data))
+        rec["s"] = QTensor(self._step(q_qp, src, rec), sites["s"])
         return AttentionIntermediates(**rec)
 
-    def _step(self, hdec, src, rec):
-        """The step kernel on codes; with rec a dict, it records the intermediates.
-        Each score is one gather from the score table, at the key's offset
-        plus the centered query code."""
+    def _step(self, q_qp, src, rec=None):
+        """The step kernel on centered query codes q_qp (qproj grid minus
+        Z_q), from _qproj(_gemv_q(hdec)) or from a decoder whose h
+        projection carries the query (IntLstmCell.with_query); with rec a
+        dict, it records the intermediates.  The query codes gather their
+        score-table rows (a wrapping take, since row r holds the centered
+        code r mod 256), and each score is one gather from those, at the
+        key's offset."""
         sites = self.weights.sites
         p_s = sites["s"]
 
-        q_qp = self._qproj(self._gemv_q(hdec))
-        q_e = self._e(self._gemv_e(self._score.take(src.offsets + q_qp))[:, 0])
+        rows = self._score.take(q_qp, axis=0, mode="wrap")
+        q_e = self._e(self._gemv_e(rows.take(src.offsets))[:, 0])
         q_exp, denom = _softmax(q_e, self._to_exp, self.exp_table.lut)
 
         # weighted context: one rounded division per output element; every

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 
 import numpy as np
 
@@ -245,10 +246,10 @@ class Rescale:
     fit int64, else FxOverflow.  From them the rescale also certifies, once,
     whether any accumulator of its terms is an exact half step (tie_free);
     a certified one rounds arrays without the sign fix.  With lo and hi
-    omitted nothing saturates.  A stacked rescale (see stack) has one term
-    whose raw, bound, lo and hi are int64 arrays, one entry per operand
-    element.  A rescale is not changed after construction; with_bounds
-    makes a variant.
+    omitted nothing saturates.  A stacked rescale, which only stack makes,
+    has one term whose raw, bound, lo and hi are int64 arrays, one entry
+    per operand element.  A rescale is not changed after construction;
+    with_bounds makes a variant.
 
     Calling it on arrays forms the accumulator in one fresh int64 array,
     the terms broadcasting against each other, and rounds it there, in
@@ -268,31 +269,33 @@ class Rescale:
             raise ValueError("fraction_bits must be >= 0")
         if len(bounds) != len(raws):
             raise ValueError("a rescale needs one bound per term")
-        self.raws = tuple(r if isinstance(r, np.ndarray) else int(r) for r in raws)
+        try:
+            self.raws = tuple(map(operator.index, raws))
+            self.bounds = tuple(map(operator.index, bounds))
+        except TypeError:
+            raise ValueError("raws and bounds are integers; stack makes per-element ones") from None
         self.f = f
         self.zero = int(zero)
         self.lo, self.hi = lo, hi
-        self.bounds = tuple(bounds)
+        self._prove([(pair,) for pair in zip(self.raws, self.bounds)])
+
+    def _prove(self, terms) -> None:
+        """The overflow proof and the tie certificate, from each term's
+        distinct (raw, bound) pairs: one pair for a plain term, one per
+        stacked part for a stacked one (see stack)."""
         # in Python ints, so a product past int64 cannot wrap
-        total, terms = 0, []
-        for raw, bound in zip(self.raws, self.bounds):
-            if isinstance(raw, np.ndarray) or isinstance(bound, np.ndarray):
-                if not (isinstance(raw, np.ndarray) and isinstance(bound, np.ndarray)
-                        and raw.shape == bound.shape):
-                    raise ValueError("a stacked term needs a bound array of its raw's shape")
-                # each element's raw with that element's bound, over the
-                # few distinct pairs
-                pairs = set(zip(raw.tolist(), bound.tolist()))
-            else:
-                pairs = ((raw, int(bound)),)
-            if min(b for _, b in pairs) < 0:
-                raise ValueError("bounds are magnitudes, >= 0")
-            total += max(abs(r) * b for r, b in pairs)
-            terms.append(pairs)
+        total = 0
+        for pairs in terms:
+            peak = 0
+            for raw, bound in pairs:
+                if bound < 0:
+                    raise ValueError("bounds are magnitudes, >= 0")
+                peak = max(peak, abs(raw) * bound)
+            total += peak
         # this also keeps f <= 63, so every shift below is an int64 shift
-        if total + (1 << max(f - 1, 0)) > _INT64_MAX:
+        if total + (1 << max(self.f - 1, 0)) > _INT64_MAX:
             raise FxOverflow("rescale accumulator would overflow int64")
-        self._tie_free = all(_tie_free(f, combo) for combo in itertools.product(*terms))
+        self._tie_free = all(_tie_free(self.f, combo) for combo in itertools.product(*terms))
         self._arr = None  # see _bind
 
     @property
@@ -400,7 +403,9 @@ class Rescale:
         floor((A - s / 2^k) / 2^g) and raw * t to floor((A - s) / 2^g), and
         the two agree because no multiple of 2^g lies strictly between A - 1
         and A.  (With g = 0 both give raw * t.)  The lifted accumulators
-        plus the rounding add must fit int64, else FxOverflow.
+        plus the rounding add must fit int64, else FxOverflow.  The proof
+        and the tie certificate read the parts' (lifted raw, bound) pairs,
+        which are the distinct pairs of the per-element arrays.
         """
         f = max(r.f for r, _, _ in parts)
         raws = []
@@ -411,16 +416,16 @@ class Rescale:
             if abs(raws[-1]) > _INT64_MAX:
                 raise FxOverflow("stacked rescale accumulator would overflow int64")
         sizes = [n for _, n, _ in parts]
-
-        def per_element(values):
-            return np.repeat(np.array(values, dtype=np.int64), sizes)
-
-        return cls(
-            (per_element(raws),), f, 0,
-            per_element([r.lo for r, _, _ in parts]),
-            per_element([r.hi for r, _, _ in parts]),
-            bounds=(per_element([bound for _, _, bound in parts]),),
-        )
+        bounds = [int(bound) for _, _, bound in parts]
+        # each part's raw, lo, hi and bound, repeated once per element
+        per_element = np.repeat(np.array(
+            [raws, [r.lo for r, _, _ in parts], [r.hi for r, _, _ in parts], bounds],
+            dtype=np.int64), sizes, axis=1)
+        out = object.__new__(cls)
+        out.raws, out.f, out.zero = (per_element[0],), f, 0
+        out.lo, out.hi, out.bounds = per_element[1], per_element[2], (per_element[3],)
+        out._prove([{(raw, bound) for raw, bound, n in zip(raws, bounds, sizes) if n}])
+        return out
 
 
 class Quotient:

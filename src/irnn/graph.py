@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .attention import AttentionPlan, _attend_ref, _keys_ref, freeze_attention
+from .fixedpoint import FxOverflow
 from .quant import QTensor, dequantize, quantize_tensor
 from .rnn import CellConfig, IntLstmCell, freeze_cell, lstm_run_ref
 
@@ -131,9 +132,13 @@ class _Graph:
 
         cell(name, xs, context) runs a cell from zero state and returns its
         states [..., T, m].  attention(H) takes the source's states and
-        returns (step, ctx): step(h) is one decoder step's context, and ctx
-        the [..., T, m_src] array to hold every step's.  trace(stage, v)
-        gives the float64 values of a cell's states, or of ctx for "att".
+        returns (step, ctx): step(a) is one decoder step's context, and ctx
+        the [..., T, m_src] array to hold every step's.  a is what the
+        attending cell's run hands its context callback: the float backend's
+        h before the step, and the integer backend's centered query codes,
+        which its decoder's h projection carries (IrnnModel.query_cell; the
+        codes h where the model has none).  trace(stage, v) gives the
+        float64 values of a cell's states, or of ctx for "att".
         """
         states, traces = {}, {}
         for name in self.cells:
@@ -171,14 +176,17 @@ class _Graph:
         return self._run(xs, cell, attention, lambda stage, v: v)
 
     def int_run(self, model, qxs):
-        att = model.attention
+        att, carrier = model.attention, model.query_cell
+        # the query-carrying cell hands its context the centered query codes
+        cells = model.cells if carrier is None else {**model.cells, self.attend[0]: carrier}
 
         def cell(name, xs, context):
-            return model.cells[name].run(QTensor(xs, qxs.params), context).data
+            return cells[name].run(QTensor(xs, qxs.params), context).data
 
         def attention(H):
             src = att.source(QTensor(H, att.weights.sites["henc"]))
-            return lambda h: att.context(h, src), np.empty(H.shape, att.weights.sites["s"].dtype)
+            step = att.context if carrier is None else att._step
+            return lambda a: step(a, src), np.empty(H.shape, att.weights.sites["s"].dtype)
 
         def trace(stage, codes):
             return dequantize(codes, model.sites(stage)["s" if stage == "att" else "h"])
@@ -226,6 +234,8 @@ class IrnnModel:
     cells: dict
     attention: AttentionPlan | None = None
     meta: dict = field(default_factory=dict)
+    # (cell, plan, query cell) as last derived; see query_cell
+    _query: tuple = field(default=(None, None, None), init=False, repr=False, compare=False)
 
     def __post_init__(self):
         g = graph_for(self.kind)
@@ -234,6 +244,35 @@ class IrnnModel:
         if (self.attention is not None) != bool(g.attend):
             raise GraphError(f"a {self.kind} model {'needs an' if g.attend else 'has no'} attention stage")
         self.check_ties()
+        self._query = self._derive_query()
+
+    def _derive_query(self) -> tuple:
+        g = GRAPHS[self.kind]
+        if not g.attend:
+            return None, None, None
+        cell, plan = self.cells[g.attend[0]], self.attention
+        if cell.weights.ws is None:  # a cell that cannot attend; its run refuses the context
+            return cell, plan, None
+        try:
+            return cell, plan, cell.with_query(plan._gemv_q, plan._qproj)
+        except FxOverflow:
+            return cell, plan, None
+
+    @property
+    def query_cell(self) -> IntLstmCell | None:
+        """The attending cell with the plan's query rows stacked under its
+        h projection (IntLstmCell.with_query), which run_int runs in its
+        place: one GEMV and one rescale give the decoder's hprod and the
+        attention's centered query codes.  The tie of att.hdec to the
+        cell's h proves that both read one grid.  Derived when the model is
+        assembled, and again only after its cell or plan is replaced.  None
+        for a kind that does not attend, or where the stacked rescale would
+        overflow int64; then the plan projects the query itself."""
+        cell, plan, carrier = self._query
+        attend = GRAPHS[self.kind].attend
+        if attend and (cell is not self.cells[attend[0]] or plan is not self.attention):
+            cell, plan, carrier = self._query = self._derive_query()
+        return carrier
 
     def sites(self, stage: str):
         """The sites of a cell, or of the attention stage for "att"."""

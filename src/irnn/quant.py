@@ -254,6 +254,26 @@ class ExactGemv:
         self.bound = min(bound, _INT32_MAX)
         self.scale = p_in.scale * qw.params.scale
 
+    @classmethod
+    def stack(cls, parts) -> ExactGemv:
+        """One GEMV whose accumulator stacks those of parts, unbiased GEMVs
+        of one input grid: [..., n] codes to [..., rows_1 + rows_2 + ...].
+        Each column keeps its part's bound, so the stack is exact in the
+        widest of the parts' dtypes; its bound is their largest.  Its
+        blocks live at their parts' scales, so it has no single scale, and
+        its accumulator takes a stacked rescale (Rescale.stack)."""
+        if any(g.bias is not None for g in parts) or len({float(g.zero) for g in parts}) != 1:
+            raise ValueError("stacked GEMVs are unbiased and read one input grid")
+        dtype = np.result_type(*(g.w for g in parts))
+        out = object.__new__(cls)
+        out.w = np.concatenate([g.w for g in parts], axis=1, dtype=dtype)
+        out.w.flags.writeable = False
+        out.zero = np.asarray(parts[0].zero, dtype=dtype)
+        out.bias, out.scale = None, None
+        out.bound = max(g.bound for g in parts)
+        out.per_call_check = any(g.per_call_check for g in parts)
+        return out
+
     def rescale(self, p_out: QuantParams) -> Rescale:
         """The rescale of this product's accumulator into p_out."""
         return rescale(p_out, (self.scale / p_out.scale, self.bound))

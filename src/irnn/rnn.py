@@ -13,6 +13,7 @@ intermediate tensor site, then freezes one QuantParams set per site.
 
 from __future__ import annotations
 
+import copy
 from collections.abc import Mapping
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -247,6 +248,12 @@ class IntLstmCell:
     code arrays, with no per-step check.  The sites are read-only and
     nothing compiled changes afterwards, so one cell may step many
     sequences on many threads.
+
+    A context-fed cell that attends can carry the attention query
+    (with_query): a copy whose one h GEMV and one rescale give both its
+    hprod codes and the centered query codes that its run() hands the
+    context callback.  An encoder-decoder model derives that copy once,
+    when it is assembled (graph.IrnnModel.query_cell).
     """
 
     def __init__(self, weights: LstmWeights, sites: Mapping, tables: dict):
@@ -301,6 +308,7 @@ class IntLstmCell:
         # xprod, hprod, fc and ij feed only centered operands (Rescale.centered)
         self._xprod = self._gemv_x.rescale(p["xprod"]).centered()
         self._hprod = self._gemv_h.rescale(p["hprod"]).centered()
+        self._query = None  # the hprod rows of a query-carrying copy (with_query)
 
         self._norm_x = self._norm_h = None
         pa, pb = p["xprod"], p["hprod"]
@@ -371,17 +379,42 @@ class IntLstmCell:
             xa = self._norm_x(xa)
         return self._sum1.term(0, xa)
 
-    def step(self, xb: np.ndarray, h: np.ndarray, c: np.ndarray, s=None):
+    def with_query(self, gemv_q: ExactGemv, qproj: Rescale) -> IntLstmCell:
+        """A copy of this context-fed cell whose h projection also carries
+        an attention query: gemv_q, a GEMV of the cell's h grid, and qproj,
+        its centered one-term saturating rescale.  The copy's h GEMV is one
+        [m x (4m + rows)] product (ExactGemv.stack) and its hprod rescale
+        rounds the stacked [hprod | query] accumulator in one call
+        (Rescale.stack), so each step of its run() projects h once and
+        hands context() the centered query codes.  This cell is not
+        changed.  FxOverflow when the stacked rescale's lifted accumulators
+        would overflow int64."""
+        if self._gemv_s is None or self._query is not None:
+            raise ValueError("a query rides on a context-fed cell, once")
+        rows = 4 * self._m
+        out = copy.copy(self)
+        out._hprod = Rescale.stack([(self._hprod, rows, self._gemv_h.bound),
+                                    (qproj, gemv_q.w.shape[1], gemv_q.bound)])
+        out._gemv_h = ExactGemv.stack([self._gemv_h, gemv_q])
+        out._query = rows
+        return out
+
+    def step(self, xb: np.ndarray, h: np.ndarray, c: np.ndarray, s=None, hb=None):
         """One timestep on code arrays: xb is this step's input_branch() row,
         h and c the state's codes and s (for a context-fed cell) the context
-        codes; returns (h', c').  Nothing is checked: run() checks its input
-        once, and the cell's own outputs are on its grids by construction.
+        codes; returns (h', c').  hb, when given, is h's hprod codes, which
+        a query-carrying cell's run() has already projected.  Nothing is
+        checked: run() checks its input once, and the cell's own outputs
+        are on its grids by construction.
 
         The inputs are only read.  The gate sum and both gate products are
         formed in fresh arrays and worked on in place there, each rescale
         rounds in the array its product allocated, and the sigmoid codes
         are taken as centered, since UNIT_GRID puts zero at code 0."""
-        hb = self._hprod(self._gemv_h(h))
+        if hb is None:
+            hb = self._hprod(self._gemv_h(h))
+            if self._query is not None:
+                hb = hb[: self._query]
         if self._norm_h is not None:
             hb = self._norm_h(hb)
         gates = self._sum1.term(1, hb)
@@ -414,7 +447,9 @@ class IntLstmCell:
         are checked once, the input branch runs once over the sequence, and
         step() runs once per timestep on code arrays.  context(t, h), for a
         context-fed cell only, returns step t's context codes from the
-        hidden-state codes h before that step."""
+        hidden-state codes h before that step; a query-carrying cell
+        (with_query) projects h first and hands context the centered query
+        codes instead, and step() the hprod codes."""
         if qxs.params != self.sites["x"]:
             raise ValueError("uncalibrated-tensor: x params differ from calibration")
         if qxs.data.ndim != 2 or qxs.data.shape[0] < 1:
@@ -424,8 +459,13 @@ class IntLstmCell:
         xb, m, ph = self.input_branch(qxs.data), self.hidden_size, self.sites["h"]
         h, c = (np.full(m, p.zero_point, dtype=p.dtype) for p in (ph, self.sites["c"]))
         out = np.empty((len(xb), m), dtype=ph.dtype)
+        k = self._query
         for t in range(len(xb)):
-            h, c = self.step(xb[t], h, c, None if context is None else context(t, h))
+            if k is None:
+                h, c = self.step(xb[t], h, c, None if context is None else context(t, h))
+            else:
+                hq = self._hprod(self._gemv_h(h))
+                h, c = self.step(xb[t], h, c, context(t, hq[k:]), hq[:k])
             out[t] = h
         return QTensor(out, ph)
 

@@ -248,6 +248,34 @@ class TestLeanStep:
                 assert got.dtype == want.data.dtype
                 np.testing.assert_array_equal(got, want.data)
 
+    def test_step_on_the_decoders_query_codes(self):
+        # a decoder cell on the plan's hdec grid carries the query rows
+        # under its h projection; the step kernel on the query codes that
+        # projection hands it equals context() and intermediates()
+        from irnn.rnn import CellConfig, calibrate_lstm_cell
+
+        rng, _, w, expt, tanht = _toy(42)
+        T, n, m = 8, 6, 16
+        cell = calibrate_lstm_cell(
+            rng.normal(0.0, 0.3, size=(4 * m, n)), rng.normal(0.0, 0.3, size=(4 * m, m)), None,
+            rng.normal(0.0, 1.0, size=(4, T, n)), CellConfig(),
+            ws=rng.normal(0.0, 0.3, size=(4 * m, 16)), s_seqs=rng.normal(0.0, 0.5, size=(4, T, 16)),
+        )
+        sites = {**w.sites, "hdec": cell.sites["h"]}
+        plan = AttentionPlan(AttentionWeights(w.wq, w.wk, w.v, sites), expt, tanht)
+        carrier = cell.with_query(plan._gemv_q, plan._qproj)
+        qHe = quantize_tensor(rng.normal(0.0, 1.5, size=(T, 16)), w.sites["henc"])
+        src = plan.source(qHe)
+        hs = [rng.integers(0, 256, size=m).astype(np.uint8) for _ in range(30)]
+        for h in [*hs, np.zeros(m, np.uint8), np.full(m, 255, np.uint8)]:
+            q = carrier._hprod(carrier._gemv_h(h))[4 * m:]
+            np.testing.assert_array_equal(q, plan._qproj(plan._gemv_q(h)))
+            got = plan._step(q, src)
+            np.testing.assert_array_equal(got, plan.context(h, src))
+            want = plan.intermediates(QTensor(h, cell.sites["h"]), qHe).s
+            assert got.dtype == want.data.dtype
+            np.testing.assert_array_equal(got, want.data)
+
     def test_sum_qk_holds_saturated_codes(self):
         # wide inputs push the sums past the sumqk grid at both ends
         rng, _, w, expt, tanht = _toy(42)
@@ -392,13 +420,14 @@ class TestScoreTable:
         for weights, tanh_table in ((w, tanht), self._narrow(w)):
             plan = AttentionPlan(weights, expt, tanh_table)
             p_q, p_k, p_sum = (weights.sites[k] for k in ("qproj", "kproj", "sumqk"))
+            # row r holds query code (r + Z_q) mod 256, column k key code k
             sums = [
                 two_term(q - p_q.zero_point, p_q.scale, k - p_k.zero_point, p_k.scale, p_sum)
-                for k in range(256) for q in range(256)
+                for q in [(r + p_q.zero_point) % 256 for r in range(256)] for k in range(256)
             ]
             assert {p_sum.qmin, p_sum.qmax} <= set(sums)
-            assert plan._score.dtype == np.uint8 and plan._score.shape == (2**16,)
-            np.testing.assert_array_equal(plan._score, tanh_table.lut[sums])
+            assert plan._score.dtype == np.uint8 and plan._score.shape == (256, 256)
+            np.testing.assert_array_equal(plan._score.ravel(), tanh_table.lut[sums])
 
     def test_read_only(self):
         _, _, w, expt, tanht = _toy(42, n_cal=16)

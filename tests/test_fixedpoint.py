@@ -779,6 +779,61 @@ class TestStackedRescale:
         # a smaller bound leaves room
         Rescale.stack(((wide, 4, 2**2), (deep, 4, 2**20)))
 
+    @staticmethod
+    def _per_element(raw, bound, f):
+        """The reference: the derivation once run on a stacked term's
+        per-element arrays, over every element's (raw, bound) pair; returns
+        (tie_free, fits int64)."""
+        from irnn.fixedpoint import _tie_free
+
+        pairs = set(zip(raw.tolist(), bound.tolist()))
+        total = max(abs(r) * b for r, b in pairs) + (1 << max(f - 1, 0))
+        return all(_tie_free(f, (pair,)) for pair in pairs), total <= 2**63 - 1
+
+    def test_proof_from_parts_equals_per_element_derivation(self):
+        """Every stacked rescale of the golden configs' cells (ij/fc, and the
+        decoder's hprod/query), plus random stacks that refuse the
+        certificate as often as they grant it: the proof read from the
+        parts' pairs equals the per-element derivation."""
+        from test_golden import CONFIGS, SEED, SEQS, N, T, _float_model
+
+        from irnn.cli import build_model
+        from irnn.rnn import CellConfig
+
+        ops = []
+        for kind in ("lstm", "bilstm", "encdec"):
+            for cfg in CONFIGS.values():
+                rng = np.random.default_rng(SEED)
+                fm = _float_model(kind, rng)
+                model = build_model(fm, rng.normal(0.0, 1.0, size=(SEQS, T, N)), CellConfig(**cfg))
+                ops += [cell._ij_fc for cell in model.cells.values()]
+                if model.query_cell is not None:
+                    ops.append(model.query_cell._hprod)
+        assert len(ops) == 18
+        rng = np.random.default_rng(42)
+        for _ in range(300):
+            parts = []
+            for _ in range(int(rng.integers(1, 4))):
+                bound = int(rng.integers(0, 61))
+                part = Rescale((_random_raw(rng),), int(rng.integers(3, 15)), 0, -9, 9,
+                               bounds=(bound,))
+                parts.append((part, int(rng.integers(1, 4)), bound))
+            ops.append(Rescale.stack(parts))
+        verdicts = set()
+        for op in ops:
+            (raw,), (bound,) = op.raws, op.bounds
+            assert (op.tie_free, True) == self._per_element(raw, bound, op.f)
+            verdicts.add(op.tie_free)
+        assert verdicts == {True, False}
+        # each part fits alone; lifting the 8-fraction-bit raw by 40 bits
+        # does not, by the reference too
+        wide = Rescale((2**20,), 8, 0, -255, 255, bounds=(2**20,))
+        deep = Rescale((3,), 48, 0, -255, 255, bounds=(2**20,))
+        lifted = np.repeat(np.array([2**60, 3], dtype=np.int64), 4)
+        assert not self._per_element(lifted, np.full(8, 2**20), 48)[1]
+        with pytest.raises(FxOverflow):
+            Rescale.stack(((wide, 4, 2**20), (deep, 4, 2**20)))
+
     def test_rejects_uncentered_or_unsaturated_parts(self):
         op = Rescale((3,), 8, 0, -10, 10, bounds=(10,))
         bad_parts = (

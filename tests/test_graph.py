@@ -8,8 +8,10 @@ import pytest
 from irnn import graph
 from irnn import model_io as mio
 from irnn import rnn
+from irnn.attention import AttentionPlan, AttentionWeights
 from irnn.cli import build_model, run_model_int
-from irnn.quant import dequantize, quantize_tensor
+from irnn.fixedpoint import FxOverflow
+from irnn.quant import ExactGemv, QTensor, QuantParams, dequantize, quantize_tensor
 from irnn.rnn import CellConfig
 
 N_FEAT = M = 8
@@ -207,6 +209,138 @@ class TestKernelInputs:
             np.testing.assert_array_equal(a, b)
         want = graph.run_int(model, xs)["out"]
         np.testing.assert_array_equal(dequantize(np.stack(hs), dec.sites["h"]), want)
+
+
+def _decoder_by_hand(model, xs):
+    """The decoder's states, dequantized, from the plain cells and a plan
+    that projects the query itself (AttentionPlan.context)."""
+    enc, dec, att = model.cells["enc"], model.cells["dec"], model.attention
+    qxs = quantize_tensor(xs, enc.sites["x"])
+    src = att.source(enc.run(qxs))
+    xb = dec.input_branch(qxs.data)
+    h, c = TestKernelInputs._zero_state(dec)
+    hs = []
+    for t in range(len(xb)):
+        h, c = dec.step(xb[t], h, c, att.context(h, src))
+        hs.append(h)
+    return dequantize(np.stack(hs), dec.sites["h"])
+
+
+class TestStackedQuery:
+    """The decoder's h projection carries the attention query: one GEMV and
+    one rescale per decoder state give its hprod and the query codes."""
+
+    @staticmethod
+    def _model(kind, cfg, rng):
+        fm = graph.FloatModel(kind, _arrays(kind, rng))
+        return build_model(fm, rng.normal(0.0, 1.0, size=(4, 8, N_FEAT)), cfg)
+
+    @pytest.mark.parametrize(
+        "cfg", [CellConfig(), CellConfig(16, 16), CellConfig(use_madnorm=True)],
+        ids=["q8", "q16", "q8mn"],
+    )
+    def test_codes_equal_the_two_projections(self, cfg):
+        rng = np.random.default_rng(42)
+        model = self._model("encdec", cfg, rng)
+        dec, att, carrier = model.cells["dec"], model.attention, model.query_cell
+        assert carrier is not None and carrier is not dec
+        assert carrier._gemv_h.w.dtype == np.float32
+        rows = 4 * dec.hidden_size
+        hs = [rng.integers(0, 256, size=M).astype(np.uint8) for _ in range(50)]
+        hs += [np.zeros(M, np.uint8), np.full(M, 255, np.uint8)]
+        for h in [*hs, np.stack(hs)]:
+            got = carrier._hprod(carrier._gemv_h(h))
+            np.testing.assert_array_equal(got[..., :rows], dec._hprod(dec._gemv_h(h)))
+            np.testing.assert_array_equal(got[..., rows:], att._qproj(att._gemv_q(h)))
+        # a run has the bits of the plain cell and the plan stepped by hand
+        xs = rng.normal(0.0, 1.0, size=(9, N_FEAT))
+        np.testing.assert_array_equal(graph.run_int(model, xs)["dec"], _decoder_by_hand(model, xs))
+
+    def test_wide_stack_runs_in_float64_exactly(self):
+        # a query block at its extremes puts the stacked bound past 2^24,
+        # where float32 sums stop being exact: the stack runs in float64
+        # and equals the int64 product
+        rng = np.random.default_rng(42)
+        n, p_h = 300, QuantParams(8, 0.01, 0)
+        wh = QTensor(rng.integers(100, 156, size=(32, n)).astype(np.uint8),
+                     QuantParams(8, 0.01, 128))
+        wq = QTensor(np.full((8, n), 255, np.uint8), QuantParams(8, 0.01, 0))
+        gh, gq = ExactGemv(wh, p_h), ExactGemv(wq, p_h)
+        assert gh.w.dtype == np.float32 and gq.w.dtype == np.float64
+        assert gq.bound == n * 255 * 255 >= 2**24
+        stacked = ExactGemv.stack([gh, gq])
+        assert stacked.w.dtype == np.float64 and stacked.bound == gq.bound
+        w = np.concatenate([wh.centered(), wq.centered()])
+        for h in (rng.integers(0, 256, size=n), np.full(n, 255), np.zeros(n), np.full(n, 1)):
+            h = h.astype(np.uint8)
+            got = stacked(h)
+            assert got.dtype == np.int64
+            np.testing.assert_array_equal(got, w @ h.astype(np.int64))
+            np.testing.assert_array_equal(got, np.concatenate([gh(h), gq(h)]))
+        # a part past the int32 contract keeps its per-call check in the stack
+        n = 2**31 // (255 * 255) + 1
+        big = ExactGemv(QTensor(np.full((1, n), 255, np.uint8), QuantParams(8, 0.01, 0)), p_h)
+        small = ExactGemv(QTensor(np.zeros((2, n), np.uint8), QuantParams(8, 0.01, 0)), p_h)
+        assert big.per_call_check and not small.per_call_check
+        wide = ExactGemv.stack([small, big])
+        assert wide.per_call_check
+        np.testing.assert_array_equal(wide(np.ones(n, np.uint8)), [0, 0, 255 * n])
+        with pytest.raises(FxOverflow, match="int32"):
+            wide(np.full(n, 255, np.uint8))
+        with pytest.raises(ValueError, match="one input grid"):
+            ExactGemv.stack([gh, ExactGemv(wq, QuantParams(8, 0.01, 3))])
+        with pytest.raises(ValueError, match="unbiased"):
+            ExactGemv.stack([gh, ExactGemv(wq, p_h, np.zeros(8, np.int32))])
+
+    @pytest.mark.parametrize("kind,fixed,per_step", [("lstm", 1, 1), ("encdec", 3, 4)])
+    def test_gemvs_per_timestep(self, kind, fixed, per_step, monkeypatch):
+        # per timestep an lstm makes its h GEMV; an encdec the encoder's h
+        # GEMV, the decoder's stacked h and query GEMV, its context GEMV and
+        # the attention's score GEMV.  Per sequence come the input branches
+        # and (encdec) the key projection.
+        rng = np.random.default_rng(42)
+        model = self._model(kind, CellConfig(), rng)
+        orig, calls = ExactGemv.__call__, []
+
+        def counting(self, q):
+            calls.append(1)
+            return orig(self, q)
+
+        monkeypatch.setattr(ExactGemv, "__call__", counting)
+        for T in (1, 5, 9):
+            calls.clear()
+            graph.run_int(model, rng.normal(0.0, 1.0, size=(T, N_FEAT)))
+            assert len(calls) == fixed + per_step * T
+
+    def test_overflowing_stack_leaves_the_query_to_the_plan(self):
+        rng = np.random.default_rng(42)
+        model = self._model("encdec", CellConfig(), rng)
+        plan, aw, carrier = model.attention, model.attention.weights, model.query_cell
+        # a query grid 2^20 times finer lifts the query's raw 20 bits more,
+        # past int64 at its bound
+        p_q = aw.sites["qproj"]
+        fine = QuantParams(8, p_q.scale / 2**20, p_q.zero_point)
+        wide = AttentionPlan(AttentionWeights(aw.wq, aw.wk, aw.v, {**aw.sites, "qproj": fine}),
+                             plan.exp_table, plan.tanh_table)
+        with pytest.raises(FxOverflow):
+            model.cells["dec"].with_query(wide._gemv_q, wide._qproj)
+        # a replaced plan is derived again
+        model.attention = wide
+        assert model.query_cell is None
+        xs = rng.normal(0.0, 1.0, size=(9, N_FEAT))
+        np.testing.assert_array_equal(graph.run_int(model, xs)["dec"], _decoder_by_hand(model, xs))
+        model.attention = plan
+        again = model.query_cell
+        assert again is not None and again is not carrier
+        np.testing.assert_array_equal(graph.run_int(model, xs)["dec"], _decoder_by_hand(model, xs))
+
+    def test_query_rides_once_on_a_context_fed_cell(self):
+        rng = np.random.default_rng(42)
+        model = self._model("encdec", CellConfig(), rng)
+        att = model.attention
+        for cell in (model.cells["enc"], model.query_cell):
+            with pytest.raises(ValueError, match="context-fed cell, once"):
+                cell.with_query(att._gemv_q, att._qproj)
 
 
 @pytest.mark.parametrize("kind,cfg", [
