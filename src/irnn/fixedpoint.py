@@ -22,7 +22,6 @@ ints always take the sign fix, which costs next to nothing there.
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 
@@ -247,9 +246,9 @@ class Rescale:
     whether any accumulator of its terms is an exact half step (tie_free);
     a certified one rounds arrays without the sign fix.  With lo and hi
     omitted nothing saturates.  A stacked rescale, which only stack makes,
-    has one term whose raw, bound, lo and hi are int64 arrays, one entry
-    per operand element.  A rescale is not changed after construction;
-    with_bounds makes a variant.
+    has one term whose raw, f, rounding half, bound, lo and hi are int64
+    arrays, one entry per operand element.  A rescale is not changed after
+    construction; with_bounds makes a variant.
 
     Calling it on arrays forms the accumulator in one fresh int64 array,
     the terms broadcasting against each other, and rounds it there, in
@@ -260,7 +259,7 @@ class Rescale:
     scales; this class takes raws already encoded.
     """
 
-    __slots__ = ("raws", "f", "zero", "lo", "hi", "bounds", "_tie_free", "_arr")
+    __slots__ = ("raws", "f", "half", "zero", "lo", "hi", "bounds", "_tie_free", "_arr")
 
     def __init__(self, raws, f: int, zero: int = 0, lo=None, hi=None, *, bounds):
         if not 1 <= len(raws) <= 2:
@@ -274,28 +273,17 @@ class Rescale:
             self.bounds = tuple(map(operator.index, bounds))
         except TypeError:
             raise ValueError("raws and bounds are integers; stack makes per-element ones") from None
-        self.f = f
+        if min(self.bounds) < 0:
+            raise ValueError("bounds are magnitudes, >= 0")
+        self.f, self.half = f, (1 << f) >> 1
         self.zero = int(zero)
         self.lo, self.hi = lo, hi
-        self._prove([(pair,) for pair in zip(self.raws, self.bounds)])
-
-    def _prove(self, terms) -> None:
-        """The overflow proof and the tie certificate, from each term's
-        distinct (raw, bound) pairs: one pair for a plain term, one per
-        stacked part for a stacked one (see stack)."""
-        # in Python ints, so a product past int64 cannot wrap
-        total = 0
-        for pairs in terms:
-            peak = 0
-            for raw, bound in pairs:
-                if bound < 0:
-                    raise ValueError("bounds are magnitudes, >= 0")
-                peak = max(peak, abs(raw) * bound)
-            total += peak
-        # this also keeps f <= 63, so every shift below is an int64 shift
-        if total + (1 << max(self.f - 1, 0)) > _INT64_MAX:
+        # in Python ints, so a product past int64 cannot wrap; this also
+        # keeps f <= 63, so every shift below is an int64 shift
+        total = sum(abs(raw) * bound for raw, bound in zip(self.raws, self.bounds))
+        if total + (1 << max(f - 1, 0)) > _INT64_MAX:
             raise FxOverflow("rescale accumulator would overflow int64")
-        self._tie_free = all(_tie_free(self.f, combo) for combo in itertools.product(*terms))
+        self._tie_free = _tie_free(f, zip(self.raws, self.bounds))
         self._arr = None  # see _bind
 
     @property
@@ -306,14 +294,15 @@ class Rescale:
 
     def _bind(self) -> tuple:
         """The array path's constants (raw0, raw1, half, f, zero, lo, hi) as
-        0-d int64 arrays, which ufuncs take without converting a Python int
-        on every call, with None for a second raw, zero or bounds it lacks.
+        0-d int64 arrays (per-element ones for a stacked rescale), which
+        ufuncs take without converting a Python int on every call, with
+        None for a second raw, zero or bounds it lacks.
 
         Bound on the first array call, so a rescale that only seeds a
         variant (centered, with_bounds, stack) never binds them; threads
         that race here bind equal tuples, each whole."""
         raws = self.raws if len(self.raws) == 2 else (*self.raws, None)
-        consts = (*raws, (1 << self.f) >> 1, self.f, self.zero or None, self.lo, self.hi)
+        consts = (*raws, self.half, self.f, self.zero or None, self.lo, self.hi)
         arr = tuple(None if v is None else np.asarray(v, dtype=np.int64) for v in consts)
         self._arr = arr
         return arr
@@ -359,7 +348,7 @@ class Rescale:
         certificate, then zero and the clip."""
         f = self.f
         if f:
-            acc = (acc - (acc < 0) + (1 << (f - 1))) >> f
+            acc = (acc - (acc < 0) + self.half) >> f
         acc += self.zero
         lo = self.lo
         if lo is None:
@@ -374,7 +363,7 @@ class Rescale:
         given, another zero point.  The overflow proof and the tie
         certificate do not depend on either, so the variant keeps them."""
         out = object.__new__(Rescale)
-        out.raws, out.f, out.bounds = self.raws, self.f, self.bounds
+        out.raws, out.f, out.half, out.bounds = self.raws, self.f, self.half, self.bounds
         out._tie_free = self._tie_free
         out.zero = self.zero if zero is None else int(zero)
         out.lo, out.hi, out._arr = lo, hi, None
@@ -393,38 +382,26 @@ class Rescale:
 
     @classmethod
     def stack(cls, parts) -> Rescale:
-        """One rescale of a stacked operand, from (rescale, length, bound) parts.
+        """One rescale of a stacked operand, from (rescale, length) parts.
 
         Each part is a one-term, centered, saturating rescale applied to the
-        next `length` elements, whose magnitudes are at most `bound`.  Every
-        raw is lifted to the largest fraction-bit count f, which changes no
-        rounding: with g = f - k >= 1, A = raw * t + 2^(g-1) and s = 1 where
-        raw * t < 0, else 0, (raw << k) * t rounds to
-        floor((A - s / 2^k) / 2^g) and raw * t to floor((A - s) / 2^g), and
-        the two agree because no multiple of 2^g lies strictly between A - 1
-        and A.  (With g = 0 both give raw * t.)  The lifted accumulators
-        plus the rounding add must fit int64, else FxOverflow.  The proof
-        and the tie certificate read the parts' (lifted raw, bound) pairs,
-        which are the distinct pairs of the per-element arrays.
+        next `length` elements.  Every element keeps its part's raw, f,
+        rounding half, lo, hi and bound, as int64 per-element arrays, so it
+        rounds as its part alone does.  The parts' overflow proofs hold for
+        their elements, so the stack needs none of its own, and it is
+        tie-free when every part is.
         """
-        f = max(r.f for r, _, _ in parts)
-        raws = []
-        for r, _, _ in parts:
+        for r, _ in parts:
             if len(r.raws) != 1 or r.zero or r.lo is None:
                 raise ValueError("stacked parts are one-term, centered, saturating rescales")
-            raws.append(r.raws[0] << (f - r.f))
-            if abs(raws[-1]) > _INT64_MAX:
-                raise FxOverflow("stacked rescale accumulator would overflow int64")
-        sizes = [n for _, n, _ in parts]
-        bounds = [int(bound) for _, _, bound in parts]
-        # each part's raw, lo, hi and bound, repeated once per element
-        per_element = np.repeat(np.array(
-            [raws, [r.lo for r, _, _ in parts], [r.hi for r, _, _ in parts], bounds],
-            dtype=np.int64), sizes, axis=1)
+        raw, f, half, lo, hi, bound = np.repeat(np.array(
+            [(r.raws[0], r.f, r.half, r.lo, r.hi, r.bounds[0]) for r, _ in parts],
+            dtype=np.int64).T, [n for _, n in parts], axis=1)
         out = object.__new__(cls)
-        out.raws, out.f, out.zero = (per_element[0],), f, 0
-        out.lo, out.hi, out.bounds = per_element[1], per_element[2], (per_element[3],)
-        out._prove([{(raw, bound) for raw, bound, n in zip(raws, bounds, sizes) if n}])
+        out.raws, out.f, out.half, out.zero = (raw,), f, half, 0
+        out.lo, out.hi, out.bounds = lo, hi, (bound,)
+        out._tie_free = all(r.tie_free for r, _ in parts)
+        out._arr = None
         return out
 
 

@@ -21,13 +21,14 @@ the attention context over all encoder states.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
 from .attention import AttentionPlan, _attend_ref, _keys_ref, freeze_attention
-from .fixedpoint import FxOverflow
 from .quant import QTensor, dequantize, quantize_tensor
 from .rnn import CellConfig, IntLstmCell, freeze_cell, lstm_run_ref
 
@@ -136,9 +137,10 @@ class _Graph:
         the [..., T, m_src] array to hold every step's.  a is what the
         attending cell's run hands its context callback: the float backend's
         h before the step, and the integer backend's centered query codes,
-        which its decoder's h projection carries (IrnnModel.query_cell; the
-        codes h where the model has none).  trace(stage, v) gives the
-        float64 values of a cell's states, or of ctx for "att".
+        which its decoder's h projection carries (IrnnModel.query_cell).
+        The callback stores each step's context in ctx and returns that
+        step's own array.  trace(stage, v) gives the float64 values of a
+        cell's states, or of ctx for "att".
         """
         states, traces = {}, {}
         for name in self.cells:
@@ -146,9 +148,9 @@ class _Graph:
             if self.attend and name == self.attend[0]:
                 step, ctx = attention(states[self.attend[1]])
 
-                def context(t, h):
-                    ctx[..., t, :] = step(h)
-                    return ctx[..., t, :]
+                def context(t, a):
+                    ctx[..., t, :] = s = step(a)
+                    return s
 
             h = cell(name, xs[..., ::-1, :] if rev else xs, context)
             states[name] = h[..., ::-1, :] if rev else h
@@ -176,17 +178,16 @@ class _Graph:
         return self._run(xs, cell, attention, lambda stage, v: v)
 
     def int_run(self, model, qxs):
-        att, carrier = model.attention, model.query_cell
+        att = model.attention
         # the query-carrying cell hands its context the centered query codes
-        cells = model.cells if carrier is None else {**model.cells, self.attend[0]: carrier}
+        cells = {**model.cells, self.attend[0]: model.query_cell} if self.attend else model.cells
 
         def cell(name, xs, context):
             return cells[name].run(QTensor(xs, qxs.params), context).data
 
         def attention(H):
             src = att.source(QTensor(H, att.weights.sites["henc"]))
-            step = att.context if carrier is None else att._step
-            return lambda a: step(a, src), np.empty(H.shape, att.weights.sites["s"].dtype)
+            return lambda q: att._step(q, src), np.empty(H.shape, att.weights.sites["s"].dtype)
 
         def trace(stage, codes):
             return dequantize(codes, model.sites(stage)["s" if stage == "att" else "h"])
@@ -226,53 +227,44 @@ def infer_kind(keys) -> str:
     raise GraphError("float model archive has no recognizable weight keys")
 
 
-@dataclass
+@dataclass(frozen=True)
 class IrnnModel:
-    """A fully calibrated integer model: named cells plus optional attention."""
+    """A fully calibrated integer model: named cells plus optional attention.
+
+    Assembly (build or load) checks the wiring and the tied grids once, and
+    a model is not changed afterwards: its fields cannot be assigned and
+    cells is a read-only mapping, so dataclasses.replace assembles a new
+    model, checked again.  An attending cell without context weights (ws)
+    is refused with GraphError.
+
+    query_cell is the attending cell with the plan's query rows stacked
+    under its h projection (IntLstmCell.with_query), derived once here,
+    which run_int runs in its place: one GEMV and one rescale give the
+    decoder's hprod and the attention's centered query codes.  The tie of
+    att.hdec to the cell's h proves that both read one grid.  None for a
+    kind that does not attend.
+    """
 
     kind: str
-    cells: dict
+    cells: Mapping
     attention: AttentionPlan | None = None
     meta: dict = field(default_factory=dict)
-    # (cell, plan, query cell) as last derived; see query_cell
-    _query: tuple = field(default=(None, None, None), init=False, repr=False, compare=False)
+    query_cell: IntLstmCell | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         g = graph_for(self.kind)
+        object.__setattr__(self, "cells", MappingProxyType(dict(self.cells)))
         if tuple(sorted(self.cells)) != tuple(sorted(g.cells)):
             raise GraphError(f"{self.kind} model needs cells {tuple(g.cells)}")
         if (self.attention is not None) != bool(g.attend):
             raise GraphError(f"a {self.kind} model {'needs an' if g.attend else 'has no'} attention stage")
+        if g.attend and self.cells[g.attend[0]].weights.ws is None:
+            raise GraphError(f"the {g.attend[0]} cell attends but has no context weights (ws)")
         self.check_ties()
-        self._query = self._derive_query()
-
-    def _derive_query(self) -> tuple:
-        g = GRAPHS[self.kind]
-        if not g.attend:
-            return None, None, None
-        cell, plan = self.cells[g.attend[0]], self.attention
-        if cell.weights.ws is None:  # a cell that cannot attend; its run refuses the context
-            return cell, plan, None
-        try:
-            return cell, plan, cell.with_query(plan._gemv_q, plan._qproj)
-        except FxOverflow:
-            return cell, plan, None
-
-    @property
-    def query_cell(self) -> IntLstmCell | None:
-        """The attending cell with the plan's query rows stacked under its
-        h projection (IntLstmCell.with_query), which run_int runs in its
-        place: one GEMV and one rescale give the decoder's hprod and the
-        attention's centered query codes.  The tie of att.hdec to the
-        cell's h proves that both read one grid.  Derived when the model is
-        assembled, and again only after its cell or plan is replaced.  None
-        for a kind that does not attend, or where the stacked rescale would
-        overflow int64; then the plan projects the query itself."""
-        cell, plan, carrier = self._query
-        attend = GRAPHS[self.kind].attend
-        if attend and (cell is not self.cells[attend[0]] or plan is not self.attention):
-            cell, plan, carrier = self._query = self._derive_query()
-        return carrier
+        if g.attend:
+            att = self.attention
+            carrier = self.cells[g.attend[0]].with_query(att._gemv_q, att._qproj)
+            object.__setattr__(self, "query_cell", carrier)
 
     def sites(self, stage: str):
         """The sites of a cell, or of the attention stage for "att"."""
@@ -281,7 +273,10 @@ class IrnnModel:
     def check_ties(self) -> None:
         """GraphError unless every tied site holds its source's grid."""
         for (stage, site), (src, src_site) in GRAPHS[self.kind].ties.items():
-            if self.sites(stage)[site] != self.sites(src)[src_site]:
+            grid, src_grid = self.sites(stage).get(site), self.sites(src).get(src_site)
+            if grid is None or src_grid is None:
+                raise GraphError(f"tied-site-missing: {stage}.{site} or {src}.{src_site} is absent")
+            if grid != src_grid:
                 raise GraphError(
                     f"tied-site-mismatch: {stage}.{site} differs from {src}.{src_site}"
                 )

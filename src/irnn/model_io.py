@@ -194,7 +194,8 @@ def _unpack(entries: dict, data: bytes, start: int) -> dict:
     }
 
 
-def _model_from(manifest: dict, blob) -> IrnnModel:
+def _model_from(manifest: dict, blob) -> dict:
+    """The IrnnModel fields a manifest describes, every blob read by blob."""
     kind, meta = manifest["kind"], manifest["meta"]
     if not isinstance(meta, dict):
         raise ValueError("malformed manifest: meta is not an object")
@@ -225,7 +226,7 @@ def _model_from(manifest: dict, blob) -> IrnnModel:
         w = _weights_from(entries["att"], "att", blob, {"wq": 2, "wk": 2, "v": 1})
         t = _tables_from("att", blob, AttentionPlan.table_grids(sites["att"]))
         attention = AttentionPlan(AttentionWeights(sites=sites["att"], **w), t["exp"], t["tanh"])
-    return IrnnModel(kind=kind, cells=cells, attention=attention, meta=meta)
+    return {"kind": kind, "cells": cells, "attention": attention, "meta": meta}
 
 
 def _json(text: str, what: str):
@@ -274,12 +275,12 @@ def load(data: bytes) -> IrnnModel:
                 raise ValueError(f"shape-mismatch: blob {name!r} is not a rank-{ndim} shape")
             return arr
 
-        model = _model_from(manifest, blob)
+        fields = _model_from(manifest, blob)
         # a blob no reader takes is a fact the model does not hold, such as a
         # context weight beside ws: null
         if unread:
             raise ValueError(f"unreferenced blob: {min(unread)!r}")
-        return model
+        return IrnnModel(**fields)
     except (AttributeError, KeyError, TypeError, OverflowError) as e:
         what = f"missing {e.args[0]}" if isinstance(e, KeyError) else e
         raise ValueError(f"malformed manifest: {what}") from e

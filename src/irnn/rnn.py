@@ -308,7 +308,6 @@ class IntLstmCell:
         # xprod, hprod, fc and ij feed only centered operands (Rescale.centered)
         self._xprod = self._gemv_x.rescale(p["xprod"]).centered()
         self._hprod = self._gemv_h.rescale(p["hprod"]).centered()
-        self._query = None  # the hprod rows of a query-carrying copy (with_query)
 
         self._norm_x = self._norm_h = None
         pa, pb = p["xprod"], p["hprod"]
@@ -351,10 +350,8 @@ class IntLstmCell:
             np.array([p_tanh.zero_point, p["c"].zero_point], dtype=np.int64), m
         )
         # ij and fc as one rescale of the stacked products [si * tj, sf * c]
-        self._ij_fc = Rescale.stack([
-            (qmul_rescale(p_sig, pb, p[site]).centered(), m, max_centered(p_sig) * max_centered(pb))
-            for site, pb in (("ij", p_tanh), ("fc", p["c"]))
-        ])
+        self._ij_fc = Rescale.stack([(qmul_rescale(p_sig, pb, p[site]).centered(), m)
+                                     for site, pb in (("ij", p_tanh), ("fc", p["c"]))])
         self._c = rescale(p["c"], (p["fc"].scale / p["c"].scale, max_centered(p["fc"])),
                           (p["ij"].scale / p["c"].scale, max_centered(p["ij"])))
         self._h = qmul_rescale(p_sig, p_tanh, p["h"])
@@ -385,25 +382,22 @@ class IntLstmCell:
         its centered one-term saturating rescale.  The copy's h GEMV is one
         [m x (4m + rows)] product (ExactGemv.stack) and its hprod rescale
         rounds the stacked [hprod | query] accumulator in one call
-        (Rescale.stack), so each step of its run() projects h once and
-        hands context() the centered query codes.  This cell is not
-        changed.  FxOverflow when the stacked rescale's lifted accumulators
-        would overflow int64."""
-        if self._gemv_s is None or self._query is not None:
-            raise ValueError("a query rides on a context-fed cell, once")
+        (Rescale.stack), each element keeping its part's constants, so each
+        step of its run() projects h once and hands context() the centered
+        query codes.  This cell is not changed."""
         rows = 4 * self._m
+        if self._gemv_s is None or self._gemv_h.w.shape[1] != rows:
+            raise ValueError("a query rides on a context-fed cell, once")
         out = copy.copy(self)
-        out._hprod = Rescale.stack([(self._hprod, rows, self._gemv_h.bound),
-                                    (qproj, gemv_q.w.shape[1], gemv_q.bound)])
+        out._hprod = Rescale.stack([(self._hprod, rows), (qproj, gemv_q.w.shape[1])])
         out._gemv_h = ExactGemv.stack([self._gemv_h, gemv_q])
-        out._query = rows
         return out
 
-    def step(self, xb: np.ndarray, h: np.ndarray, c: np.ndarray, s=None, hb=None):
+    def step(self, xb: np.ndarray, hb: np.ndarray, c: np.ndarray, s=None):
         """One timestep on code arrays: xb is this step's input_branch() row,
-        h and c the state's codes and s (for a context-fed cell) the context
-        codes; returns (h', c').  hb, when given, is h's hprod codes, which
-        a query-carrying cell's run() has already projected.  Nothing is
+        hb the hprod codes of the state's h, the first 4m of the h
+        projection that run() makes, c the state's cell codes and s (for a
+        context-fed cell) the context codes; returns (h', c').  Nothing is
         checked: run() checks its input once, and the cell's own outputs
         are on its grids by construction.
 
@@ -411,10 +405,6 @@ class IntLstmCell:
         formed in fresh arrays and worked on in place there, each rescale
         rounds in the array its product allocated, and the sigmoid codes
         are taken as centered, since UNIT_GRID puts zero at code 0."""
-        if hb is None:
-            hb = self._hprod(self._gemv_h(h))
-            if self._query is not None:
-                hb = hb[: self._query]
         if self._norm_h is not None:
             hb = self._norm_h(hb)
         gates = self._sum1.term(1, hb)
@@ -445,11 +435,12 @@ class IntLstmCell:
         """Drive the cell over a [T x n] input from zero state; returns all
         hidden states.  The input's grid and length and the context wiring
         are checked once, the input branch runs once over the sequence, and
-        step() runs once per timestep on code arrays.  context(t, h), for a
-        context-fed cell only, returns step t's context codes from the
-        hidden-state codes h before that step; a query-carrying cell
-        (with_query) projects h first and hands context the centered query
-        codes instead, and step() the hprod codes."""
+        step() runs once per timestep on code arrays.  Each step projects
+        the hidden-state codes h once, and hands step() the hprod rows.
+        context(t, q), for a context-fed cell only, returns step t's
+        context codes from q, the rest of that projection: the centered
+        query codes of a query-carrying cell (with_query), and an empty
+        array for any other."""
         if qxs.params != self.sites["x"]:
             raise ValueError("uncalibrated-tensor: x params differ from calibration")
         if qxs.data.ndim != 2 or qxs.data.shape[0] < 1:
@@ -458,14 +449,11 @@ class IntLstmCell:
             raise ValueError("context input does not match cell wiring")
         xb, m, ph = self.input_branch(qxs.data), self.hidden_size, self.sites["h"]
         h, c = (np.full(m, p.zero_point, dtype=p.dtype) for p in (ph, self.sites["c"]))
-        out = np.empty((len(xb), m), dtype=ph.dtype)
-        k = self._query
+        out, rows = np.empty((len(xb), m), dtype=ph.dtype), 4 * m
         for t in range(len(xb)):
-            if k is None:
-                h, c = self.step(xb[t], h, c, None if context is None else context(t, h))
-            else:
-                hq = self._hprod(self._gemv_h(h))
-                h, c = self.step(xb[t], h, c, context(t, hq[k:]), hq[:k])
+            hq = self._hprod(self._gemv_h(h))
+            s = None if context is None else context(t, hq[rows:])
+            h, c = self.step(xb[t], hq[:rows], c, s)
             out[t] = h
         return QTensor(out, ph)
 

@@ -1,6 +1,7 @@
 """CLI subcommands: quantize/run/compare/bench/approx/table, exit codes."""
 
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -175,7 +176,7 @@ class TestQuantizeRunCompare:
             name: PwlTable(cell.tables[name].q_knots, cell.tables[name].values, *grids)
             for name, grids in IntLstmCell.table_grids(sites, False).items()
         }
-        model.cells["main"] = IntLstmCell(cell.weights, sites, tables)
+        model = dataclasses.replace(model, cells={"main": IntLstmCell(cell.weights, sites, tables)})
         mio.save_file(model, path)
         code, out = _run(capsys, "compare", str(path), "--synth", "3")
         assert code == 1

@@ -475,7 +475,7 @@ class TestClipUfunc:
         # element of the stacked operand
         rng = np.random.default_rng(42)
         parts = [
-            (Rescale((raw,), f, 0, lo, hi, bounds=(2**14,)), 16, 2**14)
+            (Rescale((raw,), f, 0, lo, hi, bounds=(2**14,)), 16)
             for raw, f, lo, hi in ((3001, 9, -300, 200), (-77, 4, -1000, 1500), (5, 1, -9, 9))
         ]
         op = Rescale.stack(parts)
@@ -746,8 +746,9 @@ class TestStackedRescale:
         m = 5
         for case in cases:
             (ij, ij_bound), (fc, fc_bound) = self._parts(*case)
-            stacked = Rescale.stack(((ij, m, ij_bound), (fc, m, fc_bound)))
-            assert stacked.f == max(ij.f, fc.f)
+            stacked = Rescale.stack(((ij, m), (fc, m)))
+            # every element keeps its own part's fraction bits
+            assert stacked.f.tolist() == [ij.f] * m + [fc.f] * m
             for k, (op, bound) in enumerate(((ij, ij_bound), (fc, fc_bound))):
                 if bound <= 2**20:
                     ops = np.arange(-bound, bound + 1, dtype=np.int64)
@@ -756,39 +757,101 @@ class TestStackedRescale:
                     ops[:2] = -bound, bound
                 np.testing.assert_array_equal(_block(stacked, k, m)(ops), op(ops))
 
-    def test_exact_lift_at_ties(self):
-        # raw * t = (j + 1/2) * 2^g exactly: the lifted raw must round the tie
-        # away from zero on both signs, as the unlifted one does
+    def test_exact_rounding_at_ties(self):
+        # raw * t = (j + 1/2) * 2^f exactly: each element rounds the tie
+        # away from zero on both signs at its own f, as its part does
         for g in range(1, 20):
             for k in (1, 7, 30):
                 low = Rescale((1,), g, 0, -(2**40), 2**40, bounds=(2**30,))
                 high = Rescale((1,), g + k, 0, -(2**40), 2**40, bounds=(2**20,))
-                stacked = Rescale.stack(((low, 1, 2**30), (high, 1, 2**20)))
-                ties = np.array([(2 * j + 1) << (g - 1) for j in range(-4, 4)], dtype=np.int64)
-                for t in (ties - 1, ties, ties + 1):
-                    got = stacked(np.stack([t, np.zeros_like(t)], axis=1))[:, 0]
-                    np.testing.assert_array_equal(got, low(t))
+                stacked = Rescale.stack(((low, 1), (high, 1)))
+                assert stacked.f.tolist() == [g, g + k]
+                assert stacked.half.tolist() == [1 << (g - 1), 1 << (g + k - 1)]
+                for col, op in enumerate((low, high)):
+                    ties = np.array([(2 * j + 1) << (op.f - 1) for j in range(-4, 4)],
+                                    dtype=np.int64)
+                    # the ties within the part's bound, both neighbours too
+                    ties = ties[np.abs(ties) < op.bounds[0]]
+                    for t in (ties - 1, ties, ties + 1):
+                        operand = np.zeros((len(t), 2), dtype=np.int64)
+                        operand[:, col] = t
+                        np.testing.assert_array_equal(stacked(operand)[:, col], op(t))
+                        np.testing.assert_array_equal(stacked(operand)[:, 1 - col], 0)
 
-    def test_lifted_overflow_rejected_at_construction(self):
-        # each part fits on its own; lifting the 8-fraction-bit raw by 40
-        # bits does not
+    def test_parts_that_would_overflow_when_lifted_stack(self):
+        # each part fits on its own, and lifting the 8-fraction-bit raw by
+        # 40 bits to the other's f would not: the stack keeps each part's
+        # f, so it is built, and each block equals its part over every
+        # operand the part's bound admits
         wide = Rescale((2**20,), 8, 0, -255, 255, bounds=(2**20,))
         deep = Rescale((3,), 48, 0, -255, 255, bounds=(2**20,))
-        with pytest.raises(FxOverflow):
-            Rescale.stack(((wide, 4, 2**20), (deep, 4, 2**20)))
-        # a smaller bound leaves room
-        Rescale.stack(((wide, 4, 2**2), (deep, 4, 2**20)))
+        stacked = Rescale.stack(((wide, 4), (deep, 4)))
+        assert stacked.f.tolist() == [8] * 4 + [48] * 4
+        ops = np.arange(-(2**20), 2**20 + 1, dtype=np.int64)
+        for k, op in enumerate((wide, deep)):
+            np.testing.assert_array_equal(_block(stacked, k, 4)(ops), op(ops))
+
+    def test_quiet_j_gate_cell(self):
+        """An lstm whose j gate is 10^4 times quieter puts the fc part's
+        fraction bits 20 above ij's, where one lifted f overflowed int64:
+        the cell builds, and each block of its ij/fc stack equals that
+        part's own rescale over every operand the part's bound admits."""
+        from test_graph import _arrays
+
+        from irnn.cli import build_model
+        from irnn.graph import FloatModel
+        from irnn.pwl import TANH_GRID, UNIT_GRID
+        from irnn.quant import max_centered, qmul_rescale
+        from irnn.rnn import CellConfig
+
+        rng = np.random.default_rng(42)
+        arrays = _arrays("lstm", rng)
+        m = arrays["wh"].shape[1]
+        for key in ("wx", "wh", "bias"):
+            arrays[key][2 * m : 3 * m] *= 1e-4
+        model = build_model(FloatModel("lstm", arrays), rng.normal(0.0, 1.0, size=(4, 8, 8)),
+                            CellConfig(16, 16))
+        cell = model.cells["main"]
+        fs = []
+        for k, (site, pb) in enumerate((("ij", TANH_GRID), ("fc", cell.sites["c"]))):
+            part = qmul_rescale(UNIT_GRID, pb, cell.sites[site]).centered()
+            fs.append(part.f)
+            bound = max_centered(UNIT_GRID) * max_centered(pb)
+            block = _block(cell._ij_fc, k, m)
+            for lo in range(-bound, bound + 1, 2**20):
+                ops = np.arange(lo, min(lo + 2**20, bound + 1), dtype=np.int64)
+                np.testing.assert_array_equal(block(ops), part(ops), err_msg=site)
+        assert fs == [17, 37]
+
+    def test_constants_and_output_are_int64(self):
+        # the per-element f and half are array shift counts, and numpy 1.x
+        # and 2.x promote mixed integer operands differently (NEP 50): every
+        # constant of a stacked rescale, of its variants and its output on
+        # int64 operands stays int64
+        parts = [(Rescale((raw,), f, 0, -(2**15), 2**15, bounds=(2**20,)), 3)
+                 for raw, f in ((-(2**40) + 1, 60), (77, 9), (1, 0))]
+        op = Rescale.stack(parts)
+        for variant in (op, op.unsaturated(), op.centered(), op.with_bounds(-5, 5, 2)):
+            consts = (*variant.raws, variant.f, variant.half, *variant.bounds)
+            assert all(v.dtype == np.int64 for v in consts)
+            t = np.arange(-(2**20), 2**20 + 1, 2**15, dtype=np.int64)[:, None].repeat(9, axis=1)
+            out = variant(t)
+            assert out.dtype == np.int64
+            assert all(v.dtype == np.int64 for v in variant._arr if v is not None)
+        assert op.lo.dtype == op.hi.dtype == np.int64
+        want = np.concatenate([part(t[:, :3]) for part, _ in parts], axis=1)
+        np.testing.assert_array_equal(op(t), want)
 
     @staticmethod
     def _per_element(raw, bound, f):
         """The reference: the derivation once run on a stacked term's
-        per-element arrays, over every element's (raw, bound) pair; returns
-        (tie_free, fits int64)."""
+        per-element arrays, over every element's (raw, bound, f) triple;
+        returns (tie_free, fits int64)."""
         from irnn.fixedpoint import _tie_free
 
-        pairs = set(zip(raw.tolist(), bound.tolist()))
-        total = max(abs(r) * b for r, b in pairs) + (1 << max(f - 1, 0))
-        return all(_tie_free(f, (pair,)) for pair in pairs), total <= 2**63 - 1
+        triples = set(zip(raw.tolist(), bound.tolist(), f.tolist()))
+        fits = all(abs(r) * b + (1 << max(g - 1, 0)) <= 2**63 - 1 for r, b, g in triples)
+        return all(_tie_free(g, ((r, b),)) for r, b, g in triples), fits
 
     def test_proof_from_parts_equals_per_element_derivation(self):
         """Every stacked rescale of the golden configs' cells (ij/fc, and the
@@ -817,7 +880,7 @@ class TestStackedRescale:
                 bound = int(rng.integers(0, 61))
                 part = Rescale((_random_raw(rng),), int(rng.integers(3, 15)), 0, -9, 9,
                                bounds=(bound,))
-                parts.append((part, int(rng.integers(1, 4)), bound))
+                parts.append((part, int(rng.integers(1, 4))))
             ops.append(Rescale.stack(parts))
         verdicts = set()
         for op in ops:
@@ -825,14 +888,15 @@ class TestStackedRescale:
             assert (op.tie_free, True) == self._per_element(raw, bound, op.f)
             verdicts.add(op.tie_free)
         assert verdicts == {True, False}
-        # each part fits alone; lifting the 8-fraction-bit raw by 40 bits
-        # does not, by the reference too
+        # each part fits alone, and so does every element at its own f, by
+        # the reference too; lifted to one f, the first part would not
         wide = Rescale((2**20,), 8, 0, -255, 255, bounds=(2**20,))
         deep = Rescale((3,), 48, 0, -255, 255, bounds=(2**20,))
+        op = Rescale.stack(((wide, 4), (deep, 4)))
+        (raw,), (bound,) = op.raws, op.bounds
+        assert (op.tie_free, True) == self._per_element(raw, bound, op.f)
         lifted = np.repeat(np.array([2**60, 3], dtype=np.int64), 4)
-        assert not self._per_element(lifted, np.full(8, 2**20), 48)[1]
-        with pytest.raises(FxOverflow):
-            Rescale.stack(((wide, 4, 2**20), (deep, 4, 2**20)))
+        assert not self._per_element(lifted, bound, np.full(8, 48))[1]
 
     def test_rejects_uncentered_or_unsaturated_parts(self):
         op = Rescale((3,), 8, 0, -10, 10, bounds=(10,))
@@ -843,7 +907,7 @@ class TestStackedRescale:
         )
         for bad in bad_parts:
             with pytest.raises(ValueError):
-                Rescale.stack(((op, 2, 10), (bad, 2, 10)))
+                Rescale.stack(((op, 2), (bad, 2)))
 
 
 class TestClippedGather:
@@ -1011,10 +1075,11 @@ def _box(bounds):
 
 
 def _ref_rescaled(acc, op: Rescale):
-    """The big-int reference of op on accumulators acc, per distinct value."""
-    flat = acc.ravel().tolist()
-    memo = {v: _ref_round_div(v, 2**op.f) + op.zero for v in set(flat)}
-    out = np.array([memo[v] for v in flat], dtype=np.int64).reshape(acc.shape)
+    """The big-int reference of op on accumulators acc, per distinct
+    (value, f): a stacked op has one f per element of the last axis."""
+    keys = list(zip(acc.ravel().tolist(), np.broadcast_to(op.f, acc.shape).ravel().tolist()))
+    memo = {(v, f): _ref_round_div(v, 2**f) + op.zero for v, f in set(keys)}
+    out = np.array([memo[key] for key in keys], dtype=np.int64).reshape(acc.shape)
     return out if op.lo is None else np.clip(out, op.lo, op.hi)
 
 
@@ -1052,9 +1117,9 @@ class TestTieCertificate:
                     bound = int(rng.integers(0, 61))
                     part_f = int(rng.integers(3, 15))
                     part = Rescale((_random_raw(rng),), part_f, 0, lo, hi, bounds=(bound,))
-                    parts.append((part, 1, bound))
+                    parts.append((part, 1))
                 op = Rescale.stack(parts)
-                bounds = [b for _, _, b in parts]
+                bounds = [part.bounds[0] for part, _ in parts]
                 # column j runs over -bounds[j]..bounds[j], padded with 0
                 rows = 2 * max(bounds) + 1
                 terms = (np.stack([

@@ -1,9 +1,11 @@
 """Model graphs: kind tables and single-pass calibration."""
 
+import dataclasses
 import sys
 
 import numpy as np
 import pytest
+from test_rnn import _hprod
 
 from irnn import graph
 from irnn import model_io as mio
@@ -11,6 +13,7 @@ from irnn import rnn
 from irnn.attention import AttentionPlan, AttentionWeights
 from irnn.cli import build_model, run_model_int
 from irnn.fixedpoint import FxOverflow
+from irnn.pwl import activation_registry, build_full, reduce
 from irnn.quant import ExactGemv, QTensor, QuantParams, dequantize, quantize_tensor
 from irnn.rnn import CellConfig
 
@@ -178,7 +181,7 @@ class TestKernelInputs:
         hs = []
         for t in range(len(xb)):
             was = _frozen(h, c)
-            h1, c1 = cell.step(xb[t], h, c)
+            h1, c1 = cell.step(xb[t], _hprod(cell, h), c)
             for a, b in zip((h, c), was):
                 np.testing.assert_array_equal(a, b)
             h, c = h1, c1
@@ -200,7 +203,7 @@ class TestKernelInputs:
             was = _frozen(h, c)
             s = att.context(h, src)
             was += _frozen(s)
-            h1, c1 = dec.step(xb[t], h, c, s)
+            h1, c1 = dec.step(xb[t], _hprod(dec, h), c, s)
             for a, b in zip((h, c, s), was):
                 np.testing.assert_array_equal(a, b)
             h, c = h1, c1
@@ -221,7 +224,7 @@ def _decoder_by_hand(model, xs):
     h, c = TestKernelInputs._zero_state(dec)
     hs = []
     for t in range(len(xb)):
-        h, c = dec.step(xb[t], h, c, att.context(h, src))
+        h, c = dec.step(xb[t], _hprod(dec, h), c, att.context(h, src))
         hs.append(h)
     return dequantize(np.stack(hs), dec.sites["h"])
 
@@ -312,27 +315,29 @@ class TestStackedQuery:
             graph.run_int(model, rng.normal(0.0, 1.0, size=(T, N_FEAT)))
             assert len(calls) == fixed + per_step * T
 
-    def test_overflowing_stack_leaves_the_query_to_the_plan(self):
+    def test_finer_query_grid_still_stacks(self):
         rng = np.random.default_rng(42)
         model = self._model("encdec", CellConfig(), rng)
         plan, aw, carrier = model.attention, model.attention.weights, model.query_cell
-        # a query grid 2^20 times finer lifts the query's raw 20 bits more,
-        # past int64 at its bound
+        # a query grid 2^20 times finer takes 20 fraction bits off the query
+        # rescale, and lifted to hprod's f its raw overflowed int64; each
+        # element keeps its own f, so the query still rides on the decoder
         p_q = aw.sites["qproj"]
         fine = QuantParams(8, p_q.scale / 2**20, p_q.zero_point)
         wide = AttentionPlan(AttentionWeights(aw.wq, aw.wk, aw.v, {**aw.sites, "qproj": fine}),
                              plan.exp_table, plan.tanh_table)
-        with pytest.raises(FxOverflow):
-            model.cells["dec"].with_query(wide._gemv_q, wide._qproj)
-        # a replaced plan is derived again
-        model.attention = wide
-        assert model.query_cell is None
+        rows, f_h, q = 4 * model.cells["dec"].hidden_size, model.cells["dec"]._hprod.f, wide._qproj
+        assert f_h > q.f and (abs(q.raws[0]) << (f_h - q.f)) * q.bounds[0] > 2**63 - 1
+        assert set(model.query_cell._hprod.f[rows:].tolist()) == {q.f + 20}
+        # re-assembly with the finer plan derives the carrier again
+        fine_model = dataclasses.replace(model, attention=wide)
+        assert set(fine_model.query_cell._hprod.f[rows:].tolist()) == {q.f}
         xs = rng.normal(0.0, 1.0, size=(9, N_FEAT))
-        np.testing.assert_array_equal(graph.run_int(model, xs)["dec"], _decoder_by_hand(model, xs))
-        model.attention = plan
-        again = model.query_cell
-        assert again is not None and again is not carrier
-        np.testing.assert_array_equal(graph.run_int(model, xs)["dec"], _decoder_by_hand(model, xs))
+        np.testing.assert_array_equal(graph.run_int(fine_model, xs)["dec"],
+                                      _decoder_by_hand(fine_model, xs))
+        again = dataclasses.replace(fine_model, attention=plan)
+        assert again.query_cell is not None and again.query_cell is not carrier
+        np.testing.assert_array_equal(graph.run_int(again, xs)["dec"], _decoder_by_hand(again, xs))
 
     def test_query_rides_once_on_a_context_fed_cell(self):
         rng = np.random.default_rng(42)
@@ -341,6 +346,64 @@ class TestStackedQuery:
         for cell in (model.cells["enc"], model.query_cell):
             with pytest.raises(ValueError, match="context-fed cell, once"):
                 cell.with_query(att._gemv_q, att._qproj)
+
+
+class TestAssembly:
+    """A model is checked when it is assembled and not changed afterwards."""
+
+    @staticmethod
+    def _encdec():
+        rng = np.random.default_rng(42)
+        fm = graph.FloatModel("encdec", _arrays("encdec", rng))
+        return build_model(fm, rng.normal(0.0, 1.0, size=(4, 8, N_FEAT)), CellConfig())
+
+    def test_fields_and_cells_are_read_only(self):
+        model = self._encdec()
+        plan, dec = model.attention, model.cells["dec"]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            model.attention = plan
+        with pytest.raises(TypeError):
+            model.cells["dec"] = dec
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            model.query_cell = dec
+        assert model.attention is plan and model.cells["dec"] is dec
+
+    def test_replaced_plan_off_the_tied_grid_is_refused(self):
+        # the plan's henc grid at twice the scale: the encoder's codes would
+        # be read on the wrong grid, so re-assembly refuses it
+        model = self._encdec()
+        aw = model.attention.weights
+        p = aw.sites["henc"]
+        moved = QuantParams(p.bitwidth, p.scale * 2, p.zero_point)
+        plan = AttentionPlan(AttentionWeights(aw.wq, aw.wk, aw.v, {**aw.sites, "henc": moved}),
+                             model.attention.exp_table, model.attention.tanh_table)
+        with pytest.raises(graph.GraphError, match="tied-site-mismatch: att.henc differs from enc.h"):
+            dataclasses.replace(model, attention=plan)
+
+    def test_decoder_without_context_weights_is_refused(self):
+        # the decoder's own weights and grids, less ws and its two sites:
+        # every tie but att.s holds
+        model = self._encdec()
+        dec = model.cells["dec"]
+        sites = {k: v for k, v in dec.sites.items() if k not in ("s", "preact")}
+        tables = {
+            name: reduce(build_full(activation_registry(name.partition("_")[0])[0], *grids), 32)
+            for name, grids in rnn.IntLstmCell.table_grids(sites, False).items()
+        }
+        w = dec.weights
+        deaf = rnn.IntLstmCell(rnn.LstmWeights(w.wx, w.wh, w.bias), sites, tables)
+        with pytest.raises(graph.GraphError, match="the dec cell attends but has no context weights"):
+            graph.IrnnModel("encdec", {"enc": model.cells["enc"], "dec": deaf},
+                            attention=model.attention)
+
+    def test_missing_tied_site_is_a_graph_error(self, monkeypatch):
+        rng = np.random.default_rng(42)
+        fm = graph.FloatModel("lstm", _arrays("lstm", rng))
+        model = build_model(fm, rng.normal(0.0, 1.0, size=(4, 8, N_FEAT)), CellConfig())
+        tied = dataclasses.replace(graph.GRAPHS["lstm"], ties={("main", "nope"): ("main", "h")})
+        monkeypatch.setitem(graph.GRAPHS, "lstm", tied)
+        with pytest.raises(graph.GraphError, match="tied-site-missing: main.nope or main.h"):
+            graph.IrnnModel("lstm", model.cells)
 
 
 @pytest.mark.parametrize("kind,cfg", [
