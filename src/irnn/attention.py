@@ -22,7 +22,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .fixedpoint import FxOverflow, Quotient, Rescale, round_half_away, saturate
-from .pwl import TANH_GRID, UNIT_GRID, PwlTable, activation_registry, build_full, reduce
+from .pwl import TANH_GRID, UNIT_GRID, PwlTable, activation_registry, fit
 from .quant import (
     ExactGemv,
     Observer,
@@ -374,7 +374,7 @@ def freeze_attention(observers: dict, wq, wk, v, pieces: int = 32):
         quantize_weight(wq), quantize_weight(wk), quantize_weight(v), sites
     )
     exp_table, tanh_table = (
-        reduce(build_full(activation_registry(name)[0], p_in, p_out), pieces)
+        fit(activation_registry(name)[0], p_in, p_out, pieces)
         for name, (p_in, p_out) in AttentionPlan.table_grids(sites).items()
     )
     return weights, exp_table, tanh_table

@@ -33,8 +33,8 @@ import numpy as np
 from . import graph
 from . import model_io as mio
 from .fixedpoint import format_table
-from .pwl import ACTIVATIONS, activation_registry, build_full, eval_float, eval_int, reduce
-from .quant import Observer, derive_params
+from .pwl import ACTIVATIONS, activation_registry, eval_float, eval_int, fit
+from .quant import Observer, dequantize, derive_params
 from .rnn import CellConfig
 
 __all__ = [
@@ -205,15 +205,14 @@ def cmd_approx(args) -> int:
         raise CliError(f"degenerate-range: --range needs LO < HI, got {lo!r} {hi!r}")
     try:
         p_in = derive_params(lo, hi, args.bits)
-        grid = np.arange(p_in.qmax + 1)
-        xs = p_in.scale * (grid.astype(np.float64) - p_in.zero_point)
+        xs = dequantize(np.arange(p_in.qmax + 1), p_in)
         # an overflow gives a non-finite value, which the observer rejects
         with np.errstate(over="ignore", invalid="ignore"):
             f_vals = fn(xs)
         p_out = Observer().observe(f_vals).finalize(args.bits)
     except ValueError as e:
         raise CliError(str(e)) from e
-    table = reduce(build_full(fn, p_in, p_out), args.pieces)
+    table = fit(fn, p_in, p_out, args.pieces)
     g_vals = eval_float(table, xs)
     try:
         with open(args.out, "w", newline="") as f:

@@ -1,15 +1,17 @@
 """Quantization-aware piecewise-linear approximation of scalar activations.
 
-A table starts with one knot per quantized input code (equivalent to a
-look-up table of the quantized activation) and is thinned by greedily
-removing the shared knot of the most similar adjacent slope pair until a
-piece budget is met.  Knots always stay on the input grid and intercepts
-always equal the true function value at their knot, so surviving grid
-points evaluate exactly.  The greedy merge runs in numpy rounds, each of
-which removes a batch of knots proven to be the merge's next removals.  A
-round looks only at a window, the survivors whose cost is at most a
-threshold theta.  Each round rebuilds the window from the live costs,
-with theta at the end of the bucket of costs that holds the 512th
+A fit starts from one knot per quantized input code (the full table,
+equivalent to a look-up table of the quantized activation) and thins it by
+greedily removing the shared knot of the most similar adjacent slope pair
+until a piece budget is met.  fit runs the merge on the grid's knots and
+values and builds only the reduced table; build_full builds the full one,
+and reduce thins a built table.  Knots always stay on the input grid and
+intercepts always equal the true function value at their knot, so
+surviving grid points evaluate exactly.  The greedy merge runs in numpy
+rounds, each of which removes a batch of knots proven to be the merge's
+next removals.  A round looks only at a window, the survivors whose cost is
+at most a threshold theta.  Each round rebuilds the window from the live
+costs, with theta at the end of the bucket of costs that holds the 512th
 smallest, so the certificate runs on about what a round removes, not on
 every survivor.
 
@@ -43,6 +45,7 @@ __all__ = [
     "build_full",
     "eval_float",
     "eval_int",
+    "fit",
     "from_points",
     "reduce",
 ]
@@ -275,12 +278,43 @@ def _expand(t: PwlTable) -> np.ndarray:
     return lut
 
 
-def build_full(fn, in_params: QuantParams, out_params: QuantParams) -> PwlTable:
-    """Table with one knot per input code: 2^b - 1 pieces, LUT-equivalent."""
+def _on_grid(fn, in_params: QuantParams):
+    """Every code of the input grid, its real input and fn there."""
     if in_params.bitwidth > 16:
         raise ValueError("full grid limited to 16-bit inputs")
     grid = np.arange(in_params.qmax + 1, dtype=np.int64)
-    values = np.asarray(fn(dequantize(grid, in_params)), dtype=np.float64)
+    xs = dequantize(grid, in_params)
+    return grid, xs, np.asarray(fn(xs), dtype=np.float64)
+
+
+def build_full(fn, in_params: QuantParams, out_params: QuantParams) -> PwlTable:
+    """Table with one knot per input code: 2^b - 1 pieces, LUT-equivalent."""
+    grid, _, values = _on_grid(fn, in_params)
+    return PwlTable(grid, values, in_params, out_params)
+
+
+def fit(fn, in_params: QuantParams, out_params: QuantParams, pieces: int) -> PwlTable:
+    """reduce(build_full(fn, in_params, out_params), pieces), bit for bit,
+    without building the full table: the merge runs on fn at every input
+    code, and only the reduced table is built.  It refuses, with the same
+    errors, what the pair refuses: a grid wider than 16 bits, a value of fn
+    that is not finite at some code, and fewer than one piece.
+
+    One difference: the full table's own FxOverflow.  fit proves only the
+    reduced table's constants, so a steep step into a fine output grid
+    (over a 16-bit grid into QuantParams(8, 2^-20, 0), say) makes the pair
+    raise and fit return.  Where out_params's range holds every value of fn
+    on the grid, the full table's bound is at most about (2^b_out - 1) *
+    (2^b_in + 1) * 2^30, within 2^62 up to 16 bits, and the two agree; the
+    engine's tables, with 8-bit outputs, stay below 2^54.
+    """
+    grid, xs, values = _on_grid(fn, in_params)
+    if values.shape != grid.shape or not np.isfinite(values).all():
+        # the full table refuses these before it derives anything
+        PwlTable(grid, values, in_params, out_params)
+    keep = _kept(xs, values, pieces)
+    if keep is not None:
+        grid, values = grid[keep], values[keep]
     return PwlTable(grid, values, in_params, out_params)
 
 
@@ -306,12 +340,20 @@ def reduce(t: PwlTable, pieces: int) -> PwlTable:
     whose slopes differ least (ties: lowest knot index), recomputing the
     merged slope from the surviving endpoint knots.
     """
+    keep = _kept(t.knots, t.values, pieces)
+    if keep is None:
+        return t
+    return PwlTable(t.q_knots[keep], t.values[keep], t.in_params, t.out_params)
+
+
+def _kept(ks: np.ndarray, ys: np.ndarray, pieces: int) -> np.ndarray | None:
+    """Indices of the knots that a budget of pieces keeps; None when the
+    budget holds every piece, so every knot stays."""
     if pieces < 1:
         raise ValueError("invalid-budget: pieces must be >= 1")
-    if pieces >= t.pieces:
-        return t
-    keep = _surviving_knots(t.knots, t.values, pieces)
-    return PwlTable(t.q_knots[keep], t.values[keep], t.in_params, t.out_params)
+    if pieces >= len(ks) - 1:
+        return None
+    return _surviving_knots(ks, ys, pieces)
 
 
 # A cost's bucket is its float64 bits shifted right by _BUCKET_SHIFT: costs

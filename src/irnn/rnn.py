@@ -22,7 +22,7 @@ import numpy as np
 
 from .fixedpoint import _INT32_MAX, FxOverflow, Rescale, round_half_away, saturate
 from .madnorm import MadNormPlan, _madnorm_parts
-from .pwl import TANH_GRID, UNIT_GRID, activation_registry, build_full, reduce
+from .pwl import TANH_GRID, UNIT_GRID, activation_registry, fit
 from .quant import (
     ExactGemv,
     Observer,
@@ -499,8 +499,7 @@ def freeze_cell(observers: dict, wx, wh, bias, cfg: CellConfig, ws=None) -> IntL
         bias_i32 = round_half_away(codes).astype(np.int32)
     weights = LstmWeights(qwx, qwh, bias_i32, ws=qws)
     tables = {
-        name: reduce(build_full(activation_registry(name.partition("_")[0])[0], *grids),
-                     cfg.pwl_pieces)
+        name: fit(activation_registry(name.partition("_")[0])[0], *grids, cfg.pwl_pieces)
         for name, grids in IntLstmCell.table_grids(sites, ws is not None).items()
     }
     return IntLstmCell(weights, sites, tables)

@@ -19,7 +19,7 @@ import pytest
 from irnn import model_io as mio
 from irnn import quant
 from irnn.cli import build_model, main
-from irnn.pwl import ACTIVATIONS, PwlTable, eval_int
+from irnn.pwl import ACTIVATIONS, PwlTable, build_full, eval_int, reduce
 from irnn.quant import QuantParams
 from irnn.rnn import CellConfig, IntLstmCell
 from reseal import blob_zeroed, manifest_of, reseal, unsealed, with_manifest
@@ -248,6 +248,25 @@ class TestApprox:
         for line in lines[1:]:
             q, x, fv = line.split(",")
             assert rows[1 + int(q)][:2] == [x, fv]
+
+    @pytest.mark.parametrize("bits", [8, 16])
+    @pytest.mark.parametrize("fn", ["exp", "gelu", "tanh"])
+    def test_output_of_reduce_of_full(self, capsys, tmp_path, monkeypatch, fn, bits):
+        # fit writes the bytes and prints the knots of the pair it replaces
+        runs = []
+        for name in ("fit", "pair"):
+            if name == "pair":
+                monkeypatch.setattr(
+                    "irnn.cli.fit", lambda f, p_in, p_out, n: reduce(build_full(f, p_in, p_out), n)
+                )
+            out = tmp_path / f"{name}.csv"
+            code, knots = _run(
+                capsys, "approx", "--fn", fn, "--bits", str(bits), "--pieces", "16",
+                "--out", str(out),
+            )
+            assert code == 0
+            runs.append((out.read_bytes(), knots))
+        assert runs[0] == runs[1]
 
     def test_more_pieces_tighter(self, capsys, tmp_path):
         errs = {}

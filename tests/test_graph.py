@@ -9,7 +9,7 @@ from test_rnn import _hprod
 
 from irnn import graph
 from irnn import model_io as mio
-from irnn import rnn
+from irnn import pwl, rnn
 from irnn.attention import AttentionPlan, AttentionWeights
 from irnn.cli import build_model, run_model_int
 from irnn.fixedpoint import FxOverflow
@@ -97,6 +97,31 @@ class TestCalibrate:
                 monkeypatch.setattr(module, "lstm_step_ref", counting)
         build_model(fm, calib, CellConfig())
         assert len(calls) == per_step * T
+
+    @pytest.mark.parametrize("kind,cfg,tables", [
+        ("lstm", CellConfig(16, 16, use_madnorm=True), 3),
+        ("encdec", CellConfig(), 8),
+    ])
+    def test_builds_no_full_grid_table(self, kind, cfg, tables, monkeypatch):
+        # each table is fitted straight from its input grid: no table is
+        # built with more knots than the piece budget keeps
+        def full(*args, **kwargs):
+            raise AssertionError("a build made a full-grid table")
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("irnn") and getattr(module, "build_full", None) is pwl.build_full:
+                monkeypatch.setattr(module, "build_full", full)
+        knots, init = [], pwl.PwlTable.__post_init__
+
+        def counted(self):
+            knots.append(len(self.q_knots))
+            init(self)
+
+        monkeypatch.setattr(pwl.PwlTable, "__post_init__", counted)
+        rng = np.random.default_rng(42)
+        fm = graph.FloatModel(kind, _arrays(kind, rng))
+        graph.calibrate(fm, rng.normal(0.0, 1.0, size=(4, 8, N_FEAT)), cfg)
+        assert knots == [cfg.pwl_pieces + 1] * tables
 
     def test_bidirectional_input_width_checked(self):
         # every cell reads the model input, so a backward cell of another

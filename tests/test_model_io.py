@@ -469,8 +469,9 @@ class TestCompiledReplay:
         def rebuild(*args, **kwargs):
             raise AssertionError("load rebuilt a PWL table")
 
-        monkeypatch.setattr("irnn.rnn.build_full", rebuild)
-        monkeypatch.setattr("irnn.rnn.reduce", rebuild)
+        monkeypatch.setattr("irnn.rnn.fit", rebuild)
+        for name in ("build_full", "reduce", "fit"):
+            monkeypatch.setattr(f"irnn.pwl.{name}", rebuild)
         loaded = mio.load(blob)
         assert mio.save(loaded) == blob
 

@@ -8,7 +8,10 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from irnn import pwl
+from test_graph import _arrays
+
+from irnn import graph, pwl
+from irnn.attention import AttentionPlan
 from irnn.fixedpoint import FxOverflow, rounded_shift
 from irnn.pwl import (
     ACTIVATIONS,
@@ -16,10 +19,12 @@ from irnn.pwl import (
     build_full,
     eval_float,
     eval_int,
+    fit,
     from_points,
     reduce,
 )
 from irnn.quant import QuantParams, dequantize, derive_params, quantize
+from irnn.rnn import CellConfig, IntLstmCell
 
 
 def _params_for(name, bits=8):
@@ -445,6 +450,106 @@ class TestMergeRounds:
         finally:
             tracemalloc.stop()
         assert peak < 14 * 2**20
+
+
+def _workload_tables():
+    """(name, fn, in grid, out grid) of every table of an lstm 16/16 +
+    MadNorm model and an encdec 8/8 model, from their own table_grids."""
+    rng = np.random.default_rng(42)
+    tables = []
+    for kind, cfg in (("lstm", CellConfig(16, 16, use_madnorm=True)), ("encdec", CellConfig())):
+        fm = graph.FloatModel(kind, _arrays(kind, rng))
+        model = graph.calibrate(fm, rng.normal(0.0, 1.0, size=(4, 8, 8)), cfg)
+        grids = [
+            (f"{kind}.{cell}.{name}", name.partition("_")[0], g)
+            for cell, c in model.cells.items()
+            for name, g in IntLstmCell.table_grids(c.sites, c.weights.ws is not None).items()
+        ]
+        if model.attention is not None:
+            sites = model.attention.weights.sites
+            grids += [(f"{kind}.att.{name}", name, g)
+                      for name, g in AttentionPlan.table_grids(sites).items()]
+        tables += [(label, activation_registry(fn)[0], *g) for label, fn, g in grids]
+    return tables
+
+
+_FIELDS = ("q_knots", "values", "knots", "slopes", "intercepts", "fx_slopes",
+           "fx_intercepts", "lut")
+
+
+def _assert_fit_is_reduce_of_full(fn, in_p, out_p, label):
+    full = build_full(fn, in_p, out_p)
+    b = in_p.bitwidth
+    for n in (1, 8, 32, 2**b - 2, 2**b - 1, 2**b + 5):
+        got, want = fit(fn, in_p, out_p, n), reduce(full, n)
+        assert (got.in_params, got.out_params) == (want.in_params, want.out_params)
+        for name in _FIELDS:
+            np.testing.assert_array_equal(
+                getattr(got, name), getattr(want, name), err_msg=f"{label} {n} {name}"
+            )
+
+
+def _refusal(call):
+    with pytest.raises(Exception) as ei:
+        call()
+    return type(ei.value), str(ei.value)
+
+
+class TestFit:
+    """fit is reduce(build_full(...)) without the full table."""
+
+    @pytest.mark.parametrize("bits", [8, 16])
+    @pytest.mark.parametrize("name", sorted(ACTIVATIONS))
+    def test_equals_reduce_of_full(self, name, bits):
+        _assert_fit_is_reduce_of_full(*_params_for(name, bits), f"{name}/{bits}")
+
+    def test_workload_grids_equal_reduce_of_full(self):
+        tables = _workload_tables()
+        assert {p.bitwidth for _, _, p, _ in tables} == {8, 16}
+        for label, fn, in_p, out_p in tables:
+            _assert_fit_is_reduce_of_full(fn, in_p, out_p, label)
+
+    def test_refuses_what_the_pair_refuses(self):
+        fn, in_p, out_p = _params_for("tanh")
+        wide = QuantParams(32, 1e-9, 2**31)
+        one_code = lambda bad: lambda x: np.where(x == x[7], bad, np.tanh(x))
+        cases = [
+            (fn, in_p, 0),
+            (fn, wide, 32),
+            (fn, wide, 0),
+            (one_code(np.inf), in_p, 32),
+            (one_code(np.nan), in_p, 32),
+            (one_code(-np.inf), in_p, 0),
+            (lambda x: 0.5, in_p, 32),
+        ]
+        for f, p, n in cases:
+            want = _refusal(lambda: reduce(build_full(f, p, out_p), n))
+            assert want[0] is ValueError
+            assert _refusal(lambda: fit(f, p, out_p, n)) == want
+
+    def test_only_the_reduced_table_must_fit(self):
+        # a step over a 16-bit grid into a fine output grid: the full
+        # table's one-code piece at the step has a bound near 2^66, which
+        # the pair refuses; one piece across the grid proves its own
+        step = lambda x: np.where(x >= 0, 1.0, 0.0)
+        in_p, out_p = derive_params(-1.0, 1.0, 16), QuantParams(8, 2**-20, 0)
+        with pytest.raises(FxOverflow):
+            reduce(build_full(step, in_p, out_p), 1)
+        t = fit(step, in_p, out_p, 1)
+        assert t.q_knots.tolist() == [0, in_p.qmax]
+        assert t.values.tolist() == [0.0, 1.0]
+
+    def test_sixteen_bit_peak_memory(self):
+        # reduce(build_full(...)) peaks at about 7.8 MiB here, fit at 5.9
+        fn, (lo, hi) = activation_registry("sigmoid")
+        in_p = derive_params(lo, hi, 16)
+        tracemalloc.start()
+        try:
+            fit(fn, in_p, derive_params(0.0, 1.0, 8), 32)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 7 * 2**20
 
 
 class TestEvalFloat:
