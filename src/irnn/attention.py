@@ -117,17 +117,22 @@ def _keys_ref(H_enc: np.ndarray, wk, observers: dict | None) -> np.ndarray:
     return keys
 
 
-def _attend_ref(h_dec, H_enc, keys, wq, v, observers: dict | None):
+def _attend_ref(h_dec, H_enc, keys, wq, v, observers: dict | None, work=None):
     """attention_ref's step against a source's keys (see _keys_ref).  The
-    query is one gemv per row and the softmax reduces each row's last axis."""
+    query is one gemv per row and the softmax reduces each row's last axis.
+    The query-key sums and then their tanh are formed in work, a float64
+    array of the keys' shape that a caller stepping one source many times
+    hands every step; None makes one for this call."""
     qp = _gemv_rows(np.asarray(wq, dtype=np.float64), np.asarray(h_dec, dtype=np.float64))
-    sums = qp[..., None, :] + keys
-    e = np.tanh(sums) @ np.asarray(v, dtype=np.float64)
+    sums = np.add(qp[..., None, :], keys, out=work)
+    _observe(observers, "qproj", qp)
+    _observe(observers, "sumqk", sums)
+    e = np.tanh(sums, out=sums) @ np.asarray(v, dtype=np.float64)
     w = np.exp(e - e.max(axis=-1, keepdims=True))
     alpha = w / w.sum(axis=-1, keepdims=True)
     s = (alpha[..., None, :] @ H_enc)[..., 0, :]
-    for key, val in (("qproj", qp), ("sumqk", sums), ("e", e), ("s", s)):
-        _observe(observers, key, val)
+    _observe(observers, "e", e)
+    _observe(observers, "s", s)
     return s, alpha
 
 

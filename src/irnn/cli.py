@@ -212,7 +212,8 @@ def cmd_approx(args) -> int:
         p_out = Observer().observe(f_vals).finalize(args.bits)
     except ValueError as e:
         raise CliError(str(e)) from e
-    table = fit(fn, p_in, p_out, args.pieces)
+    # xs is fit's own input grid, so fit takes fn's values there as they are
+    table = fit(lambda _: f_vals, p_in, p_out, args.pieces)
     g_vals = eval_float(table, xs)
     try:
         with open(args.out, "w", newline="") as f:

@@ -153,6 +153,9 @@ class _Graph:
                     return s
 
             h = cell(name, xs[..., ::-1, :] if rev else xs, context)
+            # the source's step state (its keys, a float work array) dies
+            # here, not while the output below is formed
+            step = context = None
             states[name] = h[..., ::-1, :] if rev else h
             traces[name] = trace(name, states[name])
             if ctx is not None:
@@ -170,10 +173,12 @@ class _Graph:
             )
 
         def attention(H):
-            # the keys are projected once per source, as AttentionPlan.source does
+            # the keys are projected once per source, as AttentionPlan.source
+            # does, and every step forms its sums and their tanh in one work array
             obs, wq, v = observers.get("att"), a["att_wq"], a["att_v"]
             keys = _keys_ref(H, a["att_wk"], obs)
-            return lambda h: _attend_ref(h, H, keys, wq, v, obs)[0], np.empty(H.shape)
+            work = np.empty_like(keys)
+            return lambda h: _attend_ref(h, H, keys, wq, v, obs, work)[0], np.empty(H.shape)
 
         return self._run(xs, cell, attention, lambda stage, v: v)
 

@@ -19,7 +19,7 @@ import pytest
 from irnn import model_io as mio
 from irnn import quant
 from irnn.cli import build_model, main
-from irnn.pwl import ACTIVATIONS, PwlTable, build_full, eval_int, reduce
+from irnn.pwl import ACTIVATIONS, PwlTable, build_full, eval_int, fit, reduce
 from irnn.quant import QuantParams
 from irnn.rnn import CellConfig, IntLstmCell
 from reseal import blob_zeroed, manifest_of, reseal, unsealed, with_manifest
@@ -266,6 +266,32 @@ class TestApprox:
             )
             assert code == 0
             runs.append((out.read_bytes(), knots))
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("bits", [8, 16])
+    def test_activation_evaluated_once(self, capsys, tmp_path, monkeypatch, bits):
+        # fit takes the values already computed on its own grid, so the
+        # output is that of a fit that evaluates the activation again
+        fn, default_range = ACTIVATIONS["gelu"]
+        calls = []
+
+        def counted(x):
+            calls.append(len(x))
+            return fn(x)
+
+        monkeypatch.setitem(ACTIVATIONS, "gelu", (counted, default_range))
+        runs = []
+        for name in ("given", "again"):
+            if name == "again":
+                monkeypatch.setattr("irnn.cli.fit", lambda _, *rest: fit(counted, *rest))
+            out = tmp_path / f"{name}.csv"
+            code, knots = _run(
+                capsys, "approx", "--fn", "gelu", "--bits", str(bits), "--pieces", "16",
+                "--out", str(out),
+            )
+            assert code == 0
+            runs.append((out.read_bytes(), knots))
+        assert calls == [2**bits] * 3
         assert runs[0] == runs[1]
 
     def test_more_pieces_tighter(self, capsys, tmp_path):

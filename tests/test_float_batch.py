@@ -6,15 +6,19 @@ statistic reduces its own row, so every sequence's float traces equal a
 one-sequence run's bytes, and every observer's range equals the one
 collected a sequence at a time.  A zero sequence makes each MadNorm branch
 constant in its row alone, so the zero-deviation guard fires for one row
-while the others normalize.
+while the others normalize.  Every decoder step of one source forms its
+query-key sums in the same work array, with the bits of a fresh one.
 """
+
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
 from irnn import graph
 from irnn import model_io as mio
-from irnn.attention import attention_ref, calibrate_attention
+from irnn.attention import _attend_ref, _keys_ref, attention_ref, calibrate_attention
 from irnn.rnn import CellConfig, calibrate_lstm_cell, freeze_cell, lstm_run_ref
 
 N_SEQ, N_FEAT, M, M_ATT = 5, 6, 8, 7
@@ -162,3 +166,80 @@ def test_calibrate_attention_is_one_batched_pass():
         attention_ref(h, H, wq, wk, v, observers=observers)
     for site, o in observers.items():
         assert w.sites[site] == o.finalize(16 if site in ("sumqk", "e") else 8), site
+
+
+def _attention_case(rng, batch, T, m=M, m_att=M_ATT):
+    wq, wk = rng.normal(0.0, 0.5, size=(m_att, m)), rng.normal(0.0, 0.5, size=(m_att, m))
+    return wq, wk, rng.normal(0.0, 0.5, size=m_att), rng.normal(0.0, 0.6, size=(*batch, T, m))
+
+
+def _observed(observers) -> list:
+    return [(key, o.running_min, o.running_max, o.count) for key, o in observers.items()]
+
+
+@pytest.mark.parametrize("batch", [(), (1,), (N_SEQ,)])
+def test_steps_in_one_work_array_have_fresh_bits(batch):
+    rng = np.random.default_rng(15)
+    wq, wk, v, H = _attention_case(rng, batch, 9)
+    obs_work, obs_fresh = {}, {}
+    keys = _keys_ref(H, wk, obs_work)
+    assert _same_bits(keys, _keys_ref(H, wk, obs_fresh))
+    # a stale value left in the work array would show as NaN
+    work = np.full_like(keys, np.nan)
+    for _ in range(4):
+        h = rng.normal(0.0, 0.6, size=(*batch, M))
+        got = _attend_ref(h, H, keys, wq, v, obs_work, work)
+        want = _attend_ref(h, H, keys, wq, v, obs_fresh)
+        for g, w in zip(got, want):
+            assert _same_bits(g, w)
+        assert _observed(obs_work) == _observed(obs_fresh)
+    assert list(obs_work) == ["kproj", "qproj", "sumqk", "e", "s"]
+
+
+def test_float_run_hands_every_step_of_a_source_one_work_array(monkeypatch):
+    refs, steps, freed = [], [], []
+
+    def attend(h, H, keys, wq, v, observers, work=None):
+        if not refs:
+            refs.extend([weakref.ref(keys), weakref.ref(work)])
+        steps.append((refs[0]() is keys, refs[1]() is work, work is keys, work.shape, work.dtype))
+        return _attend_ref(h, H, keys, wq, v, observers, work)
+
+    class GraphNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def concatenate(self, *args, **kwargs):
+            # the keys and the work array are freed before the output is formed
+            freed.append([r() is None for r in refs])
+            return np.concatenate(*args, **kwargs)
+
+    monkeypatch.setattr(graph, "_attend_ref", attend)
+    monkeypatch.setattr(graph, "np", GraphNumpy())
+    rng = np.random.default_rng(16)
+    fm, seqs = graph.FloatModel("encdec", _arrays("encdec", rng, True)), _seqs(rng, 6)
+    g = graph.graph_for("encdec")
+    g.float_run(dict(fm.arrays), seqs, dict.fromkeys(g.cells, False), {})
+    assert steps == [(True, True, False, (N_SEQ, 6, M_ATT), np.float64)] * 6
+    assert freed == [[True, True]]
+
+
+def test_step_in_a_work_array_allocates_no_copy_of_the_keys():
+    # calibration steps N = 32 sequences over T = 64 states at m_att = 64:
+    # a work array keeps each step's sums and tanh out of new 1 MiB arrays
+    rng = np.random.default_rng(17)
+    wq, wk, v, H = _attention_case(rng, (32,), 64, m=64, m_att=64)
+    observers = {}
+    keys = _keys_ref(H, wk, observers)
+    work, h = np.empty_like(keys), rng.normal(0.0, 0.6, size=(32, 64))
+    peaks = {}
+    for name, arr in (("work", work), ("fresh", None)):
+        _attend_ref(h, H, keys, wq, v, observers, arr)
+        tracemalloc.start()
+        try:
+            _attend_ref(h, H, keys, wq, v, observers, arr)
+            peaks[name] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks["work"] < keys.nbytes / 4
+    assert peaks["fresh"] >= keys.nbytes
