@@ -17,7 +17,8 @@ raws, fraction bits and operand bounds alone, whether any of its
 accumulators can be an exact half (see _tie_free).  A certified rescale
 rounds int64 arrays as (acc + half) >> f; every other one keeps the sign
 fix, (acc + (acc >> 63) + half) >> f.  Both give the same codes.  Python
-ints always take the sign fix, which costs next to nothing there.
+ints always take the sign fix, which costs next to nothing there.  A
+Quotient built with its numerators' bound certifies its ties the same way.
 """
 
 from __future__ import annotations
@@ -51,6 +52,9 @@ _INT32_MAX = 2**31 - 1
 _INT64_MAX = 2**63 - 1
 # acc >> 63 is -1 where acc < 0, else 0
 _SIGN_SHIFT = np.asarray(63, dtype=np.int64)
+# a Quotient's shifts by f - 1 and f on its float64 path
+_HALF_SHIFT = np.asarray(REQUANT_FRACTION_BITS - 1, dtype=np.int64)
+_FRACTION_SHIFT = np.asarray(REQUANT_FRACTION_BITS, dtype=np.int64)
 try:  # the clip ufunc, min(max(x, lo), hi) in one call
     from numpy._core.umath import clip as _clip
 except ImportError:  # numpy < 2
@@ -411,34 +415,63 @@ class Quotient:
     Computes saturate(round(m * num / den) + zero, lo, hi), rounded half
     away from zero.  m becomes raw = to_fixed(m, f) once, at
     f = REQUANT_FRACTION_BITS; then with D = den << f, which is even, the
-    quotient is (raw * num - (num < 0) + D/2) // D.  num is an int64 array
-    that the caller gives up: scaled, divided, shifted by zero and clipped
-    (one clip ufunc call) in place, and returned.  den is a positive int,
-    or an int64 array of positive divisors that broadcasts against num.
+    quotient is floor((raw * num - (num < 0) + D/2) / D).  num is an int64
+    array that the caller gives up: scaled, divided, shifted by zero and
+    clipped (one clip ufunc call) in place, and returned.  den is a positive
+    int, or an int64 array of positive divisors that broadcasts against num.
     fits() is the one int64 headroom proof; each caller raises its own
-    FxOverflow."""
+    FxOverflow.
 
-    __slots__ = ("raw", "_arr")
+    The divisor's kind picks the kernel, and both give the same codes.  A
+    Python-int den takes one int64 floor division by D.  An array den (a
+    batched MadNorm's per-row q_d column) adds D/2 = den << (f - 1), shifts
+    right by f and floors the float64 quotient by den, since
+    floor(floor(x / 2^f) / den) == floor(x / D); fits() keeps the shifted
+    numerator below 2^33, where float64 floors it exactly.
 
-    def __init__(self, m: float, zero: int, lo: int, hi: int):
+    num_bound, when the caller knows at construction the largest |num| of
+    every call, certifies ties away: a tie is 2 * raw * num = odd * D, which
+    needs 1 + v2(raw) + v2(num) >= f (v2 counts trailing zero bits), and
+    v2(num) <= floor(log2(num_bound)).  A certified quotient skips the sign
+    fix (num < 0), as a tie-free Rescale does."""
+
+    __slots__ = ("raw", "tie_free", "_arr")
+
+    def __init__(self, m: float, zero: int, lo: int, hi: int, *, num_bound: int | None = None):
         self.raw = to_fixed(m, REQUANT_FRACTION_BITS)
+        # 1 + v2(raw) + floor(log2(num_bound)) < f
+        self.tie_free = num_bound is not None and (
+            _trailing_zeros(self.raw) + operator.index(num_bound).bit_length()
+            < REQUANT_FRACTION_BITS)
         # raw, zero (None when 0) and the bounds as 0-d int64
         self._arr = tuple(None if v is None else np.asarray(v, dtype=np.int64)
                           for v in (self.raw, zero or None, lo, hi))
 
     def fits(self, num_bound: int, den_bound: int) -> bool:
         """True when D and raw * num plus the rounding add D/2 stay in int64
-        for every |num| <= num_bound and den <= den_bound."""
+        for every |num| <= num_bound and den <= den_bound.
+
+        So every den is below 2^33 and, shifted right by f = 30, every
+        rounded numerator below 2^33 too: exact in float64, where
+        floor(x / den) is then exact for any positive integer den, since a
+        quotient that is not an integer lies at least 1/den from one and
+        rounds by at most |x / den| * 2^-53 < 1/den."""
         half = den_bound << (REQUANT_FRACTION_BITS - 1)
         return 2 * half <= _INT64_MAX and abs(self.raw) * num_bound + half <= _INT64_MAX
 
     def __call__(self, num: np.ndarray, den) -> np.ndarray:
         raw, zero, lo, hi = self._arr
         num *= raw
-        den = den << REQUANT_FRACTION_BITS
-        num += num >> _SIGN_SHIFT  # one less where num < 0
-        num += den >> 1
-        num //= den
+        if not self.tie_free:
+            num += num >> _SIGN_SHIFT  # one less where num < 0
+        if isinstance(den, np.ndarray):
+            num += den << _HALF_SHIFT
+            num >>= _FRACTION_SHIFT
+            np.floor(np.divide(num, den), out=num, casting="unsafe")
+        else:
+            den = den << REQUANT_FRACTION_BITS
+            num += den >> 1
+            num //= den
         if zero is not None:
             num += zero
         return _clip(num, lo, hi, out=num)

@@ -104,7 +104,9 @@ class MadNormPlan:
     divided there by the output Quotient, so the input is never written.
     The deviation saturates at 1, which is max(q_d, 1), so every divisor
     is positive; the division's int64 headroom over every centered value
-    and every q_d is proven here, once (Quotient.fits)."""
+    and every q_d is proven here, once (Quotient.fits).  The centered
+    values' bound also certifies the division tie-free where the raw
+    allows (Quotient's num_bound), so it skips the sign fix."""
 
     def __init__(
         self,
@@ -124,9 +126,11 @@ class MadNormPlan:
         self.dev = rescale(
             p_d, (p_xhat.scale / (p_d.scale * h), h * max_centered(p_xhat))
         ).with_bounds(1, p_d.qmax)
+        bound = max_centered(p_xhat)
         self.norm = Quotient(p_xhat.scale / (p_y.scale * p_d.scale), 0,
-                             p_y.qmin - p_y.zero_point, p_y.qmax - p_y.zero_point)
-        if not self.norm.fits(max_centered(p_xhat), p_d.qmax):
+                             p_y.qmin - p_y.zero_point, p_y.qmax - p_y.zero_point,
+                             num_bound=bound)
+        if not self.norm.fits(bound, p_d.qmax):
             raise FxOverflow("normalization numerator would overflow int64")
 
     def __call__(self, xc: np.ndarray) -> np.ndarray:

@@ -1026,6 +1026,103 @@ class TestEvenDivision:
         assert out is num
         assert out.tolist() == [5, 1, 50]
 
+    def test_column_divisors_at_every_madnorm_divisor(self):
+        # a q_d column takes the float64 kernel: every q_d in 1..255 as one
+        # [255 x 1] column, each row at +-its proven bound, its neighbours,
+        # the raw 1 ties of its own divisor and shared random numerators
+        rng = np.random.default_rng(42)
+        den = np.arange(1, 256, dtype=np.int64)[:, None]
+        quotients = [Quotient(2.0**-_F, 0, *_WIDE)] + [
+            Quotient(m, 0, *_WIDE) for m in (1.0, 0.75, 2.0**17 / 3, 987.654321)
+        ]
+        for q in quotients:
+            bound = (2**63 - 1 - (255 << (_F - 1))) // q.raw
+            assert q.fits(bound, 255) and not q.fits(bound + 1, 255)
+            extra = rng.integers(-bound, bound, size=20, endpoint=True).tolist()
+            rows = [[0, 1, -1, bound, -bound, bound - 1, 1 - bound] + extra
+                    + (_ties(rng, d, bound, size=3) if q.raw == 1 else [])
+                    for d in range(1, 256)]
+            out = q(np.array(rows, dtype=np.int64), den)
+            assert out.dtype == np.int64
+            want = [_quotient_ref(q, row, d) for d, row in enumerate(rows, 1)]
+            assert out.tolist() == want, q.raw
+
+    def test_column_divisors_at_the_largest_shifted_numerator(self):
+        # raw 1 at +-the numerator fits admits for each divisor: after the
+        # rounding add and the shift by f, num = top over den = 1 reaches
+        # 2^33 - 1, the largest shifted numerator the 2^33 bound admits,
+        # and den = 2^33 - 1 is the largest divisor whose D fits
+        rng = np.random.default_rng(42)
+        q = Quotient(2.0**-_F, 0, *_WIDE)
+        dens = [1, 2, 3, 255, 2**32 - 1, 2**32, 2**33 - 2, 2**33 - 1]
+        dens += rng.integers(1, 2**33, size=24).tolist()
+        rows = []
+        for den in dens:
+            top = 2**63 - 1 - (den << (_F - 1))
+            assert q.fits(top, den) and not q.fits(top + 1, den)
+            # the first tie and the last below top, their neighbours, both signs
+            half = den << (_F - 1)
+            last = (top - half) // (2 * half) * 2 * half + half
+            ties = [s * (t + e) for t in (half, last) for e in (-1, 0, 1) for s in (1, -1)]
+            rows.append([top, -top, top - 1, 1 - top, 0, 1, -1] + ties)
+        assert (rows[0][0] + (1 << (_F - 1))) >> _F == 2**33 - 1
+        out = q(np.array(rows, dtype=np.int64), np.array(dens, dtype=np.int64)[:, None])
+        assert out.tolist() == [_quotient_ref(q, row, den) for den, row in zip(dens, rows)]
+
+
+class TestQuotientTieCertificate:
+    """A Quotient built with the bound of its numerators skips the sign fix
+    when 1 + v2(raw) + floor(log2(bound)) < f, since a tie needs
+    2 * raw * num = odd * den * 2^f.  Checked by brute force over every
+    8-bit centered numerator (bound 128, floor(log2) = 7) and every q_d in
+    1..255, on both kernels."""
+
+    BOUND = 128
+    NUMS = list(range(-BOUND, BOUND + 1))
+
+    @classmethod
+    def _ties(cls, raw: int) -> list:
+        """(num, q_d) pairs whose raw * num is an exact half of D away from
+        a multiple of it, in Python big ints."""
+        return [(v, d) for d in range(1, 256) for v in cls.NUMS
+                if (raw * v) % (d << _F) == d << (_F - 1)]
+
+    def _check_both_kernels(self, q: Quotient):
+        for d in range(1, 256):
+            got = q(np.array(self.NUMS, dtype=np.int64), d)
+            assert got.tolist() == _quotient_ref(q, self.NUMS, d), (q.raw, d)
+        cols = np.arange(1, 256, dtype=np.int64)[:, None]
+        got = q(np.tile(np.array(self.NUMS, dtype=np.int64), (255, 1)), cols)
+        assert got.tolist() == [_quotient_ref(q, self.NUMS, d) for d in range(1, 256)]
+
+    @pytest.mark.parametrize("raw", [1, 3 << 2, -(5 << 17), (2**21 + 1) << 21, 7 << 21])
+    def test_certified_raws_meet_no_tie(self, raw):
+        # v2(raw) = 21 is the largest that 1 + v2 + 7 < 30 admits
+        q = Quotient(raw * 2.0**-_F, 0, *_WIDE, num_bound=self.BOUND)
+        assert q.raw == raw and q.tie_free
+        assert self._ties(raw) == []
+        self._check_both_kernels(q)
+
+    @pytest.mark.parametrize("raw", [1 << 22, 3 << 22, -(7 << 22), 1 << 30])
+    def test_refused_raws_keep_the_sign_fix(self, raw):
+        # v2(raw) = 22 is the first that 1 + v2 + 7 < 30 refuses; raw 2^30
+        # is m = 1.0.  Each meets ties, negative ones among them, and the
+        # sign fix rounds them away from zero
+        q = Quotient(raw * 2.0**-_F, 0, *_WIDE, num_bound=self.BOUND)
+        ties = self._ties(raw)
+        assert any(v < 0 for v, _ in ties) and any(v > 0 for v, _ in ties)
+        self._check_both_kernels(q)
+        assert q.raw == raw and not q.tie_free
+
+    def test_certificate_needs_a_bound(self):
+        # without num_bound (the attention context's case) nothing is
+        # certified; a larger bound moves the threshold down by its log2
+        assert not Quotient(2.0**-_F, 0, *_WIDE).tie_free
+        assert Quotient(2.0**-_F, 0, *_WIDE, num_bound=2**29 - 1).tie_free
+        assert not Quotient(2.0**-_F, 0, *_WIDE, num_bound=2**29).tie_free
+        assert Quotient(4 * 2.0**-_F, 0, *_WIDE, num_bound=2**27 - 1).tie_free
+        assert not Quotient(4 * 2.0**-_F, 0, *_WIDE, num_bound=2**27).tie_free
+
 
 def _ref_round(x: float) -> int:
     """A float rounded half away from zero, exactly, via its rational value."""

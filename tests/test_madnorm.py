@@ -230,6 +230,32 @@ class TestPlanExactness:
             assert plan(rows[:0]).shape == (0, h)
             np.testing.assert_array_equal(rows, before)
 
+    @pytest.mark.parametrize("y_scale, certified", [(4.0, False), (12.0, True)])
+    def test_division_with_and_without_the_tie_certificate(self, y_scale, certified):
+        # power-of-two grids put the output multiplier at 1 (raw 2^30, which
+        # meets ties at even q_d, so the division keeps its sign fix) or at
+        # 1/3 (an odd raw, certified over the 8-bit centered values)
+        px = QuantParams(8, 2.0**-4, 128)
+        p_d = QuantParams(8, 2.0**-6, 0)
+        args = (px, px, px, p_d, QuantParams(8, y_scale, 128))
+        h = 16
+        plan = MadNormPlan(*args, h)
+        assert plan.norm.tie_free == certified
+        rows = self._rows(np.random.default_rng(42), px, h)
+        rows = np.vstack([rows, np.random.default_rng(7).integers(-128, 127, size=(400, h))])
+        want = [madnorm_codes(r, *args) for r in rows.tolist()]
+        assert (plan(rows) + 128).tolist() == want
+        assert [(plan(r) + 128).tolist() for r in rows] == want
+        # the divisions' own operands, in big ints: ties at negative
+        # numerators exist exactly when the quotient is refused
+        xhat = plan.center.term(0, rows) + plan.center.term(1, plan.mean(rows.sum(-1, keepdims=True)))
+        xhat = plan.center.finish_in_place(xhat)
+        q_d = plan.dev(np.abs(xhat).sum(-1, keepdims=True))
+        F = REQUANT_FRACTION_BITS
+        ties = [v for row, d in zip(xhat.tolist(), q_d[:, 0].tolist()) for v in row
+                if v < 0 and (plan.norm.raw * v) % (d << F) == d << (F - 1)]
+        assert bool(ties) != certified
+
     def test_centered_steps_equal_uncentered_minus_zero(self):
         # every input code of the mean and centering steps, 8-bit sites
         rng = np.random.default_rng(42)
