@@ -22,7 +22,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .fixedpoint import FxOverflow, Quotient, Rescale, round_half_away, saturate
-from .pwl import TANH_GRID, UNIT_GRID, PwlTable, activation_registry, fit
+from .pwl import TANH_GRID, UNIT_GRID, PwlTable, checked_tables, fit_tables
 from .quant import (
     ExactGemv,
     Observer,
@@ -31,6 +31,7 @@ from .quant import (
     _exact_dtype,
     _gemv_rows,
     _observe,
+    _read_only,
     derive_params,
     max_centered,
     quantize_weight,
@@ -68,6 +69,7 @@ class AttentionWeights:
     output grids are fixed analytically), kept as a read-only mapping.
     In an encoder-decoder model hdec, henc and s are tied to the decoder's
     h, the encoder's h and the decoder's s, and stored once, with the cells.
+    The weights' codes are read-only copies.
     """
 
     wq: QTensor
@@ -80,6 +82,7 @@ class AttentionWeights:
         for name, w in (("wq", self.wq), ("wk", self.wk), ("v", self.v)):
             if w.params.bitwidth != 8:
                 raise ValueError(f"{name} must be 8-bit")
+        self.wq, self.wk, self.v = map(_read_only, (self.wq, self.wk, self.v))
         if self.v.data.ndim != 1:
             raise ValueError("v must be a vector")
         m_att = self.v.data.size
@@ -147,23 +150,22 @@ def project_keys(q_Henc: QTensor, w: AttentionWeights) -> QTensor:
     return QTensor(gemv.rescale(p_k)(gemv(q_Henc.data)).T.astype(p_k.dtype), p_k)
 
 
-def _softmax_rescale(p_e: QuantParams, p_in: QuantParams) -> Rescale:
-    """Rescale of max-shifted alignment codes, which lie in [-qmax_e, 0],
-    onto the exp table's input grid."""
-    return rescale(p_in, (p_e.scale / p_in.scale, p_e.qmax))
-
-
-def _prove_denominator(to_table: Rescale, exp_lut: np.ndarray) -> None:
-    """Every softmax sum holds the exp code of the shifted maximum, at
-    shifted code 0; ValueError unless that code is at least 1, which proves
-    every denominator positive."""
-    if exp_lut.take(to_table(0), mode="clip") < 1:
+def _exp_stage(p_e: QuantParams, exp_table: PwlTable) -> Rescale:
+    """The rescale of max-shifted alignment codes, which lie in [-qmax_e,
+    0], onto the exp table's input grid, unsaturated for the clipped gather.
+    Every softmax sum holds the exp code of the shifted maximum, at shifted
+    code 0; ValueError unless that code is at least 1, which proves every
+    denominator positive."""
+    p_in = exp_table.in_params
+    to_table = rescale(p_in, (p_e.scale / p_in.scale, p_e.qmax)).unsaturated()
+    if exp_table.lut.take(to_table(0), mode="clip") < 1:
         raise ValueError("softmax-denominator: the exp table maps the shifted maximum to 0")
+    return to_table
 
 
 def _softmax(q_e, to_table: Rescale, exp_lut: np.ndarray):
-    """Max-shifted exp weights and their sum, positive by _prove_denominator;
-    exp_lut covers the table grid, so the clipped gather saturates an
+    """Max-shifted exp weights and their sum, positive by _exp_stage;
+    exp_lut covers the table grid, so the clipped gather saturates the
     unsaturated to_table."""
     q_e = np.asarray(q_e)
     shifted = np.subtract(q_e, np.maximum.reduce(q_e, axis=None), dtype=np.int64)
@@ -179,9 +181,7 @@ def integer_softmax_weights(q_e, p_e: QuantParams, exp_table: PwlTable):
     code 0, so the denominator is at least that code, proven to be at
     least 1 for the table given (ValueError otherwise).
     """
-    to_table = _softmax_rescale(p_e, exp_table.in_params)
-    _prove_denominator(to_table, exp_table.lut)
-    return _softmax(q_e, to_table, exp_table.lut)
+    return _softmax(q_e, _exp_stage(p_e, exp_table), exp_table.lut)
 
 
 def _degrade_denominator(denom: int, bits: int, t_enc: int, exp_bits: int) -> int:
@@ -217,11 +217,12 @@ class AttentionSource:
 class AttentionPlan:
     """One attention stage compiled into integer constants, GEMV operands and LUTs.
 
-    Built once from the weights and the two tables, which it keeps under
-    those names; nothing changes after construction, so one plan serves any
-    number of threads.  source() computes the per-source terms once per
-    encoder sequence, context() runs one decoder step on codes against them
-    and intermediates() runs the same step with every intermediate recorded.
+    Built once from the weights and the "exp" and "tanh" tables, which it
+    checks and holds as a cell does (pwl.checked_tables); nothing changes
+    after construction, so one plan serves any number of threads.
+    source() computes the per-source terms once per encoder sequence,
+    context() runs one decoder step on codes against them and
+    intermediates() runs the same step with every intermediate recorded.
     Both project the decoder codes with the plan's own query GEMV and
     rescale (_gemv_q, _qproj), then run the step kernel (_step), which
     takes centered query codes.  An encoder-decoder model stacks those two
@@ -231,15 +232,12 @@ class AttentionPlan:
     codes; ValueError otherwise, before any table is built.
     """
 
-    def __init__(self, weights: AttentionWeights, exp_table: PwlTable, tanh_table: PwlTable):
+    def __init__(self, weights: AttentionWeights, tables: Mapping):
         w, sites = weights, weights.sites
-        tables = (exp_table, tanh_table)
-        if [(t.in_params, t.out_params) for t in tables] != list(self.table_grids(sites).values()):
-            raise ValueError("table-grid-mismatch: the exp or tanh table is not on its grids")
+        self.weights, self.tables = weights, checked_tables(tables, self.table_grids(sites))
         p_q, p_k, p_sum = sites["qproj"], sites["kproj"], sites["sumqk"]
         if p_q.bitwidth != 8 or p_k.bitwidth != 8:
             raise ValueError("score-table: the qproj and kproj grids must be 8-bit")
-        self.weights, self.exp_table, self.tanh_table = weights, exp_table, tanh_table
         self._gemv_k = ExactGemv(w.wk, sites["henc"])
         self._gemv_q = ExactGemv(w.wq, sites["hdec"])
         # kproj, qproj, e and the shifted e feed only centered operands or
@@ -256,12 +254,12 @@ class AttentionPlan:
         codes = np.arange(256, dtype=np.int64)
         q_rows = (codes + p_q.zero_point) % 256 - p_q.zero_point
         q_sum = self._sumqk(q_rows[:, None], codes - p_k.zero_point)
-        self._score = tanh_table.lut.take(q_sum, mode="clip")
+        self._score = self.tables["tanh"].lut.take(q_sum, mode="clip")
         self._score.flags.writeable = False
         self._gemv_e = ExactGemv(w.v, TANH_GRID)
         self._e = self._gemv_e.rescale(sites["e"]).centered()
-        self._to_exp = _softmax_rescale(sites["e"], EXP_GRID).unsaturated()
-        _prove_denominator(self._to_exp, exp_table.lut)
+        self._to_exp = _exp_stage(sites["e"], self.tables["exp"])
+        self._exp_lut = self.tables["exp"].lut
         p_s = sites["s"]
         self._ctx = Quotient(sites["henc"].scale / p_s.scale, p_s.zero_point, p_s.qmin, p_s.qmax)
 
@@ -324,7 +322,7 @@ class AttentionPlan:
 
         rows = self._score.take(q_qp, axis=0, mode="wrap")
         q_e = self._e(self._gemv_e(rows.take(src.offsets))[:, 0])
-        q_exp, denom = _softmax(q_e, self._to_exp, self.exp_table.lut)
+        q_exp, denom = _softmax(q_e, self._to_exp, self._exp_lut)
 
         # weighted context: one rounded division per output element; every
         # partial sum is an integer below 2^53, and below 2^24 where henc is
@@ -338,7 +336,7 @@ class AttentionPlan:
             sat = saturate(self._sumqk(q_qp, src.keys).T.copy(), p_sum.qmin, p_sum.qmax)
             rec["sum_qk"] = QTensor(sat.astype(p_sum.dtype), p_sum)
             rec["e"] = QTensor((q_e + p_e.zero_point).astype(p_e.dtype), p_e)
-            rec["exp_e"] = QTensor(q_exp, self.exp_table.out_params)
+            rec["exp_e"] = QTensor(q_exp, self.tables["exp"].out_params)
             rec["denom"] = denom
         return q_s
 
@@ -351,7 +349,8 @@ def attention_intermediates(
     tanh_table: PwlTable,
 ) -> AttentionIntermediates:
     """Integer attention with every intermediate exposed (see AttentionPlan)."""
-    return AttentionPlan(w, exp_table, tanh_table).intermediates(q_hdec, q_Henc)
+    plan = AttentionPlan(w, {"exp": exp_table, "tanh": tanh_table})
+    return plan.intermediates(q_hdec, q_Henc)
 
 
 def attention_int(
@@ -366,23 +365,19 @@ def attention_int(
     return inter.s, inter.exp_e
 
 
-def freeze_attention(observers: dict, wq, wk, v, pieces: int = 32):
-    """Freeze observed attention sites; quantize the weights; build the tables.
+def freeze_attention(observers: dict, wq, wk, v, pieces: int = 32) -> AttentionPlan:
+    """Freeze observed attention sites, quantize the weights, fit the tables
+    and compile the plan, as rnn.freeze_cell does a cell.
 
     observers holds attention_ref's sites (qproj, kproj, sumqk, e, s) and
-    those of the hidden states the stage reads (hdec, henc).  Returns
-    (AttentionWeights, exp_table, tanh_table).
+    those of the hidden states the stage reads (hdec, henc).
     """
     sixteen = {"sumqk", "e"}
     sites = {k: o.finalize(16 if k in sixteen else 8) for k, o in observers.items()}
     weights = AttentionWeights(
         quantize_weight(wq), quantize_weight(wk), quantize_weight(v), sites
     )
-    exp_table, tanh_table = (
-        fit(activation_registry(name)[0], p_in, p_out, pieces)
-        for name, (p_in, p_out) in AttentionPlan.table_grids(sites).items()
-    )
-    return weights, exp_table, tanh_table
+    return AttentionPlan(weights, fit_tables(AttentionPlan.table_grids(sites), pieces))
 
 
 def calibrate_attention(wq, wk, v, hdec_samples, henc_samples, pieces: int = 32):
@@ -391,7 +386,7 @@ def calibrate_attention(wq, wk, v, hdec_samples, henc_samples, pieces: int = 32)
 
     hdec_samples is [N x m_dec]; henc_samples is [N x T x m_enc]; the
     hidden-state params are derived from them.  Returns (AttentionWeights,
-    exp_table, tanh_table).
+    exp_table, tanh_table), the frozen plan's weights and tables.
     """
     hdec_samples = np.asarray(hdec_samples, dtype=np.float64)
     henc_samples = np.asarray(henc_samples, dtype=np.float64)
@@ -400,4 +395,5 @@ def calibrate_attention(wq, wk, v, hdec_samples, henc_samples, pieces: int = 32)
         "henc": Observer().observe(henc_samples),
     }
     attention_ref(hdec_samples, henc_samples, wq, wk, v, observers=observers)
-    return freeze_attention(observers, wq, wk, v, pieces)
+    plan = freeze_attention(observers, wq, wk, v, pieces)
+    return plan.weights, plan.tables["exp"], plan.tables["tanh"]

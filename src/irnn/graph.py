@@ -123,10 +123,9 @@ class _Graph:
         }
         if not self.attend:
             return cells, None
-        aw, exp_table, tanh_table = freeze_attention(
+        return cells, freeze_attention(
             observers["att"], a["att_wq"], a["att_wk"], a["att_v"], cfg.pwl_pieces
         )
-        return cells, AttentionPlan(aw, exp_table, tanh_table)
 
     def _run(self, xs, cell, attention, trace) -> dict:
         """The wiring over one backend's input xs [..., T, n]; the traces.

@@ -16,9 +16,11 @@ the weights, each cell's int32 bias (a cell has a bias exactly when that
 blob is stored) and, per PWL table, its knot codes (at its input grid's
 storage dtype) and values (float64).  Everything else is derived at load
 by the code that derives it at build: a table's grids from its stage's
-sites (IntLstmCell.table_grids, AttentionPlan.table_grids), its slopes,
+sites (IntLstmCell.table_grids, AttentionPlan.table_grids; the stage
+checks its tables against them, pwl.checked_tables), its slopes,
 fixed-point constants and LUT from its knots, every rescale from the
-sites.  So a loaded model replays inference bit-for-bit.  A blob of
+sites.  A stage holds its tables and arrays read-only, so a loaded model
+replays inference bit-for-bit and saves as it was loaded.  A blob of
 another dtype or rank than its reader expects, a blob no reader takes, a
 stored tied site and a missing, extra or mistyped manifest field fail the
 load.  Which cells a kind has, which sites it ties and which keys its
@@ -88,15 +90,16 @@ def _params_from_json(d: dict) -> QuantParams:
     return QuantParams(**d)
 
 
-def _add_stage(blobs: dict, prefix: str, weights: dict, sites: dict, tables: dict) -> dict:
-    """A stage's manifest entry: its weights' params (None for an absent
-    weight) and its stored sites; the weight and table arrays go to blobs."""
+def _add_stage(blobs: dict, prefix: str, stage, weights: tuple, sites: dict) -> dict:
+    """A stage's manifest entry: its named weights' params (None for an
+    absent weight) and its stored sites; weight and table arrays go to blobs."""
     entry = {"sites": sites}
-    for k, qt in weights.items():
+    for k in weights:
+        qt = getattr(stage.weights, k)
         entry[k] = None if qt is None else _params_to_json(qt.params)
         if qt is not None:
             blobs[f"{prefix}/{k}"] = qt.data
-    for name, t in tables.items():
+    for name, t in stage.tables.items():
         blobs[f"{prefix}/tables/{name}/q_knots"] = t.q_knots.astype(t.in_params.dtype)
         blobs[f"{prefix}/tables/{name}/values"] = t.values
     return entry
@@ -142,17 +145,14 @@ def save(model: IrnnModel) -> bytes:
 
     blobs, cells_entry = {}, {}
     for name in graph_for(model.kind).cells:
-        cell, w = model.cells[name], model.cells[name].weights
-        weights = {"wx": w.wx, "wh": w.wh, "ws": w.ws}
-        cells_entry[name] = _add_stage(blobs, f"cells/{name}", weights, stored(name), cell.tables)
-        if w.bias is not None:
-            blobs[f"cells/{name}/bias"] = w.bias
+        cell = model.cells[name]
+        weights = ("wx", "wh", "ws")
+        cells_entry[name] = _add_stage(blobs, f"cells/{name}", cell, weights, stored(name))
+        if cell.weights.bias is not None:
+            blobs[f"cells/{name}/bias"] = cell.weights.bias
     att_entry = None
     if model.attention is not None:
-        plan, aw = model.attention, model.attention.weights
-        weights = {"wq": aw.wq, "wk": aw.wk, "v": aw.v}
-        tables = {"exp": plan.exp_table, "tanh": plan.tanh_table}
-        att_entry = _add_stage(blobs, "att", weights, stored("att"), tables)
+        att_entry = _add_stage(blobs, "att", model.attention, ("wq", "wk", "v"), stored("att"))
 
     manifest = {
         "kind": model.kind,
@@ -170,8 +170,9 @@ def save(model: IrnnModel) -> bytes:
 
 
 def _unpack(entries: dict, data: bytes, start: int) -> dict:
-    """Every blob by name, read in name order from byte start on; their
-    dtypes and shapes must account for every byte up to the end."""
+    """Every blob by name, read in name order from byte start on, as a view
+    of data (the stages keep copies); their dtypes and shapes must account
+    for every byte up to the end."""
     layout = []
     for name in sorted(entries):
         entry = entries[name]
@@ -189,7 +190,7 @@ def _unpack(entries: dict, data: bytes, start: int) -> dict:
             f"payload-length-mismatch: {len(data)} bytes, blob dtypes and shapes give {start}"
         )
     return {
-        name: np.frombuffer(data, dt, math.prod(shape), offset).reshape(shape).copy()
+        name: np.frombuffer(data, dt, math.prod(shape), offset).reshape(shape)
         for name, dt, shape, offset in layout
     }
 
@@ -224,8 +225,8 @@ def _model_from(manifest: dict, blob) -> dict:
     attention = None
     if "att" in entries:
         w = _weights_from(entries["att"], "att", blob, {"wq": 2, "wk": 2, "v": 1})
-        t = _tables_from("att", blob, AttentionPlan.table_grids(sites["att"]))
-        attention = AttentionPlan(AttentionWeights(sites=sites["att"], **w), t["exp"], t["tanh"])
+        tables = _tables_from("att", blob, AttentionPlan.table_grids(sites["att"]))
+        attention = AttentionPlan(AttentionWeights(sites=sites["att"], **w), tables)
     return {"kind": kind, "cells": cells, "attention": attention, "meta": meta}
 
 

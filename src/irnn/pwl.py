@@ -3,9 +3,11 @@
 A fit starts from one knot per quantized input code (the full table,
 equivalent to a look-up table of the quantized activation) and thins it by
 greedily removing the shared knot of the most similar adjacent slope pair
-until a piece budget is met.  fit runs the merge on the grid's knots and
-values and builds only the reduced table; build_full builds the full one,
-and reduce thins a built table.  Knots always stay on the input grid and
+until a piece budget is met.  fit is the one walk over the input grid: it
+runs the merge on the grid's knots and values and builds only the reduced
+table; build_full is fit keeping every piece, and reduce thins a built
+table.  A stage's tables are fit by fit_tables and checked and held,
+read-only, by checked_tables.  Knots always stay on the input grid and
 intercepts always equal the true function value at their knot, so
 surviving grid points evaluate exactly.  The greedy merge runs in numpy
 rounds, each of which removes a batch of knots proven to be the merge's
@@ -29,7 +31,9 @@ from __future__ import annotations
 
 import heapq
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -43,9 +47,11 @@ __all__ = [
     "UNIT_GRID",
     "activation_registry",
     "build_full",
+    "checked_tables",
     "eval_float",
     "eval_int",
     "fit",
+    "fit_tables",
     "from_points",
     "reduce",
 ]
@@ -107,8 +113,9 @@ class PwlTable:
         (x - knots[i]) + intercepts[i] and intercepts[i] = values[i];
       - fx_slopes and fx_intercepts, the fixed-point slopes and intercepts
         with TABLE_FRACTION_BITS fraction bits, in the output grid's units;
-      - lut[q], the integer evaluation at every input code q, read-only;
-        _lut builds it from its runs of equal outputs where they are few.
+      - lut[q], the integer evaluation at every input code q; _lut builds
+        it from its runs of equal outputs where they are few.
+    Every array is read-only, q_knots and values copies of the caller's.
     FxOverflow if the fixed-point constants would overflow int64.
     """
 
@@ -124,8 +131,8 @@ class PwlTable:
     lut: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        q_knots = np.asarray(self.q_knots).astype(np.int64)
-        values = np.asarray(self.values, dtype=np.float64)
+        q_knots = np.array(self.q_knots, dtype=np.int64)
+        values = np.array(self.values, dtype=np.float64)
         p_in, p_out = self.in_params, self.out_params
         if p_in.bitwidth > 16:
             raise ValueError("look-up tables are limited to 16-bit input grids")
@@ -159,6 +166,7 @@ class PwlTable:
             intercepts=intercepts, fx_slopes=fx_slopes, fx_intercepts=fx_intercepts,
         )
         for name, value in derived.items():
+            value.flags.writeable = False
             object.__setattr__(self, name, value)
         lut = _lut(self)
         lut.flags.writeable = False
@@ -278,27 +286,18 @@ def _expand(t: PwlTable) -> np.ndarray:
     return lut
 
 
-def _on_grid(fn, in_params: QuantParams):
-    """Every code of the input grid, its real input and fn there."""
-    if in_params.bitwidth > 16:
-        raise ValueError("full grid limited to 16-bit inputs")
-    grid = np.arange(in_params.qmax + 1, dtype=np.int64)
-    xs = dequantize(grid, in_params)
-    return grid, xs, np.asarray(fn(xs), dtype=np.float64)
-
-
 def build_full(fn, in_params: QuantParams, out_params: QuantParams) -> PwlTable:
-    """Table with one knot per input code: 2^b - 1 pieces, LUT-equivalent."""
-    grid, _, values = _on_grid(fn, in_params)
-    return PwlTable(grid, values, in_params, out_params)
+    """Table with one knot per input code: 2^b - 1 pieces, LUT-equivalent;
+    fit with a budget that keeps every piece."""
+    return fit(fn, in_params, out_params, in_params.qmax)
 
 
 def fit(fn, in_params: QuantParams, out_params: QuantParams, pieces: int) -> PwlTable:
     """reduce(build_full(fn, in_params, out_params), pieces), bit for bit,
-    without building the full table: the merge runs on fn at every input
-    code, and only the reduced table is built.  It refuses, with the same
-    errors, what the pair refuses: a grid wider than 16 bits, a value of fn
-    that is not finite at some code, and fewer than one piece.
+    by the one grid walk: the merge runs on fn at every input code, and
+    only the reduced table is built.  It refuses, with the same errors,
+    what the pair refuses: a grid wider than 16 bits, a value of fn that
+    is not finite at some code, and fewer than one piece.
 
     One difference: the full table's own FxOverflow.  fit proves only the
     reduced table's constants, so a steep step into a fine output grid
@@ -308,7 +307,11 @@ def fit(fn, in_params: QuantParams, out_params: QuantParams, pieces: int) -> Pwl
     (2^b_in + 1) * 2^30, within 2^62 up to 16 bits, and the two agree; the
     engine's tables, with 8-bit outputs, stay below 2^54.
     """
-    grid, xs, values = _on_grid(fn, in_params)
+    if in_params.bitwidth > 16:
+        raise ValueError("full grid limited to 16-bit inputs")
+    grid = np.arange(in_params.qmax + 1, dtype=np.int64)
+    xs = dequantize(grid, in_params)
+    values = np.asarray(fn(xs), dtype=np.float64)
     if values.shape != grid.shape or not np.isfinite(values).all():
         # the full table refuses these before it derives anything
         PwlTable(grid, values, in_params, out_params)
@@ -316,6 +319,27 @@ def fit(fn, in_params: QuantParams, out_params: QuantParams, pieces: int) -> Pwl
     if keep is not None:
         grid, values = grid[keep], values[keep]
     return PwlTable(grid, values, in_params, out_params)
+
+
+def fit_tables(grids: Mapping, pieces: int) -> dict:
+    """A stage's tables: a fit on each name's (input, output) grids of the
+    activation the name's first word names ("tanh" for "tanh_gate")."""
+    return {
+        name: fit(activation_registry(name.partition("_")[0])[0], p_in, p_out, pieces)
+        for name, (p_in, p_out) in grids.items()
+    }
+
+
+def checked_tables(tables: Mapping, grids: Mapping) -> Mapping:
+    """tables as a read-only mapping in the order of grids, a stage's
+    table_grids, which must name every table and each one's (input,
+    output) grids; ValueError naming a missing, extra or misplaced one."""
+    for name in sorted(tables.keys() | grids.keys()):
+        t, g = tables.get(name), grids.get(name)
+        if t is None or g is None or (t.in_params, t.out_params) != g:
+            why = "missing" if t is None else "extra" if g is None else "not on its grids"
+            raise ValueError(f"table-grid-mismatch: the {name!r} table is {why}")
+    return MappingProxyType({name: tables[name] for name in grids})
 
 
 def from_points(xs, ys, in_params: QuantParams, out_params: QuantParams) -> PwlTable:

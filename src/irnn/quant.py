@@ -314,6 +314,16 @@ class QTensor:
         return dequantize(self.data, self.params)
 
 
+def _read_only(a):
+    """A read-only copy of an array or of a QTensor's codes; None stays None."""
+    if isinstance(a, QTensor):
+        return QTensor(_read_only(a.data), a.params)
+    if a is not None:
+        a = np.array(a)
+        a.flags.writeable = False
+    return a
+
+
 def quantize_tensor(x, p: QuantParams) -> QTensor:
     return QTensor(quantize(np.asarray(x, dtype=np.float64), p), p)
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .fixedpoint import _INT32_MAX, FxOverflow, Rescale, round_half_away, saturate
 from .madnorm import MadNormPlan, _madnorm_parts
-from .pwl import TANH_GRID, UNIT_GRID, activation_registry, fit
+from .pwl import TANH_GRID, UNIT_GRID, checked_tables, fit_tables
 from .quant import (
     ExactGemv,
     Observer,
@@ -30,6 +30,7 @@ from .quant import (
     QuantParams,
     _gemv_rows,
     _observe,
+    _read_only,
     dequantize,
     derive_params,
     max_centered,
@@ -42,16 +43,11 @@ __all__ = [
     "CellConfig",
     "IntLstmCell",
     "LstmWeights",
-    "TABLE_NAMES",
     "calibrate_lstm_cell",
     "freeze_cell",
     "lstm_run_ref",
     "lstm_step_ref",
 ]
-
-# a cell's PWL tables: the gate sigmoids, the j-gate tanh and tanh(c); each
-# name starts with the name of the activation it approximates
-TABLE_NAMES = ("sigmoid", "tanh_gate", "tanh_cell")
 
 # tensor sites normalized per MadNorm branch: mu, centered, deviation, output
 _MN_SITES = tuple(
@@ -83,7 +79,7 @@ class LstmWeights:
 
     bias is int32 at scale S_x * S_wx (folded into the input-branch matmul
     accumulator).  ws, when present, projects an external context vector
-    into the gate pre-activations.
+    into the gate pre-activations.  The codes and bias are read-only copies.
     """
 
     wx: QTensor
@@ -95,6 +91,9 @@ class LstmWeights:
         for name, w in (("wx", self.wx), ("wh", self.wh), ("ws", self.ws)):
             if w is not None and w.params.bitwidth != 8:
                 raise ValueError(f"{name} must be 8-bit")
+        self.wx, self.wh, self.ws, self.bias = map(
+            _read_only, (self.wx, self.wh, self.ws, self.bias)
+        )
         four_m, _ = self.wx.shape
         if four_m % 4:
             raise ValueError("gate rows must stack four equal blocks")
@@ -238,15 +237,16 @@ class IntLstmCell:
     sites maps tensor-site names to calibrated QuantParams: x, h, c, xprod,
     hprod, sum1, fc, ij, plus preact and s for context-fed cells.  A cell
     normalizes its gate products (MadNorm) exactly when sites holds the
-    mn{x,h}_{mu,xhat,d,y} group, all eight of them.  tables maps
-    TABLE_NAMES to the PWL tables the cell runs, each on the grids that
-    table_grids gives (see freeze_cell).
+    mn{x,h}_{mu,xhat,d,y} group, all eight of them.  tables maps the names
+    of table_grids to the PWL tables the cell runs, each on its grids
+    there, and nothing else (pwl.checked_tables; see freeze_cell).
 
     Construction derives every rescale from the sites, compiles the exact
     GEMV operands and the LUTs, and proves the constant overflow bounds, so
     a step is only GEMVs, adds, shifts, saturations and gathers on plain
-    code arrays, with no per-step check.  The sites are read-only and
-    nothing compiled changes afterwards, so one cell may step many
+    code arrays, with no per-step check.  The sites and tables are
+    read-only mappings, the weights' and tables' arrays read-only copies,
+    and nothing compiled changes afterwards, so one cell may step many
     sequences on many threads.
 
     A context-fed cell that attends can carry the attention query
@@ -256,7 +256,7 @@ class IntLstmCell:
     when it is assembled (graph.IrnnModel.query_cell).
     """
 
-    def __init__(self, weights: LstmWeights, sites: Mapping, tables: dict):
+    def __init__(self, weights: LstmWeights, sites: Mapping, tables: Mapping):
         required = {"x", "h", "c", "xprod", "hprod", "sum1", "fc", "ij"}
         if weights.ws is not None:
             required |= {"s", "preact"}
@@ -270,15 +270,12 @@ class IntLstmCell:
             raise ValueError("hidden state must be 8-bit")
         self.weights = weights
         self.sites = MappingProxyType(dict(sites))
-        self.tables = dict(tables)
-        grids = self.table_grids(self.sites, weights.ws is not None)
-        if any((tables[k].in_params, tables[k].out_params) != g for k, g in grids.items()):
-            raise ValueError("table-grid-mismatch: a table is not on its sites' grids")
+        self.tables = checked_tables(tables, self.table_grids(self.sites, weights.ws is not None))
         self._compile()
 
     @staticmethod
     def table_grids(sites: Mapping, context: bool) -> dict:
-        """(input grid, output grid) of each TABLE_NAMES table: the gate
+        """(input grid, output grid) of each table, by name: the gate
         sigmoid and tanh read the gate site (preact for a context-fed cell,
         else sum1), tanh(c) reads c, and the outputs are the fixed grids."""
         p_gate = sites["preact" if context else "sum1"]
@@ -337,10 +334,10 @@ class IntLstmCell:
         elif self._bias_codes is None:
             self._sum1 = self._sum1.unsaturated()
 
-        # the LUTs span their input grids: a clipped index is a saturated code
-        self._sig_lut, self._tanh_gate_lut, self._tanh_cell_lut = (
-            self.tables[k].lut for k in TABLE_NAMES
-        )
+        # in table_grids order; the LUTs span their input grids, so a
+        # clipped index is a saturated code
+        luts = [t.lut for t in self.tables.values()]
+        self._sig_lut, self._tanh_gate_lut, self._tanh_cell_lut = luts
         p_sig, p_tanh = UNIT_GRID, TANH_GRID
         # a 0-d array, which ufuncs take without converting a Python int;
         # the sigmoid codes need none, UNIT_GRID's zero point being 0
@@ -498,10 +495,7 @@ def freeze_cell(observers: dict, wx, wh, bias, cfg: CellConfig, ws=None) -> IntL
             raise FxOverflow("bias codes exceed int32 range")
         bias_i32 = round_half_away(codes).astype(np.int32)
     weights = LstmWeights(qwx, qwh, bias_i32, ws=qws)
-    tables = {
-        name: fit(activation_registry(name.partition("_")[0])[0], *grids, cfg.pwl_pieces)
-        for name, grids in IntLstmCell.table_grids(sites, ws is not None).items()
-    }
+    tables = fit_tables(IntLstmCell.table_grids(sites, ws is not None), cfg.pwl_pieces)
     return IntLstmCell(weights, sites, tables)
 
 

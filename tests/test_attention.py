@@ -213,7 +213,7 @@ class TestIntAttention:
     def test_project_keys_equals_recorded_keys(self):
         # wide encoder states push the keys past the kproj grid at both ends
         rng, _, w, expt, tanht = _toy(42)
-        plan, p_k, hit = AttentionPlan(w, expt, tanht), w.sites["kproj"], set()
+        plan, p_k, hit = AttentionPlan(w, {"exp": expt, "tanh": tanht}), w.sites["kproj"], set()
         for _ in range(10):
             qhd = quantize_tensor(rng.normal(0.0, 0.6, size=16), w.sites["hdec"])
             qHe = quantize_tensor(rng.normal(0.0, 3.0, size=(8, 16)), w.sites["henc"])
@@ -237,7 +237,7 @@ class TestLeanStep:
 
     def test_context_equals_intermediates(self):
         rng, _, w, expt, tanht = _toy(42)
-        plan = AttentionPlan(w, expt, tanht)
+        plan = AttentionPlan(w, {"exp": expt, "tanh": tanht})
         for T, sigma in ((1, 0.6), (8, 0.6), (8, 3.0), (13, 1.5)):
             qHe = quantize_tensor(rng.normal(0.0, sigma, size=(T, 16)), w.sites["henc"])
             src = plan.source(qHe)
@@ -262,7 +262,8 @@ class TestLeanStep:
             ws=rng.normal(0.0, 0.3, size=(4 * m, 16)), s_seqs=rng.normal(0.0, 0.5, size=(4, T, 16)),
         )
         sites = {**w.sites, "hdec": cell.sites["h"]}
-        plan = AttentionPlan(AttentionWeights(w.wq, w.wk, w.v, sites), expt, tanht)
+        tables = {"exp": expt, "tanh": tanht}
+        plan = AttentionPlan(AttentionWeights(w.wq, w.wk, w.v, sites), tables)
         carrier = cell.with_query(plan._gemv_q, plan._qproj)
         qHe = quantize_tensor(rng.normal(0.0, 1.5, size=(T, 16)), w.sites["henc"])
         src = plan.source(qHe)
@@ -279,7 +280,7 @@ class TestLeanStep:
     def test_sum_qk_holds_saturated_codes(self):
         # wide inputs push the sums past the sumqk grid at both ends
         rng, _, w, expt, tanht = _toy(42)
-        plan = AttentionPlan(w, expt, tanht)
+        plan = AttentionPlan(w, {"exp": expt, "tanh": tanht})
         p_q, p_k, p_sum = (w.sites[k] for k in ("qproj", "kproj", "sumqk"))
         hit = set()
         for _ in range(10):
@@ -305,7 +306,7 @@ class TestLeanStep:
         w, expt, tanht = calibrate_attention(
             wq, wk, v, hdec_s, rng.normal(0.0, 0.6, size=(50, T, m))
         )
-        plan, p_e = AttentionPlan(w, expt, tanht), w.sites["e"]
+        plan, p_e = AttentionPlan(w, {"exp": expt, "tanh": tanht}), w.sites["e"]
         below = 0
         for hd in hdec_s[:20]:
             qhd = quantize_tensor(hd, w.sites["hdec"])
@@ -325,7 +326,8 @@ class TestLeanStep:
         p_h, p_s = w.sites["henc"], w.sites["s"]
         fine = QuantParams(8, p_h.scale / 4096 * 1.3, p_s.zero_point)
         plan = AttentionPlan(
-            AttentionWeights(w.wq, w.wk, w.v, {**w.sites, "s": fine}), expt, tanht
+            AttentionWeights(w.wq, w.wk, w.v, {**w.sites, "s": fine}),
+            {"exp": expt, "tanh": tanht},
         )
         bits = expt.out_params.bitwidth + p_h.bitwidth
         half_den = expt.out_params.qmax << (REQUANT_FRACTION_BITS - 1)
@@ -344,7 +346,8 @@ class TestLeanStep:
         rng, _, w, expt, tanht = _toy(42, m_enc=1, m_att=1, n_cal=16)
         p_h = QuantParams(8, 0.01, 0)
         sites = {**w.sites, "henc": p_h, "s": QuantParams(8, 0.08, 128)}
-        plan = AttentionPlan(AttentionWeights(w.wq, w.wk, w.v, sites), expt, tanht)
+        tables = {"exp": expt, "tanh": tanht}
+        plan = AttentionPlan(AttentionWeights(w.wq, w.wk, w.v, sites), tables)
         assert plan._ctx.raw == 2**27
         qhd = quantize_tensor(rng.normal(0.0, 0.6, size=16), w.sites["hdec"])
         longest = 1_032_506
@@ -363,8 +366,31 @@ class TestLeanStep:
         moved = AttentionWeights(w.wq, w.wk, w.v, {**w.sites, "sumqk": wide})
         for weights, exp_table, tanh_table in ((w, tanht, expt), (moved, expt, tanht)):
             with pytest.raises(ValueError, match="table-grid-mismatch"):
-                AttentionPlan(weights, exp_table, tanh_table)
+                AttentionPlan(weights, {"exp": exp_table, "tanh": tanh_table})
         assert expt.in_params == EXP_GRID
+
+    def test_extra_or_missing_table_rejected(self):
+        # a plan holds exactly its exp and tanh tables, read-only
+        _, _, w, expt, tanht = _toy(42, n_cal=16)
+        for tables, name in (({"exp": expt, "tanh": tanht, "gelu": tanht}, "gelu"),
+                             ({"exp": expt}, "tanh"), ({"tanh": tanht}, "exp")):
+            with pytest.raises(ValueError, match=f"table-grid-mismatch: the '{name}' table"):
+                AttentionPlan(w, tables)
+        plan = AttentionPlan(w, {"tanh": tanht, "exp": expt})
+        assert list(plan.tables) == ["exp", "tanh"]
+        with pytest.raises(TypeError):
+            plan.tables["exp"] = tanht
+
+    def test_weights_are_read_only_copies(self):
+        _, _, w, _, _ = _toy(42, n_cal=16)
+        given = [np.array(t.data) for t in (w.wq, w.wk, w.v)]
+        mine = AttentionWeights(*(QTensor(a, t.params) for a, t in zip(given, (w.wq, w.wk, w.v))),
+                                w.sites)
+        for t, a in zip((mine.wq, mine.wk, mine.v), given):
+            with pytest.raises(ValueError, match="read-only"):
+                t.data[...] = 0
+            a[...] = 0
+            assert t.data.any()
 
     def test_exp_table_zero_at_the_maximum_rejected(self):
         # every softmax sum holds the exp code of the shifted maximum, so a
@@ -377,13 +403,13 @@ class TestLeanStep:
         low = PwlTable(expt.q_knots, values, expt.in_params, expt.out_params)
         assert low.lut[-1] == 0 and low.lut.max() > 0
         with pytest.raises(ValueError, match="softmax-denominator"):
-            AttentionPlan(w, low, tanht)
+            AttentionPlan(w, {"exp": low, "tanh": tanht})
         with pytest.raises(ValueError, match="softmax-denominator"):
             integer_softmax_weights(rng.integers(-300, 300, size=8), w.sites["e"], low)
 
     def test_source_checks_encoder_params(self):
         rng, _, w, expt, tanht = _toy(42, n_cal=16)
-        plan = AttentionPlan(w, expt, tanht)
+        plan = AttentionPlan(w, {"exp": expt, "tanh": tanht})
         bad = quantize_tensor(rng.normal(0.0, 0.6, size=(8, 16)), derive_params(-9, 9, 8))
         for project in (plan.source, lambda q: project_keys(q, w)):
             with pytest.raises(ValueError, match="uncalibrated-tensor"):
@@ -393,7 +419,7 @@ class TestLeanStep:
     def test_context_operand_float32_below_two_to_the_24(self, T, dtype):
         # T * 2^(8 + 8) partial-sum bound: below 2^24 up to T = 255
         rng, _, w, expt, tanht = _toy(42, n_cal=16)
-        plan = AttentionPlan(w, expt, tanht)
+        plan = AttentionPlan(w, {"exp": expt, "tanh": tanht})
         qHe = quantize_tensor(rng.normal(0.0, 0.6, size=(T, 16)), w.sites["henc"])
         src = plan.source(qHe)
         assert src.henc.dtype == dtype
@@ -418,7 +444,7 @@ class TestScoreTable:
     def test_equals_big_int_composition(self):
         _, _, w, expt, tanht = _toy(42, n_cal=16)
         for weights, tanh_table in ((w, tanht), self._narrow(w)):
-            plan = AttentionPlan(weights, expt, tanh_table)
+            plan = AttentionPlan(weights, {"exp": expt, "tanh": tanh_table})
             p_q, p_k, p_sum = (weights.sites[k] for k in ("qproj", "kproj", "sumqk"))
             # row r holds query code (r + Z_q) mod 256, column k key code k
             sums = [
@@ -431,7 +457,7 @@ class TestScoreTable:
 
     def test_read_only(self):
         _, _, w, expt, tanht = _toy(42, n_cal=16)
-        score = AttentionPlan(w, expt, tanht)._score
+        score = AttentionPlan(w, {"exp": expt, "tanh": tanht})._score
         assert not score.flags.writeable
         with pytest.raises(ValueError):
             score[0] = 1
@@ -445,7 +471,7 @@ class TestScoreTable:
         p = w.sites[site]
         sites = {**w.sites, site: QuantParams(16, p.scale, p.zero_point)}
         with pytest.raises(ValueError, match="score-table"):
-            AttentionPlan(AttentionWeights(w.wq, w.wk, w.v, sites), expt, tanht)
+            AttentionPlan(AttentionWeights(w.wq, w.wk, w.v, sites), {"exp": expt, "tanh": tanht})
 
 
 class TestAttachContext:

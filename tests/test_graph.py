@@ -350,7 +350,7 @@ class TestStackedQuery:
         p_q = aw.sites["qproj"]
         fine = QuantParams(8, p_q.scale / 2**20, p_q.zero_point)
         wide = AttentionPlan(AttentionWeights(aw.wq, aw.wk, aw.v, {**aw.sites, "qproj": fine}),
-                             plan.exp_table, plan.tanh_table)
+                             plan.tables)
         rows, f_h, q = 4 * model.cells["dec"].hidden_size, model.cells["dec"]._hprod.f, wide._qproj
         assert f_h > q.f and (abs(q.raws[0]) << (f_h - q.f)) * q.bounds[0] > 2**63 - 1
         assert set(model.query_cell._hprod.f[rows:].tolist()) == {q.f + 20}
@@ -401,7 +401,7 @@ class TestAssembly:
         p = aw.sites["henc"]
         moved = QuantParams(p.bitwidth, p.scale * 2, p.zero_point)
         plan = AttentionPlan(AttentionWeights(aw.wq, aw.wk, aw.v, {**aw.sites, "henc": moved}),
-                             model.attention.exp_table, model.attention.tanh_table)
+                             model.attention.tables)
         with pytest.raises(graph.GraphError, match="tied-site-mismatch: att.henc differs from enc.h"):
             dataclasses.replace(model, attention=plan)
 

@@ -212,8 +212,8 @@ class TestFormat2:
             live = {f"cells/{c}/tables/{t}": tab for c, cell in loaded.cells.items()
                     for t, tab in cell.tables.items()}
             if loaded.attention is not None:
-                live["att/tables/exp"] = loaded.attention.exp_table
-                live["att/tables/tanh"] = loaded.attention.tanh_table
+                live["att/tables/exp"] = loaded.attention.tables["exp"]
+                live["att/tables/tanh"] = loaded.attention.tables["tanh"]
             assert tables.keys() == live.keys()
             for prefix, parts in tables.items():
                 grid = live[prefix].in_params
@@ -291,7 +291,7 @@ class TestFormat3:
             p = aw.sites[site]
             moved = QuantParams(p.bitwidth, p.scale * 2, p.zero_point)
             weights = AttentionWeights(aw.wq, aw.wk, aw.v, {**aw.sites, site: moved})
-            plan = AttentionPlan(weights, encdec.attention.exp_table, encdec.attention.tanh_table)
+            plan = AttentionPlan(weights, encdec.attention.tables)
             with pytest.raises(graph.GraphError, match=f"tied-site-mismatch: att.{site}"):
                 mio.IrnnModel("encdec", encdec.cells, attention=plan)
             kept = encdec.attention
@@ -441,14 +441,14 @@ class TestBilstmAndEncdec:
         model = mio.IrnnModel(
             "encdec",
             {"enc": enc, "dec": dec},
-            attention=AttentionPlan(aw, expt, tanht),
+            attention=AttentionPlan(aw, {"exp": expt, "tanh": tanht}),
         )
         loaded = mio.load(mio.save(model))
         la = loaded.attention
         qhd = quantize_tensor(rng.normal(0.0, 0.5, size=m), aw.sites["hdec"])
         qHe = quantize_tensor(rng.normal(0.0, 0.5, size=(T, m)), aw.sites["henc"])
         s1, e1 = attention_int(qhd, qHe, aw, expt, tanht)
-        s2, e2 = attention_int(qhd, qHe, la.weights, la.exp_table, la.tanh_table)
+        s2, e2 = attention_int(qhd, qHe, la.weights, la.tables["exp"], la.tables["tanh"])
         np.testing.assert_array_equal(s1.data, s2.data)
         np.testing.assert_array_equal(e1.data, e2.data)
         xs = rng.normal(0.0, 1.0, size=(T, n))
@@ -469,11 +469,35 @@ class TestCompiledReplay:
         def rebuild(*args, **kwargs):
             raise AssertionError("load rebuilt a PWL table")
 
-        monkeypatch.setattr("irnn.rnn.fit", rebuild)
-        for name in ("build_full", "reduce", "fit"):
+        for name in ("build_full", "reduce", "fit", "fit_tables"):
             monkeypatch.setattr(f"irnn.pwl.{name}", rebuild)
         loaded = mio.load(blob)
         assert mio.save(loaded) == blob
+
+    def test_stored_arrays_cannot_be_edited_in_place(self):
+        # an in-place edit of a weight, a bias, a table or a table's array
+        # would change what save stores but not what the model runs, so
+        # the saved container would load as another model: each raises,
+        # and the saved bytes stay as they were
+        for model in _kind_models():
+            blob = mio.save(model)
+            stages = list(model.cells.values())
+            if model.attention is not None:
+                stages.append(model.attention)
+            for stage in stages:
+                w = stage.weights
+                arrays = [getattr(w, k).data for k in ("wx", "wh", "ws", "wq", "wk", "v")
+                          if getattr(w, k, None) is not None]
+                arrays += [w.bias] if getattr(w, "bias", None) is not None else []
+                for name, t in stage.tables.items():
+                    with pytest.raises(TypeError):
+                        stage.tables[name] = t
+                    arrays += [t.q_knots, t.values, t.knots, t.slopes, t.intercepts,
+                               t.fx_slopes, t.fx_intercepts, t.lut]
+                for a in arrays:
+                    with pytest.raises(ValueError, match="read-only"):
+                        a[...] = 0
+            assert mio.save(model) == blob
 
     def test_run_derives_nothing_from_float(self, monkeypatch):
         rng = np.random.default_rng(42)

@@ -319,6 +319,20 @@ class TestIntCell:
             with pytest.raises(ValueError, match="table-grid-mismatch"):
                 IntLstmCell(cell.weights, cell.sites, bad)
 
+    def test_extra_or_missing_table_rejected(self):
+        # a cell holds exactly the tables of its table_grids: an extra one
+        # would be saved and then refused by the load, and a missing one is
+        # named rather than a bare KeyError
+        cell, _, _ = _toy_cell(42, CellConfig())
+        tables = cell.tables
+        extra = {**tables, "gelu": tables["sigmoid"]}
+        with pytest.raises(ValueError, match="table-grid-mismatch: the 'gelu' table"):
+            IntLstmCell(cell.weights, cell.sites, extra)
+        for name in tables:
+            fewer = {k: t for k, t in tables.items() if k != name}
+            with pytest.raises(ValueError, match=f"table-grid-mismatch: the '{name}' table"):
+                IntLstmCell(cell.weights, cell.sites, fewer)
+
     def test_wide_hidden_state_rejected(self):
         cell, _, _ = _toy_cell(42, CellConfig())
         sites = {**cell.sites, "h": derive_params(-1.0, 1.0, 16)}
@@ -382,6 +396,34 @@ class TestCompiledCell:
         cell, _, _ = _toy_cell(42, CellConfig(), n_cal=2)
         with pytest.raises(TypeError):
             cell.sites["sum1"] = cell.sites["h"]
+
+    def test_tables_read_only(self):
+        cell, _, _ = _toy_cell(42, CellConfig(), n_cal=2)
+        sig = cell.tables["sigmoid"]
+        with pytest.raises(TypeError):
+            cell.tables["sigmoid"] = cell.tables["tanh_gate"]
+        with pytest.raises(TypeError):
+            del cell.tables["sigmoid"]
+        assert cell.tables["sigmoid"] is sig
+
+    def test_constants_are_read_only_copies(self):
+        # weights, a bias and a table's arrays are held as read-only copies,
+        # and the arrays the caller handed in stay the caller's, writable
+        cell, _, _ = _toy_cell(42, CellConfig(), n_cal=2)
+        w, sig = cell.weights, cell.tables["sigmoid"]
+        wx, wh, bias = (np.array(a) for a in (w.wx.data, w.wh.data, w.bias))
+        knots, values = np.array(sig.q_knots), np.array(sig.values)
+        mine = LstmWeights(QTensor(wx, w.wx.params), QTensor(wh, w.wh.params), bias)
+        table = PwlTable(knots, values, sig.in_params, sig.out_params)
+        fields = ("q_knots", "values", "knots", "slopes", "intercepts", "fx_slopes",
+                  "fx_intercepts", "lut")
+        held = [mine.wx.data, mine.wh.data, mine.bias, *(getattr(table, f) for f in fields)]
+        for a in held:
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 0
+        for a in (wx, wh, bias, knots, values):
+            a[...] = 0
+        assert mine.wx.data.any() and mine.bias.any() and table.values.any()
 
     def _context_cell(self, madnorm):
         rng = np.random.default_rng(7)
