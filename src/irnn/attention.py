@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass
+from operator import attrgetter
 from types import MappingProxyType
 
 import numpy as np
@@ -61,7 +62,7 @@ EXP_DOMAIN = (-10.0, 0.0)
 EXP_GRID = derive_params(*EXP_DOMAIN, 16)
 
 
-@dataclass
+@dataclass(frozen=True)
 class AttentionWeights:
     """Projection weights plus calibrated params for every tensor site.
 
@@ -78,11 +79,11 @@ class AttentionWeights:
     sites: Mapping
 
     def __post_init__(self):
-        self.sites = MappingProxyType(dict(self.sites))
-        for name, w in (("wq", self.wq), ("wk", self.wk), ("v", self.v)):
-            if w.params.bitwidth != 8:
+        object.__setattr__(self, "sites", MappingProxyType(dict(self.sites)))
+        for name in ("wq", "wk", "v"):
+            if getattr(self, name).params.bitwidth != 8:
                 raise ValueError(f"{name} must be 8-bit")
-        self.wq, self.wk, self.v = map(_read_only, (self.wq, self.wk, self.v))
+            object.__setattr__(self, name, _read_only(getattr(self, name)))
         if self.v.data.ndim != 1:
             raise ValueError("v must be a vector")
         m_att = self.v.data.size
@@ -232,9 +233,12 @@ class AttentionPlan:
     codes; ValueError otherwise, before any table is built.
     """
 
+    weights = property(attrgetter("_weights"))
+    tables = property(attrgetter("_tables"))
+
     def __init__(self, weights: AttentionWeights, tables: Mapping):
         w, sites = weights, weights.sites
-        self.weights, self.tables = weights, checked_tables(tables, self.table_grids(sites))
+        self._weights, self._tables = weights, checked_tables(tables, self.table_grids(sites))
         p_q, p_k, p_sum = sites["qproj"], sites["kproj"], sites["sumqk"]
         if p_q.bitwidth != 8 or p_k.bitwidth != 8:
             raise ValueError("score-table: the qproj and kproj grids must be 8-bit")

@@ -11,7 +11,7 @@ every cell and of the attention stage.
 
 A kind also lists its ties: a site of one stage (a cell, or "att") that
 holds another stage's grid, because the same codes pass between them
-unrescaled.  The freeze gives the two one observer, an IrnnModel refuses
+unrescaled.  Calibration gives the two one observer, an IrnnModel refuses
 them differing, and the container stores the grid once.
 
 encdec is a toy graph that teacher-forces the decoder with the source
@@ -29,7 +29,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .attention import AttentionPlan, _attend_ref, _keys_ref, freeze_attention
-from .quant import QTensor, dequantize, quantize_tensor
+from .quant import Observer, QTensor, dequantize, quantize_tensor
 from .rnn import CellConfig, IntLstmCell, freeze_cell, lstm_run_ref
 
 __all__ = [
@@ -66,9 +66,9 @@ class _Graph:
     float_run() takes float64 weights, inputs [..., T, n], each cell's
     MadNorm flag and observer dicts by cell name (and "att"), any of which
     may be absent; it steps every sequence together, each with the bits of
-    a run on it alone.  freeze() turns the observers into (cells, attention
-    plan or None).  int_run() takes one sequence's codes on the input
-    cell's x grid.  Both runs are _run on their own backend.
+    a run on it alone.  freeze() turns the dicts of observers() into (cells,
+    attention plan or None).  int_run() runs a model's cells on one
+    sequence's codes on the input cell's x grid.  Both are _run.
     """
 
     cells: dict
@@ -109,13 +109,16 @@ class _Graph:
                     "att_wk": (m_att, m[enc]), "att_v": (m_att,)}
         return out
 
-    def freeze(self, a, observers, cfg):
-        # give each tied site and its source one observer, which saw both
+    def observers(self) -> dict:
+        """Empty observer dicts by cell name and "att", each tied site
+        holding its source's Observer, so that freeze gives both one grid."""
+        observers = {name: {} for name in (*self.cells, "att")}
         for (stage, site), (src, src_site) in self.ties.items():
-            obs = observers[src][src_site]
-            if site in observers[stage]:
-                obs = obs.merged(observers[stage][site])
-            observers[src][src_site] = observers[stage][site] = obs
+            observers[stage][site] = observers[src].setdefault(src_site, Observer())
+        return observers
+
+    def freeze(self, a, observers, cfg):
+        """Freeze the weights a and a float run's observers() dicts."""
         cells = {
             name: freeze_cell(observers[name], a[p + "wx"], a[p + "wh"], a.get(p + "bias"), cfg,
                               ws=self._ws(a, name))
@@ -136,7 +139,7 @@ class _Graph:
         the [..., T, m_src] array to hold every step's.  a is what the
         attending cell's run hands its context callback: the float backend's
         h before the step, and the integer backend's centered query codes,
-        which its decoder's h projection carries (IrnnModel.query_cell).
+        which its decoder's h projection carries (IntLstmCell.with_query).
         The callback stores each step's context in ctx and returns that
         step's own array.  trace(stage, v) gives the float64 values of a
         cell's states, or of ctx for "att".
@@ -183,11 +186,9 @@ class _Graph:
 
     def int_run(self, model, qxs):
         att = model.attention
-        # the query-carrying cell hands its context the centered query codes
-        cells = {**model.cells, self.attend[0]: model.query_cell} if self.attend else model.cells
 
         def cell(name, xs, context):
-            return cells[name].run(QTensor(xs, qxs.params), context).data
+            return model.cells[name].run(QTensor(xs, qxs.params), context).data
 
         def attention(H):
             src = att.source(QTensor(H, att.weights.sites["henc"]))
@@ -241,19 +242,17 @@ class IrnnModel:
     model, checked again.  An attending cell without context weights (ws)
     is refused with GraphError.
 
-    query_cell is the attending cell with the plan's query rows stacked
-    under its h projection (IntLstmCell.with_query), derived once here,
-    which run_int runs in its place: one GEMV and one rescale give the
-    decoder's hprod and the attention's centered query codes.  The tie of
-    att.hdec to the cell's h proves that both read one grid.  None for a
-    kind that does not attend.
+    The attending cell in cells carries the plan's query rows under its h
+    projection (IntLstmCell.with_query), derived here from the cell given:
+    one GEMV and one rescale give the decoder's hprod and the attention's
+    centered query codes.  The tie of att.hdec to its h proves that both
+    read one grid.
     """
 
     kind: str
     cells: Mapping
     attention: AttentionPlan | None = None
     meta: dict = field(default_factory=dict)
-    query_cell: IntLstmCell | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         g = graph_for(self.kind)
@@ -266,9 +265,9 @@ class IrnnModel:
             raise GraphError(f"the {g.attend[0]} cell attends but has no context weights (ws)")
         self.check_ties()
         if g.attend:
-            att = self.attention
-            carrier = self.cells[g.attend[0]].with_query(att._gemv_q, att._qproj)
-            object.__setattr__(self, "query_cell", carrier)
+            att, dec = self.attention, g.attend[0]
+            carrier = self.cells[dec].with_query(att._gemv_q, att._qproj)
+            object.__setattr__(self, "cells", MappingProxyType({**self.cells, dec: carrier}))
 
     def sites(self, stage: str):
         """The sites of a cell, or of the attention stage for "att"."""
@@ -348,7 +347,7 @@ def calibrate(fm: FloatModel, seqs, cfg: CellConfig) -> IrnnModel:
             f"dimension mismatch: {g.input_cell} cell expects {n_in} features, "
             f"data has {seqs.shape[2]}"
         )
-    observers = {name: {} for name in (*g.cells, "att")}
+    observers = g.observers()
     # weights near float64's limit overflow the run, in one row or another
     # of the batch; the observers refuse the first non-finite site value
     with np.errstate(over="ignore", invalid="ignore"):

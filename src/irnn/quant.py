@@ -287,7 +287,7 @@ class ExactGemv:
         return acc.astype(np.int64)
 
 
-@dataclass
+@dataclass(frozen=True)
 class QTensor:
     """Integer codes plus the parameters that give them meaning."""
 
@@ -295,7 +295,7 @@ class QTensor:
     params: QuantParams
 
     def __post_init__(self):
-        self.data = np.asarray(self.data)
+        object.__setattr__(self, "data", np.asarray(self.data))
         if self.data.dtype != self.params.dtype:
             raise ValueError(
                 f"dtype-mismatch: {self.data.dtype} stored against "
@@ -358,13 +358,6 @@ class Observer:
         self.running_max = max(self.running_max, hi)
         self.count += arr.size
         return self
-
-    def merged(self, other: "Observer") -> "Observer":
-        return Observer(
-            running_min=min(self.running_min, other.running_min),
-            running_max=max(self.running_max, other.running_max),
-            count=self.count + other.count,
-        )
 
     def finalize(self, bitwidth: int) -> QuantParams:
         """Derive parameters, forcing zero into the observed range."""

@@ -16,6 +16,7 @@ from __future__ import annotations
 import copy
 from collections.abc import Mapping
 from dataclasses import dataclass
+from operator import attrgetter
 from types import MappingProxyType
 
 import numpy as np
@@ -73,7 +74,7 @@ class CellConfig:
             raise ValueError("pwl_pieces must be >= 1")
 
 
-@dataclass
+@dataclass(frozen=True)
 class LstmWeights:
     """Quantized gate weights: wx [4m x n], wh [4m x m], stacked (i, f, j, o).
 
@@ -91,9 +92,8 @@ class LstmWeights:
         for name, w in (("wx", self.wx), ("wh", self.wh), ("ws", self.ws)):
             if w is not None and w.params.bitwidth != 8:
                 raise ValueError(f"{name} must be 8-bit")
-        self.wx, self.wh, self.ws, self.bias = map(
-            _read_only, (self.wx, self.wh, self.ws, self.bias)
-        )
+        for name in ("wx", "wh", "ws", "bias"):
+            object.__setattr__(self, name, _read_only(getattr(self, name)))
         four_m, _ = self.wx.shape
         if four_m % 4:
             raise ValueError("gate rows must stack four equal blocks")
@@ -244,33 +244,40 @@ class IntLstmCell:
     Construction derives every rescale from the sites, compiles the exact
     GEMV operands and the LUTs, and proves the constant overflow bounds, so
     a step is only GEMVs, adds, shifts, saturations and gathers on plain
-    code arrays, with no per-step check.  The sites and tables are
-    read-only mappings, the weights' and tables' arrays read-only copies,
-    and nothing compiled changes afterwards, so one cell may step many
-    sequences on many threads.
+    code arrays, with no per-step check.  The inputs cannot be assigned,
+    the sites and tables are read-only mappings, the weights' and tables'
+    arrays read-only copies, and nothing compiled changes afterwards, so
+    one cell may step many sequences on many threads.
 
     A context-fed cell that attends can carry the attention query
     (with_query): a copy whose one h GEMV and one rescale give both its
     hprod codes and the centered query codes that its run() hands the
-    context callback.  An encoder-decoder model derives that copy once,
-    when it is assembled (graph.IrnnModel.query_cell).
+    context callback.  An encoder-decoder model holds that copy as its
+    decoder, derived once when it is assembled (graph.IrnnModel).
     """
+
+    weights = property(attrgetter("_weights"))
+    sites = property(attrgetter("_sites"))
+    tables = property(attrgetter("_tables"))
+    use_madnorm = property(attrgetter("_use_madnorm"))
+    hidden_size = property(attrgetter("_weights.hidden_size"))
+    input_size = property(attrgetter("_weights.input_size"))
 
     def __init__(self, weights: LstmWeights, sites: Mapping, tables: Mapping):
         required = {"x", "h", "c", "xprod", "hprod", "sum1", "fc", "ij"}
         if weights.ws is not None:
             required |= {"s", "preact"}
-        self.use_madnorm = not sites.keys().isdisjoint(_MN_SITES)
-        if self.use_madnorm:
+        self._use_madnorm = not sites.keys().isdisjoint(_MN_SITES)
+        if self._use_madnorm:
             required |= set(_MN_SITES)
         missing = sorted(required - sites.keys())
         if missing:
             raise KeyError(f"uncalibrated-tensor: {', '.join(missing)}")
         if sites["h"].bitwidth != 8:
             raise ValueError("hidden state must be 8-bit")
-        self.weights = weights
-        self.sites = MappingProxyType(dict(sites))
-        self.tables = checked_tables(tables, self.table_grids(self.sites, weights.ws is not None))
+        self._weights = weights
+        self._sites = MappingProxyType(dict(sites))
+        self._tables = checked_tables(tables, self.table_grids(self._sites, weights.ws is not None))
         self._compile()
 
     @staticmethod
@@ -305,6 +312,8 @@ class IntLstmCell:
         # xprod, hprod, fc and ij feed only centered operands (Rescale.centered)
         self._xprod = self._gemv_x.rescale(p["xprod"]).centered()
         self._hprod = self._gemv_h.rescale(p["hprod"]).centered()
+        # the plain h projection, which a query-carrying copy stacks on
+        self._h_proj = self._gemv_h, self._hprod
 
         self._norm_x = self._norm_h = None
         pa, pb = p["xprod"], p["hprod"]
@@ -354,14 +363,6 @@ class IntLstmCell:
         self._h = qmul_rescale(p_sig, p_tanh, p["h"])
         self._h_dtype, self._c_dtype = p["h"].dtype, p["c"].dtype
 
-    @property
-    def hidden_size(self) -> int:
-        return self.weights.hidden_size
-
-    @property
-    def input_size(self) -> int:
-        return self.weights.input_size
-
     def input_branch(self, xs: np.ndarray) -> np.ndarray:
         """The h-independent part of the gate sum for [T x n] x codes: Wx x +
         bias, its xprod requantization and (with MadNorm) the x-branch
@@ -376,18 +377,17 @@ class IntLstmCell:
     def with_query(self, gemv_q: ExactGemv, qproj: Rescale) -> IntLstmCell:
         """A copy of this context-fed cell whose h projection also carries
         an attention query: gemv_q, a GEMV of the cell's h grid, and qproj,
-        its centered one-term saturating rescale.  The copy's h GEMV is one
-        [m x (4m + rows)] product (ExactGemv.stack) and its hprod rescale
-        rounds the stacked [hprod | query] accumulator in one call
-        (Rescale.stack), each element keeping its part's constants, so each
+        its centered one-term saturating rescale, stacked under the plain h
+        projection (ExactGemv.stack, Rescale.stack: each element keeps its
+        part's constants), so a carrier's copy carries one query.  Each
         step of its run() projects h once and hands context() the centered
         query codes.  This cell is not changed."""
-        rows = 4 * self._m
-        if self._gemv_s is None or self._gemv_h.w.shape[1] != rows:
-            raise ValueError("a query rides on a context-fed cell, once")
+        if self._gemv_s is None:
+            raise ValueError("a query rides only on a context-fed cell")
+        gemv_h, hprod = self._h_proj
         out = copy.copy(self)
-        out._hprod = Rescale.stack([(self._hprod, rows), (qproj, gemv_q.w.shape[1])])
-        out._gemv_h = ExactGemv.stack([self._gemv_h, gemv_q])
+        out._hprod = Rescale.stack([(hprod, 4 * self._m), (qproj, gemv_q.w.shape[1])])
+        out._gemv_h = ExactGemv.stack([gemv_h, gemv_q])
         return out
 
     def step(self, xb: np.ndarray, hb: np.ndarray, c: np.ndarray, s=None):

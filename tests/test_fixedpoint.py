@@ -870,8 +870,8 @@ class TestStackedRescale:
                 fm = _float_model(kind, rng)
                 model = build_model(fm, rng.normal(0.0, 1.0, size=(SEQS, T, N)), CellConfig(**cfg))
                 ops += [cell._ij_fc for cell in model.cells.values()]
-                if model.query_cell is not None:
-                    ops.append(model.query_cell._hprod)
+                if model.attention is not None:
+                    ops.append(model.cells["dec"]._hprod)
         assert len(ops) == 18
         rng = np.random.default_rng(42)
         for _ in range(300):

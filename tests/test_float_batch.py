@@ -77,9 +77,9 @@ def _runs(kind, madnorm, bias, T):
     seqs = _seqs(rng, T)
     g, a = graph.graph_for(kind), dict(fm.arrays)
     flags = dict.fromkeys(g.cells, madnorm)
-    batched = {name: {} for name in (*g.cells, "att")}
+    batched = g.observers()
     traces = g.float_run(a, seqs, flags, batched)
-    sequential = {name: {} for name in (*g.cells, "att")}
+    sequential = g.observers()
     for i, xs in enumerate(seqs):
         single = g.float_run(a, xs, flags, sequential)
         assert single.keys() == traces.keys()

@@ -170,6 +170,54 @@ class TestRun:
         assert calls.count("run") == calls.count("ref") == 2 * len(seqs)
         assert traces["att"].shape == (3, 6, M)
 
+    @pytest.mark.parametrize("kind", ["lstm", "bilstm", "encdec"])
+    def test_runs_the_cells_the_model_holds(self, kind, monkeypatch):
+        # int_run runs model.cells and nothing else: the decoder it runs is
+        # the query carrier the model stores, once per sequence
+        rng = np.random.default_rng(42)
+        fm = graph.FloatModel(kind, _arrays(kind, rng))
+        model = graph.calibrate(fm, rng.normal(0.0, 1.0, size=(2, 5, N_FEAT)), CellConfig())
+        selves, orig = [], rnn.IntLstmCell.run
+
+        def run(self, *args, **kwargs):
+            selves.append(self)
+            return orig(self, *args, **kwargs)
+
+        monkeypatch.setattr(rnn.IntLstmCell, "run", run)
+        graph.run_batch(graph.run_int, model, rng.normal(0.0, 1.0, size=(3, 6, N_FEAT)))
+        assert [id(c) for c in selves] == [id(c) for c in model.cells.values()] * 3
+
+
+class TestObservers:
+    """A tied site and its source share one Observer for the whole float
+    run, so freezing gives them one grid without a merge."""
+
+    @pytest.mark.parametrize("kind", ["bilstm", "encdec"])
+    def test_tied_sites_share_their_sources_observer(self, kind):
+        g = graph.GRAPHS[kind]
+        obs = g.observers()
+        assert list(obs) == [*g.cells, "att"]
+        for (stage, site), (src, src_site) in g.ties.items():
+            assert obs[stage][site] is obs[src][src_site]
+        # each call makes fresh observers
+        other = g.observers()
+        ids = {id(o) for d in other.values() for o in d.values()}
+        assert ids.isdisjoint(id(o) for d in obs.values() for o in d.values())
+
+    @pytest.mark.parametrize("kind", ["bilstm", "encdec"])
+    def test_one_observer_sees_both_sides(self, kind):
+        rng = np.random.default_rng(42)
+        fm = graph.FloatModel(kind, _arrays(kind, rng))
+        g = graph.GRAPHS[kind]
+        seqs = rng.normal(0.0, 1.0, size=(3, 6, N_FEAT))
+        obs = g.observers()
+        g.float_run(dict(fm.arrays), seqs, dict.fromkeys(g.cells, False), obs)
+        model = graph.calibrate(fm, seqs, CellConfig())
+        for (stage, site), (src, src_site) in g.ties.items():
+            o = obs[stage][site]
+            assert o is obs[src][src_site] and o.count > 0
+            assert model.sites(stage)[site] == model.sites(src)[src_site] == o.finalize(8)
+
 
 def _frozen(*arrays):
     """Mark arrays read-only, so that any write into them raises, and return
@@ -217,7 +265,7 @@ class TestKernelInputs:
 
     def test_encdec_decoder_and_attention(self):
         model, qxs, xs = self._model("encdec", CellConfig())
-        enc, dec, att = model.cells["enc"], model.cells["dec"], model.attention
+        enc, dec, att = model.cells["enc"], _plain(model.cells["dec"]), model.attention
         src = att.source(enc.run(qxs))
         src_was = _frozen(src.keys, src.offsets, src.henc)
         xb = dec.input_branch(qxs.data)
@@ -239,10 +287,16 @@ class TestKernelInputs:
         np.testing.assert_array_equal(dequantize(np.stack(hs), dec.sites["h"]), want)
 
 
+def _plain(cell):
+    """A cell built from cell's weights, sites and tables: the plain h
+    projection, without the query a model's decoder carries."""
+    return rnn.IntLstmCell(cell.weights, cell.sites, cell.tables)
+
+
 def _decoder_by_hand(model, xs):
     """The decoder's states, dequantized, from the plain cells and a plan
     that projects the query itself (AttentionPlan.context)."""
-    enc, dec, att = model.cells["enc"], model.cells["dec"], model.attention
+    enc, dec, att = model.cells["enc"], _plain(model.cells["dec"]), model.attention
     qxs = quantize_tensor(xs, enc.sites["x"])
     src = att.source(enc.run(qxs))
     xb = dec.input_branch(qxs.data)
@@ -270,10 +324,10 @@ class TestStackedQuery:
     def test_codes_equal_the_two_projections(self, cfg):
         rng = np.random.default_rng(42)
         model = self._model("encdec", cfg, rng)
-        dec, att, carrier = model.cells["dec"], model.attention, model.query_cell
-        assert carrier is not None and carrier is not dec
+        dec, att, carrier = _plain(model.cells["dec"]), model.attention, model.cells["dec"]
         assert carrier._gemv_h.w.dtype == np.float32
         rows = 4 * dec.hidden_size
+        assert carrier._gemv_h.w.shape[1] == rows + att._gemv_q.w.shape[1]
         hs = [rng.integers(0, 256, size=M).astype(np.uint8) for _ in range(50)]
         hs += [np.zeros(M, np.uint8), np.full(M, 255, np.uint8)]
         for h in [*hs, np.stack(hs)]:
@@ -343,7 +397,7 @@ class TestStackedQuery:
     def test_finer_query_grid_still_stacks(self):
         rng = np.random.default_rng(42)
         model = self._model("encdec", CellConfig(), rng)
-        plan, aw, carrier = model.attention, model.attention.weights, model.query_cell
+        plan, aw, carrier = model.attention, model.attention.weights, model.cells["dec"]
         # a query grid 2^20 times finer takes 20 fraction bits off the query
         # rescale, and lifted to hprod's f its raw overflowed int64; each
         # element keeps its own f, so the query still rides on the decoder
@@ -351,26 +405,57 @@ class TestStackedQuery:
         fine = QuantParams(8, p_q.scale / 2**20, p_q.zero_point)
         wide = AttentionPlan(AttentionWeights(aw.wq, aw.wk, aw.v, {**aw.sites, "qproj": fine}),
                              plan.tables)
-        rows, f_h, q = 4 * model.cells["dec"].hidden_size, model.cells["dec"]._hprod.f, wide._qproj
+        rows, f_h, q = 4 * carrier.hidden_size, _plain(carrier)._hprod.f, wide._qproj
         assert f_h > q.f and (abs(q.raws[0]) << (f_h - q.f)) * q.bounds[0] > 2**63 - 1
-        assert set(model.query_cell._hprod.f[rows:].tolist()) == {q.f + 20}
+        assert set(carrier._hprod.f[rows:].tolist()) == {q.f + 20}
         # re-assembly with the finer plan derives the carrier again
         fine_model = dataclasses.replace(model, attention=wide)
-        assert set(fine_model.query_cell._hprod.f[rows:].tolist()) == {q.f}
+        assert set(fine_model.cells["dec"]._hprod.f[rows:].tolist()) == {q.f}
         xs = rng.normal(0.0, 1.0, size=(9, N_FEAT))
         np.testing.assert_array_equal(graph.run_int(fine_model, xs)["dec"],
                                       _decoder_by_hand(fine_model, xs))
         again = dataclasses.replace(fine_model, attention=plan)
-        assert again.query_cell is not None and again.query_cell is not carrier
+        assert again.cells["dec"] is not carrier
         np.testing.assert_array_equal(graph.run_int(again, xs)["dec"], _decoder_by_hand(again, xs))
+
+    def test_reassembly_stacks_one_query_block(self):
+        # a model re-assembled twice holds a decoder with one query block,
+        # the last plan's, under the plain h projection
+        rng = np.random.default_rng(42)
+        model = self._model("encdec", CellConfig(), rng)
+        plan, aw = model.attention, model.attention.weights
+        p_q = aw.sites["qproj"]
+        fine = QuantParams(8, p_q.scale / 2**20, p_q.zero_point)
+        wide = AttentionPlan(AttentionWeights(aw.wq, aw.wk, aw.v, {**aw.sites, "qproj": fine}),
+                             plan.tables)
+        again = dataclasses.replace(dataclasses.replace(model, attention=wide), attention=plan)
+        dec, plain = again.cells["dec"], _plain(again.cells["dec"])
+        rows, m_att = 4 * dec.hidden_size, plan._gemv_q.w.shape[1]
+        assert dec._gemv_h.w.shape[1] == dec._hprod.f.size == rows + m_att
+        np.testing.assert_array_equal(dec._hprod.f, model.cells["dec"]._hprod.f)
+        h = rng.integers(0, 256, size=(20, M)).astype(np.uint8)
+        got = dec._hprod(dec._gemv_h(h))
+        np.testing.assert_array_equal(got[:, :rows], plain._hprod(plain._gemv_h(h)))
+        np.testing.assert_array_equal(got[:, rows:], plan._qproj(plan._gemv_q(h)))
+        xs = rng.normal(0.0, 1.0, size=(9, N_FEAT))
+        np.testing.assert_array_equal(graph.run_int(again, xs)["dec"], _decoder_by_hand(again, xs))
+        np.testing.assert_array_equal(graph.run_int(again, xs)["out"],
+                                      graph.run_int(model, xs)["out"])
 
     def test_query_rides_once_on_a_context_fed_cell(self):
         rng = np.random.default_rng(42)
         model = self._model("encdec", CellConfig(), rng)
-        att = model.attention
-        for cell in (model.cells["enc"], model.query_cell):
-            with pytest.raises(ValueError, match="context-fed cell, once"):
-                cell.with_query(att._gemv_q, att._qproj)
+        att, carrier = model.attention, model.cells["dec"]
+        with pytest.raises(ValueError, match="only on a context-fed cell"):
+            model.cells["enc"].with_query(att._gemv_q, att._qproj)
+        # a carrier derives the carrier again: one query block, same bits
+        again = carrier.with_query(att._gemv_q, att._qproj)
+        assert again is not carrier
+        assert again._gemv_h.w.shape == carrier._gemv_h.w.shape
+        np.testing.assert_array_equal(again._gemv_h.w, carrier._gemv_h.w)
+        h = rng.integers(0, 256, size=(20, M)).astype(np.uint8)
+        np.testing.assert_array_equal(again._hprod(again._gemv_h(h)),
+                                      carrier._hprod(carrier._gemv_h(h)))
 
 
 class TestAssembly:
@@ -389,9 +474,40 @@ class TestAssembly:
             model.attention = plan
         with pytest.raises(TypeError):
             model.cells["dec"] = dec
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            model.query_cell = dec
         assert model.attention is plan and model.cells["dec"] is dec
+
+    def test_stage_inputs_cannot_be_reassigned(self):
+        # what a stage was built from cannot be swapped afterwards: new
+        # weights would save as another model than the one that runs, and a
+        # MadNorm flag would make the float oracle normalize where the
+        # integer cell does not
+        model = self._encdec()
+        enc, dec, att = model.cells["enc"], model.cells["dec"], model.attention
+        xs = np.random.default_rng(7).normal(0.0, 1.0, size=(9, N_FEAT))
+        blob, traces = mio.save(model), graph.run_int(model, xs)
+        meta = graph.export_float(model).meta
+        w = enc.weights
+        zeros = QTensor(np.zeros_like(w.wx.data), w.wx.params)
+        attempts = [
+            (w, "wx", zeros), (w, "wh", zeros), (dec.weights, "ws", None), (w, "bias", None),
+            (w.wx, "data", zeros.data), (w.wx, "params", att.weights.v.params),
+            *((cell, name, value) for cell in (enc, dec) for name, value in (
+                ("weights", dec.weights), ("sites", dec.sites), ("tables", dec.tables),
+                ("use_madnorm", True))),
+            (att, "weights", att.weights), (att, "tables", att.tables),
+            (att.weights, "wq", att.weights.wk), (att.weights, "v", att.weights.v),
+            (att.weights, "sites", {}),
+        ]
+        for obj, name, value in attempts:
+            was = getattr(obj, name)
+            with pytest.raises(AttributeError):
+                setattr(obj, name, value)
+            assert getattr(obj, name) is was, name
+        assert mio.save(model) == blob
+        assert graph.export_float(model).meta == meta == {
+            "cells": {"enc": {"use_madnorm": False}, "dec": {"use_madnorm": False}}}
+        for key, trace in graph.run_int(model, xs).items():
+            np.testing.assert_array_equal(trace, traces[key])
 
     def test_replaced_plan_off_the_tied_grid_is_refused(self):
         # the plan's henc grid at twice the scale: the encoder's codes would

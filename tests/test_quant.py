@@ -395,12 +395,6 @@ class TestObserver:
         p = Observer().finalize(8)
         assert p.scale == 1.0 and p.zero_point == 0
 
-    def test_merge(self):
-        a = Observer().observe([-1.0, 0.5])
-        b = Observer().observe([0.0, 2.0])
-        m = a.merged(b)
-        assert m.running_min == -1.0 and m.running_max == 2.0
-
     def test_rejects_nonfinite(self):
         nan, inf = float("nan"), float("inf")
         for batch in ([1.0, nan], [nan, 1.0], [1.0, inf], [-inf, 1.0], [-inf, inf], nan):
