@@ -22,7 +22,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .fixedpoint import FxOverflow, Quotient, Rescale, round_half_away, saturate
+from .fixedpoint import Quotient, Rescale, round_half_away, saturate
 from .pwl import TANH_GRID, UNIT_GRID, PwlTable, checked_tables, fit_tables
 from .quant import (
     ExactGemv,
@@ -207,12 +207,14 @@ class AttentionSource:
     code in the [m_att x 256] score-table rows that a step gathers for its
     query, int64 [T x m_att]; henc is the centered encoder states
     [T x m_enc], the context matmul's operand, float32 when source() proves
-    that product below 2^24, else float64.
+    that product below 2^24, else float64; ctx is the context division,
+    proven and tie-certified for T states.
     """
 
     keys: np.ndarray
     offsets: np.ndarray
     henc: np.ndarray
+    ctx: Quotient
 
 
 class AttentionPlan:
@@ -230,7 +232,7 @@ class AttentionPlan:
     under the decoder's h projection instead (IntLstmCell.with_query) and
     feeds the kernel the query codes that projection carries.  The qproj
     and kproj grids must be 8-bit, so that the score table holds 2^16
-    codes; ValueError otherwise, before any table is built.
+    codes, and it reads only AttentionWeights' sites; ValueError otherwise.
     """
 
     weights = property(attrgetter("_weights"))
@@ -238,6 +240,8 @@ class AttentionPlan:
 
     def __init__(self, weights: AttentionWeights, tables: Mapping):
         w, sites = weights, weights.sites
+        if extra := sorted(sites.keys() - {"hdec", "henc", "qproj", "kproj", "sumqk", "e", "s"}):
+            raise ValueError(f"unread-site: the attention reads no {', '.join(extra)}")
         self._weights, self._tables = weights, checked_tables(tables, self.table_grids(sites))
         p_q, p_k, p_sum = sites["qproj"], sites["kproj"], sites["sumqk"]
         if p_q.bitwidth != 8 or p_k.bitwidth != 8:
@@ -264,8 +268,11 @@ class AttentionPlan:
         self._e = self._gemv_e.rescale(sites["e"]).centered()
         self._to_exp = _exp_stage(sites["e"], self.tables["exp"])
         self._exp_lut = self.tables["exp"].lut
-        p_s = sites["s"]
-        self._ctx = Quotient(sites["henc"].scale / p_s.scale, p_s.zero_point, p_s.qmin, p_s.qmax)
+        # the context division for one state; source() re-proves it for T
+        p_s, p_h = sites["s"], sites["henc"]
+        self._ctx = Quotient(p_h.scale / p_s.scale, p_s.zero_point, p_s.qmin, p_s.qmax,
+                             num_bound=2 ** (UNIT_GRID.bitwidth + p_h.bitwidth),
+                             den_bound=UNIT_GRID.qmax, name="context accumulator")
 
     @staticmethod
     def table_grids(sites: Mapping) -> dict:
@@ -279,9 +286,10 @@ class AttentionPlan:
         for every decoder step against them.
 
         Proves, for T states, that the weighted sum is exact in float64,
-        and in float32 below 2^24, and that the context Quotient fits int64
-        over it and every denominator up to T times the top exp code;
-        FxOverflow otherwise, before the keys are projected or any step runs.
+        and in float32 below 2^24, and derives the context division proven
+        and tie-certified over it and every denominator up to T times the
+        top exp code (Quotient.bounded); FxOverflow otherwise, before the
+        keys are projected or any step runs.
         """
         sites = self.weights.sites
         p_h = sites["henc"]
@@ -290,12 +298,11 @@ class AttentionPlan:
         T = q_Henc.data.shape[0]
         num_bound = T * 2 ** (UNIT_GRID.bitwidth + p_h.bitwidth)
         dtype = _exact_dtype(num_bound, "context accumulator")
-        if not self._ctx.fits(num_bound, T * UNIT_GRID.qmax):
-            raise FxOverflow("context accumulator would overflow int64")
+        ctx = self._ctx.bounded(num_bound, T * UNIT_GRID.qmax)
         keys = self._kproj(self._gemv_k(q_Henc.data))
         offsets = keys + (np.arange(keys.shape[1]) * 256 + sites["kproj"].zero_point)
         henc = np.subtract(q_Henc.data, p_h.zero_point, dtype=dtype)
-        return AttentionSource(keys, offsets, henc)
+        return AttentionSource(keys, offsets, henc, ctx)
 
     def context(self, hdec: np.ndarray, src: AttentionSource) -> np.ndarray:
         """One decoder step's context codes (s grid) from decoder codes (hdec
@@ -332,7 +339,7 @@ class AttentionPlan:
         # partial sum is an integer below 2^53, and below 2^24 where henc is
         # float32 (source() proves it), so the product is exact
         num = (q_exp.astype(src.henc.dtype) @ src.henc).astype(np.int64)
-        q_s = self._ctx(num, denom).astype(p_s.dtype)
+        q_s = src.ctx(num, denom).astype(p_s.dtype)
 
         if rec is not None:
             p_q, p_sum, p_e = sites["qproj"], sites["sumqk"], sites["e"]

@@ -157,16 +157,21 @@ def _write_outputs(path, outs: np.ndarray) -> None:
 
 
 def _layer_stats(int_traces: dict, ref_traces: dict) -> dict:
+    """The mean and max absolute error of every trace, out included."""
     stats = {}
     for key in sorted(int_traces):
-        if key == "out":
-            continue
         err = np.abs(int_traces[key] - ref_traces[key])
         stats[key] = {
             "mean_abs_err": float(err.mean()),
             "max_abs_err": float(err.max()),
         }
     return stats
+
+
+def _sizes(container: bytes, fm: mio.FloatModel) -> dict:
+    """RunReport's size fields: the container's and the float archive's bytes."""
+    floats = len(mio.save_float(fm))
+    return dict(model_bytes=len(container), float_bytes=floats, size_ratio=floats / len(container))
 
 
 # ---------------------------------------------------------------- commands
@@ -260,21 +265,13 @@ def cmd_compare(args) -> int:
     int_traces = run_model_int(model, seqs, threads=args.threads)
     ref_traces = run_model_ref(fm, seqs)
     tol = model_tolerance(model)
-    out_abs = np.abs(int_traces["out"] - ref_traces["out"])
-    model_bytes = len(mio.save(model))
-    float_bytes = len(mio.save_float(fm))
+    layers = _layer_stats(int_traces, ref_traces)
     report = RunReport(
-        layers=_layer_stats(int_traces, ref_traces),
-        model_bytes=model_bytes,
-        float_bytes=float_bytes,
-        size_ratio=float_bytes / model_bytes,
+        layers=layers,
+        **_sizes(mio.save(model), fm),
         tolerance=tol,
-        passed=float(out_abs.mean()) <= tol,
+        passed=layers["out"]["mean_abs_err"] <= tol,
     )
-    report.layers["out"] = {
-        "mean_abs_err": float(out_abs.mean()),
-        "max_abs_err": float(out_abs.max()),
-    }
     print(report.to_json())
     return 0 if report.passed else 1
 
@@ -308,8 +305,6 @@ def cmd_bench(args) -> int:
     ).astype(np.int64)
     pwl_ns = _median_ns(lambda: eval_int(table, codes), args.runs, args.warmup)
 
-    model_bytes = len(container)
-    float_bytes = len(mio.save_float(fm))
     report = RunReport(
         timings={
             "int_step_ns": int_ns / args.seq_len,
@@ -322,9 +317,7 @@ def cmd_bench(args) -> int:
             "runs": args.runs,
             "warmup": args.warmup,
         },
-        model_bytes=model_bytes,
-        float_bytes=float_bytes,
-        size_ratio=float_bytes / model_bytes,
+        **_sizes(container, fm),
     )
     print(report.to_json())
     return 0

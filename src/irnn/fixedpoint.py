@@ -18,7 +18,7 @@ accumulators can be an exact half (see _tie_free).  A certified rescale
 rounds int64 arrays as (acc + half) >> f; every other one keeps the sign
 fix, (acc + (acc >> 63) + half) >> f.  Both give the same codes.  Python
 ints always take the sign fix, which costs next to nothing there.  A
-Quotient built with its numerators' bound certifies its ties the same way.
+Quotient is proven and certifies its ties the same way, from its bounds.
 """
 
 from __future__ import annotations
@@ -419,45 +419,53 @@ class Quotient:
     array that the caller gives up: scaled, divided, shifted by zero and
     clipped (one clip ufunc call) in place, and returned.  den is a positive
     int, or an int64 array of positive divisors that broadcasts against num.
-    fits() is the one int64 headroom proof; each caller raises its own
-    FxOverflow.
+
+    It is built with the largest |num| and den of every call, and proves
+    there, once, that D and raw * num plus the rounding add D/2 fit int64
+    (FxOverflow, naming `name`, otherwise), so every den and, shifted right
+    by f = 30, every rounded numerator is below 2^33.  bounded() proves the
+    same division for other bounds, in integers alone.
 
     The divisor's kind picks the kernel, and both give the same codes.  A
     Python-int den takes one int64 floor division by D.  An array den (a
     batched MadNorm's per-row q_d column) adds D/2 = den << (f - 1), shifts
     right by f and floors the float64 quotient by den, since
-    floor(floor(x / 2^f) / den) == floor(x / D); fits() keeps the shifted
-    numerator below 2^33, where float64 floors it exactly.
+    floor(floor(x / 2^f) / den) == floor(x / D).  Both are below 2^33, so
+    exact in float64, where floor(x / den) is then exact: a quotient that
+    is not an integer lies at least 1/den from one and rounds by at most
+    |x / den| * 2^-53 < 1/den.
 
-    num_bound, when the caller knows at construction the largest |num| of
-    every call, certifies ties away: a tie is 2 * raw * num = odd * D, which
-    needs 1 + v2(raw) + v2(num) >= f (v2 counts trailing zero bits), and
-    v2(num) <= floor(log2(num_bound)).  A certified quotient skips the sign
-    fix (num < 0), as a tie-free Rescale does."""
+    num_bound also certifies ties away: a tie is 2 * raw * num = odd * D,
+    which needs 1 + v2(raw) + v2(num) >= f (v2 counts trailing zero bits),
+    and v2(num) <= floor(log2(num_bound)).  A certified quotient skips the
+    sign fix (num < 0), as a tie-free Rescale does."""
 
-    __slots__ = ("raw", "tie_free", "_arr")
+    __slots__ = ("raw", "name", "tie_free", "_arr")
 
-    def __init__(self, m: float, zero: int, lo: int, hi: int, *, num_bound: int | None = None):
-        self.raw = to_fixed(m, REQUANT_FRACTION_BITS)
-        # 1 + v2(raw) + floor(log2(num_bound)) < f
-        self.tie_free = num_bound is not None and (
-            _trailing_zeros(self.raw) + operator.index(num_bound).bit_length()
-            < REQUANT_FRACTION_BITS)
+    def __init__(self, m: float, zero: int, lo: int, hi: int, *, num_bound: int,
+                 den_bound: int, name: str = "division numerator"):
+        self.raw, self.name = to_fixed(m, REQUANT_FRACTION_BITS), name
         # raw, zero (None when 0) and the bounds as 0-d int64
         self._arr = tuple(None if v is None else np.asarray(v, dtype=np.int64)
                           for v in (self.raw, zero or None, lo, hi))
+        self._prove(num_bound, den_bound)
 
-    def fits(self, num_bound: int, den_bound: int) -> bool:
-        """True when D and raw * num plus the rounding add D/2 stay in int64
-        for every |num| <= num_bound and den <= den_bound.
+    def bounded(self, num_bound: int, den_bound: int) -> Quotient:
+        """This division proven and certified for other bounds; FxOverflow
+        where they do not fit.  It shares the raw and the 0-d constants."""
+        out = object.__new__(Quotient)
+        out.raw, out.name, out._arr = self.raw, self.name, self._arr
+        out._prove(num_bound, den_bound)
+        return out
 
-        So every den is below 2^33 and, shifted right by f = 30, every
-        rounded numerator below 2^33 too: exact in float64, where
-        floor(x / den) is then exact for any positive integer den, since a
-        quotient that is not an integer lies at least 1/den from one and
-        rounds by at most |x / den| * 2^-53 < 1/den."""
+    def _prove(self, num_bound: int, den_bound: int) -> None:
+        num_bound, den_bound = operator.index(num_bound), operator.index(den_bound)
         half = den_bound << (REQUANT_FRACTION_BITS - 1)
-        return 2 * half <= _INT64_MAX and abs(self.raw) * num_bound + half <= _INT64_MAX
+        if 2 * half > _INT64_MAX or abs(self.raw) * num_bound + half > _INT64_MAX:
+            raise FxOverflow(f"{self.name} would overflow int64")
+        # 1 + v2(raw) + floor(log2(num_bound)) < f
+        self.tie_free = (_trailing_zeros(self.raw) + num_bound.bit_length()
+                         < REQUANT_FRACTION_BITS)
 
     def __call__(self, num: np.ndarray, den) -> np.ndarray:
         raw, zero, lo, hi = self._arr

@@ -377,12 +377,15 @@ def run_int(model: IrnnModel, xs) -> dict:
 
 
 def run_batch(run, model, seqs, threads: int = 1) -> dict:
-    """run(model, xs) over [N x T x n] sequences, stacked per trace.
+    """run(model, xs) over [N x T x n] sequences, stacked per trace;
+    GraphError for N = 0, which has no traces to stack.
 
     Sequences are independent, so any thread count gives bitwise-identical
     results.
     """
     seqs = np.asarray(seqs, dtype=np.float64)
+    if len(seqs) == 0:
+        raise GraphError("run_batch needs at least one sequence")
     if threads <= 1:
         results = [run(model, xs) for xs in seqs]
     else:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fixedpoint import FxOverflow, Quotient
+from .fixedpoint import Quotient
 from .quant import QTensor, QuantParams, max_centered, rescale
 
 __all__ = [
@@ -103,10 +103,10 @@ class MadNormPlan:
     centered values are rounded in the array their product allocated, and
     divided there by the output Quotient, so the input is never written.
     The deviation saturates at 1, which is max(q_d, 1), so every divisor
-    is positive; the division's int64 headroom over every centered value
-    and every q_d is proven here, once (Quotient.fits).  The centered
-    values' bound also certifies the division tie-free where the raw
-    allows (Quotient's num_bound), so it skips the sign fix."""
+    is positive.  The output Quotient is built with the centered values'
+    bound and the largest q_d, so it proves its int64 headroom over every
+    call when the plan is built, and certifies itself tie-free where the
+    raw allows, so it skips the sign fix."""
 
     def __init__(
         self,
@@ -126,12 +126,10 @@ class MadNormPlan:
         self.dev = rescale(
             p_d, (p_xhat.scale / (p_d.scale * h), h * max_centered(p_xhat))
         ).with_bounds(1, p_d.qmax)
-        bound = max_centered(p_xhat)
         self.norm = Quotient(p_xhat.scale / (p_y.scale * p_d.scale), 0,
                              p_y.qmin - p_y.zero_point, p_y.qmax - p_y.zero_point,
-                             num_bound=bound)
-        if not self.norm.fits(bound, p_d.qmax):
-            raise FxOverflow("normalization numerator would overflow int64")
+                             num_bound=max_centered(p_xhat), den_bound=p_d.qmax,
+                             name="normalization numerator")
 
     def __call__(self, xc: np.ndarray) -> np.ndarray:
         xhat = self.center.term(0, xc)

@@ -237,9 +237,10 @@ class IntLstmCell:
     sites maps tensor-site names to calibrated QuantParams: x, h, c, xprod,
     hprod, sum1, fc, ij, plus preact and s for context-fed cells.  A cell
     normalizes its gate products (MadNorm) exactly when sites holds the
-    mn{x,h}_{mu,xhat,d,y} group, all eight of them.  tables maps the names
-    of table_grids to the PWL tables the cell runs, each on its grids
-    there, and nothing else (pwl.checked_tables; see freeze_cell).
+    mn{x,h}_{mu,xhat,d,y} group, all eight of them; a site it does not read
+    is refused (ValueError).  tables maps the names of table_grids to the
+    PWL tables the cell runs, each on its grids there, and nothing else
+    (pwl.checked_tables; see freeze_cell).
 
     Construction derives every rescale from the sites, compiles the exact
     GEMV operands and the LUTs, and proves the constant overflow bounds, so
@@ -273,6 +274,8 @@ class IntLstmCell:
         missing = sorted(required - sites.keys())
         if missing:
             raise KeyError(f"uncalibrated-tensor: {', '.join(missing)}")
+        if extra := sorted(sites.keys() - required):
+            raise ValueError(f"unread-site: the cell reads no {', '.join(extra)}")
         if sites["h"].bitwidth != 8:
             raise ValueError("hidden state must be 8-bit")
         self._weights = weights

@@ -67,3 +67,19 @@ def blob_zeroed(data: bytes, name: str) -> bytes:
             return reseal(data, payload=lambda p: p[:start] + bytes(size) + p[start + size :])
         start += _align64(size)
     raise KeyError(name)
+
+
+def blob_added(data: bytes, name: str, arr: np.ndarray) -> bytes:
+    """data with a blob `name` holding arr's little-endian bytes added to
+    the manifest and to the payload at its place in name order, under a
+    fresh CRC32."""
+    blobs = manifest_of(data)["blobs"]
+    start = sum(_align64(math.prod(b["shape"]) * np.dtype(b["dtype"]).itemsize)
+                for key, b in blobs.items() if key < name)
+    body = arr.astype(arr.dtype.newbyteorder("<")).tobytes()
+    body += bytes(_align64(len(body)) - len(body))
+
+    def add(man):
+        man["blobs"][name] = {"dtype": arr.dtype.name, "shape": list(arr.shape)}
+
+    return reseal(data, add, lambda p: p[:start] + body + p[start:])

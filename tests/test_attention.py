@@ -1,8 +1,11 @@
 """Additive attention: float reference, integer path, denominator diagnostics."""
 
+import runpy
+from pathlib import Path
+
 import numpy as np
 import pytest
-from bigint_ref import two_term
+from bigint_ref import clip_code, round_div, two_term
 
 from irnn.attention import (
     EXP_DOMAIN,
@@ -17,7 +20,9 @@ from irnn.attention import (
     integer_softmax_weights,
     project_keys,
 )
+from irnn.cli import build_model
 from irnn.fixedpoint import REQUANT_FRACTION_BITS, FxOverflow, Rescale, to_fixed
+from irnn.graph import FloatModel
 from irnn.pwl import TANH_GRID, PwlTable, activation_registry, build_full, reduce
 from irnn.quant import (
     QTensor,
@@ -28,6 +33,9 @@ from irnn.quant import (
     qadd_diff,
     quantize_tensor,
 )
+from irnn.rnn import CellConfig
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _toy(seed, T=8, m_enc=16, m_dec=16, m_att=12, n_cal=200, pieces=32):
@@ -356,6 +364,50 @@ class TestLeanStep:
         np.testing.assert_array_equal(plan.context(qhd.data, src), [160])
         with pytest.raises(FxOverflow, match="context accumulator"):
             plan.source(QTensor(np.full((longest + 1, 1), 255, dtype=np.uint8), p_h))
+
+    def test_source_division_certified_for_its_own_length(self):
+        # henc scale / s scale makes the context raw (2^21 + 1) << 6, so
+        # v2(raw) = 6, and a T-state source's numerator bound T * 2^16
+        # certifies its division exactly while 6 + bitlen(T * 2^16) < 30,
+        # that is for T < 128; on both sides the codes are the one rounded
+        # division of the weighted sum by the denominator
+        rng, _, w, expt, tanht = _toy(42, m_enc=1, m_att=1, n_cal=16)
+        raw = (2**21 + 1) << 6
+        p_h = QuantParams(8, 2.0**-7, 128)
+        p_s = QuantParams(8, 2.0**-7 / (raw * 2.0**-REQUANT_FRACTION_BITS), 128)
+        sites = {**w.sites, "henc": p_h, "s": p_s}
+        plan = AttentionPlan(AttentionWeights(w.wq, w.wk, w.v, sites),
+                             {"exp": expt, "tanh": tanht})
+        assert plan._ctx.raw == raw
+        bits = expt.out_params.bitwidth + p_h.bitwidth
+        qhd = quantize_tensor(rng.normal(0.0, 0.6, size=16), w.sites["hdec"])
+        certified = {}
+        for T in (1, 2, 64, 126, 127, 128, 129, 255, 256, 1000):
+            states = QTensor(rng.integers(0, 256, size=(T, 1)).astype(np.uint8), p_h)
+            src = plan.source(states)
+            assert src.ctx.raw == raw
+            certified[T] = src.ctx.tie_free
+            assert certified[T] == (6 + (T << bits).bit_length() < REQUANT_FRACTION_BITS)
+            inter = plan.intermediates(qhd, states)
+            num = inter.exp_e.data.astype(np.int64) @ (states.data.astype(np.int64) - 128)
+            want = [clip_code(round_div(raw * int(v), inter.denom << REQUANT_FRACTION_BITS)
+                              + 128, p_s) for v in num]
+            assert inter.s.data.tolist() == want, T
+        assert [T for T, c in certified.items() if c] == [1, 2, 64, 126, 127]
+
+    def test_benchmark_decoder_division_is_certified(self):
+        # the stream-encdec64-attn model at seed 42: its decoder's context
+        # division over the workload's T = 64 states skips the sign fix
+        workloads = runpy.run_path(str(ROOT / "perfbench" / "workloads.py"))
+        w = workloads["WORKLOADS"]["stream-encdec64-attn"]
+        arrays, calib, pool = workloads["generate"](w, 42)
+        cfg = CellConfig(w.cell_bits, w.preact_bits, w.madnorm, w.pieces)
+        model = build_model(FloatModel(w.kind, arrays), calib, cfg)
+        att = model.attention
+        assert pool[0].shape[1] == w.seq_len == 64
+        states = quantize_tensor(np.zeros((64, w.m)), att.weights.sites["henc"])
+        assert att.source(states).ctx.tie_free
+        assert not att._ctx.bounded(2**30, 1).tie_free
 
     def test_tables_on_other_grids_rejected(self):
         # exp reads the fixed EXP_GRID and tanh the sumqk site; a swapped

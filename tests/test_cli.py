@@ -692,6 +692,16 @@ class TestExitCodes:
         assert code == 3
         assert "tied site stored twice: bwd.h" in capsys.readouterr().err
 
+    def test_unread_site_is_io_error(self, capsys, tmp_path):
+        # a site the cell does not read, added to its manifest entry
+        path = _quantize(capsys, tmp_path)
+        bogus = {"bitwidth": 8, "scale": 0.01, "zero_point": 128}
+        stored = lambda man: man["cells"]["main"]["sites"].update(bogus=bogus)
+        path.write_bytes(reseal(path.read_bytes(), stored))
+        code = main(["run", str(path), "--synth", "2", "--seq-len", "5"])
+        assert code == 3
+        assert "unread-site: the cell reads no bogus" in capsys.readouterr().err
+
     def test_attend_needs_encdec(self, capsys, tmp_path):
         model = _quantize(capsys, tmp_path)
         code, _ = _run(capsys, "run", str(model), "--attend")

@@ -936,6 +936,16 @@ def _quotient_ref(q: Quotient, nums, den, zero=0, lo=_WIDE[0], hi=_WIDE[1]) -> l
     return [min(max(_ref_round_div(q.raw * v, den << _F) + zero, lo), hi) for v in nums]
 
 
+def _at_limit(m: float, num_bound: int, den_bound: int, zero=0, lo=_WIDE[0],
+              hi=_WIDE[1]) -> Quotient:
+    """The Quotient of m built for num_bound and den_bound, which must be
+    the largest numerator bound it admits: built one numerator past it, it
+    raises FxOverflow."""
+    with pytest.raises(FxOverflow, match="division numerator would overflow int64"):
+        Quotient(m, zero, lo, hi, num_bound=num_bound + 1, den_bound=den_bound)
+    return Quotient(m, zero, lo, hi, num_bound=num_bound, den_bound=den_bound)
+
+
 def _ties(rng, den: int, top: int, raw: int = 1, size: int = 10) -> list:
     """Numerators whose raw * num is an exact half of D = den << f away
     from a multiple of it, one either side, of both signs, |num| <= top.
@@ -953,13 +963,13 @@ class TestEvenDivision:
     def test_matches_rounded_div_and_big_int(self):
         # raw 1, so num itself is the scaled numerator: every tie is in reach
         rng = np.random.default_rng(42)
-        q = Quotient(2.0**-_F, 0, *_WIDE)
-        assert q.raw == 1
         # D itself must fit: 2^33 << 30 is 2^63
-        assert q.fits(0, 2**33 - 1) and not q.fits(0, 2**33)
+        assert Quotient(2.0**-_F, 0, *_WIDE, num_bound=0, den_bound=2**33 - 1).raw == 1
+        with pytest.raises(FxOverflow):
+            Quotient(2.0**-_F, 0, *_WIDE, num_bound=0, den_bound=2**33)
         for den in [1, 2, 3, 255] + rng.integers(1, 2**10, size=100).tolist():
             top = 2**63 - 1 - (den << (_F - 1))
-            assert q.fits(top, den) and not q.fits(top + 1, den)
+            q = _at_limit(2.0**-_F, top, den)
             nums = [0, 1, -1, top, -top] + _ties(rng, den, top)
             nums += [int(v) * s for v in rng.integers(0, top, size=20) for s in (1, -1)]
             want = _quotient_ref(q, nums, den)
@@ -971,12 +981,9 @@ class TestEvenDivision:
         # every q_d in 1..255, with the raw 1 ties and with the raws of
         # multipliers near the top, each at +-its proven bound
         rng = np.random.default_rng(42)
-        quotients = [Quotient(2.0**-_F, 0, *_WIDE)] + [
-            Quotient(m, 0, *_WIDE) for m in (1.0, 0.75, 2.0**17 / 3, 987.654321)
-        ]
-        for q in quotients:
-            bound = (2**63 - 1 - (255 << (_F - 1))) // q.raw
-            assert q.fits(bound, 255) and not q.fits(bound + 1, 255)
+        for m in (2.0**-_F, 1.0, 0.75, 2.0**17 / 3, 987.654321):
+            bound = (2**63 - 1 - (255 << (_F - 1))) // to_fixed(m, _F)
+            q = _at_limit(m, bound, 255)
             extra = rng.integers(-bound, bound, size=20, endpoint=True).tolist()
             for den in range(1, 256):
                 nums = [0, 1, -1, bound, -bound, bound - 1, 1 - bound] + extra
@@ -990,12 +997,13 @@ class TestEvenDivision:
         # up to T * 2^16 and denominators up to T * 255, at the largest T
         # that fits admits; every output saturates to an 8-bit grid at Z 128
         rng = np.random.default_rng(42)
-        q = Quotient(0.125, 128, 0, 255)
-        wide = Quotient(0.125, 128, *_WIDE)
-        assert q.raw == 2**27
         T = 1_032_506
-        assert q.fits(T * 2**16, T * 255) and not q.fits((T + 1) * 2**16, (T + 1) * 255)
         top = T * 2**16
+        q = Quotient(0.125, 128, 0, 255, num_bound=top, den_bound=T * 255)
+        wide = Quotient(0.125, 128, *_WIDE, num_bound=top, den_bound=T * 255)
+        assert q.raw == 2**27
+        with pytest.raises(FxOverflow):
+            Quotient(0.125, 128, 0, 255, num_bound=(T + 1) * 2**16, den_bound=(T + 1) * 255)
         dens = [1, 2, 255, T, T * 255 - 1, T * 255]
         for den in dens + rng.integers(1, T * 255, size=40).tolist():
             nums = [0, 1, -1, top, -top] + _ties(rng, den, top, raw=2**27, size=3)
@@ -1008,19 +1016,19 @@ class TestEvenDivision:
         # a batched MadNorm divides each row of [N x h] by its own q_d, an
         # [N x 1] column, at that grid's saturation bounds
         rng = np.random.default_rng(42)
-        q = Quotient(2.0**-_F, 0, -128, 127)
         den = np.array([[1], [2], [3], [255], [128], [77]], dtype=np.int64)
         ties = np.array([_ties(rng, int(d[0]), 2**40, size=0) for d in den])
         # 127.5 and -128.5 steps of each row's D: ties just past hi and lo
         edge = (den << _F) * np.array([127, -128]) + (den << (_F - 1)) * np.array([1, -1])
         num = np.hstack([ties, edge, rng.integers(-(2**40), 2**40, size=(6, 9))])
+        q = Quotient(2.0**-_F, 0, -128, 127, num_bound=int(np.abs(num).max()), den_bound=255)
         want = [_quotient_ref(q, row.tolist(), int(d[0]), 0, -128, 127)
                 for row, d in zip(num, den)]
         assert q(num.copy(), den).tolist() == want
         assert [w[18:20] for w in want] == [[127, -128]] * 6
 
     def test_call_divides_in_place(self):
-        q = Quotient(0.5, 3, -50, 50)
+        q = Quotient(0.5, 3, -50, 50, num_bound=1000, den_bound=2)
         num = np.array([7, -7, 1000], dtype=np.int64)
         out = q(num, 2)
         assert out is num
@@ -1032,12 +1040,9 @@ class TestEvenDivision:
         # the raw 1 ties of its own divisor and shared random numerators
         rng = np.random.default_rng(42)
         den = np.arange(1, 256, dtype=np.int64)[:, None]
-        quotients = [Quotient(2.0**-_F, 0, *_WIDE)] + [
-            Quotient(m, 0, *_WIDE) for m in (1.0, 0.75, 2.0**17 / 3, 987.654321)
-        ]
-        for q in quotients:
-            bound = (2**63 - 1 - (255 << (_F - 1))) // q.raw
-            assert q.fits(bound, 255) and not q.fits(bound + 1, 255)
+        for m in (2.0**-_F, 1.0, 0.75, 2.0**17 / 3, 987.654321):
+            bound = (2**63 - 1 - (255 << (_F - 1))) // to_fixed(m, _F)
+            q = _at_limit(m, bound, 255)
             extra = rng.integers(-bound, bound, size=20, endpoint=True).tolist()
             rows = [[0, 1, -1, bound, -bound, bound - 1, 1 - bound] + extra
                     + (_ties(rng, d, bound, size=3) if q.raw == 1 else [])
@@ -1048,26 +1053,27 @@ class TestEvenDivision:
             assert out.tolist() == want, q.raw
 
     def test_column_divisors_at_the_largest_shifted_numerator(self):
-        # raw 1 at +-the numerator fits admits for each divisor: after the
-        # rounding add and the shift by f, num = top over den = 1 reaches
-        # 2^33 - 1, the largest shifted numerator the 2^33 bound admits,
-        # and den = 2^33 - 1 is the largest divisor whose D fits
+        # raw 1 at +-the largest numerator each divisor admits, each row
+        # through a quotient built at that limit, as a [1 x 1] column:
+        # after the rounding add and the shift by f, num = top over den = 1
+        # reaches 2^33 - 1, the largest shifted numerator the 2^33 bound
+        # admits, and den = 2^33 - 1 is the largest divisor whose D fits
         rng = np.random.default_rng(42)
-        q = Quotient(2.0**-_F, 0, *_WIDE)
         dens = [1, 2, 3, 255, 2**32 - 1, 2**32, 2**33 - 2, 2**33 - 1]
         dens += rng.integers(1, 2**33, size=24).tolist()
-        rows = []
         for den in dens:
             top = 2**63 - 1 - (den << (_F - 1))
-            assert q.fits(top, den) and not q.fits(top + 1, den)
+            q = _at_limit(2.0**-_F, top, den)
             # the first tie and the last below top, their neighbours, both signs
             half = den << (_F - 1)
             last = (top - half) // (2 * half) * 2 * half + half
             ties = [s * (t + e) for t in (half, last) for e in (-1, 0, 1) for s in (1, -1)]
-            rows.append([top, -top, top - 1, 1 - top, 0, 1, -1] + ties)
-        assert (rows[0][0] + (1 << (_F - 1))) >> _F == 2**33 - 1
-        out = q(np.array(rows, dtype=np.int64), np.array(dens, dtype=np.int64)[:, None])
-        assert out.tolist() == [_quotient_ref(q, row, den) for den, row in zip(dens, rows)]
+            row = [top, -top, top - 1, 1 - top, 0, 1, -1] + ties
+            if den == 1:
+                assert (top + (1 << (_F - 1))) >> _F == 2**33 - 1
+            out = q(np.array([row], dtype=np.int64), np.array([[den]], dtype=np.int64))
+            assert out.dtype == np.int64
+            assert out.tolist() == [_quotient_ref(q, row, den)], den
 
 
 class TestQuotientTieCertificate:
@@ -1098,7 +1104,7 @@ class TestQuotientTieCertificate:
     @pytest.mark.parametrize("raw", [1, 3 << 2, -(5 << 17), (2**21 + 1) << 21, 7 << 21])
     def test_certified_raws_meet_no_tie(self, raw):
         # v2(raw) = 21 is the largest that 1 + v2 + 7 < 30 admits
-        q = Quotient(raw * 2.0**-_F, 0, *_WIDE, num_bound=self.BOUND)
+        q = Quotient(raw * 2.0**-_F, 0, *_WIDE, num_bound=self.BOUND, den_bound=255)
         assert q.raw == raw and q.tie_free
         assert self._ties(raw) == []
         self._check_both_kernels(q)
@@ -1108,20 +1114,54 @@ class TestQuotientTieCertificate:
         # v2(raw) = 22 is the first that 1 + v2 + 7 < 30 refuses; raw 2^30
         # is m = 1.0.  Each meets ties, negative ones among them, and the
         # sign fix rounds them away from zero
-        q = Quotient(raw * 2.0**-_F, 0, *_WIDE, num_bound=self.BOUND)
+        q = Quotient(raw * 2.0**-_F, 0, *_WIDE, num_bound=self.BOUND, den_bound=255)
         ties = self._ties(raw)
         assert any(v < 0 for v, _ in ties) and any(v > 0 for v, _ in ties)
         self._check_both_kernels(q)
         assert q.raw == raw and not q.tie_free
 
-    def test_certificate_needs_a_bound(self):
-        # without num_bound (the attention context's case) nothing is
-        # certified; a larger bound moves the threshold down by its log2
-        assert not Quotient(2.0**-_F, 0, *_WIDE).tie_free
-        assert Quotient(2.0**-_F, 0, *_WIDE, num_bound=2**29 - 1).tie_free
-        assert not Quotient(2.0**-_F, 0, *_WIDE, num_bound=2**29).tie_free
-        assert Quotient(4 * 2.0**-_F, 0, *_WIDE, num_bound=2**27 - 1).tie_free
-        assert not Quotient(4 * 2.0**-_F, 0, *_WIDE, num_bound=2**27).tie_free
+    def test_larger_bound_lowers_the_threshold(self):
+        # a larger bound moves the threshold down by its log2, built or
+        # bounded: bounded() certifies from its own bound, not the first
+        for raw, top in ((1, 2**29 - 1), (4, 2**27 - 1)):
+            q = Quotient(raw * 2.0**-_F, 0, *_WIDE, num_bound=top, den_bound=255)
+            assert q.tie_free
+            assert not Quotient(raw * 2.0**-_F, 0, *_WIDE, num_bound=top + 1,
+                                den_bound=255).tie_free
+            assert not q.bounded(top + 1, 255).tie_free
+            assert q.bounded(top + 1, 255).bounded(top, 255).tie_free
+            assert q.bounded(1, 1).tie_free
+
+
+class TestQuotientProof:
+    """A Quotient proves at construction that D and raw * num plus the
+    rounding add D/2 fit int64 for every num and den within its bounds;
+    bounded() proves the same division for other bounds."""
+
+    def test_built_past_int64_raises(self):
+        # raw 2^30 (m = 1.0) and den 255: raw * num + 255 * 2^29 <= 2^63 - 1
+        top = (2**63 - 1 - (255 << (_F - 1))) >> _F
+        q = Quotient(1.0, 0, *_WIDE, num_bound=top, den_bound=255)
+        for num_bound, den_bound in ((top + 1, 255), (0, 2**33), (2**62, 1)):
+            with pytest.raises(FxOverflow, match="division numerator would overflow int64"):
+                Quotient(1.0, 0, *_WIDE, num_bound=num_bound, den_bound=den_bound)
+            with pytest.raises(FxOverflow, match="division numerator would overflow int64"):
+                q.bounded(num_bound, den_bound)
+        with pytest.raises(FxOverflow, match="^context accumulator would overflow int64$"):
+            Quotient(1.0, 0, *_WIDE, num_bound=top + 1, den_bound=255,
+                     name="context accumulator")
+
+    def test_bounded_keeps_the_division(self):
+        # the same raw, name and constants, so the same codes
+        q = Quotient(0.75, 3, -50, 50, num_bound=2**20, den_bound=255, name="x")
+        wide = q.bounded(2**30, 2**20)
+        assert (wide.raw, wide.name, wide._arr) == (q.raw, q.name, q._arr)
+        with pytest.raises(FxOverflow, match="^x would overflow int64$"):
+            q.bounded(2**63 // q.raw + 1, 1)
+        num = np.arange(-(2**20), 2**20 + 1, 4097, dtype=np.int64)
+        for den in (1, 7, 255):
+            assert wide(num.copy(), den).tolist() == q(num.copy(), den).tolist()
+            assert q(num.copy(), den).tolist() == _quotient_ref(q, num.tolist(), den, 3, -50, 50)
 
 
 def _ref_round(x: float) -> int:

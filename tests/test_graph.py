@@ -11,7 +11,7 @@ from irnn import graph
 from irnn import model_io as mio
 from irnn import pwl, rnn
 from irnn.attention import AttentionPlan, AttentionWeights
-from irnn.cli import build_model, run_model_int
+from irnn.cli import build_model, run_model_int, run_model_ref
 from irnn.fixedpoint import FxOverflow
 from irnn.pwl import activation_registry, build_full, reduce
 from irnn.quant import ExactGemv, QTensor, QuantParams, dequantize, quantize_tensor
@@ -186,6 +186,19 @@ class TestRun:
         monkeypatch.setattr(rnn.IntLstmCell, "run", run)
         graph.run_batch(graph.run_int, model, rng.normal(0.0, 1.0, size=(3, 6, N_FEAT)))
         assert [id(c) for c in selves] == [id(c) for c in model.cells.values()] * 3
+
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_zero_sequences_are_a_graph_error(self, threads):
+        # an empty batch has no traces to stack, on either backend
+        rng = np.random.default_rng(42)
+        fm = graph.FloatModel("lstm", _arrays("lstm", rng))
+        model = graph.calibrate(fm, rng.normal(0.0, 1.0, size=(2, 5, N_FEAT)), CellConfig())
+        empty = np.zeros((0, 6, N_FEAT))
+        with pytest.raises(graph.GraphError, match="at least one sequence"):
+            run_model_int(model, empty, threads=threads)
+        with pytest.raises(graph.GraphError, match="at least one sequence"):
+            run_model_ref(graph.export_float(model), empty)
 
 
 class TestObservers:

@@ -320,7 +320,10 @@ class TestDivisionProof:
         grids = self._grids(self._y_grid(top))
         plan = MadNormPlan(*grids, len(self.ROW))
         assert plan.norm.raw == top
-        assert plan.norm.fits(num, den) and not plan.norm.fits(num + 1, den)
+        # built for num and den, and refused one numerator past them
+        assert plan.norm.bounded(num, den).raw == top
+        with pytest.raises(FxOverflow, match="normalization numerator"):
+            plan.norm.bounded(num + 1, den)
         row = np.array(self.ROW)
         assert (plan(row) + 128).tolist() == madnorm_codes(self.ROW, *grids)
         # the largest numerator over the largest divisor, both signs

@@ -12,8 +12,8 @@ from irnn import model_io as mio
 from irnn.attention import AttentionPlan, AttentionWeights, attention_int, calibrate_attention
 from irnn.cli import build_model, run_model_int
 from irnn.quant import QTensor, QuantParams, quantize_tensor
-from irnn.rnn import CellConfig, calibrate_lstm_cell
-from reseal import HEADER, manifest_of, payload_of, reseal, unsealed
+from irnn.rnn import CellConfig, IntLstmCell, calibrate_lstm_cell
+from reseal import HEADER, blob_added, manifest_of, payload_of, reseal, unsealed
 
 
 def _toy_model(seed=42, n=12, m=12, madnorm=False, with_bias=True):
@@ -96,15 +96,12 @@ class TestContainer:
             mio.load(bytes(corrupt))
 
     def test_unreferenced_blob(self):
-        # the decoder's context weight is stored, but its manifest entry
-        # says the cell has none
-        encdec = _kind_models()[2]
-
-        def no_ws(man):
-            man["cells"]["dec"]["ws"] = None
-
-        with pytest.raises(ValueError, match="unreferenced blob: 'cells/dec/ws'"):
-            mio.load(reseal(mio.save(encdec), no_ws))
+        # a context weight is stored for the lstm cell, whose manifest entry
+        # says it has none (ws: null)
+        lstm = _kind_models()[0]
+        ws = np.zeros((48, 12), dtype=np.uint8)
+        with pytest.raises(ValueError, match="unreferenced blob: 'cells/main/ws'"):
+            mio.load(blob_added(mio.save(lstm), "cells/main/ws", ws))
 
     def test_dangling_tensor_reference(self):
         # renamed in place: the blob keeps its position in name order
@@ -299,6 +296,47 @@ class TestFormat3:
                 dataclasses.replace(encdec, attention=plan)
             assert encdec.attention is kept
             mio.save(encdec)
+
+
+class TestUnreadSites:
+    """A stage takes exactly the sites it reads: a site outside that set,
+    in a manifest or given to a stage, is refused with its name."""
+
+    BOGUS = QuantParams(8, 0.01, 128)
+
+    def test_manifest_with_an_unread_site_refused(self):
+        stored = {"bitwidth": 8, "scale": 0.01, "zero_point": 128}
+        for model in _kind_models():
+            man = manifest_of(mio.save(model))
+            entries = [("cells", name) for name in man["cells"]]
+            if man["attention"] is not None:
+                entries.append(("attention",))
+            for path in entries:
+
+                def add(man):
+                    entry = man
+                    for key in path:
+                        entry = entry[key]
+                    entry["sites"]["bogus"] = stored
+
+                with pytest.raises(ValueError, match="unread-site: .* bogus$"):
+                    mio.load(reseal(mio.save(model), add))
+
+    def test_stage_given_an_unread_site_refused(self):
+        _, bilstm, encdec = _kind_models()
+        for cell in (*bilstm.cells.values(), *encdec.cells.values()):
+            sites = {**cell.sites, "bogus": self.BOGUS, "alsobogus": self.BOGUS}
+            with pytest.raises(ValueError, match="unread-site: the cell reads no alsobogus, bogus"):
+                IntLstmCell(cell.weights, sites, cell.tables)
+        aw = encdec.attention.weights
+        weights = AttentionWeights(aw.wq, aw.wk, aw.v, {**aw.sites, "bogus": self.BOGUS})
+        with pytest.raises(ValueError, match="unread-site: the attention reads no bogus"):
+            AttentionPlan(weights, encdec.attention.tables)
+        # a context-fed cell's s and preact are sites an lstm cell does not read
+        dec, enc = encdec.cells["dec"], encdec.cells["enc"]
+        sites = {**enc.sites, "s": dec.sites["s"], "preact": dec.sites["preact"]}
+        with pytest.raises(ValueError, match="unread-site: the cell reads no preact, s"):
+            IntLstmCell(enc.weights, sites, enc.tables)
 
 
 class TestFormat4:
