@@ -29,7 +29,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .attention import AttentionPlan, _attend_ref, _keys_ref, freeze_attention
-from .quant import Observer, QTensor, dequantize, quantize_tensor
+from .quant import Observer, QTensor, _observe, dequantize, quantize_tensor
 from .rnn import CellConfig, IntLstmCell, freeze_cell, lstm_run_ref
 
 __all__ = [
@@ -66,7 +66,8 @@ class _Graph:
     float_run() takes float64 weights, inputs [..., T, n], each cell's
     MadNorm flag and observer dicts by cell name (and "att"), any of which
     may be absent; it steps every sequence together, each with the bits of
-    a run on it alone.  freeze() turns the dicts of observers() into (cells,
+    a run on it alone.  A stage observes the values it computes, and the
+    run its input, as the input cell's x.  freeze() turns the dicts of observers() into (cells,
     attention plan or None).  int_run() runs a model's cells on one
     sequence's codes on the input cell's x grid.  Both are _run.
     """
@@ -167,6 +168,8 @@ class _Graph:
         return traces
 
     def float_run(self, a, xs, madnorm, observers):
+        _observe(observers.get(self.input_cell), "x", xs)
+
         def cell(name, xs, context):
             p = self.cells[name]
             return lstm_run_ref(
@@ -240,7 +243,7 @@ class IrnnModel:
     a model is not changed afterwards: its fields cannot be assigned and
     cells is a read-only mapping, so dataclasses.replace assembles a new
     model, checked again.  An attending cell without context weights (ws)
-    is refused with GraphError.
+    and a tied site absent or off its source's grid are refused (GraphError).
 
     The attending cell in cells carries the plan's query rows under its h
     projection (IntLstmCell.with_query), derived here from the cell given:
@@ -263,7 +266,12 @@ class IrnnModel:
             raise GraphError(f"a {self.kind} model {'needs an' if g.attend else 'has no'} attention stage")
         if g.attend and self.cells[g.attend[0]].weights.ws is None:
             raise GraphError(f"the {g.attend[0]} cell attends but has no context weights (ws)")
-        self.check_ties()
+        for (stage, site), (src, src_site) in g.ties.items():
+            grid, src_grid = self.sites(stage).get(site), self.sites(src).get(src_site)
+            if grid is None or src_grid is None:
+                raise GraphError(f"tied-site-missing: {stage}.{site} or {src}.{src_site} is absent")
+            if grid != src_grid:
+                raise GraphError(f"tied-site-mismatch: {stage}.{site} differs from {src}.{src_site}")
         if g.attend:
             att, dec = self.attention, g.attend[0]
             carrier = self.cells[dec].with_query(att._gemv_q, att._qproj)
@@ -272,17 +280,6 @@ class IrnnModel:
     def sites(self, stage: str):
         """The sites of a cell, or of the attention stage for "att"."""
         return self.attention.weights.sites if stage == "att" else self.cells[stage].sites
-
-    def check_ties(self) -> None:
-        """GraphError unless every tied site holds its source's grid."""
-        for (stage, site), (src, src_site) in GRAPHS[self.kind].ties.items():
-            grid, src_grid = self.sites(stage).get(site), self.sites(src).get(src_site)
-            if grid is None or src_grid is None:
-                raise GraphError(f"tied-site-missing: {stage}.{site} or {src}.{src_site} is absent")
-            if grid != src_grid:
-                raise GraphError(
-                    f"tied-site-mismatch: {stage}.{site} differs from {src}.{src_site}"
-                )
 
     @property
     def input_cell(self) -> IntLstmCell:

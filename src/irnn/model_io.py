@@ -135,8 +135,7 @@ def _blob_bytes(name: str, arr: np.ndarray) -> bytes:
 
 def save(model: IrnnModel) -> bytes:
     """Serialize to bytes; identical models produce identical bytes.  A
-    tied site is stored once, with its source: GraphError if they differ."""
-    model.check_ties()
+    tied site is stored once, with its source (IrnnModel proves them equal)."""
     ties = graph_for(model.kind).ties
 
     def stored(stage: str) -> dict:

@@ -340,11 +340,11 @@ def _gemv_rows(w: np.ndarray, x: np.ndarray) -> np.ndarray:
 @dataclass
 class Observer:
     """Running min/max of everything shown to one tensor site; one
-    observation of a batch equals one of each of its parts."""
+    observation of a batch equals one of each of its parts.  An observer
+    shown nothing (min inf, max -inf) finalizes to the identity grid."""
 
     running_min: float = float("inf")
     running_max: float = float("-inf")
-    count: int = 0
 
     def observe(self, batch) -> "Observer":
         arr = np.asarray(batch, dtype=np.float64)
@@ -356,13 +356,10 @@ class Observer:
             raise ValueError("non-finite value in calibration batch")
         self.running_min = min(self.running_min, lo)
         self.running_max = max(self.running_max, hi)
-        self.count += arr.size
         return self
 
     def finalize(self, bitwidth: int) -> QuantParams:
         """Derive parameters, forcing zero into the observed range."""
-        if self.count == 0:
-            return derive_params(0.0, 0.0, bitwidth)
         return derive_params(
             min(self.running_min, 0.0), max(self.running_max, 0.0), bitwidth
         )

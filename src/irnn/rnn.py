@@ -145,14 +145,12 @@ def lstm_step_ref(
     before the gate sum and the bias joins after normalization.  Rows are
     independent: each row's products are one gemv and its MadNorm reduces
     its own row, so a row has the bits of a 1-D step on it, and an observer
-    sees the batch as it would each row.
+    sees the batch as it would each row.  It sees the sites the step
+    computes; whoever supplies x and s observes them.
     """
     x = np.asarray(x, dtype=np.float64)
     h = np.asarray(h, dtype=np.float64)
     c = np.asarray(c, dtype=np.float64)
-    _observe(observers, "x", x)
-    if s is not None:
-        _observe(observers, "s", s)
     wx = np.asarray(wx, dtype=np.float64)
     wh = np.asarray(wh, dtype=np.float64)
     four_m = wx.shape[0]
@@ -163,16 +161,16 @@ def lstm_step_ref(
         raise ValueError("input/state shapes disagree")
 
     gx = _gemv_rows(wx, x)
+    if bias is not None and not use_madnorm:
+        gx = gx + bias
     gh = _gemv_rows(wh, h)
-    _observe(observers, "xprod", gx if use_madnorm or bias is None else gx + bias)
+    _observe(observers, "xprod", gx)
     _observe(observers, "hprod", gh)
     if use_madnorm:
         total = _madnorm_observed(observers, "x", gx) + _madnorm_observed(observers, "h", gh)
         if bias is not None:
             total = total + bias
     else:
-        if bias is not None:
-            gx = gx + bias
         total = gx + gh
     _observe(observers, "sum1", total)
     if ws is not None:
@@ -206,7 +204,7 @@ def lstm_run_ref(
 ) -> np.ndarray:
     """Float reference over sequences xs [..., T, n] from zero state;
     returns [..., T, m].  Every sequence steps together, each with the bits
-    of its own run (see lstm_step_ref).
+    of its own run (see lstm_step_ref, which observes no input).
 
     context(t, h), for a cell with ws, returns step t's context vectors
     [..., m_s] from the hidden states h [..., m] before that step.
@@ -508,13 +506,19 @@ def calibrate_lstm_cell(
     """Observe one float run over calibration sequences, then freeze the cell.
 
     seqs is [..., T x n], every sequence stepping together; s_seqs, when the
-    cell takes a context input, is [..., T x m_s] with the same leading axes.
+    cell takes a context input, is [..., T' x m_s], T' >= T, with the same
+    leading axes.  The run observes what it computes, and this function
+    seqs as x and the context rows the run reads, s_seqs[..., :T, :], as s.
     """
     observers: dict[str, Observer] = {}
+    seqs = np.asarray(seqs, dtype=np.float64)
     s_seqs = None if s_seqs is None else np.asarray(s_seqs, dtype=np.float64)
     lstm_run_ref(
         seqs, wx, wh, bias,
         ws=ws, context=None if s_seqs is None else lambda t, h: s_seqs[..., t, :],
         use_madnorm=cfg.use_madnorm, observers=observers,
     )
+    _observe(observers, "x", seqs)
+    if s_seqs is not None:
+        _observe(observers, "s", s_seqs[..., : seqs.shape[-2], :])
     return freeze_cell(observers, wx, wh, bias, cfg, ws=ws)

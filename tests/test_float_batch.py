@@ -19,6 +19,7 @@ import pytest
 from irnn import graph
 from irnn import model_io as mio
 from irnn.attention import _attend_ref, _keys_ref, attention_ref, calibrate_attention
+from irnn.quant import Observer
 from irnn.rnn import CellConfig, calibrate_lstm_cell, freeze_cell, lstm_run_ref
 
 N_SEQ, N_FEAT, M, M_ATT = 5, 6, 8, 7
@@ -141,12 +142,30 @@ def test_calibrate_lstm_cell_is_one_batched_run(madnorm):
     wx, wh, bias, ws = (arrays["dec_" + k] for k in ("wx", "wh", "bias", "ws"))
     seqs, s_seqs = _seqs(rng, 6), rng.normal(0.0, 0.5, size=(N_SEQ, 6, M))
     cfg = CellConfig(use_madnorm=madnorm, pwl_pieces=4)
-    observers = {}
+    observers = {"x": Observer(), "s": Observer()}
     for xs, ss in zip(seqs, s_seqs):
+        observers["x"].observe(xs)
+        observers["s"].observe(ss)
         lstm_run_ref(xs, wx, wh, bias, ws=ws, context=lambda t, h, ss=ss: ss[t],
                      use_madnorm=madnorm, observers=observers)
     want = freeze_cell(observers, wx, wh, bias, cfg, ws=ws)
     cell = calibrate_lstm_cell(wx, wh, bias, seqs, cfg, ws=ws, s_seqs=s_seqs)
+    assert dict(cell.sites) == dict(want.sites)
+
+
+def test_calibrate_lstm_cell_observes_only_the_context_rows_it_reads():
+    # a context longer than the sequences: the rows past T, large as they
+    # are, reach no step, so the s grid is that of the rows the run reads
+    rng = np.random.default_rng(13)
+    arrays = _arrays("encdec", rng, True)
+    wx, wh, bias, ws = (arrays["dec_" + k] for k in ("wx", "wh", "bias", "ws"))
+    seqs, s_seqs = _seqs(rng, 6), rng.normal(0.0, 0.5, size=(N_SEQ, 6, M))
+    longer = np.concatenate([s_seqs, np.full((N_SEQ, 3, M), 40.0)], axis=1)
+    longer[:, -1] = -40.0
+    cfg = CellConfig(pwl_pieces=4)
+    want = calibrate_lstm_cell(wx, wh, bias, seqs, cfg, ws=ws, s_seqs=s_seqs)
+    cell = calibrate_lstm_cell(wx, wh, bias, seqs, cfg, ws=ws, s_seqs=longer)
+    assert cell.sites["s"] == want.sites["s"]
     assert dict(cell.sites) == dict(want.sites)
 
 
@@ -174,7 +193,7 @@ def _attention_case(rng, batch, T, m=M, m_att=M_ATT):
 
 
 def _observed(observers) -> list:
-    return [(key, o.running_min, o.running_max, o.count) for key, o in observers.items()]
+    return [(key, o.running_min, o.running_max) for key, o in observers.items()]
 
 
 @pytest.mark.parametrize("batch", [(), (1,), (N_SEQ,)])

@@ -14,7 +14,7 @@ from irnn.attention import AttentionPlan, AttentionWeights
 from irnn.cli import build_model, run_model_int, run_model_ref
 from irnn.fixedpoint import FxOverflow
 from irnn.pwl import activation_registry, build_full, reduce
-from irnn.quant import ExactGemv, QTensor, QuantParams, dequantize, quantize_tensor
+from irnn.quant import ExactGemv, Observer, QTensor, QuantParams, dequantize, quantize_tensor
 from irnn.rnn import CellConfig
 
 N_FEAT = M = 8
@@ -228,8 +228,39 @@ class TestObservers:
         model = graph.calibrate(fm, seqs, CellConfig())
         for (stage, site), (src, src_site) in g.ties.items():
             o = obs[stage][site]
-            assert o is obs[src][src_site] and o.count > 0
+            assert o is obs[src][src_site] and o.running_min <= o.running_max
             assert model.sites(stage)[site] == model.sites(src)[src_site] == o.finalize(8)
+
+    @pytest.mark.parametrize("madnorm", [False, True])
+    @pytest.mark.parametrize("kind", ["lstm", "bilstm", "encdec"])
+    def test_each_value_is_observed_once_where_it_is_computed(self, kind, madnorm, monkeypatch):
+        # the run shows its input once to the input cell's x observer, the
+        # attention its keys once per source, and every other observer one
+        # batch per step of each cell that computes its site: bilstm's two
+        # cells share h, and no stage observes what another computed
+        shown, observe = {}, Observer.observe
+
+        def counted(obs, batch):
+            shown[id(obs)] = shown.get(id(obs), 0) + 1
+            return observe(obs, batch)
+
+        monkeypatch.setattr(Observer, "observe", counted)
+        rng, T = np.random.default_rng(42), 5
+        g = graph.GRAPHS[kind]
+        obs = g.observers()
+        g.float_run(_arrays(kind, rng), rng.normal(0.0, 1.0, size=(3, T, N_FEAT)),
+                    dict.fromkeys(g.cells, madnorm), obs)
+        got = {(stage, site): shown.get(id(o)) for stage, sites in obs.items()
+               for site, o in sites.items()}
+        want = dict.fromkeys(got, T)
+        want[g.input_cell, "x"] = 1
+        if kind == "bilstm":
+            want["fwd", "h"] = 2 * T
+        if kind == "encdec":
+            want["att", "kproj"] = 1
+        for tied, src in g.ties.items():
+            want[tied] = want[src]
+        assert got == want
 
 
 def _frozen(*arrays):

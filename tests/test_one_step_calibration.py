@@ -11,7 +11,7 @@ import pytest
 
 from irnn import model_io as mio
 from irnn.cli import main
-from irnn.quant import QTensor, dequantize, derive_params, quantize
+from irnn.quant import Observer, QTensor, dequantize, derive_params, quantize
 from irnn.rnn import CellConfig, calibrate_lstm_cell, freeze_cell, lstm_run_ref
 
 N, M = 8, 16
@@ -48,8 +48,9 @@ def test_cell_builds_and_runs(bits, madnorm):
 def test_fc_seen_at_more_than_one_point_keeps_its_range():
     rng = np.random.default_rng(3)
     wx, wh, bias = _weights(rng)
-    observers = {}
-    lstm_run_ref(rng.normal(size=(5, 2, N)), wx, wh, bias, observers=observers)
+    xs = rng.normal(size=(5, 2, N))
+    observers = {"x": Observer().observe(xs)}
+    lstm_run_ref(xs, wx, wh, bias, observers=observers)
     cell = freeze_cell(observers, wx, wh, bias, CellConfig(16, 16))
     assert cell.sites["fc"] == observers["fc"].finalize(16)
 

@@ -385,7 +385,7 @@ class TestObserver:
     def test_empty_batch_unchanged(self):
         obs = Observer()
         obs.observe(np.array([]))
-        assert obs.count == 0
+        assert (obs.running_min, obs.running_max) == (float("inf"), float("-inf"))
 
     def test_zero_inclusion_on_finalize(self):
         obs = Observer().observe(np.array([0.1, 0.3]))
@@ -401,7 +401,7 @@ class TestObserver:
             obs = Observer().observe([0.5])
             with pytest.raises(ValueError, match="non-finite"):
                 obs.observe(batch)
-            assert (obs.running_min, obs.running_max, obs.count) == (0.5, 0.5, 1)
+            assert (obs.running_min, obs.running_max) == (0.5, 0.5)
 
 
 class TestQTensor:

@@ -15,6 +15,7 @@ from irnn import model_io as mio
 from irnn.fixedpoint import FxOverflow, round_half_away
 from irnn.pwl import TANH_GRID, PwlTable, eval_int
 from irnn.quant import (
+    Observer,
     QTensor,
     QuantParams,
     dequantize,
@@ -344,8 +345,9 @@ class TestIntCell:
         # a code of top + 0.25 rounds to int32's top, one of top + 0.75 past it
         rng = np.random.default_rng(42)
         wx, wh, _ = _toy_weights(rng, 4, 4)
-        observers = {}
-        lstm_run_ref(rng.normal(0.0, 1.0, size=(5, 4)), wx, wh, np.zeros(16), observers=observers)
+        xs = rng.normal(0.0, 1.0, size=(5, 4))
+        observers = {"x": Observer().observe(xs)}
+        lstm_run_ref(xs, wx, wh, np.zeros(16), observers=observers)
         cell = freeze_cell(observers, wx, wh, None, CellConfig())
         unit, top = cell.sites["x"].scale * cell.weights.wx.params.scale, 2**31 - 1
         edge = freeze_cell(observers, wx, wh, np.full(16, (top + 0.25) * unit), CellConfig())
