@@ -20,11 +20,14 @@ sites (IntLstmCell.table_grids, AttentionPlan.table_grids; the stage
 checks its tables against them, pwl.checked_tables), its slopes,
 fixed-point constants and LUT from its knots, every rescale from the
 sites.  A stage holds its tables and arrays read-only, so a loaded model
-replays inference bit-for-bit and saves as it was loaded.  A blob of
-another dtype or rank than its reader expects, a blob no reader takes, a
-stored tied site and a missing, extra or mistyped manifest field fail the
-load.  Which cells a kind has, which sites it ties and which keys its
-float archive holds is the graph module's; this module only (de)serializes.
+replays inference bit-for-bit and saves as it was loaded.  The load
+reads exactly what save writes: a blob of another dtype or rank than its
+reader expects, a blob no reader takes, a stored tied site, and a manifest
+field that is missing, mistyped or not one save writes (a top-level key,
+a cell name, a field of a stage's entry) fail it.  Ties are checked once,
+when graph.IrnnModel assembles the model; save relies on that.  Which
+cells a kind has, which sites it ties and which keys its float archive
+holds is the graph module's; this module only (de)serializes.
 """
 
 from __future__ import annotations
@@ -77,6 +80,11 @@ _DTYPES = {
 }
 
 
+# each stage's stored weights, by manifest field, with the rank of its blob
+_CELL_WEIGHTS = {"wx": 2, "wh": 2, "ws": 2}
+_ATT_WEIGHTS = {"wq": 2, "wk": 2, "v": 1}
+
+
 def _align(n: int) -> int:
     return (n + _ALIGN - 1) // _ALIGN * _ALIGN
 
@@ -90,7 +98,7 @@ def _params_from_json(d: dict) -> QuantParams:
     return QuantParams(**d)
 
 
-def _add_stage(blobs: dict, prefix: str, stage, weights: tuple, sites: dict) -> dict:
+def _add_stage(blobs: dict, prefix: str, stage, weights, sites: dict) -> dict:
     """A stage's manifest entry: its named weights' params (None for an
     absent weight) and its stored sites; weight and table arrays go to blobs."""
     entry = {"sites": sites}
@@ -105,8 +113,16 @@ def _add_stage(blobs: dict, prefix: str, stage, weights: tuple, sites: dict) -> 
     return entry
 
 
+def _only(obj: dict, fields, what: str) -> None:
+    """ValueError naming a key of obj that save does not write there."""
+    if extra := sorted(obj.keys() - set(fields)):
+        raise ValueError(f"malformed manifest: unknown {what} {extra[0]!r}")
+
+
 def _weights_from(entry: dict, prefix: str, blob, ranks: dict) -> dict:
-    """A stage's stored weights by name, each a blob of the rank given."""
+    """A stage's stored weights by name, each a blob of the rank given; the
+    entry holds these and its sites, and nothing else."""
+    _only(entry, ("sites", *ranks), f"{prefix} field")
     weights = {}
     for k, ndim in ranks.items():
         if entry[k] is not None:
@@ -145,13 +161,12 @@ def save(model: IrnnModel) -> bytes:
     blobs, cells_entry = {}, {}
     for name in graph_for(model.kind).cells:
         cell = model.cells[name]
-        weights = ("wx", "wh", "ws")
-        cells_entry[name] = _add_stage(blobs, f"cells/{name}", cell, weights, stored(name))
+        cells_entry[name] = _add_stage(blobs, f"cells/{name}", cell, _CELL_WEIGHTS, stored(name))
         if cell.weights.bias is not None:
             blobs[f"cells/{name}/bias"] = cell.weights.bias
     att_entry = None
     if model.attention is not None:
-        att_entry = _add_stage(blobs, "att", model.attention, ("wq", "wk", "v"), stored("att"))
+        att_entry = _add_stage(blobs, "att", model.attention, _ATT_WEIGHTS, stored("att"))
 
     manifest = {
         "kind": model.kind,
@@ -200,6 +215,7 @@ def _model_from(manifest: dict, blob) -> dict:
     if not isinstance(meta, dict):
         raise ValueError("malformed manifest: meta is not an object")
     g = graph_for(kind)
+    _only(manifest["cells"], g.cells, f"{kind} cell")
     entries = {name: manifest["cells"][name] for name in g.cells}
     if manifest["attention"] is not None:
         entries["att"] = manifest["attention"]
@@ -215,7 +231,7 @@ def _model_from(manifest: dict, blob) -> dict:
     cells, blobs = {}, manifest["blobs"]
     for name in g.cells:
         prefix, entry = f"cells/{name}", entries[name]
-        w = _weights_from(entry, prefix, blob, {"wx": 2, "wh": 2, "ws": 2})
+        w = _weights_from(entry, prefix, blob, _CELL_WEIGHTS)
         bias = blob(f"{prefix}/bias", np.int32, 1) if f"{prefix}/bias" in blobs else None
         grids = IntLstmCell.table_grids(sites[name], "ws" in w)
         cells[name] = IntLstmCell(
@@ -223,7 +239,7 @@ def _model_from(manifest: dict, blob) -> dict:
         )
     attention = None
     if "att" in entries:
-        w = _weights_from(entries["att"], "att", blob, {"wq": 2, "wk": 2, "v": 1})
+        w = _weights_from(entries["att"], "att", blob, _ATT_WEIGHTS)
         tables = _tables_from("att", blob, AttentionPlan.table_grids(sites["att"]))
         attention = AttentionPlan(AttentionWeights(sites=sites["att"], **w), tables)
     return {"kind": kind, "cells": cells, "attention": attention, "meta": meta}
@@ -243,7 +259,8 @@ def load(data: bytes) -> IrnnModel:
     Raises ValueError for a malformed container: a bad magic, another
     format version, a CRC32 that disagrees with the bytes, a payload whose
     length the blobs' dtypes and shapes do not give, a manifest nested too
-    deeply to parse, a missing or mistyped manifest field, a blob of
+    deeply to parse, a missing or mistyped manifest field, a manifest
+    field, cell or stage field that save does not write, a blob of
     another dtype or rank than its reader expects, or a stored scale whose
     multipliers overflow their fixed-point form when the cells are
     compiled.
@@ -261,6 +278,7 @@ def load(data: bytes) -> IrnnModel:
         raise ValueError("truncated container: manifest exceeds payload")
     manifest = _json(data[_HEADER.size : _HEADER.size + mlen].decode("utf-8"), "manifest")
     try:
+        _only(manifest, ("attention", "blobs", "cells", "kind", "meta"), "manifest field")
         # each reader takes its blob out, so any left over were read by none
         unread = _unpack(manifest["blobs"], data, _align(_HEADER.size + mlen))
 

@@ -339,6 +339,34 @@ class TestUnreadSites:
             IntLstmCell(enc.weights, sites, enc.tables)
 
 
+class TestExactManifest:
+    """The load reads exactly what save writes: a top-level key, a cell
+    name or a field of a stage's entry that save does not write is
+    refused with its name, where a load once dropped it silently."""
+
+    @staticmethod
+    def _edits(man) -> dict:
+        edits = {
+            "manifest field 'bogus'": lambda man: man.update(bogus=1),
+            f"{man['kind']} cell 'ghost'": lambda man: man["cells"].update(ghost={"sites": {}}),
+        }
+        for name in man["cells"]:
+            edits[f"cells/{name} field 'foo'"] = lambda man, n=name: man["cells"][n].update(foo=1)
+        if man["attention"] is not None:
+            edits["att field 'foo'"] = lambda man: man["attention"].update(foo=1)
+        return edits
+
+    def test_unwritten_field_refused(self):
+        for model in _kind_models():
+            data = mio.save(model)
+            assert mio.save(mio.load(data)) == data
+            edits = self._edits(manifest_of(data))
+            assert len(edits) == 3 + len(model.cells) - (model.attention is None)
+            for what, edit in edits.items():
+                with pytest.raises(ValueError, match=f"malformed manifest: unknown {what}$"):
+                    mio.load(reseal(data, edit))
+
+
 class TestFormat4:
     """One CRC32 covers the container; a blob entry is its dtype and shape,
     and its place follows from name order; a cell has a bias exactly when
