@@ -140,8 +140,16 @@ def _gather_inputs(args, model: mio.IrnnModel) -> np.ndarray:
                 f"data has {seqs.shape[2]}"
             )
         return seqs
-    rng = np.random.default_rng(args.seed)
-    return rng.normal(0.0, 1.0, size=(args.synth, args.seq_len, n_in))
+    return _normal(np.random.default_rng(args.seed), (args.synth, args.seq_len, n_in))
+
+
+def _normal(rng, shape: tuple) -> np.ndarray:
+    """Standard normal synthetic input of the shape given; a shape past
+    numpy's size limit or the memory available is a usage error."""
+    try:
+        return rng.normal(0.0, 1.0, size=shape)
+    except (ValueError, MemoryError) as e:
+        raise CliError(f"synthetic input of shape {shape} is too large: {e}") from e
 
 
 def _write_outputs(path, outs: np.ndarray) -> None:
@@ -292,7 +300,7 @@ def cmd_bench(args) -> int:
     fm = mio.export_float(model)
     rng = np.random.default_rng(args.seed)
     cell = model.input_cell
-    xs = rng.normal(0.0, 1.0, size=(args.seq_len, cell.input_size))
+    xs = _normal(rng, (args.seq_len, cell.input_size))
 
     container = mio.save(model)
     load_ns = _median_ns(lambda: mio.load(container), args.runs, args.warmup)

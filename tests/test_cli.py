@@ -462,6 +462,10 @@ def bad_files(tmp_path_factory):
         "meta_num": lambda man: man.update(meta=5),
         "meta_null": lambda man: man.update(meta=None),
         "meta_list": lambda man: man.update(meta=[1]),
+        # fields save does not write, which a load once dropped silently
+        "extra_key": lambda man: man.update(bogus=1),
+        "ghost_cell": lambda man: man["cells"].update(ghost={"sites": {}}),
+        "cell_field": lambda man: man["cells"]["main"].update(foo=1),
     }
     # edits that leave the container's CRC32 as it was: a weight's zero
     # point, a site's scale, a dropped bias (its blob's entry deleted)
@@ -613,6 +617,23 @@ _BAD_INPUTS = {
     "compare-meta-null": (["compare", "{meta_null}"], 3),
     "compare-meta-list": (["compare", "{meta_list}"], 3),
     "run-nested-manifest": (["run", "{nested}"], 3, "malformed manifest"),
+    "run-manifest-extra-key": (["run", "{extra_key}"], 3, "unknown manifest field 'bogus'"),
+    "run-manifest-extra-cell": (["run", "{ghost_cell}"], 3, "unknown lstm cell 'ghost'"),
+    "run-manifest-extra-cell-field": (["run", "{cell_field}"], 3, "unknown cells/main field 'foo'"),
+    # synthetic inputs past numpy's size limit (2^40 x 2^20 x 12 float64s)
+    # or past the 47-bit address space (>= 1 PiB), so none commits memory
+    "run-synth-past-size-limit": (
+        ["run", "{model}", "--synth", "1099511627776", "--seq-len", "1048576"], 2, "too large"
+    ),
+    "compare-synth-past-address-space": (
+        ["compare", "{model}", "--synth", "1000000000", "--seq-len", "1000000"], 2, "too large"
+    ),
+    "bench-seq-len-past-address-space": (
+        ["bench", "{model}", "--seq-len", "100000000000000"], 2, "too large"
+    ),
+    "bench-seq-len-past-size-limit": (
+        ["bench", "{model}", "--seq-len", "1000000000000000000"], 2, "too large"
+    ),
     "run-zero-exp-table": (["run", "{zero_exp}"], 3, "softmax-denominator"),
     "run-16-bit-qproj": (["run", "{qproj_16}"], 3, "score-table"),
     "quantize-nested-meta": (
