@@ -115,7 +115,7 @@ def _add_stage(blobs: dict, prefix: str, stage, weights, sites: dict) -> dict:
 
 def _only(obj: dict, fields, what: str) -> None:
     """ValueError naming a key of obj that save does not write there."""
-    if extra := sorted(obj.keys() - set(fields)):
+    if extra := sorted(obj.keys() - fields):
         raise ValueError(f"malformed manifest: unknown {what} {extra[0]!r}")
 
 
