@@ -165,7 +165,6 @@ def test_calibrate_lstm_cell_observes_only_the_context_rows_it_reads():
     cfg = CellConfig(pwl_pieces=4)
     want = calibrate_lstm_cell(wx, wh, bias, seqs, cfg, ws=ws, s_seqs=s_seqs)
     cell = calibrate_lstm_cell(wx, wh, bias, seqs, cfg, ws=ws, s_seqs=longer)
-    assert cell.sites["s"] == want.sites["s"]
     assert dict(cell.sites) == dict(want.sites)
 
 
