@@ -202,16 +202,14 @@ def _degrade_denominator(denom: int, bits: int, t_enc: int, exp_bits: int) -> in
 class AttentionSource:
     """The per-source terms of an attention stage (AttentionPlan.source).
 
-    keys is the centered key projection K - Z_k, int64 [T x m_att];
-    offsets holds, for key i and column j, the flat index j * 256 + K of its
-    code in the [m_att x 256] score-table rows that a step gathers for its
-    query, int64 [T x m_att]; henc is the centered encoder states
+    offsets holds, for key i and column j, the flat index j * 256 + K of
+    its code K in the [m_att x 256] score-table rows that a step gathers for
+    its query, int64 [T x m_att]; henc is the centered encoder states
     [T x m_enc], the context matmul's operand, float32 when source() proves
     that product below 2^24, else float64; ctx is the context division,
     proven and tie-certified for T states.
     """
 
-    keys: np.ndarray
     offsets: np.ndarray
     henc: np.ndarray
     ctx: Quotient
@@ -223,15 +221,15 @@ class AttentionPlan:
     Built once from the weights and the "exp" and "tanh" tables, which it
     checks and holds as a cell does (pwl.checked_tables); nothing changes
     after construction, so one plan serves any number of threads.
-    source() computes the per-source terms once per encoder sequence,
-    context() runs one decoder step on codes against them and
-    intermediates() runs the same step with every intermediate recorded.
-    Both project the decoder codes with the plan's own query GEMV and
-    rescale (_gemv_q, _qproj), then run the step kernel (_step), which
-    takes centered query codes.  An encoder-decoder model stacks those two
-    under the decoder's h projection instead (IntLstmCell.with_query) and
-    feeds the kernel the query codes that projection carries.  The qproj
-    and kproj grids must be 8-bit, so that the score table holds 2^16
+    source() computes the per-source terms once per encoder sequence, and
+    step() runs one decoder step against them on centered query codes,
+    returning the context with the alignments, exp weights and denominator
+    it formed on the way.  context() and intermediates() project the
+    decoder codes with the plan's own query GEMV and rescale, then step;
+    intermediates() also exposes what the step formed.  An encoder-decoder
+    model stacks that projection under the decoder's h projection instead
+    (carrier()) and steps on the query codes the decoder hands it.  The
+    qproj and kproj grids must be 8-bit, so that the score table holds 2^16
     codes, and it reads only AttentionWeights' sites; ValueError otherwise.
     """
 
@@ -268,6 +266,8 @@ class AttentionPlan:
         self._e = self._gemv_e.rescale(sites["e"]).centered()
         self._to_exp = _exp_stage(sites["e"], self.tables["exp"])
         self._exp_lut = self.tables["exp"].lut
+        # key code K of column j is flat index j * 256 + K of a step's score rows
+        self._base = np.arange(w.wk.shape[0], dtype=np.int64) * 256 + p_k.zero_point
         # the context division for one state; source() re-proves it for T
         p_s, p_h = sites["s"], sites["henc"]
         self._ctx = Quotient(p_h.scale / p_s.scale, p_s.zero_point, p_s.qmin, p_s.qmax,
@@ -291,65 +291,65 @@ class AttentionPlan:
         top exp code (Quotient.bounded); FxOverflow otherwise, before the
         keys are projected or any step runs.
         """
-        sites = self.weights.sites
-        p_h = sites["henc"]
+        p_h = self.weights.sites["henc"]
         if q_Henc.params != p_h:
             raise ValueError("uncalibrated-tensor: henc params differ from calibration")
         T = q_Henc.data.shape[0]
         num_bound = T * 2 ** (UNIT_GRID.bitwidth + p_h.bitwidth)
         dtype = _exact_dtype(num_bound, "context accumulator")
         ctx = self._ctx.bounded(num_bound, T * UNIT_GRID.qmax)
-        keys = self._kproj(self._gemv_k(q_Henc.data))
-        offsets = keys + (np.arange(keys.shape[1]) * 256 + sites["kproj"].zero_point)
+        offsets = self._kproj(self._gemv_k(q_Henc.data))
+        offsets += self._base
         henc = np.subtract(q_Henc.data, p_h.zero_point, dtype=dtype)
-        return AttentionSource(keys, offsets, henc, ctx)
+        return AttentionSource(offsets, henc, ctx)
+
+    def carrier(self, cell):
+        """A copy of a context-fed IntLstmCell on the hdec grid that carries
+        this plan's query (IntLstmCell.with_query): its run() hands the
+        context callback the centered query codes that step() takes."""
+        return cell.with_query(self._gemv_q, self._qproj)
 
     def context(self, hdec: np.ndarray, src: AttentionSource) -> np.ndarray:
         """One decoder step's context codes (s grid) from decoder codes (hdec
         grid) against a source's terms, unchecked: the tie table proves both."""
-        return self._step(self._qproj(self._gemv_q(hdec)), src)
+        return self.step(self._qproj(self._gemv_q(hdec)), src)[0]
 
     def intermediates(self, q_hdec: QTensor, q_Henc: QTensor) -> AttentionIntermediates:
-        """Integer attention with every intermediate exposed."""
+        """Integer attention with every intermediate exposed: step()'s parts
+        and the query, keys and sums it reads."""
         sites = self.weights.sites
         if q_hdec.params != sites["hdec"]:
             raise ValueError("uncalibrated-tensor: hdec params differ from calibration")
-        src, p_k = self.source(q_Henc), sites["kproj"]
-        rec = {"keys_proj": QTensor((src.keys.T + p_k.zero_point).astype(p_k.dtype), p_k)}
-        q_qp = self._qproj(self._gemv_q(q_hdec.data))
-        rec["s"] = QTensor(self._step(q_qp, src, rec), sites["s"])
-        return AttentionIntermediates(**rec)
+        src, q = self.source(q_Henc), self._qproj(self._gemv_q(q_hdec.data))
+        s, e, exp, denom = self.step(q, src)
+        keys, p_sum = src.offsets - self._base, sites["sumqk"]
+        sums = saturate(self._sumqk(q, keys).T.copy(), p_sum.qmin, p_sum.qmax)
 
-    def _step(self, q_qp, src, rec=None):
-        """The step kernel on centered query codes q_qp (qproj grid minus
-        Z_q), from _qproj(_gemv_q(hdec)) or from a decoder whose h
-        projection carries the query (IntLstmCell.with_query); with rec a
-        dict, it records the intermediates.  The query codes gather their
-        score-table rows (a wrapping take, since row r holds the centered
-        code r mod 256), and each score is one gather from those, at the
-        key's offset."""
-        sites = self.weights.sites
-        p_s = sites["s"]
+        def codes(centered, p):
+            return QTensor((centered + p.zero_point).astype(p.dtype), p)
 
-        rows = self._score.take(q_qp, axis=0, mode="wrap")
-        q_e = self._e(self._gemv_e(rows.take(src.offsets))[:, 0])
-        q_exp, denom = _softmax(q_e, self._to_exp, self._exp_lut)
+        return AttentionIntermediates(
+            query_proj=codes(q, sites["qproj"]), keys_proj=codes(keys.T, sites["kproj"]),
+            sum_qk=QTensor(sums.astype(p_sum.dtype), p_sum), e=codes(e, sites["e"]),
+            exp_e=QTensor(exp, self.tables["exp"].out_params), denom=denom,
+            s=QTensor(s, sites["s"]))
+
+    def step(self, q: np.ndarray, src: AttentionSource) -> tuple:
+        """One decoder step on centered query codes q (qproj grid minus Z_q)
+        against a source's terms; returns (s, e, exp, denom): the context
+        codes, the centered alignment codes (e grid minus Z_e), the exp
+        weights and their sum.  The query codes gather their score-table
+        rows (a wrapping take, since row r holds the centered code r mod
+        256), and each score is one gather from those, at the key's offset."""
+        rows = self._score.take(q, axis=0, mode="wrap")
+        e = self._e(self._gemv_e(rows.take(src.offsets))[:, 0])
+        exp, denom = _softmax(e, self._to_exp, self._exp_lut)
 
         # weighted context: one rounded division per output element; every
         # partial sum is an integer below 2^53, and below 2^24 where henc is
         # float32 (source() proves it), so the product is exact
-        num = (q_exp.astype(src.henc.dtype) @ src.henc).astype(np.int64)
-        q_s = src.ctx(num, denom).astype(p_s.dtype)
-
-        if rec is not None:
-            p_q, p_sum, p_e = sites["qproj"], sites["sumqk"], sites["e"]
-            rec["query_proj"] = QTensor((q_qp + p_q.zero_point).astype(p_q.dtype), p_q)
-            sat = saturate(self._sumqk(q_qp, src.keys).T.copy(), p_sum.qmin, p_sum.qmax)
-            rec["sum_qk"] = QTensor(sat.astype(p_sum.dtype), p_sum)
-            rec["e"] = QTensor((q_e + p_e.zero_point).astype(p_e.dtype), p_e)
-            rec["exp_e"] = QTensor(q_exp, self.tables["exp"].out_params)
-            rec["denom"] = denom
-        return q_s
+        num = (exp.astype(src.henc.dtype) @ src.henc).astype(np.int64)
+        return src.ctx(num, denom).astype(self.weights.sites["s"].dtype), e, exp, denom
 
 
 def attention_intermediates(

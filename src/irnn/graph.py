@@ -140,7 +140,7 @@ class _Graph:
         the [..., T, m_src] array to hold every step's.  a is what the
         attending cell's run hands its context callback: the float backend's
         h before the step, and the integer backend's centered query codes,
-        which its decoder's h projection carries (IntLstmCell.with_query).
+        which its decoder's h projection carries (AttentionPlan.carrier).
         The callback stores each step's context in ctx and returns that
         step's own array.  trace(stage, v) gives the float64 values of a
         cell's states, or of ctx for "att".
@@ -195,7 +195,7 @@ class _Graph:
 
         def attention(H):
             src = att.source(QTensor(H, att.weights.sites["henc"]))
-            return lambda q: att._step(q, src), np.empty(H.shape, att.weights.sites["s"].dtype)
+            return lambda q: att.step(q, src)[0], np.empty(H.shape, att.weights.sites["s"].dtype)
 
         def trace(stage, codes):
             return dequantize(codes, model.sites(stage)["s" if stage == "att" else "h"])
@@ -246,7 +246,7 @@ class IrnnModel:
     and a tied site absent or off its source's grid are refused (GraphError).
 
     The attending cell in cells carries the plan's query rows under its h
-    projection (IntLstmCell.with_query), derived here from the cell given:
+    projection (AttentionPlan.carrier), derived here from the cell given:
     one GEMV and one rescale give the decoder's hprod and the attention's
     centered query codes.  The tie of att.hdec to its h proves that both
     read one grid.
@@ -273,8 +273,8 @@ class IrnnModel:
             if grid != src_grid:
                 raise GraphError(f"tied-site-mismatch: {stage}.{site} differs from {src}.{src_site}")
         if g.attend:
-            att, dec = self.attention, g.attend[0]
-            carrier = self.cells[dec].with_query(att._gemv_q, att._qproj)
+            dec = g.attend[0]
+            carrier = self.attention.carrier(self.cells[dec])
             object.__setattr__(self, "cells", MappingProxyType({**self.cells, dec: carrier}))
 
     def sites(self, stage: str):

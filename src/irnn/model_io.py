@@ -233,10 +233,8 @@ def _model_from(manifest: dict, blob) -> dict:
         prefix, entry = f"cells/{name}", entries[name]
         w = _weights_from(entry, prefix, blob, _CELL_WEIGHTS)
         bias = blob(f"{prefix}/bias", np.int32, 1) if f"{prefix}/bias" in blobs else None
-        grids = IntLstmCell.table_grids(sites[name], "ws" in w)
-        cells[name] = IntLstmCell(
-            LstmWeights(bias=bias, **w), sites[name], _tables_from(prefix, blob, grids)
-        )
+        tables = _tables_from(prefix, blob, IntLstmCell.table_grids(sites[name]))
+        cells[name] = IntLstmCell(LstmWeights(bias=bias, **w), sites[name], tables)
     attention = None
     if "att" in entries:
         w = _weights_from(entries["att"], "att", blob, _ATT_WEIGHTS)

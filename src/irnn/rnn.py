@@ -249,10 +249,10 @@ class IntLstmCell:
     one cell may step many sequences on many threads.
 
     A context-fed cell that attends can carry the attention query
-    (with_query): a copy whose one h GEMV and one rescale give both its
-    hprod codes and the centered query codes that its run() hands the
-    context callback.  An encoder-decoder model holds that copy as its
-    decoder, derived once when it is assembled (graph.IrnnModel).
+    (with_query, AttentionPlan.carrier): a copy whose one h GEMV and one
+    rescale give both its hprod codes and the centered query codes that
+    its run() hands the context callback.  An encoder-decoder model holds
+    that copy as its decoder, derived once when it is assembled.
     """
 
     weights = property(attrgetter("_weights"))
@@ -278,15 +278,15 @@ class IntLstmCell:
             raise ValueError("hidden state must be 8-bit")
         self._weights = weights
         self._sites = MappingProxyType(dict(sites))
-        self._tables = checked_tables(tables, self.table_grids(self._sites, weights.ws is not None))
+        self._tables = checked_tables(tables, self.table_grids(self._sites))
         self._compile()
 
     @staticmethod
-    def table_grids(sites: Mapping, context: bool) -> dict:
-        """(input grid, output grid) of each table, by name: the gate
-        sigmoid and tanh read the gate site (preact for a context-fed cell,
-        else sum1), tanh(c) reads c, and the outputs are the fixed grids."""
-        p_gate = sites["preact" if context else "sum1"]
+    def table_grids(sites: Mapping) -> dict:
+        """(input grid, output grid) of each table, by name: the gate sigmoid
+        and tanh read preact where the sites hold it (a context-fed cell's
+        do), else sum1, tanh(c) reads c, and the outputs are fixed grids."""
+        p_gate = sites["preact" if "preact" in sites else "sum1"]
         return {
             "sigmoid": (p_gate, UNIT_GRID),
             "tanh_gate": (p_gate, TANH_GRID),
@@ -378,11 +378,11 @@ class IntLstmCell:
     def with_query(self, gemv_q: ExactGemv, qproj: Rescale) -> IntLstmCell:
         """A copy of this context-fed cell whose h projection also carries
         an attention query: gemv_q, a GEMV of the cell's h grid, and qproj,
-        its centered one-term saturating rescale, stacked under the plain h
-        projection (ExactGemv.stack, Rescale.stack: each element keeps its
-        part's constants), so a carrier's copy carries one query.  Each
-        step of its run() projects h once and hands context() the centered
-        query codes.  This cell is not changed."""
+        its centered one-term saturating rescale (AttentionPlan.carrier
+        passes the plan's), stacked under the plain h projection
+        (ExactGemv.stack, Rescale.stack: each element keeps its part's
+        constants), so a carrier's copy carries one query.  Each step of its
+        run() projects h once and hands context() the centered query codes."""
         if self._gemv_s is None:
             raise ValueError("a query rides only on a context-fed cell")
         gemv_h, hprod = self._h_proj
@@ -496,7 +496,7 @@ def freeze_cell(observers: dict, wx, wh, bias, cfg: CellConfig, ws=None) -> IntL
             raise FxOverflow("bias codes exceed int32 range")
         bias_i32 = round_half_away(codes).astype(np.int32)
     weights = LstmWeights(qwx, qwh, bias_i32, ws=qws)
-    tables = fit_tables(IntLstmCell.table_grids(sites, ws is not None), cfg.pwl_pieces)
+    tables = fit_tables(IntLstmCell.table_grids(sites), cfg.pwl_pieces)
     return IntLstmCell(weights, sites, tables)
 
 

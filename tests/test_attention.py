@@ -272,14 +272,14 @@ class TestLeanStep:
         sites = {**w.sites, "hdec": cell.sites["h"]}
         tables = {"exp": expt, "tanh": tanht}
         plan = AttentionPlan(AttentionWeights(w.wq, w.wk, w.v, sites), tables)
-        carrier = cell.with_query(plan._gemv_q, plan._qproj)
+        carrier = plan.carrier(cell)
         qHe = quantize_tensor(rng.normal(0.0, 1.5, size=(T, 16)), w.sites["henc"])
         src = plan.source(qHe)
         hs = [rng.integers(0, 256, size=m).astype(np.uint8) for _ in range(30)]
         for h in [*hs, np.zeros(m, np.uint8), np.full(m, 255, np.uint8)]:
             q = carrier._hprod(carrier._gemv_h(h))[4 * m:]
             np.testing.assert_array_equal(q, plan._qproj(plan._gemv_q(h)))
-            got = plan._step(q, src)
+            got = plan.step(q, src)[0]
             np.testing.assert_array_equal(got, plan.context(h, src))
             want = plan.intermediates(QTensor(h, cell.sites["h"]), qHe).s
             assert got.dtype == want.data.dtype

@@ -174,7 +174,7 @@ class TestQuantizeRunCompare:
         sites = {**cell.sites, "sum1": sum1}
         tables = {
             name: PwlTable(cell.tables[name].q_knots, cell.tables[name].values, *grids)
-            for name, grids in IntLstmCell.table_grids(sites, False).items()
+            for name, grids in IntLstmCell.table_grids(sites).items()
         }
         model = dataclasses.replace(model, cells={"main": IntLstmCell(cell.weights, sites, tables)})
         mio.save_file(model, path)
@@ -504,6 +504,17 @@ def bad_files(tmp_path_factory):
     files["qproj_16"] = d / "qproj_16.irnn"
     wide = lambda man: man["attention"]["sites"]["qproj"].update(bitwidth=16)
     files["qproj_16"].write_bytes(reseal((d / "encdec.irnn").read_bytes(), wide))
+    # preact paired wrongly with ws: a decoder without it, an encoder with
+    # one on its sum1 grid, so that its tables read as they were stored
+    cells = lambda man: man["cells"]
+    wirings = {
+        "dec_no_preact": lambda man: cells(man)["dec"]["sites"].pop("preact"),
+        "enc_preact": lambda man: cells(man)["enc"]["sites"].update(
+            preact=cells(man)["enc"]["sites"]["sum1"]),
+    }
+    for name, mutate in wirings.items():
+        files[name] = d / f"{name}.irnn"
+        files[name].write_bytes(reseal((d / "encdec.irnn").read_bytes(), mutate))
     return {k: str(v) for k, v in files.items()}
 
 
@@ -636,6 +647,8 @@ _BAD_INPUTS = {
     ),
     "run-zero-exp-table": (["run", "{zero_exp}"], 3, "softmax-denominator"),
     "run-16-bit-qproj": (["run", "{qproj_16}"], 3, "score-table"),
+    "run-decoder-without-preact": (["run", "{dec_no_preact}"], 3, "uncalibrated-tensor: preact"),
+    "run-encoder-with-preact": (["run", "{enc_preact}"], 3, "unread-site: the cell reads no preact"),
     "quantize-nested-meta": (
         ["quantize", "{nested_npz}", "--calib", "{calib}", "--out", "{out}"], 3, "malformed meta"
     ),

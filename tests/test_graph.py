@@ -311,7 +311,7 @@ class TestKernelInputs:
         model, qxs, xs = self._model("encdec", CellConfig())
         enc, dec, att = model.cells["enc"], _plain(model.cells["dec"]), model.attention
         src = att.source(enc.run(qxs))
-        src_was = _frozen(src.keys, src.offsets, src.henc)
+        src_was = _frozen(src.offsets, src.henc)
         xb = dec.input_branch(qxs.data)
         (xb_was,) = _frozen(xb)
         h, c = self._zero_state(dec)
@@ -325,7 +325,7 @@ class TestKernelInputs:
                 np.testing.assert_array_equal(a, b)
             h, c = h1, c1
             hs.append(h)
-        for a, b in zip((src.keys, src.offsets, src.henc, xb), [*src_was, xb_was]):
+        for a, b in zip((src.offsets, src.henc, xb), [*src_was, xb_was]):
             np.testing.assert_array_equal(a, b)
         want = graph.run_int(model, xs)["out"]
         np.testing.assert_array_equal(dequantize(np.stack(hs), dec.sites["h"]), want)
@@ -491,9 +491,9 @@ class TestStackedQuery:
         model = self._model("encdec", CellConfig(), rng)
         att, carrier = model.attention, model.cells["dec"]
         with pytest.raises(ValueError, match="only on a context-fed cell"):
-            model.cells["enc"].with_query(att._gemv_q, att._qproj)
+            att.carrier(model.cells["enc"])
         # a carrier derives the carrier again: one query block, same bits
-        again = carrier.with_query(att._gemv_q, att._qproj)
+        again = att.carrier(carrier)
         assert again is not carrier
         assert again._gemv_h.w.shape == carrier._gemv_h.w.shape
         np.testing.assert_array_equal(again._gemv_h.w, carrier._gemv_h.w)
@@ -573,7 +573,7 @@ class TestAssembly:
         sites = {k: v for k, v in dec.sites.items() if k not in ("s", "preact")}
         tables = {
             name: reduce(build_full(activation_registry(name.partition("_")[0])[0], *grids), 32)
-            for name, grids in rnn.IntLstmCell.table_grids(sites, False).items()
+            for name, grids in rnn.IntLstmCell.table_grids(sites).items()
         }
         w = dec.weights
         deaf = rnn.IntLstmCell(rnn.LstmWeights(w.wx, w.wh, w.bias), sites, tables)

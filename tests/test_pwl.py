@@ -463,7 +463,7 @@ def _workload_tables():
         grids = [
             (f"{kind}.{cell}.{name}", name.partition("_")[0], g)
             for cell, c in model.cells.items()
-            for name, g in IntLstmCell.table_grids(c.sites, c.weights.ws is not None).items()
+            for name, g in IntLstmCell.table_grids(c.sites).items()
         ]
         if model.attention is not None:
             sites = model.attention.weights.sites

@@ -558,7 +558,7 @@ class TestReferenceStep:
         sites["sum1"] = derive_params(
             dequantize(0, p) / 4, dequantize(p.qmax, p) / 4, p.bitwidth
         )
-        grids = IntLstmCell.table_grids(sites, context)
+        grids = IntLstmCell.table_grids(sites)
         cell = IntLstmCell(cell.weights, sites, _regrid(cell.tables, grids))
         qxs = quantize_tensor(rng.normal(0.0, 1.0, size=(T, n)), sites["x"])
         qss = None
