@@ -332,10 +332,13 @@ def _float64(arrays: dict) -> dict:
 def calibrate(fm: FloatModel, seqs, cfg: CellConfig) -> IrnnModel:
     """Run the float graph once over [N x T x n] sequences, every sequence
     stepping together, with observers attached; then freeze the cells and
-    the attention stage."""
+    the attention stage.  GraphError for N or T of 0, which observe nothing."""
     seqs = np.asarray(seqs, dtype=np.float64)
     if seqs.ndim != 3:
         raise GraphError("calibration sequences must be [N x T x n]")
+    for axis, what in enumerate(("N (sequences)", "T (timesteps)")):
+        if seqs.shape[axis] == 0:
+            raise GraphError(f"empty calibration set: [N x T x n] has {what} = 0")
     g = graph_for(fm.kind)
     a = _float64(fm.arrays)
     n_in = a[g.cells[g.input_cell] + "wx"].shape[1]

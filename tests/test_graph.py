@@ -140,6 +140,22 @@ class TestCalibrate:
         with pytest.raises(graph.GraphError, match=r"\[N x T x n\]"):
             graph.calibrate(fm, np.zeros((5, N_FEAT)), CellConfig())
 
+    @pytest.mark.parametrize("kind", ["lstm", "bilstm", "encdec"])
+    @pytest.mark.parametrize("shape,axis", [((0, 5, N_FEAT), "N"), ((3, 0, N_FEAT), "T")],
+                             ids=["no-sequences", "no-timesteps"])
+    def test_empty_calibration_set_refused(self, kind, shape, axis, monkeypatch):
+        # no sequence or no timestep observes nothing: an identity grid on
+        # every site, or a bare KeyError from the freeze; refused before
+        # the float run
+        fm = graph.FloatModel(kind, _arrays(kind, np.random.default_rng(42)))
+
+        def float_run(*args):
+            raise AssertionError("the float run started")
+
+        monkeypatch.setattr(graph._Graph, "float_run", float_run)
+        with pytest.raises(graph.GraphError, match=rf"empty calibration set: .* has {axis} "):
+            graph.calibrate(fm, np.zeros(shape), CellConfig())
+
 
 class TestRun:
     def test_encdec_recurrences_run_through_run(self, monkeypatch):
