@@ -505,14 +505,23 @@ def calibrate_lstm_cell(
 ) -> IntLstmCell:
     """Observe one float run over calibration sequences, then freeze the cell.
 
-    seqs is [..., T x n], every sequence stepping together; s_seqs, when the
-    cell takes a context input, is [..., T' x m_s], T' >= T, with the same
-    leading axes.  The run observes what it computes, and this function
+    seqs is [..., T x n], every sequence stepping together; s_seqs, given
+    exactly when ws is (the cell takes a context input), is [..., T' x m_s],
+    T' >= T, with the same leading axes; ValueError otherwise, before the
+    run.  The run observes what it computes, and this function observes
     seqs as x and the context rows the run reads, s_seqs[..., :T, :], as s.
     """
     observers: dict[str, Observer] = {}
     seqs = np.asarray(seqs, dtype=np.float64)
-    s_seqs = None if s_seqs is None else np.asarray(s_seqs, dtype=np.float64)
+    if (ws is None) != (s_seqs is None):
+        raise ValueError("ws and s_seqs come together: a context-fed cell needs both")
+    if s_seqs is not None:
+        s_seqs = np.asarray(s_seqs, dtype=np.float64)
+        if min(s_seqs.ndim, seqs.ndim) < 2 or s_seqs.shape[:-2] != seqs.shape[:-2]:
+            raise ValueError(f"s_seqs {s_seqs.shape} needs the leading axes of seqs {seqs.shape}")
+        if s_seqs.shape[-2] < seqs.shape[-2]:
+            raise ValueError(f"s_seqs has {s_seqs.shape[-2]} rows, fewer than the "
+                             f"{seqs.shape[-2]} steps of seqs")
     lstm_run_ref(
         seqs, wx, wh, bias,
         ws=ws, context=None if s_seqs is None else lambda t, h: s_seqs[..., t, :],

@@ -261,3 +261,32 @@ def test_step_in_a_work_array_allocates_no_copy_of_the_keys():
             tracemalloc.stop()
     assert peaks["work"] < keys.nbytes / 4
     assert peaks["fresh"] >= keys.nbytes
+
+
+@pytest.mark.parametrize("s_shape,fault", [
+    ((N_SEQ, 4, M), r"s_seqs has 4 rows, fewer than the 6 steps"),
+    (None, r"ws and s_seqs come together"),
+    ((1, 6, M), r"s_seqs \(1, 6, 8\) needs the leading axes of seqs \(5, 6, 6\)"),
+    ((6, M), r"s_seqs \(6, 8\) needs the leading axes"),
+    ((2, 6, M), r"s_seqs \(2, 6, 8\) needs the leading axes"),
+    ((N_SEQ, 1, 6, M), r"needs the leading axes"),
+], ids=["short", "missing", "one-for-all", "unbatched", "two-for-five", "extra-axis"])
+def test_calibrate_lstm_cell_names_a_misfit_context(s_shape, fault, monkeypatch):
+    # a context short of T, missing, or of other leading axes than the
+    # sequences (one context broadcast over every sequence, say) is refused
+    # before the run, not with an index or broadcast error from inside it
+    rng = np.random.default_rng(13)
+    arrays = _arrays("encdec", rng, True)
+    wx, wh, bias, ws = (arrays["dec_" + k] for k in ("wx", "wh", "bias", "ws"))
+    s_seqs = None if s_shape is None else rng.normal(0.0, 0.5, size=s_shape)
+
+    def run(*args, **kwargs):
+        raise AssertionError("the float run started")
+
+    monkeypatch.setattr("irnn.rnn.lstm_run_ref", run)
+    with pytest.raises(ValueError, match=fault):
+        calibrate_lstm_cell(wx, wh, bias, _seqs(rng, 6), CellConfig(), ws=ws, s_seqs=s_seqs)
+    # a context without ws is refused as well
+    if s_seqs is not None:
+        with pytest.raises(ValueError, match="ws and s_seqs come together"):
+            calibrate_lstm_cell(wx, wh, bias, _seqs(rng, 6), CellConfig(), s_seqs=s_seqs)
