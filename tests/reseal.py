@@ -51,6 +51,14 @@ def with_manifest(data: bytes, body: bytes, blobs: bytes | None = None) -> bytes
     return struct.pack("<4sII", magic, version, zlib.crc32(checked)) + checked
 
 
+def with_length(data: bytes, mlen: int) -> bytes:
+    """data with its header's manifest length set to mlen and every byte
+    after the header kept, under a fresh CRC32."""
+    magic, version, _, _ = HEADER.unpack_from(data)
+    checked = struct.pack("<Q", mlen) + data[HEADER.size :]
+    return struct.pack("<4sII", magic, version, zlib.crc32(checked)) + checked
+
+
 def unsealed(data: bytes, edit) -> bytes:
     """data with edit(manifest) applied but its CRC32 left as it was."""
     edited = reseal(data, edit)

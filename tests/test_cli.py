@@ -22,7 +22,7 @@ from irnn.cli import build_model, main
 from irnn.pwl import ACTIVATIONS, PwlTable, build_full, eval_int, fit, reduce
 from irnn.quant import QuantParams
 from irnn.rnn import CellConfig, IntLstmCell
-from reseal import blob_zeroed, manifest_of, reseal, unsealed, with_manifest
+from reseal import blob_zeroed, manifest_of, reseal, unsealed, with_length, with_manifest
 
 _TABLE_GOLDEN = [
     "scaling,precision,signed_low,signed_high,unsigned_low,unsigned_high",
@@ -394,8 +394,7 @@ def bad_files(tmp_path_factory):
     rng = np.random.default_rng(42)
     names = {"npz": "model.npz", "calib": "calib.bin", "model": "model.irnn", "nan": "nan.bin",
              "nan_npz": "nan.npz", "truncated": "truncated.bin", "out": "out.csv",
-             "v1": "v1.irnn", "v2": "v2.irnn", "v3": "v3.irnn", "no_seqs": "no_seqs.bin",
-             "no_steps": "no_steps.bin", "no_steps_2d": "no_steps_2d.bin"}
+             "v1": "v1.irnn", "v2": "v2.irnn", "v3": "v3.irnn"}
     files = {k: d / name for k, name in names.items()}
     _lstm_npz(files["npz"], rng)
     mio.save_calibration(files["calib"], rng.normal(0.0, 1.0, size=(4, 8, 12)))
@@ -432,8 +431,17 @@ def bad_files(tmp_path_factory):
     # rank 3 but only one of the three dims
     files["truncated"].write_bytes(struct.pack("<IQ", 3, 2))
     for name, shape in (("no_seqs", (0, 4, 12)), ("no_steps", (1, 0, 12)),
-                        ("no_steps_2d", (0, 12))):
+                        ("no_steps_2d", (0, 12)), ("rank1", (12,)), ("rank4", (1, 2, 4, 12)),
+                        ("calib5", (2, 8, 5))):
+        files[name] = d / f"{name}.bin"
         mio.save_calibration(files[name], np.zeros(shape))
+    # a container cut inside its 20-byte header, and one whose manifest
+    # length runs past its last byte under a valid CRC32
+    files["short"] = d / "short.irnn"
+    files["short"].write_bytes(files["model"].read_bytes()[:19])
+    files["long_manifest"] = d / "long_manifest.irnn"
+    long_manifest = with_length(files["model"].read_bytes(), files["model"].stat().st_size)
+    files["long_manifest"].write_bytes(long_manifest)
     for version in (1, 2, 3):
         old = bytearray(files["model"].read_bytes())
         old[4:8] = struct.pack("<I", version)
@@ -611,6 +619,14 @@ _BAD_INPUTS = {
     "quantize-no-timesteps-2d": (
         ["quantize", "{npz}", "--calib", "{no_steps_2d}", "--out", "{out}"], 3
     ),
+    "run-rank-1-input": (["run", "{model}", "--input", "{rank1}"], 3,
+                         "must be [T x n] or [N x T x n]"),
+    "run-rank-4-input": (["run", "{model}", "--input", "{rank4}"], 3,
+                         "must be [T x n] or [N x T x n]"),
+    "quantize-calib-width-5": (["quantize", "{npz}", "--calib", "{calib5}", "--out", "{out}"], 2,
+                               "dimension mismatch"),
+    "run-short-header": (["run", "{short}"], 3, "missing header"),
+    "run-manifest-past-payload": (["run", "{long_manifest}"], 3, "manifest exceeds payload"),
     "run-threads-0": (["run", "{model}", "--threads", "0"], 2),
     "run-threads-negative": (["run", "{model}", "--threads", "-3"], 2),
     "compare-threads-0": (["compare", "{model}", "--threads", "0"], 2),
