@@ -514,11 +514,10 @@ def bad_files(tmp_path_factory):
     files["qproj_16"].write_bytes(reseal((d / "encdec.irnn").read_bytes(), wide))
     # preact paired wrongly with ws: a decoder without it, an encoder with
     # one on its sum1 grid, so that its tables read as they were stored
-    cells = lambda man: man["cells"]
+    enc_sites = lambda man: man["cells"]["enc"]["sites"]
     wirings = {
-        "dec_no_preact": lambda man: cells(man)["dec"]["sites"].pop("preact"),
-        "enc_preact": lambda man: cells(man)["enc"]["sites"].update(
-            preact=cells(man)["enc"]["sites"]["sum1"]),
+        "dec_no_preact": lambda man: man["cells"]["dec"]["sites"].pop("preact"),
+        "enc_preact": lambda man: enc_sites(man).update(preact=enc_sites(man)["sum1"]),
     }
     for name, mutate in wirings.items():
         files[name] = d / f"{name}.irnn"
